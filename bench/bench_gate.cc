@@ -124,12 +124,6 @@ main(int argc, char **argv)
     TrajectoryRecord rec = recordFromBenchJson(buf.str());
     rec.gitSha = gitShortSha();
     rec.timestamp = utcTimestamp();
-#ifndef NDEBUG
-    // The gate binary itself being a debug build means the whole
-    // build tree is; tag the record even if the bench JSON context
-    // failed to say so.
-    rec.debugBuild = true;
-#endif
     if (rec.debugBuild)
         log::warn("bench_gate: DEBUG-BUILD record (build_type=%s); "
                   "gating only against other debug runs",

@@ -40,7 +40,7 @@ reachableBlocks(Function &f)
     return reversePostOrder(f);
 }
 
-std::map<const BasicBlock *, std::vector<BasicBlock *>>
+PredecessorMap
 predecessorMap(Function &f, bool handler_edges)
 {
     auto preds = f.predecessors();

@@ -20,14 +20,18 @@ std::vector<BasicBlock *> reversePostOrder(Function &f);
 /** Blocks reachable from the entry. */
 std::vector<BasicBlock *> reachableBlocks(Function &f);
 
+/** Block -> predecessors, in block order; blocks without
+ *  predecessors have no entry. */
+using PredecessorMap =
+    std::map<const BasicBlock *, std::vector<BasicBlock *>>;
+
 /**
  * Predecessor map. When @p handler_edges is set, every block of a
  * speculative region is additionally treated as a predecessor of the
  * region's handler — the SMIR predecessor rule (paper Eq. 2) that makes
  * liveness and register allocation correct under misspeculation.
  */
-std::map<const BasicBlock *, std::vector<BasicBlock *>>
-predecessorMap(Function &f, bool handler_edges);
+PredecessorMap predecessorMap(Function &f, bool handler_edges);
 
 /**
  * Idempotent? (paper §3.2.3): a block that may be safely re-executed.

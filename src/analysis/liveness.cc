@@ -1,98 +1,135 @@
 #include "analysis/liveness.h"
 
-#include "analysis/cfg.h"
-
 namespace bitspec
 {
 
-namespace
-{
-
-bool
-isTracked(const Value *v)
-{
-    return v->isInstruction() || v->kind() == ValueKind::Argument;
-}
-
-} // namespace
-
 Liveness::Liveness(Function &f, bool handler_edges)
 {
-    // Successor map including handler edges when requested.
-    std::map<const BasicBlock *, std::vector<BasicBlock *>> succs;
+    const size_t num_values = f.renumber();
+    values_.reserve(num_values);
+    for (size_t i = 0; i < f.numArgs(); ++i)
+        values_.push_back(f.arg(i));
+    for (const auto &bb : f.blocks()) {
+        blockIndex_.emplace(bb.get(), blockIndex_.size());
+        for (const auto &inst : bb->insts())
+            values_.push_back(inst.get());
+    }
+    const size_t num_blocks = f.blocks().size();
+
+    // Successors by block index, including handler edges when
+    // requested.
+    std::vector<std::vector<size_t>> succs(num_blocks);
+    auto add_edge = [&](const BasicBlock *from, const BasicBlock *to) {
+        auto f_it = blockIndex_.find(from), t_it = blockIndex_.find(to);
+        if (f_it != blockIndex_.end() && t_it != blockIndex_.end())
+            succs[f_it->second].push_back(t_it->second);
+    };
     for (const auto &bb : f.blocks())
-        succs[bb.get()] = bb->successors();
+        for (BasicBlock *s : bb->successors())
+            add_edge(bb.get(), s);
     if (handler_edges) {
         for (const auto &sr : f.specRegions())
             for (BasicBlock *member : sr->blocks)
-                succs[member].push_back(sr->handler);
+                add_edge(member, sr->handler);
     }
 
-    // use[b]: used before any def in b (phi uses attributed to the
-    // incoming edge, i.e. to the predecessor's live-out).
-    // def[b]: values defined in b.
-    std::map<const BasicBlock *, std::set<const Value *>> use, def;
-    // phiUse[pred] accumulates values consumed by successor phis.
-    std::map<const BasicBlock *, std::set<const Value *>> phi_use;
+    // use[b]: used before any def in b. def[b]: values defined in b.
+    // Phi uses are attributed to the incoming edge: they seed the
+    // predecessor's live-out.
+    std::vector<BitSet> use(num_blocks, BitSet(num_values));
+    std::vector<BitSet> def(num_blocks, BitSet(num_values));
+    liveIn_.assign(num_blocks, BitSet(num_values));
+    liveOut_.assign(num_blocks, BitSet(num_values));
 
-    for (const auto &bb : f.blocks()) {
-        auto &u = use[bb.get()];
-        auto &d = def[bb.get()];
-        for (const auto &inst : bb->insts()) {
+    for (size_t b = 0; b < num_blocks; ++b) {
+        for (const auto &inst : f.blocks()[b]->insts()) {
             if (inst->isPhi()) {
                 for (size_t i = 0; i < inst->numOperands(); ++i) {
-                    Value *v = inst->operand(i);
-                    if (isTracked(v))
-                        phi_use[inst->blockOperand(i)].insert(v);
+                    size_t id = idOf(inst->operand(i));
+                    auto pred = blockIndex_.find(inst->blockOperand(i));
+                    if (id < num_values && pred != blockIndex_.end())
+                        liveOut_[pred->second].set(id);
                 }
             } else {
-                for (Value *v : inst->operands())
-                    if (isTracked(v) && !d.count(v))
-                        u.insert(v);
+                for (Value *v : inst->operands()) {
+                    size_t id = idOf(v);
+                    if (id < num_values && !def[b].test(id))
+                        use[b].set(id);
+                }
             }
             if (!inst->type().isVoid())
-                d.insert(inst.get());
+                def[b].set(inst->id());
         }
     }
+    // Only now is every phi use in place: a later block's phi can feed
+    // an earlier block's live-out.
+    for (size_t b = 0; b < num_blocks; ++b) {
+        liveIn_[b] = use[b];
+        liveIn_[b].unionWithDifference(liveOut_[b], def[b]);
+    }
 
-    // Backward dataflow to a fixed point.
+    // Backward dataflow to a fixed point. Sets only grow, so the
+    // in-place unions converge to the least solution of
+    //   out[b] = phiUse[b] | (union of in[s] over successors s),
+    //   in[b]  = use[b] | (out[b] & ~def[b]).
     bool changed = true;
     while (changed) {
         changed = false;
-        for (auto it = f.blocks().rbegin(); it != f.blocks().rend(); ++it) {
-            const BasicBlock *bb = it->get();
-            std::set<const Value *> out = phi_use[bb];
-            for (BasicBlock *s : succs[bb])
-                for (const Value *v : liveIn_[s])
-                    out.insert(v);
-            std::set<const Value *> in = use[bb];
-            for (const Value *v : out)
-                if (!def[bb].count(v))
-                    in.insert(v);
-            // Phi results are defined at the top of the block but their
-            // "definition" already sits in def[bb]; phis themselves are
-            // live-in only via other blocks.
-            if (out != liveOut_[bb] || in != liveIn_[bb]) {
-                liveOut_[bb] = std::move(out);
-                liveIn_[bb] = std::move(in);
+        for (size_t b = num_blocks; b-- > 0;) {
+            bool grew = false;
+            for (size_t s : succs[b])
+                grew |= liveOut_[b].unionWith(liveIn_[s]);
+            if (grew) {
+                liveIn_[b].unionWithDifference(liveOut_[b], def[b]);
                 changed = true;
             }
         }
     }
 }
 
-const std::set<const Value *> &
-Liveness::liveIn(const BasicBlock *bb) const
+size_t
+Liveness::idOf(const Value *v) const
 {
-    auto it = liveIn_.find(bb);
-    return it == liveIn_.end() ? empty_ : it->second;
+    size_t id = values_.size();
+    if (v->isInstruction())
+        id = static_cast<const Instruction *>(v)->id();
+    else if (v->kind() == ValueKind::Argument)
+        id = static_cast<const Argument *>(v)->index();
+    return id < values_.size() && values_[id] == v ? id : values_.size();
 }
 
-const std::set<const Value *> &
+bool
+Liveness::contains(const std::vector<BitSet> &sets, const Value *v,
+                   const BasicBlock *bb) const
+{
+    auto it = blockIndex_.find(bb);
+    size_t id = idOf(v);
+    return it != blockIndex_.end() && id < values_.size() &&
+           sets[it->second].test(id);
+}
+
+std::vector<Value *>
+Liveness::members(const std::vector<BitSet> &sets,
+                  const BasicBlock *bb) const
+{
+    std::vector<Value *> out;
+    auto it = blockIndex_.find(bb);
+    if (it != blockIndex_.end())
+        sets[it->second].forEach(
+            [&](size_t id) { out.push_back(values_[id]); });
+    return out;
+}
+
+std::vector<Value *>
+Liveness::liveIn(const BasicBlock *bb) const
+{
+    return members(liveIn_, bb);
+}
+
+std::vector<Value *>
 Liveness::liveOut(const BasicBlock *bb) const
 {
-    auto it = liveOut_.find(bb);
-    return it == liveOut_.end() ? empty_ : it->second;
+    return members(liveOut_, bb);
 }
 
 } // namespace bitspec

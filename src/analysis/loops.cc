@@ -28,6 +28,7 @@ std::vector<Loop>
 findLoops(Function &f, const DomTree &dt)
 {
     std::map<BasicBlock *, Loop> by_header;
+    const PredecessorMap preds = predecessorMap(f, false);
 
     for (BasicBlock *bb : reachableBlocks(f)) {
         for (BasicBlock *succ : bb->successors()) {
@@ -41,14 +42,16 @@ findLoops(Function &f, const DomTree &dt)
                 loop.blocks.push_back(succ);
             // Walk predecessors from the latch up to the header.
             std::vector<BasicBlock *> work{bb};
-            auto preds = f.predecessors();
             while (!work.empty()) {
                 BasicBlock *cur = work.back();
                 work.pop_back();
                 if (loop.contains(cur))
                     continue;
                 loop.blocks.push_back(cur);
-                for (BasicBlock *p : preds[cur])
+                auto it = preds.find(cur);
+                if (it == preds.end())
+                    continue;
+                for (BasicBlock *p : it->second)
                     if (dt.isReachable(p))
                         work.push_back(p);
             }

@@ -1,10 +1,10 @@
 #include "backend/regalloc.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <vector>
 
+#include "support/bitset.h"
 #include "support/error.h"
 
 namespace bitspec
@@ -30,45 +30,42 @@ struct Interval
     int assignedSlice = -1;
     bool spilled = false;
     unsigned slot = 0;
+};
+
+/**
+ * Busy segments assigned to one physical slot.
+ *
+ * Only conflict-free intervals are added, so the segments are
+ * disjoint and, sorted by start, sorted by end too: a conflict check
+ * is one binary search per interval segment. Adjacent segments are
+ * deliberately not coalesced: allocSlice packs by segment count.
+ */
+struct SlotBusy
+{
+    std::vector<std::pair<int, int>> segs; ///< Sorted, disjoint.
 
     bool
-    overlaps(const std::vector<std::pair<int, int>> &other) const
+    conflicts(const Interval &iv) const
     {
-        size_t i = 0, j = 0;
-        while (i < segs.size() && j < other.size()) {
-            if (segs[i].second < other[j].first)
-                ++i;
-            else if (other[j].second < segs[i].first)
-                ++j;
-            else
+        auto from = segs.begin();
+        for (const auto &[s, e] : iv.segs) {
+            // First busy segment ending at or after s.
+            from = std::partition_point(
+                from, segs.end(),
+                [s](const std::pair<int, int> &b) { return b.second < s; });
+            if (from == segs.end())
+                return false;
+            if (from->first <= e)
                 return true;
         }
         return false;
     }
 
-    int
-    end() const
-    {
-        return segs.empty() ? start : segs.back().second;
-    }
-};
-
-/** Busy segments assigned to one physical slot. */
-struct SlotBusy
-{
-    std::vector<std::pair<int, int>> segs; ///< Sorted by start.
-
-    bool
-    conflicts(const Interval &iv) const
-    {
-        return iv.overlaps(segs);
-    }
-
     void
     add(const Interval &iv)
     {
-        segs.insert(segs.end(), iv.segs.begin(), iv.segs.end());
-        std::sort(segs.begin(), segs.end());
+        auto mid = segs.insert(segs.end(), iv.segs.begin(), iv.segs.end());
+        std::inplace_merge(segs.begin(), mid, segs.end());
     }
 };
 
@@ -117,57 +114,65 @@ class Allocator
     void
     numberInstructions()
     {
+        const size_t n = mf_.blocks.size();
+        blockStart_.resize(n);
+        blockEnd_.resize(n);
         int pos = 0;
-        for (auto &mb : mf_.blocks) {
-            blockStart_[mb.id] = pos;
-            pos += static_cast<int>(mb.insts.size());
-            blockEnd_[mb.id] = pos; // One past the last.
+        for (size_t b = 0; b < n; ++b) {
+            if (mf_.blocks[b].id != static_cast<int>(b))
+                panic("regalloc: " + mf_.name + ": block ids must be "
+                      "block indices");
+            blockStart_[b] = pos;
+            pos += static_cast<int>(mf_.blocks[b].insts.size());
+            blockEnd_[b] = pos; // One past the last.
         }
     }
 
+    /** Backward liveness over vreg ids (blocks[i].id == i). Sets only
+     *  grow, so in-place unions reach the least fixed point. */
     void
     computeLiveness()
     {
-        std::map<int, std::set<uint32_t>> use, def;
+        const size_t n = mf_.blocks.size();
+        std::vector<BitSet> use(n, BitSet(mf_.numVRegs));
+        std::vector<BitSet> def(n, BitSet(mf_.numVRegs));
         for (auto &mb : mf_.blocks) {
-            auto &u = use[mb.id];
-            auto &d = def[mb.id];
+            BitSet &u = use[mb.id];
+            BitSet &d = def[mb.id];
             for (auto &inst : mb.insts) {
                 forEachVReg(inst,
                             [&](MOpnd &o, bool is_def, bool is_use) {
-                                if (is_use && !d.count(o.vreg))
-                                    u.insert(o.vreg);
+                                if (is_use && !d.test(o.vreg))
+                                    u.set(o.vreg);
                                 if (is_def)
-                                    d.insert(o.vreg);
+                                    d.set(o.vreg);
                             });
             }
         }
+        liveIn_ = use;
+        liveOut_.assign(n, BitSet(mf_.numVRegs));
 
         // Successors including SMIR handler edges (Eq. 2).
-        std::map<int, std::vector<int>> succs;
+        std::vector<std::vector<int>> succs(n);
         for (auto &mb : mf_.blocks) {
             succs[mb.id] = mb.successors();
             if (mb.handlerBlock >= 0)
                 succs[mb.id].push_back(mb.handlerBlock);
+            for (int s : succs[mb.id])
+                if (s < 0 || static_cast<size_t>(s) >= n)
+                    panic("regalloc: " + mf_.name + ": " + mb.name +
+                          " branches outside the function");
         }
 
         bool changed = true;
         while (changed) {
             changed = false;
-            for (auto it = mf_.blocks.rbegin();
-                 it != mf_.blocks.rend(); ++it) {
-                std::set<uint32_t> out;
-                for (int s : succs[it->id])
-                    for (uint32_t v : liveIn_[s])
-                        out.insert(v);
-                std::set<uint32_t> in = use[it->id];
-                for (uint32_t v : out)
-                    if (!def[it->id].count(v))
-                        in.insert(v);
-                if (out != liveOut_[it->id] ||
-                    in != liveIn_[it->id]) {
-                    liveOut_[it->id] = std::move(out);
-                    liveIn_[it->id] = std::move(in);
+            for (size_t b = n; b-- > 0;) {
+                bool grew = false;
+                for (int s : succs[b])
+                    grew |= liveOut_[b].unionWith(liveIn_[s]);
+                if (grew) {
+                    liveIn_[b].unionWithDifference(liveOut_[b], def[b]);
                     changed = true;
                 }
             }
@@ -179,39 +184,52 @@ class Allocator
     {
         // Per-vreg raw segments (one per block where live/occurring),
         // merged afterwards.
-        std::map<uint32_t, std::vector<std::pair<int, int>>> raw;
+        const uint32_t nv = mf_.numVRegs;
+        std::vector<std::vector<std::pair<int, int>>> raw(nv);
+        // First/last occurrence of each vreg within the current block;
+        // seen[v] is the id of the block that last touched v.
+        std::vector<std::pair<int, int>> occur(nv);
+        std::vector<int> seen(nv, -1);
+        std::vector<uint32_t> touched;
 
         for (auto &mb : mf_.blocks) {
-            // First/last occurrence positions within the block.
-            std::map<uint32_t, std::pair<int, int>> occur;
+            touched.clear();
             int pos = blockStart_[mb.id];
             for (auto &inst : mb.insts) {
                 forEachVReg(inst, [&](MOpnd &o, bool, bool) {
-                    auto [it, fresh] =
-                        occur.try_emplace(o.vreg,
-                                          std::make_pair(pos, pos));
-                    if (!fresh)
-                        it->second.second = pos;
+                    if (seen[o.vreg] == mb.id) {
+                        occur[o.vreg].second = pos;
+                        return;
+                    }
+                    seen[o.vreg] = mb.id;
+                    occur[o.vreg] = {pos, pos};
+                    touched.push_back(o.vreg);
                 });
                 ++pos;
             }
             int bs = blockStart_[mb.id];
             int be = blockEnd_[mb.id] - 1;
-            std::set<uint32_t> touched;
-            for (auto &[vreg, fl] : occur) {
-                int s = liveIn_[mb.id].count(vreg) ? bs : fl.first;
-                int e = liveOut_[mb.id].count(vreg) ? be : fl.second;
-                raw[vreg].emplace_back(s, e);
-                touched.insert(vreg);
+            const BitSet &in = liveIn_[mb.id];
+            const BitSet &out = liveOut_[mb.id];
+            for (uint32_t v : touched) {
+                int s = in.test(v) ? bs : occur[v].first;
+                int e = out.test(v) ? be : occur[v].second;
+                raw[v].emplace_back(s, e);
             }
             // Live-through without occurrence.
-            for (uint32_t v : liveIn_[mb.id]) {
-                if (!touched.count(v) && liveOut_[mb.id].count(v))
+            in.forEach([&](size_t v) {
+                if (seen[v] != mb.id && out.test(v))
                     raw[v].emplace_back(bs, be);
-            }
+            });
         }
 
-        for (auto &[vreg, segs] : raw) {
+        // Intervals enter the (unstable) sort below in ascending vreg
+        // order; keep it so, or equal-start ties may reorder and
+        // change the allocation.
+        for (uint32_t vreg = 0; vreg < nv; ++vreg) {
+            auto &segs = raw[vreg];
+            if (segs.empty())
+                continue;
             std::sort(segs.begin(), segs.end());
             Interval iv;
             iv.vreg = vreg;
@@ -330,7 +348,7 @@ class Allocator
     void
     rewrite()
     {
-        std::map<uint32_t, Interval *> iv_of;
+        std::vector<Interval *> iv_of(mf_.numVRegs, nullptr);
         for (Interval &iv : intervals_)
             iv_of[iv.vreg] = &iv;
 
@@ -343,7 +361,7 @@ class Allocator
                 // there would clobber previously placed arguments.
                 if (inst.op == MOp::MOV && inst.cond == Cond::AL &&
                     inst.dst.isReg() && inst.a.isVReg()) {
-                    Interval *iv = iv_of.at(inst.a.vreg);
+                    Interval *iv = iv_of[inst.a.vreg];
                     if (iv->spilled && !iv->isSlice) {
                         MachInst ld;
                         ld.op = MOp::LDR;
@@ -357,7 +375,7 @@ class Allocator
                 }
                 if (inst.op == MOp::MOV && inst.cond == Cond::AL &&
                     inst.dst.isVReg() && inst.a.isReg()) {
-                    Interval *iv = iv_of.at(inst.dst.vreg);
+                    Interval *iv = iv_of[inst.dst.vreg];
                     if (iv->spilled && !iv->isSlice) {
                         MachInst st;
                         st.op = MOp::STR;
@@ -373,7 +391,7 @@ class Allocator
                 std::vector<MachInst> loads, stores;
                 auto fix = [&](MOpnd &o, bool is_def, bool is_use,
                                unsigned scratch) {
-                    Interval *iv = iv_of.at(o.vreg);
+                    Interval *iv = iv_of[o.vreg];
                     if (!iv->spilled) {
                         o = physOpnd(*iv);
                         return;
@@ -455,8 +473,8 @@ class Allocator
     MachFunction &mf_;
     unsigned lastAlloc_;
     BackendStats stats_;
-    std::map<int, int> blockStart_, blockEnd_;
-    std::map<int, std::set<uint32_t>> liveIn_, liveOut_;
+    std::vector<int> blockStart_, blockEnd_; ///< By block id.
+    std::vector<BitSet> liveIn_, liveOut_;    ///< By block id.
     std::vector<Interval> intervals_;
     std::vector<SlotBusy> wholeBusy_;  ///< Per register.
     std::vector<SlotBusy> sliceBusy_;  ///< Per register x 4 slices.

@@ -201,13 +201,24 @@ appendHistory(const std::string &path, const TrajectoryRecord &rec)
     return static_cast<bool>(of);
 }
 
+const BuildInfo &
+thisBuild()
+{
+#ifdef NDEBUG
+    constexpr bool kNdebug = true;
+#else
+    constexpr bool kNdebug = false;
+#endif
+    static const BuildInfo build{BITSPEC_CMAKE_BUILD_TYPE, kNdebug};
+    return build;
+}
+
 TrajectoryRecord
-recordFromBenchJson(const std::string &json_text)
+recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
 {
     TrajectoryRecord rec;
-    rec.buildType =
-        stringAfter(json_text, "library_build_type").value_or("");
-    rec.debugBuild = rec.buildType == "debug";
+    rec.buildType = build.buildType;
+    rec.debugBuild = build.debug();
 
     auto add = [&rec](const std::string &name,
                       std::optional<double> v) {

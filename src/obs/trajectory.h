@@ -4,8 +4,8 @@
  * history of bench_smoke runs plus a regression gate over it.
  *
  * Every bench_smoke run distils BENCH_micro.json into one
- * TrajectoryRecord (git sha, build type, debug flag, the key
- * throughput/speedup series) and appends it to
+ * TrajectoryRecord (git sha, the repository's own build type and
+ * debug flag, the key throughput/speedup series) and appends it to
  * bench/history/BENCH_history.jsonl. The gate then compares the
  * current record against a rolling baseline — the best value of each
  * series over the last `window` comparable records — and fails when a
@@ -47,12 +47,33 @@ struct TrajectorySeries
     double value = 0;
 };
 
+/** How the repository's own code was built: CMAKE_BUILD_TYPE and
+ *  whether NDEBUG was defined. */
+struct BuildInfo
+{
+    std::string buildType;
+    bool ndebug = true;
+
+    /** Assertions on or a Debug build type: never comparable with
+     *  optimised runs. */
+    bool
+    debug() const
+    {
+        return !ndebug || buildType == "Debug";
+    }
+};
+
+/** This build, as baked in when bitspec_obs was configured and
+ *  compiled. google-benchmark's `library_build_type` context field
+ *  is not it: that describes how libbenchmark itself was built. */
+const BuildInfo &thisBuild();
+
 /** One bench run distilled for the history file. */
 struct TrajectoryRecord
 {
     int schemaVersion = kTrajectorySchemaVersion;
     std::string gitSha = "unknown";
-    std::string buildType; ///< From the bench JSON context.
+    std::string buildType; ///< BuildInfo::buildType of the run.
     std::string timestamp; ///< ISO-8601 UTC; informational only.
     bool debugBuild = false;
     /** Sorted by name (toJsonLine sorts; parse preserves). */
@@ -84,11 +105,13 @@ bool appendHistory(const std::string &path,
 /**
  * Distil a BENCH_micro.json (google-benchmark output with the
  * experiment_smoke sections spliced in) into a record: build type and
- * debug flag from the context, rate.* series from the benchmark
- * counters and the observability section, speedup.* from the
- * experiment_engine grids. Sha/timestamp are left for the caller.
+ * debug flag from @p build (the JSON's library_build_type is
+ * ignored), rate.* series from the benchmark counters and the
+ * observability section, speedup.* from the experiment_engine grids.
+ * Sha/timestamp are left for the caller.
  */
-TrajectoryRecord recordFromBenchJson(const std::string &json_text);
+TrajectoryRecord recordFromBenchJson(const std::string &json_text,
+                                     const BuildInfo &build = thisBuild());
 
 /** Gate thresholds. A gated series fails when it drops more than its
  *  threshold percent below the rolling baseline. */

@@ -359,6 +359,9 @@ unrollFunction(Function &f, const ExpanderOptions &opts)
         changed = false;
         DomTree dt(f);
         auto loops = findLoops(f, dt);
+        // The CFG changes only when a loop is unrolled, and the round
+        // ends right after, so one predecessor map serves the round.
+        const PredecessorMap preds = predecessorMap(f, false);
         for (const Loop &loop : loops) {
             if (done_headers.count(loop.header))
                 continue;
@@ -382,9 +385,9 @@ unrollFunction(Function &f, const ExpanderOptions &opts)
             BasicBlock *t = exits[0];
             // All preds of the exit target must come from the loop.
             bool clean = true;
-            auto preds = f.predecessors();
-            for (BasicBlock *p : preds[t])
-                clean &= loop.contains(p);
+            if (auto it = preds.find(t); it != preds.end())
+                for (BasicBlock *p : it->second)
+                    clean &= loop.contains(p);
             if (!clean)
                 continue;
 

@@ -787,34 +787,16 @@ class SqueezerImpl
         // Handlers: extend live values and branch to Orig(B). Group
         // the re-entry phis by original value for one SSA repair each.
         //
-        // Liveness sets are pointer-ordered, so they are iterated via
-        // a positional rank (argument index, then block/instruction
-        // order): emission order — and with it the final code — must
-        // not depend on heap addresses, or parallel experiment cells
-        // would compile differently from serial ones.
-        std::unordered_map<const Value *, unsigned> rank;
-        {
-            unsigned next = 0;
-            for (size_t i = 0; i < f_.numArgs(); ++i)
-                rank[f_.arg(i)] = next++;
-            for (auto &bb : f_.blocks())
-                for (auto &inst : bb->insts())
-                    rank[inst.get()] = next++;
-        }
-
+        // Live values come in id order (argument index, then
+        // block/instruction order): emission order — and with it the
+        // final code — must not depend on heap addresses, or parallel
+        // experiment cells would compile differently from serial ones.
         std::vector<std::pair<Value *, std::vector<AltDef>>> repairs;
         std::unordered_map<Value *, size_t> repairIndex;
         for (const PendingRegion &pr : pending) {
             b.setInsertPoint(pr.handler);
-            std::vector<const Value *> live(lv.liveIn(pr.orig).begin(),
-                                            lv.liveIn(pr.orig).end());
-            std::sort(live.begin(), live.end(),
-                      [&](const Value *x, const Value *y) {
-                          return rank.at(x) < rank.at(y);
-                      });
             std::vector<std::pair<Value *, Value *>> extensions;
-            for (const Value *cv : live) {
-                auto *v_orig = const_cast<Value *>(cv);
+            for (Value *v_orig : lv.liveIn(pr.orig)) {
                 if (!v_orig->type().isInt())
                     continue;
                 Value *v_spec = cm.get(v_orig);
@@ -841,10 +823,13 @@ class SqueezerImpl
             }
         }
 
-        // Insertion order (region order x ranked liveness order), not
-        // pointer order: repairSSA inserts phis as it goes.
+        // Insertion order (region order x liveness id order), not
+        // pointer order: repairSSA inserts phis as it goes. Repair
+        // adds phis only, never edges, so one predecessor map serves
+        // every call.
+        const PredecessorMap preds = predecessorMap(f_, false);
         for (auto &[v_orig, alts] : repairs)
-            repairSSA(f_, v_orig, alts);
+            repairSSA(f_, preds, v_orig, alts);
 
         // Cleanup: dead original prologues, trivial repair phis,
         // unused zexts.

@@ -14,9 +14,9 @@ namespace
 class Repairer
 {
   public:
-    Repairer(Function &f, Value *orig, const std::vector<AltDef> &alts)
-        : f_(f), orig_(orig),
-          preds_(predecessorMap(f, /*handler_edges=*/false))
+    Repairer(Function &f, const PredecessorMap &preds, Value *orig,
+             const std::vector<AltDef> &alts)
+        : f_(f), orig_(orig), preds_(preds)
     {
         if (orig->isInstruction())
             origBlock_ = static_cast<Instruction *>(orig)->parent();
@@ -49,7 +49,7 @@ class Repairer
         // Fill the re-entry phi operands.
         for (const AltDef &alt : alts) {
             Instruction *phi = blockDefs_.at(alt.block);
-            for (BasicBlock *p : preds_[alt.block]) {
+            for (BasicBlock *p : predsOf(alt.block)) {
                 if (p == alt.handlerPred) {
                     phi->addOperand(alt.handlerValue);
                 } else {
@@ -80,6 +80,14 @@ class Repairer
     }
 
   private:
+    const std::vector<BasicBlock *> &
+    predsOf(const BasicBlock *bb) const
+    {
+        static const std::vector<BasicBlock *> kNone;
+        auto it = preds_.find(bb);
+        return it == preds_.end() ? kNone : it->second;
+    }
+
     static bool
     definesBefore(Value *def, Instruction *user, BasicBlock *bb)
     {
@@ -112,7 +120,7 @@ class Repairer
         if (it != memo_.end())
             return it->second;
 
-        const auto &preds = preds_[bb];
+        const auto &preds = predsOf(bb);
         if (preds.empty()) {
             // Entry or unreachable block: only an argument can
             // legitimately reach here; otherwise any placeholder is
@@ -167,7 +175,7 @@ class Repairer
     Function &f_;
     Value *orig_;
     BasicBlock *origBlock_ = nullptr;
-    std::map<const BasicBlock *, std::vector<BasicBlock *>> preds_;
+    const PredecessorMap &preds_;
     std::map<BasicBlock *, Instruction *> blockDefs_;
     std::set<Instruction *> newPhis_;
     std::map<BasicBlock *, unsigned> visiting_;
@@ -178,7 +186,8 @@ class Repairer
 } // namespace
 
 void
-repairSSA(Function &f, Value *orig_def, const std::vector<AltDef> &alts)
+repairSSA(Function &f, const PredecessorMap &preds, Value *orig_def,
+          const std::vector<AltDef> &alts)
 {
     for (const AltDef &a : alts) {
         bsAssert(a.handlerValue->type() == orig_def->type(),
@@ -191,7 +200,7 @@ repairSSA(Function &f, Value *orig_def, const std::vector<AltDef> &alts)
     }
     if (alts.empty())
         return;
-    Repairer(f, orig_def, alts);
+    Repairer(f, preds, orig_def, alts);
 }
 
 } // namespace bitspec

@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "analysis/cfg.h"
 #include "ir/module.h"
 
 namespace bitspec
@@ -38,9 +39,13 @@ struct AltDef
  * demand. Each AltDef gets a phi at the top of its block whose
  * incoming from @p handlerPred is @p handlerValue and whose other
  * incomings are the reaching definitions. Types must all match.
+ *
+ * @p preds is @p f's plain predecessor map (predecessorMap(f, false)).
+ * Repair inserts phis only, never edges, so one map built after the
+ * last CFG edit serves any number of calls.
  */
-void repairSSA(Function &f, Value *orig_def,
-               const std::vector<AltDef> &alts);
+void repairSSA(Function &f, const PredecessorMap &preds,
+               Value *orig_def, const std::vector<AltDef> &alts);
 
 } // namespace bitspec
 

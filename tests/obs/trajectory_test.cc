@@ -176,7 +176,6 @@ TEST(Trajectory, RecordFromBenchJsonCoreEngineAB)
     // derived speedup series (gated: the fast engine must not decay
     // back toward the legacy rate).
     const std::string json = R"({
-  "context": { "library_build_type": "release" },
   "benchmarks": [
     { "name": "BM_CoreThroughput/legacy",
       "machine_instrs_per_s": 3.5e6 },
@@ -197,7 +196,6 @@ TEST(Trajectory, RecordFromBenchJsonCoreEngineAB)
     // Pre-A/B files spell the legacy series as bare BM_CoreThroughput
     // and carry no fast series or speedup.
     TrajectoryRecord old = recordFromBenchJson(R"({
-  "context": { "library_build_type": "release" },
   "benchmarks": [
     { "name": "BM_CoreThroughput", "machine_instrs_per_s": 6.7e7 }
   ]
@@ -299,8 +297,7 @@ TEST(Trajectory, RecordFromBenchJsonExtractsSeries)
 {
     const std::string json = R"({
   "context": {
-    "date": "2026-08-08T00:00:00+00:00",
-    "library_build_type": "release"
+    "date": "2026-08-08T00:00:00+00:00"
   },
   "benchmarks": [
     {
@@ -328,8 +325,9 @@ TEST(Trajectory, RecordFromBenchJsonExtractsSeries)
     "gate_within_1pct": true
   }
 })";
-    TrajectoryRecord rec = recordFromBenchJson(json);
-    EXPECT_EQ(rec.buildType, "release");
+    TrajectoryRecord rec =
+        recordFromBenchJson(json, BuildInfo{"RelWithDebInfo", true});
+    EXPECT_EQ(rec.buildType, "RelWithDebInfo");
     EXPECT_FALSE(rec.debugBuild);
     EXPECT_DOUBLE_EQ(
         rec.value("rate.interp_decoded_ir_per_s").value(), 1.23e8);
@@ -345,9 +343,38 @@ TEST(Trajectory, RecordFromBenchJsonExtractsSeries)
     EXPECT_DOUBLE_EQ(rec.value("obs.trace_overhead_pct").value(), 0.5);
     EXPECT_FALSE(rec.value("rate.no_such_series").has_value());
 
-    TrajectoryRecord dbg = recordFromBenchJson(
-        R"({"context": {"library_build_type": "debug"}})");
+    TrajectoryRecord dbg =
+        recordFromBenchJson("{}", BuildInfo{"Debug", false});
+    EXPECT_EQ(dbg.buildType, "Debug");
     EXPECT_TRUE(dbg.debugBuild);
+}
+
+TEST(Trajectory, BuildFlavourIsThisBuildNotLibbenchmarks)
+{
+    // google-benchmark's library_build_type describes how libbenchmark
+    // was built; it must not label the measured code either way.
+    TrajectoryRecord opt = recordFromBenchJson(
+        R"({"context": {"library_build_type": "debug"}})",
+        BuildInfo{"RelWithDebInfo", true});
+    EXPECT_EQ(opt.buildType, "RelWithDebInfo");
+    EXPECT_FALSE(opt.debugBuild);
+    TrajectoryRecord asserts = recordFromBenchJson(
+        R"({"context": {"library_build_type": "release"}})",
+        BuildInfo{"RelWithDebInfo", false});
+    EXPECT_TRUE(asserts.debugBuild) << "assertions on is a debug run";
+
+    // By default the record carries the flavour baked into this build.
+    const BuildInfo &self = thisBuild();
+    EXPECT_FALSE(self.buildType.empty());
+#ifdef NDEBUG
+    EXPECT_TRUE(self.ndebug);
+#else
+    EXPECT_FALSE(self.ndebug);
+#endif
+    TrajectoryRecord rec = recordFromBenchJson(
+        R"({"context": {"library_build_type": "debug"}})");
+    EXPECT_EQ(rec.buildType, self.buildType);
+    EXPECT_EQ(rec.debugBuild, self.debug());
 }
 
 } // namespace
