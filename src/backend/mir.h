@@ -135,6 +135,8 @@ struct BackendStats
     unsigned spilledVRegs = 0;
     unsigned staticInsts = 0;
     unsigned skeletonInsts = 0;
+
+    bool operator==(const BackendStats &) const = default;
 };
 
 } // namespace bitspec

@@ -182,6 +182,26 @@ foldSystemKey(Sink &s, const Workload &w, const SystemConfig &c,
         appendField("flavour", artifact::buildFlavour());
 }
 
+/** The training key: every input TrainedModule reads. The source
+ *  text and the training input (w.setInput at @p profile_seed) are
+ *  named by the workload; the rest of SystemConfig only matters
+ *  after the profile, so every configuration with equal
+ *  ExpanderOptions shares the training. */
+Hash128
+trainingKeyHash(const Workload &w, const ExpanderOptions &e,
+                uint64_t profile_seed)
+{
+    HashKeySink s;
+    s.text(w.name);
+    s.field("src", fnv1a(w.source));
+    s.field("unroll", static_cast<uint64_t>(e.unrollFactor));
+    s.field("maxFn", static_cast<uint64_t>(e.maxFunctionSize));
+    s.field("maxLoop", static_cast<uint64_t>(e.maxLoopSize));
+    s.field("expand", e.enabled);
+    s.field("pseed", profile_seed);
+    return s.h.digest();
+}
+
 const char *
 coreEngineName(CoreEngine e)
 {
@@ -304,8 +324,9 @@ ExperimentRunner::getOrBuild(const Workload &w,
                 }
             }
             if (!sys) {
-                sys = std::make_shared<CachedSystem>(w, config,
-                                                     profile_seed);
+                std::shared_ptr<const TrainedModule> trained =
+                    getOrTrain(w, config.expander, profile_seed);
+                sys = std::make_shared<CachedSystem>(*trained, config);
                 // Absorb the build's squeezer stats once per real
                 // compile (runs reusing this System — and disk-tier
                 // restores — do not re-count them).
@@ -343,6 +364,51 @@ ExperimentRunner::getOrBuild(const Workload &w,
     if (origin)
         *origin = builder ? cached->origin : "memory";
     return cached;
+}
+
+std::shared_ptr<const TrainedModule>
+ExperimentRunner::getOrTrain(const Workload &w,
+                             const ExpanderOptions &expander,
+                             uint64_t profile_seed)
+{
+    const Hash128 key = trainingKeyHash(w, expander, profile_seed);
+
+    std::promise<std::shared_ptr<const TrainedModule>> promise;
+    std::shared_future<std::shared_ptr<const TrainedModule>> fut;
+    bool trainer = false;
+    {
+        std::lock_guard<std::mutex> lock(cacheMu_);
+        auto it = trained_.find(key);
+        if (it == trained_.end()) {
+            fut = promise.get_future().share();
+            trained_.emplace(key, fut);
+            trainer = true;
+            ++stats_.trainings;
+        } else {
+            fut = it->second;
+            ++stats_.trainingHits;
+        }
+    }
+
+    MetricsRegistry &reg = MetricsRegistry::global();
+    const MetricsRegistry::Labels wl = {{"workload", w.name}};
+    if (trainer) {
+        reg.counter("experiment.train.misses", wl).add();
+        trace::instant("train.miss", "experiment", wl);
+        try {
+            promise.set_value(std::make_shared<const TrainedModule>(
+                w.source, expander, [&w, profile_seed](Module &m) {
+                    w.setInput(m, profile_seed);
+                }));
+        } catch (...) {
+            // Every System sharing this training sees the failure.
+            promise.set_exception(std::current_exception());
+        }
+    } else {
+        reg.counter("experiment.train.hits", wl).add();
+        trace::instant("train.hit", "experiment", wl);
+    }
+    return fut.get();
 }
 
 RunResult
@@ -663,6 +729,7 @@ ExperimentRunner::clearCache()
 {
     std::lock_guard<std::mutex> lock(cacheMu_);
     cache_.clear();
+    trained_.clear();
 }
 
 } // namespace bitspec

@@ -5,9 +5,15 @@
  * thread pool and memoizes compiled Systems.
  *
  * Design rules (see DESIGN.md "Experiment engine"):
- *  - Cells are self-contained: each System owns its Module,
- *    training Interpreter and pass pipeline; Cores are constructed
- *    per run. No shared mutable statics anywhere in the pipeline.
+ *  - Cells are self-contained: each System owns its copy of an
+ *    immutable shared TrainedModule and its pass pipeline; Cores are
+ *    constructed per run. No shared mutable statics anywhere in the
+ *    pipeline.
+ *  - A training is train-once/squeeze-many. The training tier keys a
+ *    TrainedModule by (workload name, FNV-1a of the source,
+ *    ExpanderOptions, profile seed) — every input the front half
+ *    reads — so all configurations of a workload and profile input
+ *    share one parse, expansion and profiled run.
  *  - A System is compile-once/run-many. The cache keys a compiled
  *    System by (workload name, FNV-1a of the source, canonicalized
  *    config, profile seed); all run seeds and all series of a binary
@@ -86,6 +92,11 @@ struct ExperimentStats
      *  shared_future was not ready when the requester arrived). */
     uint64_t inflightWaits = 0;
 
+    /** Training tier: compiles (cache misses not served from disk)
+     *  start from a shared TrainedModule. */
+    uint64_t trainings = 0;    ///< Distinct training keys trained.
+    uint64_t trainingHits = 0; ///< Compiles that reused a training.
+
     /** Disk tier (all zero when no artifact store is attached). */
     uint64_t diskHits = 0;    ///< Systems restored from disk.
     uint64_t diskMisses = 0;  ///< Lookups that fell through to compile.
@@ -138,6 +149,7 @@ class ExperimentRunner
 
     unsigned threadCount() const { return pool_.threadCount(); }
     ExperimentStats stats() const;
+    /** Drop every cached System and training (failed ones too). */
     void clearCache();
 
     /**
@@ -196,11 +208,9 @@ class ExperimentRunner
          *  their ledger records instead. */
         const char *origin = "compile";
 
-        CachedSystem(const Workload &w, const SystemConfig &config,
-                     uint64_t profile_seed)
-            : sys(w.source, config, [&w, profile_seed](Module &m) {
-                  w.setInput(m, profile_seed);
-              })
+        CachedSystem(const TrainedModule &trained,
+                     const SystemConfig &config)
+            : sys(trained, config)
         {}
 
         /** Warm start from a disk artifact. */
@@ -217,6 +227,12 @@ class ExperimentRunner
                                              const SystemConfig &config,
                                              uint64_t profile_seed,
                                              const char **origin = nullptr);
+    /** The shared training for (w, expander, profile_seed), trained
+     *  on first request under the same once-per-key rule as the
+     *  System cache. */
+    std::shared_ptr<const TrainedModule>
+    getOrTrain(const Workload &w, const ExpanderOptions &expander,
+               uint64_t profile_seed);
     RunResult runCell(const ExperimentCell &cell);
 
     ThreadPool pool_;
@@ -228,6 +244,12 @@ class ExperimentRunner
                        std::shared_future<std::shared_ptr<CachedSystem>>,
                        Hash128Hasher>
         cache_;
+    /** Training tier under cache_, same rules, keyed by the training
+     *  key (see getOrTrain). */
+    std::unordered_map<Hash128,
+                       std::shared_future<std::shared_ptr<const TrainedModule>>,
+                       Hash128Hasher>
+        trained_;
     /** Disk tier; nullptr when disabled (the default). */
     std::unique_ptr<artifact::ArtifactStore> store_;
     ExperimentStats stats_;

@@ -4,9 +4,9 @@
 #include "analysis/verifier.h"
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
+#include "ir/clone.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "profile/bitwidth_profile.h"
 #include "support/env.h"
 #include "support/error.h"
 
@@ -76,44 +76,60 @@ SystemConfig::dtsPlusBitspec(Heuristic h)
     return c;
 }
 
+TrainedModule::TrainedModule(
+    const std::string &source, const ExpanderOptions &expander,
+    const std::function<void(Module &)> &train_input,
+    const std::vector<uint64_t> &train_args)
+    : expander_(expander)
+{
+    trace::Span span("system.train", "compile");
+    module_ = compileSource(source);
+    if (train_input)
+        train_input(*module_);
+    pipelineCheckpoint(*module_, "frontend:irgen");
+
+    expandStats_ = expandModule(*module_, expander_);
+    pipelineCheckpoint(*module_, "transform:expander");
+
+    // One profiled run yields both the bitwidth profile and the
+    // dynamic IR step count, for baseline configurations too.
+    Interpreter interp(*module_);
+    // Differential soundness check (BITSPEC_VERIFY_EACH): every value
+    // the training run observes must respect its known-bits ceiling.
+    if (pipelineVerifyEnabled())
+        interp.enableStaticBoundsCheck();
+    profile_.profileRun(interp, "main", train_args);
+    irSteps_ = interp.stats().steps;
+}
+
 System::System(const std::string &source, const SystemConfig &config,
                const std::function<void(Module &)> &train_input,
                const std::vector<uint64_t> &train_args)
+    : System(TrainedModule(source, config.expander, train_input,
+                           train_args),
+             config)
+{}
+
+System::System(const TrainedModule &trained, const SystemConfig &config)
     : config_(config), engine_(engineFromEnv())
 {
     trace::Span span("system.build", "compile");
     span.arg("squeeze", config_.squeeze ? "1" : "0");
     span.arg("isa", config_.isa == TargetISA::BitSpec ? "bitspec"
                                                       : "baseline");
-    module_ = compileSource(source);
-    if (train_input)
-        train_input(*module_);
-    pipelineCheckpoint(*module_, "frontend:irgen");
+    bsAssert(trained.expander() == config_.expander,
+             "System: the training used other ExpanderOptions");
+    ValueMap copy_of;
+    module_ = cloneModule(trained.module(),
+                          config_.squeeze ? &copy_of : nullptr);
+    expandStats_ = trained.expandStats();
+    trainIrSteps_ = trained.irSteps();
 
-    expandStats_ = expandModule(*module_, config_.expander);
-    pipelineCheckpoint(*module_, "transform:expander");
-
-    // One persistent training interpreter: a single profiled run yields
-    // both the dynamic IR step count and the bitwidth profile (the
-    // training input used to be executed twice for this).
-    trainInterp_ = std::make_unique<Interpreter>(*module_);
-    // Differential soundness check (BITSPEC_VERIFY_EACH): every value
-    // the training run observes must respect its known-bits ceiling.
-    if (pipelineVerifyEnabled())
-        trainInterp_->enableStaticBoundsCheck();
     if (config_.squeeze) {
-        BitwidthProfile profile;
-        profile.profileRun(*trainInterp_, "main", train_args);
-        trainIrSteps_ = trainInterp_->stats().steps;
         squeezeStats_ =
-            squeezeModule(*module_, profile, config_.squeezeOpts);
-        // The squeezer restructured the module; cached decoded
-        // functions are stale.
-        trainInterp_->invalidate();
+            squeezeModule(*module_, trained.profile().rekeyed(copy_of),
+                          config_.squeezeOpts);
         pipelineCheckpoint(*module_, "transform:squeezer");
-    } else {
-        trainInterp_->run("main", train_args);
-        trainIrSteps_ = trainInterp_->stats().steps;
     }
 
     compiled_ = compileModule(*module_, config_.isa);

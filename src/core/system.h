@@ -6,6 +6,13 @@
  * compiler (baseline / bitwidth_speculation / no-speculation),
  * middle-end heuristic (2cfg-{max,avg,min}), expander on/off, and
  * DTS voltage scaling.
+ *
+ * A build splits at the profile. A TrainedModule is the front half:
+ * parse, training input, expander and one profiled training run. A
+ * System deep-copies a TrainedModule's module and runs the back half
+ * on its copy: squeezer, backend, then any number of core runs. Every
+ * configuration that shares a training key can start from one
+ * TrainedModule (the experiment engine shares them).
  */
 
 #ifndef BITSPEC_CORE_SYSTEM_H_
@@ -19,7 +26,7 @@
 #include "backend/compiler.h"
 #include "energy/dts.h"
 #include "energy/model.h"
-#include "interp/interpreter.h"
+#include "profile/bitwidth_profile.h"
 #include "transform/expander.h"
 #include "transform/squeezer.h"
 #include "uarch/core.h"
@@ -99,6 +106,50 @@ struct RunResult
     SqueezeStats squeezeStats;
     ExpandStats expandStats;
     BackendStats backendStats;
+
+    bool operator==(const RunResult &) const = default;
+};
+
+/**
+ * The front half of a System build, shared by every configuration
+ * with the same training key: the source compiled, @p train_input
+ * applied to the globals, the expander run, and "main" run once with
+ * @p train_args under the bitwidth profiler (paper §3.2.2). The
+ * profile records MIN/AVG/MAX RequiredBits per variable, so the
+ * heuristic that picks among them is left to each System.
+ *
+ * What it reads — the source, the training input and arguments and
+ * the ExpanderOptions — is its whole identity; squeezer, ISA, DTS
+ * and energy settings play no part. Immutable once constructed:
+ * Systems only read it, from any number of threads at once. The
+ * training Interpreter and its heap are gone when the constructor
+ * returns.
+ */
+class TrainedModule
+{
+  public:
+    TrainedModule(const std::string &source,
+                  const ExpanderOptions &expander,
+                  const std::function<void(Module &)> &train_input = {},
+                  const std::vector<uint64_t> &train_args = {});
+
+    /** The expanded module with the training input in its globals and
+     *  their addresses laid out. */
+    const Module &module() const { return *module_; }
+    /** The training run's profile, keyed by module()'s
+     *  instructions. */
+    const BitwidthProfile &profile() const { return profile_; }
+    const ExpanderOptions &expander() const { return expander_; }
+    const ExpandStats &expandStats() const { return expandStats_; }
+    /** Dynamic IR instructions of the training run. */
+    uint64_t irSteps() const { return irSteps_; }
+
+  private:
+    std::unique_ptr<Module> module_;
+    BitwidthProfile profile_;
+    ExpanderOptions expander_;
+    ExpandStats expandStats_;
+    uint64_t irSteps_ = 0;
 };
 
 /** A compiled system instance, reusable across inputs. */
@@ -106,13 +157,22 @@ class System
 {
   public:
     /**
-     * Build from C-subset source. @p train_input (optional) mutates
-     * module globals before the profiling run; profiling executes
-     * "main" with @p train_args.
+     * Build from C-subset source: train a TrainedModule under
+     * config.expander, then build from it as below. @p train_input
+     * (optional) mutates module globals before the profiling run;
+     * profiling executes "main" with @p train_args.
      */
     System(const std::string &source, const SystemConfig &config,
            const std::function<void(Module &)> &train_input = {},
            const std::vector<uint64_t> &train_args = {});
+
+    /**
+     * Build from a shared training: deep-copy @p trained's module
+     * (cloneModule), then squeeze the copy under the training profile
+     * re-keyed onto it, and compile. @p trained is only read and
+     * must have been expanded under config.expander.
+     */
+    System(const TrainedModule &trained, const SystemConfig &config);
 
     /**
      * Warm-start from an artifact-store snapshot: no frontend,
@@ -125,7 +185,7 @@ class System
      * globals by name; nothing downstream of the backend reads IR
      * functions), so run()s are bit-identical to a fresh compile —
      * ctest-enforced by tests/artifact/artifact_diff_test.cc — but
-     * the training interpreter is not available.
+     * there is no IR to interpret.
      */
     System(const artifact::SystemSnapshot &snap,
            const SystemConfig &config);
@@ -171,8 +231,8 @@ class System
     /** Misspeculation policy applied to the core on every later run
      *  (see Core::setMisspecPolicy). Each run re-seeds the core's RNG
      *  with @p seed, so Random runs are independent of run ordering.
-     *  Machine cores only; the training interpreter always trains
-     *  under Hardware semantics. */
+     *  Machine cores only; the training run always trains under
+     *  Hardware semantics. */
     void
     setMisspecPolicy(MisspecPolicy p, uint64_t seed = 0x5eed)
     {
@@ -186,15 +246,14 @@ class System
     const FastCore *fastCore() const { return fastCore_.get(); }
 
     /** Dynamic IR instructions of the training run (Fig. 3's
-     *  IR-level series). */
+     *  IR-level series), baseline configurations included. */
     uint64_t profiledIrInstructions() const { return trainIrSteps_; }
 
   private:
     SystemConfig config_;
+    /** This System's own copy of the trained module, squeezed in
+     *  place. */
     std::unique_ptr<Module> module_;
-    /** Interpreter used for the training run; invalidated whenever a
-     *  transform mutates the module (see Interpreter::invalidate). */
-    std::unique_ptr<Interpreter> trainInterp_;
     CompiledProgram compiled_;
     SqueezeStats squeezeStats_;
     ExpandStats expandStats_;

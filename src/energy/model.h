@@ -58,6 +58,8 @@ struct EnergyBreakdown
     {
         return alu + regfile + dcache + icache + pipeline;
     }
+
+    bool operator==(const EnergyBreakdown &) const = default;
 };
 
 /** Evaluate the model on one finished run's raw observables (any

@@ -101,8 +101,10 @@ class Interpreter
      *
      * Must be called after a transform mutates the module — decoded
      * functions bake in operand slots, block indices and global
-     * addresses, so executing a stale cache is undefined. System calls
-     * this after the expander and squeezer run.
+     * addresses, so executing a stale cache is undefined. (System
+     * never needs it: its training Interpreter runs after the
+     * expander and is gone before anything squeezes, and the squeezer
+     * works on a copy of the trained module.)
      */
     void invalidate();
 

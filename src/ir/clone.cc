@@ -54,4 +54,110 @@ cloneBlocks(const std::vector<BasicBlock *> &src_blocks, Function *dst,
     return map;
 }
 
+std::unique_ptr<Module>
+cloneModule(const Module &src, ValueMap *map)
+{
+    auto dst = std::make_unique<Module>();
+    std::unordered_map<const Global *, Global *> globals;
+    for (const auto &g : src.globals()) {
+        Global *ng =
+            dst->addGlobal(g->name(), g->elemBits(), g->elemCount());
+        ng->setData(g->data());
+        ng->setAddress(g->address());
+        globals.emplace(g.get(), ng);
+    }
+
+    ValueMap local;
+    ValueMap &values = map ? *map : local;
+    std::unordered_map<const Function *, Function *> funcs;
+    std::unordered_map<const BasicBlock *, BasicBlock *> blocks;
+
+    // Pass 1: function shells with their arguments and empty blocks,
+    // so calls and branches can point forward.
+    for (const auto &f : src.functions()) {
+        std::vector<Type> params;
+        for (size_t i = 0; i < f->numArgs(); ++i)
+            params.push_back(f->arg(i)->type());
+        Function *nf =
+            dst->addFunction(f->name(), f->retType(), std::move(params));
+        for (size_t i = 0; i < f->numArgs(); ++i) {
+            nf->arg(i)->setName(f->arg(i)->name());
+            values.emplace(f->arg(i), nf->arg(i));
+        }
+        for (const auto &bb : f->blocks()) {
+            BasicBlock *nbb = nf->addBlock(bb->name());
+            // Verbatim even if a rename clashed; the uniquing state
+            // is overwritten from the source just below.
+            nbb->setName(bb->name());
+            blocks.emplace(bb.get(), nbb);
+        }
+        nf->copyBookkeepingFrom(*f);
+        funcs.emplace(f.get(), nf);
+    }
+
+    // Pass 2: instructions, operands still pointing into the source.
+    for (const auto &f : src.functions()) {
+        for (const auto &bb : f->blocks()) {
+            BasicBlock *nbb = blocks.at(bb.get());
+            for (const auto &inst : bb->insts()) {
+                Instruction *copy =
+                    nbb->append(cloneInstruction(inst.get()));
+                copy->setId(inst->id());
+                if (inst->callee())
+                    copy->setCallee(funcs.at(inst->callee()));
+                values.emplace(inst.get(), copy);
+            }
+        }
+    }
+
+    // Pass 3: remap operands into the copy.
+    auto remap = [&](Value *v) -> Value * {
+        switch (v->kind()) {
+          case ValueKind::Constant:
+            return dst->getConst(v->type(),
+                                 static_cast<Constant *>(v)->value());
+          case ValueKind::GlobalRef:
+            return dst->getGlobalRef(
+                globals.at(static_cast<GlobalRef *>(v)->global()));
+          case ValueKind::Argument:
+          case ValueKind::Instruction:
+            break;
+        }
+        auto it = values.find(v);
+        bsAssert(it != values.end(),
+                 "cloneModule: operand defined outside the module");
+        return it->second;
+    };
+    for (const auto &f : dst->functions()) {
+        for (const auto &bb : f->blocks()) {
+            for (const auto &inst : bb->insts()) {
+                for (size_t i = 0; i < inst->numOperands(); ++i)
+                    inst->setOperand(i, remap(inst->operand(i)));
+                for (size_t i = 0; i < inst->blockOperands().size(); ++i)
+                    inst->setBlockOperand(
+                        i, blocks.at(inst->blockOperand(i)));
+            }
+        }
+    }
+
+    // Pass 4: speculative regions.
+    for (const auto &f : src.functions()) {
+        Function *nf = funcs.at(f.get());
+        for (const auto &sr : f->specRegions()) {
+            SpecRegion *nsr = nf->addSpecRegion();
+            for (BasicBlock *member : sr->blocks)
+                nsr->blocks.push_back(blocks.at(member));
+            nsr->handler = sr->handler ? blocks.at(sr->handler) : nullptr;
+            nsr->id = sr->id;
+            nsr->srcLine = sr->srcLine;
+            for (const Instruction *check : sr->checks)
+                nsr->checks.push_back(
+                    static_cast<const Instruction *>(values.at(check)));
+            nsr->leakSites = sr->leakSites;
+            nsr->leaksDischarged = sr->leaksDischarged;
+        }
+    }
+    return dst;
+}
+
 } // namespace bitspec

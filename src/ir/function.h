@@ -252,6 +252,28 @@ class Function
         }
     }
 
+    /**
+     * Copy the state of @p src that its blocks and arguments do not
+     * show: the argument ids of its last renumber() and its
+     * block-name uniquing state (names of deleted blocks stay taken).
+     * cloneModule calls this so a copy names new blocks exactly as
+     * @p src would. The arities must match.
+     */
+    void
+    copyBookkeepingFrom(const Function &src)
+    {
+        bsAssert(src.args_.size() == args_.size(),
+                 "copyBookkeepingFrom: arity mismatch");
+        argIds_.clear();
+        for (size_t i = 0; i < args_.size(); ++i) {
+            auto it = src.argIds_.find(src.args_[i].get());
+            if (it != src.argIds_.end())
+                argIds_[args_[i].get()] = it->second;
+        }
+        usedNames_ = src.usedNames_;
+        nameCounter_ = src.nameCounter_;
+    }
+
   private:
     std::string name_;
     Type retType_;

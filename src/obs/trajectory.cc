@@ -76,6 +76,14 @@ stringAfter(const std::string &text, const std::string &key,
     return std::nullopt;
 }
 
+/** A CPU count read from JSON; 0 (unknown) when absent (older
+ *  history lines) or out of range. */
+unsigned
+cpuCount(std::optional<double> v)
+{
+    return v && *v >= 1 && *v < 1e6 ? static_cast<unsigned>(*v) : 0;
+}
+
 } // namespace
 
 std::optional<double>
@@ -112,6 +120,8 @@ toJsonLine(const TrajectoryRecord &rec)
     jsonEscape(out, rec.timestamp);
     out += "\",\"debug_build\":";
     out += rec.debugBuild ? "true" : "false";
+    if (rec.hostCpus)
+        out += ",\"host_cpus\":" + std::to_string(rec.hostCpus);
     out += ",\"series\":{";
     for (size_t i = 0; i < sorted.size(); ++i) {
         if (i)
@@ -144,6 +154,7 @@ parseJsonLine(const std::string &line)
         dbg != std::string::npos &&
         line.compare(dbg + std::strlen("\"debug_build\":"), 4,
                      "true") == 0;
+    rec.hostCpus = cpuCount(numberAfter(line, "host_cpus"));
 
     size_t at = line.find("\"series\":{");
     if (at == std::string::npos)
@@ -219,6 +230,9 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
     TrajectoryRecord rec;
     rec.buildType = build.buildType;
     rec.debugBuild = build.debug();
+    size_t ctx = json_text.find("\"context\":");
+    if (ctx != std::string::npos)
+        rec.hostCpus = cpuCount(numberAfter(json_text, "num_cpus", ctx));
 
     auto add = [&rec](const std::string &name,
                       std::optional<double> v) {
@@ -316,11 +330,13 @@ checkAgainstHistory(const TrajectoryRecord &current,
                     const GateOptions &opts)
 {
     // Rolling baseline: the last `window` records with the same debug
-    // flag. Mismatched builds never form each other's baseline.
+    // flag and CPU count. Mismatched builds and hosts never form each
+    // other's baseline.
     std::vector<const TrajectoryRecord *> comparable;
     for (auto it = history.rbegin();
          it != history.rend() && comparable.size() < opts.window; ++it)
-        if (it->debugBuild == current.debugBuild)
+        if (it->debugBuild == current.debugBuild &&
+            it->hostCpus == current.hostCpus)
             comparable.push_back(&*it);
 
     GateResult result;

@@ -10,8 +10,10 @@
  * current record against a rolling baseline — the best value of each
  * series over the last `window` comparable records — and fails when a
  * gated series drops beyond its threshold. "Comparable" means the
- * same debug flag: debug numbers are tagged at record time and can
- * never become the baseline for release runs (or vice versa).
+ * same debug flag and the same host CPU count: debug numbers are
+ * tagged at record time and can never become the baseline for
+ * release runs (or vice versa), and the parallel speedup.* series
+ * scale with the core count.
  *
  * Gated series are the higher-is-better ones, recognised by name
  * prefix: "rate." (instructions/second) and "speedup.". Everything
@@ -76,6 +78,9 @@ struct TrajectoryRecord
     std::string buildType; ///< BuildInfo::buildType of the run.
     std::string timestamp; ///< ISO-8601 UTC; informational only.
     bool debugBuild = false;
+    /** CPUs of the host that ran the bench; 0 = unknown (records
+     *  written before the field existed). */
+    unsigned hostCpus = 0;
     /** Sorted by name (toJsonLine sorts; parse preserves). */
     std::vector<TrajectorySeries> series;
 
@@ -106,9 +111,10 @@ bool appendHistory(const std::string &path,
  * Distil a BENCH_micro.json (google-benchmark output with the
  * experiment_smoke sections spliced in) into a record: build type and
  * debug flag from @p build (the JSON's library_build_type is
- * ignored), rate.* series from the benchmark counters and the
- * observability section, speedup.* from the experiment_engine grids.
- * Sha/timestamp are left for the caller.
+ * ignored), host CPUs from the context's num_cpus, rate.* series
+ * from the benchmark counters and the observability section,
+ * speedup.* from the experiment_engine grids. Sha/timestamp are left
+ * for the caller.
  */
 TrajectoryRecord recordFromBenchJson(const std::string &json_text,
                                      const BuildInfo &build = thisBuild());
@@ -144,8 +150,9 @@ struct GateResult
 /**
  * Compare @p current against @p history. Baseline per series: the
  * maximum value over the last opts.window records whose debugBuild
- * flag matches @p current (older records and mismatched builds are
- * ignored). A gated series with no baseline passes — fresh histories
+ * flag and hostCpus match @p current (older records, mismatched
+ * builds and other hosts are ignored; an unknown count only matches
+ * unknown). A gated series with no baseline passes — fresh histories
  * must not fail their first run.
  */
 GateResult checkAgainstHistory(const TrajectoryRecord &current,

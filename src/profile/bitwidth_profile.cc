@@ -94,4 +94,19 @@ BitwidthProfile::totalAssignments() const
     return n;
 }
 
+BitwidthProfile
+BitwidthProfile::rekeyed(const ValueMap &map) const
+{
+    BitwidthProfile out;
+    out.stats_.reserve(stats_.size());
+    for (const auto &[inst, s] : stats_) {
+        auto it = map.find(inst);
+        bsAssert(it != map.end(),
+                 "rekeyed: profiled instruction outside the clone map");
+        out.stats_.emplace(static_cast<const Instruction *>(it->second),
+                           s);
+    }
+    return out;
+}
+
 } // namespace bitspec

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "interp/interpreter.h"
+#include "ir/clone.h"
 #include "ir/module.h"
 
 namespace bitspec
@@ -107,6 +108,11 @@ class BitwidthProfile
 
     /** Total profiled dynamic assignments. */
     uint64_t totalAssignments() const;
+
+    /** This profile moved onto a cloneModule copy: each instruction's
+     *  statistics keyed by its copy in @p map. Profiling the copy
+     *  would have recorded exactly this. */
+    BitwidthProfile rekeyed(const ValueMap &map) const;
 
   private:
     std::unordered_map<const Instruction *, VarBitStats> stats_;

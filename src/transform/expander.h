@@ -29,6 +29,8 @@ struct ExpanderOptions
     unsigned maxLoopSize = 60;
     /** Master switch (RQ4 disables the whole expander). */
     bool enabled = true;
+
+    bool operator==(const ExpanderOptions &) const = default;
 };
 
 /** Expansion statistics. */
@@ -36,6 +38,8 @@ struct ExpandStats
 {
     unsigned inlinedCalls = 0;
     unsigned unrolledLoops = 0;
+
+    bool operator==(const ExpandStats &) const = default;
 };
 
 /** Inline + unroll every function of @p m per @p opts. */

@@ -95,6 +95,8 @@ struct SqueezeStats
         lintLeaksDischarged += o.lintLeaksDischarged;
         return *this;
     }
+
+    bool operator==(const SqueezeStats &) const = default;
 };
 
 /** Squeeze one function. The profile must have been gathered on the

@@ -24,6 +24,8 @@ struct CacheStats
     uint64_t accesses = 0;
     uint64_t misses = 0;
     uint64_t writebacks = 0;
+
+    bool operator==(const CacheStats &) const = default;
 };
 
 /** One set-associative write-back cache with LRU replacement. */
@@ -99,6 +101,8 @@ struct DramStats
 {
     uint64_t reads = 0;
     uint64_t writes = 0;
+
+    bool operator==(const DramStats &) const = default;
 };
 
 /** The full hierarchy: L1I + L1D -> unified L2 -> DRAM. */

@@ -49,6 +49,8 @@ struct ActivityCounters
     uint64_t dynCopies = 0;
 
     uint64_t outputs = 0;
+
+    bool operator==(const ActivityCounters &) const = default;
 };
 
 } // namespace bitspec

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <vector>
 
 #include "core/experiment.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "support/error.h"
 #include "workloads/workload.h"
 
@@ -194,6 +198,152 @@ TEST(ExperimentRunner, WorkerExceptionPropagatesAndRunnerSurvives)
     RunResult ref =
         serialReference({&good, SystemConfig::baseline(), 0, 0});
     expectSameResult(ref, after, "post-exception evaluate");
+}
+
+/** The five compile-heavy configurations of one training key. */
+std::vector<ExperimentCell>
+fiveConfigs(const Workload &w, uint64_t profile_seed = 0)
+{
+    std::vector<ExperimentCell> cells;
+    for (const SystemConfig &c :
+         {SystemConfig::baseline(), SystemConfig::bitspec(Heuristic::Max),
+          SystemConfig::bitspec(Heuristic::Avg),
+          SystemConfig::bitspec(Heuristic::Min),
+          SystemConfig::noSpeculation()})
+        cells.push_back({&w, c, profile_seed, 0});
+    return cells;
+}
+
+uint64_t
+trainCounter(const char *name, const Workload &w)
+{
+    return MetricsRegistry::global()
+        .counter(name, {{"workload", w.name}})
+        .value();
+}
+
+TEST(ExperimentRunner, TrainsOncePerTrainingKey)
+{
+    const Workload &w = getWorkload("CRC32");
+    const std::vector<ExperimentCell> cells = fiveConfigs(w);
+    std::vector<RunResult> ref;
+    for (const ExperimentCell &c : cells)
+        ref.push_back(serialReference(c));
+
+    for (unsigned threads : {1u, 4u}) {
+        const std::string what = std::to_string(threads) + " threads";
+        const uint64_t misses0 =
+            trainCounter("experiment.train.misses", w);
+        const uint64_t hits0 = trainCounter("experiment.train.hits", w);
+        trace::reset();
+        trace::setEnabled(true);
+        ExperimentRunner runner(threads);
+        std::vector<RunResult> got = runner.run(cells);
+        trace::setEnabled(false);
+
+        const ExperimentStats st = runner.stats();
+        EXPECT_EQ(st.systemsBuilt, 5u) << what;
+        EXPECT_EQ(st.trainings, 1u) << what;
+        EXPECT_EQ(st.trainingHits, 4u) << what;
+        EXPECT_EQ(trainCounter("experiment.train.misses", w) - misses0,
+                  1u)
+            << what;
+        EXPECT_EQ(trainCounter("experiment.train.hits", w) - hits0, 4u)
+            << what;
+        std::map<std::string, int> instants;
+        for (const trace::Event &e : trace::snapshot())
+            if (e.phase == 'i')
+                ++instants[e.name];
+        trace::reset();
+        EXPECT_EQ(instants["train.miss"], 1) << what;
+        EXPECT_EQ(instants["train.hit"], 4) << what;
+
+        // A shared training compiles what a System's own does.
+        ASSERT_EQ(got.size(), ref.size());
+        for (size_t i = 0; i < got.size(); ++i)
+            EXPECT_TRUE(got[i] == ref[i])
+                << what << ", config " << i;
+    }
+}
+
+TEST(ExperimentRunner, EachProfileSeedTrainsOnce)
+{
+    const Workload &w = getWorkload("CRC32");
+    ExperimentRunner runner(2);
+    std::vector<ExperimentCell> cells;
+    for (uint64_t pseed : {0ull, 1ull}) {
+        cells.push_back({&w, SystemConfig::baseline(), pseed, 0});
+        cells.push_back({&w, SystemConfig::bitspec(), pseed, 0});
+    }
+    runner.run(cells);
+    EXPECT_EQ(runner.stats().trainings, 2u);
+    EXPECT_EQ(runner.stats().trainingHits, 2u);
+
+    // Run seeds are not part of the training key either.
+    runner.evaluate(w, SystemConfig::noSpeculation(), 1, 5);
+    EXPECT_EQ(runner.stats().trainings, 2u);
+    EXPECT_EQ(runner.stats().trainingHits, 3u);
+
+    // Other ExpanderOptions are another training.
+    SystemConfig flat = SystemConfig::bitspec();
+    flat.expander.enabled = false;
+    runner.evaluate(w, flat);
+    EXPECT_EQ(runner.stats().trainings, 3u);
+}
+
+TEST(ExperimentRunner, FailedTrainingFailsEverySharer)
+{
+    std::atomic<int> inputs{0};
+    Workload bad;
+    bad.name = "bad-training";
+    bad.source = getWorkload("CRC32").source;
+    bad.setInput = [&inputs](Module &, uint64_t) {
+        ++inputs;
+        fatal("training input unavailable");
+    };
+
+    const Workload &good = getWorkload("CRC32");
+    ExperimentRunner runner(4);
+    EXPECT_THROW(runner.run(fiveConfigs(bad)), FatalError);
+    EXPECT_EQ(inputs.load(), 1);
+    EXPECT_EQ(runner.stats().trainings, 1u);
+    EXPECT_EQ(runner.stats().trainingHits, 4u);
+
+    // Every config sharing the key fails without training again,
+    // including one whose System was never requested before.
+    SystemConfig other = SystemConfig::bitspec();
+    other.squeezeOpts.compareElimination = false;
+    for (const SystemConfig &c :
+         {SystemConfig::baseline(), SystemConfig::bitspec(), other})
+        EXPECT_THROW(runner.evaluate(bad, c), FatalError);
+    EXPECT_EQ(inputs.load(), 1);
+    EXPECT_EQ(runner.stats().trainings, 1u);
+
+    // Other keys are unaffected.
+    RunResult after = runner.evaluate(good, SystemConfig::bitspec());
+    EXPECT_TRUE(after ==
+                serialReference({&good, SystemConfig::bitspec(), 0, 0}));
+
+    // clearCache() forgets the failure: the next request retrains.
+    runner.clearCache();
+    EXPECT_THROW(runner.evaluate(bad, SystemConfig::baseline()),
+                 FatalError);
+    EXPECT_EQ(inputs.load(), 2);
+}
+
+TEST(ExperimentRunner, ClearCacheDropsTrainings)
+{
+    const Workload &w = getWorkload("CRC32");
+    ExperimentRunner runner(1);
+    runner.evaluate(w, SystemConfig::bitspec());
+    runner.evaluate(w, SystemConfig::baseline());
+    EXPECT_EQ(runner.stats().trainings, 1u);
+    EXPECT_EQ(runner.stats().trainingHits, 1u);
+
+    runner.clearCache();
+    runner.evaluate(w, SystemConfig::noSpeculation());
+    EXPECT_EQ(runner.stats().trainings, 2u);
+    EXPECT_EQ(runner.stats().trainingHits, 1u);
 }
 
 } // namespace

@@ -89,14 +89,16 @@ TEST_F(TraceSelfcheck, CapturesCompileAndExecuteSpans)
             ++begins[e.name];
     // One per System build (2 workloads x 2 configs = 4)...
     EXPECT_EQ(begins["system.build"], 4);
-    EXPECT_EQ(begins["frontend.parse"], 4);
     EXPECT_EQ(begins["backend.compile"], 4);
+    // ...one per training, shared by both configs of a workload...
+    EXPECT_EQ(begins["system.train"], 2);
+    EXPECT_EQ(begins["frontend.parse"], 2);
+    EXPECT_EQ(begins["profile.train_run"], 2);
     // ...one per cell run...
     EXPECT_EQ(begins["experiment.cell"], 4);
     EXPECT_EQ(begins["core.run"], 4);
     // ...and the squeezer only on the bitspec builds.
     EXPECT_EQ(begins["transform.squeeze"], 2);
-    EXPECT_EQ(begins["profile.train_run"], 2);
     EXPECT_GT(begins["interp.run"], 0);
 }
 

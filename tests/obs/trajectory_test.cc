@@ -377,5 +377,71 @@ TEST(Trajectory, BuildFlavourIsThisBuildNotLibbenchmarks)
     EXPECT_EQ(rec.debugBuild, self.debug());
 }
 
+TEST(Trajectory, HostCpusRoundTripsAndComesFromTheContext)
+{
+    TrajectoryRecord rec = makeRecord(1.5e8);
+    rec.hostCpus = 4;
+    auto back = parseJsonLine(toJsonLine(rec));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->hostCpus, 4u);
+    EXPECT_DOUBLE_EQ(
+        back->value("rate.interp_decoded_ir_per_s").value(), 1.5e8);
+
+    TrajectoryRecord fromJson = recordFromBenchJson(
+        R"({"context": {"num_cpus": 8, "mhz_per_cpu": 2100}})",
+        BuildInfo{"RelWithDebInfo", true});
+    EXPECT_EQ(fromJson.hostCpus, 8u);
+    EXPECT_EQ(recordFromBenchJson("{}", BuildInfo{"Release", true})
+                  .hostCpus,
+              0u);
+}
+
+TEST(Trajectory, LinesWithoutHostCpusParseAsUnknown)
+{
+    // A line as written before the field existed.
+    const std::string old_line =
+        R"({"schema_version":1,"git_sha":"323851f","build_type":"debug",)"
+        R"("timestamp":"2026-08-08T14:49:24Z","debug_build":true,)"
+        R"("series":{"rate.interp_decoded_ir_per_s":2.5e7}})";
+    auto rec = parseJsonLine(old_line);
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->hostCpus, 0u);
+    EXPECT_TRUE(rec->debugBuild);
+    EXPECT_DOUBLE_EQ(rec->value("rate.interp_decoded_ir_per_s").value(),
+                     2.5e7);
+    // Unknown stays unknown on the way out: no field is invented.
+    EXPECT_EQ(toJsonLine(*rec).find("host_cpus"), std::string::npos);
+}
+
+TEST(Trajectory, OtherCpuCountsAreNoBaseline)
+{
+    // A fast 8-CPU history must not gate a 4-CPU run: parallel
+    // speedups scale with the core count.
+    std::vector<TrajectoryRecord> history;
+    for (unsigned cpus : {8u, 8u, 0u}) {
+        history.push_back(makeRecord(2e8));
+        history.back().hostCpus = cpus;
+    }
+    TrajectoryRecord four = makeRecord(1e7);
+    four.hostCpus = 4;
+    GateResult r = checkAgainstHistory(four, history);
+    EXPECT_TRUE(r.pass);
+    EXPECT_EQ(r.baselineRuns, 0u);
+
+    // The same count does gate; unknown gates only unknown.
+    GateResult eight = checkAgainstHistory(
+        [] {
+            TrajectoryRecord rec = makeRecord(1e7);
+            rec.hostCpus = 8;
+            return rec;
+        }(),
+        history);
+    EXPECT_FALSE(eight.pass);
+    EXPECT_EQ(eight.baselineRuns, 2u);
+    GateResult unknown = checkAgainstHistory(makeRecord(1e7), history);
+    EXPECT_FALSE(unknown.pass);
+    EXPECT_EQ(unknown.baselineRuns, 1u);
+}
+
 } // namespace
 } // namespace bitspec
