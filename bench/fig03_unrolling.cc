@@ -13,7 +13,7 @@
 #include "interp/interpreter.h"
 #include "support/threadpool.h"
 #include "transform/expander.h"
-#include "uarch/core.h"
+#include "uarch/fast_core.h"
 
 using namespace bitspec;
 
@@ -59,7 +59,8 @@ main()
 
             CompiledProgram cp =
                 compileModule(*mod, TargetISA::Baseline);
-            Core core(cp.program, *mod);
+            PredecodedProgram pre(cp.program);
+            FastCore core(pre, *mod);
             core.run();
 
             return strFormat(

@@ -4,13 +4,20 @@
  * squeeze/misspeculation theorems hold off the beaten path?).
  *
  * Generates boundary-biased random programs (fuzz/gen.h) and runs
- * each through every engine x policy combination (fuzz/differential.h):
- * the decoded interpreter on the squeezed IR plus legacy Core and
- * FastCore on compiled EMB32, under hardware, force-first and random
- * misspeculation. Any observational mismatch against the unsqueezed
- * reference interpreter is a divergence; with --shrink it is reduced
- * to a minimal re-runnable repro (fuzz/shrink.h) whose source is
- * printed ready to paste into a regression test.
+ * each through seven differential runs (fuzz/differential.h): the
+ * interpreter on the squeezed IR and FastCore on compiled EMB32, each
+ * under hardware, force-first and random misspeculation, plus one
+ * hardware FastCore run held to its cycle-accurate slow path, the
+ * oracle for memo replay. Any observational mismatch against the
+ * unsqueezed reference interpreter, or between the slow path and
+ * replay, is a divergence; with --shrink it is reduced to a minimal
+ * re-runnable repro (fuzz/shrink.h) whose source is printed ready to
+ * paste into a regression test.
+ *
+ * Not covered: forced-policy slow-path counters of generated programs
+ * against a second core implementation (there is one core). The run
+ * freeze (tests/core/run_freeze_test.cc) pins those counters on the
+ * 14 workloads.
  *
  *   fuzz_spec --runs 500 --seed 1          # the ctest smoke budget
  *   fuzz_spec --runs 100000 --seed 42      # overnight soak
@@ -195,7 +202,7 @@ runFuzz(const Options &opt)
 
     ExperimentStats st = runner.stats();
     std::printf("fuzz_spec: %llu programs (%llu agreed, %llu "
-                "skipped, %llu diverged), %llu engine-x-policy "
+                "skipped, %llu diverged), %llu differential "
                 "runs, %llu systems built, %llu cache hits\n",
                 static_cast<unsigned long long>(opt.runs),
                 static_cast<unsigned long long>(agreed),

@@ -202,12 +202,6 @@ trainingKeyHash(const Workload &w, const ExpanderOptions &e,
     return s.h.digest();
 }
 
-const char *
-coreEngineName(CoreEngine e)
-{
-    return e == CoreEngine::Fast ? "fast" : "legacy";
-}
-
 } // namespace
 
 std::string
@@ -237,13 +231,10 @@ ExperimentRunner::cellKey(const ExperimentCell &cell)
     foldSystemKey(s, *cell.workload, cell.config, cell.profileSeed,
                   /*include_flavour=*/false);
     s.field("rseed", cell.runSeed);
-    // "default" (not the resolved engine) when unset: the resolution
-    // depends on the BITSPEC_CORE_ENGINE knob, which is provenance
-    // the ledger records separately — the key must stay a pure
-    // function of the cell.
-    s.field("engine", std::string(cell.engine
-                                      ? coreEngineName(*cell.engine)
-                                      : "default"));
+    // A fixed segment: ledgers written while the core had a second
+    // engine carry it (as "default" for every cell without an
+    // override), and bitspec-diff joins on the whole key.
+    s.field("engine", std::string("default"));
     s.field("policy", std::string(misspecPolicyName(cell.policy)));
     s.field("polseed", cell.policySeed);
     return s.key;
@@ -469,15 +460,13 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
     const auto t0 = std::chrono::steady_clock::now();
     {
         std::lock_guard<std::mutex> lock(cached->runMu);
-        // Run-level knobs. The policy is set for every cell (a plain
-        // cell must undo a predecessor's override on the shared
-        // System); the engine sticks, so mixed-engine matrices must
-        // set it on every cell.
-        if (cell.engine)
-            cached->sys.setCoreEngine(*cell.engine);
+        // The policy is set for every cell: a plain cell must undo a
+        // predecessor's override on the shared System.
         cached->sys.setMisspecPolicy(cell.policy, cell.policySeed);
+        // Schema-1 records carry an engine; FastCore keeps the name
+        // older ledgers recorded for it, so they still compare.
         if (ledger)
-            rec.engine = coreEngineName(cached->sys.coreEngine());
+            rec.engine = "fast";
         auto input = [&w, run_seed](Module &m) {
             w.setInput(m, run_seed);
         };

@@ -6,9 +6,9 @@
  *
  * Design rules (see DESIGN.md "Experiment engine"):
  *  - Cells are self-contained: each System owns its copy of an
- *    immutable shared TrainedModule and its pass pipeline; Cores are
- *    constructed per run. No shared mutable statics anywhere in the
- *    pipeline.
+ *    immutable shared TrainedModule, its pass pipeline and its core,
+ *    whose run state resets per run. No shared mutable statics
+ *    anywhere in the pipeline.
  *  - A training is train-once/squeeze-many. The training tier keys a
  *    TrainedModule by (workload name, FNV-1a of the source,
  *    ExpanderOptions, profile seed) — every input the front half
@@ -32,7 +32,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,11 +69,9 @@ struct ExperimentCell
     /** @name Run-level knobs
      * Applied to the cached System for this cell's run only —
      * deliberately absent from the cache key (one compiled System
-     * serves every engine and policy; the differential fuzzer depends
-     * on that sharing). */
+     * serves every policy; the differential fuzzer depends on that
+     * sharing). */
     /// @{
-    /** Core engine override; unset = the System's default. */
-    std::optional<CoreEngine> engine;
     MisspecPolicy policy = MisspecPolicy::Hardware;
     uint64_t policySeed = 0x5eed;
     /// @}
@@ -189,7 +186,7 @@ class ExperimentRunner
     /**
      * Canonical *flavour-free* identity of a cell for the run ledger
      * (obs/ledger.h): the systemKey fields minus the build flavour,
-     * plus the run-level knobs (run seed, engine, policy, policy
+     * plus the run seed and the run-level knobs (policy, policy
      * seed). Excluding the flavour is the point — bitspec-diff joins
      * ledgers from two different commits on this key, which is
      * exactly what the full systemKey is designed to prevent for the

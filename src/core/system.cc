@@ -7,29 +7,10 @@
 #include "ir/clone.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "support/env.h"
 #include "support/error.h"
 
 namespace bitspec
 {
-
-namespace
-{
-
-CoreEngine
-engineFromEnv()
-{
-    const std::string v =
-        env::getString("BITSPEC_CORE_ENGINE", "fast");
-    if (v == "fast")
-        return CoreEngine::Fast;
-    if (v == "legacy")
-        return CoreEngine::Legacy;
-    fatal("BITSPEC_CORE_ENGINE must be \"fast\" or \"legacy\", got "
-          "\"" + v + "\"");
-}
-
-} // namespace
 
 SystemConfig
 SystemConfig::baseline()
@@ -111,7 +92,7 @@ System::System(const std::string &source, const SystemConfig &config,
 {}
 
 System::System(const TrainedModule &trained, const SystemConfig &config)
-    : config_(config), engine_(engineFromEnv())
+    : config_(config)
 {
     trace::Span span("system.build", "compile");
     span.arg("squeeze", config_.squeeze ? "1" : "0");
@@ -141,7 +122,7 @@ System::System(const TrainedModule &trained, const SystemConfig &config)
 
 System::System(const artifact::SystemSnapshot &snap,
                const SystemConfig &config)
-    : config_(config), engine_(engineFromEnv())
+    : config_(config)
 {
     trace::Span span("system.restore", "compile");
     module_ = std::make_unique<Module>();
@@ -188,19 +169,6 @@ System::makeSnapshot(const std::string &key) const
     return snap;
 }
 
-void
-System::setCoreEngine(CoreEngine engine)
-{
-    if (engine == engine_)
-        return;
-    engine_ = engine;
-    // Rebuilt lazily on the next fast run; dropping the memos here
-    // mirrors Interpreter::invalidate() — no state may be carried
-    // across an engine switch.
-    fastCore_.reset();
-    predecoded_.reset();
-}
-
 RunResult
 System::run(const std::function<void(Module &)> &run_input,
             const std::vector<uint32_t> &args)
@@ -235,52 +203,32 @@ System::run(const std::function<void(Module &)> &run_input,
     if (!tracks && trace::enabled())
         tracks = &traced_tracks;
 
-    RunResult out;
-    if (engine_ == CoreEngine::Fast) {
-        if (!fastCore_) {
-            predecoded_ = std::make_unique<PredecodedProgram>(
-                compiled_.program);
-            fastCore_ =
-                std::make_unique<FastCore>(*predecoded_, *module_);
-        } else {
-            // Fresh run state (the constructor's reset covered the
-            // first run); block memos survive — they depend only on
-            // the immutable pre-decoded code.
-            fastCore_->reset();
-        }
-        FastCore &core = *fastCore_;
-        core.setAttribution(observers.attribution);
-        core.setBlockProfiler(observers.blocks);
-        core.setCounterTracks(tracks);
-        core.setMisspecPolicy(misspecPolicy_, misspecSeed_);
-        out.returnValue = core.run(args);
-        out.outputChecksum = core.outputChecksum();
-        out.counters = core.counters();
-        out.l1i = core.memory().l1i();
-        out.l1d = core.memory().l1d();
-        out.l2 = core.memory().l2();
-        out.dram = core.memory().dram();
-        out.energy =
-            computeEnergy(core.counters(), core.memory(),
-                          config_.energy);
+    if (!fastCore_) {
+        predecoded_ =
+            std::make_unique<PredecodedProgram>(compiled_.program);
+        fastCore_ = std::make_unique<FastCore>(*predecoded_, *module_);
     } else {
-        Core core(compiled_.program, *module_);
-        if (observers.attribution)
-            core.setAttribution(observers.attribution);
-        if (observers.blocks)
-            core.setBlockProfiler(observers.blocks);
-        if (tracks)
-            core.setCounterTracks(tracks);
-        core.setMisspecPolicy(misspecPolicy_, misspecSeed_);
-        out.returnValue = core.run(args);
-        out.outputChecksum = core.outputChecksum();
-        out.counters = core.counters();
-        out.l1i = core.memory().l1i();
-        out.l1d = core.memory().l1d();
-        out.l2 = core.memory().l2();
-        out.dram = core.memory().dram();
-        out.energy = computeEnergy(core, config_.energy);
+        // Fresh run state (the constructor's reset covered the first
+        // run); block memos survive — they depend only on the
+        // immutable pre-decoded code.
+        fastCore_->reset();
     }
+    FastCore &core = *fastCore_;
+    core.setAttribution(observers.attribution);
+    core.setBlockProfiler(observers.blocks);
+    core.setCounterTracks(tracks);
+    core.setMisspecPolicy(misspecPolicy_, misspecSeed_);
+
+    RunResult out;
+    out.returnValue = core.run(args);
+    out.outputChecksum = core.outputChecksum();
+    out.counters = core.counters();
+    out.l1i = core.memory().l1i();
+    out.l1d = core.memory().l1d();
+    out.l2 = core.memory().l2();
+    out.dram = core.memory().dram();
+    out.energy =
+        computeEnergy(core.counters(), core.memory(), config_.energy);
     if (config_.dts) {
         DtsResult d =
             applyDts(out.energy, out.counters, config_.dtsParams);

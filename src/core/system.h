@@ -29,7 +29,6 @@
 #include "profile/bitwidth_profile.h"
 #include "transform/expander.h"
 #include "transform/squeezer.h"
-#include "uarch/core.h"
 #include "uarch/fast_core.h"
 #include "uarch/predecode.h"
 
@@ -38,18 +37,6 @@ namespace bitspec
 
 class BlockProfilerSink;
 class CounterTrackEmitter;
-
-/** Which uarch execution engine System::run drives. Both produce
- *  bit-identical observables (ctest-enforced by
- *  tests/uarch/core_engine_diff_test.cc); Fast is an order of
- *  magnitude quicker on the no-miss hot path. Selected by the
- *  BITSPEC_CORE_ENGINE env knob ("fast" default, "legacy"), or
- *  programmatically via System::setCoreEngine. */
-enum class CoreEngine
-{
-    Legacy, ///< Cycle-accurate reference Core (the oracle).
-    Fast,   ///< Pre-decoded, block-memoized FastCore.
-};
 
 /** Observers a run attaches to the core; all optional, all must
  *  outlive the run. When `tracks` is null but BITSPEC_TRACE is
@@ -222,15 +209,10 @@ class System
     const SystemConfig &config() const { return config_; }
     const SqueezeStats &squeezeStats() const { return squeezeStats_; }
 
-    /** Override the BITSPEC_CORE_ENGINE selection for later runs.
-     *  Switching drops the cached fast-engine state (pre-decode table
-     *  and block memos are rebuilt lazily on the next fast run). */
-    void setCoreEngine(CoreEngine engine);
-    CoreEngine coreEngine() const { return engine_; }
-
     /** Misspeculation policy applied to the core on every later run
-     *  (see Core::setMisspecPolicy). Each run re-seeds the core's RNG
-     *  with @p seed, so Random runs are independent of run ordering.
+     *  (see FastCore::setMisspecPolicy). Each run re-seeds the core's
+     *  RNG with @p seed, so Random runs are independent of run
+     *  ordering.
      *  Machine cores only; the training run always trains under
      *  Hardware semantics. */
     void
@@ -241,8 +223,8 @@ class System
     }
     MisspecPolicy misspecPolicy() const { return misspecPolicy_; }
 
-    /** The persistent fast engine, or nullptr before the first fast
-     *  run (observability/tests: memo counts, replay stats). */
+    /** The persistent core, or nullptr before the first run
+     *  (observability/tests: memo counts, replay stats). */
     const FastCore *fastCore() const { return fastCore_.get(); }
 
     /** Dynamic IR instructions of the training run (Fig. 3's
@@ -258,11 +240,10 @@ class System
     SqueezeStats squeezeStats_;
     ExpandStats expandStats_;
     uint64_t trainIrSteps_ = 0;
-    CoreEngine engine_ = CoreEngine::Fast;
     MisspecPolicy misspecPolicy_ = MisspecPolicy::Hardware;
     uint64_t misspecSeed_ = 0x5eed;
-    /** Fast-engine state, built lazily on the first fast run and
-     *  reused across runs: the pre-decode table is immutable, and the
+    /** Core state, built lazily on the first run and reused across
+     *  runs: the pre-decode table is immutable, and the
      *  FastCore's block memos depend only on it — the compiled
      *  program never changes after construction. Any future
      *  re-squeeze/re-link of compiled_ must reset these (see

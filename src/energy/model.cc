@@ -4,12 +4,6 @@ namespace bitspec
 {
 
 EnergyBreakdown
-computeEnergy(const Core &core, const EnergyParams &p)
-{
-    return computeEnergy(core.counters(), core.memory(), p);
-}
-
-EnergyBreakdown
 computeEnergy(const ActivityCounters &c, const MemoryHierarchy &m,
               const EnergyParams &p)
 {

@@ -20,7 +20,6 @@
 #define BITSPEC_ENERGY_MODEL_H_
 
 #include "uarch/cache.h"
-#include "uarch/core.h"
 #include "uarch/counters.h"
 
 namespace bitspec
@@ -62,14 +61,9 @@ struct EnergyBreakdown
     bool operator==(const EnergyBreakdown &) const = default;
 };
 
-/** Evaluate the model on one finished run's raw observables (any
- *  core engine). */
+/** Evaluate the model on one finished run's raw observables. */
 EnergyBreakdown computeEnergy(const ActivityCounters &counters,
                               const MemoryHierarchy &mem,
-                              const EnergyParams &params = {});
-
-/** Evaluate the model on one finished core run. */
-EnergyBreakdown computeEnergy(const Core &core,
                               const EnergyParams &params = {});
 
 /** Energy per instruction (pJ/instr). */

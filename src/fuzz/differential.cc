@@ -3,6 +3,7 @@
 #include "frontend/irgen.h"
 #include "fuzz/gen.h"
 #include "interp/interpreter.h"
+#include "obs/profiler.h"
 #include "support/error.h"
 #include "support/str.h"
 #include "transform/expander.h"
@@ -30,9 +31,9 @@ setFuzzInputs(Module &m, uint64_t seed)
     }
 }
 
-/** First differing ActivityCounters field, or "" when equal. The
- *  two machine engines model identical hardware, so their counters
- *  must match bit-for-bit under every policy. */
+/** First differing ActivityCounters field, or "" when equal. Memo
+ *  replay and the slow path model identical hardware, so their
+ *  counters must match bit-for-bit. */
 std::string
 countersDiff(const ActivityCounters &a, const ActivityCounters &b)
 {
@@ -47,11 +48,18 @@ countersDiff(const ActivityCounters &a, const ActivityCounters &b)
     BITSPEC_FUZZ_CMP(alu32)
     BITSPEC_FUZZ_CMP(alu8)
     BITSPEC_FUZZ_CMP(mulDiv)
+    BITSPEC_FUZZ_CMP(rfRead32)
+    BITSPEC_FUZZ_CMP(rfWrite32)
+    BITSPEC_FUZZ_CMP(rfRead8)
+    BITSPEC_FUZZ_CMP(rfWrite8)
     BITSPEC_FUZZ_CMP(loads)
     BITSPEC_FUZZ_CMP(stores)
     BITSPEC_FUZZ_CMP(branches)
     BITSPEC_FUZZ_CMP(takenBranches)
     BITSPEC_FUZZ_CMP(calls)
+    BITSPEC_FUZZ_CMP(dynSpillLoads)
+    BITSPEC_FUZZ_CMP(dynSpillStores)
+    BITSPEC_FUZZ_CMP(dynCopies)
     BITSPEC_FUZZ_CMP(outputs)
 #undef BITSPEC_FUZZ_CMP
     return "";
@@ -158,21 +166,14 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
         return out;
     }
 
-    // ---- Machine engines via the experiment engine: one compiled
-    // System serves all six engine x policy cells. ----
+    // ---- FastCore via the experiment engine: one compiled System
+    // serves the three policy cells and the slow-path run. ----
     std::vector<ExperimentCell> cells;
-    for (CoreEngine engine : {CoreEngine::Legacy, CoreEngine::Fast}) {
-        for (MisspecPolicy policy : kPolicies) {
-            ExperimentCell cell;
-            cell.workload = &w;
-            cell.config = cfg;
-            cell.profileSeed = opts.profileSeed;
-            cell.runSeed = opts.runSeed;
-            cell.engine = engine;
-            cell.policy = policy;
-            cell.policySeed = opts.policySeed;
-            cells.push_back(std::move(cell));
-        }
+    for (MisspecPolicy policy : kPolicies) {
+        ExperimentCell cell(&w, cfg, opts.profileSeed, opts.runSeed);
+        cell.policy = policy;
+        cell.policySeed = opts.policySeed;
+        cells.push_back(std::move(cell));
     }
     std::vector<RunResult> results;
     try {
@@ -184,36 +185,59 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
     }
     out.runsExecuted += static_cast<unsigned>(results.size());
 
-    auto engine_name = [](size_t i) {
-        return i < 3 ? "core" : "fast-core";
-    };
-    for (size_t i = 0; i < results.size(); ++i) {
-        const char *policy =
-            misspecPolicyName(kPolicies[i % 3]);
-        if (results[i].returnValue != want)
+    auto check_outputs = [&](const RunResult &r, const char *what) {
+        if (r.returnValue != want)
             diverge(strFormat(
-                "%s/%s: return %llu != ref %llu", engine_name(i),
-                policy,
-                static_cast<unsigned long long>(
-                    results[i].returnValue),
+                "%s: return %llu != ref %llu", what,
+                static_cast<unsigned long long>(r.returnValue),
                 static_cast<unsigned long long>(want)));
-        if (results[i].outputChecksum != want_sum)
+        if (r.outputChecksum != want_sum)
             diverge(strFormat(
-                "%s/%s: checksum %016llx != ref %016llx",
-                engine_name(i), policy,
-                static_cast<unsigned long long>(
-                    results[i].outputChecksum),
+                "%s: checksum %016llx != ref %016llx", what,
+                static_cast<unsigned long long>(r.outputChecksum),
                 static_cast<unsigned long long>(want_sum)));
-    }
-    // Legacy cell i and fast cell i+3 ran the same policy and must
-    // agree counter-for-counter.
-    for (size_t i = 0; i < 3 && i + 3 < results.size(); ++i) {
-        std::string diff = countersDiff(results[i].counters,
-                                        results[i + 3].counters);
+    };
+    for (size_t i = 0; i < results.size(); ++i)
+        check_outputs(results[i],
+                      (std::string("fast-core/") +
+                       misspecPolicyName(kPolicies[i]))
+                          .c_str());
+
+    // ---- The replay oracle: Hardware again with a counter-track
+    // emitter attached, which keeps FastCore on its cycle-accurate
+    // slow path for the whole run. A fatal here, where the replayed
+    // cell finished, is a divergence, not a skip. ----
+    try {
+        RunResult slow;
+        uint64_t slow_insts = 0;
+        runner.withSystem(w, cfg, opts.profileSeed, [&](System &sys) {
+            sys.setMisspecPolicy(MisspecPolicy::Hardware,
+                                 opts.policySeed);
+            const uint64_t slow0 =
+                sys.fastCore() ? sys.fastCore()->slowInsts() : 0;
+            CounterTrackEmitter tracks;
+            RunObservers observers;
+            observers.tracks = &tracks;
+            slow = sys.run(
+                [&](Module &m) { setFuzzInputs(m, opts.runSeed); }, {},
+                observers);
+            slow_insts = sys.fastCore()->slowInsts() - slow0;
+        });
+        ++out.runsExecuted;
+        check_outputs(slow, "slow-path/hardware");
+        if (slow_insts != slow.counters.instructions)
+            diverge(strFormat(
+                "slow-path/hardware: only %llu of %llu instructions "
+                "retired on the slow path",
+                static_cast<unsigned long long>(slow_insts),
+                static_cast<unsigned long long>(
+                    slow.counters.instructions)));
+        std::string diff =
+            countersDiff(slow.counters, results[0].counters);
         if (!diff.empty())
-            diverge(strFormat("core-vs-fast/%s: %s",
-                              misspecPolicyName(kPolicies[i]),
-                              diff.c_str()));
+            diverge("slow-vs-replay/hardware: " + diff);
+    } catch (const FatalError &e) {
+        diverge(std::string("slow-path/hardware: ") + e.what());
     }
     return out;
 }

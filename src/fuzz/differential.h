@@ -1,21 +1,31 @@
 /**
  * @file
  * Differential misspeculation oracle: one generated program, executed
- * across every engine x misspeculation-policy combination, checked
- * for observational agreement.
+ * on both tiers under every misspeculation policy, checked for
+ * observational agreement.
  *
- * Engines: the decoded reference interpreter on the squeezed IR, the
- * legacy cycle-accurate Core and the memoized FastCore on the
- * compiled EMB32 program. Policies: Hardware, ForceFirst and seeded
- * Random (support/misspec.h). Theorems 3.1/3.2 make misspeculation
- * semantics-preserving, so every one of the nine runs must reproduce
- * the unsqueezed reference interpreter's return value and output
- * checksum; additionally the two machine engines must agree on their
- * ActivityCounters field-by-field under each policy (they model the
- * same hardware).
+ * Runs: the reference interpreter on the squeezed IR and FastCore on
+ * the compiled EMB32 program, each under Hardware, ForceFirst and
+ * seeded Random (support/misspec.h), plus one more Hardware machine
+ * run with a CounterTrackEmitter attached. Theorems 3.1/3.2 make
+ * misspeculation semantics-preserving, so every one of the seven runs
+ * must reproduce the unsqueezed reference interpreter's return value
+ * and output checksum.
+ *
+ * The tracked run is the replay oracle: an attached emitter keeps
+ * FastCore on its cycle-accurate slow path for the whole run, so its
+ * ActivityCounters must equal the replayed Hardware run's field by
+ * field, and its slow-path retirements must cover every instruction
+ * (otherwise the comparison would be replay against replay).
+ *
+ * Not checked here any more: the slow-path counters of generated
+ * programs under the forced policies against a second, independently
+ * written core. Those runs only meet the return-value and checksum
+ * checks; tests/core/run_freeze_test.cc still pins forced-policy
+ * counters on the 14 workloads.
  *
  * The machine runs go through a caller-owned ExperimentRunner: one
- * compiled System per program serves all six engine x policy cells
+ * compiled System per program serves all four machine runs
  * (run-level knobs are not part of the System cache key), and a
  * shrink session re-probing the same candidate source hits the
  * memoized System outright.
@@ -44,8 +54,8 @@ struct FuzzDiffOptions
      *  can actually miss (mirrors the RQ6 sensitivity protocol). */
     uint64_t profileSeed = 0;
     uint64_t runSeed = 1;
-    /** Seed for the Random policy's RNG (same across engines, so
-     *  legacy/fast draw identical force decisions). */
+    /** Seed for the Random policy's RNG (the interpreter and the
+     *  core each draw their own stream from it). */
     uint64_t policySeed = 0xfeed;
     /** Interpreter fuel; a program exceeding it is Skipped, not a
      *  divergence (generated loops are bounded, so this only guards
@@ -55,7 +65,7 @@ struct FuzzDiffOptions
 
 enum class FuzzDiffStatus
 {
-    Agree,    ///< All engine x policy runs matched the reference.
+    Agree,    ///< Every run matched the reference.
     Diverged, ///< At least one observation differed.
     Skipped,  ///< Program rejected (fuel/compile); not a divergence.
 };
@@ -63,12 +73,12 @@ enum class FuzzDiffStatus
 struct FuzzDiffResult
 {
     FuzzDiffStatus status = FuzzDiffStatus::Agree;
-    /** First divergence (engine/policy and observation) or the skip
+    /** First divergence (tier/policy and observation) or the skip
      *  reason. */
     std::string detail;
     uint64_t refReturn = 0;
     uint64_t refChecksum = 0;
-    unsigned runsExecuted = 0; ///< Engine x policy runs performed.
+    unsigned runsExecuted = 0; ///< Interpreter and machine runs.
 };
 
 /** Wrap @p p as a Workload for the experiment engine: name

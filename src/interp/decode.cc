@@ -236,7 +236,7 @@ DecodedFunction::decode(Function *f, uint32_t profile_base)
                 bsAssert(di.callee->numArgs() == inst->numOperands(),
                          "arity mismatch calling " +
                              di.callee->name());
-                // Legacy semantics: void calls truncate to 64 bits.
+                // Void calls yield a 64-bit (unused) result.
                 di.bits = static_cast<uint8_t>(
                     inst->type().bits ? inst->type().bits : 64);
                 break;
@@ -260,10 +260,8 @@ DecodedFunction::decode(Function *f, uint32_t profile_base)
             static_cast<uint32_t>(df->insts_.size()) - blk.instBegin;
     }
 
-    // Region membership and handlers, replacing the per-call
-    // std::map<const BasicBlock*, SpecRegion*> of the legacy engine.
-    // Later regions overwrite earlier ones for shared members, matching
-    // the legacy map-construction order.
+    // Region membership and handlers. Later regions overwrite earlier
+    // ones for shared members.
     int32_t region_ord = 0;
     for (const auto &sr : f->specRegions()) {
         int32_t handler_idx = -1;

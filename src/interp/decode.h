@@ -2,7 +2,7 @@
  * @file
  * Pre-decoded execution form of an IR function.
  *
- * The tree-walking interpreter re-resolved operands, speculative-region
+ * Walking the IR directly would re-resolve operands, speculative-region
  * membership and phi predecessors on every dynamic instruction. A
  * DecodedFunction flattens a Function once into dense arrays the
  * execution loop can index:

@@ -1,7 +1,6 @@
 #include "interp/interpreter.h"
 
 #include <algorithm>
-#include <set>
 
 #include "analysis/known_bits.h"
 #include "interp/decode.h"
@@ -94,8 +93,6 @@ void
 Interpreter::invalidate()
 {
     decodeCache_.clear();
-    legacyCache_.clear();
-    slotCache_.clear();
     prof_.clear();
     profInst_.clear();
     staticBound_.clear();
@@ -127,17 +124,6 @@ Interpreter::storeMem(uint32_t addr, uint64_t value, unsigned bits)
         fatal(strFormat("out-of-bounds store at 0x%x", addr));
     for (unsigned b = 0; b < bytes; ++b)
         memory_[addr + b] = static_cast<uint8_t>(value >> (8 * b));
-}
-
-unsigned
-Interpreter::slotsOf(Function *f)
-{
-    auto it = slotCache_.find(f);
-    if (it != slotCache_.end())
-        return it->second;
-    unsigned n = f->renumber();
-    slotCache_[f] = n;
-    return n;
 }
 
 const DecodedFunction &
@@ -173,19 +159,6 @@ Interpreter::decodedFor(Function *f)
     const DecodedFunction &ref = *df;
     decodeCache_.emplace(f, std::move(df));
     return ref;
-}
-
-const Interpreter::LegacyFunctionInfo &
-Interpreter::legacyInfo(Function *f)
-{
-    auto it = legacyCache_.find(f);
-    if (it != legacyCache_.end())
-        return it->second;
-    LegacyFunctionInfo &info = legacyCache_[f];
-    for (const auto &sr : f->specRegions())
-        for (BasicBlock *member : sr->blocks)
-            info.regionOf[member] = sr.get();
-    return info;
 }
 
 void
@@ -253,8 +226,6 @@ Interpreter::run(const std::string &fn, const std::vector<uint64_t> &args)
     Function *f = module_.getFunction(fn);
     if (!f)
         fatal("no such function: " + fn);
-    if (engine_ == ExecEngine::Legacy)
-        return callFunction(f, args, 0);
     dstackTop_ = 0;
     return callDecoded(f, args.data(), args.size(), 0);
 }
@@ -271,8 +242,6 @@ Interpreter::outputChecksum() const
     }
     return h;
 }
-
-// --- Decoded engine ---------------------------------------------------
 
 uint64_t
 Interpreter::callDecoded(Function *f, const uint64_t *args, size_t nargs,
@@ -292,8 +261,7 @@ Interpreter::callDecoded(Function *f, const uint64_t *args, size_t nargs,
         dstack_[base + i] = truncTo(args[i], df.argBits(i));
 
     uint64_t ret;
-    bool hooks = static_cast<bool>(onAssign) ||
-                 static_cast<bool>(onMisspec);
+    const bool hooks = static_cast<bool>(onAssign);
     if (blockProfileEnabled_) {
         if (profileEnabled_)
             ret = hooks ? execDecoded<true, true, true>(df, base, depth)
@@ -383,12 +351,11 @@ Interpreter::execDecoded(const DecodedFunction &df, size_t base,
                         ++bc->insts;
                     if constexpr (kProfile)
                         profileAssign(m->profileId, requiredBits(v));
-                    if constexpr (kHooks)
-                        if (onAssign) {
-                            flushCounters();
-                            onAssign(m->phi, v);
-                            reloadCounters();
-                        }
+                    if constexpr (kHooks) {
+                        flushCounters();
+                        onAssign(m->phi, v);
+                        reloadCounters();
+                    }
                 }
             }
         }
@@ -409,8 +376,10 @@ Interpreter::execDecoded(const DecodedFunction &df, size_t base,
             unsigned bits = di.bits;
             uint64_t result = 0;
 
-            // Forcing-policy check; mirrors the legacy short-circuit
-            // call pattern exactly (including RNG consumption).
+            // Forcing-policy check, short-circuited after the
+            // architectural condition: Random draws once per check
+            // that does not fire on its own (the run freeze pins the
+            // resulting streams).
             auto shouldForce = [&]() {
                 if (!di.speculative || blk.region < 0)
                     return false;
@@ -612,12 +581,11 @@ Interpreter::execDecoded(const DecodedFunction &df, size_t base,
                 ++assigns;
                 if constexpr (kProfile)
                     profileAssign(di.profileId, requiredBits(result));
-                if constexpr (kHooks)
-                    if (onAssign) {
-                        flushCounters();
-                        onAssign(di.inst, result);
-                        reloadCounters();
-                    }
+                if constexpr (kHooks) {
+                    flushCounters();
+                    onAssign(di.inst, result);
+                    reloadCounters();
+                }
             }
             continue;
 
@@ -629,9 +597,6 @@ Interpreter::execDecoded(const DecodedFunction &df, size_t base,
             ++stats_.misspeculations;
             if constexpr (kBlockProf)
                 ++bc->misspecs;
-            if constexpr (kHooks)
-                if (onMisspec)
-                    onMisspec(di.inst);
             reloadCounters();
             prev = cur;
             cur = static_cast<uint32_t>(blk.handler);
@@ -641,313 +606,6 @@ Interpreter::execDecoded(const DecodedFunction &df, size_t base,
         flushCounters();
         bsAssert(false, "block fell through: " + df.blockName(cur));
       next_block:;
-    }
-}
-
-// --- Legacy engine ----------------------------------------------------
-
-uint64_t
-Interpreter::callFunction(Function *f, const std::vector<uint64_t> &args,
-                          unsigned depth)
-{
-    if (depth > kMaxCallDepth)
-        fatal("call depth exceeded in " + f->name());
-    bsAssert(args.size() == f->numArgs(),
-             "arity mismatch calling " + f->name());
-
-    std::vector<uint64_t> frame(slotsOf(f), 0);
-    for (size_t i = 0; i < args.size(); ++i)
-        frame[f->valueId(f->arg(i))] =
-            truncTo(args[i], f->arg(i)->type().bits);
-
-    auto eval = [&](Value *v) -> uint64_t {
-        switch (v->kind()) {
-          case ValueKind::Constant:
-            return static_cast<Constant *>(v)->value();
-          case ValueKind::GlobalRef:
-            return static_cast<GlobalRef *>(v)->global()->address();
-          default:
-            return frame[f->valueId(v)];
-        }
-    };
-
-    // Block -> region map for misspeculation routing, built once per
-    // function and cached (hoisted out of the per-call path).
-    const auto &region_of = legacyInfo(f).regionOf;
-    auto regionAt = [&](const BasicBlock *bb) -> SpecRegion * {
-        auto it = region_of.find(bb);
-        return it == region_of.end() ? nullptr : it->second;
-    };
-
-    // Regions already force-misspeculated under ForceFirst.
-    std::set<const SpecRegion *> forced;
-
-    BasicBlock *bb = f->entry();
-    BasicBlock *prev = nullptr;
-
-    for (;;) {
-        // Phase 1: evaluate all phis in parallel against `prev`.
-        auto phis = bb->phis();
-        if (!phis.empty()) {
-            std::vector<uint64_t> vals(phis.size());
-            for (size_t p = 0; p < phis.size(); ++p) {
-                Instruction *phi = phis[p];
-                bool found = false;
-                for (size_t i = 0; i < phi->numOperands(); ++i) {
-                    if (phi->blockOperand(i) == prev) {
-                        vals[p] = truncTo(eval(phi->operand(i)),
-                                          phi->type().bits);
-                        found = true;
-                        break;
-                    }
-                }
-                if (!found)
-                    panic("phi has no entry for predecessor " +
-                          (prev ? prev->name() : std::string("<entry>")) +
-                          " in " + bb->name());
-                ++stats_.steps;
-                ++stats_.intAssignments;
-            }
-            for (size_t p = 0; p < phis.size(); ++p) {
-                frame[f->valueId(phis[p])] = vals[p];
-                if (onAssign)
-                    onAssign(phis[p], vals[p]);
-            }
-        }
-
-        // Phase 2: straight-line execution.
-        bool transferred = false;
-        for (auto it = bb->firstNonPhi(); it != bb->insts().end(); ++it) {
-            Instruction *inst = it->get();
-            if (++stats_.steps > fuel_)
-                fatal("out of fuel (infinite loop?) in " + f->name());
-
-            // Misspeculation routing shared by all speculative ops.
-            auto misspeculate = [&]() {
-                SpecRegion *sr = regionAt(bb);
-                bsAssert(sr != nullptr,
-                         "speculative op outside a region in " +
-                         bb->name());
-                ++stats_.misspeculations;
-                if (onMisspec)
-                    onMisspec(inst);
-                prev = bb;
-                bb = sr->handler;
-                transferred = true;
-            };
-
-            // Under forcing policies, misspeculate even when the value
-            // would fit.
-            auto shouldForce = [&]() {
-                SpecRegion *sr;
-                if (!inst->isSpeculative() || !(sr = regionAt(bb)))
-                    return false;
-                if (policy_ == MisspecPolicy::ForceFirst)
-                    return forced.insert(sr).second;
-                if (policy_ == MisspecPolicy::Random)
-                    return rng_.next() % 8 == 0;
-                return false;
-            };
-
-            unsigned bits = inst->type().bits;
-            uint64_t result = 0;
-            bool writes = !inst->type().isVoid();
-
-            switch (inst->op()) {
-              case Opcode::Add: {
-                uint64_t a = eval(inst->operand(0));
-                uint64_t b = eval(inst->operand(1));
-                uint64_t full = truncTo(a, bits) + truncTo(b, bits);
-                if (inst->isSpeculative() &&
-                    (full > lowMask(bits) || shouldForce())) {
-                    misspeculate();
-                    break;
-                }
-                result = truncTo(full, bits);
-                break;
-              }
-              case Opcode::Sub: {
-                uint64_t a = truncTo(eval(inst->operand(0)), bits);
-                uint64_t b = truncTo(eval(inst->operand(1)), bits);
-                if (inst->isSpeculative() && (a < b || shouldForce())) {
-                    misspeculate();
-                    break;
-                }
-                result = truncTo(a - b, bits);
-                break;
-              }
-              case Opcode::Mul:
-                result = truncTo(eval(inst->operand(0)) *
-                                 eval(inst->operand(1)), bits);
-                break;
-              case Opcode::UDiv: {
-                uint64_t b = truncTo(eval(inst->operand(1)), bits);
-                if (b == 0)
-                    fatal("division by zero in " + f->name());
-                result = truncTo(eval(inst->operand(0)), bits) / b;
-                break;
-              }
-              case Opcode::SDiv: {
-                int64_t b = static_cast<int64_t>(
-                    sextFrom(eval(inst->operand(1)), bits));
-                if (b == 0)
-                    fatal("division by zero in " + f->name());
-                int64_t a = static_cast<int64_t>(
-                    sextFrom(eval(inst->operand(0)), bits));
-                result = truncTo(static_cast<uint64_t>(a / b), bits);
-                break;
-              }
-              case Opcode::URem: {
-                uint64_t b = truncTo(eval(inst->operand(1)), bits);
-                if (b == 0)
-                    fatal("remainder by zero in " + f->name());
-                result = truncTo(eval(inst->operand(0)), bits) % b;
-                break;
-              }
-              case Opcode::SRem: {
-                int64_t b = static_cast<int64_t>(
-                    sextFrom(eval(inst->operand(1)), bits));
-                if (b == 0)
-                    fatal("remainder by zero in " + f->name());
-                int64_t a = static_cast<int64_t>(
-                    sextFrom(eval(inst->operand(0)), bits));
-                result = truncTo(static_cast<uint64_t>(a % b), bits);
-                break;
-              }
-              case Opcode::And:
-                result = truncTo(eval(inst->operand(0)) &
-                                 eval(inst->operand(1)), bits);
-                if (inst->isSpeculative() && shouldForce()) {
-                    // Logic never misspeculates in hardware; forcing
-                    // policies still exercise the handler path.
-                    misspeculate();
-                }
-                break;
-              case Opcode::Or:
-                result = truncTo(eval(inst->operand(0)) |
-                                 eval(inst->operand(1)), bits);
-                break;
-              case Opcode::Xor:
-                result = truncTo(eval(inst->operand(0)) ^
-                                 eval(inst->operand(1)), bits);
-                break;
-              case Opcode::Shl:
-                result = shiftLeft(eval(inst->operand(0)),
-                                   eval(inst->operand(1)), bits);
-                break;
-              case Opcode::LShr:
-                result = shiftRightLogical(eval(inst->operand(0)),
-                                           eval(inst->operand(1)), bits);
-                break;
-              case Opcode::AShr:
-                result = shiftRightArith(eval(inst->operand(0)),
-                                         eval(inst->operand(1)), bits);
-                break;
-              case Opcode::ICmp:
-                result = evalCmp(inst->pred(), eval(inst->operand(0)),
-                                 eval(inst->operand(1)),
-                                 inst->operand(0)->type().bits) ? 1 : 0;
-                break;
-              case Opcode::Select:
-                result = truncTo(eval(inst->operand(0)) != 0
-                                     ? eval(inst->operand(1))
-                                     : eval(inst->operand(2)), bits);
-                break;
-              case Opcode::ZExt:
-                result = zextFrom(eval(inst->operand(0)),
-                                  inst->operand(0)->type().bits);
-                break;
-              case Opcode::SExt:
-                result = truncTo(sextFrom(eval(inst->operand(0)),
-                                          inst->operand(0)->type().bits),
-                                 bits);
-                break;
-              case Opcode::Trunc: {
-                uint64_t v = truncTo(eval(inst->operand(0)),
-                                     inst->operand(0)->type().bits);
-                if (inst->isSpeculative() &&
-                    (v > lowMask(bits) || shouldForce())) {
-                    misspeculate();
-                    break;
-                }
-                result = truncTo(v, bits);
-                break;
-              }
-              case Opcode::Load: {
-                auto addr =
-                    static_cast<uint32_t>(eval(inst->operand(0)));
-                if (inst->isSpeculative()) {
-                    unsigned orig = inst->specOrigBits();
-                    bsAssert(orig > bits, "spec load with no orig width");
-                    uint64_t v = loadMem(addr, orig);
-                    if (v > lowMask(bits) || shouldForce()) {
-                        misspeculate();
-                        break;
-                    }
-                    result = v;
-                } else {
-                    result = loadMem(addr, bits);
-                }
-                break;
-              }
-              case Opcode::Store: {
-                auto addr =
-                    static_cast<uint32_t>(eval(inst->operand(0)));
-                Value *v = inst->operand(1);
-                storeMem(addr, truncTo(eval(v), v->type().bits),
-                         v->type().bits);
-                break;
-              }
-              case Opcode::Call: {
-                std::vector<uint64_t> call_args;
-                for (Value *a : inst->operands())
-                    call_args.push_back(eval(a));
-                ++stats_.calls;
-                result = callFunction(inst->callee(), call_args,
-                                      depth + 1);
-                result = truncTo(result, bits ? bits : 64);
-                break;
-              }
-              case Opcode::Output: {
-                Value *v = inst->operand(0);
-                output_.push_back(truncTo(eval(v), v->type().bits));
-                ++stats_.outputs;
-                break;
-              }
-              case Opcode::Br:
-                prev = bb;
-                bb = inst->blockOperand(0);
-                transferred = true;
-                break;
-              case Opcode::CondBr:
-                prev = bb;
-                bb = eval(inst->operand(0)) != 0 ? inst->blockOperand(0)
-                                                 : inst->blockOperand(1);
-                transferred = true;
-                break;
-              case Opcode::Ret:
-                return inst->numOperands()
-                           ? truncTo(eval(inst->operand(0)),
-                                     inst->operand(0)->type().bits)
-                           : 0;
-              case Opcode::Unreachable:
-                panic("executed unreachable in " + f->name());
-              case Opcode::Phi:
-                panic("phi after firstNonPhi");
-            }
-
-            if (transferred)
-                break;
-
-            if (writes) {
-                frame[f->valueId(inst)] = result;
-                ++stats_.intAssignments;
-                if (onAssign)
-                    onAssign(inst, result);
-            }
-        }
-
-        bsAssert(transferred, "block fell through: " + bb->name());
     }
 }
 

@@ -10,15 +10,13 @@
  *     misspeculation behaviour (redirect to the region handler), which
  *     lets the squeezer be validated before any machine code exists.
  *
- * Two execution engines share these semantics bit-for-bit:
- *  - Decoded (default): each Function is flattened once into a
- *    DecodedFunction (see decode.h) and executed by an
- *    index-dispatched loop with no per-instruction operand resolution,
- *    no per-block map lookups and no per-block allocation. Hook
- *    dispatch is hoisted out of the loop, so hook-free runs pay
- *    nothing for instrumentation.
- *  - Legacy: the original tree-walking loop, kept as a differential
- *    reference.
+ * Execution: each Function is flattened once into a DecodedFunction
+ * (see decode.h) and executed by an index-dispatched loop with no
+ * per-instruction operand resolution, no per-block map lookups and no
+ * per-block allocation. Hook dispatch is hoisted out of the loop, so
+ * hook-free runs pay nothing for instrumentation. What a run observes
+ * (stats, checksums, profiles) is pinned per workload by
+ * tests/core/run_freeze_test.cc.
  */
 
 #ifndef BITSPEC_INTERP_INTERPRETER_H_
@@ -39,15 +37,6 @@ namespace bitspec
 {
 
 class DecodedFunction;
-
-/** Which execution engine Interpreter::run uses. */
-enum class ExecEngine
-{
-    /** Pre-decoded, index-dispatched engine (fast path). */
-    Decoded,
-    /** Original tree-walking engine (differential reference). */
-    Legacy,
-};
 
 /** Aggregate execution statistics. */
 struct InterpStats
@@ -91,13 +80,10 @@ class Interpreter
     void setMisspecPolicy(MisspecPolicy p) { policy_ = p; }
     void setRandomSeed(uint64_t seed) { rng_ = Rng(seed); }
 
-    void setEngine(ExecEngine e) { engine_ = e; }
-    ExecEngine engine() const { return engine_; }
-
     /**
-     * Drop every cached per-function artefact: decoded functions,
-     * frame-slot counts and legacy region maps, plus accumulated
-     * value-profile data (drain it first via valueProfile()).
+     * Drop every cached per-function artefact (decoded functions and
+     * their profile cells), plus accumulated value-profile data
+     * (drain it first via valueProfile()).
      *
      * Must be called after a transform mutates the module — decoded
      * functions bake in operand slots, block indices and global
@@ -108,9 +94,9 @@ class Interpreter
      */
     void invalidate();
 
-    /** @name Built-in value profile (decoded engine)
+    /** @name Built-in value profile
      * The profiler's hot path: instead of an onAssign std::function
-     * per assignment, the decoded engine accumulates min/max/sum/count
+     * per assignment, the engine accumulates min/max/sum/count
      * of requiredBits() into dense arrays indexed by decoded
      * instruction id; the id -> Instruction mapping is applied only at
      * the edge, in valueProfile().
@@ -157,18 +143,14 @@ class Interpreter
      */
     std::function<void(const Instruction *, uint64_t)> onAssign;
 
-    /** Called on every misspeculation with the faulting instruction. */
-    std::function<void(const Instruction *)> onMisspec;
-
-    /** @name Per-block execution profile (decoded engine)
-     * The heat profiler's interpreter-side counterpart: the decoded
-     * engine bumps dense per-block cells (entries, executed
+    /** @name Per-block execution profile
+     * The heat profiler's interpreter-side counterpart: the engine
+     * bumps dense per-block cells (entries, executed
      * instructions, misspeculations) indexed by
      * DecodedFunction::blockBase() + block index. Dispatch is a
      * template bool hoisted out of the loop, so profile-off runs pay
      * nothing. Invariants (ctest-enforced): summed insts ==
      * stats().steps and summed misspecs == stats().misspeculations.
-     * Decoded engine only; the legacy engine ignores the flag.
      */
     /// @{
     void setBlockProfile(bool on) { blockProfileEnabled_ = on; }
@@ -195,12 +177,6 @@ class Interpreter
     /// @}
 
   private:
-    /** Legacy per-function info, hoisted out of callFunction. */
-    struct LegacyFunctionInfo
-    {
-        std::unordered_map<const BasicBlock *, SpecRegion *> regionOf;
-    };
-
     /** Dense value-profile accumulator cell. */
     struct ProfCell
     {
@@ -210,16 +186,12 @@ class Interpreter
         uint64_t count = 0;
     };
 
-    uint64_t callFunction(Function *f, const std::vector<uint64_t> &args,
-                          unsigned depth);
     uint64_t callDecoded(Function *f, const uint64_t *args, size_t nargs,
                          unsigned depth);
     template <bool kHooks, bool kProfile, bool kBlockProf>
     uint64_t execDecoded(const DecodedFunction &df, size_t base,
                          unsigned depth);
     const DecodedFunction &decodedFor(Function *f);
-    const LegacyFunctionInfo &legacyInfo(Function *f);
-    unsigned slotsOf(Function *f);
 
     void
     profileAssign(uint32_t id, unsigned bits)
@@ -241,15 +213,12 @@ class Interpreter
     InterpStats stats_;
     uint64_t fuel_ = kDefaultFuel;
     MisspecPolicy policy_ = MisspecPolicy::Hardware;
-    ExecEngine engine_ = ExecEngine::Decoded;
     Rng rng_{0x5eed};
 
-    std::unordered_map<Function *, unsigned> slotCache_;
     std::unordered_map<Function *, std::unique_ptr<DecodedFunction>>
         decodeCache_;
-    std::unordered_map<Function *, LegacyFunctionInfo> legacyCache_;
 
-    /** Decoded-engine frame stack (slot storage for the call chain). */
+    /** Frame stack (slot storage for the call chain). */
     std::vector<uint64_t> dstack_;
     size_t dstackTop_ = 0;
 

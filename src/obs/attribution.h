@@ -12,10 +12,10 @@
  * (site, role), where role distinguishes the speculative member
  * blocks, their Eq. 1/2 skeleton slots, and the handler blocks.
  *
- * AttributionSink is the hot-path recorder the Core drives when (and
- * only when) a sink is attached — one table load per retired
- * instruction, zero cost for runs without a sink (a null-pointer test
- * in Core::run).
+ * AttributionSink is the hot-path recorder the core (FastCore) drives
+ * when (and only when) a sink is attached — one table load per
+ * retired instruction, zero cost for runs without a sink (a
+ * null-pointer test per retire).
  *
  * The report layer folds a finished run into per-region rows:
  * misspeculation count and rate, handler/skeleton instructions and
@@ -116,8 +116,8 @@ struct RegionActivity
 };
 
 /**
- * Recorder attached to a Core run (Core::setAttribution). The Core
- * calls onInst for every retired instruction with that instruction's
+ * Recorder attached to a core run (FastCore::setAttribution). The
+ * core calls onInst for every retired instruction with that instruction's
  * cycle cost, and onMisspec for every misspeculation redirect.
  */
 class AttributionSink

@@ -109,7 +109,9 @@ struct LedgerRecord
     std::string systemKey;   ///< Full canonical key (with flavour).
     std::string artifactKey; ///< 128-bit system key hash, hex.
     std::string cacheSource; ///< "compile" | "memory" | "disk".
-    std::string engine;      ///< Core engine that ran the cell.
+    /** Core that ran the cell: always "fast" (FastCore), kept so
+     *  schema-1 records stay readable both ways. */
+    std::string engine;
     std::string policy;      ///< Misspeculation policy name.
     uint64_t profileSeed = 0;
     uint64_t runSeed = 0;

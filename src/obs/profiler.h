@@ -11,10 +11,10 @@
  *    AttributionMap's region-only view: the _start stub, handlers,
  *    skeleton slots (folded into their member block) and plain blocks
  *    are all covered, so dynamic per-block sums can reconcile exactly
- *    against the Core's aggregate ActivityCounters.
+ *    against the core's aggregate ActivityCounters.
  *
- *  - BlockProfilerSink is the hot-path recorder the Core drives when
- *    attached (Core::setBlockProfiler): one array bump per retired
+ *  - BlockProfilerSink is the hot-path recorder the core drives when
+ *    attached (FastCore::setBlockProfiler): one array bump per retired
  *    instruction, one null-pointer test per retire when detached —
  *    the same contract as AttributionSink. Invariants (ctest-
  *    enforced): sum of per-block insts == counters.instructions, sum
@@ -117,8 +117,8 @@ struct BlockActivity
 };
 
 /**
- * Recorder attached to a Core run (Core::setBlockProfiler). The Core
- * calls onInst for every retired instruction with its cycle cost and
+ * Recorder attached to a core run (FastCore::setBlockProfiler). The
+ * core calls onInst for every retired instruction with its cycle cost and
  * onMisspec for every misspeculation redirect — the same
  * one-null-test-per-retire pattern as AttributionSink.
  */
@@ -226,7 +226,7 @@ std::string foldedStacks(const std::vector<HeatRow> &rows,
                          const std::string &source_file);
 
 /**
- * Windowed counter tracks (Core::setCounterTracks): every
+ * Windowed counter tracks (FastCore::setCounterTracks): every
  * @p window_insts retired instructions — and once more at run end —
  * emits the window's IPC, misspeculations per kilo-instruction and
  * L1D hit rate as Chrome trace-event 'C' counter phases
@@ -256,7 +256,7 @@ class CounterTrackEmitter
             sample(c, mem, cycle);
     }
 
-    /** Flush the final partial window (called by Core at halt). */
+    /** Flush the final partial window (called by the core at halt). */
     void finish(const ActivityCounters &c, const MemoryHierarchy &mem,
                 uint64_t cycle);
 

@@ -256,27 +256,11 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
     add("rate.interp_decoded_ir_per_s",
         bench_counter("BM_InterpreterThroughput/decoded",
                       "ir_instrs_per_s"));
-    add("rate.interp_legacy_ir_per_s",
-        bench_counter("BM_InterpreterThroughput/legacy",
-                      "ir_instrs_per_s"));
     add("rate.interp_profiled_ir_per_s",
         bench_counter("BM_InterpreterProfiledThroughput/decoded",
                       "ir_instrs_per_s"));
-    // Core engine A/B. The bare BM_CoreThroughput name is the pre-A/B
-    // spelling of the legacy series; accept both so older BENCH_micro
-    // files keep producing the gated legacy rate.
-    auto core_legacy = bench_counter("BM_CoreThroughput/legacy",
-                                     "machine_instrs_per_s");
-    if (!core_legacy)
-        core_legacy =
-            bench_counter("BM_CoreThroughput", "machine_instrs_per_s");
-    auto core_fast = bench_counter("BM_CoreThroughput/fast",
-                                   "machine_instrs_per_s");
-    add("rate.core_machine_per_s", core_legacy);
-    add("rate.core_fast_machine_per_s", core_fast);
-    if (core_legacy && core_fast && *core_legacy > 0 && *core_fast > 0)
-        rec.series.push_back({"speedup.core_fast_vs_legacy",
-                              *core_fast / *core_legacy});
+    add("rate.core_fast_machine_per_s",
+        bench_counter("BM_CoreThroughput/fast", "machine_instrs_per_s"));
 
     // experiment_smoke's observability section.
     size_t obs = json_text.find("\"observability\":");

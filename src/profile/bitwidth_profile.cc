@@ -1,7 +1,6 @@
 #include "profile/bitwidth_profile.h"
 
 #include "obs/trace.h"
-#include "support/bits.h"
 #include "support/error.h"
 
 namespace bitspec
@@ -32,30 +31,15 @@ BitwidthProfile::profileRun(Interpreter &interp, const std::string &fn,
 {
     trace::Span span("profile.train_run", "compile");
     interp.reset();
-    if (interp.engine() == ExecEngine::Decoded) {
-        interp.enableValueProfile();
-        interp.run(fn, args);
-        for (const auto &e : interp.takeValueProfile()) {
-            VarBitStats &s = stats_[e.inst];
-            s.minBits = std::min(s.minBits, e.minBits);
-            s.maxBits = std::max(s.maxBits, e.maxBits);
-            s.sumBits += e.sumBits;
-            s.count += e.count;
-        }
-        return;
-    }
-    // Legacy engine: per-assignment hook.
-    auto saved = interp.onAssign;
-    interp.onAssign = [this](const Instruction *inst, uint64_t value) {
-        unsigned bits = requiredBits(value);
-        VarBitStats &s = stats_[inst];
-        s.minBits = std::min(s.minBits, bits);
-        s.maxBits = std::max(s.maxBits, bits);
-        s.sumBits += bits;
-        ++s.count;
-    };
+    interp.enableValueProfile();
     interp.run(fn, args);
-    interp.onAssign = saved;
+    for (const auto &e : interp.takeValueProfile()) {
+        VarBitStats &s = stats_[e.inst];
+        s.minBits = std::min(s.minBits, e.minBits);
+        s.maxBits = std::max(s.maxBits, e.maxBits);
+        s.sumBits += e.sumBits;
+        s.count += e.count;
+    }
 }
 
 unsigned

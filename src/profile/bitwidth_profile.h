@@ -14,10 +14,9 @@
  * extension reproduces the original", which is the correctness
  * condition the squeezer relies on (Squeezable?, Eq. 3).
  *
- * With the decoded engine the profiler uses the interpreter's built-in
- * value profile (dense arrays indexed by decoded instruction id) and
- * maps ids back to Instruction pointers only once per run; the
- * per-assignment std::function hook remains as the legacy-engine path.
+ * The profiler uses the interpreter's built-in value profile (dense
+ * arrays indexed by decoded instruction id) and maps ids back to
+ * Instruction pointers only once per run.
  */
 
 #ifndef BITSPEC_PROFILE_BITWIDTH_PROFILE_H_
@@ -79,8 +78,8 @@ class BitwidthProfile
     /**
      * Profile through a caller-owned interpreter, so one training run
      * can also feed the caller's step counts / checksum. Resets @p
-     * interp, runs, and accumulates. Uses the built-in value profile
-     * on the decoded engine and the onAssign hook on the legacy one.
+     * interp, runs, and accumulates through its built-in value
+     * profile.
      */
     void profileRun(Interpreter &interp, const std::string &fn = "main",
                     const std::vector<uint64_t> &args = {});

@@ -16,7 +16,7 @@ namespace bitspec
 namespace
 {
 
-// Identical timing parameters to the legacy Core (core.cc).
+// Timing parameters (cycles).
 constexpr uint32_t kBranchPenalty = 2;  ///< Taken-branch flush.
 constexpr uint32_t kMisspecPenalty = 4; ///< Redirect + refill.
 
@@ -56,8 +56,8 @@ addContrib(ActivityCounters &c, const CounterContrib &k)
     c.dynCopies += k.dynCopies;
 }
 
-/** Add every field of a memo delta except cycles (assigned at halt,
- *  like the legacy finish()), n replays at once: clean replays only
+/** Add every field of a memo delta except cycles (assigned at halt
+ *  by finish()), n replays at once: clean replays only
  *  bump RunMemo::pendingReplays and the multiply happens here, at
  *  finish(). */
 void
@@ -96,7 +96,7 @@ isTerminator(PKind k)
 FastCore::FastCore(const PredecodedProgram &pre, const Module &m)
     : pre_(pre), prog_(pre.prog()), module_(m)
 {
-    dataMem_.resize(Core::kMemBytes, 0);
+    dataMem_.resize(kMemBytes, 0);
     memoIdx_.assign(pre_.size(), -1);
     reset();
 }
@@ -119,7 +119,7 @@ FastCore::reset()
     classicMode_ = false;
     counters_ = ActivityCounters{};
     output_.clear();
-    outputHash_ = Core::kFnvOffset;
+    outputHash_ = kFnvOffset;
     mem_ = MemoryHierarchy{};
     // Memos survive: they depend only on the immutable pre-decoded
     // code, not on run state. Pending replay counts belong to the run
@@ -199,7 +199,7 @@ FastCore::emitOut(uint64_t v)
     output_.push_back(v);
     for (unsigned b = 0; b < 8; ++b) {
         outputHash_ ^= (v >> (8 * b)) & 0xff;
-        outputHash_ *= Core::kFnvPrime;
+        outputHash_ *= kFnvPrime;
     }
 }
 
@@ -229,7 +229,7 @@ FastCore::finish(uint64_t final_cycle)
             m.pendingReplays = 0;
         }
     // Provenance-tag counts are folded live (CounterContrib), so only
-    // the cycle assignment of the legacy finish() remains.
+    // the cycle assignment remains.
     counters_.cycles = final_cycle;
 }
 
@@ -526,8 +526,8 @@ FastCore::commitPrefix(const RunMemo &m, uint32_t k)
     // The k body instructions retired plus the diverging one were all
     // fetched; their lines are resident (entry guard), so the fetch
     // sequence commits in bulk. L1I traffic never reaches L2 here, so
-    // committing after the already-performed D-accesses preserves the
-    // legacy hierarchy state exactly.
+    // committing after the already-performed D-accesses leaves the
+    // hierarchy exactly as per-instruction fetches would.
     mem_.fetchRangeCommit(m.fetchFirst, prog_.addrOf(m.start + k));
     const PInst *insts = pre_.insts().data() + m.start;
     for (uint32_t j = 0; j < k; ++j) {
@@ -546,6 +546,28 @@ FastCore::commitPrefix(const RunMemo &m, uint32_t k)
     // Upper bound over the prefix's scoreboard writes (readyAt_ is
     // exact — the replay loop updated it per write).
     maxReady_ = std::max(maxReady_, cycle_ + m.maxReadyOff);
+}
+
+uint32_t
+FastCore::retireDiverged(const RunMemo &m, uint32_t i, bool misspec,
+                         uint64_t cost, uint32_t next)
+{
+    const uint32_t idx = m.start + i;
+    applyContrib(pre_.insts()[idx].contrib);
+    ++counters_.instructions;
+    ++executed_;
+    if (misspec) {
+        ++counters_.misspeculations;
+        if (attr_)
+            attr_->onMisspec(idx);
+        if (prof_)
+            prof_->onMisspec(idx);
+    }
+    if (attr_)
+        attr_->onInst(idx, cost);
+    if (prof_)
+        prof_->onInst(idx, cost);
+    return next;
 }
 
 bool
@@ -728,21 +750,13 @@ FastCore::replay(RunMemo &m0)
                 const PInst &p = insts[i];
                 flushIters(*mp, iters);
                 commitPrefix(*mp, i);
-                applyContrib(p.contrib);
                 applyDstWrite(p.dstWrite);
-                ++counters_.instructions;
-                ++executed_;
                 cycle_ = entry + mp->per[i].issueOff;
                 uint64_t rdy = cycle_ + p.latency + stall;
                 readyAt_[p.dst.reg] = rdy;
                 maxReady_ = std::max(maxReady_, rdy);
-                if (attr_)
-                    attr_->onInst(mp->start + i, mp->per[i].cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, mp->per[i].cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + 1;
+                return retireDiverged(*mp, i, false, mp->per[i].cost,
+                                      mp->start + i + 1);
             }
             break;
           }
@@ -876,21 +890,13 @@ FastCore::replay(RunMemo &m0)
                 // cycle-accurately after this instruction.
                 flushIters(*mp, iters);
                 commitPrefix(*mp, i);
-                applyContrib(p.contrib);
                 applyDstWrite(p.dstWrite);
-                ++counters_.instructions;
-                ++executed_;
                 cycle_ = entry + mp->per[i].issueOff;
                 uint64_t rdy = cycle_ + p.latency + stall;
                 readyAt_[p.dst.reg] = rdy;
                 maxReady_ = std::max(maxReady_, rdy);
-                if (attr_)
-                    attr_->onInst(mp->start + i, mp->per[i].cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, mp->per[i].cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + 1;
+                return retireDiverged(*mp, i, false, mp->per[i].cost,
+                                      mp->start + i + 1);
             }
             break;
           }
@@ -902,45 +908,24 @@ FastCore::replay(RunMemo &m0)
             if (v > 0xff) {
                 flushIters(*mp, iters);
                 commitPrefix(*mp, i);
-                applyContrib(p.contrib);
-                ++counters_.instructions;
-                ++executed_;
-                ++counters_.misspeculations;
-                if (attr_)
-                    attr_->onMisspec(mp->start + i);
-                if (prof_)
-                    prof_->onMisspec(mp->start + i);
                 cycle_ = entry + mp->per[i].issueOff + stall +
                          kMisspecPenalty;
-                uint64_t cost =
-                    cycle_ - (entry + mp->per[i].cycBefore);
-                if (attr_)
-                    attr_->onInst(mp->start + i, cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + delta_ / kInstBytes;
+                return retireDiverged(
+                    *mp, i, true,
+                    cycle_ - (entry + mp->per[i].cycBefore),
+                    mp->start + i + delta_ / kInstBytes);
             }
             writeDst(p.dst, regs, v);
             if (stall) {
                 flushIters(*mp, iters);
                 commitPrefix(*mp, i);
-                applyContrib(p.contrib);
                 applyDstWrite(p.dstWrite);
-                ++counters_.instructions;
-                ++executed_;
                 cycle_ = entry + mp->per[i].issueOff;
                 uint64_t rdy = cycle_ + p.latency + stall;
                 readyAt_[p.dst.reg] = rdy;
                 maxReady_ = std::max(maxReady_, rdy);
-                if (attr_)
-                    attr_->onInst(mp->start + i, mp->per[i].cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, mp->per[i].cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + 1;
+                return retireDiverged(*mp, i, false, mp->per[i].cost,
+                                      mp->start + i + 1);
             }
             break;
           }
@@ -953,19 +938,11 @@ FastCore::replay(RunMemo &m0)
                 // Store misses advance the cycle itself; diverge.
                 flushIters(*mp, iters);
                 commitPrefix(*mp, i);
-                applyContrib(p.contrib);
-                ++counters_.instructions;
-                ++executed_;
                 cycle_ = entry + mp->per[i].issueOff + stall;
-                uint64_t cost =
-                    cycle_ - (entry + mp->per[i].cycBefore);
-                if (attr_)
-                    attr_->onInst(mp->start + i, cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + 1;
+                return retireDiverged(
+                    *mp, i, false,
+                    cycle_ - (entry + mp->per[i].cycBefore),
+                    mp->start + i + 1);
             }
             break;
           }
@@ -985,25 +962,12 @@ FastCore::replay(RunMemo &m0)
             if (misspec) {
                 flushIters(*mp, iters);
                 commitPrefix(*mp, i);
-                applyContrib(p.contrib);
-                ++counters_.instructions;
-                ++executed_;
-                ++counters_.misspeculations;
-                if (attr_)
-                    attr_->onMisspec(mp->start + i);
-                if (prof_)
-                    prof_->onMisspec(mp->start + i);
                 cycle_ =
                     entry + mp->per[i].issueOff + kMisspecPenalty;
-                uint64_t cost =
-                    cycle_ - (entry + mp->per[i].cycBefore);
-                if (attr_)
-                    attr_->onInst(mp->start + i, cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + delta_ / kInstBytes;
+                return retireDiverged(
+                    *mp, i, true,
+                    cycle_ - (entry + mp->per[i].cycBefore),
+                    mp->start + i + delta_ / kInstBytes);
             }
             writeDst(p.dst, regs, r);
             break;
@@ -1028,25 +992,12 @@ FastCore::replay(RunMemo &m0)
             if (p.aux && v > 0xff) {
                 flushIters(*mp, iters);
                 commitPrefix(*mp, i);
-                applyContrib(p.contrib);
-                ++counters_.instructions;
-                ++executed_;
-                ++counters_.misspeculations;
-                if (attr_)
-                    attr_->onMisspec(mp->start + i);
-                if (prof_)
-                    prof_->onMisspec(mp->start + i);
                 cycle_ =
                     entry + mp->per[i].issueOff + kMisspecPenalty;
-                uint64_t cost =
-                    cycle_ - (entry + mp->per[i].cycBefore);
-                if (attr_)
-                    attr_->onInst(mp->start + i, cost);
-                if (prof_)
-                    prof_->onInst(mp->start + i, cost);
-                if (tracks_)
-                    tracks_->onRetire(counters_, mem_, cycle_);
-                return mp->start + i + delta_ / kInstBytes;
+                return retireDiverged(
+                    *mp, i, true,
+                    cycle_ - (entry + mp->per[i].cycBefore),
+                    mp->start + i + delta_ / kInstBytes);
             }
             writeDst(p.dst, regs, v & 0xff);
             break;
@@ -1109,8 +1060,8 @@ FastCore::replay(RunMemo &m0)
       chain:
         // Block chaining: when the successor already has an eligible
         // memo and its entry guards hold, continue replaying it right
-        // here — no dispatcher round trip. (tracks_ is null whenever
-        // replay runs, so only the run()-loop guards apply.)
+        // here — no dispatcher round trip. The run-level guards (no
+        // counter tracks, Hardware policy) already hold in replay().
         {
             int32_t mi = memoIdx_[next];
             if (mi >= 0) {
@@ -1165,8 +1116,7 @@ FastCore::execTerminator(const RunMemo &m)
         }
         break;
       case PKind::Call:
-        // Like the legacy BL: a raw lr write, no rf event, no
-        // scoreboard update.
+        // BL: a raw lr write, no rf event, no scoreboard update.
         regs_[kRegLR] = prog_.addrOf(idx + 1);
         next = p.target;
         cycle_ += kBranchPenalty;
@@ -1180,8 +1130,6 @@ FastCore::execTerminator(const RunMemo &m)
             if (prof_)
                 prof_->onInst(idx, cycle_ - cycle_at_fetch);
             finish(cycle_);
-            if (tracks_)
-                tracks_->finish(counters_, mem_, cycle_);
             halted_ = true;
             retVal_ = regs_[0];
             return idx;
@@ -1195,8 +1143,6 @@ FastCore::execTerminator(const RunMemo &m)
         if (prof_)
             prof_->onInst(idx, cycle_ - cycle_at_fetch);
         finish(cycle_);
-        if (tracks_)
-            tracks_->finish(counters_, mem_, cycle_);
         halted_ = true;
         retVal_ = regs_[0];
         return idx;
@@ -1207,8 +1153,6 @@ FastCore::execTerminator(const RunMemo &m)
         attr_->onInst(idx, cycle_ - cycle_at_fetch);
     if (prof_)
         prof_->onInst(idx, cycle_ - cycle_at_fetch);
-    if (tracks_)
-        tracks_->onRetire(counters_, mem_, cycle_);
     return next;
 }
 
@@ -1527,7 +1471,6 @@ uint32_t
 FastCore::run(const std::vector<uint32_t> &args)
 {
     trace::Span span("core.run", "execute");
-    span.arg("engine", "fast");
     bsAssert(args.size() <= 4, "run: more than 4 arguments");
     for (size_t i = 0; i < args.size(); ++i)
         regs_[i] = args[i];

@@ -1,15 +1,24 @@
 /**
  * @file
- * The fast core engine: executes a PredecodedProgram with the exact
- * observable behaviour of the legacy Core (ActivityCounters, cache
- * stats, output checksum, attribution and per-block profiler feeds —
- * bit-identical, ctest-enforced), an order of magnitude faster on the
- * no-miss hot path.
+ * The core model: a 32-bit, single-issue, in-order, 6-stage pipeline
+ * with the BitSpec µarchitectural extensions (paper §3.5/§4.1):
+ * byte-enable register-slice access, a segmented ALU that reports
+ * misspeculation from slice-boundary carries, and the PC += Δ
+ * redirect into skeleton blocks.
  *
- * Two execution paths:
+ * Timing is modelled with an in-order scoreboard: one instruction per
+ * cycle, plus operand-readiness stalls (load-use, multiply/divide
+ * latency), taken-branch flushes, cache misses and misspeculation
+ * redirects. Functional state is exact, so machine runs are checked
+ * bit-for-bit against the IR interpreter. Everything a run observes
+ * (ActivityCounters, cache stats, output checksum, attribution and
+ * per-block profiler feeds) is pinned per workload and policy by
+ * tests/core/run_freeze_test.cc.
+ *
+ * The core executes a PredecodedProgram on two paths:
  *
  *  - Slow path: one pre-decoded instruction at a time, cycle-accurate,
- *    a direct port of the legacy Core loop over PInst handlers.
+ *    over PInst handlers. It is the reference for everything below.
  *
  *  - Block replay: straight-line runs (block bodies up to their
  *    terminator) get a RunMemo — a statically computed schedule of the
@@ -37,8 +46,9 @@
 #include <vector>
 
 #include "ir/module.h"
+#include "support/misspec.h"
+#include "support/rng.h"
 #include "uarch/cache.h"
-#include "uarch/core.h"
 #include "uarch/counters.h"
 #include "uarch/predecode.h"
 
@@ -49,12 +59,15 @@ class AttributionSink;
 class BlockProfilerSink;
 class CounterTrackEmitter;
 
-/** Executes pre-decoded EMB32 programs; same observable contract as
- *  Core (the differential oracle — see tests/uarch/
- *  core_engine_diff_test.cc). */
+/** Executes pre-decoded EMB32 programs. */
 class FastCore
 {
   public:
+    static constexpr size_t kMemBytes = 1 << 22;
+    static constexpr uint64_t kDefaultFuel = 600'000'000;
+    static constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+    static constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
+
     /** Longest straight-line run one memo covers; longer runs fall
      *  back to the slow path (never seen in practice). */
     static constexpr uint32_t kMaxRunLen = 4096;
@@ -79,26 +92,36 @@ class FastCore
     const MemoryHierarchy &memory() const { return mem_; }
     const std::vector<uint64_t> &output() const { return output_; }
 
-    /** FNV-1a over the output stream; matches Core's. */
+    /** FNV-1a over the output stream; matches Interpreter's. */
     uint64_t outputChecksum() const { return outputHash_; }
 
     void setFuel(uint64_t fuel) { fuel_ = fuel; }
 
-    /** Same observer contract as Core::setAttribution /
-     *  setBlockProfiler / setCounterTracks: replayed blocks feed the
-     *  sinks their exact per-instruction counts from the memo. */
+    /** Attach (or detach with nullptr) a misspeculation-attribution
+     *  recorder or a per-block heat profiler for subsequent runs;
+     *  each must outlive the runs it observes. Replayed blocks feed
+     *  the sinks their exact per-instruction counts from the memo;
+     *  detached, a retire pays one null test. */
     void setAttribution(AttributionSink *sink) { attr_ = sink; }
     void setBlockProfiler(BlockProfilerSink *sink) { prof_ = sink; }
+
+    /** Attach (or detach with nullptr) a windowed counter-track
+     *  emitter (IPC / misspec rate / cache hit rate samples into the
+     *  trace stream). It samples at per-retire granularity, so an
+     *  attached emitter keeps the whole run on the slow path. */
     void setCounterTracks(CounterTrackEmitter *tracks)
     {
         tracks_ = tracks;
     }
 
-    /** Same semantics as Core::setMisspecPolicy. A non-Hardware
-     *  policy disables memo replay (memos bake in check-didn't-fire
-     *  straight-line execution); the slow path evaluates shouldForce
-     *  in the same operand order as Core, so legacy-vs-fast counter
-     *  equality holds under every policy. */
+    /** Select how the four speculative check sites (LDRS8/ADD8/SUB8/
+     *  TRN8) behave on subsequent runs. ForceFirst redirects at every
+     *  check; Random redirects with probability 1/8 (seeded, so runs
+     *  are reproducible). Either way a check that Hardware semantics
+     *  require to fire still fires — Theorems 3.1/3.2 make the
+     *  committed outputs policy-independent, which the differential
+     *  fuzzer exercises. A non-Hardware policy disables memo replay
+     *  (memos bake in check-didn't-fire straight-line execution). */
     void
     setMisspecPolicy(MisspecPolicy p, uint64_t seed = 0x5eed)
     {
@@ -214,7 +237,8 @@ class FastCore
     bool entryReady(const RunMemo &m) const;
 
     /** Replay the memoized run at cycle_; returns the next flat
-     *  index (or sets halted_). */
+     *  index (or sets halted_). Only called with no counter tracks
+     *  attached (run()'s guard). */
     uint32_t replay(RunMemo &m);
     /** Bulk-commit @p iters completed in-replay loop iterations
      *  (fetches, pendingReplays, replayedRuns_). */
@@ -228,7 +252,14 @@ class FastCore
     /** Commit the first @p k body instructions of a diverged replay
      *  from the memo (fetches, counters, sinks, fuel). */
     void commitPrefix(const RunMemo &m, uint32_t k);
-    /** Execute the terminator after a fully replayed body. */
+    /** Retire body instruction @p i of a diverged replay, after its
+     *  prefix and its own timing: static counts, the misspeculation
+     *  when @p misspec, and the sink feeds at @p cost cycles. Returns
+     *  @p next, where the slow path resumes. */
+    uint32_t retireDiverged(const RunMemo &m, uint32_t i, bool misspec,
+                            uint64_t cost, uint32_t next);
+    /** Execute the terminator after a fully replayed body (replay
+     *  never runs with counter tracks attached, so none are fed). */
     uint32_t execTerminator(const RunMemo &m);
     /** One cycle-accurate slow-path instruction; returns next idx. */
     uint32_t slowStep(uint32_t idx);
@@ -249,16 +280,18 @@ class FastCore
     MemoryHierarchy mem_;
     ActivityCounters counters_;
     std::vector<uint64_t> output_;
-    uint64_t outputHash_ = Core::kFnvOffset;
-    uint64_t fuel_ = Core::kDefaultFuel;
+    uint64_t outputHash_ = kFnvOffset;
+    uint64_t fuel_ = kDefaultFuel;
     AttributionSink *attr_ = nullptr;
     BlockProfilerSink *prof_ = nullptr;
     CounterTrackEmitter *tracks_ = nullptr;
     MisspecPolicy policy_ = MisspecPolicy::Hardware;
     Rng rng_{0x5eed};
 
-    /** Policy overlay for one check site; mirrors Core::shouldForce
-     *  (same draw order keeps the Random streams aligned). */
+    /** Policy overlay for one check site: true forces a redirect
+     *  even though the value fits. Call sites short-circuit it after
+     *  the architectural condition, so Random draws once per check
+     *  that does not fire on its own. */
     bool
     shouldForce()
     {

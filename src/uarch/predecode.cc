@@ -9,7 +9,7 @@ namespace
 {
 
 /** True when the operand is backed by an architectural register
- *  (legacy Core consults the scoreboard for both classes). */
+ *  (the scoreboard tracks both classes). */
 bool
 isRegLike(const MOpnd &o)
 {
@@ -35,8 +35,8 @@ makeOpnd(const MOpnd &o)
         break;
       case MOpndKind::None:
       case MOpndKind::VReg:
-        // Never read by a well-formed handler; Bad-kind fallback
-        // reproduces the legacy runtime panic if one is executed.
+        // Never read by a well-formed handler; an instruction that
+        // would read one decodes to Bad, which panics if executed.
         break;
     }
     return p;
@@ -52,7 +52,8 @@ addReadRf(CounterContrib &c, const MOpnd &o)
         ++c.rfRead8;
 }
 
-/** True when @p o can be read/written without the legacy panic. */
+/** True when @p o can be read/written (anything else decodes to
+ *  Bad). */
 bool
 operandOk(const MOpnd &o)
 {
@@ -78,9 +79,9 @@ decodeInst(const MachInst &inst)
     }
 
     // Marks that this handler reads the operand: fills readyMask and
-    // the rf-read contrib. A None/VReg operand panics in the legacy
-    // readOpnd, so it decodes to the Bad handler (the offset operand
-    // of loads/stores goes through readOpnd too unless immediate).
+    // the rf-read contrib. A None/VReg operand decodes to the Bad
+    // handler (the offset operand of loads/stores is read too unless
+    // immediate).
     auto readsValue = [&](const MOpnd &o) {
         if (!operandOk(o)) {
             p.kind = PKind::Bad;
@@ -284,9 +285,9 @@ decodeInst(const MachInst &inst)
         p.contrib.calls = 1;
         break;
       case MOp::BXLR:
-        // Legacy quirk preserved: lr readiness is never consulted
-        // (BXLR carries no operands) and the taken-branch count is
-        // unconditional.
+        // Timing-model quirk, pinned by the run freeze: lr readiness
+        // is never consulted (BXLR carries no operands) and the
+        // taken-branch count is unconditional.
         p.kind = PKind::Ret;
         p.contrib.branches = 1;
         p.contrib.takenBranches = 1;

@@ -53,7 +53,7 @@ enum class PKind : uint8_t
     Trn8,     ///< aux = 1 speculative (misspec when rn > 255).
     Branch, Call, Ret,
     Out, SetDelta, Mode, Nop, Halt,
-    Bad,      ///< Unallocated operand; executes as the legacy panic.
+    Bad,      ///< Unallocated operand; panics when executed.
 };
 
 /** Pre-resolved operand: read = isImm ? imm : (regs[reg]>>shift)&mask,

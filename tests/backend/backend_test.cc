@@ -6,7 +6,8 @@
 #include "interp/interpreter.h"
 #include "profile/bitwidth_profile.h"
 #include "transform/squeezer.h"
-#include "uarch/core.h"
+#include "uarch/fast_core.h"
+#include "uarch/predecode.h"
 
 namespace bitspec
 {
@@ -31,13 +32,14 @@ checkMachine(const std::string &src, TargetISA isa, bool squeeze,
         squeezeModule(*mod, profile, opts);
     }
     CompiledProgram cp = compileModule(*mod, isa);
+    PredecodedProgram pre(cp.program);
 
     for (const auto &args : inputs) {
         Interpreter ref(*ref_mod);
         std::vector<uint64_t> iargs(args.begin(), args.end());
         uint64_t want = truncTo(ref.run("main", iargs), 32);
 
-        Core core(cp.program, *mod);
+        FastCore core(pre, *mod);
         uint32_t got = core.run(args);
         EXPECT_EQ(got, want) << "isa=" << (int)isa
                              << " squeeze=" << squeeze;
@@ -200,7 +202,8 @@ TEST(Machine, SqueezedPaperCounterMisspeculates)
     CompiledProgram cp = compileModule(*mod, TargetISA::BitSpec);
     EXPECT_GT(cp.stats.skeletonInsts, 0u);
 
-    Core core(cp.program, *mod);
+    PredecodedProgram pre(cp.program);
+    FastCore core(pre, *mod);
     EXPECT_EQ(core.run(), 256u);
     EXPECT_EQ(core.counters().misspeculations, 1u);
     EXPECT_GT(core.counters().alu8, 0u);
@@ -246,7 +249,8 @@ TEST(Machine, MisspeculationOnLargerRunInput)
     squeezeModule(*mod, profile, opts);
     CompiledProgram cp = compileModule(*mod, TargetISA::BitSpec);
 
-    Core core(cp.program, *mod);
+    PredecodedProgram pre(cp.program);
+    FastCore core(pre, *mod);
     EXPECT_EQ(core.run({1000}), (999u * 1000u) / 2);
     EXPECT_GE(core.counters().misspeculations, 1u);
 }
@@ -284,8 +288,10 @@ TEST(Machine, SlicePackingReducesSpills)
     squeezeModule(*bs_mod, profile, opts);
     CompiledProgram bs = compileModule(*bs_mod, TargetISA::BitSpec);
 
-    Core cb(base.program, *baseline_mod);
-    Core cs(bs.program, *bs_mod);
+    PredecodedProgram pre_cb(base.program);
+    FastCore cb(pre_cb, *baseline_mod);
+    PredecodedProgram pre_cs(bs.program);
+    FastCore cs(pre_cs, *bs_mod);
     EXPECT_EQ(cb.run({10}), cs.run({10}));
     EXPECT_GT(cs.counters().rfRead8, 0u);
 

@@ -18,7 +18,8 @@
 #include "support/rng.h"
 #include "transform/expander.h"
 #include "transform/squeezer.h"
-#include "uarch/core.h"
+#include "uarch/fast_core.h"
+#include "uarch/predecode.h"
 
 namespace bitspec
 {
@@ -217,7 +218,8 @@ TEST_P(FuzzDifferential, AllExecutionModelsAgree)
 
         // Machine level, BitSpec ISA.
         CompiledProgram cp = compileModule(*mod, TargetISA::BitSpec);
-        Core core(cp.program, *mod);
+        PredecodedProgram pre(cp.program);
+        FastCore core(pre, *mod);
         EXPECT_EQ(core.run({17}), want);
         EXPECT_EQ(core.outputChecksum(), want_sum);
     }
@@ -226,7 +228,8 @@ TEST_P(FuzzDifferential, AllExecutionModelsAgree)
     for (TargetISA isa : {TargetISA::Baseline, TargetISA::Thumb}) {
         auto mod = compileSource(src);
         CompiledProgram cp = compileModule(*mod, isa);
-        Core core(cp.program, *mod);
+        PredecodedProgram pre(cp.program);
+        FastCore core(pre, *mod);
         EXPECT_EQ(core.run({17}), want);
         EXPECT_EQ(core.outputChecksum(), want_sum);
     }

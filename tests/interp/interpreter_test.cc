@@ -131,7 +131,7 @@ TEST(Interp, MemBoundsGuardDoesNotWrapAt32Bits)
 TEST(Interp, PhiParallelCopySwapCycle)
 {
     // Two phis that exchange values each iteration form a parallel-copy
-    // cycle; the decoded engine must break it through its scratch slot.
+    // cycle; the interpreter must break it through its scratch slot.
     Module m;
     Function *f = m.addFunction("swap", Type::i32(), {Type::i32()});
     IRBuilder b(&m);
@@ -156,13 +156,10 @@ TEST(Interp, PhiParallelCopySwapCycle)
     b.setInsertPoint(exit);
     b.ret(b.add(b.mul(x, b.constI32(100)), y));
 
-    for (ExecEngine engine : {ExecEngine::Decoded, ExecEngine::Legacy}) {
-        Interpreter in(m);
-        in.setEngine(engine);
-        // n=3: two swaps, back to (1, 2); n=4: three swaps, (2, 1).
-        EXPECT_EQ(in.run("swap", {3}), 102u);
-        EXPECT_EQ(in.run("swap", {4}), 201u);
-    }
+    Interpreter in(m);
+    // n=3: two swaps, back to (1, 2); n=4: three swaps, (2, 1).
+    EXPECT_EQ(in.run("swap", {3}), 102u);
+    EXPECT_EQ(in.run("swap", {4}), 201u);
 }
 
 TEST(Interp, InvalidateRefreshesDecodedCache)

@@ -172,11 +172,14 @@ TEST(Trajectory, FirstRecordPathStartsTheHistory)
 
 TEST(Trajectory, RecordFromBenchJsonCoreEngineAB)
 {
-    // The legacy/fast Core A/B pair produces both rates plus the
-    // derived speedup series (gated: the fast engine must not decay
-    // back toward the legacy rate).
+    // Older BENCH_micro.json files carry a legacy/fast engine A/B
+    // pair. The core rate comes from BM_CoreThroughput/fast alone:
+    // entries of the removed second engines produce no series, and a
+    // bare BM_CoreThroughput is not read as the core rate either.
     const std::string json = R"({
   "benchmarks": [
+    { "name": "BM_InterpreterThroughput/legacy",
+      "ir_instrs_per_s": 2.5e7 },
     { "name": "BM_CoreThroughput/legacy",
       "machine_instrs_per_s": 3.5e6 },
     { "name": "BM_CoreThroughput/fast",
@@ -184,28 +187,21 @@ TEST(Trajectory, RecordFromBenchJsonCoreEngineAB)
   ]
 })";
     TrajectoryRecord rec = recordFromBenchJson(json);
-    EXPECT_DOUBLE_EQ(rec.value("rate.core_machine_per_s").value(),
-                     3.5e6);
     EXPECT_DOUBLE_EQ(rec.value("rate.core_fast_machine_per_s").value(),
                      7.0e7);
-    ASSERT_TRUE(rec.value("speedup.core_fast_vs_legacy").has_value());
-    EXPECT_DOUBLE_EQ(rec.value("speedup.core_fast_vs_legacy").value(),
-                     20.0);
-    EXPECT_TRUE(isGatedSeries("speedup.core_fast_vs_legacy"));
+    EXPECT_TRUE(isGatedSeries("rate.core_fast_machine_per_s"));
+    EXPECT_EQ(rec.series.size(), 1u);
+    EXPECT_FALSE(rec.value("rate.core_machine_per_s").has_value());
+    EXPECT_FALSE(rec.value("rate.interp_legacy_ir_per_s").has_value());
+    EXPECT_FALSE(
+        rec.value("speedup.core_fast_vs_legacy").has_value());
 
-    // Pre-A/B files spell the legacy series as bare BM_CoreThroughput
-    // and carry no fast series or speedup.
-    TrajectoryRecord old = recordFromBenchJson(R"({
+    TrajectoryRecord bare = recordFromBenchJson(R"({
   "benchmarks": [
     { "name": "BM_CoreThroughput", "machine_instrs_per_s": 6.7e7 }
   ]
 })");
-    EXPECT_DOUBLE_EQ(old.value("rate.core_machine_per_s").value(),
-                     6.7e7);
-    EXPECT_FALSE(
-        old.value("rate.core_fast_machine_per_s").has_value());
-    EXPECT_FALSE(
-        old.value("speedup.core_fast_vs_legacy").has_value());
+    EXPECT_TRUE(bare.series.empty());
 }
 
 TEST(Trajectory, GateFailsOnInjectedRegression)
@@ -305,11 +301,11 @@ TEST(Trajectory, RecordFromBenchJsonExtractsSeries)
       "ir_instrs_per_s": 1.23e8
     },
     {
-      "name": "BM_InterpreterThroughput/legacy",
+      "name": "BM_InterpreterProfiledThroughput/decoded",
       "ir_instrs_per_s": 4.5e7
     },
     {
-      "name": "BM_CoreThroughput",
+      "name": "BM_CoreThroughput/fast",
       "machine_instrs_per_s": 6.7e7
     }
   ],
@@ -332,8 +328,8 @@ TEST(Trajectory, RecordFromBenchJsonExtractsSeries)
     EXPECT_DOUBLE_EQ(
         rec.value("rate.interp_decoded_ir_per_s").value(), 1.23e8);
     EXPECT_DOUBLE_EQ(
-        rec.value("rate.interp_legacy_ir_per_s").value(), 4.5e7);
-    EXPECT_DOUBLE_EQ(rec.value("rate.core_machine_per_s").value(),
+        rec.value("rate.interp_profiled_ir_per_s").value(), 4.5e7);
+    EXPECT_DOUBLE_EQ(rec.value("rate.core_fast_machine_per_s").value(),
                      6.7e7);
     EXPECT_DOUBLE_EQ(rec.value("speedup.fig08_matrix").value(), 3.2);
     EXPECT_DOUBLE_EQ(rec.value("rate.obs_disabled_ir_per_s").value(),

@@ -6,7 +6,8 @@
 #include "profile/bitwidth_profile.h"
 #include "support/error.h"
 #include "transform/squeezer.h"
-#include "uarch/core.h"
+#include "uarch/fast_core.h"
+#include "uarch/predecode.h"
 
 namespace bitspec
 {
@@ -86,7 +87,8 @@ TEST(Core, SliceWritesAliasFullRegister)
     SqueezeOptions opts;
     squeezeModule(*mod, profile, opts);
     CompiledProgram cp = compileModule(*mod, TargetISA::BitSpec);
-    Core core(cp.program, *mod);
+    PredecodedProgram pre(cp.program);
+    FastCore core(pre, *mod);
     EXPECT_EQ(core.run(), want);
     EXPECT_GT(core.counters().rfWrite8, 0u);
 }
@@ -97,7 +99,8 @@ TEST(Core, FuelGuardsAgainstRunaway)
                       "return x; }";
     auto mod = compileSource(src);
     CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
-    Core core(cp.program, *mod);
+    PredecodedProgram pre(cp.program);
+    FastCore core(pre, *mod);
     core.setFuel(5000);
     EXPECT_THROW(core.run(), FatalError);
 }
@@ -110,7 +113,8 @@ TEST(Core, ResetRestoresGlobalsAndCounters)
     )";
     auto mod = compileSource(src);
     CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
-    Core core(cp.program, *mod);
+    PredecodedProgram pre(cp.program);
+    FastCore core(pre, *mod);
     EXPECT_EQ(core.run(), 7u);
     core.reset();
     EXPECT_EQ(core.run(), 7u); // Not 14: memory reloaded.
@@ -130,7 +134,8 @@ TEST(Core, CyclesExceedInstructionsWithMemoryTraffic)
     )";
     auto mod = compileSource(src);
     CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
-    Core core(cp.program, *mod);
+    PredecodedProgram pre(cp.program);
+    FastCore core(pre, *mod);
     core.run();
     const ActivityCounters &c = core.counters();
     EXPECT_GT(c.cycles, c.instructions); // Stalls exist.
@@ -158,8 +163,11 @@ TEST(Core, ThumbExecutesMoreInstructions)
     auto m2 = compileSource(src);
     CompiledProgram thumb = compileModule(*m2, TargetISA::Thumb);
 
-    Core cb(base.program, *m1);
-    Core ct(thumb.program, *m2);
+
+    PredecodedProgram pre_cb(base.program);
+    FastCore cb(pre_cb, *m1);
+    PredecodedProgram pre_ct(thumb.program);
+    FastCore ct(pre_ct, *m2);
     EXPECT_EQ(cb.run({100}), ct.run({100}));
     EXPECT_GT(ct.counters().instructions,
               cb.counters().instructions);
@@ -190,7 +198,8 @@ TEST(Core, LoadBoundsCheckDoesNotWrapNearAddressMax)
     // bounds. The check must be performed in 64 bits.
     auto mod = compileSource("u32 main() { return 0; }");
     MachProgram prog = memProbeProgram(MOp::LDR, 0xFFFFFFFDu);
-    Core core(prog, *mod);
+    PredecodedProgram pre(prog);
+    FastCore core(pre, *mod);
     EXPECT_THROW(core.run(), FatalError);
 }
 
@@ -198,7 +207,8 @@ TEST(Core, StoreBoundsCheckDoesNotWrapNearAddressMax)
 {
     auto mod = compileSource("u32 main() { return 0; }");
     MachProgram prog = memProbeProgram(MOp::STR, 0xFFFFFFFEu);
-    Core core(prog, *mod);
+    PredecodedProgram pre(prog);
+    FastCore core(pre, *mod);
     EXPECT_THROW(core.run(), FatalError);
 }
 
@@ -207,14 +217,16 @@ TEST(Core, StraddlingAccessAtMemoryEndIsRejected)
     // Non-wrapping case: a 4-byte access whose last byte falls one
     // past the data memory must also fault.
     auto mod = compileSource("u32 main() { return 0; }");
-    uint32_t end = static_cast<uint32_t>(Core::kMemBytes);
+    uint32_t end = static_cast<uint32_t>(FastCore::kMemBytes);
     MachProgram prog = memProbeProgram(MOp::LDR, end - 3);
-    Core core(prog, *mod);
+    PredecodedProgram pre(prog);
+    FastCore core(pre, *mod);
     EXPECT_THROW(core.run(), FatalError);
 
     // The last fully in-bounds word is fine.
     MachProgram ok = memProbeProgram(MOp::LDR, end - 4);
-    Core core2(ok, *mod);
+    PredecodedProgram pre_core2(ok);
+    FastCore core2(pre_core2, *mod);
     EXPECT_EQ(core2.run(), 0u);
 }
 

@@ -1,26 +1,25 @@
 /**
  * @file
- * Targeted unit tests of the fast core engine: memo-guard divergence
- * (hot block -> cache miss or misspeculation -> hot again), memo
- * invalidation, persistence across reset(), fuel accounting under
- * replay, and the BITSPEC_CORE_ENGINE knob on System.
+ * Targeted unit tests of the core: memo-guard divergence (hot block ->
+ * cache miss or misspeculation -> hot again), memo invalidation,
+ * persistence across reset() and fuel accounting under replay.
  *
- * Whole-workload equivalence lives in core_engine_diff_test.cc; these
- * tests construct small kernels where the divergence paths are
- * guaranteed to fire and assert them via replayedRuns()/slowInsts().
+ * Whole-workload observations are pinned by
+ * tests/core/run_freeze_test.cc; these tests construct small kernels
+ * where the divergence paths are guaranteed to fire, check replay
+ * against the cycle-accurate slow path (a run with a counter-track
+ * emitter attached never replays) and assert both paths ran via
+ * replayedRuns()/slowInsts().
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "backend/compiler.h"
-#include "core/system.h"
 #include "frontend/irgen.h"
+#include "obs/profiler.h"
 #include "profile/bitwidth_profile.h"
 #include "support/error.h"
 #include "transform/squeezer.h"
-#include "uarch/core.h"
 #include "uarch/fast_core.h"
 #include "uarch/predecode.h"
 
@@ -29,10 +28,22 @@ namespace bitspec
 namespace
 {
 
-void
-expectSameObservables(const Core &legacy, const FastCore &fast)
+/** Run @p core over @p args entirely on its slow path. */
+uint32_t
+runSlowPath(FastCore &core, const std::vector<uint32_t> &args)
 {
-    const ActivityCounters &a = legacy.counters();
+    CounterTrackEmitter tracks;
+    core.setCounterTracks(&tracks);
+    uint32_t ret = core.run(args);
+    core.setCounterTracks(nullptr);
+    EXPECT_EQ(core.slowInsts(), core.counters().instructions);
+    return ret;
+}
+
+void
+expectSameObservables(const FastCore &slow, const FastCore &fast)
+{
+    const ActivityCounters &a = slow.counters();
     const ActivityCounters &b = fast.counters();
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.cycles, b.cycles);
@@ -53,9 +64,9 @@ expectSameObservables(const Core &legacy, const FastCore &fast)
     EXPECT_EQ(a.dynSpillStores, b.dynSpillStores);
     EXPECT_EQ(a.dynCopies, b.dynCopies);
     EXPECT_EQ(a.outputs, b.outputs);
-    EXPECT_EQ(legacy.outputChecksum(), fast.outputChecksum());
+    EXPECT_EQ(slow.outputChecksum(), fast.outputChecksum());
 
-    const MemoryHierarchy &ma = legacy.memory();
+    const MemoryHierarchy &ma = slow.memory();
     const MemoryHierarchy &mb = fast.memory();
     EXPECT_EQ(ma.l1i().accesses, mb.l1i().accesses);
     EXPECT_EQ(ma.l1i().misses, mb.l1i().misses);
@@ -88,13 +99,13 @@ TEST(FastCore, HotMissHotStreamingLoadsStayExact)
     auto mod = compileSource(src);
     CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
 
-    Core legacy(cp.program, *mod);
-    uint32_t want = legacy.run({3});
-
     PredecodedProgram pre(cp.program);
+    FastCore slow(pre, *mod);
+    uint32_t want = runSlowPath(slow, {3});
+
     FastCore fast(pre, *mod);
     EXPECT_EQ(fast.run({3}), want);
-    expectSameObservables(legacy, fast);
+    expectSameObservables(slow, fast);
 
     // Both engine paths must actually have fired.
     EXPECT_GT(fast.replayedRuns(), 0u);
@@ -125,13 +136,13 @@ TEST(FastCore, HotMisspecHotStaysExact)
     squeezeModule(*mod, profile, opts);
     CompiledProgram cp = compileModule(*mod, TargetISA::BitSpec);
 
-    Core legacy(cp.program, *mod);
-    uint32_t want = legacy.run({44});
-
     PredecodedProgram pre(cp.program);
+    FastCore slow(pre, *mod);
+    uint32_t want = runSlowPath(slow, {44});
+
     FastCore fast(pre, *mod);
     EXPECT_EQ(fast.run({44}), want);
-    expectSameObservables(legacy, fast);
+    expectSameObservables(slow, fast);
 
     EXPECT_GT(fast.counters().misspeculations, 0u);
     EXPECT_GT(fast.replayedRuns(), 0u);
@@ -210,56 +221,6 @@ TEST(FastCore, FuelGuardsAgainstRunawayUnderReplay)
     FastCore fast(pre, *mod);
     fast.setFuel(5000);
     EXPECT_THROW(fast.run(), FatalError);
-}
-
-/** Restores BITSPEC_CORE_ENGINE around each knob test. */
-class CoreEngineKnob : public ::testing::Test
-{
-  protected:
-    void TearDown() override { ::unsetenv("BITSPEC_CORE_ENGINE"); }
-
-    static System makeSystem()
-    {
-        return System("u32 main() { return 7; }",
-                      SystemConfig::baseline());
-    }
-};
-
-TEST_F(CoreEngineKnob, DefaultsToFast)
-{
-    ::unsetenv("BITSPEC_CORE_ENGINE");
-    EXPECT_EQ(makeSystem().coreEngine(), CoreEngine::Fast);
-}
-
-TEST_F(CoreEngineKnob, SelectsLegacy)
-{
-    ::setenv("BITSPEC_CORE_ENGINE", "legacy", 1);
-    EXPECT_EQ(makeSystem().coreEngine(), CoreEngine::Legacy);
-}
-
-TEST_F(CoreEngineKnob, SelectsFastExplicitly)
-{
-    ::setenv("BITSPEC_CORE_ENGINE", "fast", 1);
-    EXPECT_EQ(makeSystem().coreEngine(), CoreEngine::Fast);
-}
-
-TEST_F(CoreEngineKnob, RejectsUnknownValue)
-{
-    ::setenv("BITSPEC_CORE_ENGINE", "warp9", 1);
-    EXPECT_THROW(makeSystem(), FatalError);
-}
-
-TEST_F(CoreEngineKnob, SwitchingEnginesDropsFastState)
-{
-    ::unsetenv("BITSPEC_CORE_ENGINE");
-    System sys = makeSystem();
-    sys.run();
-    ASSERT_NE(sys.fastCore(), nullptr);
-    sys.setCoreEngine(CoreEngine::Legacy);
-    EXPECT_EQ(sys.fastCore(), nullptr);
-    RunResult r = sys.run();
-    EXPECT_EQ(r.returnValue, 7u);
-    EXPECT_EQ(sys.fastCore(), nullptr); // Legacy runs never build it.
 }
 
 } // namespace
