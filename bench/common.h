@@ -82,7 +82,7 @@ makeSystem(const Workload &w, const SystemConfig &cfg,
 
 /** Run @p sys on input @p run_seed. */
 inline RunResult
-runSeed(System &sys, const Workload &w, uint64_t run_seed = 0)
+runSeed(const System &sys, const Workload &w, uint64_t run_seed = 0)
 {
     return sys.run([&](Module &m) { w.setInput(m, run_seed); });
 }

@@ -439,8 +439,9 @@ printBitspecReport()
             makeSystem(w, SystemConfig::bitspec(Heuristic::Max));
         AttributionMap map(squeezed.program());
         AttributionSink sink(map);
-        RunResult r = squeezed.run(
-            [&w](Module &m) { w.setInput(m, kRunSeed); }, {}, &sink);
+        RunResult r =
+            squeezed.run([&w](Module &m) { w.setInput(m, kRunSeed); },
+                         {}, {.attribution = &sink});
 
         System base = makeSystem(w, SystemConfig::baseline());
         RunResult br = runSeed(base, w, kRunSeed);

@@ -78,8 +78,9 @@ BM_CoreThroughput(benchmark::State &state)
     // interpreter's cumulative stats().steps above).
     uint64_t instrs = 0;
     // Pre-decode is per-program, outside the timed loop (System
-    // builds it once); the persistent core reuses its block memos
-    // across iterations, like System's compile-once/run-many.
+    // builds it once). The core is reused, so its block memos carry
+    // across iterations and the loop times the core alone; System
+    // instead builds a fresh core, and its memos, per run.
     PredecodedProgram pre(cp.program);
     FastCore core(pre, *mod);
     for (auto _ : state) {

@@ -260,7 +260,7 @@ ExperimentRunner::artifactStore() const
     return store_.get();
 }
 
-std::shared_ptr<ExperimentRunner::CachedSystem>
+std::shared_ptr<const ExperimentRunner::CachedSystem>
 ExperimentRunner::getOrBuild(const Workload &w,
                              const SystemConfig &config,
                              uint64_t profile_seed,
@@ -268,8 +268,8 @@ ExperimentRunner::getOrBuild(const Workload &w,
 {
     const Hash128 key = systemKeyHash(w, config, profile_seed);
 
-    std::promise<std::shared_ptr<CachedSystem>> promise;
-    std::shared_future<std::shared_ptr<CachedSystem>> fut;
+    std::promise<std::shared_ptr<const CachedSystem>> promise;
+    std::shared_future<std::shared_ptr<const CachedSystem>> fut;
     bool builder = false;
     bool inflight = false;
     {
@@ -351,7 +351,7 @@ ExperimentRunner::getOrBuild(const Workload &w,
                        {{"workload", w.name},
                         {"inflight", inflight ? "1" : "0"}});
     }
-    std::shared_ptr<CachedSystem> cached = fut.get();
+    std::shared_ptr<const CachedSystem> cached = fut.get();
     if (origin)
         *origin = builder ? cached->origin : "memory";
     return cached;
@@ -416,16 +416,19 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
     if (cell.policy != MisspecPolicy::Hardware)
         span.arg("policy", misspecPolicyName(cell.policy));
     const char *origin = "memory";
-    std::shared_ptr<CachedSystem> cached = getOrBuild(
+    std::shared_ptr<const CachedSystem> cached = getOrBuild(
         *cell.workload, cell.config, cell.profileSeed, &origin);
+    const System &sys = cached->sys;
     const Workload &w = *cell.workload;
     uint64_t run_seed = cell.runSeed;
 
     LedgerWriter *ledger = LedgerWriter::global();
-    // Detail capture attaches attribution + heat sinks, which forces
-    // the core off the FastCore replay path — the default ledger
-    // record is deliberately cheap (BITSPEC_LEDGER alone must stay
-    // within bench_smoke's 1% overhead gate).
+    // Detail capture attaches attribution + heat sinks. Replay stays
+    // on, but with a sink attached a replayed branch terminator takes
+    // the per-instruction path and blocks do not chain, so detail
+    // runs are slower — the default ledger record is deliberately
+    // cheap (BITSPEC_LEDGER alone must stay within bench_smoke's 1%
+    // overhead gate).
     const bool detail = ledger && LedgerWriter::detailEnabled();
     LedgerRecord rec;
     uint64_t log_errors0 = 0, log_warns0 = 0;
@@ -456,33 +459,23 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
     std::optional<BlockMap> bmap;
     std::optional<AttributionSink> asink;
     std::optional<BlockProfilerSink> bsink;
-    RunResult out;
+    // Schema-1 records carry an engine; FastCore keeps the name older
+    // ledgers recorded for it, so they still compare.
+    if (ledger)
+        rec.engine = "fast";
+    auto input = [&w, run_seed](Module &m) { w.setInput(m, run_seed); };
+    RunObservers observers;
     const auto t0 = std::chrono::steady_clock::now();
-    {
-        std::lock_guard<std::mutex> lock(cached->runMu);
-        // The policy is set for every cell: a plain cell must undo a
-        // predecessor's override on the shared System.
-        cached->sys.setMisspecPolicy(cell.policy, cell.policySeed);
-        // Schema-1 records carry an engine; FastCore keeps the name
-        // older ledgers recorded for it, so they still compare.
-        if (ledger)
-            rec.engine = "fast";
-        auto input = [&w, run_seed](Module &m) {
-            w.setInput(m, run_seed);
-        };
-        if (detail) {
-            amap.emplace(cached->sys.program());
-            bmap.emplace(cached->sys.program());
-            asink.emplace(*amap);
-            bsink.emplace(*bmap);
-            RunObservers observers;
-            observers.attribution = &*asink;
-            observers.blocks = &*bsink;
-            out = cached->sys.run(input, {}, observers);
-        } else {
-            out = cached->sys.run(input);
-        }
+    if (detail) {
+        amap.emplace(sys.program());
+        bmap.emplace(sys.program());
+        asink.emplace(*amap);
+        bsink.emplace(*bmap);
+        observers.attribution = &*asink;
+        observers.blocks = &*bsink;
     }
+    const RunResult out =
+        sys.run(input, {}, observers, cell.policy, cell.policySeed);
     const double wall_sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
@@ -687,15 +680,11 @@ ExperimentRunner::evaluate(const Workload &w, const SystemConfig &config,
 }
 
 void
-ExperimentRunner::withSystem(const Workload &w,
-                             const SystemConfig &config,
-                             uint64_t profile_seed,
-                             const std::function<void(System &)> &fn)
+ExperimentRunner::withSystem(
+    const Workload &w, const SystemConfig &config,
+    uint64_t profile_seed, const std::function<void(const System &)> &fn)
 {
-    std::shared_ptr<CachedSystem> cached =
-        getOrBuild(w, config, profile_seed);
-    std::lock_guard<std::mutex> lock(cached->runMu);
-    fn(cached->sys);
+    fn(getOrBuild(w, config, profile_seed)->sys);
 }
 
 ExperimentStats

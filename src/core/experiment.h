@@ -6,9 +6,9 @@
  *
  * Design rules (see DESIGN.md "Experiment engine"):
  *  - Cells are self-contained: each System owns its copy of an
- *    immutable shared TrainedModule, its pass pipeline and its core,
- *    whose run state resets per run. No shared mutable statics
- *    anywhere in the pipeline.
+ *    immutable shared TrainedModule and its pass pipeline, and each
+ *    run owns its core. No shared mutable statics anywhere in the
+ *    pipeline.
  *  - A training is train-once/squeeze-many. The training tier keys a
  *    TrainedModule by (workload name, FNV-1a of the source,
  *    ExpanderOptions, profile seed) — every input the front half
@@ -16,10 +16,12 @@
  *    share one parse, expansion and profiled run.
  *  - A System is compile-once/run-many. The cache keys a compiled
  *    System by (workload name, FNV-1a of the source, canonicalized
- *    config, profile seed); all run seeds and all series of a binary
- *    that share that key reuse one instance, serialized by a per-entry
- *    run lock (System::run restores the global-data snapshot first,
- *    so runs are order-independent).
+ *    config, profile seed); all run seeds, policies and series of a
+ *    binary that share that key reuse one instance. A System is
+ *    immutable once built and System::run is const: each run copies
+ *    the global images, applies its input to the copy and simulates
+ *    on a FastCore of its own, so cells of one System run
+ *    concurrently, with no lock, and order-independently.
  *  - Results come back in submission order and are bit-identical to
  *    the serial path regardless of thread count.
  *  - Worker exceptions (fatal()/bsAssert/...) propagate to the caller
@@ -67,10 +69,9 @@ struct ExperimentCell
     uint64_t runSeed = 0;
 
     /** @name Run-level knobs
-     * Applied to the cached System for this cell's run only —
-     * deliberately absent from the cache key (one compiled System
-     * serves every policy; the differential fuzzer depends on that
-     * sharing). */
+     * Arguments of this cell's System::run only — deliberately absent
+     * from the cache key (one compiled System serves every policy;
+     * the differential fuzzer depends on that sharing). */
     /// @{
     MisspecPolicy policy = MisspecPolicy::Hardware;
     uint64_t policySeed = 0x5eed;
@@ -105,10 +106,11 @@ struct ExperimentStats
  * Runs experiment matrices over a worker pool with a keyed System
  * cache. run()/evaluate() may be called from several threads at once
  * (each call's results are call-local, the cache and stats are
- * mutex-guarded, and concurrent cells on one System serialize on its
- * run lock — the fuzz driver fans whole differentials out this way);
- * the same runner can execute any number of matrices, and the cache
- * persists across them (clearCache() drops it).
+ * mutex-guarded, and cached Systems are immutable, so concurrent
+ * cells on one System run in parallel — the fuzzer fans whole
+ * differentials out this way); the same runner can execute any
+ * number of matrices, and the cache persists across them
+ * (clearCache() drops it).
  */
 class ExperimentRunner
 {
@@ -130,19 +132,17 @@ class ExperimentRunner
                        uint64_t profile_seed = 0, uint64_t run_seed = 0);
 
     /**
-     * Build (or fetch) the cell's System and run @p fn on it under
-     * its run lock. Lets a caller reuse the System's squeezed module
-     * directly — the differential fuzzer interprets it IR-level
-     * instead of re-running the whole squeeze pipeline a second
-     * time. @p fn may mutate global data (System::run restores the
-     * snapshot before every machine run) but must not restructure
-     * the module. Beware: a System restored from the disk artifact
-     * tier carries globals only, no IR — check module().getFunction
-     * before interpreting.
+     * Build (or fetch) the cell's System and run @p fn on it. Lets a
+     * caller reuse the System's squeezed module directly — the
+     * differential fuzzer interprets a cloneModule copy of it instead
+     * of re-running the whole squeeze pipeline a second time. Other
+     * cells may run the same System concurrently. Beware: a System
+     * restored from the disk artifact tier carries globals only, no
+     * IR — check module().getFunction before interpreting.
      */
     void withSystem(const Workload &w, const SystemConfig &config,
                     uint64_t profile_seed,
-                    const std::function<void(System &)> &fn);
+                    const std::function<void(const System &)> &fn);
 
     unsigned threadCount() const { return pool_.threadCount(); }
     ExperimentStats stats() const;
@@ -195,11 +195,10 @@ class ExperimentRunner
     static std::string cellKey(const ExperimentCell &cell);
 
   private:
-    /** A cached System plus the lock serializing run() on it. */
+    /** A cached System and where it came from. */
     struct CachedSystem
     {
         System sys;
-        std::mutex runMu;
         /** How this instance came to exist: "compile" or "disk".
          *  Requesters that find it already cached report "memory" in
          *  their ledger records instead. */
@@ -220,10 +219,9 @@ class ExperimentRunner
     /** @p origin (optional) receives this call's cache provenance:
      *  the built System's origin when this call compiled/restored it,
      *  "memory" when an already-cached instance served it. */
-    std::shared_ptr<CachedSystem> getOrBuild(const Workload &w,
-                                             const SystemConfig &config,
-                                             uint64_t profile_seed,
-                                             const char **origin = nullptr);
+    std::shared_ptr<const CachedSystem>
+    getOrBuild(const Workload &w, const SystemConfig &config,
+               uint64_t profile_seed, const char **origin = nullptr);
     /** The shared training for (w, expander, profile_seed), trained
      *  on first request under the same once-per-key rule as the
      *  System cache. */
@@ -237,9 +235,9 @@ class ExperimentRunner
     /** Value is a shared_future so concurrent requesters of the same
      *  key block on one build instead of compiling twice. Keyed by
      *  the 128-bit content hash — no string building per lookup. */
-    std::unordered_map<Hash128,
-                       std::shared_future<std::shared_ptr<CachedSystem>>,
-                       Hash128Hasher>
+    std::unordered_map<
+        Hash128, std::shared_future<std::shared_ptr<const CachedSystem>>,
+        Hash128Hasher>
         cache_;
     /** Training tier under cache_, same rules, keyed by the training
      *  key (see getOrTrain). */

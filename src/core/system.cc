@@ -113,11 +113,10 @@ System::System(const TrainedModule &trained, const SystemConfig &config)
         pipelineCheckpoint(*module_, "transform:squeezer");
     }
 
-    compiled_ = compileModule(*module_, config_.isa);
-
-    globalSnapshot_.reserve(module_->globals().size());
-    for (const auto &g : module_->globals())
-        globalSnapshot_.emplace_back(g.get(), g->data());
+    compiled_ = std::make_unique<const CompiledProgram>(
+        compileModule(*module_, config_.isa));
+    predecoded_ =
+        std::make_unique<const PredecodedProgram>(compiled_->program);
 }
 
 System::System(const artifact::SystemSnapshot &snap,
@@ -133,15 +132,13 @@ System::System(const artifact::SystemSnapshot &snap,
         ng->setAddress(g.address);
         ng->setData(g.data);
     }
-    compiled_.program = snap.program;
-    compiled_.stats = snap.backendStats;
+    compiled_ = std::make_unique<const CompiledProgram>(
+        CompiledProgram{snap.program, snap.backendStats});
     squeezeStats_ = snap.squeezeStats;
     expandStats_ = snap.expandStats;
     trainIrSteps_ = snap.profiledIrSteps;
-
-    globalSnapshot_.reserve(module_->globals().size());
-    for (const auto &g : module_->globals())
-        globalSnapshot_.emplace_back(g.get(), g->data());
+    predecoded_ =
+        std::make_unique<const PredecodedProgram>(compiled_->program);
 }
 
 artifact::SystemSnapshot
@@ -149,21 +146,19 @@ System::makeSnapshot(const std::string &key) const
 {
     artifact::SystemSnapshot snap;
     snap.key = key;
-    snap.program = compiled_.program;
-    snap.backendStats = compiled_.stats;
+    snap.program = compiled_->program;
+    snap.backendStats = compiled_->stats;
     snap.squeezeStats = squeezeStats_;
     snap.expandStats = expandStats_;
     snap.profiledIrSteps = trainIrSteps_;
-    snap.globals.reserve(globalSnapshot_.size());
-    // The pristine post-profiling images, not the possibly
-    // run-mutated live data (run() restores from this same snapshot).
-    for (const auto &[g, bytes] : globalSnapshot_) {
+    snap.globals.reserve(module_->globals().size());
+    for (const auto &g : module_->globals()) {
         artifact::SystemSnapshot::GlobalImage img;
         img.name = g->name();
         img.elemBits = g->elemBits();
         img.elemCount = g->elemCount();
         img.address = g->address();
-        img.data = bytes;
+        img.data = g->data();
         snap.globals.push_back(std::move(img));
     }
     return snap;
@@ -171,30 +166,17 @@ System::makeSnapshot(const std::string &key) const
 
 RunResult
 System::run(const std::function<void(Module &)> &run_input,
-            const std::vector<uint32_t> &args)
-{
-    return run(run_input, args, nullptr);
-}
-
-RunResult
-System::run(const std::function<void(Module &)> &run_input,
-            const std::vector<uint32_t> &args, AttributionSink *attr)
-{
-    RunObservers obs;
-    obs.attribution = attr;
-    return run(run_input, args, obs);
-}
-
-RunResult
-System::run(const std::function<void(Module &)> &run_input,
             const std::vector<uint32_t> &args,
-            const RunObservers &observers)
+            const RunObservers &observers, MisspecPolicy policy,
+            uint64_t policy_seed) const
 {
     trace::Span span("system.run", "execute");
-    for (auto &[g, bytes] : globalSnapshot_)
-        g->setData(bytes);
+    // The run's own copy of the post-profiling globals: the input
+    // lands there and the core loads from it, so the System itself is
+    // never written.
+    std::unique_ptr<Module> globals = cloneGlobals(*module_);
     if (run_input)
-        run_input(*module_);
+        run_input(*globals);
 
     // Any traced run gets counter tracks alongside its spans unless
     // the caller brought its own emitter.
@@ -203,21 +185,11 @@ System::run(const std::function<void(Module &)> &run_input,
     if (!tracks && trace::enabled())
         tracks = &traced_tracks;
 
-    if (!fastCore_) {
-        predecoded_ =
-            std::make_unique<PredecodedProgram>(compiled_.program);
-        fastCore_ = std::make_unique<FastCore>(*predecoded_, *module_);
-    } else {
-        // Fresh run state (the constructor's reset covered the first
-        // run); block memos survive — they depend only on the
-        // immutable pre-decoded code.
-        fastCore_->reset();
-    }
-    FastCore &core = *fastCore_;
+    FastCore core(*predecoded_, *globals);
     core.setAttribution(observers.attribution);
     core.setBlockProfiler(observers.blocks);
     core.setCounterTracks(tracks);
-    core.setMisspecPolicy(misspecPolicy_, misspecSeed_);
+    core.setMisspecPolicy(policy, policy_seed);
 
     RunResult out;
     out.returnValue = core.run(args);
@@ -245,7 +217,12 @@ System::run(const std::function<void(Module &)> &run_input,
 
     out.squeezeStats = squeezeStats_;
     out.expandStats = expandStats_;
-    out.backendStats = compiled_.stats;
+    out.backendStats = compiled_->stats;
+    if (observers.core) {
+        observers.core->memos = core.memoCount();
+        observers.core->replayedRuns = core.replayedRuns();
+        observers.core->slowInsts = core.slowInsts();
+    }
     return out;
 }
 

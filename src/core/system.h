@@ -38,16 +38,26 @@ namespace bitspec
 class BlockProfilerSink;
 class CounterTrackEmitter;
 
+/** What the run's FastCore did besides the simulated work
+ *  (observability/tests): every run builds its block memos afresh. */
+struct CoreRunStats
+{
+    uint64_t memos = 0;        ///< Block memos built.
+    uint64_t replayedRuns = 0; ///< Straight-line runs replayed.
+    uint64_t slowInsts = 0;    ///< Instructions retired on the slow path.
+};
+
 /** Observers a run attaches to the core; all optional, all must
  *  outlive the run. When `tracks` is null but BITSPEC_TRACE is
  *  active, System attaches a transient CounterTrackEmitter so every
  *  traced run gets IPC / misspec-rate / cache-hit counter tracks for
- *  free. */
+ *  free. `core`, when set, receives the run's CoreRunStats. */
 struct RunObservers
 {
     AttributionSink *attribution = nullptr;
     BlockProfilerSink *blocks = nullptr;
     CounterTrackEmitter *tracks = nullptr;
+    CoreRunStats *core = nullptr;
 };
 
 /** One experiment configuration (paper §A.7 YAML equivalent). */
@@ -139,7 +149,11 @@ class TrainedModule
     uint64_t irSteps_ = 0;
 };
 
-/** A compiled system instance, reusable across inputs. */
+/**
+ * A compiled system instance, reusable across inputs. Immutable once
+ * constructed: run() is const and builds all of its state per call,
+ * so any number of threads may run one System at once.
+ */
 class System
 {
   public:
@@ -178,54 +192,33 @@ class System
            const SystemConfig &config);
 
     /** Capture this System for the artifact store. @p key is the
-     *  canonical systemKey embedded for collision detection. Uses the
-     *  pristine post-profiling global snapshot, so capturing after
-     *  run()s is safe. */
+     *  canonical systemKey embedded for collision detection. */
     artifact::SystemSnapshot makeSnapshot(const std::string &key) const;
 
     /**
-     * Run with fresh input: global data is first restored to its
-     * post-profiling snapshot (so runs are independent — required for
-     * the experiment engine's compile-once/run-many reuse), then
-     * @p run_input mutates globals and the core executes from _start.
+     * Run with fresh input. The run copies the post-profiling global
+     * images into a globals-only Module of its own, lets @p run_input
+     * mutate that copy, and executes from _start with @p args on a
+     * FastCore that lives for this call only, with @p observers
+     * attached and under misspeculation policy @p policy
+     * (support/misspec.h), Random's draws seeded by @p policy_seed.
+     * Nothing of the System changes, so runs are independent of each
+     * other and of their order — required for the experiment
+     * engine's compile-once/run-many reuse.
      */
     RunResult run(const std::function<void(Module &)> &run_input = {},
-                  const std::vector<uint32_t> &args = {});
+                  const std::vector<uint32_t> &args = {},
+                  const RunObservers &observers = {},
+                  MisspecPolicy policy = MisspecPolicy::Hardware,
+                  uint64_t policy_seed = 0x5eed) const;
 
-    /** As above, with a misspeculation-attribution recorder attached
-     *  to the core for this run (nullptr = no attribution). */
-    RunResult run(const std::function<void(Module &)> &run_input,
-                  const std::vector<uint32_t> &args,
-                  AttributionSink *attr);
-
-    /** As above, with any combination of observers attached to the
-     *  core for this run. */
-    RunResult run(const std::function<void(Module &)> &run_input,
-                  const std::vector<uint32_t> &args,
-                  const RunObservers &observers);
-
-    Module &module() { return *module_; }
-    const MachProgram &program() const { return compiled_.program; }
+    /** The squeezed module (globals only when restored from a
+     *  snapshot). Interpret a cloneModule copy of it: interpreting
+     *  needs a mutable module. */
+    const Module &module() const { return *module_; }
+    const MachProgram &program() const { return compiled_->program; }
     const SystemConfig &config() const { return config_; }
     const SqueezeStats &squeezeStats() const { return squeezeStats_; }
-
-    /** Misspeculation policy applied to the core on every later run
-     *  (see FastCore::setMisspecPolicy). Each run re-seeds the core's
-     *  RNG with @p seed, so Random runs are independent of run
-     *  ordering.
-     *  Machine cores only; the training run always trains under
-     *  Hardware semantics. */
-    void
-    setMisspecPolicy(MisspecPolicy p, uint64_t seed = 0x5eed)
-    {
-        misspecPolicy_ = p;
-        misspecSeed_ = seed;
-    }
-    MisspecPolicy misspecPolicy() const { return misspecPolicy_; }
-
-    /** The persistent core, or nullptr before the first run
-     *  (observability/tests: memo counts, replay stats). */
-    const FastCore *fastCore() const { return fastCore_.get(); }
 
     /** Dynamic IR instructions of the training run (Fig. 3's
      *  IR-level series), baseline configurations included. */
@@ -234,27 +227,18 @@ class System
   private:
     SystemConfig config_;
     /** This System's own copy of the trained module, squeezed in
-     *  place. */
+     *  place. Its globals keep the post-profiling images every run
+     *  starts from. */
     std::unique_ptr<Module> module_;
-    CompiledProgram compiled_;
+    /** Heap-held so its address survives a move of the System:
+     *  predecoded_ refers to the program inside. */
+    std::unique_ptr<const CompiledProgram> compiled_;
+    /** The pre-decode table every run's FastCore executes; immutable,
+     *  like everything else here. */
+    std::unique_ptr<const PredecodedProgram> predecoded_;
     SqueezeStats squeezeStats_;
     ExpandStats expandStats_;
     uint64_t trainIrSteps_ = 0;
-    MisspecPolicy misspecPolicy_ = MisspecPolicy::Hardware;
-    uint64_t misspecSeed_ = 0x5eed;
-    /** Core state, built lazily on the first run and reused across
-     *  runs: the pre-decode table is immutable, and the
-     *  FastCore's block memos depend only on it — the compiled
-     *  program never changes after construction. Any future
-     *  re-squeeze/re-link of compiled_ must reset these (see
-     *  FastCore::invalidateMemos). */
-    std::unique_ptr<PredecodedProgram> predecoded_;
-    std::unique_ptr<FastCore> fastCore_;
-    /** Global byte images captured at the end of construction;
-     *  restored before every run so run N cannot leak state (e.g.
-     *  longer previous inputs) into run N+1. */
-    std::vector<std::pair<Global *, std::vector<uint8_t>>>
-        globalSnapshot_;
 };
 
 } // namespace bitspec

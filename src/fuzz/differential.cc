@@ -3,6 +3,7 @@
 #include "frontend/irgen.h"
 #include "fuzz/gen.h"
 #include "interp/interpreter.h"
+#include "ir/clone.h"
 #include "obs/profiler.h"
 #include "support/error.h"
 #include "support/str.h"
@@ -113,11 +114,12 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
     out.refChecksum = want_sum;
 
     // ---- Decoded interpreter on the squeezed IR, all policies. ----
-    // Runs on the System's own module (built once by the runner and
-    // shared with the machine cells below), so the squeeze pipeline
-    // executes once per program. A System restored from the disk
-    // artifact tier has no IR; fall back to rebuilding the squeezed
-    // module locally (identical passes, same train/run protocol).
+    // Runs on a copy of the System's module (built once by the runner
+    // and shared with the machine cells below), so the squeeze
+    // pipeline executes once per program. A System restored from the
+    // disk artifact tier has no IR; fall back to rebuilding the
+    // squeezed module locally (identical passes, same train/run
+    // protocol).
     auto interpSweep = [&](Module &mod) {
         setFuzzInputs(mod, opts.runSeed);
         Interpreter it(mod);
@@ -144,22 +146,21 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
         }
     };
     try {
-        bool swept = false;
-        runner.withSystem(w, cfg, opts.profileSeed, [&](System &sys) {
-            if (sys.module().getFunction("main") != nullptr) {
-                interpSweep(sys.module());
-                swept = true;
-            }
-        });
-        if (!swept) {
-            auto mod = compileSource(w.source);
-            setFuzzInputs(*mod, opts.profileSeed);
-            expandModule(*mod, cfg.expander);
+        std::unique_ptr<Module> squeezed;
+        runner.withSystem(w, cfg, opts.profileSeed,
+                          [&](const System &sys) {
+                              if (sys.module().getFunction("main"))
+                                  squeezed = cloneModule(sys.module());
+                          });
+        if (!squeezed) {
+            squeezed = compileSource(w.source);
+            setFuzzInputs(*squeezed, opts.profileSeed);
+            expandModule(*squeezed, cfg.expander);
             BitwidthProfile profile;
-            profile.profileRun(*mod);
-            squeezeModule(*mod, profile, cfg.squeezeOpts);
-            interpSweep(*mod);
+            profile.profileRun(*squeezed);
+            squeezeModule(*squeezed, profile, cfg.squeezeOpts);
         }
+        interpSweep(*squeezed);
     } catch (const FatalError &e) {
         out.status = FuzzDiffStatus::Skipped;
         out.detail = std::string("interp pipeline: ") + e.what();
@@ -209,27 +210,25 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
     // cell finished, is a divergence, not a skip. ----
     try {
         RunResult slow;
-        uint64_t slow_insts = 0;
-        runner.withSystem(w, cfg, opts.profileSeed, [&](System &sys) {
-            sys.setMisspecPolicy(MisspecPolicy::Hardware,
-                                 opts.policySeed);
-            const uint64_t slow0 =
-                sys.fastCore() ? sys.fastCore()->slowInsts() : 0;
-            CounterTrackEmitter tracks;
-            RunObservers observers;
-            observers.tracks = &tracks;
-            slow = sys.run(
-                [&](Module &m) { setFuzzInputs(m, opts.runSeed); }, {},
-                observers);
-            slow_insts = sys.fastCore()->slowInsts() - slow0;
-        });
+        CoreRunStats core;
+        runner.withSystem(
+            w, cfg, opts.profileSeed, [&](const System &sys) {
+                CounterTrackEmitter tracks;
+                RunObservers observers;
+                observers.tracks = &tracks;
+                observers.core = &core;
+                slow = sys.run(
+                    [&](Module &m) { setFuzzInputs(m, opts.runSeed); },
+                    {}, observers, MisspecPolicy::Hardware,
+                    opts.policySeed);
+            });
         ++out.runsExecuted;
         check_outputs(slow, "slow-path/hardware");
-        if (slow_insts != slow.counters.instructions)
+        if (core.slowInsts != slow.counters.instructions)
             diverge(strFormat(
                 "slow-path/hardware: only %llu of %llu instructions "
                 "retired on the slow path",
-                static_cast<unsigned long long>(slow_insts),
+                static_cast<unsigned long long>(core.slowInsts),
                 static_cast<unsigned long long>(
                     slow.counters.instructions)));
         std::string diff =

@@ -55,17 +55,25 @@ cloneBlocks(const std::vector<BasicBlock *> &src_blocks, Function *dst,
 }
 
 std::unique_ptr<Module>
-cloneModule(const Module &src, ValueMap *map)
+cloneGlobals(const Module &src)
 {
     auto dst = std::make_unique<Module>();
-    std::unordered_map<const Global *, Global *> globals;
     for (const auto &g : src.globals()) {
         Global *ng =
             dst->addGlobal(g->name(), g->elemBits(), g->elemCount());
         ng->setData(g->data());
         ng->setAddress(g->address());
-        globals.emplace(g.get(), ng);
     }
+    return dst;
+}
+
+std::unique_ptr<Module>
+cloneModule(const Module &src, ValueMap *map)
+{
+    std::unique_ptr<Module> dst = cloneGlobals(src);
+    std::unordered_map<const Global *, Global *> globals;
+    for (size_t i = 0; i < src.globals().size(); ++i)
+        globals.emplace(src.globals()[i].get(), dst->globals()[i].get());
 
     ValueMap local;
     ValueMap &values = map ? *map : local;

@@ -76,6 +76,11 @@ using ValueMap = std::unordered_map<const Value *, Value *>;
 std::unique_ptr<Module> cloneModule(const Module &src,
                                     ValueMap *map = nullptr);
 
+/** Copy only @p src's globals, with their byte images and addresses:
+ *  the state a run input mutates and a core loads. Only reads
+ *  @p src, like cloneModule. */
+std::unique_ptr<Module> cloneGlobals(const Module &src);
+
 } // namespace bitspec
 
 #endif // BITSPEC_IR_CLONE_H_

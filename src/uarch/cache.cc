@@ -1,5 +1,7 @@
 #include "uarch/cache.h"
 
+#include <bit>
+
 #include "support/error.h"
 
 namespace bitspec
@@ -10,8 +12,14 @@ Cache::Cache(uint32_t size_bytes, uint32_t assoc, uint32_t line_bytes)
 {
     bsAssert(size_bytes % (assoc * line_bytes) == 0,
              "cache geometry must divide evenly");
-    sets_ = size_bytes / (assoc * line_bytes);
-    lines_.resize(sets_ * assoc_);
+    const uint32_t sets = size_bytes / (assoc * line_bytes);
+    bsAssert(std::has_single_bit(line_bytes) &&
+                 std::has_single_bit(sets),
+             "cache line size and set count must be powers of two");
+    lineShift_ = static_cast<uint32_t>(std::countr_zero(line_bytes));
+    setMask_ = sets - 1;
+    setShift_ = static_cast<uint32_t>(std::countr_zero(sets));
+    lines_.resize(sets * assoc_);
 }
 
 bool
@@ -19,7 +27,7 @@ Cache::access(uint32_t addr, bool is_write)
 {
     ++stats_.accesses;
     ++tick_;
-    uint32_t line_addr = addr / lineBytes_;
+    uint32_t line_addr = lineOf(addr);
     // Same-line fast path: sequential fetch and streaming data hit
     // the line they just touched; skip the way search.
     if (line_addr == lastLineAddr_) {
@@ -28,16 +36,16 @@ Cache::access(uint32_t addr, bool is_write)
         l.dirty |= is_write;
         return true;
     }
-    uint32_t set = line_addr % sets_;
-    uint32_t tag = line_addr / sets_;
-    Line *ways = &lines_[set * assoc_];
+    uint32_t base = setBase(line_addr);
+    uint32_t tag = tagOf(line_addr);
+    Line *ways = &lines_[base];
 
     for (uint32_t w = 0; w < assoc_; ++w) {
         if (ways[w].valid && ways[w].tag == tag) {
             ways[w].lastUse = tick_;
             ways[w].dirty |= is_write;
             lastLineAddr_ = line_addr;
-            lastIdx_ = set * assoc_ + w;
+            lastIdx_ = base + w;
             return true;
         }
     }
@@ -61,20 +69,19 @@ Cache::access(uint32_t addr, bool is_write)
     // at the line just installed so it can never reference a stale
     // (line_addr, index) pair.
     lastLineAddr_ = line_addr;
-    lastIdx_ = set * assoc_ + victim;
+    lastIdx_ = base + victim;
     return false;
 }
 
 bool
 Cache::peek(uint32_t addr) const
 {
-    uint32_t line_addr = addr / lineBytes_;
+    uint32_t line_addr = lineOf(addr);
     // The memoized line is resident by invariant; no state to update.
     if (line_addr == lastLineAddr_)
         return true;
-    uint32_t set = line_addr % sets_;
-    uint32_t tag = line_addr / sets_;
-    const Line *ways = &lines_[set * assoc_];
+    uint32_t tag = tagOf(line_addr);
+    const Line *ways = &lines_[setBase(line_addr)];
     for (uint32_t w = 0; w < assoc_; ++w)
         if (ways[w].valid && ways[w].tag == tag)
             return true;
@@ -84,13 +91,13 @@ Cache::peek(uint32_t addr) const
 int32_t
 Cache::residentSlotOf(uint32_t addr) const
 {
-    uint32_t line_addr = addr / lineBytes_;
-    uint32_t set = line_addr % sets_;
-    uint32_t tag = line_addr / sets_;
-    const Line *ways = &lines_[set * assoc_];
+    uint32_t line_addr = lineOf(addr);
+    uint32_t base = setBase(line_addr);
+    uint32_t tag = tagOf(line_addr);
+    const Line *ways = &lines_[base];
     for (uint32_t w = 0; w < assoc_; ++w)
         if (ways[w].valid && ways[w].tag == tag)
-            return static_cast<int32_t>(set * assoc_ + w);
+            return static_cast<int32_t>(base + w);
     return -1;
 }
 
@@ -105,7 +112,7 @@ Cache::commitHitsAt(uint32_t slot, uint64_t count)
 void
 Cache::commitHits(uint32_t addr, uint64_t count)
 {
-    uint32_t line_addr = addr / lineBytes_;
+    uint32_t line_addr = lineOf(addr);
     if (line_addr == lastLineAddr_) {
         // Replayed blocks commit the same line(s) back to back; skip
         // the way search like access() does.
@@ -114,9 +121,9 @@ Cache::commitHits(uint32_t addr, uint64_t count)
         lines_[lastIdx_].lastUse = tick_;
         return;
     }
-    uint32_t set = line_addr % sets_;
-    uint32_t tag = line_addr / sets_;
-    Line *ways = &lines_[set * assoc_];
+    uint32_t base = setBase(line_addr);
+    uint32_t tag = tagOf(line_addr);
+    Line *ways = &lines_[base];
     for (uint32_t w = 0; w < assoc_; ++w) {
         if (ways[w].valid && ways[w].tag == tag) {
             stats_.accesses += count;
@@ -125,7 +132,7 @@ Cache::commitHits(uint32_t addr, uint64_t count)
             // tick, exactly as the per-access loop would.
             ways[w].lastUse = tick_;
             lastLineAddr_ = line_addr;
-            lastIdx_ = set * assoc_ + w;
+            lastIdx_ = base + w;
             return;
         }
     }

@@ -32,6 +32,8 @@ struct CacheStats
 class Cache
 {
   public:
+    /** Line size and set count must be powers of two: the index math
+     *  is shifts and masks. */
     Cache(uint32_t size_bytes, uint32_t assoc, uint32_t line_bytes);
 
     /**
@@ -81,10 +83,26 @@ class Cache
         uint64_t lastUse = 0;
     };
 
-    uint32_t sets_;
+    /** Line address of @p addr. */
+    uint32_t lineOf(uint32_t addr) const { return addr >> lineShift_; }
+    /** First slot of @p line_addr's set. */
+    uint32_t
+    setBase(uint32_t line_addr) const
+    {
+        return (line_addr & setMask_) * assoc_;
+    }
+    uint32_t
+    tagOf(uint32_t line_addr) const
+    {
+        return line_addr >> setShift_;
+    }
+
     uint32_t assoc_;
     uint32_t lineBytes_;
-    std::vector<Line> lines_; ///< sets_ * assoc_, row-major by set.
+    uint32_t lineShift_; ///< log2(lineBytes_).
+    uint32_t setMask_;   ///< Sets - 1.
+    uint32_t setShift_;  ///< log2(sets).
+    std::vector<Line> lines_; ///< Sets * assoc_, row-major by set.
     uint64_t tick_ = 0;
     uint64_t fillGen_ = 0;
     CacheStats stats_;

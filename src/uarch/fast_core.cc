@@ -94,23 +94,29 @@ isTerminator(PKind k)
 } // namespace
 
 FastCore::FastCore(const PredecodedProgram &pre, const Module &m)
-    : pre_(pre), prog_(pre.prog()), module_(m)
+    : pre_(pre), prog_(pre.prog()), module_(m), dataMem_(kMemBytes, 0),
+      memoIdx_(pre.size(), -1)
 {
-    dataMem_.resize(kMemBytes, 0);
-    memoIdx_.assign(pre_.size(), -1);
-    reset();
+    // Every other member starts in its reset() state already.
+    loadGlobals();
 }
 
 void
-FastCore::reset()
+FastCore::loadGlobals()
 {
-    std::fill(dataMem_.begin(), dataMem_.end(), 0);
     for (const auto &g : module_.globals()) {
         bsAssert(g->address() + g->sizeBytes() <= dataMem_.size(),
                  "global outside data memory");
         std::copy(g->data().begin(), g->data().end(),
                   dataMem_.begin() + g->address());
     }
+}
+
+void
+FastCore::reset()
+{
+    std::fill(dataMem_.begin(), dataMem_.end(), 0);
+    loadGlobals();
     std::fill(std::begin(regs_), std::end(regs_), 0);
     std::fill(std::begin(readyAt_), std::end(readyAt_), 0);
     maxReady_ = 0;
@@ -1482,21 +1488,21 @@ FastCore::run(const std::vector<uint32_t> &args)
     retVal_ = 0;
     const uint32_t size = static_cast<uint32_t>(pre_.size());
 
+    // A counter-track emitter samples at per-retire granularity;
+    // bulk replay would shift its window boundaries, so tracing runs
+    // stay on the cycle-accurate path. Non-Hardware misspec policies
+    // likewise bypass replay: a memo bakes in that no check in the
+    // body fired. Such runs build no memos either.
+    const bool may_replay =
+        !tracks_ && policy_ == MisspecPolicy::Hardware;
     uint32_t idx = 0;
     for (;;) {
         if (idx >= size)
             fatal(strFormat("PC out of code range: index %u", idx));
-        RunMemo &m = memoAt(idx);
-        // A counter-track emitter samples at per-retire granularity;
-        // bulk replay would shift its window boundaries, so tracing
-        // runs stay on the cycle-accurate path (tracks_ test below).
-        // Non-Hardware misspec policies likewise bypass replay: a
-        // memo bakes in that no check in the body fired.
-        if (m.eligible && !tracks_ &&
-            policy_ == MisspecPolicy::Hardware &&
-            executed_ + m.fuelCost <= fuel_ && entryReady(m) &&
-            fetchGuard(m)) {
-            idx = replay(m);
+        RunMemo *m = may_replay ? &memoAt(idx) : nullptr;
+        if (m && m->eligible && executed_ + m->fuelCost <= fuel_ &&
+            entryReady(*m) && fetchGuard(*m)) {
+            idx = replay(*m);
         } else {
             idx = slowStep(idx);
         }

@@ -35,8 +35,10 @@
  *    back to the slow path.
  *
  * Memos depend only on code geometry, so they live per FastCore and
- * survive across runs; invalidateMemos() drops them (the analogue of
- * Interpreter::invalidate() for re-squeezed programs).
+ * survive reset(); invalidateMemos() drops them (the analogue of
+ * Interpreter::invalidate() for re-squeezed programs). System builds
+ * one FastCore per run, so its runs share nothing mutable and each
+ * builds the memos it replays.
  */
 
 #ifndef BITSPEC_UARCH_FAST_CORE_H_
@@ -264,6 +266,8 @@ class FastCore
     /** One cycle-accurate slow-path instruction; returns next idx. */
     uint32_t slowStep(uint32_t idx);
 
+    /** Copy every global's image into data memory. */
+    void loadGlobals();
     void applyContrib(const CounterContrib &c);
     void applyDstWrite(uint8_t dst_write);
     void finish(uint64_t final_cycle);

@@ -440,19 +440,23 @@ inputOf(const Workload &w)
 }
 
 /**
- * Runs @p policy on @p sys three times — as the System's next run,
- * again, and with both sinks attached — expects the three RunResults
- * equal and the cell to match its pin. Returns the sink-free run.
+ * Runs @p policy on @p sys three times — once, again, and with both
+ * sinks attached — expects the three RunResults equal and the cell to
+ * match its pin. Returns the sink-free run; @p core (optional)
+ * receives the second run's core counts.
  */
 RunResult
-checkMachineCell(System &sys, const Workload &w, const char *config,
-                 MisspecPolicy policy)
+checkMachineCell(const System &sys, const Workload &w,
+                 const char *config, MisspecPolicy policy,
+                 CoreRunStats *core = nullptr)
 {
     const std::string policy_name = misspecPolicyName(policy);
     const std::string what = w.name + "/" + config + "/" + policy_name;
-    sys.setMisspecPolicy(policy, 0xfeed);
-    const RunResult cold = sys.run(inputOf(w));
-    const RunResult warm = sys.run(inputOf(w));
+    RunObservers counted;
+    counted.core = core;
+    const RunResult first = sys.run(inputOf(w), {}, {}, policy, 0xfeed);
+    const RunResult again =
+        sys.run(inputOf(w), {}, counted, policy, 0xfeed);
     const AttributionMap amap(sys.program());
     const BlockMap bmap(sys.program());
     AttributionSink attr(amap);
@@ -460,45 +464,43 @@ checkMachineCell(System &sys, const Workload &w, const char *config,
     RunObservers observers;
     observers.attribution = &attr;
     observers.blocks = &blocks;
-    const RunResult observed = sys.run(inputOf(w), {}, observers);
-    EXPECT_TRUE(warm == cold) << what << ": warm run differs";
-    EXPECT_TRUE(observed == cold)
+    const RunResult observed =
+        sys.run(inputOf(w), {}, observers, policy, 0xfeed);
+    EXPECT_TRUE(again == first) << what << ": repeated run differs";
+    EXPECT_TRUE(observed == first)
         << what << ": run with sinks attached differs";
 
     // The row describes the sink-free run every bench takes; the
     // region and block rows come from the third run, which must
     // equal it.
-    const uint64_t hash = machineHash(cold, attr, blocks);
-    const ActivityCounters &c = cold.counters;
+    const uint64_t hash = machineHash(first, attr, blocks);
+    const ActivityCounters &c = first.counters;
     const MachinePin *pin = findMachinePin(w.name, config, policy_name);
     if (pin && pin->hash == hash && pin->instructions == c.instructions &&
         pin->cycles == c.cycles && pin->misspecs == c.misspeculations)
-        return cold;
+        return first;
     ADD_FAILURE() << what << (pin ? " drifted" : " has no pin")
                   << "; observed row:\n    {\"" << w.name << "\", \""
                   << config << "\", \"" << policy_name << "\",\n     0x"
                   << std::hex << hash << std::dec << "ULL, "
                   << c.instructions << ", " << c.cycles << ", "
                   << c.misspeculations << "},";
-    return cold;
+    return first;
 }
 
-/**
- * The Hardware cell of one configuration, starting from cold block
- * memos: the run every bench takes.
- */
+/** The Hardware cell of one configuration: the run every bench
+ *  takes. */
 void
 checkHardwareCell(const std::string &workload, const NamedConfig &nc)
 {
     const Workload &w = getWorkload(workload);
     System sys(w.source, nc.config, inputOf(w));
-    checkMachineCell(sys, w, nc.name, MisspecPolicy::Hardware);
-    // Every workload loops, so the repeated runs must have replayed
-    // memos; otherwise the cold/warm equality says nothing about
-    // replay.
-    ASSERT_NE(sys.fastCore(), nullptr);
-    EXPECT_GT(sys.fastCore()->memoCount(), 0u) << w.name;
-    EXPECT_GT(sys.fastCore()->replayedRuns(), 0u) << w.name;
+    CoreRunStats core;
+    checkMachineCell(sys, w, nc.name, MisspecPolicy::Hardware, &core);
+    // Every workload loops, so the run must have replayed memos;
+    // otherwise matching the pin says nothing about replay.
+    EXPECT_GT(core.memos, 0u) << w.name;
+    EXPECT_GT(core.replayedRuns, 0u) << w.name;
 }
 
 class CoreEngineDiff : public ::testing::TestWithParam<std::string>

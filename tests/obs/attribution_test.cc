@@ -105,7 +105,7 @@ TEST(Attribution, RegionMisspecsSumToCoreCounterAcrossSuite)
             AttributionSink sink(map);
             RunResult r = sys.run(
                 [&w, seed](Module &m) { w.setInput(m, seed); }, {},
-                &sink);
+                {.attribution = &sink});
 
             EXPECT_EQ(sink.totalMisspecs(),
                       r.counters.misspeculations)
@@ -147,8 +147,8 @@ TEST(Attribution, ReportRowsMatchSinkAndFormat)
     System sys = makeBitspec(w);
     AttributionMap map(sys.program());
     AttributionSink sink(map);
-    RunResult r =
-        sys.run([&w](Module &m) { w.setInput(m, 0); }, {}, &sink);
+    RunResult r = sys.run([&w](Module &m) { w.setInput(m, 0); }, {},
+                          {.attribution = &sink});
 
     System base(w.source, SystemConfig::baseline(),
                 [&w](Module &m) { w.setInput(m, 0); });

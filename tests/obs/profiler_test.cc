@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/system.h"
+#include "interp/interpreter.h"
+#include "ir/clone.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "workloads/workload.h"
@@ -186,8 +189,9 @@ TEST(BlockProfiler, InterpreterSumsReconcileAcrossSuiteAndPolicies)
         for (MisspecPolicy policy :
              {MisspecPolicy::Hardware, MisspecPolicy::ForceFirst,
               MisspecPolicy::Random}) {
-            w.setInput(sys.module(), 1);
-            Interpreter in(sys.module());
+            std::unique_ptr<Module> m = cloneModule(sys.module());
+            w.setInput(*m, 1);
+            Interpreter in(*m);
             in.setMisspecPolicy(policy);
             in.setRandomSeed(7);
             in.setBlockProfile(true);
@@ -219,8 +223,9 @@ TEST(BlockProfiler, InterpreterProfileOffRecordsNothing)
 {
     const Workload &w = getWorkload("CRC32");
     System sys = makeBitspec(w);
-    w.setInput(sys.module(), 1);
-    Interpreter in(sys.module());
+    std::unique_ptr<Module> m = cloneModule(sys.module());
+    w.setInput(*m, 1);
+    Interpreter in(*m);
     in.run("main");
     EXPECT_TRUE(in.blockProfile().empty());
 }
