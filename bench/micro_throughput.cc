@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the infrastructure itself:
- * interpreter throughput, core-model throughput, compilation and
- * squeezing latency. Not a paper artefact — an engineering health
- * check for this reproduction.
+ * interpreter throughput, core-model throughput (a micro loop and
+ * three real workloads), compilation and squeezing latency. Not a
+ * paper artefact — an engineering health check for this
+ * reproduction.
  */
 
 #include <benchmark/benchmark.h>
@@ -92,6 +93,26 @@ BM_CoreThroughput(benchmark::State &state)
         static_cast<double>(instrs), benchmark::Counter::kIsRate);
 }
 
+/** The core on a real workload: System::run on a System built
+ *  beforehand (bitspec-max, input seed 0), so an iteration times what
+ *  every experiment cell pays — a fresh FastCore, building the memos
+ *  it replays. Items are retired machine instructions. */
+void
+BM_CoreWorkload(benchmark::State &state, const char *name)
+{
+    const Workload &w = getWorkload(name);
+    auto input = [&w](Module &m) { w.setInput(m, 0); };
+    const System sys(w.source, SystemConfig::bitspec(Heuristic::Max),
+                     input);
+    uint64_t instrs = 0;
+    for (auto _ : state) {
+        RunResult r = sys.run(input);
+        instrs += r.counters.instructions;
+        benchmark::DoNotOptimize(r.outputChecksum);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(instrs));
+}
+
 void
 BM_CompileBaseline(benchmark::State &state)
 {
@@ -135,6 +156,13 @@ BENCHMARK(BM_InterpreterThroughput)
 BENCHMARK(BM_InterpreterProfiledThroughput)
     ->Name("BM_InterpreterProfiledThroughput/decoded");
 BENCHMARK(BM_CoreThroughput)->Name("BM_CoreThroughput/fast");
+// Read into the trajectory as rate.core_workload_<name>_per_s.
+BENCHMARK_CAPTURE(BM_CoreWorkload, susan_edges, "susan-edges")
+    ->Name("BM_CoreWorkload/susan-edges");
+BENCHMARK_CAPTURE(BM_CoreWorkload, stringsearch, "stringsearch")
+    ->Name("BM_CoreWorkload/stringsearch");
+BENCHMARK_CAPTURE(BM_CoreWorkload, qsort, "qsort")
+    ->Name("BM_CoreWorkload/qsort");
 BENCHMARK(BM_CompileBaseline);
 BENCHMARK(BM_SqueezePipeline);
 BENCHMARK(BM_FullSystemBuild);

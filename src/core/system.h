@@ -39,11 +39,11 @@ class BlockProfilerSink;
 class CounterTrackEmitter;
 
 /** What the run's FastCore did besides the simulated work
- *  (observability/tests): every run builds its block memos afresh. */
+ *  (observability/tests): every run builds its run memos afresh. */
 struct CoreRunStats
 {
-    uint64_t memos = 0;        ///< Block memos built.
-    uint64_t replayedRuns = 0; ///< Straight-line runs replayed.
+    uint64_t memos = 0;        ///< Run memos built.
+    uint64_t replayedRuns = 0; ///< Memo replays (one trace each).
     uint64_t slowInsts = 0;    ///< Instructions retired on the slow path.
 };
 

@@ -205,27 +205,52 @@ MemoryHierarchy::fetchRangeCommit(uint32_t first_addr,
     }
 }
 
+bool
+MemoryHierarchy::fetchResident(std::span<const FetchSeg> segs) const
+{
+    for (const FetchSeg &s : segs)
+        if (!fetchRangeResident(s.first, s.last))
+            return false;
+    return true;
+}
+
 void
-MemoryHierarchy::fetchRangePin(uint32_t first_addr,
-                               uint32_t last_addr,
-                               FetchPin &pin) const
+MemoryHierarchy::fetchCommit(std::span<const FetchSeg> segs,
+                             uint64_t repeat)
+{
+    for (const FetchSeg &s : segs)
+        fetchRangeCommit(s.first, s.last, repeat);
+}
+
+void
+MemoryHierarchy::fetchPin(std::span<const FetchSeg> segs,
+                          FetchPin &pin) const
 {
     const uint32_t line = l1i_.lineBytes();
     pin.gen = l1i_.fillGen();
     pin.cnt = 0;
     uint32_t n = 0;
-    for (uint32_t la = first_addr - first_addr % line;
-         la <= last_addr; la += line) {
-        if (n == FetchPin::kMaxLines)
-            return; // cnt stays 0: footprint too wide to pin.
-        int32_t slot = l1i_.residentSlotOf(la);
-        bsAssert(slot >= 0, "fetchRangePin: line not resident");
-        uint32_t lo = la < first_addr ? first_addr : la;
-        uint32_t hi_line = la + line - 1;
-        uint32_t hi = hi_line > last_addr ? last_addr : hi_line;
-        pin.slot[n] = static_cast<uint32_t>(slot);
-        pin.insts[n] = static_cast<uint16_t>((hi - lo) / 4 + 1);
-        ++n;
+    for (const FetchSeg &s : segs) {
+        for (uint32_t la = s.first - s.first % line; la <= s.last;
+             la += line) {
+            int32_t slot = l1i_.residentSlotOf(la);
+            bsAssert(slot >= 0, "fetchPin: line not resident");
+            uint32_t lo = la < s.first ? s.first : la;
+            uint32_t hi_line = la + line - 1;
+            uint32_t hi = hi_line > s.last ? s.last : hi_line;
+            uint32_t insts = (hi - lo) / 4 + 1;
+            // A jump that lands in the line it left continues the
+            // same run of hits.
+            if (n && pin.slot[n - 1] == static_cast<uint32_t>(slot)) {
+                insts += pin.insts[n - 1];
+                --n;
+            }
+            if (n == FetchPin::kMaxRuns || insts > 0xffff)
+                return; // cnt stays 0: footprint too wide to pin.
+            pin.slot[n] = static_cast<uint32_t>(slot);
+            pin.insts[n] = static_cast<uint16_t>(insts);
+            ++n;
+        }
     }
     pin.cnt = n;
 }

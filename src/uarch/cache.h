@@ -13,6 +13,7 @@
 #define BITSPEC_UARCH_CACHE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace bitspec
@@ -157,30 +158,49 @@ class MemoryHierarchy
     void fetchRangeCommit(uint32_t first_addr, uint32_t last_addr,
                           uint64_t repeat);
 
+    /** One straight fetch segment: the PCs [first, last]. A replayed
+     *  trace fetches its segments in order, jumping between them. */
+    struct FetchSeg
+    {
+        uint32_t first = 0;
+        uint32_t last = 0;
+    };
+
+    /** fetchRangeResident over every segment. */
+    bool fetchResident(std::span<const FetchSeg> segs) const;
+
+    /** fetchRangeCommit of each segment in order, @p repeat
+     *  traversals at once. Scaling by @p repeat is exact for the same
+     *  reason as for one range: each line's last touch keeps its place
+     *  in the traversal, so relative LRU order within a set is that of
+     *  the per-traversal commits. */
+    void fetchCommit(std::span<const FetchSeg> segs, uint64_t repeat);
+
     /**
-     * Pinned I-fetch footprint of one straight-line run: per covered
-     * L1I line, its slot and per-traversal fetch count. Valid while
-     * the L1I fill generation is unchanged — with it, the replay
-     * residency guard is one compare and the fetch commit a direct
-     * per-slot stat bump, no way searches.
+     * Pinned I-fetch footprint of one replayed trace: the ordered
+     * (slot, fetch count) runs of one traversal, segment by segment
+     * in execution order. A line may appear more than once when the
+     * trace jumps back into it. Valid while the L1I fill generation
+     * is unchanged — with it, the replay residency guard is one
+     * compare and the fetch commit a direct per-slot stat bump, no
+     * way searches.
      */
     struct FetchPin
     {
-        static constexpr uint32_t kMaxLines = 4;
+        static constexpr uint32_t kMaxRuns = 32;
         uint64_t gen = ~0ull; ///< l1iFillGen() when recorded.
-        uint32_t cnt = 0;     ///< Pinned lines; 0 = not pinned.
-        uint32_t slot[kMaxLines];
-        uint16_t insts[kMaxLines];
+        uint32_t cnt = 0;     ///< Pinned runs; 0 = not pinned.
+        uint32_t slot[kMaxRuns];
+        uint16_t insts[kMaxRuns];
     };
 
     uint64_t l1iFillGen() const { return l1i_.fillGen(); }
 
-    /** Record the footprint of [@p first_addr, @p last_addr] into
-     *  @p pin. Every line must be resident (fetchRangeResident). Runs
-     *  covering more than kMaxLines lines leave cnt == 0: unpinnable,
-     *  callers keep using fetchRangeCommit. */
-    void fetchRangePin(uint32_t first_addr, uint32_t last_addr,
-                       FetchPin &pin) const;
+    /** Record the footprint of @p segs into @p pin. Every line must be
+     *  resident (fetchResident). A footprint of more than kMaxRuns
+     *  runs leaves cnt == 0: unpinnable, callers keep using
+     *  fetchCommit. */
+    void fetchPin(std::span<const FetchSeg> segs, FetchPin &pin) const;
 
     /** Commit @p repeat traversals of a pinned footprint; the pin
      *  must be valid (pin.gen == l1iFillGen()). */

@@ -1,7 +1,10 @@
 #include "uarch/fast_core.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "obs/attribution.h"
 #include "obs/profiler.h"
@@ -35,6 +38,22 @@ writeDst(const POpnd &o, uint32_t *regs, uint32_t value)
 {
     regs[o.reg] = (regs[o.reg] & ~(o.mask << o.shift)) |
                   ((value & o.mask) << o.shift);
+}
+
+/** Byte at slice @p field of ROp::sh in @p reg (the low byte when
+ *  the shift is 0, as for a register operand). */
+inline uint32_t
+sliceByte(uint32_t reg, uint8_t sh, unsigned field)
+{
+    return (reg >> (((sh >> field) & 3u) * 8)) & 0xff;
+}
+
+/** Merge byte @p v into the destination slice ROp::sh names. */
+inline void
+mergeByte(uint32_t &reg, uint32_t v, uint8_t sh)
+{
+    const unsigned shift = (sh & 3u) * 8;
+    reg = (reg & ~(0xffu << shift)) | (v << shift);
 }
 
 void
@@ -93,11 +112,26 @@ isTerminator(PKind k)
 
 } // namespace
 
-FastCore::FastCore(const PredecodedProgram &pre, const Module &m)
-    : pre_(pre), prog_(pre.prog()), module_(m), dataMem_(kMemBytes, 0),
-      memoIdx_(pre.size(), -1)
+FastCore::MappedBytes::MappedBytes(size_t size)
 {
-    // Every other member starts in its reset() state already.
+    void *p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    bytes_ = {static_cast<uint8_t *>(p), size};
+}
+
+FastCore::MappedBytes::~MappedBytes()
+{
+    munmap(bytes_.data(), bytes_.size());
+}
+
+FastCore::FastCore(const PredecodedProgram &pre, const Module &m)
+    : pre_(pre), prog_(pre.prog()), module_(m), mapping_(kMemBytes),
+      dataMem_(mapping_.bytes()), memoIdx_(pre.size(), kUnseen)
+{
+    // Every other member starts in its reset() state already (the
+    // mapping reads as zeros).
     loadGlobals();
 }
 
@@ -127,9 +161,11 @@ FastCore::reset()
     output_.clear();
     outputHash_ = kFnvOffset;
     mem_ = MemoryHierarchy{};
-    // Memos survive: they depend only on the immutable pre-decoded
-    // code, not on run state. Pending replay counts belong to the run
-    // being discarded (nonzero only after a fatal), so drop them.
+    // Memos survive: their schedules depend only on the immutable
+    // pre-decoded code, not on run state. Visit counts are the
+    // discarded run's history, and so are pending replay counts
+    // (nonzero only after a fatal), so drop them.
+    std::replace(memoIdx_.begin(), memoIdx_.end(), kSeenOnce, kUnseen);
     for (RunMemo &m : memos_) {
         m.pendingReplays = 0;
         // The hierarchy was rebuilt: line slots and the fill
@@ -142,7 +178,7 @@ FastCore::reset()
 void
 FastCore::invalidateMemos()
 {
-    memoIdx_.assign(pre_.size(), -1);
+    memoIdx_.assign(pre_.size(), kUnseen);
     memos_.clear();
 }
 
@@ -242,92 +278,144 @@ FastCore::finish(uint64_t final_cycle)
 FastCore::RunMemo
 FastCore::buildMemo(uint32_t start) const
 {
-    RunMemo m;
-    m.start = start;
     const std::vector<PInst> &insts = pre_.insts();
     const uint32_t size = static_cast<uint32_t>(insts.size());
 
+    // Trace the path: straight runs of flat indices, each ending at an
+    // unconditional jump into code the trace does not cover yet, the
+    // last at the first other terminator. A trace that stops at
+    // covered code, Bad, the end of the code or kMaxRunLen is cut back
+    // to its last jump, which becomes its terminator; a straight run
+    // with no jump to fall back on is not replayable (the slow path
+    // raises the fatal or panic).
+    struct Range
+    {
+        uint32_t first, last;
+    };
+    std::vector<Range> path;
+    auto covered = [&path](uint32_t idx) {
+        for (const Range &r : path)
+            if (idx >= r.first && idx <= r.last)
+                return true;
+        return false;
+    };
+    uint32_t first = start;
+    uint32_t body = 0; // Body instructions so far, jumps included.
+    for (uint32_t i = start;;) {
+        if (i >= size || covered(i))
+            break;
+        const PInst &p = insts[i];
+        if (isTerminator(p.kind)) {
+            path.push_back({first, i});
+            if (p.kind != PKind::Branch || p.cond != Cond::AL ||
+                covered(p.target) || body >= kMaxRunLen)
+                break;
+            ++body; // An interior jump.
+            first = i = p.target;
+            continue;
+        }
+        if (p.kind == PKind::Bad || body >= kMaxRunLen)
+            break;
+        ++body;
+        ++i;
+    }
+    if (path.empty())
+        return {};
+
+    RunMemo m;
+    m.start = start;
+    m.term = path.back().last;
     uint64_t rel = 0;           // Cycle offset from run entry.
     uint64_t relReady[16] = {}; // Scoreboard offsets.
     uint16_t writtenMask = 0;
     uint32_t maxReadyOff = 0;
+    for (const Range &r : path) {
+        m.segs.push_back({prog_.addrOf(r.first), prog_.addrOf(r.last)});
+        for (uint32_t idx = r.first; idx <= r.last && idx != m.term;
+             ++idx) {
+            const PInst &p = insts[idx];
+            RunMemo::PerInst pi;
+            pi.flat = idx;
+            pi.cycBefore = static_cast<uint32_t>(rel);
+            rel += 1; // Fetch, assumed L1I hit (entry guard).
+            ++m.delta.instructions;
 
-    uint32_t i = start;
-    for (;; ++i) {
-        if (i >= size)
-            return m; // Ran off the code: slow path raises the fatal.
-        const PInst &p = insts[i];
-        if (isTerminator(p.kind))
-            break;
-        if (p.kind == PKind::Bad || i - start >= kMaxRunLen)
-            return m;
+            if (p.kind == PKind::Branch) {
+                // Interior jump: static and always taken. It reads no
+                // register and writes none.
+                pi.issueOff = static_cast<uint32_t>(rel);
+                rel += kBranchPenalty;
+                addContrib(m.delta, p.contrib);
+                ++m.delta.takenBranches;
+                m.per.push_back(pi);
+                RunMemo::ROp jump;
+                jump.op = RunMemo::ROp::kNop;
+                m.ops.push_back(jump);
+                continue;
+            }
 
-        RunMemo::PerInst pi;
-        pi.cycBefore = static_cast<uint32_t>(rel);
-        rel += 1; // Fetch, assumed L1I hit (entry guard).
+            // In-order issue stall under the schedule's entry
+            // assumption: registers not yet written in-run are ready
+            // at entry.
+            m.entryReadyMask |=
+                static_cast<uint16_t>(p.readyMask & ~writtenMask);
+            uint64_t ready = 0;
+            for (uint32_t bits = p.readyMask; bits; bits &= bits - 1)
+                ready = std::max(ready, relReady[__builtin_ctz(bits)]);
+            if (ready > rel)
+                rel = ready;
+            pi.issueOff = static_cast<uint32_t>(rel);
 
-        // In-order issue stall under the schedule's entry assumption:
-        // registers not yet written in-run are ready at entry.
-        m.entryReadyMask |=
-            static_cast<uint16_t>(p.readyMask & ~writtenMask);
-        uint64_t ready = 0;
-        for (uint32_t bits = p.readyMask; bits; bits &= bits - 1) {
-            uint64_t r =
-                relReady[__builtin_ctz(bits)];
-            ready = std::max(ready, r);
+            uint32_t ready_off = 0;
+            uint8_t write_reg = kScratchReg;
+            if (p.dstWrite) {
+                write_reg = p.dst.reg;
+                ready_off = pi.issueOff + p.latency;
+                relReady[p.dst.reg] = ready_off;
+                writtenMask |= static_cast<uint16_t>(1u << p.dst.reg);
+                maxReadyOff = std::max(maxReadyOff, ready_off);
+            } else if (p.kind == PKind::MovCond) {
+                // The write commits only when the condition holds, so
+                // dst stays out of writtenMask (a false condition
+                // leaves the entry-time value live) — but issue+1 is
+                // schedule-exact either way: dst readiness was
+                // consulted at issue, so both candidate values are <=
+                // any later consult.
+                relReady[p.dst.reg] = rel + 1;
+                maxReadyOff = std::max(maxReadyOff,
+                                       static_cast<uint32_t>(rel + 1));
+            }
+
+            if (ready_off > 0xffff)
+                return {}; // ROp::readyOff overflow: slow path (unseen).
+
+            addContrib(m.delta, p.contrib);
+            if (p.dstWrite == 1)
+                ++m.delta.rfWrite32;
+            else if (p.dstWrite == 2)
+                ++m.delta.rfWrite8;
+            m.per.push_back(pi);
+            m.ops.push_back(translateOp(p, ready_off, write_reg));
         }
-        if (ready > rel)
-            rel = ready;
-        pi.issueOff = static_cast<uint32_t>(rel);
-
-        if (p.dstWrite) {
-            pi.writeReg = static_cast<uint8_t>(p.dst.reg);
-            pi.readyOff = pi.issueOff + p.latency;
-            relReady[p.dst.reg] = pi.readyOff;
-            writtenMask |= static_cast<uint16_t>(1u << p.dst.reg);
-            maxReadyOff = std::max(maxReadyOff, pi.readyOff);
-        } else if (p.kind == PKind::MovCond) {
-            // The write commits only when the condition holds, so dst
-            // stays out of writtenMask (a false condition leaves the
-            // entry-time value live) — but issue+1 is schedule-exact
-            // either way: dst readiness was consulted at issue, so
-            // both candidate values are <= any later consult.
-            relReady[p.dst.reg] = rel + 1;
-            maxReadyOff = std::max(maxReadyOff,
-                                   static_cast<uint32_t>(rel + 1));
-        }
-
-        if (pi.readyOff > 0xffff)
-            return m; // ROp::readyOff overflow: slow path (unseen).
-
-        addContrib(m.delta, p.contrib);
-        if (p.dstWrite == 1)
-            ++m.delta.rfWrite32;
-        else if (p.dstWrite == 2)
-            ++m.delta.rfWrite8;
-        ++m.delta.instructions;
-        m.per.push_back(pi);
-        m.ops.push_back(translateOp(p, pi));
     }
 
     // The terminator always retires after a clean body replay, so its
     // static contribution (branches/calls/instruction) rides in the
     // deferred delta too; only a conditional branch's takenBranches is
     // dynamic and counted live in execTerminator.
-    addContrib(m.delta, insts[i].contrib);
+    const PInst &t = insts[m.term];
+    addContrib(m.delta, t.contrib);
     ++m.delta.instructions;
 
-    m.termIsBranch = insts[i].kind == PKind::Branch;
-    m.selfBackedge = m.termIsBranch && insts[i].target == start;
-    m.backCond = insts[i].cond;
-    m.termTarget = insts[i].target;
+    m.termIsBranch = t.kind == PKind::Branch;
+    m.selfBackedge = m.termIsBranch && t.target == start;
+    m.backCond = t.cond;
+    m.termTarget = t.target;
 
-    m.len = i - start;
+    m.len = static_cast<uint32_t>(m.per.size());
     m.bodyCycles = rel;
     m.maxReadyOff = maxReadyOff;
     m.fuelCost = m.len + 1;
-    m.fetchFirst = prog_.addrOf(start);
-    m.fetchLast = prog_.addrOf(i);
     for (uint32_t j = 0; j < m.len; ++j) {
         uint64_t next_fetch =
             j + 1 < m.len ? m.per[j + 1].cycBefore : m.bodyCycles;
@@ -339,15 +427,22 @@ FastCore::buildMemo(uint32_t start) const
 }
 
 FastCore::RunMemo::ROp
-FastCore::translateOp(const PInst &p, const RunMemo::PerInst &pi)
+FastCore::translateOp(const PInst &p, uint32_t ready_off,
+                      uint8_t write_reg)
 {
     using ROp = RunMemo::ROp;
     ROp r;
-    r.writeReg = pi.writeReg;
-    r.readyOff = static_cast<uint16_t>(pi.readyOff);
+    r.writeReg = write_reg;
+    r.readyOff = static_cast<uint16_t>(ready_off);
     r.dst = p.dst.reg;
     r.a = p.a.reg;
     r.b = p.b.reg;
+    // Slice shifts (0 for registers and immediates): a register read
+    // as (reg >> 0) & 0xff is its low byte, exactly what the 8-bit
+    // handlers read from a full-register operand.
+    r.sh = static_cast<uint8_t>((p.dst.shift / 8) << ROp::kShDst |
+                                (p.a.shift / 8) << ROp::kShA |
+                                (p.b.shift / 8) << ROp::kShB);
 
     auto fullReg = [](const POpnd &o) {
         return !o.isImm && o.shift == 0 && o.mask == 0xffffffffu;
@@ -359,6 +454,8 @@ FastCore::translateOp(const PInst &p, const RunMemo::PerInst &pi)
                          p.dst.mask == 0xffffffffu;
     const bool aR = fullReg(p.a), bR = fullReg(p.b);
     const bool aI = p.a.isImm, bI = p.b.isImm;
+    // 8-bit ops: a slice destination merges its byte in.
+    const bool dstSlice = p.dstWrite == 2;
 
     switch (p.kind) {
       case PKind::AluAdd:
@@ -422,14 +519,26 @@ FastCore::translateOp(const PInst &p, const RunMemo::PerInst &pi)
         break;
       }
       case PKind::Mov:
-        if (!dstFull)
-            break;
-        if (aR) {
-            r.op = ROp::kMovR;
-        } else if (aI) {
-            r.op = ROp::kMovI;
-            r.imm = p.a.imm;
+        if (dstSlice) { // MOV8.
+            if (aI) {
+                r.op = ROp::kMov8I;
+                r.imm = p.a.imm & 0xff;
+            } else {
+                r.op = ROp::kMov8R;
+            }
+        } else if (dstFull) {
+            if (aR) {
+                r.op = ROp::kMovR;
+            } else if (aI) {
+                r.op = ROp::kMovI;
+                r.imm = p.a.imm;
+            } else { // From a slice: the byte zero-extends.
+                r.op = ROp::kUxt8;
+            }
         }
+        break;
+      case PKind::Nop:
+        r.op = ROp::kNop;
         break;
       case PKind::Mvn:
         if (dstFull && aR)
@@ -458,6 +567,32 @@ FastCore::translateOp(const PInst &p, const RunMemo::PerInst &pi)
             r.imm = p.a.imm;
         }
         break;
+      case PKind::Cmp8:
+        if (!aI && !bI) {
+            r.op = ROp::kCmp8RR;
+        } else if (!aI) {
+            r.op = ROp::kCmp8RI;
+            r.imm = p.b.imm & 0xff;
+        } else if (!bI) {
+            r.op = ROp::kCmp8IR;
+            r.imm = p.a.imm & 0xff;
+        }
+        break;
+      case PKind::Add8:
+      case PKind::Sub8: {
+        if (!dstSlice || aI)
+            break;
+        const bool add = p.kind == PKind::Add8;
+        if (bI) {
+            r.op = add ? ROp::kAdd8RI : ROp::kSub8RI;
+            r.imm = p.b.imm & 0xff;
+        } else {
+            r.op = add ? ROp::kAdd8RR : ROp::kSub8RR;
+        }
+        if (p.aux)
+            r.sh |= ROp::kSpec;
+        break;
+      }
       case PKind::Setcc:
         if (dstFull) {
             r.op = ROp::kSetcc;
@@ -472,47 +607,89 @@ FastCore::translateOp(const PInst &p, const RunMemo::PerInst &pi)
         if (dstFull && aR)
             r.op = ROp::kUxth;
         break;
-      case PKind::Uxt8:
-        if (dstFull && aR)
+      case PKind::Uxt8: // From a register or a slice.
+        if (dstFull && !aI)
             r.op = ROp::kUxt8;
         break;
       case PKind::Sxt8:
-        if (dstFull && aR)
+        if (dstFull && !aI)
             r.op = ROp::kSxt8;
         break;
-      case PKind::Load:
-        // Word loads with full-register addressing: the dominant
-        // generic op left on hot paths. Sub-word and slice loads stay
-        // Generic.
-        if (!dstFull || p.aux != 4)
+      case PKind::Load: {
+        // Word and byte loads with full-register addressing; halfword
+        // loads stay Generic.
+        ROp::K rr, ri;
+        if (p.aux == 4 && dstFull) {
+            rr = ROp::kLoadWRR;
+            ri = ROp::kLoadWRI;
+        } else if (p.aux == 1 && dstFull) {
+            rr = ROp::kLoadBRR;
+            ri = ROp::kLoadBRI;
+        } else if (p.aux == 1 && dstSlice) { // LDRB8.
+            rr = ROp::kLoadB8RR;
+            ri = ROp::kLoadB8RI;
+        } else {
             break;
+        }
         if (aR && bR) {
-            r.op = ROp::kLoadWRR;
+            r.op = rr;
         } else if (aR && bI) {
-            r.op = ROp::kLoadWRI;
+            r.op = ri;
             r.imm = p.b.imm;
         } else if (aI && bR) {
-            r.op = ROp::kLoadWRI;
+            r.op = ri;
             r.a = p.b.reg;
             r.imm = p.a.imm;
         }
         break;
-      default: // Memory, 8-bit slice, conditional, rare: Generic.
+      }
+      case PKind::Store: {
+        // Word stores of a register and byte stores of a register or
+        // slice, with full-register addressing; halfword stores stay
+        // Generic.
+        ROp::K rr, ri;
+        if (p.aux == 4 && fullReg(p.dst)) {
+            rr = ROp::kStoreWRR;
+            ri = ROp::kStoreWRI;
+        } else if (p.aux == 1 && !p.dst.isImm) {
+            rr = ROp::kStoreBRR;
+            ri = ROp::kStoreBRI;
+        } else {
+            break;
+        }
+        if (aR && bR) {
+            r.op = rr;
+        } else if (aR && bI) {
+            r.op = ri;
+            r.imm = p.b.imm;
+        } else if (aI && bR) {
+            r.op = ri;
+            r.a = p.b.reg;
+            r.imm = p.a.imm;
+        }
+        break;
+      }
+      default: // Conditional, halfword, rare: Generic.
         break;
     }
     return r;
 }
 
-FastCore::RunMemo &
-FastCore::memoAt(uint32_t idx)
+FastCore::RunMemo *
+FastCore::memoFor(uint32_t idx)
 {
-    int32_t mi = memoIdx_[idx];
-    if (mi < 0) {
+    int32_t &mi = memoIdx_[idx];
+    if (mi == kUnseen) {
+        // Most cold code runs once: a memo pays off only where
+        // execution comes back.
+        mi = kSeenOnce;
+        return nullptr;
+    }
+    if (mi == kSeenOnce) {
         memos_.push_back(buildMemo(idx));
         mi = static_cast<int32_t>(memos_.size()) - 1;
-        memoIdx_[idx] = mi;
     }
-    return memos_[static_cast<size_t>(mi)];
+    return &memos_[static_cast<size_t>(mi)];
 }
 
 bool
@@ -530,50 +707,78 @@ void
 FastCore::commitPrefix(const RunMemo &m, uint32_t k)
 {
     // The k body instructions retired plus the diverging one were all
-    // fetched; their lines are resident (entry guard), so the fetch
-    // sequence commits in bulk. L1I traffic never reaches L2 here, so
-    // committing after the already-performed D-accesses leaves the
-    // hierarchy exactly as per-instruction fetches would.
-    mem_.fetchRangeCommit(m.fetchFirst, prog_.addrOf(m.start + k));
-    const PInst *insts = pre_.insts().data() + m.start;
+    // fetched, segment by segment; their lines are resident (entry
+    // guard), so the fetch sequence commits in bulk. L1I traffic
+    // never reaches L2 here, so committing after the
+    // already-performed D-accesses leaves the hierarchy exactly as
+    // per-instruction fetches would.
+    const uint32_t last = prog_.addrOf(m.per[k].flat);
+    for (const MemoryHierarchy::FetchSeg &seg : m.segs) {
+        if (last >= seg.first && last <= seg.last) {
+            mem_.fetchRangeCommit(seg.first, last);
+            break;
+        }
+        mem_.fetchRangeCommit(seg.first, seg.last);
+    }
+    const PInst *insts = pre_.insts().data();
     for (uint32_t j = 0; j < k; ++j) {
-        applyContrib(insts[j].contrib);
-        if (insts[j].kind != PKind::MovCond)
-            applyDstWrite(insts[j].dstWrite);
+        const PInst &p = insts[m.per[j].flat];
+        applyContrib(p.contrib);
+        // Interior jumps are the body's only branches: always taken.
+        counters_.takenBranches += p.kind == PKind::Branch;
+        if (p.kind != PKind::MovCond)
+            applyDstWrite(p.dstWrite);
     }
     counters_.instructions += k;
     executed_ += k;
     if (attr_)
         for (uint32_t j = 0; j < k; ++j)
-            attr_->onInst(m.start + j, m.per[j].cost);
+            attr_->onInst(m.per[j].flat, m.per[j].cost);
     if (prof_)
         for (uint32_t j = 0; j < k; ++j)
-            prof_->onInst(m.start + j, m.per[j].cost);
+            prof_->onInst(m.per[j].flat, m.per[j].cost);
     // Upper bound over the prefix's scoreboard writes (readyAt_ is
     // exact — the replay loop updated it per write).
     maxReady_ = std::max(maxReady_, cycle_ + m.maxReadyOff);
 }
 
 uint32_t
-FastCore::retireDiverged(const RunMemo &m, uint32_t i, bool misspec,
-                         uint64_t cost, uint32_t next)
+FastCore::diverge(RunMemo &m, uint32_t i, uint64_t iters,
+                  uint64_t entry, uint64_t extra, bool misspec)
 {
-    const uint32_t idx = m.start + i;
-    applyContrib(pre_.insts()[idx].contrib);
+    flushIters(m, iters);
+    commitPrefix(m, i); // cycle_ still equals entry here.
+    const RunMemo::PerInst &pi = m.per[i];
+    cycle_ = entry + pi.issueOff + extra;
+    const uint64_t cost = cycle_ - (entry + pi.cycBefore);
+    applyContrib(pre_.insts()[pi.flat].contrib);
     ++counters_.instructions;
     ++executed_;
     if (misspec) {
         ++counters_.misspeculations;
         if (attr_)
-            attr_->onMisspec(idx);
+            attr_->onMisspec(pi.flat);
         if (prof_)
-            prof_->onMisspec(idx);
+            prof_->onMisspec(pi.flat);
     }
     if (attr_)
-        attr_->onInst(idx, cost);
+        attr_->onInst(pi.flat, cost);
     if (prof_)
-        prof_->onInst(idx, cost);
-    return next;
+        prof_->onInst(pi.flat, cost);
+    return pi.flat + (misspec ? delta_ / kInstBytes : 1);
+}
+
+uint32_t
+FastCore::divergeLoadMiss(RunMemo &m, uint32_t i, uint64_t iters,
+                          uint64_t entry, uint32_t stall)
+{
+    // The schedule's no-stall dst readiness is wrong from here on.
+    const PInst &p = pre_.insts()[m.per[i].flat];
+    applyDstWrite(p.dstWrite);
+    const uint64_t rdy = entry + m.per[i].issueOff + p.latency + stall;
+    readyAt_[p.dst.reg] = rdy;
+    maxReady_ = std::max(maxReady_, rdy);
+    return diverge(m, i, iters, entry, 0, false);
 }
 
 bool
@@ -581,9 +786,9 @@ FastCore::fetchGuard(RunMemo &m)
 {
     if (m.pin.cnt && m.pin.gen == mem_.l1iFillGen())
         return true;
-    if (!mem_.fetchRangeResident(m.fetchFirst, m.fetchLast))
+    if (!mem_.fetchResident(m.segs))
         return false;
-    mem_.fetchRangePin(m.fetchFirst, m.fetchLast, m.pin);
+    mem_.fetchPin(m.segs, m.pin);
     return true;
 }
 
@@ -596,7 +801,7 @@ FastCore::commitFetches(RunMemo &m, uint64_t repeat)
     if (m.pin.cnt && m.pin.gen == mem_.l1iFillGen())
         mem_.fetchCommitPinned(m.pin, repeat);
     else
-        mem_.fetchRangeCommit(m.fetchFirst, m.fetchLast, repeat);
+        mem_.fetchCommit(m.segs, repeat);
 }
 
 void
@@ -616,9 +821,10 @@ FastCore::flushIters(RunMemo &m, uint64_t iters)
 uint32_t
 FastCore::replay(RunMemo &m0)
 {
+    using ROp = RunMemo::ROp;
     RunMemo *mp = &m0; // Re-pointed when block chaining continues.
     uint64_t entry = cycle_;
-    const PInst *insts = pre_.insts().data() + mp->start;
+    const PInst *insts = pre_.insts().data();
     uint32_t *regs = regs_;
     // Completed in-replay iterations of a self-backedge loop, bulk
     // committed by flushIters on every exit path.
@@ -627,58 +833,60 @@ FastCore::replay(RunMemo &m0)
 
   iterate:
     for (uint32_t i = 0; i < mp->len; ++i) {
-        const RunMemo::ROp &r = mp->ops[i];
+        const ROp &r = mp->ops[i];
         switch (r.op) {
-          case RunMemo::ROp::kAddRR:
+          case ROp::kNop:
+            break;
+          case ROp::kAddRR:
             regs[r.dst] = regs[r.a] + regs[r.b];
             break;
-          case RunMemo::ROp::kAddRI:
+          case ROp::kAddRI:
             regs[r.dst] = regs[r.a] + r.imm;
             break;
-          case RunMemo::ROp::kSubRR:
+          case ROp::kSubRR:
             regs[r.dst] = regs[r.a] - regs[r.b];
             break;
-          case RunMemo::ROp::kSubRI:
+          case ROp::kSubRI:
             regs[r.dst] = regs[r.a] - r.imm;
             break;
-          case RunMemo::ROp::kSubIR:
+          case ROp::kSubIR:
             regs[r.dst] = r.imm - regs[r.a];
             break;
-          case RunMemo::ROp::kAndRR:
+          case ROp::kAndRR:
             regs[r.dst] = regs[r.a] & regs[r.b];
             break;
-          case RunMemo::ROp::kAndRI:
+          case ROp::kAndRI:
             regs[r.dst] = regs[r.a] & r.imm;
             break;
-          case RunMemo::ROp::kOrrRR:
+          case ROp::kOrrRR:
             regs[r.dst] = regs[r.a] | regs[r.b];
             break;
-          case RunMemo::ROp::kOrrRI:
+          case ROp::kOrrRI:
             regs[r.dst] = regs[r.a] | r.imm;
             break;
-          case RunMemo::ROp::kEorRR:
+          case ROp::kEorRR:
             regs[r.dst] = regs[r.a] ^ regs[r.b];
             break;
-          case RunMemo::ROp::kEorRI:
+          case ROp::kEorRI:
             regs[r.dst] = regs[r.a] ^ r.imm;
             break;
-          case RunMemo::ROp::kLslRR: {
+          case ROp::kLslRR: {
             uint32_t s = regs[r.b];
             regs[r.dst] = s >= 32 ? 0 : regs[r.a] << s;
             break;
           }
-          case RunMemo::ROp::kLslRI:
+          case ROp::kLslRI:
             regs[r.dst] = r.imm >= 32 ? 0 : regs[r.a] << r.imm;
             break;
-          case RunMemo::ROp::kLsrRR: {
+          case ROp::kLsrRR: {
             uint32_t s = regs[r.b];
             regs[r.dst] = s >= 32 ? 0 : regs[r.a] >> s;
             break;
           }
-          case RunMemo::ROp::kLsrRI:
+          case ROp::kLsrRI:
             regs[r.dst] = r.imm >= 32 ? 0 : regs[r.a] >> r.imm;
             break;
-          case RunMemo::ROp::kAsrRR: {
+          case ROp::kAsrRR: {
             uint32_t s = regs[r.b];
             int32_t a = static_cast<int32_t>(regs[r.a]);
             regs[r.dst] = s >= 32
@@ -686,88 +894,153 @@ FastCore::replay(RunMemo &m0)
                               : static_cast<uint32_t>(a >> s);
             break;
           }
-          case RunMemo::ROp::kAsrRI: {
+          case ROp::kAsrRI: {
             int32_t a = static_cast<int32_t>(regs[r.a]);
             regs[r.dst] = r.imm >= 32
                               ? (a < 0 ? ~0u : 0)
                               : static_cast<uint32_t>(a >> r.imm);
             break;
           }
-          case RunMemo::ROp::kMulRR:
+          case ROp::kMulRR:
             regs[r.dst] = regs[r.a] * regs[r.b];
             break;
-          case RunMemo::ROp::kMulRI:
+          case ROp::kMulRI:
             regs[r.dst] = regs[r.a] * r.imm;
             break;
-          case RunMemo::ROp::kMovR:
+          case ROp::kMovR:
             regs[r.dst] = regs[r.a];
             break;
-          case RunMemo::ROp::kMovI:
+          case ROp::kMovI:
             regs[r.dst] = r.imm;
             break;
-          case RunMemo::ROp::kMvnR:
+          case ROp::kMvnR:
             regs[r.dst] = ~regs[r.a];
             break;
-          case RunMemo::ROp::kMovtI:
+          case ROp::kMovtI:
             regs[r.dst] = (r.imm << 16) | (regs[r.dst] & 0xffff);
             break;
-          case RunMemo::ROp::kCmpRR:
+          case ROp::kCmpRR:
             setFlagsSub(regs[r.a], regs[r.b], 32);
             break;
-          case RunMemo::ROp::kCmpRI:
+          case ROp::kCmpRI:
             setFlagsSub(regs[r.a], r.imm, 32);
             break;
-          case RunMemo::ROp::kCmpIR:
+          case ROp::kCmpIR:
             setFlagsSub(r.imm, regs[r.b], 32);
             break;
-          case RunMemo::ROp::kSetcc:
+          case ROp::kSetcc:
             regs[r.dst] =
                 condHolds(static_cast<Cond>(r.imm)) ? 1 : 0;
             break;
-          case RunMemo::ROp::kSxth:
+          case ROp::kSxth:
             regs[r.dst] = static_cast<uint32_t>(
                 sextFrom(regs[r.a], 16));
             break;
-          case RunMemo::ROp::kUxth:
+          case ROp::kUxth:
             regs[r.dst] = regs[r.a] & 0xffff;
             break;
-          case RunMemo::ROp::kUxt8:
-            regs[r.dst] = regs[r.a] & 0xff;
+          case ROp::kUxt8:
+            regs[r.dst] = sliceByte(regs[r.a], r.sh, ROp::kShA);
             break;
-          case RunMemo::ROp::kSxt8:
+          case ROp::kSxt8:
             regs[r.dst] = static_cast<uint32_t>(
-                sextFrom(regs[r.a] & 0xff, 8));
+                sextFrom(sliceByte(regs[r.a], r.sh, ROp::kShA), 8));
             break;
-          case RunMemo::ROp::kLoadWRR:
-          case RunMemo::ROp::kLoadWRI: {
-            uint32_t addr =
-                regs[r.a] + (r.op == RunMemo::ROp::kLoadWRR
-                                 ? regs[r.b]
+          case ROp::kAdd8RR:
+          case ROp::kAdd8RI: {
+            uint32_t full = sliceByte(regs[r.a], r.sh, ROp::kShA) +
+                            (r.op == ROp::kAdd8RR
+                                 ? sliceByte(regs[r.b], r.sh, ROp::kShB)
                                  : r.imm);
-            uint32_t stall = mem_.data(addr, false);
-            if (static_cast<uint64_t>(addr) + 4 > dataMem_.size())
-                loadData(addr, 4); // Same out-of-bounds fatal.
-            uint32_t v;
-            std::memcpy(&v, dataMem_.data() + addr, 4);
-            regs[r.dst] = v;
-            if (stall) {
-                // D-miss divergence, same protocol as the generic
-                // Load below.
-                const PInst &p = insts[i];
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                applyDstWrite(p.dstWrite);
-                cycle_ = entry + mp->per[i].issueOff;
-                uint64_t rdy = cycle_ + p.latency + stall;
-                readyAt_[p.dst.reg] = rdy;
-                maxReady_ = std::max(maxReady_, rdy);
-                return retireDiverged(*mp, i, false, mp->per[i].cost,
-                                      mp->start + i + 1);
-            }
+            if ((r.sh & ROp::kSpec) && full > 0xff)
+                goto generic; // Carry out: misspeculation.
+            mergeByte(regs[r.dst], full & 0xff, r.sh);
             break;
           }
-          default: { // kGeneric: the original PInst handler.
-        const PInst &p = insts[i];
+          case ROp::kSub8RR:
+          case ROp::kSub8RI: {
+            uint32_t a = sliceByte(regs[r.a], r.sh, ROp::kShA);
+            uint32_t b = r.op == ROp::kSub8RR
+                             ? sliceByte(regs[r.b], r.sh, ROp::kShB)
+                             : r.imm;
+            if ((r.sh & ROp::kSpec) && a < b)
+                goto generic; // Borrow: misspeculation.
+            mergeByte(regs[r.dst], (a - b) & 0xff, r.sh);
+            break;
+          }
+          case ROp::kCmp8RR:
+            setFlagsSub(sliceByte(regs[r.a], r.sh, ROp::kShA),
+                        sliceByte(regs[r.b], r.sh, ROp::kShB), 8);
+            break;
+          case ROp::kCmp8RI:
+            setFlagsSub(sliceByte(regs[r.a], r.sh, ROp::kShA), r.imm,
+                        8);
+            break;
+          case ROp::kCmp8IR:
+            setFlagsSub(r.imm, sliceByte(regs[r.b], r.sh, ROp::kShB),
+                        8);
+            break;
+          case ROp::kMov8R:
+            mergeByte(regs[r.dst], sliceByte(regs[r.a], r.sh, ROp::kShA),
+                      r.sh);
+            break;
+          case ROp::kMov8I:
+            mergeByte(regs[r.dst], r.imm, r.sh);
+            break;
+          case ROp::kLoadWRR:
+          case ROp::kLoadWRI:
+          case ROp::kLoadBRR:
+          case ROp::kLoadBRI:
+          case ROp::kLoadB8RR:
+          case ROp::kLoadB8RI: {
+            const bool rr = r.op == ROp::kLoadWRR ||
+                            r.op == ROp::kLoadBRR ||
+                            r.op == ROp::kLoadB8RR;
+            const bool word =
+                r.op == ROp::kLoadWRR || r.op == ROp::kLoadWRI;
+            const unsigned bytes = word ? 4 : 1;
+            uint32_t addr = regs[r.a] + (rr ? regs[r.b] : r.imm);
+            uint32_t stall = mem_.data(addr, false);
+            if (static_cast<uint64_t>(addr) + bytes > dataMem_.size())
+                loadData(addr, bytes); // Same out-of-bounds fatal.
+            if (word) {
+                uint32_t v;
+                std::memcpy(&v, dataMem_.data() + addr, 4);
+                regs[r.dst] = v;
+            } else if (r.op == ROp::kLoadBRR || r.op == ROp::kLoadBRI) {
+                regs[r.dst] = dataMem_[addr];
+            } else {
+                mergeByte(regs[r.dst], dataMem_[addr], r.sh);
+            }
+            if (stall)
+                return divergeLoadMiss(*mp, i, iters, entry, stall);
+            break;
+          }
+          case ROp::kStoreWRR:
+          case ROp::kStoreWRI:
+          case ROp::kStoreBRR:
+          case ROp::kStoreBRI: {
+            const bool rr =
+                r.op == ROp::kStoreWRR || r.op == ROp::kStoreBRR;
+            const bool word =
+                r.op == ROp::kStoreWRR || r.op == ROp::kStoreWRI;
+            const unsigned bytes = word ? 4 : 1;
+            uint32_t addr = regs[r.a] + (rr ? regs[r.b] : r.imm);
+            uint32_t stall = mem_.data(addr, true);
+            if (static_cast<uint64_t>(addr) + bytes > dataMem_.size())
+                storeData(addr, 0, bytes); // Same out-of-bounds fatal.
+            if (word)
+                std::memcpy(dataMem_.data() + addr, &regs[r.dst], 4);
+            else
+                dataMem_[addr] = static_cast<uint8_t>(
+                    sliceByte(regs[r.dst], r.sh, ROp::kShDst));
+            if (stall) // Store misses advance the cycle itself.
+                return diverge(*mp, i, iters, entry, stall, false);
+            break;
+          }
+          default:
+          generic: { // kGeneric: the original PInst handler.
+        const PInst &p = insts[mp->per[i].flat];
         switch (p.kind) {
           case PKind::AluAdd:
             writeDst(p.dst, regs,
@@ -890,20 +1163,8 @@ FastCore::replay(RunMemo &m0)
                 readSrc(p.a, regs) + readSrc(p.b, regs);
             uint32_t stall = mem_.data(addr, false);
             writeDst(p.dst, regs, loadData(addr, p.aux));
-            if (stall) {
-                // D-miss: the schedule's no-stall dst readiness is
-                // wrong from here on — commit the prefix and resume
-                // cycle-accurately after this instruction.
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                applyDstWrite(p.dstWrite);
-                cycle_ = entry + mp->per[i].issueOff;
-                uint64_t rdy = cycle_ + p.latency + stall;
-                readyAt_[p.dst.reg] = rdy;
-                maxReady_ = std::max(maxReady_, rdy);
-                return retireDiverged(*mp, i, false, mp->per[i].cost,
-                                      mp->start + i + 1);
-            }
+            if (stall)
+                return divergeLoadMiss(*mp, i, iters, entry, stall);
             break;
           }
           case PKind::LoadSpec: {
@@ -911,28 +1172,12 @@ FastCore::replay(RunMemo &m0)
                 readSrc(p.a, regs) + readSrc(p.b, regs);
             uint32_t stall = mem_.data(addr, false);
             uint32_t v = loadData(addr, p.aux);
-            if (v > 0xff) {
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                cycle_ = entry + mp->per[i].issueOff + stall +
-                         kMisspecPenalty;
-                return retireDiverged(
-                    *mp, i, true,
-                    cycle_ - (entry + mp->per[i].cycBefore),
-                    mp->start + i + delta_ / kInstBytes);
-            }
+            if (v > 0xff)
+                return diverge(*mp, i, iters, entry,
+                               stall + kMisspecPenalty, true);
             writeDst(p.dst, regs, v);
-            if (stall) {
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                applyDstWrite(p.dstWrite);
-                cycle_ = entry + mp->per[i].issueOff;
-                uint64_t rdy = cycle_ + p.latency + stall;
-                readyAt_[p.dst.reg] = rdy;
-                maxReady_ = std::max(maxReady_, rdy);
-                return retireDiverged(*mp, i, false, mp->per[i].cost,
-                                      mp->start + i + 1);
-            }
+            if (stall)
+                return divergeLoadMiss(*mp, i, iters, entry, stall);
             break;
           }
           case PKind::Store: {
@@ -940,16 +1185,8 @@ FastCore::replay(RunMemo &m0)
                 readSrc(p.a, regs) + readSrc(p.b, regs);
             uint32_t stall = mem_.data(addr, true);
             storeData(addr, readSrc(p.dst, regs), p.aux);
-            if (stall) {
-                // Store misses advance the cycle itself; diverge.
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                cycle_ = entry + mp->per[i].issueOff + stall;
-                return retireDiverged(
-                    *mp, i, false,
-                    cycle_ - (entry + mp->per[i].cycBefore),
-                    mp->start + i + 1);
-            }
+            if (stall) // Store misses advance the cycle itself.
+                return diverge(*mp, i, iters, entry, stall, false);
             break;
           }
           case PKind::Add8: case PKind::Sub8: {
@@ -965,16 +1202,9 @@ FastCore::replay(RunMemo &m0)
                 misspec = p.aux && a < b;
                 r = (a - b) & 0xff;
             }
-            if (misspec) {
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                cycle_ =
-                    entry + mp->per[i].issueOff + kMisspecPenalty;
-                return retireDiverged(
-                    *mp, i, true,
-                    cycle_ - (entry + mp->per[i].cycBefore),
-                    mp->start + i + delta_ / kInstBytes);
-            }
+            if (misspec)
+                return diverge(*mp, i, iters, entry, kMisspecPenalty,
+                               true);
             writeDst(p.dst, regs, r);
             break;
           }
@@ -995,16 +1225,9 @@ FastCore::replay(RunMemo &m0)
             break;
           case PKind::Trn8: {
             uint32_t v = readSrc(p.a, regs);
-            if (p.aux && v > 0xff) {
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                cycle_ =
-                    entry + mp->per[i].issueOff + kMisspecPenalty;
-                return retireDiverged(
-                    *mp, i, true,
-                    cycle_ - (entry + mp->per[i].cycBefore),
-                    mp->start + i + delta_ / kInstBytes);
-            }
+            if (p.aux && v > 0xff)
+                return diverge(*mp, i, iters, entry, kMisspecPenalty,
+                               true);
             writeDst(p.dst, regs, v & 0xff);
             break;
           }
@@ -1061,7 +1284,7 @@ FastCore::replay(RunMemo &m0)
             goto chain;
         }
         flushIters(*mp, iters);
-        next = mp->start + mp->len + 1; // Branch not taken.
+        next = mp->term + 1; // Branch not taken.
 
       chain:
         // Block chaining: when the successor already has an eligible
@@ -1075,7 +1298,6 @@ FastCore::replay(RunMemo &m0)
                 if (n.eligible && executed_ + n.fuelCost <= fuel_ &&
                     entryReady(n) && fetchGuard(n)) {
                     mp = &n;
-                    insts = pre_.insts().data() + mp->start;
                     entry = cycle_;
                     iters = 0;
                     goto iterate;
@@ -1093,10 +1315,10 @@ FastCore::replay(RunMemo &m0)
     executed_ += mp->len;
     if (attr_)
         for (uint32_t i = 0; i < mp->len; ++i)
-            attr_->onInst(mp->start + i, mp->per[i].cost);
+            attr_->onInst(mp->per[i].flat, mp->per[i].cost);
     if (prof_)
         for (uint32_t i = 0; i < mp->len; ++i)
-            prof_->onInst(mp->start + i, mp->per[i].cost);
+            prof_->onInst(mp->per[i].flat, mp->per[i].cost);
     ++replayedRuns_;
     return execTerminator(*mp);
 }
@@ -1104,7 +1326,7 @@ FastCore::replay(RunMemo &m0)
 uint32_t
 FastCore::execTerminator(const RunMemo &m)
 {
-    const uint32_t idx = m.start + m.len;
+    const uint32_t idx = m.term;
     const PInst &p = pre_.insts()[idx];
     const uint64_t cycle_at_fetch = cycle_;
     cycle_ += 1; // Fetch: L1I hit, committed in bulk above.
@@ -1499,7 +1721,7 @@ FastCore::run(const std::vector<uint32_t> &args)
     for (;;) {
         if (idx >= size)
             fatal(strFormat("PC out of code range: index %u", idx));
-        RunMemo *m = may_replay ? &memoAt(idx) : nullptr;
+        RunMemo *m = may_replay ? memoFor(idx) : nullptr;
         if (m && m->eligible && executed_ + m->fuelCost <= fuel_ &&
             entryReady(*m) && fetchGuard(*m)) {
             idx = replay(*m);

@@ -20,31 +20,36 @@
  *  - Slow path: one pre-decoded instruction at a time, cycle-accurate,
  *    over PInst handlers. It is the reference for everything below.
  *
- *  - Block replay: straight-line runs (block bodies up to their
- *    terminator) get a RunMemo — a statically computed schedule of the
- *    run under the no-miss/no-misspec assumptions: total cycles,
- *    summed counter deltas, per-instruction cycle costs and
- *    scoreboard effects. When the entry guards hold (operands the
- *    schedule assumed ready are ready, fuel suffices, every I-line is
- *    resident), the run replays in one sweep: handlers execute only
- *    the functional work, and timing/accounting commit from the memo.
- *    D-cache accesses are still performed for real, so hierarchy
- *    state stays exact; the first dynamic divergence (D-miss, store
- *    stall, misspeculation) commits the prefix from the memo,
- *    finishes the diverging instruction cycle-accurately, and drops
- *    back to the slow path.
+ *  - Superblock replay: a RunMemo covers a trace from one entry
+ *    index, following unconditional jumps into code the trace does
+ *    not cover yet, up to its first other terminator — a statically
+ *    computed schedule of the trace under the no-miss/no-misspec
+ *    assumptions: total cycles, summed counter deltas,
+ *    per-instruction cycle costs and scoreboard effects. When the
+ *    entry guards hold (operands the schedule assumed ready are
+ *    ready, fuel suffices, every I-line is resident), the trace
+ *    replays in one sweep: handlers execute only the functional work,
+ *    and timing/accounting commit from the memo. D-cache accesses are
+ *    still performed for real, so hierarchy state stays exact; the
+ *    first dynamic divergence (D-miss, store stall, misspeculation)
+ *    commits the prefix from the memo, finishes the diverging
+ *    instruction cycle-accurately, and drops back to the slow path.
  *
- * Memos depend only on code geometry, so they live per FastCore and
- * survive reset(); invalidateMemos() drops them (the analogue of
- * Interpreter::invalidate() for re-squeezed programs). System builds
- * one FastCore per run, so its runs share nothing mutable and each
- * builds the memos it replays.
+ * A memo's schedule depends only on code geometry, so memos live per
+ * FastCore and survive reset(); invalidateMemos() drops them (the
+ * analogue of Interpreter::invalidate() for re-squeezed programs).
+ * Which memos exist is run history: the run loop builds one at an
+ * index only on its second visit there, where execution returns, and
+ * reset() forgets the visits. System builds one FastCore per run, so
+ * its runs share nothing mutable and each builds the memos it
+ * replays.
  */
 
 #ifndef BITSPEC_UARCH_FAST_CORE_H_
 #define BITSPEC_UARCH_FAST_CORE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ir/module.h"
@@ -70,8 +75,10 @@ class FastCore
     static constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
     static constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 
-    /** Longest straight-line run one memo covers; longer runs fall
-     *  back to the slow path (never seen in practice). */
+    /** Most body instructions (interior jumps included) one memo
+     *  covers; a trace that reaches it is cut back to its last jump,
+     *  and a straight run that long falls back to the slow path
+     *  (never seen in practice). */
     static constexpr uint32_t kMaxRunLen = 4096;
 
     /** Dump slot past the architectural registers: replay scoreboard
@@ -123,7 +130,7 @@ class FastCore
      *  require to fire still fires — Theorems 3.1/3.2 make the
      *  committed outputs policy-independent, which the differential
      *  fuzzer exercises. A non-Hardware policy disables memo replay
-     *  (memos bake in check-didn't-fire straight-line execution). */
+     *  (memos bake in check-didn't-fire execution). */
     void
     setMisspecPolicy(MisspecPolicy p, uint64_t seed = 0x5eed)
     {
@@ -132,15 +139,15 @@ class FastCore
     }
     MisspecPolicy misspecPolicy() const { return policy_; }
 
-    /** Drop every block memo (they are rebuilt lazily). Correctness
-     *  never requires this — memos depend only on the immutable
-     *  pre-decoded code — but a System that re-squeezes and relinks
-     *  must not carry memos across program versions. */
+    /** Drop every memo and visit count (memos are rebuilt lazily).
+     *  Correctness never requires this — schedules depend only on
+     *  the immutable pre-decoded code — but a System that re-squeezes
+     *  and relinks must not carry memos across program versions. */
     void invalidateMemos();
 
     /** Memos built so far (observability/tests). */
     size_t memoCount() const { return memos_.size(); }
-    /** Replayed runs / slow-path instructions (observability/tests). */
+    /** Memo replays / slow-path instructions (observability/tests). */
     uint64_t replayedRuns() const { return replayedRuns_; }
     uint64_t slowInsts() const { return slowInsts_; }
 
@@ -150,22 +157,26 @@ class FastCore
         bool n = false, z = false, c = false, v = false;
     };
 
-    /** Statically scheduled straight-line run starting at one flat
-     *  index: the block-site body up to (excluding) its terminator. */
+    /** Statically scheduled trace starting at one flat index: block
+     *  bodies joined by the unconditional jumps between them, up to
+     *  (excluding) the trace's terminator. */
     struct RunMemo
     {
         bool eligible = false;
         uint32_t start = 0;
-        uint32_t len = 0;          ///< Body instructions.
+        uint32_t len = 0;          ///< Body instructions, jumps included.
+        uint32_t term = 0;         ///< Flat index of the terminator.
         uint64_t bodyCycles = 0;   ///< Cycle offset at terminator fetch.
         uint32_t maxReadyOff = 0;  ///< Max scoreboard offset written.
         uint16_t entryReadyMask = 0; ///< Regs assumed ready at entry.
         uint64_t fuelCost = 0;     ///< Retirements incl. terminator.
-        uint32_t fetchFirst = 0;   ///< PC of start.
-        uint32_t fetchLast = 0;    ///< PC of the terminator.
+        /** Fetch segments in execution order: each but the last ends
+         *  at an interior jump, the last at the terminator. */
+        std::vector<MemoryHierarchy::FetchSeg> segs;
         /** Body counter sums plus the terminator's static contrib
          *  (cycles unused; a conditional terminator's takenBranches
-         *  is counted live). */
+         *  is counted live). Interior jumps are always taken, so their
+         *  takenBranches ride here too. */
         ActivityCounters delta;
         /** Clean replays not yet folded into counters_: delta is
          *  committed as delta * pendingReplays at finish() instead of
@@ -181,20 +192,23 @@ class FastCore
         bool selfBackedge = false;
         Cond backCond = Cond::AL;
         uint32_t termTarget = 0;
-        /** Pinned L1I footprint (slots + per-line fetch counts).
+        /** Pinned L1I footprint (ordered slot + fetch-count runs).
          *  While the L1I fill generation matches, the residency guard
          *  is one compare and the fetch commit a direct stat bump. */
         MemoryHierarchy::FetchPin pin;
         /** Compact replay micro-op, one per body instruction:
-         *  full-width register/flag operations are pre-resolved to
-         *  direct register-file ops; anything that can diverge, touch
-         *  memory or write a sub-register slice stays Generic and
-         *  executes the original PInst handler. */
+         *  full-width register/flag operations, word and byte loads
+         *  and stores, and the 8-bit slice operations are
+         *  pre-resolved to direct register-file ops; the rest stays
+         *  Generic and executes the original PInst handler. A slice
+         *  op whose check fires falls back to that handler for the
+         *  one instruction, so every misspeculation diverges there. */
         struct ROp
         {
             enum K : uint8_t
             {
                 kGeneric = 0,
+                kNop, ///< NOP, and the interior jumps of a trace.
                 kAddRR, kAddRI, kSubRR, kSubRI, kSubIR,
                 kAndRR, kAndRI, kOrrRR, kOrrRI, kEorRR, kEorRI,
                 kLslRR, kLslRI, kLsrRR, kLsrRI, kAsrRR, kAsrRI,
@@ -202,24 +216,40 @@ class FastCore
                 kCmpRR, kCmpRI, kCmpIR,
                 kSetcc, kSxth, kUxth, kUxt8, kSxt8,
                 kLoadWRR, kLoadWRI,
+                // 8-bit slice ops: sources read (reg >> shift) & 0xff,
+                // a slice destination merges its byte in.
+                kAdd8RR, kAdd8RI, kSub8RR, kSub8RI,
+                kCmp8RR, kCmp8RI, kCmp8IR,
+                kMov8R, kMov8I,
+                kLoadBRR, kLoadBRI,   ///< Byte load, full dst.
+                kLoadB8RR, kLoadB8RI, ///< Byte load into a slice.
+                // Stores: dst names the data register.
+                kStoreWRR, kStoreWRI,
+                kStoreBRR, kStoreBRI, ///< Low byte of a reg or slice.
             };
+            /** Slice shifts of dst, a, b in ROp::sh, as shift / 8. */
+            static constexpr uint8_t kShDst = 0, kShA = 2, kShB = 4;
+            /** ROp::sh bit: ADD8/SUB8 check carry/borrow. */
+            static constexpr uint8_t kSpec = 0x40;
+
             uint8_t op = kGeneric;
             uint8_t dst = 0, a = 0, b = 0;
             uint32_t imm = 0;       ///< Immediate (or Cond for Setcc).
-            uint16_t readyOff = 0;  ///< PerInst::readyOff, compact.
-            uint8_t writeReg = kScratchReg; ///< PerInst::writeReg.
+            uint16_t readyOff = 0;  ///< Scoreboard offset on write.
+            /** Scoreboard slot written on retire: a register index,
+             *  or the scratch slot for no-write/conditional
+             *  instructions — the replay store is branchless. */
+            uint8_t writeReg = kScratchReg;
+            uint8_t sh = 0;         ///< Packed slice shifts, kSpec.
         };
+        static_assert(sizeof(ROp) == 12, "ROp must stay 12 bytes");
 
         struct PerInst
         {
+            uint32_t flat = 0;      ///< Flat index of the instruction.
             uint32_t cycBefore = 0; ///< Cycle offset at fetch.
             uint32_t issueOff = 0;  ///< Cycle offset after issue stall.
-            uint32_t readyOff = 0;  ///< Scoreboard offset on write.
             uint8_t cost = 0;       ///< Cycles charged to the sinks.
-            /** Scoreboard slot written on retire: a register index,
-             *  or the scratch slot (16) for no-write/conditional
-             *  instructions — the replay store is branchless. */
-            uint8_t writeReg = kScratchReg;
         };
         std::vector<PerInst> per;
         std::vector<ROp> ops; ///< One per body instruction.
@@ -231,14 +261,16 @@ class FastCore
     void setFlagsSub(uint64_t a, uint64_t b, unsigned bits);
     void emitOut(uint64_t v);
 
-    RunMemo &memoAt(uint32_t idx);
+    /** The memo at @p idx, built on the run loop's second visit there;
+     *  nullptr on the first. */
+    RunMemo *memoFor(uint32_t idx);
     RunMemo buildMemo(uint32_t start) const;
     /** Pre-resolve one body instruction into its replay micro-op. */
-    static RunMemo::ROp translateOp(const PInst &p,
-                                    const RunMemo::PerInst &pi);
+    static RunMemo::ROp translateOp(const PInst &p, uint32_t ready_off,
+                                    uint8_t write_reg);
     bool entryReady(const RunMemo &m) const;
 
-    /** Replay the memoized run at cycle_; returns the next flat
+    /** Replay the memoized trace at cycle_; returns the next flat
      *  index (or sets halted_). Only called with no counter tracks
      *  attached (run()'s guard). */
     uint32_t replay(RunMemo &m);
@@ -248,18 +280,24 @@ class FastCore
     /** Replay residency guard: valid pin (one compare) or probe and
      *  re-pin. False when some I-line is not resident. */
     bool fetchGuard(RunMemo &m);
-    /** Commit @p repeat fetch traversals of the memo's range, via the
-     *  pin when valid. */
+    /** Commit @p repeat fetch traversals of the memo's segments, via
+     *  the pin when valid. */
     void commitFetches(RunMemo &m, uint64_t repeat);
     /** Commit the first @p k body instructions of a diverged replay
      *  from the memo (fetches, counters, sinks, fuel). */
     void commitPrefix(const RunMemo &m, uint32_t k);
-    /** Retire body instruction @p i of a diverged replay, after its
-     *  prefix and its own timing: static counts, the misspeculation
-     *  when @p misspec, and the sink feeds at @p cost cycles. Returns
-     *  @p next, where the slow path resumes. */
-    uint32_t retireDiverged(const RunMemo &m, uint32_t i, bool misspec,
-                            uint64_t cost, uint32_t next);
+    /** Leave a replay entered at @p entry at body instruction @p i,
+     *  which completes at entry + its issue offset + @p extra:
+     *  commit the @p iters finished loop iterations and the prefix,
+     *  then retire i with the misspeculation when @p misspec. Returns
+     *  where the slow path resumes: i's flat index + 1, or + Δ/4
+     *  after a misspeculation. */
+    uint32_t diverge(RunMemo &m, uint32_t i, uint64_t iters,
+                     uint64_t entry, uint64_t extra, bool misspec);
+    /** diverge() for body load @p i that missed in L1D by @p stall
+     *  cycles: its value is in, but ready late. */
+    uint32_t divergeLoadMiss(RunMemo &m, uint32_t i, uint64_t iters,
+                             uint64_t entry, uint32_t stall);
     /** Execute the terminator after a fully replayed body (replay
      *  never runs with counter tracks attached, so none are fed). */
     uint32_t execTerminator(const RunMemo &m);
@@ -272,10 +310,29 @@ class FastCore
     void applyDstWrite(uint8_t dst_write);
     void finish(uint64_t final_cycle);
 
+    /** Data memory as an anonymous private mapping, zero until
+     *  written: untouched pages cost no RSS, and the 4 MiB each run
+     *  frees goes back to the OS instead of the heap, where the
+     *  compiles between runs would fragment it. */
+    class MappedBytes
+    {
+      public:
+        explicit MappedBytes(size_t size);
+        ~MappedBytes();
+        MappedBytes(const MappedBytes &) = delete;
+        MappedBytes &operator=(const MappedBytes &) = delete;
+
+        std::span<uint8_t> bytes() const { return bytes_; }
+
+      private:
+        std::span<uint8_t> bytes_;
+    };
+
     const PredecodedProgram &pre_;
     const MachProgram &prog_;
     const Module &module_;
-    std::vector<uint8_t> dataMem_;
+    MappedBytes mapping_;
+    std::span<uint8_t> dataMem_; ///< View of mapping_.
     uint32_t regs_[16] = {};
     Flags flags_;
     uint32_t delta_ = 0;
@@ -321,7 +378,10 @@ class FastCore
     bool halted_ = false;
     uint32_t retVal_ = 0;
 
-    /** Lazy memo table: memoIdx_[i] indexes memos_, -1 unbuilt. */
+    /** Lazy memo table: memoIdx_[i] indexes memos_, or is kUnseen /
+     *  kSeenOnce (the run loop's visits at i before its memo). */
+    static constexpr int32_t kUnseen = -1;
+    static constexpr int32_t kSeenOnce = -2;
     std::vector<int32_t> memoIdx_;
     std::vector<RunMemo> memos_;
 

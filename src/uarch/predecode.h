@@ -15,7 +15,7 @@
  *
  * The table is immutable once built and independent of run state, so
  * one PredecodedProgram is shared by every FastCore run of a System
- * (block memos, which do depend on guard state, live in FastCore).
+ * (run memos, which do depend on run history, live in FastCore).
  */
 
 #ifndef BITSPEC_UARCH_PREDECODE_H_

@@ -33,18 +33,22 @@ expectRoundTrip(const MachInst &in, uint32_t self = 100)
         EXPECT_EQ(out.dst.reg, in.dst.reg) << in.str();
         EXPECT_EQ(out.dst.slice, in.dst.slice) << in.str();
     }
-    if (in.a.isImm())
+    if (in.a.isImm()) {
         EXPECT_EQ(out.a.imm, in.a.imm) << in.str();
-    if (in.b.isImm())
+    }
+    if (in.b.isImm()) {
         EXPECT_EQ(out.b.imm, in.b.imm) << in.str();
+    }
     if (in.b.isReg() || in.b.isSlice()) {
         EXPECT_EQ(out.b.reg, in.b.reg) << in.str();
         EXPECT_EQ(out.b.slice, in.b.slice) << in.str();
     }
-    if (in.op == MOp::B || in.op == MOp::BL)
+    if (in.op == MOp::B || in.op == MOp::BL) {
         EXPECT_EQ(out.target, in.target) << in.str();
-    if (in.op == MOp::LDRS8)
+    }
+    if (in.op == MOp::LDRS8) {
         EXPECT_EQ(out.origBits, in.origBits) << in.str();
+    }
 }
 
 TEST(Encoding, AluRegisterForms)

@@ -146,8 +146,9 @@ TEST(Flightrec, DumpNowRequiresInstall)
 {
     RecorderGuard guard;
     flightrec::setActive(true);
-    if (flightrec::dumpDir()[0] == '\0')
+    if (flightrec::dumpDir()[0] == '\0') {
         EXPECT_EQ(flightrec::dumpNow("unit-test"), "");
+    }
 }
 
 /** The acceptance test: kill a child mid-run and assert the crash

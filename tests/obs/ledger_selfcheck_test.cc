@@ -131,8 +131,9 @@ TEST(LedgerSelfcheck, LiveMatrixValidatesAndReconciles)
         // Detail mode: the validator already proved the region/heat
         // sums reconcile exactly with ActivityCounters; spot-check
         // the rows exist whenever the run executed instructions.
-        if (r.counters.instructions > 0)
+        if (r.counters.instructions > 0) {
             EXPECT_FALSE(rec->heat.empty());
+        }
     }
 }
 

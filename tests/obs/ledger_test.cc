@@ -314,8 +314,9 @@ TEST(Ledger, CaptureBitspecEnvSeesKnobs)
             found = true;
             EXPECT_EQ(env[i].second, "on");
         }
-        if (i > 0) // Sorted by name.
+        if (i > 0) { // Sorted by name.
             EXPECT_LE(env[i - 1].first, env[i].first);
+        }
     }
     EXPECT_TRUE(found);
 }

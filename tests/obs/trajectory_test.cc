@@ -345,6 +345,60 @@ TEST(Trajectory, RecordFromBenchJsonExtractsSeries)
     EXPECT_TRUE(dbg.debugBuild);
 }
 
+TEST(Trajectory, RecordFromBenchJsonPerWorkloadCoreRates)
+{
+    // BM_CoreWorkload/<workload> entries become ungated
+    // rate.core_workload_<workload>_per_s series ('-' spelled '_'),
+    // read from each entry's own items_per_second.
+    const std::string json = R"({
+  "benchmarks": [
+    {
+      "name": "BM_CoreThroughput/fast",
+      "run_name": "BM_CoreThroughput/fast",
+      "machine_instrs_per_s": 2.2e8
+    },
+    {
+      "name": "BM_CoreWorkload/susan-edges",
+      "run_name": "BM_CoreWorkload/susan-edges",
+      "items_per_second": 2.4e8
+    },
+    {
+      "name": "BM_CoreWorkload/stringsearch",
+      "run_name": "BM_CoreWorkload/stringsearch",
+      "items_per_second": 2.1e8
+    },
+    {
+      "name": "BM_CoreWorkload/qsort",
+      "run_name": "BM_CoreWorkload/qsort",
+      "items_per_second": 8.3e7
+    }
+  ]
+})";
+    TrajectoryRecord rec = recordFromBenchJson(json);
+    EXPECT_EQ(rec.series.size(), 4u);
+    EXPECT_DOUBLE_EQ(rec.value("rate.core_fast_machine_per_s").value(),
+                     2.2e8);
+    EXPECT_DOUBLE_EQ(
+        rec.value("rate.core_workload_susan_edges_per_s").value(), 2.4e8);
+    EXPECT_DOUBLE_EQ(
+        rec.value("rate.core_workload_stringsearch_per_s").value(),
+        2.1e8);
+    EXPECT_DOUBLE_EQ(rec.value("rate.core_workload_qsort_per_s").value(),
+                     8.3e7);
+    EXPECT_TRUE(isGatedSeries("rate.core_fast_machine_per_s"));
+    EXPECT_FALSE(isGatedSeries("rate.core_workload_qsort_per_s"));
+
+    // Recorded, never gated: a collapse of a workload rate passes.
+    std::vector<TrajectoryRecord> history = {rec};
+    TrajectoryRecord slow = rec;
+    for (TrajectorySeries &s : slow.series)
+        if (s.name != "rate.core_fast_machine_per_s")
+            s.value /= 10;
+    GateResult r = checkAgainstHistory(slow, history);
+    EXPECT_TRUE(r.pass);
+    EXPECT_EQ(r.baselineRuns, 1u);
+}
+
 TEST(Trajectory, BuildFlavourIsThisBuildNotLibbenchmarks)
 {
     // google-benchmark's library_build_type describes how libbenchmark

@@ -93,8 +93,9 @@ TEST(CfgPrep, SplitsPerEquations)
             has_call |= inst->isCall();
         }
         EXPECT_FALSE(has_load && has_store) << bb->name();
-        if (has_call)
+        if (has_call) {
             EXPECT_EQ(nonterm, 1u) << bb->name();
+        }
     }
 
     // Semantics unchanged.

@@ -1,7 +1,8 @@
 /**
  * @file
  * Targeted unit tests of the core: memo-guard divergence (hot block ->
- * cache miss or misspeculation -> hot again), memo invalidation,
+ * cache miss or misspeculation -> hot again), superblock replay across
+ * unconditional jumps, where memos get built, memo invalidation,
  * persistence across reset() and fuel accounting under replay.
  *
  * Whole-workload observations are pinned by
@@ -16,6 +17,7 @@
 
 #include "backend/compiler.h"
 #include "frontend/irgen.h"
+#include "obs/attribution.h"
 #include "obs/profiler.h"
 #include "profile/bitwidth_profile.h"
 #include "support/error.h"
@@ -146,6 +148,223 @@ TEST(FastCore, HotMisspecHotStaysExact)
 
     EXPECT_GT(fast.counters().misspeculations, 0u);
     EXPECT_GT(fast.replayedRuns(), 0u);
+}
+
+void
+expectSameRows(const AttributionSink &slow, const AttributionSink &fast)
+{
+    ASSERT_EQ(slow.activity().size(), fast.activity().size());
+    for (size_t i = 0; i < slow.activity().size(); ++i) {
+        const RegionActivity &a = slow.activity()[i];
+        const RegionActivity &b = fast.activity()[i];
+        EXPECT_EQ(a.entries, b.entries) << "region " << i;
+        EXPECT_EQ(a.misspecs, b.misspecs) << "region " << i;
+        EXPECT_EQ(a.specInsts, b.specInsts) << "region " << i;
+        EXPECT_EQ(a.specCycles, b.specCycles) << "region " << i;
+        EXPECT_EQ(a.skeletonInsts, b.skeletonInsts) << "region " << i;
+        EXPECT_EQ(a.handlerInsts, b.handlerInsts) << "region " << i;
+        EXPECT_EQ(a.handlerCycles, b.handlerCycles) << "region " << i;
+    }
+    EXPECT_EQ(slow.unattributedMisspecs(), fast.unattributedMisspecs());
+}
+
+void
+expectSameRows(const BlockProfilerSink &slow,
+               const BlockProfilerSink &fast)
+{
+    ASSERT_EQ(slow.activity().size(), fast.activity().size());
+    for (size_t i = 0; i < slow.activity().size(); ++i) {
+        const BlockActivity &a = slow.activity()[i];
+        const BlockActivity &b = fast.activity()[i];
+        EXPECT_EQ(a.entries, b.entries) << "block " << i;
+        EXPECT_EQ(a.insts, b.insts) << "block " << i;
+        EXPECT_EQ(a.cycles, b.cycles) << "block " << i;
+        EXPECT_EQ(a.misspecs, b.misspecs) << "block " << i;
+    }
+    EXPECT_EQ(slow.unattributed(), fast.unattributed());
+}
+
+/** True when some unconditional branch of @p pre jumps to @p idx. */
+bool
+isJumpTarget(const PredecodedProgram &pre, uint32_t idx)
+{
+    for (const PInst &p : pre.insts())
+        if (p.kind == PKind::Branch && p.cond == Cond::AL &&
+            p.target == idx)
+            return true;
+    return false;
+}
+
+TEST(FastCore, SuperblockReplaysAcrossIfElseJoin)
+{
+    // The loop body is an if/else whose arms meet at a join block
+    // that jumps back to the loop test: each arm's memo runs through
+    // the join and the test, so one replay covers more than any
+    // single block of the loop.
+    const char *src = R"(
+        u32 data[64];
+        u32 main(u32 n) {
+            u32 h = 1;
+            u32 g = 2;
+            for (u32 i = 0; i < n; i++) {
+                u32 v = data[i & 63];
+                if ((v ^ i) & 1) {
+                    h = h * 3 + v;
+                    g = g + (h >> 3);
+                    h = h ^ (g << 2);
+                } else {
+                    g = (g ^ v) + 7;
+                    h = h + (g >> 5);
+                    g = g - (h << 1);
+                }
+                h = h + (g ^ (h >> 7));
+                g = g * 5 + (h & 255);
+            }
+            return h ^ g;
+        }
+    )";
+    auto mod = compileSource(src);
+    CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
+    PredecodedProgram pre(cp.program);
+    const BlockMap bmap(cp.program);
+
+    FastCore slow(pre, *mod);
+    BlockProfilerSink heat(bmap);
+    slow.setBlockProfiler(&heat);
+    uint32_t want = runSlowPath(slow, {1000});
+
+    FastCore fast(pre, *mod);
+    EXPECT_EQ(fast.run({1000}), want);
+    expectSameObservables(slow, fast);
+
+    // The loop's blocks are the ones entered more than once.
+    uint32_t longest_block = 0;
+    for (size_t i = 0; i < bmap.sites().size(); ++i)
+        if (heat.activity()[i].entries > 1)
+            longest_block =
+                std::max(longest_block, bmap.sites()[i].staticInsts);
+    ASSERT_GT(longest_block, 0u);
+    ASSERT_GT(fast.replayedRuns(), 0u);
+    const uint64_t replayed =
+        fast.counters().instructions - fast.slowInsts();
+    EXPECT_GT(replayed / fast.replayedRuns(), longest_block);
+}
+
+TEST(FastCore, DivergenceInSecondSegmentFeedsSinksExactly)
+{
+    // Squeezed on a short run, acc and h become speculative 8-bit
+    // values. The long run streams a 16 KiB array through the 8 KiB
+    // L1D (a D-miss every 32 bytes) and, once the array's values turn
+    // nonzero, overflows them (a misspeculation). The load and the
+    // speculative adds sit in the join block, which the else arm
+    // reaches by an unconditional jump: both divergences fire in the
+    // second segment of the else arm's superblock.
+    const char *src = R"(
+        u8 bytes[16384];
+        u32 main(u32 n) {
+            for (u32 j = 0; j < 16384; j++)
+                bytes[j] = j >> 10;
+            u32 h = 1;
+            u8 acc = 0;
+            for (u32 i = 0; i < n; i++) {
+                if (h == 0) {
+                    h = h * 3 + 1;
+                } else {
+                    h = h ^ 5;
+                }
+                acc = acc + bytes[i];
+                h = h + acc;
+            }
+            return h;
+        }
+    )";
+    auto mod = compileSource(src);
+    BitwidthProfile profile;
+    profile.profileRun(*mod, "main", {300});
+    SqueezeOptions opts;
+    squeezeModule(*mod, profile, opts);
+    CompiledProgram cp = compileModule(*mod, TargetISA::BitSpec);
+    PredecodedProgram pre(cp.program);
+    const AttributionMap amap(cp.program);
+    const BlockMap bmap(cp.program);
+
+    FastCore slow(pre, *mod);
+    AttributionSink slow_attr(amap);
+    BlockProfilerSink slow_heat(bmap);
+    slow.setAttribution(&slow_attr);
+    slow.setBlockProfiler(&slow_heat);
+    uint32_t want = runSlowPath(slow, {4000});
+
+    FastCore fast(pre, *mod);
+    AttributionSink fast_attr(amap);
+    BlockProfilerSink fast_heat(bmap);
+    fast.setAttribution(&fast_attr);
+    fast.setBlockProfiler(&fast_heat);
+    EXPECT_EQ(fast.run({4000}), want);
+    expectSameObservables(slow, fast);
+    expectSameRows(slow_attr, fast_attr);
+    expectSameRows(slow_heat, fast_heat);
+
+    EXPECT_GT(fast.replayedRuns(), 0u);
+    EXPECT_GT(fast.memory().l1d().misses, 100u);
+    ASSERT_GT(fast.counters().misspeculations, 0u);
+    // The misspeculating block is entered by an unconditional jump.
+    for (size_t i = 0; i < bmap.sites().size(); ++i) {
+        if (fast_heat.activity()[i].misspecs) {
+            EXPECT_TRUE(isJumpTarget(pre, bmap.sites()[i].startIndex))
+                << "block " << bmap.sites()[i].block;
+        }
+    }
+}
+
+TEST(FastCore, LoopFreeCodeBuildsNoMemos)
+{
+    // Every index runs once, so no memo would ever replay.
+    auto mod = compileSource(
+        "u32 main(u32 a) { u32 b = a * 3 + 1; "
+        "return (b ^ (a >> 2)) + 5; }");
+    CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
+    PredecodedProgram pre(cp.program);
+    FastCore fast(pre, *mod);
+    EXPECT_EQ(fast.run({9}), (28u ^ 2u) + 5u);
+    EXPECT_EQ(fast.memoCount(), 0u);
+    EXPECT_EQ(fast.replayedRuns(), 0u);
+    EXPECT_EQ(fast.slowInsts(), fast.counters().instructions);
+}
+
+TEST(FastCore, LoopBuildsItsMemosOnTheSecondIteration)
+{
+    const char *src = R"(
+        u32 main(u32 n) {
+            u32 h = 7;
+            for (u32 i = 0; i < n; i++)
+                h = h * 31 + (i ^ (h >> 3));
+            return h;
+        }
+    )";
+    auto mod = compileSource(src);
+    CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
+    PredecodedProgram pre(cp.program);
+
+    // One iteration leaves the body unmemoized; the second builds its
+    // memo and replays it.
+    FastCore one(pre, *mod);
+    one.run({1});
+    FastCore two(pre, *mod);
+    two.run({2});
+    EXPECT_GT(two.memoCount(), one.memoCount());
+    EXPECT_GT(two.replayedRuns(), 0u);
+
+    // Later iterations build nothing more and all replay: only the
+    // first iteration runs on the slow path.
+    FastCore many(pre, *mod);
+    uint32_t got = many.run({50});
+    EXPECT_EQ(many.memoCount(), two.memoCount());
+    EXPECT_EQ(many.slowInsts(), two.slowInsts());
+
+    FastCore slow(pre, *mod);
+    EXPECT_EQ(runSlowPath(slow, {50}), got);
+    expectSameObservables(slow, many);
 }
 
 TEST(FastCore, ResetPreservesMemosAndStaysDeterministic)
