@@ -1,6 +1,7 @@
 #include "uarch/cache.h"
 
 #include <bit>
+#include <utility>
 
 #include "support/error.h"
 
@@ -23,19 +24,8 @@ Cache::Cache(uint32_t size_bytes, uint32_t assoc, uint32_t line_bytes)
 }
 
 bool
-Cache::access(uint32_t addr, bool is_write)
+Cache::accessSearch(uint32_t line_addr, bool is_write)
 {
-    ++stats_.accesses;
-    ++tick_;
-    uint32_t line_addr = lineOf(addr);
-    // Same-line fast path: sequential fetch and streaming data hit
-    // the line they just touched; skip the way search.
-    if (line_addr == lastLineAddr_) {
-        Line &l = lines_[lastIdx_];
-        l.lastUse = tick_;
-        l.dirty |= is_write;
-        return true;
-    }
     uint32_t base = setBase(line_addr);
     uint32_t tag = tagOf(line_addr);
     Line *ways = &lines_[base];
@@ -44,8 +34,7 @@ Cache::access(uint32_t addr, bool is_write)
         if (ways[w].valid && ways[w].tag == tag) {
             ways[w].lastUse = tick_;
             ways[w].dirty |= is_write;
-            lastLineAddr_ = line_addr;
-            lastIdx_ = base + w;
+            remember(line_addr, base + w);
             return true;
         }
     }
@@ -65,11 +54,11 @@ Cache::access(uint32_t addr, bool is_write)
         ++stats_.writebacks;
     ways[victim] = Line{true, is_write, tag, tick_};
     ++fillGen_; // Invalidates every recorded (address, slot) pin.
-    // The fill may have evicted the memoized line; re-point the memo
-    // at the line just installed so it can never reference a stale
-    // (line_addr, index) pair.
-    lastLineAddr_ = line_addr;
-    lastIdx_ = base + victim;
+    // Remembering the new line drops the older remembered one; the
+    // other moves second, and the fill may just have evicted it.
+    remember(line_addr, base + victim);
+    if (recent_[1].slot == base + victim)
+        recent_[1].line = Recent::kNoLine;
     return false;
 }
 
@@ -77,8 +66,8 @@ bool
 Cache::peek(uint32_t addr) const
 {
     uint32_t line_addr = lineOf(addr);
-    // The memoized line is resident by invariant; no state to update.
-    if (line_addr == lastLineAddr_)
+    // Remembered lines are resident by invariant.
+    if (line_addr == recent_[0].line || line_addr == recent_[1].line)
         return true;
     uint32_t tag = tagOf(line_addr);
     const Line *ways = &lines_[setBase(line_addr)];
@@ -102,23 +91,15 @@ Cache::residentSlotOf(uint32_t addr) const
 }
 
 void
-Cache::commitHitsAt(uint32_t slot, uint64_t count)
-{
-    stats_.accesses += count;
-    tick_ += count;
-    lines_[slot].lastUse = tick_;
-}
-
-void
 Cache::commitHits(uint32_t addr, uint64_t count)
 {
     uint32_t line_addr = lineOf(addr);
-    if (line_addr == lastLineAddr_) {
-        // Replayed blocks commit the same line(s) back to back; skip
-        // the way search like access() does.
-        stats_.accesses += count;
-        tick_ += count;
-        lines_[lastIdx_].lastUse = tick_;
+    // Replayed blocks commit the same line(s) back to back; skip the
+    // way search like access() does.
+    if (line_addr == recent_[1].line)
+        std::swap(recent_[0], recent_[1]);
+    if (line_addr == recent_[0].line) {
+        commitHitsAt(recent_[0].slot, count);
         return;
     }
     uint32_t base = setBase(line_addr);
@@ -126,13 +107,10 @@ Cache::commitHits(uint32_t addr, uint64_t count)
     Line *ways = &lines_[base];
     for (uint32_t w = 0; w < assoc_; ++w) {
         if (ways[w].valid && ways[w].tag == tag) {
-            stats_.accesses += count;
-            tick_ += count;
             // count back-to-back hits leave lastUse at the final
             // tick, exactly as the per-access loop would.
-            ways[w].lastUse = tick_;
-            lastLineAddr_ = line_addr;
-            lastIdx_ = base + w;
+            commitHitsAt(base + w, count);
+            remember(line_addr, base + w);
             return;
         }
     }
@@ -162,14 +140,6 @@ MemoryHierarchy::fetch(uint32_t addr)
     if (l1i_.access(addr, false))
         return 0;
     return missPath(addr, false);
-}
-
-uint32_t
-MemoryHierarchy::data(uint32_t addr, bool is_write)
-{
-    if (l1d_.access(addr, is_write))
-        return 0;
-    return missPath(addr, is_write);
 }
 
 bool
@@ -253,17 +223,6 @@ MemoryHierarchy::fetchPin(std::span<const FetchSeg> segs,
         }
     }
     pin.cnt = n;
-}
-
-void
-MemoryHierarchy::fetchCommitPinned(const FetchPin &pin,
-                                   uint64_t repeat)
-{
-    // Per-slot bulk hits in line order: same final tick, stats and
-    // relative LRU order as the per-traversal commits (nothing else
-    // touches L1I in between — the fetchRangeCommit argument).
-    for (uint32_t j = 0; j < pin.cnt; ++j)
-        l1i_.commitHitsAt(pin.slot[j], pin.insts[j] * repeat);
 }
 
 } // namespace bitspec

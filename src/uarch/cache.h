@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace bitspec
@@ -40,9 +41,26 @@ class Cache
     /**
      * Access @p addr; returns true on hit. Misses fill the line
      * (write-allocate); evicted dirty lines count as writebacks.
-     * @p is_write marks the line dirty.
+     * @p is_write marks the line dirty. A hit on a remembered line is
+     * inline; the way search and the fill are not.
      */
-    bool access(uint32_t addr, bool is_write);
+    bool
+    access(uint32_t addr, bool is_write)
+    {
+        ++stats_.accesses;
+        ++tick_;
+        const uint32_t line_addr = lineOf(addr);
+        if (line_addr == recent_[0].line) {
+            touch(recent_[0].slot, is_write);
+            return true;
+        }
+        if (line_addr == recent_[1].line) {
+            std::swap(recent_[0], recent_[1]);
+            touch(recent_[0].slot, is_write);
+            return true;
+        }
+        return accessSearch(line_addr, is_write);
+    }
 
     /** True when the line holding @p addr is resident. Pure probe: no
      *  stats, no LRU update (the fast engine's replay guard). */
@@ -69,7 +87,13 @@ class Cache
     /** commitHits without the way search: record @p count hits
      *  directly on slot @p slot. Callers prove residency via an
      *  unchanged fillGen() since residentSlotOf returned the slot. */
-    void commitHitsAt(uint32_t slot, uint64_t count);
+    void
+    commitHitsAt(uint32_t slot, uint64_t count)
+    {
+        stats_.accesses += count;
+        tick_ += count;
+        lines_[slot].lastUse = tick_;
+    }
 
     const CacheStats &stats() const { return stats_; }
     void resetStats() { stats_ = CacheStats{}; }
@@ -98,6 +122,27 @@ class Cache
         return line_addr >> setShift_;
     }
 
+    /** An access hit on resident slot @p slot. */
+    void
+    touch(uint32_t slot, bool is_write)
+    {
+        Line &l = lines_[slot];
+        l.lastUse = tick_;
+        l.dirty |= is_write;
+    }
+
+    /** access() past the remembered lines: way search, then fill. */
+    bool accessSearch(uint32_t line_addr, bool is_write);
+
+    /** Make (@p line_addr, @p slot) the most recent remembered line;
+     *  the older of the two is dropped. */
+    void
+    remember(uint32_t line_addr, uint32_t slot)
+    {
+        recent_[1] = recent_[0];
+        recent_[0] = {line_addr, slot};
+    }
+
     uint32_t assoc_;
     uint32_t lineBytes_;
     uint32_t lineShift_; ///< log2(lineBytes_).
@@ -107,12 +152,21 @@ class Cache
     uint64_t tick_ = 0;
     uint64_t fillGen_ = 0;
     CacheStats stats_;
-    /** Most-recently-touched line memo: back-to-back accesses to the
-     *  same line (sequential fetch, streaming data) skip the way
-     *  search. lines_[lastIdx_] holds lastLineAddr_ whenever the memo
-     *  is set; every fill re-points it, so it can never go stale. */
-    uint32_t lastLineAddr_ = 0xffffffffu;
-    uint32_t lastIdx_ = 0;
+    /** The last two distinct lines touched by access() or
+     *  commitHits(), most recent first: accesses that alternate
+     *  between two lines (a spill slot and an image row, sequential
+     *  fetch, streaming data) skip the way search. lines_[slot] holds
+     *  a remembered line whenever line != kNoLine. A fill remembers
+     *  the line it installs, which drops the older entry, and forgets
+     *  the other one when the fill evicted it, so neither can go
+     *  stale. */
+    struct Recent
+    {
+        static constexpr uint32_t kNoLine = 0xffffffffu; ///< Matches no line.
+        uint32_t line = kNoLine;
+        uint32_t slot = 0;
+    };
+    Recent recent_[2];
 };
 
 /** DRAM access counters (latency/energy applied by the core model). */
@@ -135,7 +189,13 @@ class MemoryHierarchy
 
     /** Data access; returns the added stall cycles beyond the L1 hit
      *  pipeline latency. */
-    uint32_t data(uint32_t addr, bool is_write);
+    uint32_t
+    data(uint32_t addr, bool is_write)
+    {
+        if (l1d_.access(addr, is_write))
+            return 0;
+        return missPath(addr, is_write);
+    }
 
     /** True when every I-line covering [@p first_addr, @p last_addr]
      *  is L1I-resident (no state change; fast-engine replay guard). */
@@ -203,8 +263,16 @@ class MemoryHierarchy
     void fetchPin(std::span<const FetchSeg> segs, FetchPin &pin) const;
 
     /** Commit @p repeat traversals of a pinned footprint; the pin
-     *  must be valid (pin.gen == l1iFillGen()). */
-    void fetchCommitPinned(const FetchPin &pin, uint64_t repeat);
+     *  must be valid (pin.gen == l1iFillGen()). Per-slot bulk hits in
+     *  line order: same final tick, stats and relative LRU order as
+     *  the per-traversal commits (nothing else touches L1I in between
+     *  — the fetchRangeCommit argument). */
+    void
+    fetchCommitPinned(const FetchPin &pin, uint64_t repeat)
+    {
+        for (uint32_t j = 0; j < pin.cnt; ++j)
+            l1i_.commitHitsAt(pin.slot[j], pin.insts[j] * repeat);
+    }
 
     const CacheStats &l1i() const { return l1i_.stats(); }
     const CacheStats &l1d() const { return l1d_.stats(); }

@@ -3,7 +3,9 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <iterator>
 #include <new>
 
 #include "obs/attribution.h"
@@ -110,6 +112,42 @@ isTerminator(PKind k)
            k == PKind::Ret || k == PKind::Halt;
 }
 
+/** Bit nzcv of the result: whether @p c holds under the flags
+ *  N, Z, C, V = bits 3..0 of nzcv. */
+constexpr uint16_t
+condTruth(Cond c)
+{
+    uint16_t table = 0;
+    for (unsigned nzcv = 0; nzcv < 16; ++nzcv) {
+        const bool n = nzcv & 8, z = nzcv & 4, cf = nzcv & 2,
+                   v = nzcv & 1;
+        bool holds = false;
+        switch (c) {
+          case Cond::AL: holds = true; break;
+          case Cond::EQ: holds = z; break;
+          case Cond::NE: holds = !z; break;
+          case Cond::LO: holds = !cf; break;
+          case Cond::LS: holds = !cf || z; break;
+          case Cond::HI: holds = cf && !z; break;
+          case Cond::HS: holds = cf; break;
+          case Cond::LT: holds = n != v; break;
+          case Cond::LE: holds = z || n != v; break;
+          case Cond::GT: holds = !z && n == v; break;
+          case Cond::GE: holds = n == v; break;
+        }
+        table |= static_cast<uint16_t>(holds << nzcv);
+    }
+    return table;
+}
+
+/** condTruth of every Cond, indexed by its value. */
+constexpr auto kCondTruth = [] {
+    std::array<uint16_t, static_cast<size_t>(Cond::GE) + 1> t{};
+    for (size_t c = 0; c < t.size(); ++c)
+        t[c] = condTruth(static_cast<Cond>(c));
+    return t;
+}();
+
 } // namespace
 
 FastCore::MappedBytes::MappedBytes(size_t size)
@@ -185,20 +223,9 @@ FastCore::invalidateMemos()
 bool
 FastCore::condHolds(Cond c) const
 {
-    switch (c) {
-      case Cond::AL: return true;
-      case Cond::EQ: return flags_.z;
-      case Cond::NE: return !flags_.z;
-      case Cond::LO: return !flags_.c;
-      case Cond::LS: return !flags_.c || flags_.z;
-      case Cond::HI: return flags_.c && !flags_.z;
-      case Cond::HS: return flags_.c;
-      case Cond::LT: return flags_.n != flags_.v;
-      case Cond::LE: return flags_.z || flags_.n != flags_.v;
-      case Cond::GT: return !flags_.z && flags_.n == flags_.v;
-      case Cond::GE: return flags_.n == flags_.v;
-    }
-    panic("condHolds: bad cond");
+    const unsigned nzcv = flags_.n << 3 | flags_.z << 2 |
+                          flags_.c << 1 | flags_.v;
+    return kCondTruth[static_cast<size_t>(c)] >> nzcv & 1;
 }
 
 uint32_t
@@ -342,15 +369,12 @@ FastCore::buildMemo(uint32_t start) const
 
             if (p.kind == PKind::Branch) {
                 // Interior jump: static and always taken. It reads no
-                // register and writes none.
+                // register and writes none, so it has no micro-op.
                 pi.issueOff = static_cast<uint32_t>(rel);
                 rel += kBranchPenalty;
                 addContrib(m.delta, p.contrib);
                 ++m.delta.takenBranches;
                 m.per.push_back(pi);
-                RunMemo::ROp jump;
-                jump.op = RunMemo::ROp::kNop;
-                m.ops.push_back(jump);
                 continue;
             }
 
@@ -395,7 +419,22 @@ FastCore::buildMemo(uint32_t start) const
             else if (p.dstWrite == 2)
                 ++m.delta.rfWrite8;
             m.per.push_back(pi);
-            m.ops.push_back(translateOp(p, ready_off, write_reg));
+            RunMemo::ROp op = translateOp(p, ready_off, write_reg);
+            op.body = static_cast<uint16_t>(m.per.size() - 1);
+            RunMemo::ROp *prev = m.ops.empty() ? nullptr : &m.ops.back();
+            if (op.op == RunMemo::ROp::kMovtI && prev &&
+                prev->op == RunMemo::ROp::kMovI && prev->dst == op.dst) {
+                // MOVW or MOV #imm, then MOVT of the same register:
+                // neither can diverge and the MOVT is the register's
+                // last write, so one op loading the whole constant
+                // with the MOVT's scoreboard effect is exact.
+                prev->imm = op.imm << 16 | (prev->imm & 0xffff);
+                prev->readyOff = op.readyOff;
+                prev->writeReg = op.writeReg;
+                prev->body = op.body;
+                continue;
+            }
+            m.ops.push_back(op);
         }
     }
 
@@ -413,6 +452,9 @@ FastCore::buildMemo(uint32_t start) const
     m.termTarget = t.target;
 
     m.len = static_cast<uint32_t>(m.per.size());
+    RunMemo::ROp end;
+    end.op = RunMemo::ROp::kEnd;
+    m.ops.push_back(end);
     m.bodyCycles = rel;
     m.maxReadyOff = maxReadyOff;
     m.fuelCost = m.len + 1;
@@ -822,6 +864,31 @@ uint32_t
 FastCore::replay(RunMemo &m0)
 {
     using ROp = RunMemo::ROp;
+    // Threaded dispatch (Ertl & Gregg, JILP 2003): every handler ends
+    // in its own indirect jump through this table, in ROp::K order.
+    static const void *const kHandlers[] = {
+        &&op_generic, &&op_nop,
+        &&op_add_rr, &&op_add_ri, &&op_sub_rr, &&op_sub_ri, &&op_sub_ir,
+        &&op_and_rr, &&op_and_ri, &&op_orr_rr, &&op_orr_ri,
+        &&op_eor_rr, &&op_eor_ri,
+        &&op_lsl_rr, &&op_lsl_ri, &&op_lsr_rr, &&op_lsr_ri,
+        &&op_asr_rr, &&op_asr_ri,
+        &&op_mul_rr, &&op_mul_ri, &&op_mov_r, &&op_mov_i, &&op_mvn_r,
+        &&op_movt_i,
+        &&op_cmp_rr, &&op_cmp_ri, &&op_cmp_ir,
+        &&op_setcc, &&op_sxth, &&op_uxth, &&op_uxt8, &&op_sxt8,
+        &&op_load_w_rr, &&op_load_w_ri,
+        &&op_add8_rr, &&op_add8_ri, &&op_sub8_rr, &&op_sub8_ri,
+        &&op_cmp8_rr, &&op_cmp8_ri, &&op_cmp8_ir,
+        &&op_mov8_r, &&op_mov8_i,
+        &&op_load_b_rr, &&op_load_b_ri, &&op_load_b8_rr, &&op_load_b8_ri,
+        &&op_store_w_rr, &&op_store_w_ri, &&op_store_b_rr,
+        &&op_store_b_ri,
+        &&op_end,
+    };
+    static_assert(std::size(kHandlers) == ROp::kNumOps,
+                  "one replay handler per ROp::K");
+
     RunMemo *mp = &m0; // Re-pointed when block chaining continues.
     uint64_t entry = cycle_;
     const PInst *insts = pre_.insts().data();
@@ -830,428 +897,467 @@ FastCore::replay(RunMemo &m0)
     // committed by flushIters on every exit path.
     uint64_t iters = 0;
     uint32_t next = 0; // Successor index for the chaining exit.
+    const ROp *r = nullptr; // The executing op.
+
+    // Retire *op: its branchless scoreboard store (no-write ops target
+    // the scratch slot), then step to the next op and return its
+    // handler. The op pointer and entry cycle are parameters, not
+    // by-reference captures, which would keep both in memory.
+    auto retire = [this](const ROp *&op, uint64_t entry_cycle) {
+        readyAt_[op->writeReg] = entry_cycle + op->readyOff;
+        ++op;
+        return kHandlers[op->op];
+    };
+    // A load's or store's D-access, then the slow path's
+    // out-of-bounds fatal.
+    auto loadAccess = [this](uint32_t addr, unsigned bytes) {
+        const uint32_t stall = mem_.data(addr, false);
+        if (static_cast<uint64_t>(addr) + bytes > dataMem_.size())
+            loadData(addr, bytes);
+        return stall;
+    };
+    auto storeAccess = [this](uint32_t addr, unsigned bytes) {
+        const uint32_t stall = mem_.data(addr, true);
+        if (static_cast<uint64_t>(addr) + bytes > dataMem_.size())
+            storeData(addr, 0, bytes);
+        return stall;
+    };
 
   iterate:
-    for (uint32_t i = 0; i < mp->len; ++i) {
-        const ROp &r = mp->ops[i];
-        switch (r.op) {
-          case ROp::kNop:
-            break;
-          case ROp::kAddRR:
-            regs[r.dst] = regs[r.a] + regs[r.b];
-            break;
-          case ROp::kAddRI:
-            regs[r.dst] = regs[r.a] + r.imm;
-            break;
-          case ROp::kSubRR:
-            regs[r.dst] = regs[r.a] - regs[r.b];
-            break;
-          case ROp::kSubRI:
-            regs[r.dst] = regs[r.a] - r.imm;
-            break;
-          case ROp::kSubIR:
-            regs[r.dst] = r.imm - regs[r.a];
-            break;
-          case ROp::kAndRR:
-            regs[r.dst] = regs[r.a] & regs[r.b];
-            break;
-          case ROp::kAndRI:
-            regs[r.dst] = regs[r.a] & r.imm;
-            break;
-          case ROp::kOrrRR:
-            regs[r.dst] = regs[r.a] | regs[r.b];
-            break;
-          case ROp::kOrrRI:
-            regs[r.dst] = regs[r.a] | r.imm;
-            break;
-          case ROp::kEorRR:
-            regs[r.dst] = regs[r.a] ^ regs[r.b];
-            break;
-          case ROp::kEorRI:
-            regs[r.dst] = regs[r.a] ^ r.imm;
-            break;
-          case ROp::kLslRR: {
-            uint32_t s = regs[r.b];
-            regs[r.dst] = s >= 32 ? 0 : regs[r.a] << s;
-            break;
-          }
-          case ROp::kLslRI:
-            regs[r.dst] = r.imm >= 32 ? 0 : regs[r.a] << r.imm;
-            break;
-          case ROp::kLsrRR: {
-            uint32_t s = regs[r.b];
-            regs[r.dst] = s >= 32 ? 0 : regs[r.a] >> s;
-            break;
-          }
-          case ROp::kLsrRI:
-            regs[r.dst] = r.imm >= 32 ? 0 : regs[r.a] >> r.imm;
-            break;
-          case ROp::kAsrRR: {
-            uint32_t s = regs[r.b];
-            int32_t a = static_cast<int32_t>(regs[r.a]);
-            regs[r.dst] = s >= 32
-                              ? (a < 0 ? ~0u : 0)
-                              : static_cast<uint32_t>(a >> s);
-            break;
-          }
-          case ROp::kAsrRI: {
-            int32_t a = static_cast<int32_t>(regs[r.a]);
-            regs[r.dst] = r.imm >= 32
-                              ? (a < 0 ? ~0u : 0)
-                              : static_cast<uint32_t>(a >> r.imm);
-            break;
-          }
-          case ROp::kMulRR:
-            regs[r.dst] = regs[r.a] * regs[r.b];
-            break;
-          case ROp::kMulRI:
-            regs[r.dst] = regs[r.a] * r.imm;
-            break;
-          case ROp::kMovR:
-            regs[r.dst] = regs[r.a];
-            break;
-          case ROp::kMovI:
-            regs[r.dst] = r.imm;
-            break;
-          case ROp::kMvnR:
-            regs[r.dst] = ~regs[r.a];
-            break;
-          case ROp::kMovtI:
-            regs[r.dst] = (r.imm << 16) | (regs[r.dst] & 0xffff);
-            break;
-          case ROp::kCmpRR:
-            setFlagsSub(regs[r.a], regs[r.b], 32);
-            break;
-          case ROp::kCmpRI:
-            setFlagsSub(regs[r.a], r.imm, 32);
-            break;
-          case ROp::kCmpIR:
-            setFlagsSub(r.imm, regs[r.b], 32);
-            break;
-          case ROp::kSetcc:
-            regs[r.dst] =
-                condHolds(static_cast<Cond>(r.imm)) ? 1 : 0;
-            break;
-          case ROp::kSxth:
-            regs[r.dst] = static_cast<uint32_t>(
-                sextFrom(regs[r.a], 16));
-            break;
-          case ROp::kUxth:
-            regs[r.dst] = regs[r.a] & 0xffff;
-            break;
-          case ROp::kUxt8:
-            regs[r.dst] = sliceByte(regs[r.a], r.sh, ROp::kShA);
-            break;
-          case ROp::kSxt8:
-            regs[r.dst] = static_cast<uint32_t>(
-                sextFrom(sliceByte(regs[r.a], r.sh, ROp::kShA), 8));
-            break;
-          case ROp::kAdd8RR:
-          case ROp::kAdd8RI: {
-            uint32_t full = sliceByte(regs[r.a], r.sh, ROp::kShA) +
-                            (r.op == ROp::kAdd8RR
-                                 ? sliceByte(regs[r.b], r.sh, ROp::kShB)
-                                 : r.imm);
-            if ((r.sh & ROp::kSpec) && full > 0xff)
-                goto generic; // Carry out: misspeculation.
-            mergeByte(regs[r.dst], full & 0xff, r.sh);
-            break;
-          }
-          case ROp::kSub8RR:
-          case ROp::kSub8RI: {
-            uint32_t a = sliceByte(regs[r.a], r.sh, ROp::kShA);
-            uint32_t b = r.op == ROp::kSub8RR
-                             ? sliceByte(regs[r.b], r.sh, ROp::kShB)
-                             : r.imm;
-            if ((r.sh & ROp::kSpec) && a < b)
-                goto generic; // Borrow: misspeculation.
-            mergeByte(regs[r.dst], (a - b) & 0xff, r.sh);
-            break;
-          }
-          case ROp::kCmp8RR:
-            setFlagsSub(sliceByte(regs[r.a], r.sh, ROp::kShA),
-                        sliceByte(regs[r.b], r.sh, ROp::kShB), 8);
-            break;
-          case ROp::kCmp8RI:
-            setFlagsSub(sliceByte(regs[r.a], r.sh, ROp::kShA), r.imm,
-                        8);
-            break;
-          case ROp::kCmp8IR:
-            setFlagsSub(r.imm, sliceByte(regs[r.b], r.sh, ROp::kShB),
-                        8);
-            break;
-          case ROp::kMov8R:
-            mergeByte(regs[r.dst], sliceByte(regs[r.a], r.sh, ROp::kShA),
-                      r.sh);
-            break;
-          case ROp::kMov8I:
-            mergeByte(regs[r.dst], r.imm, r.sh);
-            break;
-          case ROp::kLoadWRR:
-          case ROp::kLoadWRI:
-          case ROp::kLoadBRR:
-          case ROp::kLoadBRI:
-          case ROp::kLoadB8RR:
-          case ROp::kLoadB8RI: {
-            const bool rr = r.op == ROp::kLoadWRR ||
-                            r.op == ROp::kLoadBRR ||
-                            r.op == ROp::kLoadB8RR;
-            const bool word =
-                r.op == ROp::kLoadWRR || r.op == ROp::kLoadWRI;
-            const unsigned bytes = word ? 4 : 1;
-            uint32_t addr = regs[r.a] + (rr ? regs[r.b] : r.imm);
-            uint32_t stall = mem_.data(addr, false);
-            if (static_cast<uint64_t>(addr) + bytes > dataMem_.size())
-                loadData(addr, bytes); // Same out-of-bounds fatal.
-            if (word) {
-                uint32_t v;
-                std::memcpy(&v, dataMem_.data() + addr, 4);
-                regs[r.dst] = v;
-            } else if (r.op == ROp::kLoadBRR || r.op == ROp::kLoadBRI) {
-                regs[r.dst] = dataMem_[addr];
-            } else {
-                mergeByte(regs[r.dst], dataMem_[addr], r.sh);
-            }
-            if (stall)
-                return divergeLoadMiss(*mp, i, iters, entry, stall);
-            break;
-          }
-          case ROp::kStoreWRR:
-          case ROp::kStoreWRI:
-          case ROp::kStoreBRR:
-          case ROp::kStoreBRI: {
-            const bool rr =
-                r.op == ROp::kStoreWRR || r.op == ROp::kStoreBRR;
-            const bool word =
-                r.op == ROp::kStoreWRR || r.op == ROp::kStoreWRI;
-            const unsigned bytes = word ? 4 : 1;
-            uint32_t addr = regs[r.a] + (rr ? regs[r.b] : r.imm);
-            uint32_t stall = mem_.data(addr, true);
-            if (static_cast<uint64_t>(addr) + bytes > dataMem_.size())
-                storeData(addr, 0, bytes); // Same out-of-bounds fatal.
-            if (word)
-                std::memcpy(dataMem_.data() + addr, &regs[r.dst], 4);
-            else
-                dataMem_[addr] = static_cast<uint8_t>(
-                    sliceByte(regs[r.dst], r.sh, ROp::kShDst));
-            if (stall) // Store misses advance the cycle itself.
-                return diverge(*mp, i, iters, entry, stall, false);
-            break;
-          }
-          default:
-          generic: { // kGeneric: the original PInst handler.
-        const PInst &p = insts[mp->per[i].flat];
-        switch (p.kind) {
-          case PKind::AluAdd:
-            writeDst(p.dst, regs,
-                     readSrc(p.a, regs) + readSrc(p.b, regs));
-            break;
-          case PKind::AluSub:
-            writeDst(p.dst, regs,
-                     readSrc(p.a, regs) - readSrc(p.b, regs));
-            break;
-          case PKind::AluAnd:
-            writeDst(p.dst, regs,
-                     readSrc(p.a, regs) & readSrc(p.b, regs));
-            break;
-          case PKind::AluOrr:
-            writeDst(p.dst, regs,
-                     readSrc(p.a, regs) | readSrc(p.b, regs));
-            break;
-          case PKind::AluEor:
-            writeDst(p.dst, regs,
-                     readSrc(p.a, regs) ^ readSrc(p.b, regs));
-            break;
-          case PKind::AluLsl: {
-            uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
-            writeDst(p.dst, regs, b >= 32 ? 0 : a << b);
-            break;
-          }
-          case PKind::AluLsr: {
-            uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
-            writeDst(p.dst, regs, b >= 32 ? 0 : a >> b);
-            break;
-          }
-          case PKind::AluAsr: {
-            uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
-            writeDst(p.dst, regs,
-                     b >= 32
-                         ? (static_cast<int32_t>(a) < 0 ? ~0u : 0)
+    r = mp->ops.data();
+    goto *kHandlers[r->op];
+
+  op_nop:
+    goto *retire(r, entry);
+  op_add_rr:
+    regs[r->dst] = regs[r->a] + regs[r->b];
+    goto *retire(r, entry);
+  op_add_ri:
+    regs[r->dst] = regs[r->a] + r->imm;
+    goto *retire(r, entry);
+  op_sub_rr:
+    regs[r->dst] = regs[r->a] - regs[r->b];
+    goto *retire(r, entry);
+  op_sub_ri:
+    regs[r->dst] = regs[r->a] - r->imm;
+    goto *retire(r, entry);
+  op_sub_ir:
+    regs[r->dst] = r->imm - regs[r->a];
+    goto *retire(r, entry);
+  op_and_rr:
+    regs[r->dst] = regs[r->a] & regs[r->b];
+    goto *retire(r, entry);
+  op_and_ri:
+    regs[r->dst] = regs[r->a] & r->imm;
+    goto *retire(r, entry);
+  op_orr_rr:
+    regs[r->dst] = regs[r->a] | regs[r->b];
+    goto *retire(r, entry);
+  op_orr_ri:
+    regs[r->dst] = regs[r->a] | r->imm;
+    goto *retire(r, entry);
+  op_eor_rr:
+    regs[r->dst] = regs[r->a] ^ regs[r->b];
+    goto *retire(r, entry);
+  op_eor_ri:
+    regs[r->dst] = regs[r->a] ^ r->imm;
+    goto *retire(r, entry);
+  op_lsl_rr: {
+    const uint32_t s = regs[r->b];
+    regs[r->dst] = s >= 32 ? 0 : regs[r->a] << s;
+    goto *retire(r, entry);
+  }
+  op_lsl_ri:
+    regs[r->dst] = r->imm >= 32 ? 0 : regs[r->a] << r->imm;
+    goto *retire(r, entry);
+  op_lsr_rr: {
+    const uint32_t s = regs[r->b];
+    regs[r->dst] = s >= 32 ? 0 : regs[r->a] >> s;
+    goto *retire(r, entry);
+  }
+  op_lsr_ri:
+    regs[r->dst] = r->imm >= 32 ? 0 : regs[r->a] >> r->imm;
+    goto *retire(r, entry);
+  op_asr_rr: {
+    const uint32_t s = regs[r->b];
+    const int32_t a = static_cast<int32_t>(regs[r->a]);
+    regs[r->dst] = s >= 32 ? (a < 0 ? ~0u : 0)
+                           : static_cast<uint32_t>(a >> s);
+    goto *retire(r, entry);
+  }
+  op_asr_ri: {
+    const int32_t a = static_cast<int32_t>(regs[r->a]);
+    regs[r->dst] = r->imm >= 32 ? (a < 0 ? ~0u : 0)
+                                : static_cast<uint32_t>(a >> r->imm);
+    goto *retire(r, entry);
+  }
+  op_mul_rr:
+    regs[r->dst] = regs[r->a] * regs[r->b];
+    goto *retire(r, entry);
+  op_mul_ri:
+    regs[r->dst] = regs[r->a] * r->imm;
+    goto *retire(r, entry);
+  op_mov_r:
+    regs[r->dst] = regs[r->a];
+    goto *retire(r, entry);
+  op_mov_i:
+    regs[r->dst] = r->imm;
+    goto *retire(r, entry);
+  op_mvn_r:
+    regs[r->dst] = ~regs[r->a];
+    goto *retire(r, entry);
+  op_movt_i:
+    regs[r->dst] = (r->imm << 16) | (regs[r->dst] & 0xffff);
+    goto *retire(r, entry);
+  op_cmp_rr:
+    setFlagsSub(regs[r->a], regs[r->b], 32);
+    goto *retire(r, entry);
+  op_cmp_ri:
+    setFlagsSub(regs[r->a], r->imm, 32);
+    goto *retire(r, entry);
+  op_cmp_ir:
+    setFlagsSub(r->imm, regs[r->b], 32);
+    goto *retire(r, entry);
+  op_setcc:
+    regs[r->dst] = condHolds(static_cast<Cond>(r->imm)) ? 1 : 0;
+    goto *retire(r, entry);
+  op_sxth:
+    regs[r->dst] = static_cast<uint32_t>(sextFrom(regs[r->a], 16));
+    goto *retire(r, entry);
+  op_uxth:
+    regs[r->dst] = regs[r->a] & 0xffff;
+    goto *retire(r, entry);
+  op_uxt8:
+    regs[r->dst] = sliceByte(regs[r->a], r->sh, ROp::kShA);
+    goto *retire(r, entry);
+  op_sxt8:
+    regs[r->dst] = static_cast<uint32_t>(
+        sextFrom(sliceByte(regs[r->a], r->sh, ROp::kShA), 8));
+    goto *retire(r, entry);
+  op_add8_rr: {
+    const uint32_t full = sliceByte(regs[r->a], r->sh, ROp::kShA) +
+                          sliceByte(regs[r->b], r->sh, ROp::kShB);
+    if ((r->sh & ROp::kSpec) && full > 0xff)
+        goto op_generic; // Carry out: misspeculation.
+    mergeByte(regs[r->dst], full & 0xff, r->sh);
+    goto *retire(r, entry);
+  }
+  op_add8_ri: {
+    const uint32_t full =
+        sliceByte(regs[r->a], r->sh, ROp::kShA) + r->imm;
+    if ((r->sh & ROp::kSpec) && full > 0xff)
+        goto op_generic; // Carry out: misspeculation.
+    mergeByte(regs[r->dst], full & 0xff, r->sh);
+    goto *retire(r, entry);
+  }
+  op_sub8_rr: {
+    const uint32_t a = sliceByte(regs[r->a], r->sh, ROp::kShA);
+    const uint32_t b = sliceByte(regs[r->b], r->sh, ROp::kShB);
+    if ((r->sh & ROp::kSpec) && a < b)
+        goto op_generic; // Borrow: misspeculation.
+    mergeByte(regs[r->dst], (a - b) & 0xff, r->sh);
+    goto *retire(r, entry);
+  }
+  op_sub8_ri: {
+    const uint32_t a = sliceByte(regs[r->a], r->sh, ROp::kShA);
+    if ((r->sh & ROp::kSpec) && a < r->imm)
+        goto op_generic; // Borrow: misspeculation.
+    mergeByte(regs[r->dst], (a - r->imm) & 0xff, r->sh);
+    goto *retire(r, entry);
+  }
+  op_cmp8_rr:
+    setFlagsSub(sliceByte(regs[r->a], r->sh, ROp::kShA),
+                sliceByte(regs[r->b], r->sh, ROp::kShB), 8);
+    goto *retire(r, entry);
+  op_cmp8_ri:
+    setFlagsSub(sliceByte(regs[r->a], r->sh, ROp::kShA), r->imm, 8);
+    goto *retire(r, entry);
+  op_cmp8_ir:
+    setFlagsSub(r->imm, sliceByte(regs[r->b], r->sh, ROp::kShB), 8);
+    goto *retire(r, entry);
+  op_mov8_r:
+    mergeByte(regs[r->dst], sliceByte(regs[r->a], r->sh, ROp::kShA),
+              r->sh);
+    goto *retire(r, entry);
+  op_mov8_i:
+    mergeByte(regs[r->dst], r->imm, r->sh);
+    goto *retire(r, entry);
+  op_load_w_rr: {
+    const uint32_t addr = regs[r->a] + regs[r->b];
+    const uint32_t stall = loadAccess(addr, 4);
+    std::memcpy(&regs[r->dst], dataMem_.data() + addr, 4);
+    if (stall)
+        return divergeLoadMiss(*mp, r->body, iters, entry, stall);
+    goto *retire(r, entry);
+  }
+  op_load_w_ri: {
+    const uint32_t addr = regs[r->a] + r->imm;
+    const uint32_t stall = loadAccess(addr, 4);
+    std::memcpy(&regs[r->dst], dataMem_.data() + addr, 4);
+    if (stall)
+        return divergeLoadMiss(*mp, r->body, iters, entry, stall);
+    goto *retire(r, entry);
+  }
+  op_load_b_rr: {
+    const uint32_t addr = regs[r->a] + regs[r->b];
+    const uint32_t stall = loadAccess(addr, 1);
+    regs[r->dst] = dataMem_[addr];
+    if (stall)
+        return divergeLoadMiss(*mp, r->body, iters, entry, stall);
+    goto *retire(r, entry);
+  }
+  op_load_b_ri: {
+    const uint32_t addr = regs[r->a] + r->imm;
+    const uint32_t stall = loadAccess(addr, 1);
+    regs[r->dst] = dataMem_[addr];
+    if (stall)
+        return divergeLoadMiss(*mp, r->body, iters, entry, stall);
+    goto *retire(r, entry);
+  }
+  op_load_b8_rr: {
+    const uint32_t addr = regs[r->a] + regs[r->b];
+    const uint32_t stall = loadAccess(addr, 1);
+    mergeByte(regs[r->dst], dataMem_[addr], r->sh);
+    if (stall)
+        return divergeLoadMiss(*mp, r->body, iters, entry, stall);
+    goto *retire(r, entry);
+  }
+  op_load_b8_ri: {
+    const uint32_t addr = regs[r->a] + r->imm;
+    const uint32_t stall = loadAccess(addr, 1);
+    mergeByte(regs[r->dst], dataMem_[addr], r->sh);
+    if (stall)
+        return divergeLoadMiss(*mp, r->body, iters, entry, stall);
+    goto *retire(r, entry);
+  }
+  op_store_w_rr: {
+    const uint32_t addr = regs[r->a] + regs[r->b];
+    const uint32_t stall = storeAccess(addr, 4);
+    std::memcpy(dataMem_.data() + addr, &regs[r->dst], 4);
+    if (stall) // Store misses advance the cycle itself.
+        return diverge(*mp, r->body, iters, entry, stall, false);
+    goto *retire(r, entry);
+  }
+  op_store_w_ri: {
+    const uint32_t addr = regs[r->a] + r->imm;
+    const uint32_t stall = storeAccess(addr, 4);
+    std::memcpy(dataMem_.data() + addr, &regs[r->dst], 4);
+    if (stall)
+        return diverge(*mp, r->body, iters, entry, stall, false);
+    goto *retire(r, entry);
+  }
+  op_store_b_rr: {
+    const uint32_t addr = regs[r->a] + regs[r->b];
+    const uint32_t stall = storeAccess(addr, 1);
+    dataMem_[addr] = static_cast<uint8_t>(
+        sliceByte(regs[r->dst], r->sh, ROp::kShDst));
+    if (stall)
+        return diverge(*mp, r->body, iters, entry, stall, false);
+    goto *retire(r, entry);
+  }
+  op_store_b_ri: {
+    const uint32_t addr = regs[r->a] + r->imm;
+    const uint32_t stall = storeAccess(addr, 1);
+    dataMem_[addr] = static_cast<uint8_t>(
+        sliceByte(regs[r->dst], r->sh, ROp::kShDst));
+    if (stall)
+        return diverge(*mp, r->body, iters, entry, stall, false);
+    goto *retire(r, entry);
+  }
+  op_generic: { // The original PInst handler.
+    const uint32_t i = r->body;
+    const PInst &p = insts[mp->per[i].flat];
+    switch (p.kind) {
+      case PKind::AluAdd:
+        writeDst(p.dst, regs, readSrc(p.a, regs) + readSrc(p.b, regs));
+        break;
+      case PKind::AluSub:
+        writeDst(p.dst, regs, readSrc(p.a, regs) - readSrc(p.b, regs));
+        break;
+      case PKind::AluAnd:
+        writeDst(p.dst, regs, readSrc(p.a, regs) & readSrc(p.b, regs));
+        break;
+      case PKind::AluOrr:
+        writeDst(p.dst, regs, readSrc(p.a, regs) | readSrc(p.b, regs));
+        break;
+      case PKind::AluEor:
+        writeDst(p.dst, regs, readSrc(p.a, regs) ^ readSrc(p.b, regs));
+        break;
+      case PKind::AluLsl: {
+        uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
+        writeDst(p.dst, regs, b >= 32 ? 0 : a << b);
+        break;
+      }
+      case PKind::AluLsr: {
+        uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
+        writeDst(p.dst, regs, b >= 32 ? 0 : a >> b);
+        break;
+      }
+      case PKind::AluAsr: {
+        uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
+        writeDst(p.dst, regs,
+                 b >= 32 ? (static_cast<int32_t>(a) < 0 ? ~0u : 0)
                          : static_cast<uint32_t>(
                                static_cast<int32_t>(a) >> b));
-            break;
-          }
-          case PKind::Mul:
-            writeDst(p.dst, regs,
-                     readSrc(p.a, regs) * readSrc(p.b, regs));
-            break;
-          case PKind::Div: {
-            uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
-            if (b == 0) {
-                flushIters(*mp, iters);
-                commitPrefix(*mp, i);
-                applyContrib(p.contrib);
-                ++counters_.instructions;
-                ++executed_;
-                fatal("machine division by zero");
-            }
-            writeDst(p.dst, regs,
-                     p.aux ? static_cast<uint32_t>(
-                                 static_cast<int32_t>(a) /
-                                 static_cast<int32_t>(b))
-                           : a / b);
-            break;
-          }
-          case PKind::Mov:
-            writeDst(p.dst, regs, readSrc(p.a, regs));
-            break;
-          case PKind::MovCond:
-            if (condHolds(p.cond)) {
-                if (!p.a.isImm) {
-                    if (p.a.mask == 0xff)
-                        ++counters_.rfRead8;
-                    else
-                        ++counters_.rfRead32;
-                }
-                writeDst(p.dst, regs, readSrc(p.a, regs));
-                if (p.dst.mask == 0xff)
-                    ++counters_.rfWrite8;
+        break;
+      }
+      case PKind::Mul:
+        writeDst(p.dst, regs, readSrc(p.a, regs) * readSrc(p.b, regs));
+        break;
+      case PKind::Div: {
+        uint32_t a = readSrc(p.a, regs), b = readSrc(p.b, regs);
+        if (b == 0) {
+            flushIters(*mp, iters);
+            commitPrefix(*mp, i);
+            applyContrib(p.contrib);
+            ++counters_.instructions;
+            ++executed_;
+            fatal("machine division by zero");
+        }
+        writeDst(p.dst, regs,
+                 p.aux ? static_cast<uint32_t>(static_cast<int32_t>(a) /
+                                               static_cast<int32_t>(b))
+                       : a / b);
+        break;
+      }
+      case PKind::Mov:
+        writeDst(p.dst, regs, readSrc(p.a, regs));
+        break;
+      case PKind::MovCond:
+        if (condHolds(p.cond)) {
+            if (!p.a.isImm) {
+                if (p.a.mask == 0xff)
+                    ++counters_.rfRead8;
                 else
-                    ++counters_.rfWrite32;
-                readyAt_[p.dst.reg] = entry + mp->per[i].issueOff + 1;
+                    ++counters_.rfRead32;
             }
-            break;
-          case PKind::Mvn:
-            writeDst(p.dst, regs, ~readSrc(p.a, regs));
-            break;
-          case PKind::Movw:
-            writeDst(p.dst, regs, p.a.imm);
-            break;
-          case PKind::Movt: {
-            uint32_t lo = regs[p.dst.reg] & 0xffff;
-            writeDst(p.dst, regs, (p.a.imm << 16) | lo);
-            break;
-          }
-          case PKind::Cmp:
-            setFlagsSub(readSrc(p.a, regs), readSrc(p.b, regs), 32);
-            break;
-          case PKind::Cmp8:
-            setFlagsSub(readSrc(p.a, regs) & 0xff,
-                        readSrc(p.b, regs) & 0xff, 8);
-            break;
-          case PKind::Setcc:
-            writeDst(p.dst, regs, condHolds(p.cond) ? 1 : 0);
-            break;
-          case PKind::Sxth:
-            writeDst(p.dst, regs,
-                     static_cast<uint32_t>(
-                         sextFrom(readSrc(p.a, regs), 16)));
-            break;
-          case PKind::Uxth:
-            writeDst(p.dst, regs, readSrc(p.a, regs) & 0xffff);
-            break;
-          case PKind::Uxt8:
-            writeDst(p.dst, regs, readSrc(p.a, regs) & 0xff);
-            break;
-          case PKind::Sxt8:
-            writeDst(p.dst, regs,
-                     static_cast<uint32_t>(
-                         sextFrom(readSrc(p.a, regs) & 0xff, 8)));
-            break;
-          case PKind::Load: {
-            uint32_t addr =
-                readSrc(p.a, regs) + readSrc(p.b, regs);
-            uint32_t stall = mem_.data(addr, false);
-            writeDst(p.dst, regs, loadData(addr, p.aux));
-            if (stall)
-                return divergeLoadMiss(*mp, i, iters, entry, stall);
-            break;
-          }
-          case PKind::LoadSpec: {
-            uint32_t addr =
-                readSrc(p.a, regs) + readSrc(p.b, regs);
-            uint32_t stall = mem_.data(addr, false);
-            uint32_t v = loadData(addr, p.aux);
-            if (v > 0xff)
-                return diverge(*mp, i, iters, entry,
-                               stall + kMisspecPenalty, true);
-            writeDst(p.dst, regs, v);
-            if (stall)
-                return divergeLoadMiss(*mp, i, iters, entry, stall);
-            break;
-          }
-          case PKind::Store: {
-            uint32_t addr =
-                readSrc(p.a, regs) + readSrc(p.b, regs);
-            uint32_t stall = mem_.data(addr, true);
-            storeData(addr, readSrc(p.dst, regs), p.aux);
-            if (stall) // Store misses advance the cycle itself.
-                return diverge(*mp, i, iters, entry, stall, false);
-            break;
-          }
-          case PKind::Add8: case PKind::Sub8: {
-            uint32_t a = readSrc(p.a, regs) & 0xff;
-            uint32_t b = readSrc(p.b, regs) & 0xff;
-            uint32_t r;
-            bool misspec;
-            if (p.kind == PKind::Add8) {
-                uint32_t full = a + b;
-                misspec = p.aux && full > 0xff;
-                r = full & 0xff;
-            } else {
-                misspec = p.aux && a < b;
-                r = (a - b) & 0xff;
-            }
-            if (misspec)
-                return diverge(*mp, i, iters, entry, kMisspecPenalty,
-                               true);
-            writeDst(p.dst, regs, r);
-            break;
-          }
-          case PKind::Logic8And:
-            writeDst(p.dst, regs,
-                     (readSrc(p.a, regs) & readSrc(p.b, regs)) &
-                         0xff);
-            break;
-          case PKind::Logic8Orr:
-            writeDst(p.dst, regs,
-                     (readSrc(p.a, regs) | readSrc(p.b, regs)) &
-                         0xff);
-            break;
-          case PKind::Logic8Eor:
-            writeDst(p.dst, regs,
-                     (readSrc(p.a, regs) ^ readSrc(p.b, regs)) &
-                         0xff);
-            break;
-          case PKind::Trn8: {
-            uint32_t v = readSrc(p.a, regs);
-            if (p.aux && v > 0xff)
-                return diverge(*mp, i, iters, entry, kMisspecPenalty,
-                               true);
-            writeDst(p.dst, regs, v & 0xff);
-            break;
-          }
-          case PKind::Out:
-            emitOut(readSrc(p.a, regs));
-            break;
-          case PKind::SetDelta:
-            delta_ = p.a.imm;
-            break;
-          case PKind::Mode:
-            classicMode_ = p.aux;
-            break;
-          case PKind::Nop:
-            break;
-          default:
-            panic("replay: unexpected kind in memo body");
+            writeDst(p.dst, regs, readSrc(p.a, regs));
+            if (p.dst.mask == 0xff)
+                ++counters_.rfWrite8;
+            else
+                ++counters_.rfWrite32;
+            readyAt_[p.dst.reg] = entry + mp->per[i].issueOff + 1;
         }
         break;
-          }
+      case PKind::Mvn:
+        writeDst(p.dst, regs, ~readSrc(p.a, regs));
+        break;
+      case PKind::Movw:
+        writeDst(p.dst, regs, p.a.imm);
+        break;
+      case PKind::Movt: {
+        uint32_t lo = regs[p.dst.reg] & 0xffff;
+        writeDst(p.dst, regs, (p.a.imm << 16) | lo);
+        break;
+      }
+      case PKind::Cmp:
+        setFlagsSub(readSrc(p.a, regs), readSrc(p.b, regs), 32);
+        break;
+      case PKind::Cmp8:
+        setFlagsSub(readSrc(p.a, regs) & 0xff, readSrc(p.b, regs) & 0xff,
+                    8);
+        break;
+      case PKind::Setcc:
+        writeDst(p.dst, regs, condHolds(p.cond) ? 1 : 0);
+        break;
+      case PKind::Sxth:
+        writeDst(p.dst, regs,
+                 static_cast<uint32_t>(sextFrom(readSrc(p.a, regs), 16)));
+        break;
+      case PKind::Uxth:
+        writeDst(p.dst, regs, readSrc(p.a, regs) & 0xffff);
+        break;
+      case PKind::Uxt8:
+        writeDst(p.dst, regs, readSrc(p.a, regs) & 0xff);
+        break;
+      case PKind::Sxt8:
+        writeDst(p.dst, regs,
+                 static_cast<uint32_t>(
+                     sextFrom(readSrc(p.a, regs) & 0xff, 8)));
+        break;
+      case PKind::Load: {
+        uint32_t addr = readSrc(p.a, regs) + readSrc(p.b, regs);
+        uint32_t stall = mem_.data(addr, false);
+        writeDst(p.dst, regs, loadData(addr, p.aux));
+        if (stall)
+            return divergeLoadMiss(*mp, i, iters, entry, stall);
+        break;
+      }
+      case PKind::LoadSpec: {
+        uint32_t addr = readSrc(p.a, regs) + readSrc(p.b, regs);
+        uint32_t stall = mem_.data(addr, false);
+        uint32_t v = loadData(addr, p.aux);
+        if (v > 0xff)
+            return diverge(*mp, i, iters, entry, stall + kMisspecPenalty,
+                           true);
+        writeDst(p.dst, regs, v);
+        if (stall)
+            return divergeLoadMiss(*mp, i, iters, entry, stall);
+        break;
+      }
+      case PKind::Store: {
+        uint32_t addr = readSrc(p.a, regs) + readSrc(p.b, regs);
+        uint32_t stall = mem_.data(addr, true);
+        storeData(addr, readSrc(p.dst, regs), p.aux);
+        if (stall) // Store misses advance the cycle itself.
+            return diverge(*mp, i, iters, entry, stall, false);
+        break;
+      }
+      case PKind::Add8: case PKind::Sub8: {
+        uint32_t a = readSrc(p.a, regs) & 0xff;
+        uint32_t b = readSrc(p.b, regs) & 0xff;
+        uint32_t v;
+        bool misspec;
+        if (p.kind == PKind::Add8) {
+            uint32_t full = a + b;
+            misspec = p.aux && full > 0xff;
+            v = full & 0xff;
+        } else {
+            misspec = p.aux && a < b;
+            v = (a - b) & 0xff;
         }
-        // Branchless: no-write instructions target the scratch slot.
-        readyAt_[r.writeReg] = entry + r.readyOff;
+        if (misspec)
+            return diverge(*mp, i, iters, entry, kMisspecPenalty, true);
+        writeDst(p.dst, regs, v);
+        break;
+      }
+      case PKind::Logic8And:
+        writeDst(p.dst, regs,
+                 (readSrc(p.a, regs) & readSrc(p.b, regs)) & 0xff);
+        break;
+      case PKind::Logic8Orr:
+        writeDst(p.dst, regs,
+                 (readSrc(p.a, regs) | readSrc(p.b, regs)) & 0xff);
+        break;
+      case PKind::Logic8Eor:
+        writeDst(p.dst, regs,
+                 (readSrc(p.a, regs) ^ readSrc(p.b, regs)) & 0xff);
+        break;
+      case PKind::Trn8: {
+        uint32_t v = readSrc(p.a, regs);
+        if (p.aux && v > 0xff)
+            return diverge(*mp, i, iters, entry, kMisspecPenalty, true);
+        writeDst(p.dst, regs, v & 0xff);
+        break;
+      }
+      case PKind::Out:
+        emitOut(readSrc(p.a, regs));
+        break;
+      case PKind::SetDelta:
+        delta_ = p.a.imm;
+        break;
+      case PKind::Mode:
+        classicMode_ = p.aux;
+        break;
+      case PKind::Nop:
+        break;
+      default:
+        panic("replay: unexpected kind in memo body");
     }
+    goto *retire(r, entry);
+  }
 
+  op_end:
     // Clean body completion.
     cycle_ = entry + mp->bodyCycles;
     maxReady_ = std::max(maxReady_, entry + mp->maxReadyOff);

@@ -28,12 +28,16 @@
  *    per-instruction cycle costs and scoreboard effects. When the
  *    entry guards hold (operands the schedule assumed ready are
  *    ready, fuel suffices, every I-line is resident), the trace
- *    replays in one sweep: handlers execute only the functional work,
- *    and timing/accounting commit from the memo. D-cache accesses are
- *    still performed for real, so hierarchy state stays exact; the
- *    first dynamic divergence (D-miss, store stall, misspeculation)
- *    commits the prefix from the memo, finishes the diverging
- *    instruction cycle-accurately, and drops back to the slow path.
+ *    replays in one sweep over its micro-ops, threaded: each handler
+ *    does only the functional work and jumps straight to the next
+ *    op's handler, and timing/accounting commit from the memo.
+ *    Interior jumps have no micro-op, a MOVW/MOVT pair on one
+ *    register is one, and a sentinel closes the stream. D-cache
+ *    accesses are still performed for real, so hierarchy state stays
+ *    exact; the first dynamic divergence (D-miss, store stall,
+ *    misspeculation) commits the prefix from the memo, finishes the
+ *    diverging instruction cycle-accurately, and drops back to the
+ *    slow path.
  *
  * A memo's schedule depends only on code geometry, so memos live per
  * FastCore and survive reset(); invalidateMemos() drops them (the
@@ -80,6 +84,7 @@ class FastCore
      *  and a straight run that long falls back to the slow path
      *  (never seen in practice). */
     static constexpr uint32_t kMaxRunLen = 4096;
+    static_assert(kMaxRunLen <= 0xffff, "ROp::body is 16 bits");
 
     /** Dump slot past the architectural registers: replay scoreboard
      *  stores index it for instructions with no scoreboard write, so
@@ -196,19 +201,23 @@ class FastCore
          *  While the L1I fill generation matches, the residency guard
          *  is one compare and the fetch commit a direct stat bump. */
         MemoryHierarchy::FetchPin pin;
-        /** Compact replay micro-op, one per body instruction:
-         *  full-width register/flag operations, word and byte loads
-         *  and stores, and the 8-bit slice operations are
-         *  pre-resolved to direct register-file ops; the rest stays
-         *  Generic and executes the original PInst handler. A slice
-         *  op whose check fires falls back to that handler for the
-         *  one instruction, so every misspeculation diverges there. */
+        /** Compact replay micro-op, one per body instruction but the
+         *  interior jumps (which do nothing at run time) and the MOVT
+         *  of a MOVW/MOV #imm + MOVT pair on one register (the pair
+         *  is one kMovI of the whole constant). Full-width
+         *  register/flag operations, word and byte loads and stores,
+         *  and the 8-bit slice operations are pre-resolved to direct
+         *  register-file ops; the rest stays Generic and executes the
+         *  original PInst handler. A slice op whose check fires falls
+         *  back to that handler for the one instruction, so every
+         *  misspeculation diverges there. */
         struct ROp
         {
+            /** Handler-table order in replay(). */
             enum K : uint8_t
             {
                 kGeneric = 0,
-                kNop, ///< NOP, and the interior jumps of a trace.
+                kNop, ///< NOP.
                 kAddRR, kAddRI, kSubRR, kSubRI, kSubIR,
                 kAndRR, kAndRI, kOrrRR, kOrrRI, kEorRR, kEorRI,
                 kLslRR, kLslRI, kLsrRR, kLsrRI, kAsrRR, kAsrRI,
@@ -226,6 +235,8 @@ class FastCore
                 // Stores: dst names the data register.
                 kStoreWRR, kStoreWRI,
                 kStoreBRR, kStoreBRI, ///< Low byte of a reg or slice.
+                kEnd,    ///< Closes every stream: the clean body exit.
+                kNumOps, ///< Handler count; not an op.
             };
             /** Slice shifts of dst, a, b in ROp::sh, as shift / 8. */
             static constexpr uint8_t kShDst = 0, kShA = 2, kShB = 4;
@@ -241,8 +252,12 @@ class FastCore
              *  instructions — the replay store is branchless. */
             uint8_t writeReg = kScratchReg;
             uint8_t sh = 0;         ///< Packed slice shifts, kSpec.
+            /** Index of the op's body entry in RunMemo::per (the
+             *  MOVT's for a fused pair): where a divergence commits
+             *  its prefix up to and resumes. */
+            uint16_t body = 0;
         };
-        static_assert(sizeof(ROp) == 12, "ROp must stay 12 bytes");
+        static_assert(sizeof(ROp) == 16, "ROp must stay 16 bytes");
 
         struct PerInst
         {
@@ -251,8 +266,8 @@ class FastCore
             uint32_t issueOff = 0;  ///< Cycle offset after issue stall.
             uint8_t cost = 0;       ///< Cycles charged to the sinks.
         };
-        std::vector<PerInst> per;
-        std::vector<ROp> ops; ///< One per body instruction.
+        std::vector<PerInst> per; ///< One per body instruction.
+        std::vector<ROp> ops;     ///< Replayed stream, kEnd last.
     };
 
     bool condHolds(Cond c) const;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "support/error.h"
+#include "support/rng.h"
 #include "uarch/cache.h"
 
 namespace bitspec
@@ -170,6 +173,192 @@ TEST(Hierarchy, FetchRangeResidentNeedsEveryLine)
     EXPECT_TRUE(m.fetchRangeResident(0x400000, 0x40001c));
     // Range extends into the next, unfetched line.
     EXPECT_FALSE(m.fetchRangeResident(0x400000, 0x400020));
+}
+
+/** Reference LRU cache: a full way search on every call and no
+ *  remembered lines. Its victim choice is Cache's: the first invalid
+ *  way after way 0, else the least recently used way (an unfilled way
+ *  0 has lastUse 0). */
+class NaiveLru
+{
+  public:
+    NaiveLru(uint32_t size_bytes, uint32_t assoc, uint32_t line_bytes)
+        : assoc_(assoc), lineBytes_(line_bytes),
+          sets_(size_bytes / (assoc * line_bytes)),
+          lines_(sets_ * assoc)
+    {}
+
+    bool
+    access(uint32_t addr, bool is_write)
+    {
+        ++stats.accesses;
+        ++tick_;
+        touched(addr / lineBytes_);
+        int32_t slot = residentSlotOf(addr);
+        if (slot >= 0) {
+            lines_[slot].lastUse = tick_;
+            lines_[slot].dirty |= is_write;
+            return true;
+        }
+        ++stats.misses;
+        const uint32_t base = (addr / lineBytes_ % sets_) * assoc_;
+        uint32_t victim = assoc_;
+        for (uint32_t w = 1; w < assoc_ && victim == assoc_; ++w)
+            if (!lines_[base + w].valid)
+                victim = w;
+        if (victim == assoc_) {
+            victim = 0;
+            for (uint32_t w = 1; w < assoc_; ++w)
+                if (lines_[base + w].lastUse < lines_[base + victim].lastUse)
+                    victim = w;
+        }
+        Line &l = lines_[base + victim];
+        if (l.valid) {
+            stats.writebacks += l.dirty;
+            // recent_[0] is the line being filled: recent_[1..2] are
+            // the two lines Cache remembered before this access.
+            evictedRecent[0] += l.line == recent_[1];
+            evictedRecent[1] += l.line == recent_[2];
+        }
+        l = Line{true, is_write, addr / lineBytes_, tick_};
+        return false;
+    }
+
+    bool peek(uint32_t addr) const { return residentSlotOf(addr) >= 0; }
+
+    int32_t
+    residentSlotOf(uint32_t addr) const
+    {
+        const uint32_t line = addr / lineBytes_;
+        const uint32_t base = line % sets_ * assoc_;
+        for (uint32_t w = 0; w < assoc_; ++w)
+            if (lines_[base + w].valid && lines_[base + w].line == line)
+                return static_cast<int32_t>(base + w);
+        return -1;
+    }
+
+    /** False (and no effect) when the line is not resident. */
+    bool
+    commitHits(uint32_t addr, uint64_t count)
+    {
+        const int32_t slot = residentSlotOf(addr);
+        if (slot < 0)
+            return false;
+        touched(addr / lineBytes_);
+        commitHitsAt(static_cast<uint32_t>(slot), count);
+        return true;
+    }
+
+    void
+    commitHitsAt(uint32_t slot, uint64_t count)
+    {
+        stats.accesses += count;
+        tick_ += count;
+        lines_[slot].lastUse = tick_;
+    }
+
+    CacheStats stats;
+    /** Fills that evicted the most recently / second most recently
+     *  touched distinct line before the filled one (bookkeeping only:
+     *  no lookup consults it). */
+    uint64_t evictedRecent[2] = {};
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        bool dirty = false;
+        uint32_t line = 0;
+        uint64_t lastUse = 0;
+    };
+
+    /** Distinct lines touched by access() and commitHits(), most
+     *  recent first. */
+    void
+    touched(uint32_t line)
+    {
+        if (line == recent_[0])
+            return;
+        if (line != recent_[1])
+            recent_[2] = recent_[1];
+        recent_[1] = recent_[0];
+        recent_[0] = line;
+    }
+
+    uint32_t assoc_, lineBytes_, sets_;
+    std::vector<Line> lines_;
+    uint64_t tick_ = 0;
+    uint32_t recent_[3] = {~0u, ~0u, ~0u};
+};
+
+TEST(Cache, MatchesNaiveLruOnRandomStreams)
+{
+    // Streams concentrated on 3 sets of 6 lines each. Half the draws
+    // revisit one of the last 3 lines, so the remembered-line hit
+    // paths run. Under LRU a fill evicts a remembered line only when
+    // the set holds nothing older: in a direct-mapped cache, or after
+    // commitHitsAt() (the pinned fetch commit, which leaves the
+    // remembered lines alone) freshened the set's other ways.
+    struct Geometry
+    {
+        uint32_t size, assoc, line;
+    };
+    uint64_t evicted_first = 0, evicted_second = 0;
+    for (const Geometry g : {Geometry{8 * 1024, 4, 32},
+                             Geometry{1024, 2, 32}, Geometry{512, 1, 32}}) {
+        const uint32_t way_bytes = g.size / g.assoc; // Same-set stride.
+        for (uint64_t seed = 1; seed <= 4; ++seed) {
+            Cache cache(g.size, g.assoc, g.line);
+            NaiveLru ref(g.size, g.assoc, g.line);
+            Rng rng(seed);
+            std::vector<uint32_t> recent;
+            for (int step = 0; step < 20000; ++step) {
+                uint32_t addr;
+                if (recent.size() >= 3 && rng.nextBelow(2)) {
+                    addr = recent[recent.size() - 1 - rng.nextBelow(3)];
+                } else {
+                    const auto set = static_cast<uint32_t>(rng.nextBelow(3));
+                    const auto tag = static_cast<uint32_t>(rng.nextBelow(6));
+                    addr = 0x4000 + set * g.line + tag * way_bytes +
+                           static_cast<uint32_t>(rng.nextBelow(g.line));
+                }
+                recent.push_back(addr);
+                const uint64_t op = rng.nextBelow(10);
+                SCOPED_TRACE(testing::Message()
+                             << g.assoc << "-way, seed " << seed << ", step "
+                             << step << ", op " << op << ", addr 0x"
+                             << std::hex << addr);
+                if (op < 5) {
+                    const bool write = rng.nextBelow(2);
+                    ASSERT_EQ(cache.access(addr, write),
+                              ref.access(addr, write));
+                } else if (op < 6) {
+                    ASSERT_EQ(cache.peek(addr), ref.peek(addr));
+                } else if (op < 8) {
+                    const uint64_t count = 1 + rng.nextBelow(5);
+                    if (ref.commitHits(addr, count))
+                        cache.commitHits(addr, count);
+                    else
+                        ASSERT_THROW(cache.commitHits(addr, count),
+                                     PanicError);
+                } else {
+                    const int32_t slot = cache.residentSlotOf(addr);
+                    ASSERT_EQ(slot, ref.residentSlotOf(addr));
+                    if (slot >= 0 && op == 9) {
+                        cache.commitHitsAt(static_cast<uint32_t>(slot), 2);
+                        ref.commitHitsAt(static_cast<uint32_t>(slot), 2);
+                    }
+                }
+            }
+            EXPECT_EQ(cache.stats(), ref.stats)
+                << g.assoc << "-way, seed " << seed;
+            evicted_first += ref.evictedRecent[0];
+            evicted_second += ref.evictedRecent[1];
+        }
+    }
+    // The streams did evict both remembered lines.
+    EXPECT_GT(evicted_first, 0u);
+    EXPECT_GT(evicted_second, 0u);
 }
 
 } // namespace

@@ -317,6 +317,156 @@ TEST(FastCore, DivergenceInSecondSegmentFeedsSinksExactly)
     }
 }
 
+/** True when some adjacent MOVW/MOVT pair on one register is
+ *  followed by a load in its block. */
+bool
+hasLoadAfterMovwMovt(const PredecodedProgram &pre)
+{
+    const std::vector<PInst> &insts = pre.insts();
+    for (size_t k = 0; k + 1 < insts.size(); ++k) {
+        if (insts[k].kind != PKind::Movw ||
+            insts[k + 1].kind != PKind::Movt ||
+            insts[k].dst.reg != insts[k + 1].dst.reg)
+            continue;
+        for (size_t j = k + 2; j < insts.size(); ++j) {
+            if (insts[j].kind == PKind::Load)
+                return true;
+            if (insts[j].kind == PKind::Branch ||
+                insts[j].kind == PKind::Call ||
+                insts[j].kind == PKind::Ret ||
+                insts[j].kind == PKind::Halt)
+                break;
+        }
+    }
+    return false;
+}
+
+TEST(FastCore, DMissAfterFusedMovwMovtFeedsSinksExactly)
+{
+    // The loop materializes data's address with MOVW/MOVT right before
+    // loading from it; replay runs the pair as one micro-op. The 16 KiB
+    // array streams through the 8 KiB L1D, so that load takes a D-miss
+    // every 32 bytes and the replay diverges on the op after the fused
+    // pair.
+    const char *src = R"(
+        u32 data[4096];
+        u32 main(u32 passes) {
+            u32 h = 0;
+            for (u32 p = 0; p < passes; p++)
+                for (u32 i = 0; i < 4096; i++)
+                    h = (h ^ data[i]) * 16777619;
+            return h;
+        }
+    )";
+    auto mod = compileSource(src);
+    CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
+    PredecodedProgram pre(cp.program);
+    ASSERT_TRUE(hasLoadAfterMovwMovt(pre))
+        << "no MOVW/MOVT pair before a load: the test lost its target";
+    const AttributionMap amap(cp.program);
+    const BlockMap bmap(cp.program);
+
+    FastCore slow(pre, *mod);
+    AttributionSink slow_attr(amap);
+    BlockProfilerSink slow_heat(bmap);
+    slow.setAttribution(&slow_attr);
+    slow.setBlockProfiler(&slow_heat);
+    uint32_t want = runSlowPath(slow, {3});
+
+    FastCore fast(pre, *mod);
+    AttributionSink fast_attr(amap);
+    BlockProfilerSink fast_heat(bmap);
+    fast.setAttribution(&fast_attr);
+    fast.setBlockProfiler(&fast_heat);
+    EXPECT_EQ(fast.run({3}), want);
+    expectSameObservables(slow, fast);
+    expectSameRows(slow_attr, fast_attr);
+    expectSameRows(slow_heat, fast_heat);
+
+    EXPECT_GT(fast.replayedRuns(), 0u);
+    EXPECT_GT(fast.memory().l1d().misses, 1000u);
+}
+
+TEST(FastCore, DivergenceRightAfterInteriorJumpFeedsSinksExactly)
+{
+    // Profiled on a run where acc stays below 256, acc becomes a
+    // speculative 8-bit value. The join block starts with its ADD8,
+    // and the else arm reaches it by an unconditional jump (the then
+    // arm by two): once the array's values turn nonzero, acc carries
+    // out, and the misspeculation fires on the first op after an
+    // interior jump, which has no micro-op of its own.
+    const char *src = R"(
+        u8 bytes[16384];
+        u32 main(u32 n) {
+            for (u32 j = 0; j < 16384; j++)
+                bytes[j] = j >> 10;
+            u32 h = 77777;
+            u8 acc = 0;
+            u32 sum = 0;
+            for (u32 i = 0; i < n; i++) {
+                u8 v = bytes[i];
+                if (h & 1) {
+                    h = h * 3 + 1;
+                } else {
+                    h = h >> 1;
+                }
+                acc = acc + v;
+                sum = sum + acc;
+            }
+            return h + sum;
+        }
+    )";
+    auto mod = compileSource(src);
+    BitwidthProfile profile;
+    profile.profileRun(*mod, "main", {1100});
+    SqueezeOptions opts;
+    squeezeModule(*mod, profile, opts);
+    CompiledProgram cp = compileModule(*mod, TargetISA::BitSpec);
+    PredecodedProgram pre(cp.program);
+    const AttributionMap amap(cp.program);
+    const BlockMap bmap(cp.program);
+
+    FastCore slow(pre, *mod);
+    AttributionSink slow_attr(amap);
+    BlockProfilerSink slow_heat(bmap);
+    slow.setAttribution(&slow_attr);
+    slow.setBlockProfiler(&slow_heat);
+    uint32_t want = runSlowPath(slow, {4000});
+
+    FastCore fast(pre, *mod);
+    AttributionSink fast_attr(amap);
+    BlockProfilerSink fast_heat(bmap);
+    fast.setAttribution(&fast_attr);
+    fast.setBlockProfiler(&fast_heat);
+    EXPECT_EQ(fast.run({4000}), want);
+    expectSameObservables(slow, fast);
+    expectSameRows(slow_attr, fast_attr);
+    expectSameRows(slow_heat, fast_heat);
+
+    EXPECT_GT(fast.replayedRuns(), 0u);
+    ASSERT_GT(fast.counters().misspeculations, 0u);
+    // The misspeculating block is entered by an unconditional jump and
+    // its first instruction is its only check site, a speculative ADD8.
+    const std::vector<PInst> &insts = pre.insts();
+    for (size_t i = 0; i < bmap.sites().size(); ++i) {
+        if (!fast_heat.activity()[i].misspecs)
+            continue;
+        const uint32_t first = bmap.sites()[i].startIndex;
+        EXPECT_TRUE(isJumpTarget(pre, first))
+            << "block " << bmap.sites()[i].block;
+        EXPECT_EQ(insts[first].kind, PKind::Add8);
+        EXPECT_TRUE(insts[first].aux);
+        for (uint32_t j = first + 1; insts[j].kind != PKind::Branch; ++j) {
+            const PInst &p = insts[j];
+            EXPECT_FALSE(p.aux && (p.kind == PKind::Add8 ||
+                                   p.kind == PKind::Sub8 ||
+                                   p.kind == PKind::Trn8 ||
+                                   p.kind == PKind::LoadSpec))
+                << "second check site at " << j;
+        }
+    }
+}
+
 TEST(FastCore, LoopFreeCodeBuildsNoMemos)
 {
     // Every index runs once, so no memo would ever replay.
