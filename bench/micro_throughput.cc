@@ -94,16 +94,16 @@ BM_CoreThroughput(benchmark::State &state)
 }
 
 /** The core on a real workload: System::run on a System built
- *  beforehand (bitspec-max, input seed 0), so an iteration times what
- *  every experiment cell pays — a fresh FastCore, building the memos
- *  it replays. Items are retired machine instructions. */
+ *  beforehand (bitspec under heuristic @p h, input seed 0), so an
+ *  iteration times what every experiment cell pays — a fresh
+ *  FastCore, building the memos it replays. Items are retired machine
+ *  instructions. */
 void
-BM_CoreWorkload(benchmark::State &state, const char *name)
+BM_CoreWorkload(benchmark::State &state, const char *name, Heuristic h)
 {
     const Workload &w = getWorkload(name);
     auto input = [&w](Module &m) { w.setInput(m, 0); };
-    const System sys(w.source, SystemConfig::bitspec(Heuristic::Max),
-                     input);
+    const System sys(w.source, SystemConfig::bitspec(h), input);
     uint64_t instrs = 0;
     for (auto _ : state) {
         RunResult r = sys.run(input);
@@ -156,12 +156,20 @@ BENCHMARK(BM_InterpreterThroughput)
 BENCHMARK(BM_InterpreterProfiledThroughput)
     ->Name("BM_InterpreterProfiledThroughput/decoded");
 BENCHMARK(BM_CoreThroughput)->Name("BM_CoreThroughput/fast");
-// Read into the trajectory as rate.core_workload_<name>_per_s.
-BENCHMARK_CAPTURE(BM_CoreWorkload, susan_edges, "susan-edges")
+// Read into the trajectory as rate.core_workload_<name>_per_s. The
+// bitspec-max runs redirect rarely; susan-edges-min (bitspec-min)
+// redirects once, early, then runs the original code, heavy in spills
+// and copies, as most of perfbench's cross-input grid does.
+BENCHMARK_CAPTURE(BM_CoreWorkload, susan_edges, "susan-edges",
+                  Heuristic::Max)
     ->Name("BM_CoreWorkload/susan-edges");
-BENCHMARK_CAPTURE(BM_CoreWorkload, stringsearch, "stringsearch")
+BENCHMARK_CAPTURE(BM_CoreWorkload, susan_edges_min, "susan-edges",
+                  Heuristic::Min)
+    ->Name("BM_CoreWorkload/susan-edges-min");
+BENCHMARK_CAPTURE(BM_CoreWorkload, stringsearch, "stringsearch",
+                  Heuristic::Max)
     ->Name("BM_CoreWorkload/stringsearch");
-BENCHMARK_CAPTURE(BM_CoreWorkload, qsort, "qsort")
+BENCHMARK_CAPTURE(BM_CoreWorkload, qsort, "qsort", Heuristic::Max)
     ->Name("BM_CoreWorkload/qsort");
 BENCHMARK(BM_CompileBaseline);
 BENCHMARK(BM_SqueezePipeline);

@@ -34,14 +34,15 @@ fmtNum(double v)
     return buf;
 }
 
-/** Value of `"key":<number>` at/after @p from; nullopt when absent.
- *  Tolerates whitespace after the colon (google-benchmark style). */
+/** Value of `"key":<number>` at/after @p from and before @p to;
+ *  nullopt when absent. Tolerates whitespace after the colon
+ *  (google-benchmark style). */
 std::optional<double>
 numberAfter(const std::string &text, const std::string &key,
-            size_t from = 0)
+            size_t from = 0, size_t to = std::string::npos)
 {
     size_t at = text.find("\"" + key + "\":", from);
-    if (at == std::string::npos)
+    if (at == std::string::npos || at >= to)
         return std::nullopt;
     const char *p = text.c_str() + at + key.size() + 3;
     char *end = nullptr;
@@ -49,6 +50,34 @@ numberAfter(const std::string &text, const std::string &key,
     if (end == p)
         return std::nullopt;
     return v;
+}
+
+/** End of the JSON object that encloses offset @p at: the index of
+ *  its closing brace, or the end of @p text when unbalanced. Skips
+ *  string contents, so braces inside strings do not count. */
+size_t
+objectEnd(const std::string &text, size_t at)
+{
+    int depth = 0;
+    bool in_string = false;
+    for (size_t i = at; i < text.size(); ++i) {
+        const char c = text[i];
+        if (in_string) {
+            if (c == '\\')
+                ++i;
+            else if (c == '"')
+                in_string = false;
+        } else if (c == '"') {
+            in_string = true;
+        } else if (c == '{' || c == '[') {
+            ++depth;
+        } else if (c == '}' || c == ']') {
+            if (depth == 0)
+                return i;
+            --depth;
+        }
+    }
+    return text.size();
 }
 
 /** Value of `"key":"<string>"` at/after @p from. */
@@ -244,8 +273,10 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
             rec.series.push_back({name, *v});
     };
 
-    // google-benchmark counters: value follows the benchmark's
-    // "name" entry.
+    // google-benchmark counters: read within the benchmark's own
+    // entry, the object holding its "name", so an entry without the
+    // counter (an errored run) gives no series rather than a later
+    // entry's value.
     auto bench_counter = [&json_text](const std::string &bench,
                                       const std::string &counter)
         -> std::optional<double> {
@@ -254,7 +285,8 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
             at = json_text.find("\"name\":\"" + bench + "\"");
         if (at == std::string::npos)
             return std::nullopt;
-        return numberAfter(json_text, counter, at);
+        return numberAfter(json_text, counter, at,
+                           objectEnd(json_text, at));
     };
 
     add("rate.interp_decoded_ir_per_s",
@@ -278,7 +310,8 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
         std::string wl = json_text.substr(open, close - open);
         std::replace(wl.begin(), wl.end(), '-', '_');
         add("rate.core_workload_" + wl + "_per_s",
-            numberAfter(json_text, "items_per_second", close));
+            numberAfter(json_text, "items_per_second", close,
+                        objectEnd(json_text, close + 1)));
         at = close;
     }
 
@@ -321,7 +354,8 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
                 break;
             std::string grid = json_text.substr(open, close - open);
             add("speedup." + grid,
-                numberAfter(json_text, "speedup", close));
+                numberAfter(json_text, "speedup", close,
+                            objectEnd(json_text, close + 1)));
             at = close;
         }
     }

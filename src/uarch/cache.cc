@@ -1,7 +1,6 @@
 #include "uarch/cache.h"
 
 #include <bit>
-#include <utility>
 
 #include "support/error.h"
 
@@ -23,23 +22,32 @@ Cache::Cache(uint32_t size_bytes, uint32_t assoc, uint32_t line_bytes)
     lines_.resize(sets * assoc_);
 }
 
+int32_t
+Cache::searchSlot(uint32_t line_addr) const
+{
+    const uint32_t base = setBase(line_addr);
+    const uint32_t tag = tagOf(line_addr);
+    const Line *ways = &lines_[base];
+    for (uint32_t w = 0; w < assoc_; ++w)
+        if (ways[w].valid && ways[w].tag == tag)
+            return static_cast<int32_t>(base + w);
+    return -1;
+}
+
 bool
 Cache::accessSearch(uint32_t line_addr, bool is_write)
 {
-    uint32_t base = setBase(line_addr);
-    uint32_t tag = tagOf(line_addr);
-    Line *ways = &lines_[base];
-
-    for (uint32_t w = 0; w < assoc_; ++w) {
-        if (ways[w].valid && ways[w].tag == tag) {
-            ways[w].lastUse = tick_;
-            ways[w].dirty |= is_write;
-            remember(line_addr, base + w);
-            return true;
-        }
+    Hint &hint = hintOf(line_addr);
+    const int32_t slot = searchSlot(line_addr);
+    if (slot >= 0) {
+        touch(static_cast<uint32_t>(slot), is_write);
+        hint = {line_addr, static_cast<uint32_t>(slot)};
+        return true;
     }
 
     ++stats_.misses;
+    const uint32_t base = setBase(line_addr);
+    Line *ways = &lines_[base];
     // LRU victim.
     uint32_t victim = 0;
     for (uint32_t w = 1; w < assoc_; ++w) {
@@ -50,71 +58,53 @@ Cache::accessSearch(uint32_t line_addr, bool is_write)
         if (ways[w].lastUse < ways[victim].lastUse)
             victim = w;
     }
-    if (ways[victim].valid && ways[victim].dirty)
-        ++stats_.writebacks;
-    ways[victim] = Line{true, is_write, tag, tick_};
+    if (ways[victim].valid) {
+        if (ways[victim].dirty)
+            ++stats_.writebacks;
+        // The evicted line may only be hinted at its own index.
+        const uint32_t evicted =
+            ways[victim].tag << setShift_ | (line_addr & setMask_);
+        Hint &old = hintOf(evicted);
+        if (old.line == evicted)
+            old.line = Hint::kNoLine;
+    }
+    ways[victim] = Line{true, is_write, tagOf(line_addr), tick_};
     ++fillGen_; // Invalidates every recorded (address, slot) pin.
-    // Remembering the new line drops the older remembered one; the
-    // other moves second, and the fill may just have evicted it.
-    remember(line_addr, base + victim);
-    if (recent_[1].slot == base + victim)
-        recent_[1].line = Recent::kNoLine;
+    hint = {line_addr, base + victim};
     return false;
 }
 
 bool
 Cache::peek(uint32_t addr) const
 {
-    uint32_t line_addr = lineOf(addr);
-    // Remembered lines are resident by invariant.
-    if (line_addr == recent_[0].line || line_addr == recent_[1].line)
-        return true;
-    uint32_t tag = tagOf(line_addr);
-    const Line *ways = &lines_[setBase(line_addr)];
-    for (uint32_t w = 0; w < assoc_; ++w)
-        if (ways[w].valid && ways[w].tag == tag)
-            return true;
-    return false;
+    const uint32_t line_addr = lineOf(addr);
+    // Hinted lines are resident by invariant.
+    return hintOf(line_addr).line == line_addr ||
+           searchSlot(line_addr) >= 0;
 }
 
 int32_t
 Cache::residentSlotOf(uint32_t addr) const
 {
-    uint32_t line_addr = lineOf(addr);
-    uint32_t base = setBase(line_addr);
-    uint32_t tag = tagOf(line_addr);
-    const Line *ways = &lines_[base];
-    for (uint32_t w = 0; w < assoc_; ++w)
-        if (ways[w].valid && ways[w].tag == tag)
-            return static_cast<int32_t>(base + w);
-    return -1;
+    return searchSlot(lineOf(addr));
 }
 
 void
 Cache::commitHits(uint32_t addr, uint64_t count)
 {
-    uint32_t line_addr = lineOf(addr);
-    // Replayed blocks commit the same line(s) back to back; skip the
-    // way search like access() does.
-    if (line_addr == recent_[1].line)
-        std::swap(recent_[0], recent_[1]);
-    if (line_addr == recent_[0].line) {
-        commitHitsAt(recent_[0].slot, count);
-        return;
+    const uint32_t line_addr = lineOf(addr);
+    // Replayed blocks commit the same line(s) again and again; skip
+    // the way search like access() does. count back-to-back hits
+    // leave lastUse at the final tick, exactly as the per-access loop
+    // would.
+    Hint &hint = hintOf(line_addr);
+    if (hint.line != line_addr) {
+        const int32_t slot = searchSlot(line_addr);
+        if (slot < 0)
+            panic("commitHits: line not resident");
+        hint = {line_addr, static_cast<uint32_t>(slot)};
     }
-    uint32_t base = setBase(line_addr);
-    uint32_t tag = tagOf(line_addr);
-    Line *ways = &lines_[base];
-    for (uint32_t w = 0; w < assoc_; ++w) {
-        if (ways[w].valid && ways[w].tag == tag) {
-            // count back-to-back hits leave lastUse at the final
-            // tick, exactly as the per-access loop would.
-            commitHitsAt(base + w, count);
-            remember(line_addr, base + w);
-            return;
-        }
-    }
-    panic("commitHits: line not resident");
+    commitHitsAt(hint.slot, count);
 }
 
 MemoryHierarchy::MemoryHierarchy()
@@ -199,7 +189,7 @@ MemoryHierarchy::fetchPin(std::span<const FetchSeg> segs,
     const uint32_t line = l1i_.lineBytes();
     pin.gen = l1i_.fillGen();
     pin.cnt = 0;
-    uint32_t n = 0;
+    uint32_t n = 0, total = 0;
     for (const FetchSeg &s : segs) {
         for (uint32_t la = s.first - s.first % line; la <= s.last;
              la += line) {
@@ -209,6 +199,7 @@ MemoryHierarchy::fetchPin(std::span<const FetchSeg> segs,
             uint32_t hi_line = la + line - 1;
             uint32_t hi = hi_line > s.last ? s.last : hi_line;
             uint32_t insts = (hi - lo) / 4 + 1;
+            total += insts;
             // A jump that lands in the line it left continues the
             // same run of hits.
             if (n && pin.slot[n - 1] == static_cast<uint32_t>(slot)) {
@@ -223,6 +214,7 @@ MemoryHierarchy::fetchPin(std::span<const FetchSeg> segs,
         }
     }
     pin.cnt = n;
+    pin.total = total;
 }
 
 } // namespace bitspec

@@ -12,9 +12,10 @@
 #ifndef BITSPEC_UARCH_CACHE_H_
 #define BITSPEC_UARCH_CACHE_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace bitspec
@@ -34,6 +35,9 @@ struct CacheStats
 class Cache
 {
   public:
+    /** Entries of the line-hint table (see hints_). */
+    static constexpr uint32_t kHintEntries = 256;
+
     /** Line size and set count must be powers of two: the index math
      *  is shifts and masks. */
     Cache(uint32_t size_bytes, uint32_t assoc, uint32_t line_bytes);
@@ -41,8 +45,8 @@ class Cache
     /**
      * Access @p addr; returns true on hit. Misses fill the line
      * (write-allocate); evicted dirty lines count as writebacks.
-     * @p is_write marks the line dirty. A hit on a remembered line is
-     * inline; the way search and the fill are not.
+     * @p is_write marks the line dirty. A hit through the line-hint
+     * table is inline; the way search and the fill are not.
      */
     bool
     access(uint32_t addr, bool is_write)
@@ -50,20 +54,17 @@ class Cache
         ++stats_.accesses;
         ++tick_;
         const uint32_t line_addr = lineOf(addr);
-        if (line_addr == recent_[0].line) {
-            touch(recent_[0].slot, is_write);
-            return true;
-        }
-        if (line_addr == recent_[1].line) {
-            std::swap(recent_[0], recent_[1]);
-            touch(recent_[0].slot, is_write);
+        const Hint &h = hintOf(line_addr);
+        if (h.line == line_addr) {
+            touch(h.slot, is_write);
             return true;
         }
         return accessSearch(line_addr, is_write);
     }
 
     /** True when the line holding @p addr is resident. Pure probe: no
-     *  stats, no LRU update (the fast engine's replay guard). */
+     *  stats, no LRU update, no hint refresh (the fast engine's replay
+     *  guard). */
     bool peek(uint32_t addr) const;
 
     /**
@@ -94,6 +95,30 @@ class Cache
         tick_ += count;
         lines_[slot].lastUse = tick_;
     }
+
+    /**
+     * @name Deferred hits
+     * commitHitsAt split in two for callers that batch: stampAhead()
+     * records a hit's LRU stamp @p ahead ticks past the current clock
+     * (keeping a later stamp already there), and addHits() then counts
+     * the batch, moving the clock past every stamp it recorded. Only
+     * relative LRU order is ever read, so stamps that keep each line's
+     * order within its set are exact.
+     */
+    /// @{
+    void
+    stampAhead(uint32_t slot, uint64_t ahead)
+    {
+        uint64_t &use = lines_[slot].lastUse;
+        use = std::max(use, tick_ + ahead);
+    }
+    void
+    addHits(uint64_t count)
+    {
+        stats_.accesses += count;
+        tick_ += count;
+    }
+    /// @}
 
     const CacheStats &stats() const { return stats_; }
     void resetStats() { stats_ = CacheStats{}; }
@@ -131,16 +156,31 @@ class Cache
         l.dirty |= is_write;
     }
 
-    /** access() past the remembered lines: way search, then fill. */
+    /** access() past the hint table: way search, then fill. */
     bool accessSearch(uint32_t line_addr, bool is_write);
 
-    /** Make (@p line_addr, @p slot) the most recent remembered line;
-     *  the older of the two is dropped. */
-    void
-    remember(uint32_t line_addr, uint32_t slot)
+    /** Slot of resident @p line_addr by way search, or -1. */
+    int32_t searchSlot(uint32_t line_addr) const;
+
+    /** A (line, slot) hint; kNoLine matches no line address. */
+    struct Hint
     {
-        recent_[1] = recent_[0];
-        recent_[0] = {line_addr, slot};
+        static constexpr uint32_t kNoLine = 0xffffffffu;
+        uint32_t line = kNoLine;
+        uint32_t slot = 0;
+    };
+    static_assert((kHintEntries & (kHintEntries - 1)) == 0,
+                  "the hint index is a mask");
+
+    Hint &
+    hintOf(uint32_t line_addr)
+    {
+        return hints_[line_addr & (kHintEntries - 1)];
+    }
+    const Hint &
+    hintOf(uint32_t line_addr) const
+    {
+        return hints_[line_addr & (kHintEntries - 1)];
     }
 
     uint32_t assoc_;
@@ -152,21 +192,14 @@ class Cache
     uint64_t tick_ = 0;
     uint64_t fillGen_ = 0;
     CacheStats stats_;
-    /** The last two distinct lines touched by access() or
-     *  commitHits(), most recent first: accesses that alternate
-     *  between two lines (a spill slot and an image row, sequential
-     *  fetch, streaming data) skip the way search. lines_[slot] holds
-     *  a remembered line whenever line != kNoLine. A fill remembers
-     *  the line it installs, which drops the older entry, and forgets
-     *  the other one when the fill evicted it, so neither can go
-     *  stale. */
-    struct Recent
-    {
-        static constexpr uint32_t kNoLine = 0xffffffffu; ///< Matches no line.
-        uint32_t line = kNoLine;
-        uint32_t slot = 0;
-    };
-    Recent recent_[2];
+    /** Direct-mapped line hints, indexed by the low bits of the line
+     *  address: access() and commitHits() whose line is hinted skip
+     *  the way search, and a search that finds the line refreshes its
+     *  entry. Invariant: an entry always names a line resident at its
+     *  slot. Only a fill moves a line, and it clears the evicted
+     *  line's entry if the table holds it before it installs the new
+     *  line's, so no entry can go stale. */
+    std::array<Hint, kHintEntries> hints_{};
 };
 
 /** DRAM access counters (latency/energy applied by the core model). */
@@ -250,6 +283,7 @@ class MemoryHierarchy
         static constexpr uint32_t kMaxRuns = 32;
         uint64_t gen = ~0ull; ///< l1iFillGen() when recorded.
         uint32_t cnt = 0;     ///< Pinned runs; 0 = not pinned.
+        uint32_t total = 0;   ///< Fetches of one traversal.
         uint32_t slot[kMaxRuns];
         uint16_t insts[kMaxRuns];
     };
@@ -273,6 +307,31 @@ class MemoryHierarchy
         for (uint32_t j = 0; j < pin.cnt; ++j)
             l1i_.commitHitsAt(pin.slot[j], pin.insts[j] * repeat);
     }
+
+    /**
+     * @name Deferred pinned commits
+     * fetchCommitPinned for a caller that defers its L1I hits:
+     * fetchStampPinned() stamps each pinned line with its last touch
+     * in one traversal of a valid @p pin that ends @p end fetches past
+     * the L1I clock, keeping a later stamp already there, and
+     * fetchAddHits() counts the @p count deferred fetches. Stamping
+     * each pin's last deferred traversal, then counting every deferred
+     * fetch, leaves stats, clock and each set's LRU order as
+     * committing each traversal when it ran would, provided no other
+     * L1I use came in between.
+     */
+    /// @{
+    void
+    fetchStampPinned(const FetchPin &pin, uint64_t end)
+    {
+        uint64_t at = end - pin.total;
+        for (uint32_t j = 0; j < pin.cnt; ++j) {
+            at += pin.insts[j];
+            l1i_.stampAhead(pin.slot[j], at);
+        }
+    }
+    void fetchAddHits(uint64_t count) { l1i_.addHits(count); }
+    /// @}
 
     const CacheStats &l1i() const { return l1i_.stats(); }
     const CacheStats &l1d() const { return l1d_.stats(); }

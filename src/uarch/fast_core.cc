@@ -187,6 +187,7 @@ FastCore::loadGlobals()
 void
 FastCore::reset()
 {
+    flushFetches();
     std::fill(dataMem_.begin(), dataMem_.end(), 0);
     loadGlobals();
     std::fill(std::begin(regs_), std::end(regs_), 0);
@@ -216,6 +217,7 @@ FastCore::reset()
 void
 FastCore::invalidateMemos()
 {
+    flushFetches(); // fetchList_ indexes the memos about to go.
     memoIdx_.assign(pre_.size(), kUnseen);
     memos_.clear();
 }
@@ -290,6 +292,7 @@ FastCore::applyDstWrite(uint8_t dst_write)
 void
 FastCore::finish(uint64_t final_cycle)
 {
+    flushFetches();
     // Fold the deferred clean-replay deltas: each memo's counter sums
     // enter once, multiplied by how often it replayed this run.
     for (RunMemo &m : memos_)
@@ -390,13 +393,11 @@ FastCore::buildMemo(uint32_t start) const
                 rel = ready;
             pi.issueOff = static_cast<uint32_t>(rel);
 
-            uint32_t ready_off = 0;
-            uint8_t write_reg = kScratchReg;
             if (p.dstWrite) {
-                write_reg = p.dst.reg;
-                ready_off = pi.issueOff + p.latency;
+                const uint32_t ready_off = pi.issueOff + p.latency;
                 relReady[p.dst.reg] = ready_off;
                 writtenMask |= static_cast<uint16_t>(1u << p.dst.reg);
+                m.exitWriteMask |= static_cast<uint16_t>(1u << p.dst.reg);
                 maxReadyOff = std::max(maxReadyOff, ready_off);
             } else if (p.kind == PKind::MovCond) {
                 // The write commits only when the condition holds, so
@@ -404,14 +405,13 @@ FastCore::buildMemo(uint32_t start) const
                 // leaves the entry-time value live) — but issue+1 is
                 // schedule-exact either way: dst readiness was
                 // consulted at issue, so both candidate values are <=
-                // any later consult.
+                // any later consult. Replay records issue+1 whether
+                // or not the move fires.
                 relReady[p.dst.reg] = rel + 1;
+                m.exitWriteMask |= static_cast<uint16_t>(1u << p.dst.reg);
                 maxReadyOff = std::max(maxReadyOff,
                                        static_cast<uint32_t>(rel + 1));
             }
-
-            if (ready_off > 0xffff)
-                return {}; // ROp::readyOff overflow: slow path (unseen).
 
             addContrib(m.delta, p.contrib);
             if (p.dstWrite == 1)
@@ -419,18 +419,16 @@ FastCore::buildMemo(uint32_t start) const
             else if (p.dstWrite == 2)
                 ++m.delta.rfWrite8;
             m.per.push_back(pi);
-            RunMemo::ROp op = translateOp(p, ready_off, write_reg);
+            RunMemo::ROp op = translateOp(p);
             op.body = static_cast<uint16_t>(m.per.size() - 1);
             RunMemo::ROp *prev = m.ops.empty() ? nullptr : &m.ops.back();
             if (op.op == RunMemo::ROp::kMovtI && prev &&
                 prev->op == RunMemo::ROp::kMovI && prev->dst == op.dst) {
                 // MOVW or MOV #imm, then MOVT of the same register:
                 // neither can diverge and the MOVT is the register's
-                // last write, so one op loading the whole constant
-                // with the MOVT's scoreboard effect is exact.
+                // last write, so one op loading the whole constant is
+                // exact.
                 prev->imm = op.imm << 16 | (prev->imm & 0xffff);
-                prev->readyOff = op.readyOff;
-                prev->writeReg = op.writeReg;
                 prev->body = op.body;
                 continue;
             }
@@ -457,6 +455,10 @@ FastCore::buildMemo(uint32_t start) const
     m.ops.push_back(end);
     m.bodyCycles = rel;
     m.maxReadyOff = maxReadyOff;
+    for (uint32_t bits = m.exitWriteMask; bits; bits &= bits - 1) {
+        const uint32_t reg = static_cast<uint32_t>(__builtin_ctz(bits));
+        m.exitReady[reg] = static_cast<uint32_t>(relReady[reg]);
+    }
     m.fuelCost = m.len + 1;
     for (uint32_t j = 0; j < m.len; ++j) {
         uint64_t next_fetch =
@@ -469,13 +471,10 @@ FastCore::buildMemo(uint32_t start) const
 }
 
 FastCore::RunMemo::ROp
-FastCore::translateOp(const PInst &p, uint32_t ready_off,
-                      uint8_t write_reg)
+FastCore::translateOp(const PInst &p)
 {
     using ROp = RunMemo::ROp;
     ROp r;
-    r.writeReg = write_reg;
-    r.readyOff = static_cast<uint16_t>(ready_off);
     r.dst = p.dst.reg;
     r.a = p.a.reg;
     r.b = p.b.reg;
@@ -745,6 +744,19 @@ FastCore::entryReady(const RunMemo &m) const
     return true;
 }
 
+inline void
+FastCore::exitScoreboard(const RunMemo &m, uint64_t entry)
+{
+    const uint64_t max_new = entry + m.maxReadyOff;
+    if (maxReady_ <= cycle_ && max_new <= cycle_)
+        return; // Quiescent before and after.
+    for (uint32_t bits = m.exitWriteMask; bits; bits &= bits - 1) {
+        const uint32_t reg = static_cast<uint32_t>(__builtin_ctz(bits));
+        readyAt_[reg] = entry + m.exitReady[reg];
+    }
+    maxReady_ = std::max(maxReady_, max_new);
+}
+
 void
 FastCore::commitPrefix(const RunMemo &m, uint32_t k)
 {
@@ -754,6 +766,7 @@ FastCore::commitPrefix(const RunMemo &m, uint32_t k)
     // never reaches L2 here, so committing after the
     // already-performed D-accesses leaves the hierarchy exactly as
     // per-instruction fetches would.
+    flushFetches();
     const uint32_t last = prog_.addrOf(m.per[k].flat);
     for (const MemoryHierarchy::FetchSeg &seg : m.segs) {
         if (last >= seg.first && last <= seg.last) {
@@ -762,14 +775,23 @@ FastCore::commitPrefix(const RunMemo &m, uint32_t k)
         }
         mem_.fetchRangeCommit(seg.first, seg.last);
     }
+    // The replayed ops stored no readiness: rebuild the prefix's from
+    // its schedule, in order, so each register ends at its last
+    // write's (a MOVCOND's issue + 1 whether it fired or not, as in
+    // buildMemo).
     const PInst *insts = pre_.insts().data();
+    const uint64_t entry = cycle_;
     for (uint32_t j = 0; j < k; ++j) {
         const PInst &p = insts[m.per[j].flat];
         applyContrib(p.contrib);
         // Interior jumps are the body's only branches: always taken.
         counters_.takenBranches += p.kind == PKind::Branch;
-        if (p.kind != PKind::MovCond)
+        if (p.kind == PKind::MovCond) {
+            readyAt_[p.dst.reg] = entry + m.per[j].issueOff + 1;
+        } else if (p.dstWrite) {
             applyDstWrite(p.dstWrite);
+            readyAt_[p.dst.reg] = entry + m.per[j].issueOff + p.latency;
+        }
     }
     counters_.instructions += k;
     executed_ += k;
@@ -779,9 +801,8 @@ FastCore::commitPrefix(const RunMemo &m, uint32_t k)
     if (prof_)
         for (uint32_t j = 0; j < k; ++j)
             prof_->onInst(m.per[j].flat, m.per[j].cost);
-    // Upper bound over the prefix's scoreboard writes (readyAt_ is
-    // exact — the replay loop updated it per write).
-    maxReady_ = std::max(maxReady_, cycle_ + m.maxReadyOff);
+    // Upper bound over the prefix's scoreboard writes.
+    maxReady_ = std::max(maxReady_, entry + m.maxReadyOff);
 }
 
 uint32_t
@@ -814,16 +835,18 @@ uint32_t
 FastCore::divergeLoadMiss(RunMemo &m, uint32_t i, uint64_t iters,
                           uint64_t entry, uint32_t stall)
 {
-    // The schedule's no-stall dst readiness is wrong from here on.
+    // The prefix's readiness first (diverge() rebuilds it), then the
+    // load's own write, late by the miss.
+    const uint32_t next = diverge(m, i, iters, entry, 0, false);
     const PInst &p = pre_.insts()[m.per[i].flat];
     applyDstWrite(p.dstWrite);
     const uint64_t rdy = entry + m.per[i].issueOff + p.latency + stall;
     readyAt_[p.dst.reg] = rdy;
     maxReady_ = std::max(maxReady_, rdy);
-    return diverge(m, i, iters, entry, 0, false);
+    return next;
 }
 
-bool
+inline bool
 FastCore::fetchGuard(RunMemo &m)
 {
     if (m.pin.cnt && m.pin.gen == mem_.l1iFillGen())
@@ -834,19 +857,44 @@ FastCore::fetchGuard(RunMemo &m)
     return true;
 }
 
-void
+inline void
 FastCore::commitFetches(RunMemo &m, uint64_t repeat)
 {
     // No I-fill can intervene between the guard and this commit (the
     // body performs only D-side accesses), but re-checking is one
     // compare and keeps the pin self-validating.
-    if (m.pin.cnt && m.pin.gen == mem_.l1iFillGen())
-        mem_.fetchCommitPinned(m.pin, repeat);
-    else
-        mem_.fetchCommit(m.segs, repeat);
+    if (m.pin.cnt && m.pin.gen == mem_.l1iFillGen()) {
+        pendingFetches_ += m.pin.total * repeat;
+        m.fetchEnd = pendingFetches_;
+        if (!m.fetchListed) {
+            m.fetchListed = true;
+            fetchList_.push_back(static_cast<uint32_t>(&m - memos_.data()));
+        }
+        return;
+    }
+    flushFetches();
+    mem_.fetchCommit(m.segs, repeat);
 }
 
 void
+FastCore::flushFetches()
+{
+    // No fill since the listed exits (only the slow path fills, and it
+    // flushes first), so every listed pin is still valid. Each memo's
+    // last pending traversal stamps its lines; a line two memos share
+    // keeps the later stamp, so each set's LRU order is that of the
+    // per-exit commits.
+    for (uint32_t mi : fetchList_) {
+        RunMemo &m = memos_[mi];
+        mem_.fetchStampPinned(m.pin, m.fetchEnd);
+        m.fetchListed = false;
+    }
+    fetchList_.clear();
+    mem_.fetchAddHits(pendingFetches_);
+    pendingFetches_ = 0;
+}
+
+inline void
 FastCore::flushIters(RunMemo &m, uint64_t iters)
 {
     if (!iters)
@@ -899,12 +947,12 @@ FastCore::replay(RunMemo &m0)
     uint32_t next = 0; // Successor index for the chaining exit.
     const ROp *r = nullptr; // The executing op.
 
-    // Retire *op: its branchless scoreboard store (no-write ops target
-    // the scratch slot), then step to the next op and return its
-    // handler. The op pointer and entry cycle are parameters, not
-    // by-reference captures, which would keep both in memory.
-    auto retire = [this](const ROp *&op, uint64_t entry_cycle) {
-        readyAt_[op->writeReg] = entry_cycle + op->readyOff;
+    // Retire *op: step to the next op and return its handler. The
+    // scoreboard is written at the exit (exitScoreboard) or rebuilt at
+    // a divergence (commitPrefix), not here. The op pointer is a
+    // parameter, not a by-reference capture, which would keep it in
+    // memory.
+    auto retire = [](const ROp *&op) {
         ++op;
         return kHandlers[op->op];
     };
@@ -928,119 +976,119 @@ FastCore::replay(RunMemo &m0)
     goto *kHandlers[r->op];
 
   op_nop:
-    goto *retire(r, entry);
+    goto *retire(r);
   op_add_rr:
     regs[r->dst] = regs[r->a] + regs[r->b];
-    goto *retire(r, entry);
+    goto *retire(r);
   op_add_ri:
     regs[r->dst] = regs[r->a] + r->imm;
-    goto *retire(r, entry);
+    goto *retire(r);
   op_sub_rr:
     regs[r->dst] = regs[r->a] - regs[r->b];
-    goto *retire(r, entry);
+    goto *retire(r);
   op_sub_ri:
     regs[r->dst] = regs[r->a] - r->imm;
-    goto *retire(r, entry);
+    goto *retire(r);
   op_sub_ir:
     regs[r->dst] = r->imm - regs[r->a];
-    goto *retire(r, entry);
+    goto *retire(r);
   op_and_rr:
     regs[r->dst] = regs[r->a] & regs[r->b];
-    goto *retire(r, entry);
+    goto *retire(r);
   op_and_ri:
     regs[r->dst] = regs[r->a] & r->imm;
-    goto *retire(r, entry);
+    goto *retire(r);
   op_orr_rr:
     regs[r->dst] = regs[r->a] | regs[r->b];
-    goto *retire(r, entry);
+    goto *retire(r);
   op_orr_ri:
     regs[r->dst] = regs[r->a] | r->imm;
-    goto *retire(r, entry);
+    goto *retire(r);
   op_eor_rr:
     regs[r->dst] = regs[r->a] ^ regs[r->b];
-    goto *retire(r, entry);
+    goto *retire(r);
   op_eor_ri:
     regs[r->dst] = regs[r->a] ^ r->imm;
-    goto *retire(r, entry);
+    goto *retire(r);
   op_lsl_rr: {
     const uint32_t s = regs[r->b];
     regs[r->dst] = s >= 32 ? 0 : regs[r->a] << s;
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_lsl_ri:
     regs[r->dst] = r->imm >= 32 ? 0 : regs[r->a] << r->imm;
-    goto *retire(r, entry);
+    goto *retire(r);
   op_lsr_rr: {
     const uint32_t s = regs[r->b];
     regs[r->dst] = s >= 32 ? 0 : regs[r->a] >> s;
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_lsr_ri:
     regs[r->dst] = r->imm >= 32 ? 0 : regs[r->a] >> r->imm;
-    goto *retire(r, entry);
+    goto *retire(r);
   op_asr_rr: {
     const uint32_t s = regs[r->b];
     const int32_t a = static_cast<int32_t>(regs[r->a]);
     regs[r->dst] = s >= 32 ? (a < 0 ? ~0u : 0)
                            : static_cast<uint32_t>(a >> s);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_asr_ri: {
     const int32_t a = static_cast<int32_t>(regs[r->a]);
     regs[r->dst] = r->imm >= 32 ? (a < 0 ? ~0u : 0)
                                 : static_cast<uint32_t>(a >> r->imm);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_mul_rr:
     regs[r->dst] = regs[r->a] * regs[r->b];
-    goto *retire(r, entry);
+    goto *retire(r);
   op_mul_ri:
     regs[r->dst] = regs[r->a] * r->imm;
-    goto *retire(r, entry);
+    goto *retire(r);
   op_mov_r:
     regs[r->dst] = regs[r->a];
-    goto *retire(r, entry);
+    goto *retire(r);
   op_mov_i:
     regs[r->dst] = r->imm;
-    goto *retire(r, entry);
+    goto *retire(r);
   op_mvn_r:
     regs[r->dst] = ~regs[r->a];
-    goto *retire(r, entry);
+    goto *retire(r);
   op_movt_i:
     regs[r->dst] = (r->imm << 16) | (regs[r->dst] & 0xffff);
-    goto *retire(r, entry);
+    goto *retire(r);
   op_cmp_rr:
     setFlagsSub(regs[r->a], regs[r->b], 32);
-    goto *retire(r, entry);
+    goto *retire(r);
   op_cmp_ri:
     setFlagsSub(regs[r->a], r->imm, 32);
-    goto *retire(r, entry);
+    goto *retire(r);
   op_cmp_ir:
     setFlagsSub(r->imm, regs[r->b], 32);
-    goto *retire(r, entry);
+    goto *retire(r);
   op_setcc:
     regs[r->dst] = condHolds(static_cast<Cond>(r->imm)) ? 1 : 0;
-    goto *retire(r, entry);
+    goto *retire(r);
   op_sxth:
     regs[r->dst] = static_cast<uint32_t>(sextFrom(regs[r->a], 16));
-    goto *retire(r, entry);
+    goto *retire(r);
   op_uxth:
     regs[r->dst] = regs[r->a] & 0xffff;
-    goto *retire(r, entry);
+    goto *retire(r);
   op_uxt8:
     regs[r->dst] = sliceByte(regs[r->a], r->sh, ROp::kShA);
-    goto *retire(r, entry);
+    goto *retire(r);
   op_sxt8:
     regs[r->dst] = static_cast<uint32_t>(
         sextFrom(sliceByte(regs[r->a], r->sh, ROp::kShA), 8));
-    goto *retire(r, entry);
+    goto *retire(r);
   op_add8_rr: {
     const uint32_t full = sliceByte(regs[r->a], r->sh, ROp::kShA) +
                           sliceByte(regs[r->b], r->sh, ROp::kShB);
     if ((r->sh & ROp::kSpec) && full > 0xff)
         goto op_generic; // Carry out: misspeculation.
     mergeByte(regs[r->dst], full & 0xff, r->sh);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_add8_ri: {
     const uint32_t full =
@@ -1048,7 +1096,7 @@ FastCore::replay(RunMemo &m0)
     if ((r->sh & ROp::kSpec) && full > 0xff)
         goto op_generic; // Carry out: misspeculation.
     mergeByte(regs[r->dst], full & 0xff, r->sh);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_sub8_rr: {
     const uint32_t a = sliceByte(regs[r->a], r->sh, ROp::kShA);
@@ -1056,39 +1104,39 @@ FastCore::replay(RunMemo &m0)
     if ((r->sh & ROp::kSpec) && a < b)
         goto op_generic; // Borrow: misspeculation.
     mergeByte(regs[r->dst], (a - b) & 0xff, r->sh);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_sub8_ri: {
     const uint32_t a = sliceByte(regs[r->a], r->sh, ROp::kShA);
     if ((r->sh & ROp::kSpec) && a < r->imm)
         goto op_generic; // Borrow: misspeculation.
     mergeByte(regs[r->dst], (a - r->imm) & 0xff, r->sh);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_cmp8_rr:
     setFlagsSub(sliceByte(regs[r->a], r->sh, ROp::kShA),
                 sliceByte(regs[r->b], r->sh, ROp::kShB), 8);
-    goto *retire(r, entry);
+    goto *retire(r);
   op_cmp8_ri:
     setFlagsSub(sliceByte(regs[r->a], r->sh, ROp::kShA), r->imm, 8);
-    goto *retire(r, entry);
+    goto *retire(r);
   op_cmp8_ir:
     setFlagsSub(r->imm, sliceByte(regs[r->b], r->sh, ROp::kShB), 8);
-    goto *retire(r, entry);
+    goto *retire(r);
   op_mov8_r:
     mergeByte(regs[r->dst], sliceByte(regs[r->a], r->sh, ROp::kShA),
               r->sh);
-    goto *retire(r, entry);
+    goto *retire(r);
   op_mov8_i:
     mergeByte(regs[r->dst], r->imm, r->sh);
-    goto *retire(r, entry);
+    goto *retire(r);
   op_load_w_rr: {
     const uint32_t addr = regs[r->a] + regs[r->b];
     const uint32_t stall = loadAccess(addr, 4);
     std::memcpy(&regs[r->dst], dataMem_.data() + addr, 4);
     if (stall)
         return divergeLoadMiss(*mp, r->body, iters, entry, stall);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_load_w_ri: {
     const uint32_t addr = regs[r->a] + r->imm;
@@ -1096,7 +1144,7 @@ FastCore::replay(RunMemo &m0)
     std::memcpy(&regs[r->dst], dataMem_.data() + addr, 4);
     if (stall)
         return divergeLoadMiss(*mp, r->body, iters, entry, stall);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_load_b_rr: {
     const uint32_t addr = regs[r->a] + regs[r->b];
@@ -1104,7 +1152,7 @@ FastCore::replay(RunMemo &m0)
     regs[r->dst] = dataMem_[addr];
     if (stall)
         return divergeLoadMiss(*mp, r->body, iters, entry, stall);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_load_b_ri: {
     const uint32_t addr = regs[r->a] + r->imm;
@@ -1112,7 +1160,7 @@ FastCore::replay(RunMemo &m0)
     regs[r->dst] = dataMem_[addr];
     if (stall)
         return divergeLoadMiss(*mp, r->body, iters, entry, stall);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_load_b8_rr: {
     const uint32_t addr = regs[r->a] + regs[r->b];
@@ -1120,7 +1168,7 @@ FastCore::replay(RunMemo &m0)
     mergeByte(regs[r->dst], dataMem_[addr], r->sh);
     if (stall)
         return divergeLoadMiss(*mp, r->body, iters, entry, stall);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_load_b8_ri: {
     const uint32_t addr = regs[r->a] + r->imm;
@@ -1128,7 +1176,7 @@ FastCore::replay(RunMemo &m0)
     mergeByte(regs[r->dst], dataMem_[addr], r->sh);
     if (stall)
         return divergeLoadMiss(*mp, r->body, iters, entry, stall);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_store_w_rr: {
     const uint32_t addr = regs[r->a] + regs[r->b];
@@ -1136,7 +1184,7 @@ FastCore::replay(RunMemo &m0)
     std::memcpy(dataMem_.data() + addr, &regs[r->dst], 4);
     if (stall) // Store misses advance the cycle itself.
         return diverge(*mp, r->body, iters, entry, stall, false);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_store_w_ri: {
     const uint32_t addr = regs[r->a] + r->imm;
@@ -1144,7 +1192,7 @@ FastCore::replay(RunMemo &m0)
     std::memcpy(dataMem_.data() + addr, &regs[r->dst], 4);
     if (stall)
         return diverge(*mp, r->body, iters, entry, stall, false);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_store_b_rr: {
     const uint32_t addr = regs[r->a] + regs[r->b];
@@ -1153,7 +1201,7 @@ FastCore::replay(RunMemo &m0)
         sliceByte(regs[r->dst], r->sh, ROp::kShDst));
     if (stall)
         return diverge(*mp, r->body, iters, entry, stall, false);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_store_b_ri: {
     const uint32_t addr = regs[r->a] + r->imm;
@@ -1162,7 +1210,7 @@ FastCore::replay(RunMemo &m0)
         sliceByte(regs[r->dst], r->sh, ROp::kShDst));
     if (stall)
         return diverge(*mp, r->body, iters, entry, stall, false);
-    goto *retire(r, entry);
+    goto *retire(r);
   }
   op_generic: { // The original PInst handler.
     const uint32_t i = r->body;
@@ -1236,7 +1284,6 @@ FastCore::replay(RunMemo &m0)
                 ++counters_.rfWrite8;
             else
                 ++counters_.rfWrite32;
-            readyAt_[p.dst.reg] = entry + mp->per[i].issueOff + 1;
         }
         break;
       case PKind::Mvn:
@@ -1354,13 +1401,13 @@ FastCore::replay(RunMemo &m0)
       default:
         panic("replay: unexpected kind in memo body");
     }
-    goto *retire(r, entry);
+    goto *retire(r);
   }
 
   op_end:
     // Clean body completion.
     cycle_ = entry + mp->bodyCycles;
-    maxReady_ = std::max(maxReady_, entry + mp->maxReadyOff);
+    exitScoreboard(*mp, entry);
 
     if (mp->termIsBranch && !attr_ && !prof_) {
         // Branch terminators complete inline: no execTerminator
@@ -1500,6 +1547,8 @@ FastCore::slowStep(uint32_t idx)
     const PInst &p = pre_.insts()[idx];
     uint32_t *regs = regs_;
     const uint64_t cycle_at_fetch = cycle_;
+    if (pendingFetches_)
+        flushFetches();
     cycle_ += 1 + mem_.fetch(prog_.addrOf(idx));
     ++counters_.instructions;
     applyContrib(p.contrib);

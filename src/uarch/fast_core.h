@@ -30,7 +30,10 @@
  *    ready, fuel suffices, every I-line is resident), the trace
  *    replays in one sweep over its micro-ops, threaded: each handler
  *    does only the functional work and jumps straight to the next
- *    op's handler, and timing/accounting commit from the memo.
+ *    op's handler, and timing/accounting commit from the memo: the
+ *    scoreboard once per exit (RunMemo::exitReady, skipped while it
+ *    is quiescent), the I-fetches of a pinned trace lazily, at the
+ *    next other use of the L1I (pendingFetches_).
  *    Interior jumps have no micro-op, a MOVW/MOVT pair on one
  *    register is one, and a sentinel closes the stream. D-cache
  *    accesses are still performed for real, so hierarchy state stays
@@ -85,11 +88,6 @@ class FastCore
      *  (never seen in practice). */
     static constexpr uint32_t kMaxRunLen = 4096;
     static_assert(kMaxRunLen <= 0xffff, "ROp::body is 16 bits");
-
-    /** Dump slot past the architectural registers: replay scoreboard
-     *  stores index it for instructions with no scoreboard write, so
-     *  the store is unconditional. Never read. */
-    static constexpr uint32_t kScratchReg = 16;
 
     /** @p pre (and the MachProgram it wraps) and @p m must outlive
      *  the core. */
@@ -174,6 +172,13 @@ class FastCore
         uint64_t bodyCycles = 0;   ///< Cycle offset at terminator fetch.
         uint32_t maxReadyOff = 0;  ///< Max scoreboard offset written.
         uint16_t entryReadyMask = 0; ///< Regs assumed ready at entry.
+        /** Scoreboard at a clean exit: the registers the body writes
+         *  (MOVCOND destinations included) and each one's readiness
+         *  offset after its last write. The replayed ops store no
+         *  readiness; the exit writes these, and a divergence rebuilds
+         *  its prefix's from per and the PInst latencies. */
+        uint16_t exitWriteMask = 0;
+        uint32_t exitReady[16] = {};
         uint64_t fuelCost = 0;     ///< Retirements incl. terminator.
         /** Fetch segments in execution order: each but the last ends
          *  at an interior jump, the last at the terminator. */
@@ -199,8 +204,13 @@ class FastCore
         uint32_t termTarget = 0;
         /** Pinned L1I footprint (ordered slot + fetch-count runs).
          *  While the L1I fill generation matches, the residency guard
-         *  is one compare and the fetch commit a direct stat bump. */
+         *  is one compare, and an exit only adds pin.total fetches per
+         *  traversal to FastCore::pendingFetches_. */
         MemoryHierarchy::FetchPin pin;
+        /** pendingFetches_ when the memo's last pending traversal
+         *  ended, and whether the memo is on fetchList_. */
+        uint64_t fetchEnd = 0;
+        bool fetchListed = false;
         /** Compact replay micro-op, one per body instruction but the
          *  interior jumps (which do nothing at run time) and the MOVT
          *  of a MOVW/MOV #imm + MOVT pair on one register (the pair
@@ -246,18 +256,13 @@ class FastCore
             uint8_t op = kGeneric;
             uint8_t dst = 0, a = 0, b = 0;
             uint32_t imm = 0;       ///< Immediate (or Cond for Setcc).
-            uint16_t readyOff = 0;  ///< Scoreboard offset on write.
-            /** Scoreboard slot written on retire: a register index,
-             *  or the scratch slot for no-write/conditional
-             *  instructions — the replay store is branchless. */
-            uint8_t writeReg = kScratchReg;
             uint8_t sh = 0;         ///< Packed slice shifts, kSpec.
             /** Index of the op's body entry in RunMemo::per (the
              *  MOVT's for a fused pair): where a divergence commits
              *  its prefix up to and resumes. */
             uint16_t body = 0;
         };
-        static_assert(sizeof(ROp) == 16, "ROp must stay 16 bytes");
+        static_assert(sizeof(ROp) == 12, "ROp must stay 12 bytes");
 
         struct PerInst
         {
@@ -281,9 +286,14 @@ class FastCore
     RunMemo *memoFor(uint32_t idx);
     RunMemo buildMemo(uint32_t start) const;
     /** Pre-resolve one body instruction into its replay micro-op. */
-    static RunMemo::ROp translateOp(const PInst &p, uint32_t ready_off,
-                                    uint8_t write_reg);
+    static RunMemo::ROp translateOp(const PInst &p);
     bool entryReady(const RunMemo &m) const;
+    /** A clean exit of @p m entered at @p entry: write its exit
+     *  scoreboard unless every readiness, old and new, is already at
+     *  or below cycle_ (any two such values are interchangeable:
+     *  readyAt_ is only compared with cycle_, which never
+     *  decreases). */
+    void exitScoreboard(const RunMemo &m, uint64_t entry);
 
     /** Replay the memoized trace at cycle_; returns the next flat
      *  index (or sets halted_). Only called with no counter tracks
@@ -295,11 +305,16 @@ class FastCore
     /** Replay residency guard: valid pin (one compare) or probe and
      *  re-pin. False when some I-line is not resident. */
     bool fetchGuard(RunMemo &m);
-    /** Commit @p repeat fetch traversals of the memo's segments, via
-     *  the pin when valid. */
+    /** Commit @p repeat fetch traversals of the memo's segments: with
+     *  a valid pin, defer them to pendingFetches_; otherwise flush and
+     *  commit them segment by segment. */
     void commitFetches(RunMemo &m, uint64_t repeat);
+    /** Commit the deferred fetches to the L1I: stamp each listed
+     *  memo's pinned lines with its last pending traversal, then count
+     *  pendingFetches_. Runs before every other L1I use. */
+    void flushFetches();
     /** Commit the first @p k body instructions of a diverged replay
-     *  from the memo (fetches, counters, sinks, fuel). */
+     *  from the memo (fetches, counters, scoreboard, sinks, fuel). */
     void commitPrefix(const RunMemo &m, uint32_t k);
     /** Leave a replay entered at @p entry at body instruction @p i,
      *  which completes at entry + its issue offset + @p extra:
@@ -378,10 +393,10 @@ class FastCore
         return false;
     }
 
-    /** Scoreboard: cycle when each register's value is ready; slot
-     *  kScratchReg is the write-only dump for branchless replay
-     *  stores. */
-    uint64_t readyAt_[17] = {};
+    /** Scoreboard: cycle when each register's value is ready. A
+     *  replay writes it at its exit (RunMemo::exitReady), not per
+     *  op. */
+    uint64_t readyAt_[16] = {};
     /** Upper bound on max(readyAt_): when <= cycle_, the whole
      *  scoreboard is quiescent and replay entry needs no per-register
      *  check. */
@@ -399,6 +414,16 @@ class FastCore
     static constexpr int32_t kSeenOnce = -2;
     std::vector<int32_t> memoIdx_;
     std::vector<RunMemo> memos_;
+
+    /** Lazily committed I-fetches: a replay exit through a valid pin
+     *  adds its fetches here and lists its memo (memos_ indices) in
+     *  fetchList_, and flushFetches() commits them before the next
+     *  other use of the L1I — the slow path's fetch, a prefix or
+     *  unpinned commit, finish(), reset() and invalidateMemos(). L1I
+     *  LRU order matters only when a line is filled, and only the slow
+     *  path fills. */
+    uint64_t pendingFetches_ = 0;
+    std::vector<uint32_t> fetchList_;
 
     uint64_t replayedRuns_ = 0;
     uint64_t slowInsts_ = 0;

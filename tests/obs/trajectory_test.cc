@@ -345,6 +345,46 @@ TEST(Trajectory, RecordFromBenchJsonExtractsSeries)
     EXPECT_TRUE(dbg.debugBuild);
 }
 
+TEST(Trajectory, RecordFromBenchJsonReadsOnlyEachEntrysOwnCounters)
+{
+    // An entry without the counter gives no series: an errored
+    // workload run must not take a later benchmark's items_per_second,
+    // nor a core entry the gated core rate of a later entry. A brace
+    // inside a string does not end the entry early.
+    const std::string json = R"({
+  "benchmarks": [
+    {
+      "name": "BM_CoreWorkload/qsort",
+      "run_name": "BM_CoreWorkload/qsort",
+      "error_occurred": true,
+      "error_message": "fatal: } in \"main\" {"
+    },
+    {
+      "name": "BM_CompileBaseline",
+      "run_name": "BM_CompileBaseline",
+      "items_per_second": 1500
+    },
+    {
+      "name": "BM_CoreThroughput/fast",
+      "run_name": "BM_CoreThroughput/fast",
+      "real_time": 12.5
+    },
+    {
+      "name": "BM_CoreWorkload/susan-edges",
+      "run_name": "BM_CoreWorkload/susan-edges",
+      "items_per_second": 2.4e8,
+      "machine_instrs_per_s": 9.9e9
+    }
+  ]
+})";
+    TrajectoryRecord rec = recordFromBenchJson(json);
+    EXPECT_FALSE(rec.value("rate.core_workload_qsort_per_s").has_value());
+    EXPECT_FALSE(rec.value("rate.core_fast_machine_per_s").has_value());
+    EXPECT_DOUBLE_EQ(
+        rec.value("rate.core_workload_susan_edges_per_s").value(), 2.4e8);
+    EXPECT_EQ(rec.series.size(), 1u);
+}
+
 TEST(Trajectory, RecordFromBenchJsonPerWorkloadCoreRates)
 {
     // BM_CoreWorkload/<workload> entries become ungated
@@ -371,11 +411,16 @@ TEST(Trajectory, RecordFromBenchJsonPerWorkloadCoreRates)
       "name": "BM_CoreWorkload/qsort",
       "run_name": "BM_CoreWorkload/qsort",
       "items_per_second": 8.3e7
+    },
+    {
+      "name": "BM_CoreWorkload/susan-edges-min",
+      "run_name": "BM_CoreWorkload/susan-edges-min",
+      "items_per_second": 1.9e8
     }
   ]
 })";
     TrajectoryRecord rec = recordFromBenchJson(json);
-    EXPECT_EQ(rec.series.size(), 4u);
+    EXPECT_EQ(rec.series.size(), 5u);
     EXPECT_DOUBLE_EQ(rec.value("rate.core_fast_machine_per_s").value(),
                      2.2e8);
     EXPECT_DOUBLE_EQ(
@@ -385,8 +430,13 @@ TEST(Trajectory, RecordFromBenchJsonPerWorkloadCoreRates)
         2.1e8);
     EXPECT_DOUBLE_EQ(rec.value("rate.core_workload_qsort_per_s").value(),
                      8.3e7);
+    EXPECT_DOUBLE_EQ(
+        rec.value("rate.core_workload_susan_edges_min_per_s").value(),
+        1.9e8);
     EXPECT_TRUE(isGatedSeries("rate.core_fast_machine_per_s"));
     EXPECT_FALSE(isGatedSeries("rate.core_workload_qsort_per_s"));
+    EXPECT_FALSE(
+        isGatedSeries("rate.core_workload_susan_edges_min_per_s"));
 
     // Recorded, never gated: a collapse of a workload rate passes.
     std::vector<TrajectoryRecord> history = {rec};

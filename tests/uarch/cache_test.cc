@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "support/error.h"
@@ -175,10 +176,60 @@ TEST(Hierarchy, FetchRangeResidentNeedsEveryLine)
     EXPECT_FALSE(m.fetchRangeResident(0x400000, 0x400020));
 }
 
-/** Reference LRU cache: a full way search on every call and no
- *  remembered lines. Its victim choice is Cache's: the first invalid
- *  way after way 0, else the least recently used way (an unfilled way
- *  0 has lastUse 0). */
+TEST(Hierarchy, LazyPinnedCommitsMatchPerExitCommits)
+{
+    // Two pinned traces share an I-line, committed once per exit on
+    // one side and deferred on the other: each trace's last pending
+    // traversal stamped (the earlier-listed one last, so a shared
+    // line must keep the later stamp), then every fetch counted. The
+    // fills that follow must pick the same victims.
+    MemoryHierarchy eager, lazy;
+    // 64 sets of 4 ways: lines 2 KiB apart share a set. Trace A runs
+    // lines 0 and 1 of set 0's four, trace B lines 1 and 2; line 3 is
+    // older than all of them.
+    const uint32_t base = 0x400000, way = 2048;
+    for (uint32_t w : {3u, 0u, 1u, 2u})
+        for (MemoryHierarchy *m : {&eager, &lazy})
+            m->fetch(base + w * way);
+    const MemoryHierarchy::FetchSeg seg_a[] = {
+        {base, base + 12}, {base + way, base + way + 4}};
+    const MemoryHierarchy::FetchSeg seg_b[] = {
+        {base + way + 8, base + way + 28}, {base + 2 * way, base + 2 * way}};
+    MemoryHierarchy::FetchPin pin_a, pin_b;
+    lazy.fetchPin(seg_a, pin_a);
+    lazy.fetchPin(seg_b, pin_b);
+    ASSERT_EQ(pin_a.cnt, 2u);
+    ASSERT_EQ(pin_b.cnt, 2u);
+    ASSERT_EQ(pin_a.total, 6u);
+    ASSERT_EQ(pin_b.total, 7u);
+
+    // Exits: A x3, B x2, A x1.
+    eager.fetchCommitPinned(pin_a, 3);
+    eager.fetchCommitPinned(pin_b, 2);
+    eager.fetchCommitPinned(pin_a, 1);
+    const uint64_t end_b = 3 * 6 + 2 * 7, end_a = end_b + 6;
+    lazy.fetchStampPinned(pin_a, end_a);
+    lazy.fetchStampPinned(pin_b, end_b);
+    lazy.fetchAddHits(end_a);
+    EXPECT_EQ(lazy.l1i(), eager.l1i());
+
+    // Fill set 0 with new lines: line 3, then 2 (B's last touch of it
+    // is older than A's of line 1), then 0, then 1 must go.
+    for (uint32_t w = 4; w < 8; ++w) {
+        eager.fetch(base + w * way);
+        lazy.fetch(base + w * way);
+        for (uint32_t v = 0; v < 4; ++v)
+            EXPECT_EQ(lazy.fetchRangeResident(base + v * way, base + v * way),
+                      eager.fetchRangeResident(base + v * way, base + v * way))
+                << "line " << v << " after fill " << w;
+    }
+    EXPECT_EQ(lazy.l1i(), eager.l1i());
+}
+
+/** Reference LRU cache: a full way search on every call and no line
+ *  hints. Its victim choice is Cache's: the first invalid way after
+ *  way 0, else the least recently used way (an unfilled way 0 has
+ *  lastUse 0). */
 class NaiveLru
 {
   public:
@@ -193,9 +244,9 @@ class NaiveLru
     {
         ++stats.accesses;
         ++tick_;
-        touched(addr / lineBytes_);
         int32_t slot = residentSlotOf(addr);
         if (slot >= 0) {
+            hinted(addr / lineBytes_);
             lines_[slot].lastUse = tick_;
             lines_[slot].dirty |= is_write;
             return true;
@@ -215,12 +266,14 @@ class NaiveLru
         Line &l = lines_[base + victim];
         if (l.valid) {
             stats.writebacks += l.dirty;
-            // recent_[0] is the line being filled: recent_[1..2] are
-            // the two lines Cache remembered before this access.
-            evictedRecent[0] += l.line == recent_[1];
-            evictedRecent[1] += l.line == recent_[2];
+            uint32_t &hint = hints_[l.line % Cache::kHintEntries];
+            if (hint == l.line) {
+                ++evictedHinted;
+                hint = kNoLine;
+            }
         }
         l = Line{true, is_write, addr / lineBytes_, tick_};
+        hinted(addr / lineBytes_);
         return false;
     }
 
@@ -244,7 +297,7 @@ class NaiveLru
         const int32_t slot = residentSlotOf(addr);
         if (slot < 0)
             return false;
-        touched(addr / lineBytes_);
+        hinted(addr / lineBytes_);
         commitHitsAt(static_cast<uint32_t>(slot), count);
         return true;
     }
@@ -258,12 +311,13 @@ class NaiveLru
     }
 
     CacheStats stats;
-    /** Fills that evicted the most recently / second most recently
-     *  touched distinct line before the filled one (bookkeeping only:
-     *  no lookup consults it). */
-    uint64_t evictedRecent[2] = {};
+    /** Fills that evicted a line Cache's hint table held (bookkeeping
+     *  only: no lookup consults the table here). */
+    uint64_t evictedHinted = 0;
 
   private:
+    static constexpr uint32_t kNoLine = ~0u;
+
     struct Line
     {
         bool valid = false;
@@ -272,41 +326,41 @@ class NaiveLru
         uint64_t lastUse = 0;
     };
 
-    /** Distinct lines touched by access() and commitHits(), most
-     *  recent first. */
-    void
-    touched(uint32_t line)
-    {
-        if (line == recent_[0])
-            return;
-        if (line != recent_[1])
-            recent_[2] = recent_[1];
-        recent_[1] = recent_[0];
-        recent_[0] = line;
-    }
+    /** Cache's table after access() or commitHits() of @p line: every
+     *  one leaves the line hinted at its index. */
+    void hinted(uint32_t line) { hints_[line % Cache::kHintEntries] = line; }
 
     uint32_t assoc_, lineBytes_, sets_;
     std::vector<Line> lines_;
     uint64_t tick_ = 0;
-    uint32_t recent_[3] = {~0u, ~0u, ~0u};
+    std::vector<uint32_t> hints_ =
+        std::vector<uint32_t>(Cache::kHintEntries, kNoLine);
 };
 
 TEST(Cache, MatchesNaiveLruOnRandomStreams)
 {
-    // Streams concentrated on 3 sets of 6 lines each. Half the draws
-    // revisit one of the last 3 lines, so the remembered-line hit
-    // paths run. Under LRU a fill evicts a remembered line only when
-    // the set holds nothing older: in a direct-mapped cache, or after
-    // commitHitsAt() (the pinned fetch commit, which leaves the
-    // remembered lines alone) freshened the set's other ways.
+    // Streams concentrated on two line families, plus revisits. The
+    // set family holds 3 sets of max(6, assoc + 2) lines a way apart,
+    // more than a set holds; the hint family 3 groups of as many lines
+    // kHintEntries lines apart, which share one hint index: within one
+    // set when the cache has at most kHintEntries sets, across sets
+    // when it has more. Half
+    // the draws revisit one of the last 3 lines, so the hinted hit
+    // paths run; colliding lines keep displacing each other's hints,
+    // and fills keep evicting hinted lines, whose entries must go.
     struct Geometry
     {
         uint32_t size, assoc, line;
     };
-    uint64_t evicted_first = 0, evicted_second = 0;
-    for (const Geometry g : {Geometry{8 * 1024, 4, 32},
-                             Geometry{1024, 2, 32}, Geometry{512, 1, 32}}) {
+    const uint32_t hint_stride = Cache::kHintEntries * 32;
+    for (const Geometry g :
+         {Geometry{8 * 1024, 4, 32}, Geometry{1024, 2, 32},
+          Geometry{512, 1, 32}, Geometry{32 * 1024, 2, 32},
+          Geometry{16 * 1024, 1, 32}}) {
         const uint32_t way_bytes = g.size / g.assoc; // Same-set stride.
+        const uint32_t family = std::max(6u, g.assoc + 2);
+        ASSERT_EQ(hint_stride, Cache::kHintEntries * g.line);
+        uint64_t evicted_hinted = 0;
         for (uint64_t seed = 1; seed <= 4; ++seed) {
             Cache cache(g.size, g.assoc, g.line);
             NaiveLru ref(g.size, g.assoc, g.line);
@@ -314,20 +368,26 @@ TEST(Cache, MatchesNaiveLruOnRandomStreams)
             std::vector<uint32_t> recent;
             for (int step = 0; step < 20000; ++step) {
                 uint32_t addr;
+                const auto group = static_cast<uint32_t>(rng.nextBelow(3));
+                const auto member =
+                    static_cast<uint32_t>(rng.nextBelow(family));
+                const auto offset =
+                    static_cast<uint32_t>(rng.nextBelow(g.line));
                 if (recent.size() >= 3 && rng.nextBelow(2)) {
                     addr = recent[recent.size() - 1 - rng.nextBelow(3)];
+                } else if (rng.nextBelow(2)) {
+                    addr = 0x4000 + group * g.line + member * way_bytes +
+                           offset;
                 } else {
-                    const auto set = static_cast<uint32_t>(rng.nextBelow(3));
-                    const auto tag = static_cast<uint32_t>(rng.nextBelow(6));
-                    addr = 0x4000 + set * g.line + tag * way_bytes +
-                           static_cast<uint32_t>(rng.nextBelow(g.line));
+                    addr = 0x100000 + group * 5 * g.line +
+                           member * hint_stride + offset;
                 }
                 recent.push_back(addr);
                 const uint64_t op = rng.nextBelow(10);
                 SCOPED_TRACE(testing::Message()
-                             << g.assoc << "-way, seed " << seed << ", step "
-                             << step << ", op " << op << ", addr 0x"
-                             << std::hex << addr);
+                             << g.size << " B " << g.assoc << "-way, seed "
+                             << seed << ", step " << step << ", op " << op
+                             << ", addr 0x" << std::hex << addr);
                 if (op < 5) {
                     const bool write = rng.nextBelow(2);
                     ASSERT_EQ(cache.access(addr, write),
@@ -351,14 +411,55 @@ TEST(Cache, MatchesNaiveLruOnRandomStreams)
                 }
             }
             EXPECT_EQ(cache.stats(), ref.stats)
-                << g.assoc << "-way, seed " << seed;
-            evicted_first += ref.evictedRecent[0];
-            evicted_second += ref.evictedRecent[1];
+                << g.size << " B " << g.assoc << "-way, seed " << seed;
+            evicted_hinted += ref.evictedHinted;
         }
+        // The streams did evict hinted lines in every geometry.
+        EXPECT_GT(evicted_hinted, 0u) << g.size << " B " << g.assoc << "-way";
     }
-    // The streams did evict both remembered lines.
-    EXPECT_GT(evicted_first, 0u);
-    EXPECT_GT(evicted_second, 0u);
+}
+
+TEST(Cache, DeferredHitsMatchCommitHitsAt)
+{
+    // stampAhead + addHits, the split commitHitsAt the lazy fetch
+    // commit uses: stamping each slot's last touch ahead of the clock
+    // and counting the batch afterwards leaves the same stats and
+    // the same victims as committing each hit run when it happened.
+    Cache eager(8 * 1024, 4, 32);
+    Cache lazy(8 * 1024, 4, 32);
+    // Fill one set (64 sets: 2 KiB apart) with lines A..D.
+    for (uint32_t w = 0; w < 4; ++w) {
+        eager.access(0x1000 + w * 2048, false);
+        lazy.access(0x1000 + w * 2048, false);
+    }
+    const auto slot = [&eager](uint32_t w) {
+        return static_cast<uint32_t>(eager.residentSlotOf(0x1000 + w * 2048));
+    };
+    // Runs on C, A, C, B in that order: D, then A, are the oldest.
+    const uint32_t runs[][2] = {{2, 3}, {0, 2}, {2, 1}, {1, 4}};
+    uint64_t ahead = 0;
+    for (const auto &run : runs) {
+        eager.commitHitsAt(slot(run[0]), run[1]);
+        ahead += run[1];
+    }
+    // The lazy side stamps each line's last touch only, out of order,
+    // with an earlier touch stamped after a later one.
+    lazy.stampAhead(slot(2), 6);
+    lazy.stampAhead(slot(1), 10);
+    lazy.stampAhead(slot(2), 3);
+    lazy.stampAhead(slot(0), 5);
+    lazy.addHits(ahead);
+    EXPECT_EQ(lazy.stats(), eager.stats());
+    for (uint32_t w = 4; w < 6; ++w) {
+        EXPECT_EQ(lazy.access(0x1000 + w * 2048, false),
+                  eager.access(0x1000 + w * 2048, false));
+        for (uint32_t v = 0; v < 4; ++v)
+            EXPECT_EQ(lazy.peek(0x1000 + v * 2048),
+                      eager.peek(0x1000 + v * 2048))
+                << "line " << v << " after fill " << w;
+    }
+    EXPECT_FALSE(lazy.peek(0x1000 + 3 * 2048)); // D went first,
+    EXPECT_FALSE(lazy.peek(0x1000));            // then A.
 }
 
 } // namespace

@@ -467,6 +467,203 @@ TEST(FastCore, DivergenceRightAfterInteriorJumpFeedsSinksExactly)
     }
 }
 
+/** Hand-assembled EMB32 code, for kernels that need an exact
+ *  instruction order or code placement, which the compiler does not
+ *  promise. Flat indices are the branch targets; the program starts
+ *  at index 0 and ends at a HALT. */
+class Asm
+{
+  public:
+    static MOpnd reg(unsigned r) { return MOpnd::makeReg(r); }
+    static MOpnd imm(int64_t v) { return MOpnd::makeImm(v); }
+
+    uint32_t here() const { return static_cast<uint32_t>(prog_.flat.size()); }
+
+    /** Pad with HALTs (never reached) up to flat index @p idx. */
+    void
+    at(uint32_t idx)
+    {
+        ASSERT_LE(here(), idx);
+        while (here() < idx)
+            op(MOp::HALT);
+    }
+
+    void
+    op(MOp o, MOpnd dst = {}, MOpnd a = {}, MOpnd b = {})
+    {
+        MachInst m;
+        m.op = o;
+        m.dst = dst;
+        m.a = a;
+        m.b = b;
+        prog_.flat.push_back(m);
+    }
+
+    /** B (or B<cond>) / BL to flat index @p target. */
+    void
+    jump(MOp o, uint32_t target, Cond cond = Cond::AL)
+    {
+        MachInst m;
+        m.op = o;
+        m.cond = cond;
+        m.target = static_cast<int>(target);
+        prog_.flat.push_back(m);
+    }
+
+    const MachProgram &prog() const { return prog_; }
+
+  private:
+    MachProgram prog_;
+};
+
+/** Run @p slow on its slow path and @p fast with replay, two cores
+ *  of one program; every observable must agree. */
+void
+expectReplayMatchesSlowPath(FastCore &slow, FastCore &fast)
+{
+    const uint32_t want = runSlowPath(slow, {});
+    EXPECT_EQ(fast.run({}), want);
+    expectSameObservables(slow, fast);
+}
+
+TEST(FastCore, LoadMissAfterReplayedMulWaitsForTheMul)
+{
+    // The loop loads one word per 32-byte line of a cold 32 KiB
+    // array, so every load misses and diverges the replayed loop,
+    // with the MUL just before it still in flight (latency 3). The
+    // slow path resumes at the ADD that reads the product, which must
+    // stall for it: the divergence has to rebuild the replayed
+    // prefix's scoreboard, since the replayed ops store none. Nothing
+    // reads the loaded word, and the NOPs outlast the miss, so no
+    // later stall hides a lost cycle.
+    using A = Asm;
+    constexpr uint32_t kIters = 1024;
+    Asm a;
+    a.op(MOp::MOVW, A::reg(2), A::imm(0)); // r2 = 0x100000: the array.
+    a.op(MOp::MOVT, A::reg(2), A::imm(0x10));
+    a.op(MOp::MOV, A::reg(1), A::imm(0));  // r1: byte offset.
+    a.op(MOp::MOVW, A::reg(5), A::imm(kIters * 32));
+    a.op(MOp::MOV, A::reg(3), A::imm(1));
+    const uint32_t loop = a.here();
+    a.op(MOp::MUL, A::reg(3), A::reg(3), A::imm(31));
+    a.op(MOp::LDR, A::reg(4), A::reg(2), A::reg(1));
+    a.op(MOp::ADD, A::reg(3), A::reg(3), A::imm(1)); // Reads the MUL.
+    for (int i = 0; i < 72; ++i) // Longer than a DRAM miss.
+        a.op(MOp::NOP);
+    a.op(MOp::ADD, A::reg(1), A::reg(1), A::imm(32));
+    a.op(MOp::CMP, {}, A::reg(1), A::reg(5));
+    a.jump(MOp::B, loop, Cond::LO);
+    a.op(MOp::MOV, A::reg(0), A::reg(3));
+    a.op(MOp::HALT);
+
+    PredecodedProgram pre(a.prog());
+    Module mod;
+    FastCore slow(pre, mod), fast(pre, mod);
+    expectReplayMatchesSlowPath(slow, fast);
+
+    // Every load missed, and the slow path ran fewer than two
+    // instructions per miss: the loads ran in replay, so each miss
+    // diverged it.
+    const uint64_t misses = fast.memory().l1d().misses;
+    EXPECT_GE(misses, kIters);
+    EXPECT_GE(fast.replayedRuns(), kIters - 10);
+    EXPECT_LT(fast.slowInsts(), 2 * misses);
+}
+
+TEST(FastCore, DivideInFlightPastMemoExitHoldsTheSuccessor)
+{
+    // The loop's test block ends in a UDIV (latency 12) right before
+    // its terminator, and the block the branch falls through to reads
+    // the quotient first. A replayed memo therefore exits with the
+    // quotient still in flight, and the successor's entry guard must
+    // see it: the exit writes the memo's scoreboard, since the
+    // replayed ops store none.
+    using A = Asm;
+    constexpr uint32_t kIters = 2000;
+    Asm a;
+    a.op(MOp::MOV, A::reg(1), A::imm(0));
+    a.op(MOp::MOVW, A::reg(5), A::imm(kIters));
+    a.op(MOp::MOVW, A::reg(6), A::imm(50000));
+    a.op(MOp::MOV, A::reg(7), A::imm(7));
+    a.op(MOp::MOV, A::reg(4), A::imm(0));
+    const uint32_t head = a.here();
+    a.op(MOp::ADD, A::reg(1), A::reg(1), A::imm(1));
+    a.op(MOp::CMP, {}, A::reg(1), A::reg(5));
+    a.op(MOp::UDIV, A::reg(3), A::reg(6), A::reg(7));
+    a.jump(MOp::B, a.here() + 4, Cond::EQ); // Out, past the next block.
+    a.op(MOp::ADD, A::reg(4), A::reg(4), A::reg(3)); // Reads the UDIV.
+    a.op(MOp::ADD, A::reg(6), A::reg(6), A::reg(4));
+    a.jump(MOp::B, head);
+    a.op(MOp::MOV, A::reg(0), A::reg(4));
+    a.op(MOp::HALT);
+
+    PredecodedProgram pre(a.prog());
+    Module mod;
+    FastCore slow(pre, mod), fast(pre, mod);
+    expectReplayMatchesSlowPath(slow, fast);
+
+    // Every iteration replays the loop and then finds the successor
+    // not ready, which runs its first instruction on the slow path.
+    EXPECT_GE(fast.replayedRuns(), kIters - 10);
+    EXPECT_GE(fast.slowInsts(), kIters);
+}
+
+TEST(FastCore, SlowPathFillsSeeLazilyCommittedReplayFetches)
+{
+    // Five code lines share one L1I set of four ways: a called loop
+    // R, replayed, and four call sites S1..S4, run in turn on every
+    // outer iteration. Between two call sites R replays, so it stays
+    // the most recently used line, and the call sites miss in a
+    // cycle of four lines over three ways: each runs on the slow
+    // path, and its fill must evict the oldest call site, not R.
+    // R's replays commit their fetches lazily, so the victim is only
+    // right if they are committed before the slow path's fetch.
+    using A = Asm;
+    constexpr uint32_t kLine = 8;       // Instructions per I-line.
+    constexpr uint32_t kSetStride = 512; // 8 KiB / 4 ways / 4 B.
+    constexpr uint32_t kOuter = 300;
+    const uint32_t r = kLine;           // R's line: set 1.
+    auto site = [&](uint32_t k) { return r + k * kSetStride; };
+
+    Asm a;
+    a.op(MOp::MOV, A::reg(9), A::imm(0));
+    a.op(MOp::MOVW, A::reg(10), A::imm(kOuter));
+    a.jump(MOp::B, site(1));
+    const uint32_t done = a.here();
+    a.op(MOp::HALT);
+    const uint32_t tail = a.here(); // Outer loop latch (set 0).
+    a.op(MOp::ADD, A::reg(9), A::reg(9), A::imm(1));
+    a.op(MOp::CMP, {}, A::reg(9), A::reg(10));
+    a.jump(MOp::B, site(1), Cond::LO);
+    a.jump(MOp::B, done);
+    a.at(r); // R: a 6-iteration loop, then return.
+    a.op(MOp::MOV, A::reg(1), A::imm(0));
+    const uint32_t inner = a.here();
+    a.op(MOp::ADD, A::reg(1), A::reg(1), A::imm(1));
+    a.op(MOp::ADD, A::reg(2), A::reg(2), A::reg(1));
+    a.op(MOp::CMP, {}, A::reg(1), A::imm(6));
+    a.jump(MOp::B, inner, Cond::LO);
+    a.op(MOp::BXLR);
+    for (uint32_t k = 1; k <= 4; ++k) {
+        a.at(site(k));
+        a.jump(MOp::BL, r);
+        a.jump(MOp::B, k < 4 ? site(k + 1) : tail);
+    }
+    ASSERT_EQ(a.prog().addrOf(r) / 32 % 64,
+              a.prog().addrOf(site(4)) / 32 % 64);
+
+    PredecodedProgram pre(a.prog());
+    Module mod;
+    FastCore slow(pre, mod), fast(pre, mod);
+    expectReplayMatchesSlowPath(slow, fast);
+
+    // Every call site missed on every outer iteration, and R
+    // replayed in between.
+    EXPECT_GE(fast.memory().l1i().misses, 4 * kOuter);
+    EXPECT_GE(fast.replayedRuns(), 4 * kOuter);
+    EXPECT_GT(fast.slowInsts(), 4 * kOuter);
+}
+
 TEST(FastCore, LoopFreeCodeBuildsNoMemos)
 {
     // Every index runs once, so no memo would ever replay.
