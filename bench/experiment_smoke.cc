@@ -45,8 +45,8 @@
 #include <string>
 #include <vector>
 
-#include "../bench/common.h"
 #include "artifact/store.h"
+#include "core/experiment.h"
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
 #include "obs/attribution.h"
@@ -55,10 +55,12 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "obs/trajectory.h"
 #include "support/stats.h"
+#include "support/threadpool.h"
+#include "workloads/workload.h"
 
 using namespace bitspec;
-using namespace bitspec::bench;
 
 namespace
 {
@@ -114,9 +116,12 @@ measure(const std::string &name,
     std::vector<RunResult> serial;
     serial.reserve(cells.size());
     for (const ExperimentCell &c : cells) {
+        const Workload &w = *c.workload;
         auto c0 = Clock::now();
-        System sys = makeSystem(*c.workload, c.config, c.profileSeed);
-        serial.push_back(runSeed(sys, *c.workload, c.runSeed));
+        System sys(w.source, c.config,
+                   [&](Module &m) { w.setInput(m, c.profileSeed); });
+        serial.push_back(
+            sys.run([&](Module &m) { w.setInput(m, c.runSeed); }));
         cell_walls.add(seconds(c0, Clock::now()));
     }
     auto s1 = Clock::now();
@@ -145,8 +150,8 @@ fig08Cells()
 {
     std::vector<ExperimentCell> cells;
     for (const Workload &w : mibenchSuite()) {
-        cells.push_back(cell(w, SystemConfig::baseline()));
-        cells.push_back(cell(w, SystemConfig::bitspec()));
+        cells.emplace_back(&w, SystemConfig::baseline());
+        cells.emplace_back(&w, SystemConfig::bitspec());
     }
     return cells;
 }
@@ -159,7 +164,7 @@ fig16Cells(unsigned images)
     std::vector<ExperimentCell> cells;
     for (unsigned i = 0; i < images; ++i)
         for (unsigned j = 0; j < images; ++j)
-            cells.push_back(cell(w, cfg, 100 + i, 100 + j));
+            cells.emplace_back(&w, cfg, 100 + i, 100 + j);
     return cells;
 }
 
@@ -253,14 +258,16 @@ measureArtifactStore()
         for (const auto &[wp, cfg] : specs) {
             const Workload &w = *wp;
             auto c0 = Clock::now();
-            System sys = makeSystem(w, cfg);
+            System sys(w.source, cfg,
+                       [&w](Module &m) { w.setInput(m, 0); });
             store.publish(
                 ExperimentRunner::systemKeyHash(w, cfg, 0),
                 sys.makeSnapshot(
                     ExperimentRunner::systemKey(w, cfg, 0)));
             auto c1 = Clock::now();
             t.coldSec += seconds(c0, c1);
-            cold_results.push_back(runSeed(sys, w, 0));
+            cold_results.push_back(
+                sys.run([&w](Module &m) { w.setInput(m, 0); }));
         }
         t.diskWrites = store.stats().writes;
     }
@@ -282,7 +289,8 @@ measureArtifactStore()
             System sys(*snap, cfg);
             auto w1 = Clock::now();
             t.warmSec += seconds(w0, w1);
-            warm_results.push_back(runSeed(sys, w, 0));
+            warm_results.push_back(
+                sys.run([&w](Module &m) { w.setInput(m, 0); }));
         }
         t.diskHits = store.stats().hits;
     }
@@ -356,10 +364,11 @@ measureStaticLint(const std::string &name)
 
     StaticLintRow row;
     row.name = name;
-    System sys_on = makeSystem(w, on);
-    RunResult r_on = runSeed(sys_on, w);
-    System sys_off = makeSystem(w, off);
-    RunResult r_off = runSeed(sys_off, w);
+    auto input = [&w](Module &m) { w.setInput(m, 0); };
+    System sys_on(w.source, on, input);
+    RunResult r_on = sys_on.run(input);
+    System sys_off(w.source, off, input);
+    RunResult r_off = sys_off.run(input);
 
     row.stats = r_on.squeezeStats;
     row.instsOn = r_on.counters.instructions;
@@ -421,7 +430,8 @@ staticLintSection(const std::vector<StaticLintRow> &rows)
 bool
 printBitspecReport()
 {
-    printHeader("bitspec-report: per-region misspeculation "
+    std::printf("\n==== %s ====\n%s\n\n",
+                "bitspec-report: per-region misspeculation "
                 "attribution",
                 "region = function#id at its source line; overhead = "
                 "recovery + handler energy; saved = share of the "
@@ -435,16 +445,16 @@ printBitspecReport()
     constexpr uint64_t kRunSeed = 1;
     bool ok = true;
     for (const Workload &w : mibenchSuite()) {
-        System squeezed =
-            makeSystem(w, SystemConfig::bitspec(Heuristic::Max));
+        auto train = [&w](Module &m) { w.setInput(m, 0); };
+        auto input = [&w](Module &m) { w.setInput(m, kRunSeed); };
+        System squeezed(w.source, SystemConfig::bitspec(Heuristic::Max),
+                        train);
         AttributionMap map(squeezed.program());
         AttributionSink sink(map);
-        RunResult r =
-            squeezed.run([&w](Module &m) { w.setInput(m, kRunSeed); },
-                         {}, {.attribution = &sink});
+        RunResult r = squeezed.run(input, {}, {.attribution = &sink});
 
-        System base = makeSystem(w, SystemConfig::baseline());
-        RunResult br = runSeed(base, w, kRunSeed);
+        System base(w.source, SystemConfig::baseline(), train);
+        RunResult br = base.run(input);
 
         RegionReportInputs inputs;
         inputs.energy = squeezed.config().energy;
@@ -482,7 +492,8 @@ printBitspecReport()
 bool
 printBitspecHeat(const std::string &folded_dir)
 {
-    printHeader("bitspec-heat: per-block cycle attribution",
+    std::printf("\n==== %s ====\n%s\n\n",
+                "bitspec-heat: per-block cycle attribution",
                 "block = MachBlock with file:line provenance via its "
                 "SpecRegion; energy = model split (pipeline ~ cycles, "
                 "recovery ~ misspecs, rest ~ insts). Profiled on seed "
@@ -496,8 +507,8 @@ printBitspecHeat(const std::string &folded_dir)
         std::filesystem::create_directories(folded_dir, ec);
     }
     for (const Workload &w : mibenchSuite()) {
-        System sys =
-            makeSystem(w, SystemConfig::bitspec(Heuristic::Max));
+        System sys(w.source, SystemConfig::bitspec(Heuristic::Max),
+                   [&w](Module &m) { w.setInput(m, 0); });
         BlockMap map(sys.program());
         BlockProfilerSink sink(map);
         RunObservers obs;
@@ -616,8 +627,9 @@ interpRates(unsigned reps)
     return r;
 }
 
-/** Pull "<counter>": <num> that follows benchmark "name": @p bench
- *  out of a google-benchmark JSON file; 0 when absent. */
+/** Counter @p counter of benchmark @p bench in the google-benchmark
+ *  JSON file @p path (benchCounter, obs/trajectory.h); 0 when the
+ *  file, the entry or the entry's counter is missing. */
 double
 extractBenchCounter(const std::string &path, const std::string &bench,
                     const std::string &counter)
@@ -627,15 +639,7 @@ extractBenchCounter(const std::string &path, const std::string &bench,
         return 0;
     std::stringstream buf;
     buf << in.rdbuf();
-    const std::string text = buf.str();
-    size_t at = text.find("\"name\": \"" + bench + "\"");
-    if (at == std::string::npos)
-        return 0;
-    size_t key = text.find("\"" + counter + "\":", at);
-    if (key == std::string::npos)
-        return 0;
-    return std::strtod(
-        text.c_str() + key + counter.size() + 3, nullptr);
+    return benchCounter(buf.str(), bench, counter).value_or(0);
 }
 
 struct ObservabilityGate
@@ -955,7 +959,7 @@ main(int argc, char **argv)
     if (argc > 1 && std::string(argv[1]) == "bitspec-diff")
         return runBitspecDiff(argc, argv);
 
-    printHeader("Experiment-engine smoke",
+    std::printf("\n==== %s ====\n%s\n\n", "Experiment-engine smoke",
                 "Serial (fresh System per cell) vs ExperimentRunner "
                 "(pooled + memoized System cache); results verified "
                 "bit-identical.");

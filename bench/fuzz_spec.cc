@@ -41,7 +41,7 @@
 #include <memory>
 #include <string>
 
-#include "../bench/common.h"
+#include "core/experiment.h"
 #include "fuzz/differential.h"
 #include "fuzz/gen.h"
 #include "fuzz/shrink.h"
@@ -94,7 +94,7 @@ printShrunk(const FuzzProgram &p,
 int
 runInjected(const Options &opt)
 {
-    ExperimentRunner &runner = bench::runner();
+    ExperimentRunner runner;
     const SystemConfig cfg = SystemConfig::bitspec();
 
     auto misspeculates = [&](const FuzzProgram &p) {
@@ -135,7 +135,7 @@ runInjected(const Options &opt)
 int
 runFuzz(const Options &opt)
 {
-    ExperimentRunner &runner = bench::runner();
+    ExperimentRunner runner;
     uint64_t agreed = 0, skipped = 0, diverged = 0, runs = 0;
 
     // Whole differentials fan out across a driver pool (the runner's

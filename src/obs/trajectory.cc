@@ -257,6 +257,18 @@ thisBuild()
     return build;
 }
 
+std::optional<double>
+benchCounter(const std::string &json_text, const std::string &bench,
+             const std::string &counter)
+{
+    size_t at = json_text.find("\"name\": \"" + bench + "\"");
+    if (at == std::string::npos)
+        at = json_text.find("\"name\":\"" + bench + "\"");
+    if (at == std::string::npos)
+        return std::nullopt;
+    return numberAfter(json_text, counter, at, objectEnd(json_text, at));
+}
+
 TrajectoryRecord
 recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
 {
@@ -273,30 +285,16 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
             rec.series.push_back({name, *v});
     };
 
-    // google-benchmark counters: read within the benchmark's own
-    // entry, the object holding its "name", so an entry without the
-    // counter (an errored run) gives no series rather than a later
-    // entry's value.
-    auto bench_counter = [&json_text](const std::string &bench,
-                                      const std::string &counter)
-        -> std::optional<double> {
-        size_t at = json_text.find("\"name\": \"" + bench + "\"");
-        if (at == std::string::npos)
-            at = json_text.find("\"name\":\"" + bench + "\"");
-        if (at == std::string::npos)
-            return std::nullopt;
-        return numberAfter(json_text, counter, at,
-                           objectEnd(json_text, at));
-    };
-
     add("rate.interp_decoded_ir_per_s",
-        bench_counter("BM_InterpreterThroughput/decoded",
-                      "ir_instrs_per_s"));
+        benchCounter(json_text, "BM_InterpreterThroughput/decoded",
+                     "ir_instrs_per_s"));
     add("rate.interp_profiled_ir_per_s",
-        bench_counter("BM_InterpreterProfiledThroughput/decoded",
-                      "ir_instrs_per_s"));
+        benchCounter(json_text,
+                     "BM_InterpreterProfiledThroughput/decoded",
+                     "ir_instrs_per_s"));
     add("rate.core_fast_machine_per_s",
-        bench_counter("BM_CoreThroughput/fast", "machine_instrs_per_s"));
+        benchCounter(json_text, "BM_CoreThroughput/fast",
+                     "machine_instrs_per_s"));
 
     // Per-workload core rates: every BM_CoreWorkload/<workload>
     // entry, '-' in the workload name spelled '_' in the series.

@@ -108,6 +108,17 @@ bool appendHistory(const std::string &path,
                    const TrajectoryRecord &rec);
 
 /**
+ * Counter @p counter of google-benchmark entry @p bench in
+ * @p json_text, read within that entry's own object (the one holding
+ * its "name"), so an entry without the counter (an errored run)
+ * reads as absent rather than as a later entry's value. nullopt when
+ * the entry or its counter is missing.
+ */
+std::optional<double> benchCounter(const std::string &json_text,
+                                   const std::string &bench,
+                                   const std::string &counter);
+
+/**
  * Distil a BENCH_micro.json (google-benchmark output with the
  * experiment_smoke sections spliced in) into a record: build type and
  * debug flag from @p build (the JSON's library_build_type is

@@ -13,7 +13,6 @@
  *  - BITSPEC_VERIFY_EACH   per-stage pipeline verification (bool)
  *  - BITSPEC_TRACE         path for the Chrome trace-event export
  *  - BITSPEC_METRICS       path for the metrics JSON-lines export
- *  - BITSPEC_FIG16_IMAGES  Fig. 16 profile/run grid size
  *  - BITSPEC_ARTIFACT_DIR  compiled-System artifact store directory
  *                          (unset/empty = disk cache tier disabled)
  *  - BITSPEC_ARTIFACT_MAX_MB  artifact store size budget (default 512)

@@ -385,6 +385,38 @@ TEST(Trajectory, RecordFromBenchJsonReadsOnlyEachEntrysOwnCounters)
     EXPECT_EQ(rec.series.size(), 1u);
 }
 
+TEST(Trajectory, BenchCounterIsAbsentWhenTheNamedEntryLacksIt)
+{
+    // experiment_smoke reads the decoded interpreter rate with
+    // benchCounter too: an errored decoded run must read as absent,
+    // not as the profiled entry's rate that follows it.
+    const std::string json = R"({
+  "benchmarks": [
+    {
+      "name": "BM_InterpreterThroughput/decoded",
+      "run_name": "BM_InterpreterThroughput/decoded",
+      "error_occurred": true
+    },
+    {
+      "name": "BM_InterpreterProfiledThroughput/decoded",
+      "run_name": "BM_InterpreterProfiledThroughput/decoded",
+      "ir_instrs_per_s": 1.25e8
+    }
+  ]
+})";
+    EXPECT_FALSE(benchCounter(json, "BM_InterpreterThroughput/decoded",
+                              "ir_instrs_per_s")
+                     .has_value());
+    EXPECT_DOUBLE_EQ(
+        benchCounter(json, "BM_InterpreterProfiledThroughput/decoded",
+                     "ir_instrs_per_s")
+            .value(),
+        1.25e8);
+    EXPECT_FALSE(benchCounter(json, "BM_NoSuchBenchmark",
+                              "ir_instrs_per_s")
+                     .has_value());
+}
+
 TEST(Trajectory, RecordFromBenchJsonPerWorkloadCoreRates)
 {
     // BM_CoreWorkload/<workload> entries become ungated
