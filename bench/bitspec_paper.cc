@@ -7,12 +7,14 @@
  *
  * Every figure of one invocation runs on one ExperimentRunner, so a
  * System shared by several figures compiles once. BITSPEC_JOBS sets
- * the worker count; the output does not depend on it. With no
- * argument or an unknown id, prints the valid ids to stderr and exits
- * 2 without running anything.
+ * the worker count; the output does not depend on it. Run-ledger
+ * records (BITSPEC_LEDGER) name their figure: `bench` is
+ * `bitspec-paper/<id>`. With no argument or an unknown id, prints the
+ * valid ids to stderr and exits 2 without running anything.
  */
 
 #include <cstdio>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -47,7 +49,9 @@ main(int argc, char **argv)
     }
 
     ExperimentRunner runner;
-    for (const paper::Figure *f : selected)
+    for (const paper::Figure *f : selected) {
+        runner.setLedgerLabel(std::string("bitspec-paper/") + f->id);
         f->print(runner, stdout);
+    }
     return 0;
 }

@@ -49,7 +49,6 @@
 #include "core/experiment.h"
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
-#include "obs/attribution.h"
 #include "obs/diff.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
@@ -449,9 +448,9 @@ printBitspecReport()
         auto input = [&w](Module &m) { w.setInput(m, kRunSeed); };
         System squeezed(w.source, SystemConfig::bitspec(Heuristic::Max),
                         train);
-        AttributionMap map(squeezed.program());
-        AttributionSink sink(map);
-        RunResult r = squeezed.run(input, {}, {.attribution = &sink});
+        BlockMap map(squeezed.program());
+        BlockProfilerSink sink(map);
+        RunResult r = squeezed.run(input, {}, {.blocks = &sink});
 
         System base(w.source, SystemConfig::baseline(), train);
         RunResult br = base.run(input);
@@ -463,8 +462,11 @@ printBitspecReport()
         inputs.baselineEnergyPj = br.totalEnergy;
         auto rows = buildRegionReport(map, sink, inputs);
 
+        uint64_t region_misspecs = 0;
+        for (const RegionReportRow &row : rows)
+            region_misspecs += row.activity.misspecs;
         const bool sums_match =
-            sink.totalMisspecs() == r.counters.misspeculations &&
+            region_misspecs == r.counters.misspeculations &&
             sink.unattributedMisspecs() == 0;
         ok = ok && sums_match;
         std::printf("--- %s: %zu regions, %llu misspeculations "

@@ -7,8 +7,8 @@
  * A SystemSnapshot carries everything a warm-started System needs to
  * serve runs bit-identically to a fresh compile: the linked
  * MachProgram (including the per-function block metadata and
- * blockIndex that AttributionMap / BlockMap reconstruct their
- * flat-index partitions from), the post-profiling global-data images
+ * blockIndex that BlockMap reconstructs its flat-index partition and
+ * region table from), the post-profiling global-data images
  * the run loop restores before every input, and the compile-time
  * stats (squeeze/lint, expander, backend, profiled IR steps) that
  * RunResult republishes. Per-block instruction lists are deliberately

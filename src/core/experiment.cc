@@ -8,7 +8,6 @@
 #include <optional>
 
 #include "artifact/store.h"
-#include "obs/attribution.h"
 #include "obs/flightrec.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
@@ -241,7 +240,8 @@ ExperimentRunner::cellKey(const ExperimentCell &cell)
 }
 
 ExperimentRunner::ExperimentRunner(unsigned threads)
-    : pool_(threads), store_(artifact::ArtifactStore::fromEnv())
+    : pool_(threads), store_(artifact::ArtifactStore::fromEnv()),
+      ledgerLabel_(program_invocation_short_name)
 {}
 
 ExperimentRunner::~ExperimentRunner() = default;
@@ -423,18 +423,18 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
     uint64_t run_seed = cell.runSeed;
 
     LedgerWriter *ledger = LedgerWriter::global();
-    // Detail capture attaches attribution + heat sinks. Replay stays
-    // on, but with a sink attached a replayed branch terminator takes
-    // the per-instruction path and blocks do not chain, so detail
-    // runs are slower — the default ledger record is deliberately
-    // cheap (BITSPEC_LEDGER alone must stay within bench_smoke's 1%
-    // overhead gate).
+    // Detail capture attaches the block profiler, which also yields
+    // the region rows. Replay, inline branch completion and chaining
+    // stay on, but every replayed instruction is fed to the sink, so
+    // detail runs are slower — the default ledger record is
+    // deliberately cheap (BITSPEC_LEDGER alone must stay within
+    // bench_smoke's 1% overhead gate).
     const bool detail = ledger && LedgerWriter::detailEnabled();
     LedgerRecord rec;
     uint64_t log_errors0 = 0, log_warns0 = 0;
     if (ledger) {
         rec.flavour = artifact::buildFlavour();
-        rec.bench = program_invocation_short_name;
+        rec.bench = ledgerLabel_;
         rec.workload = w.name;
         rec.cellKey = cellKey(cell);
         rec.systemKey = systemKey(w, cell.config, cell.profileSeed);
@@ -455,9 +455,7 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
             flightrec::setInflight(toJsonLine(rec).c_str());
     }
 
-    std::optional<AttributionMap> amap;
     std::optional<BlockMap> bmap;
-    std::optional<AttributionSink> asink;
     std::optional<BlockProfilerSink> bsink;
     // Schema-1 records carry an engine; FastCore keeps the name older
     // ledgers recorded for it, so they still compare.
@@ -467,11 +465,8 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
     RunObservers observers;
     const auto t0 = std::chrono::steady_clock::now();
     if (detail) {
-        amap.emplace(sys.program());
         bmap.emplace(sys.program());
-        asink.emplace(*amap);
         bsink.emplace(*bmap);
-        observers.attribution = &*asink;
         observers.blocks = &*bsink;
     }
     const RunResult out =
@@ -535,17 +530,18 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
         rec.setField("backend.skeleton_insts", be.skeletonInsts);
 
         if (detail) {
-            const auto &sites = amap->sites();
-            const auto &activity = asink->activity();
-            for (size_t i = 0; i < sites.size(); ++i) {
+            const auto &regions = bmap->regions();
+            const std::vector<RegionActivity> activity =
+                bsink->regionActivity();
+            for (size_t i = 0; i < regions.size(); ++i) {
                 const RegionActivity &a = activity[i];
                 if (a.entries == 0 && a.misspecs == 0 &&
                     a.handlerInsts == 0)
                     continue;
                 LedgerRegionRow row;
-                row.function = sites[i].function;
-                row.regionId = sites[i].regionId;
-                row.srcLine = sites[i].srcLine;
+                row.function = regions[i].function;
+                row.regionId = regions[i].regionId;
+                row.srcLine = regions[i].srcLine;
                 row.entries = a.entries;
                 row.misspecs = a.misspecs;
                 row.specInsts = a.specInsts;
@@ -555,7 +551,7 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
             }
             rec.setField(
                 "regions.unattributed_misspecs",
-                static_cast<double>(asink->unattributedMisspecs()));
+                static_cast<double>(bsink->unattributedMisspecs()));
 
             // Top-K heat rows by cycles; the *_total fields carry the
             // exact whole-run sums so validation reconciles against
@@ -648,7 +644,7 @@ ExperimentRunner::run(const std::vector<ExperimentCell> &cells)
         LedgerRecord rec;
         rec.kind = "matrix";
         rec.flavour = artifact::buildFlavour();
-        rec.bench = program_invocation_short_name;
+        rec.bench = ledgerLabel_;
         rec.env = captureBitspecEnv();
         rec.setField("matrix.cells",
                      static_cast<double>(cells.size()));

@@ -162,6 +162,11 @@ class ExperimentRunner
     /** The attached store, or nullptr when the disk tier is off. */
     const artifact::ArtifactStore *artifactStore() const;
 
+    /** The `bench` name of the ledger records (cell and matrix) of
+     *  subsequent runs; the process name until set. Call between
+     *  runs, not while cells are in flight. */
+    void setLedgerLabel(std::string label) { ledgerLabel_ = std::move(label); }
+
     /**
      * Canonical cache key of a cell's compiled System: workload name,
      * FNV-1a hash of the source text, every SystemConfig field (in
@@ -248,6 +253,7 @@ class ExperimentRunner
     /** Disk tier; nullptr when disabled (the default). */
     std::unique_ptr<artifact::ArtifactStore> store_;
     ExperimentStats stats_;
+    std::string ledgerLabel_;
 };
 
 } // namespace bitspec

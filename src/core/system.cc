@@ -186,7 +186,6 @@ System::run(const std::function<void(Module &)> &run_input,
         tracks = &traced_tracks;
 
     FastCore core(*predecoded_, *globals);
-    core.setAttribution(observers.attribution);
     core.setBlockProfiler(observers.blocks);
     core.setCounterTracks(tracks);
     core.setMisspecPolicy(policy, policy_seed);

@@ -48,13 +48,14 @@ struct CoreRunStats
 };
 
 /** Observers a run attaches to the core; all optional, all must
- *  outlive the run. When `tracks` is null but BITSPEC_TRACE is
- *  active, System attaches a transient CounterTrackEmitter so every
- *  traced run gets IPC / misspec-rate / cache-hit counter tracks for
- *  free. `core`, when set, receives the run's CoreRunStats. */
+ *  outlive the run. `blocks` tallies every retire per block, skeleton
+ *  slot and region (obs/profiler.h). When `tracks` is null but
+ *  BITSPEC_TRACE is active, System attaches a transient
+ *  CounterTrackEmitter so every traced run gets IPC / misspec-rate /
+ *  cache-hit counter tracks for free. `core`, when set, receives the
+ *  run's CoreRunStats. */
 struct RunObservers
 {
-    AttributionSink *attribution = nullptr;
     BlockProfilerSink *blocks = nullptr;
     CounterTrackEmitter *tracks = nullptr;
     CoreRunStats *core = nullptr;

@@ -27,16 +27,6 @@ fmtNum(double v)
     return buf;
 }
 
-void
-jsonEscape(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-}
-
 /** Pipeline stage a field family is produced by. */
 const char *
 stageOfField(const std::string &name)
@@ -391,29 +381,29 @@ ledgerDiffToJson(const LedgerDiff &diff)
             out += ",";
         first = false;
         out += "{\"cell_key\":\"";
-        jsonEscape(out, cell.cellKey);
+        out += jsonEscape(cell.cellKey);
         out += "\",\"workload\":\"";
-        jsonEscape(out, cell.workload);
+        out += jsonEscape(cell.workload);
         out += "\",\"engine\":\"";
-        jsonEscape(out, cell.engine);
+        out += jsonEscape(cell.engine);
         out += "\",\"policy\":\"";
-        jsonEscape(out, cell.policy);
+        out += jsonEscape(cell.policy);
         out += strFormat("\",\"regressed\":%s,\"diverged\":%s",
                          cell.regressed ? "true" : "false",
                          cell.diverged ? "true" : "false");
         out += ",\"stage\":\"";
-        jsonEscape(out, cell.stage);
+        out += jsonEscape(cell.stage);
         out += "\",\"region\":\"";
-        jsonEscape(out, cell.region);
+        out += jsonEscape(cell.region);
         out += "\",\"block\":\"";
-        jsonEscape(out, cell.block);
+        out += jsonEscape(cell.block);
         out += "\",\"drifts\":[";
         for (size_t i = 0; i < cell.drifts.size(); ++i) {
             const FieldDrift &d = cell.drifts[i];
             if (i)
                 out += ",";
             out += "{\"name\":\"";
-            jsonEscape(out, d.name);
+            out += jsonEscape(d.name);
             out += "\",\"a\":" + fmtNum(d.a) +
                    ",\"b\":" + fmtNum(d.b) +
                    ",\"delta_pct\":" + fmtNum(d.deltaPct) +

@@ -14,6 +14,7 @@
 
 #include "support/env.h"
 #include "support/log.h"
+#include "support/str.h"
 
 extern char **environ;
 
@@ -22,16 +23,6 @@ namespace bitspec
 
 namespace
 {
-
-void
-jsonEscape(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-}
 
 /** %.17g: enough digits that parse(fmtNum(v)) == v bit-for-bit, which
  *  the validator's exact-reconciliation checks rely on. */
@@ -85,17 +76,9 @@ stringAfter(const std::string &text, const std::string &key,
     if (open == std::string::npos)
         return std::nullopt;
     std::string out;
-    for (size_t i = open + 1; i < text.size(); ++i) {
-        char c = text[i];
-        if (c == '\\' && i + 1 < text.size()) {
-            out += text[++i];
-            continue;
-        }
-        if (c == '"')
-            return out;
-        out += c;
-    }
-    return std::nullopt;
+    if (readJsonString(text, open, out) == std::string::npos)
+        return std::nullopt;
+    return out;
 }
 
 /** Index of the `}` matching the `{` at @p open, skipping over string
@@ -130,7 +113,7 @@ appendStr(std::string &out, const char *key, const std::string &v)
     out += ",\"";
     out += key;
     out += "\":\"";
-    jsonEscape(out, v);
+    out += jsonEscape(v);
     out += "\"";
 }
 
@@ -251,7 +234,7 @@ toJsonLine(const LedgerRecord &rec)
     std::string out = "{\"schema_version\":" +
                       std::to_string(rec.schemaVersion) +
                       ",\"kind\":\"";
-    jsonEscape(out, rec.kind);
+    out += jsonEscape(rec.kind);
     out += "\"";
     appendStr(out, "flavour", rec.flavour);
     appendStr(out, "bench", rec.bench);
@@ -274,9 +257,9 @@ toJsonLine(const LedgerRecord &rec)
         if (i)
             out += ",";
         out += "\"";
-        jsonEscape(out, env[i].first);
+        out += jsonEscape(env[i].first);
         out += "\":\"";
-        jsonEscape(out, env[i].second);
+        out += jsonEscape(env[i].second);
         out += "\"";
     }
     out += "}";
@@ -291,7 +274,7 @@ toJsonLine(const LedgerRecord &rec)
         if (i)
             out += ",";
         out += "\"";
-        jsonEscape(out, fields[i].name);
+        out += jsonEscape(fields[i].name);
         out += "\":" + fmtNum(fields[i].value);
     }
     out += "}";
@@ -302,7 +285,7 @@ toJsonLine(const LedgerRecord &rec)
         if (i)
             out += ",";
         out += "{\"function\":\"";
-        jsonEscape(out, r.function);
+        out += jsonEscape(r.function);
         out += "\"";
         appendU64(out, "region", static_cast<uint64_t>(
                                      r.regionId < 0 ? 0 : r.regionId));
@@ -323,9 +306,9 @@ toJsonLine(const LedgerRecord &rec)
         if (i)
             out += ",";
         out += "{\"function\":\"";
-        jsonEscape(out, h.function);
+        out += jsonEscape(h.function);
         out += "\",\"block\":\"";
-        jsonEscape(out, h.block);
+        out += jsonEscape(h.block);
         out += "\"";
         appendU64(out, "region", static_cast<uint64_t>(
                                      h.regionId < 0 ? 0 : h.regionId));
@@ -363,10 +346,10 @@ parseStringObject(
         }
         if (line[i] != '"')
             break;
-        size_t name_end = line.find('"', i + 1);
+        std::string name;
+        size_t name_end = readJsonString(line, i, name);
         if (name_end == std::string::npos)
             break;
-        std::string name = line.substr(i + 1, name_end - i - 1);
         size_t colon = line.find(':', name_end);
         if (colon == std::string::npos)
             break;
@@ -374,18 +357,8 @@ parseStringObject(
         if (open == std::string::npos)
             break;
         std::string value;
-        size_t j = open + 1;
-        for (; j < line.size(); ++j) {
-            char c = line[j];
-            if (c == '\\' && j + 1 < line.size()) {
-                value += line[++j];
-                continue;
-            }
-            if (c == '"')
-                break;
-            value += c;
-        }
-        if (j >= line.size())
+        size_t j = readJsonString(line, open, value);
+        if (j == std::string::npos)
             break; // Torn inside the value.
         out.emplace_back(std::move(name), std::move(value));
         i = j + 1;

@@ -30,9 +30,9 @@
  * loader, like obs/trajectory's, skips instead of failing on.
  *
  * Knobs: BITSPEC_LEDGER=<path> enables the global writer;
- * BITSPEC_LEDGER_DETAIL=1 additionally attaches attribution + block
- * profiler sinks to every cell (documented cost: region/heat rows
- * disable the FastCore replay fast path for those runs).
+ * BITSPEC_LEDGER_DETAIL=1 additionally attaches the block profiler
+ * to every cell for its region and heat rows (documented cost: replay
+ * stays on, but feeds the sink every replayed instruction).
  */
 
 #ifndef BITSPEC_OBS_LEDGER_H_
@@ -64,7 +64,7 @@ struct LedgerField
     double value = 0;
 };
 
-/** Per-region attribution row (detail mode; obs/attribution). */
+/** Per-region attribution row (detail mode; obs/profiler). */
 struct LedgerRegionRow
 {
     std::string function;
@@ -203,8 +203,8 @@ class LedgerWriter
      *  ledger emission regardless of the env. */
     static void setGlobal(std::unique_ptr<LedgerWriter> writer);
 
-    /** BITSPEC_LEDGER_DETAIL (or the setDetail override): attach
-     *  attribution + heat sinks to every ledgered cell. */
+    /** BITSPEC_LEDGER_DETAIL (or the setDetail override): attach the
+     *  block profiler (region and heat rows) to every ledgered cell. */
     static bool detailEnabled();
     static void setDetail(bool on);
 

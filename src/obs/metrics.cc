@@ -9,6 +9,7 @@
 #include "support/env.h"
 #include "support/error.h"
 #include "support/log.h"
+#include "support/str.h"
 
 namespace bitspec
 {
@@ -32,16 +33,6 @@ keyOf(const std::string &name, const MetricsRegistry::Labels &labels)
     }
     key += "}";
     return key;
-}
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
 }
 
 std::string
@@ -191,7 +182,7 @@ MetricsRegistry::writeJsonLines(std::ostream &os) const
 {
     for (const MetricSample &s : snapshot()) {
         os << "{\"name\":\"";
-        jsonEscape(os, s.name);
+        os << jsonEscape(s.name);
         os << "\"";
         if (!s.labels.empty()) {
             os << ",\"labels\":{";
@@ -199,9 +190,9 @@ MetricsRegistry::writeJsonLines(std::ostream &os) const
                 if (i)
                     os << ",";
                 os << "\"";
-                jsonEscape(os, s.labels[i].first);
+                os << jsonEscape(s.labels[i].first);
                 os << "\":\"";
-                jsonEscape(os, s.labels[i].second);
+                os << jsonEscape(s.labels[i].second);
                 os << "\"";
             }
             os << "}";

@@ -1,6 +1,7 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
+#include <map>
 
 #include "obs/trace.h"
 #include "support/error.h"
@@ -12,22 +13,26 @@ namespace bitspec
 BlockMap::BlockMap(const MachProgram &prog)
 {
     info_.resize(prog.flat.size());
+    // Per region: whether a member block with code has set its entry.
+    std::vector<bool> has_entry;
 
     for (const MachFunction &mf : prog.funcs) {
         const uint32_t base = prog.indexOf(mf.baseAddr);
         const uint32_t spec_insts = mf.delta / kInstBytes;
 
         // Recover each block's emitted [start, end) range from
-        // blockIndex, exactly as AttributionMap does: ranges are
-        // delimited by the next-larger start, and speculative-area
-        // (member) blocks are clamped to the speculative area because
-        // their Eq. 1/2 skeleton slots sit between them and the next
-        // laid-out block.
+        // blockIndex: ranges are delimited by the next-larger start,
+        // and speculative-area (member) blocks are clamped to the
+        // speculative area because their Eq. 1/2 skeleton slots sit
+        // between them and the next laid-out block.
         std::vector<std::pair<uint32_t, int>> starts; // (index, block)
         starts.reserve(mf.blockIndex.size());
         for (const auto &[block_id, start] : mf.blockIndex)
             starts.emplace_back(start, block_id);
         std::sort(starts.begin(), starts.end());
+
+        // This function's regions by id, registered in layout order.
+        std::map<int, int> region_of;
 
         for (size_t k = 0; k < starts.size(); ++k) {
             const auto [start, block_id] = starts[k];
@@ -50,6 +55,27 @@ BlockMap::BlockMap(const MachProgram &prog)
             site.startIndex = base + start;
             site.staticInsts =
                 end > start ? (end - start) * (member ? 2 : 1) : 0;
+            if (mb.regionId >= 0) {
+                const auto [it, added] = region_of.emplace(
+                    mb.regionId, static_cast<int>(regions_.size()));
+                if (added) {
+                    RegionSite region;
+                    region.function = mf.name;
+                    region.regionId = mb.regionId;
+                    region.srcLine = mb.regionSrcLine;
+                    region.entryIndex = base;
+                    region.leakSites = mb.regionLeakSites;
+                    region.leaksDischarged = mb.regionLeaksDischarged;
+                    regions_.push_back(std::move(region));
+                    has_entry.push_back(false);
+                }
+                site.region = it->second;
+                const auto r = static_cast<size_t>(it->second);
+                if (member && start < end && !has_entry[r]) {
+                    regions_[r].entryIndex = site.startIndex;
+                    has_entry[r] = true;
+                }
+            }
             sites_.push_back(std::move(site));
             const auto s = static_cast<int32_t>(sites_.size() - 1);
 
@@ -63,6 +89,7 @@ BlockMap::BlockMap(const MachProgram &prog)
                     IndexInfo &sk = info_[base + spec_insts + j];
                     sk.site = s;
                     sk.head = false;
+                    sk.skeleton = true;
                 }
             }
         }
@@ -113,6 +140,145 @@ BlockProfilerSink::totalMisspecs() const
     for (const BlockActivity &a : activity_)
         n += a.misspecs;
     return n;
+}
+
+std::vector<RegionActivity>
+BlockProfilerSink::regionActivity() const
+{
+    const std::vector<BlockSite> &sites = map_->sites();
+    const std::vector<RegionSite> &regions = map_->regions();
+    std::vector<RegionActivity> out(regions.size());
+    for (size_t s = 0; s < sites.size(); ++s) {
+        const BlockSite &site = sites[s];
+        if (site.region < 0)
+            continue;
+        const BlockActivity &b = activity_[s];
+        const SkeletonTally &k = skeleton_[s];
+        RegionActivity &r = out[static_cast<size_t>(site.region)];
+        r.misspecs += b.misspecs;
+        if (!site.isRegionMember()) {
+            r.handlerInsts += b.insts;
+            r.handlerCycles += b.cycles;
+            continue;
+        }
+        // Only the entry block's head (empty blocks sharing its start
+        // retire nothing) counts as a region entry.
+        if (site.startIndex ==
+            regions[static_cast<size_t>(site.region)].entryIndex)
+            r.entries += b.entries;
+        r.specInsts += b.insts - k.insts;
+        r.specCycles += b.cycles - k.cycles;
+        r.skeletonInsts += k.insts;
+        r.handlerInsts += k.insts;
+        r.handlerCycles += k.cycles;
+    }
+    return out;
+}
+
+uint64_t
+BlockProfilerSink::unattributedMisspecs() const
+{
+    uint64_t n = 0;
+    for (size_t s = 0; s < activity_.size(); ++s)
+        if (map_->sites()[s].region < 0)
+            n += activity_[s].misspecs;
+    return n;
+}
+
+std::vector<RegionReportRow>
+buildRegionReport(const BlockMap &map, const BlockProfilerSink &sink,
+                  const RegionReportInputs &inputs)
+{
+    const auto &regions = map.regions();
+    bsAssert(sink.activity().size() == map.sites().size(),
+             "region report: sink built from a different map");
+    const std::vector<RegionActivity> activity = sink.regionActivity();
+
+    const double avg_epi =
+        inputs.totalInstructions
+            ? inputs.totalEnergyPj /
+                  static_cast<double>(inputs.totalInstructions)
+            : 0.0;
+
+    std::vector<RegionReportRow> rows;
+    rows.reserve(regions.size());
+    double overhead_total = 0;
+    uint64_t spec_insts_total = 0;
+    for (size_t i = 0; i < regions.size(); ++i) {
+        RegionReportRow row;
+        row.site = regions[i];
+        row.activity = activity[i];
+        row.misspecRate =
+            row.activity.entries
+                ? static_cast<double>(row.activity.misspecs) /
+                      static_cast<double>(row.activity.entries)
+                : 0.0;
+        row.overheadPj =
+            static_cast<double>(row.activity.misspecs) *
+                inputs.energy.misspecRecovery +
+            static_cast<double>(row.activity.handlerInsts) * avg_epi;
+        overhead_total += row.overheadPj;
+        spec_insts_total += row.activity.specInsts;
+        rows.push_back(std::move(row));
+    }
+
+    // Gross savings: what squeezing bought before paying for its
+    // misspeculations, attributed proportionally to each region's
+    // dynamic speculative instructions.
+    if (inputs.baselineEnergyPj > 0 && spec_insts_total > 0) {
+        const double gross = (inputs.baselineEnergyPj -
+                              inputs.totalEnergyPj) +
+                             overhead_total;
+        for (RegionReportRow &row : rows) {
+            row.savedPj =
+                gross *
+                (static_cast<double>(row.activity.specInsts) /
+                 static_cast<double>(spec_insts_total));
+            row.netPj = row.savedPj - row.overheadPj;
+        }
+    } else {
+        for (RegionReportRow &row : rows)
+            row.netPj = -row.overheadPj;
+    }
+    return rows;
+}
+
+std::string
+formatRegionReport(const std::vector<RegionReportRow> &rows,
+                   const std::string &source_file)
+{
+    std::string out = strFormat(
+        "%-26s %-18s %10s %9s %8s %9s %9s %11s %11s %11s %9s\n",
+        "region", "site", "entries", "misspecs", "rate", "hnd_inst",
+        "hnd_cyc", "overhead_pJ", "saved_pJ", "net_pJ", "sni");
+    for (const RegionReportRow &r : rows) {
+        std::string region = strFormat("%s#%d", r.site.function.c_str(),
+                                       r.site.regionId);
+        std::string site = strFormat("%s:%d", source_file.c_str(),
+                                     r.site.srcLine);
+        // Speculative non-interference verdict: clean, all sinks
+        // discharged, or the number of undischarged leak sites.
+        std::string sni =
+            r.site.leakSites > 0
+                ? strFormat("%d leak%s", r.site.leakSites,
+                            r.site.leakSites == 1 ? "" : "s")
+                : (r.site.leaksDischarged > 0 ? "disch" : "clean");
+        out += strFormat("%-26s %-18s %10llu %9llu %8.4f %9llu %9llu "
+                         "%11.1f %11.1f %11.1f %9s\n",
+                         region.c_str(), site.c_str(),
+                         static_cast<unsigned long long>(
+                             r.activity.entries),
+                         static_cast<unsigned long long>(
+                             r.activity.misspecs),
+                         r.misspecRate,
+                         static_cast<unsigned long long>(
+                             r.activity.handlerInsts),
+                         static_cast<unsigned long long>(
+                             r.activity.handlerCycles),
+                         r.overheadPj, r.savedPj, r.netPj,
+                         sni.c_str());
+    }
+    return out;
 }
 
 std::vector<HeatRow>

@@ -11,6 +11,7 @@
 #include "obs/flightrec.h"
 #include "support/env.h"
 #include "support/log.h"
+#include "support/str.h"
 
 namespace bitspec::trace
 {
@@ -81,28 +82,6 @@ append(Event e)
     b.events.push_back(std::move(e));
 }
 
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-}
-
 /** Arg values that parse fully as numbers are emitted unquoted so
  *  counter tracks and numeric annotations stay numeric in Perfetto. */
 bool
@@ -119,7 +98,7 @@ void
 writeEvent(std::ostream &os, const Event &e)
 {
     os << "{\"name\":\"";
-    jsonEscape(os, e.name);
+    os << jsonEscape(e.name);
     os << "\",\"cat\":\"" << (e.cat && *e.cat ? e.cat : "bitspec")
        << "\",\"ph\":\"" << e.phase << "\",\"pid\":1,\"tid\":" << e.tid;
     if (e.phase != 'M') {
@@ -136,13 +115,13 @@ writeEvent(std::ostream &os, const Event &e)
             if (i)
                 os << ",";
             os << "\"";
-            jsonEscape(os, e.args[i].first);
+            os << jsonEscape(e.args[i].first);
             os << "\":";
             if (looksNumeric(e.args[i].second)) {
                 os << e.args[i].second;
             } else {
                 os << "\"";
-                jsonEscape(os, e.args[i].second);
+                os << jsonEscape(e.args[i].second);
                 os << "\"";
             }
         }

@@ -16,16 +16,6 @@ namespace bitspec
 namespace
 {
 
-void
-jsonEscape(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-}
-
 std::string
 fmtNum(double v)
 {
@@ -92,17 +82,9 @@ stringAfter(const std::string &text, const std::string &key,
     if (open == std::string::npos)
         return std::nullopt;
     std::string out;
-    for (size_t i = open + 1; i < text.size(); ++i) {
-        char c = text[i];
-        if (c == '\\' && i + 1 < text.size()) {
-            out += text[++i];
-            continue;
-        }
-        if (c == '"')
-            return out;
-        out += c;
-    }
-    return std::nullopt;
+    if (readJsonString(text, open, out) == std::string::npos)
+        return std::nullopt;
+    return out;
 }
 
 /** A CPU count read from JSON; 0 (unknown) when absent (older
@@ -146,11 +128,11 @@ toJsonLine(const TrajectoryRecord &rec)
     std::string out = "{\"schema_version\":" +
                       std::to_string(rec.schemaVersion) +
                       ",\"git_sha\":\"";
-    jsonEscape(out, rec.gitSha);
+    out += jsonEscape(rec.gitSha);
     out += "\",\"build_type\":\"";
-    jsonEscape(out, rec.buildType);
+    out += jsonEscape(rec.buildType);
     out += "\",\"timestamp\":\"";
-    jsonEscape(out, rec.timestamp);
+    out += jsonEscape(rec.timestamp);
     out += "\",\"debug_build\":";
     out += rec.debugBuild ? "true" : "false";
     if (rec.hostCpus)
@@ -160,7 +142,7 @@ toJsonLine(const TrajectoryRecord &rec)
         if (i)
             out += ",";
         out += "\"";
-        jsonEscape(out, sorted[i].name);
+        out += jsonEscape(sorted[i].name);
         out += "\":" + fmtNum(sorted[i].value);
     }
     out += "}}";

@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace bitspec
 {
@@ -49,6 +50,74 @@ padRight(const std::string &s, size_t width)
     if (s.size() >= width)
         return s;
     return s + std::string(width - s.size(), ' ');
+}
+
+std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+size_t
+readJsonString(std::string_view text, size_t open, std::string &out)
+{
+    for (size_t i = open + 1; i < text.size(); ++i) {
+        const char c = text[i];
+        if (c == '"')
+            return i;
+        if (c != '\\') {
+            out += c;
+            continue;
+        }
+        if (++i == text.size())
+            break;
+        switch (text[i]) {
+          case 'n': out += '\n'; break;
+          case 't': out += '\t'; break;
+          case 'r': out += '\r'; break;
+          case 'b': out += '\b'; break;
+          case 'f': out += '\f'; break;
+          case 'u': {
+            if (i + 4 >= text.size())
+                return std::string_view::npos;
+            const std::string hex(text.substr(i + 1, 4));
+            const unsigned long cp = std::strtoul(hex.c_str(), nullptr, 16);
+            i += 4;
+            if (cp < 0x80) {
+                out += static_cast<char>(cp);
+            } else if (cp < 0x800) {
+                out += static_cast<char>(0xc0 | cp >> 6);
+                out += static_cast<char>(0x80 | (cp & 0x3f));
+            } else {
+                out += static_cast<char>(0xe0 | cp >> 12);
+                out += static_cast<char>(0x80 | (cp >> 6 & 0x3f));
+                out += static_cast<char>(0x80 | (cp & 0x3f));
+            }
+            break;
+          }
+          default: out += text[i]; break; // '"', '\\', '/'.
+        }
+    }
+    return std::string_view::npos;
 }
 
 } // namespace bitspec

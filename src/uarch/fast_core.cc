@@ -8,7 +8,6 @@
 #include <iterator>
 #include <new>
 
-#include "obs/attribution.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "support/bits.h"
@@ -439,7 +438,7 @@ FastCore::buildMemo(uint32_t start) const
     // The terminator always retires after a clean body replay, so its
     // static contribution (branches/calls/instruction) rides in the
     // deferred delta too; only a conditional branch's takenBranches is
-    // dynamic and counted live in execTerminator.
+    // dynamic and counted live where replay() completes the branch.
     const PInst &t = insts[m.term];
     addContrib(m.delta, t.contrib);
     ++m.delta.instructions;
@@ -795,12 +794,8 @@ FastCore::commitPrefix(const RunMemo &m, uint32_t k)
     }
     counters_.instructions += k;
     executed_ += k;
-    if (attr_)
-        for (uint32_t j = 0; j < k; ++j)
-            attr_->onInst(m.per[j].flat, m.per[j].cost);
     if (prof_)
-        for (uint32_t j = 0; j < k; ++j)
-            prof_->onInst(m.per[j].flat, m.per[j].cost);
+        feedBody(m, k);
     // Upper bound over the prefix's scoreboard writes.
     maxReady_ = std::max(maxReady_, entry + m.maxReadyOff);
 }
@@ -819,13 +814,9 @@ FastCore::diverge(RunMemo &m, uint32_t i, uint64_t iters,
     ++executed_;
     if (misspec) {
         ++counters_.misspeculations;
-        if (attr_)
-            attr_->onMisspec(pi.flat);
         if (prof_)
             prof_->onMisspec(pi.flat);
     }
-    if (attr_)
-        attr_->onInst(pi.flat, cost);
     if (prof_)
         prof_->onInst(pi.flat, cost);
     return pi.flat + (misspec ? delta_ / kInstBytes : 1);
@@ -1409,7 +1400,7 @@ FastCore::replay(RunMemo &m0)
     cycle_ = entry + mp->bodyCycles;
     exitScoreboard(*mp, entry);
 
-    if (mp->termIsBranch && !attr_ && !prof_) {
+    if (mp->termIsBranch) {
         // Branch terminators complete inline: no execTerminator
         // dispatch (its static accounting already rides in the memo
         // delta). A taken backedge to our own start — the hot inner
@@ -1417,12 +1408,18 @@ FastCore::replay(RunMemo &m0)
         // run-loop dispatch, residency probe or per-iteration fetch
         // commit: residency cannot change between iterations (no
         // other I-line is touched), so only fuel and readiness
-        // re-check. With a sink attached we take the standard path
-        // below so the per-instruction feed keeps its exact order.
+        // re-check.
         cycle_ += 1; // Terminator fetch (committed in the flush).
         executed_ += mp->len + 1;
         ++iters;
-        if (condHolds(mp->backCond)) {
+        const bool taken = condHolds(mp->backCond);
+        if (prof_) {
+            // The body at its memoized costs, then the terminator:
+            // its fetch, plus the penalty when taken.
+            feedBody(*mp, mp->len);
+            prof_->onInst(mp->term, taken ? 1 + kBranchPenalty : 1);
+        }
+        if (taken) {
             ++counters_.takenBranches;
             cycle_ += kBranchPenalty;
             if (mp->selfBackedge) {
@@ -1466,14 +1463,17 @@ FastCore::replay(RunMemo &m0)
     commitFetches(*mp, 1);
     ++mp->pendingReplays;
     executed_ += mp->len;
-    if (attr_)
-        for (uint32_t i = 0; i < mp->len; ++i)
-            attr_->onInst(mp->per[i].flat, mp->per[i].cost);
     if (prof_)
-        for (uint32_t i = 0; i < mp->len; ++i)
-            prof_->onInst(mp->per[i].flat, mp->per[i].cost);
+        feedBody(*mp, mp->len);
     ++replayedRuns_;
     return execTerminator(*mp);
+}
+
+void
+FastCore::feedBody(const RunMemo &m, uint32_t k)
+{
+    for (uint32_t j = 0; j < k; ++j)
+        prof_->onInst(m.per[j].flat, m.per[j].cost);
 }
 
 uint32_t
@@ -1485,17 +1485,10 @@ FastCore::execTerminator(const RunMemo &m)
     cycle_ += 1; // Fetch: L1I hit, committed in bulk above.
     ++executed_;
     // Instruction and static contrib counts ride in the memo's
-    // deferred delta; only the dynamic takenBranches below is live.
+    // deferred delta.
 
     uint32_t next = idx + 1;
     switch (p.kind) {
-      case PKind::Branch:
-        if (condHolds(p.cond)) {
-            ++counters_.takenBranches;
-            next = p.target;
-            cycle_ += kBranchPenalty;
-        }
-        break;
       case PKind::Call:
         // BL: a raw lr write, no rf event, no scoreboard update.
         regs_[kRegLR] = prog_.addrOf(idx + 1);
@@ -1506,8 +1499,6 @@ FastCore::execTerminator(const RunMemo &m)
         uint32_t lr = regs_[kRegLR];
         cycle_ += kBranchPenalty;
         if (lr == MachProgram::kHaltAddr) {
-            if (attr_)
-                attr_->onInst(idx, cycle_ - cycle_at_fetch);
             if (prof_)
                 prof_->onInst(idx, cycle_ - cycle_at_fetch);
             finish(cycle_);
@@ -1519,8 +1510,6 @@ FastCore::execTerminator(const RunMemo &m)
         break;
       }
       case PKind::Halt:
-        if (attr_)
-            attr_->onInst(idx, cycle_ - cycle_at_fetch);
         if (prof_)
             prof_->onInst(idx, cycle_ - cycle_at_fetch);
         finish(cycle_);
@@ -1530,8 +1519,6 @@ FastCore::execTerminator(const RunMemo &m)
       default:
         panic("execTerminator: not a terminator");
     }
-    if (attr_)
-        attr_->onInst(idx, cycle_ - cycle_at_fetch);
     if (prof_)
         prof_->onInst(idx, cycle_ - cycle_at_fetch);
     return next;
@@ -1565,8 +1552,6 @@ FastCore::slowStep(uint32_t idx)
 
     auto misspeculate = [&]() {
         ++counters_.misspeculations;
-        if (attr_)
-            attr_->onMisspec(idx);
         if (prof_)
             prof_->onMisspec(idx);
         next = idx + delta_ / kInstBytes;
@@ -1796,8 +1781,6 @@ FastCore::slowStep(uint32_t idx)
         uint32_t lr = regs_[kRegLR];
         cycle_ += kBranchPenalty;
         if (lr == MachProgram::kHaltAddr) {
-            if (attr_)
-                attr_->onInst(idx, cycle_ - cycle_at_fetch);
             if (prof_)
                 prof_->onInst(idx, cycle_ - cycle_at_fetch);
             finish(cycle_);
@@ -1822,8 +1805,6 @@ FastCore::slowStep(uint32_t idx)
       case PKind::Nop:
         break;
       case PKind::Halt:
-        if (attr_)
-            attr_->onInst(idx, cycle_ - cycle_at_fetch);
         if (prof_)
             prof_->onInst(idx, cycle_ - cycle_at_fetch);
         finish(cycle_);
@@ -1841,8 +1822,6 @@ FastCore::slowStep(uint32_t idx)
         maxReady_ = std::max(maxReady_, dst_ready);
         applyDstWrite(p.dstWrite); // MovCond accounted its own.
     }
-    if (attr_)
-        attr_->onInst(idx, cycle_ - cycle_at_fetch);
     if (prof_)
         prof_->onInst(idx, cycle_ - cycle_at_fetch);
     if (tracks_)

@@ -11,7 +11,7 @@
  * latency), taken-branch flushes, cache misses and misspeculation
  * redirects. Functional state is exact, so machine runs are checked
  * bit-for-bit against the IR interpreter. Everything a run observes
- * (ActivityCounters, cache stats, output checksum, attribution and
+ * (ActivityCounters, cache stats, output checksum, per-region and
  * per-block profiler feeds) is pinned per workload and policy by
  * tests/core/run_freeze_test.cc.
  *
@@ -69,7 +69,6 @@
 namespace bitspec
 {
 
-class AttributionSink;
 class BlockProfilerSink;
 class CounterTrackEmitter;
 
@@ -109,12 +108,12 @@ class FastCore
 
     void setFuel(uint64_t fuel) { fuel_ = fuel; }
 
-    /** Attach (or detach with nullptr) a misspeculation-attribution
-     *  recorder or a per-block heat profiler for subsequent runs;
-     *  each must outlive the runs it observes. Replayed blocks feed
-     *  the sinks their exact per-instruction counts from the memo;
-     *  detached, a retire pays one null test. */
-    void setAttribution(AttributionSink *sink) { attr_ = sink; }
+    /** Attach (or detach with nullptr) the per-block profiler (block,
+     *  skeleton and region tallies) for subsequent runs; it must
+     *  outlive the runs it observes. Replay, inline branch completion
+     *  and chaining stay on: replayed blocks feed it their exact
+     *  per-instruction costs from the memo. Detached, a retire pays
+     *  one null test. */
     void setBlockProfiler(BlockProfilerSink *sink) { prof_ = sink; }
 
     /** Attach (or detach with nullptr) a windowed counter-track
@@ -269,7 +268,7 @@ class FastCore
             uint32_t flat = 0;      ///< Flat index of the instruction.
             uint32_t cycBefore = 0; ///< Cycle offset at fetch.
             uint32_t issueOff = 0;  ///< Cycle offset after issue stall.
-            uint8_t cost = 0;       ///< Cycles charged to the sinks.
+            uint8_t cost = 0;       ///< Cycles charged to the sink.
         };
         std::vector<PerInst> per; ///< One per body instruction.
         std::vector<ROp> ops;     ///< Replayed stream, kEnd last.
@@ -314,7 +313,7 @@ class FastCore
      *  pendingFetches_. Runs before every other L1I use. */
     void flushFetches();
     /** Commit the first @p k body instructions of a diverged replay
-     *  from the memo (fetches, counters, scoreboard, sinks, fuel). */
+     *  from the memo (fetches, counters, scoreboard, sink, fuel). */
     void commitPrefix(const RunMemo &m, uint32_t k);
     /** Leave a replay entered at @p entry at body instruction @p i,
      *  which completes at entry + its issue offset + @p extra:
@@ -328,8 +327,13 @@ class FastCore
      *  cycles: its value is in, but ready late. */
     uint32_t divergeLoadMiss(RunMemo &m, uint32_t i, uint64_t iters,
                              uint64_t entry, uint32_t stall);
-    /** Execute the terminator after a fully replayed body (replay
-     *  never runs with counter tracks attached, so none are fed). */
+    /** Feed the profiler the first @p k body instructions of @p m
+     *  with their memoized costs. */
+    void feedBody(const RunMemo &m, uint32_t k);
+    /** Execute the call, return or halt terminator after a fully
+     *  replayed body (branch terminators complete inline in replay();
+     *  replay never runs with counter tracks attached, so none are
+     *  fed). */
     uint32_t execTerminator(const RunMemo &m);
     /** One cycle-accurate slow-path instruction; returns next idx. */
     uint32_t slowStep(uint32_t idx);
@@ -373,7 +377,6 @@ class FastCore
     std::vector<uint64_t> output_;
     uint64_t outputHash_ = kFnvOffset;
     uint64_t fuel_ = kDefaultFuel;
-    AttributionSink *attr_ = nullptr;
     BlockProfilerSink *prof_ = nullptr;
     CounterTrackEmitter *tracks_ = nullptr;
     MisspecPolicy policy_ = MisspecPolicy::Hardware;

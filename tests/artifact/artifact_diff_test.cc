@@ -8,8 +8,8 @@
  * observationally identical to the freshly compiled System it was
  * captured from — same return value and output checksum, same
  * ActivityCounters field by field, same cache hierarchy and DRAM
- * statistics, same energy, the same misspeculation-attribution and
- * per-block profiler rows, and the same compile-time stats RunResult
+ * statistics, same energy, the same per-region and per-block
+ * profiler rows, and the same compile-time stats RunResult
  * republishes. The restored System runs twice so the fast engine's
  * warm block-memo path is covered on the restored program too.
  */
@@ -21,7 +21,6 @@
 
 #include "artifact/snapshot.h"
 #include "core/system.h"
-#include "obs/attribution.h"
 #include "obs/profiler.h"
 #include "workloads/workload.h"
 
@@ -33,27 +32,25 @@ namespace
 struct ObservedRun
 {
     RunResult r;
-    std::vector<RegionActivity> attr;
+    std::vector<RegionActivity> regions;
     uint64_t unattributedMisspecs = 0;
     std::vector<BlockActivity> blocks;
     uint64_t blocksUnattributed = 0;
 };
 
 ObservedRun
-runOnce(System &sys, const AttributionMap &amap, const BlockMap &bmap,
-        const Workload &w, uint64_t run_seed)
+runOnce(System &sys, const BlockMap &bmap, const Workload &w,
+        uint64_t run_seed)
 {
-    AttributionSink attr(amap);
     BlockProfilerSink blocks(bmap);
     RunObservers obs;
-    obs.attribution = &attr;
     obs.blocks = &blocks;
     ObservedRun out;
     out.r = sys.run(
         [&w, run_seed](Module &m) { w.setInput(m, run_seed); }, {},
         obs);
-    out.attr = attr.activity();
-    out.unattributedMisspecs = attr.unattributedMisspecs();
+    out.regions = blocks.regionActivity();
+    out.unattributedMisspecs = blocks.unattributedMisspecs();
     out.blocks = blocks.activity();
     out.blocksUnattributed = blocks.unattributed();
     return out;
@@ -135,10 +132,10 @@ expectSameRun(const ObservedRun &fresh, const ObservedRun &warm,
               warm.r.backendStats.staticSpillLoads)
         << what;
 
-    ASSERT_EQ(fresh.attr.size(), warm.attr.size()) << what;
-    for (size_t i = 0; i < fresh.attr.size(); ++i) {
-        const RegionActivity &ra = fresh.attr[i];
-        const RegionActivity &rb = warm.attr[i];
+    ASSERT_EQ(fresh.regions.size(), warm.regions.size()) << what;
+    for (size_t i = 0; i < fresh.regions.size(); ++i) {
+        const RegionActivity &ra = fresh.regions[i];
+        const RegionActivity &rb = warm.regions[i];
         const std::string where = what + "/region" + std::to_string(i);
         EXPECT_EQ(ra.entries, rb.entries) << where;
         EXPECT_EQ(ra.misspecs, rb.misspecs) << where;
@@ -184,24 +181,22 @@ diffUnderConfig(const Workload &w, const SystemConfig &cfg,
               fresh.profiledIrInstructions())
         << what;
 
-    // Attribution / profiler index maps built from the restored
-    // program must partition the flat code identically.
-    AttributionMap amapFresh(fresh.program());
+    // Profiler index maps built from the restored program must
+    // partition the flat code identically.
     BlockMap bmapFresh(fresh.program());
-    AttributionMap amapWarm(warm.program());
     BlockMap bmapWarm(warm.program());
 
-    ObservedRun f = runOnce(fresh, amapFresh, bmapFresh, w, 0);
-    ObservedRun cold = runOnce(warm, amapWarm, bmapWarm, w, 0);
+    ObservedRun f = runOnce(fresh, bmapFresh, w, 0);
+    ObservedRun cold = runOnce(warm, bmapWarm, w, 0);
     expectSameRun(f, cold, what + "/cold");
 
     // Restored fast engine with warm block memos, and a different
     // input seed to exercise the restored global images.
-    ObservedRun memo = runOnce(warm, amapWarm, bmapWarm, w, 0);
+    ObservedRun memo = runOnce(warm, bmapWarm, w, 0);
     expectSameRun(f, memo, what + "/memo");
 
-    ObservedRun f1 = runOnce(fresh, amapFresh, bmapFresh, w, 1);
-    ObservedRun w1 = runOnce(warm, amapWarm, bmapWarm, w, 1);
+    ObservedRun f1 = runOnce(fresh, bmapFresh, w, 1);
+    ObservedRun w1 = runOnce(warm, bmapWarm, w, 1);
     expectSameRun(f1, w1, what + "/seed1");
 }
 

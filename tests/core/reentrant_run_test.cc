@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "obs/attribution.h"
 #include "obs/profiler.h"
 #include "workloads/workload.h"
 
@@ -138,9 +137,8 @@ TEST(ReentrantRun, ConcurrentRunsMatchSerial)
         serial.push_back(runCase(c, {}));
 
     // Thread t starts at case t, so different cases overlap; thread 0
-    // attaches the attribution and heat sinks to every run.
+    // attaches the block profiler to every run.
     constexpr size_t kThreads = 4;
-    const AttributionMap amap(sys.program());
     const BlockMap bmap(sys.program());
     std::vector<std::vector<RunResult>> got(
         kThreads, std::vector<RunResult>(cases.size()));
@@ -154,10 +152,8 @@ TEST(ReentrantRun, ConcurrentRunsMatchSerial)
                     got[t][i] = runCase(cases[i], {});
                     continue;
                 }
-                AttributionSink attr(amap);
                 BlockProfilerSink blocks(bmap);
                 RunObservers obs;
-                obs.attribution = &attr;
                 obs.blocks = &blocks;
                 got[t][i] = runCase(cases[i], obs);
                 heat_insts[i] = blocks.totalInsts();

@@ -10,13 +10,13 @@
  *    input seed 0. A cell pins one 64-bit hash of the return value,
  *    the output checksum, every ActivityCounters field, the L1I, L1D
  *    and L2 accesses/misses/writebacks, the DRAM reads/writes, every
- *    per-region attribution and per-block profiler tally with their
- *    unattributed counts; plus instructions, cycles and
- *    misspeculations in the clear. Every cell runs three times — the
- *    System's next run, again, and with both sinks attached — and the
- *    three RunResults must be equal, so memo replay, the inline
- *    branch/chaining path (sink-free runs only) and the per-
- *    instruction sink feeds are all held to the same row.
+ *    per-region and per-block profiler tally with their unattributed
+ *    counts; plus instructions, cycles and misspeculations in the
+ *    clear. Every cell runs three times — the System's next run,
+ *    again, and with the block profiler attached — and the three
+ *    RunResults must be equal, so memo replay, the inline
+ *    branch/chaining path and the per-instruction sink feed are all
+ *    held to the same row.
  *
  *  - Interpreter tier: per workload, the plain module under Hardware
  *    (return value, checksum and every InterpStats field), a hash of
@@ -44,7 +44,6 @@
 #include "core/system.h"
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
-#include "obs/attribution.h"
 #include "obs/profiler.h"
 #include "profile/bitwidth_profile.h"
 #include "support/str.h"
@@ -104,8 +103,7 @@ constexpr MisspecPolicy kPolicies[] = {
 
 /** Hash of everything one machine run observes (see file comment). */
 uint64_t
-machineHash(const RunResult &r, const AttributionSink &attr,
-            const BlockProfilerSink &blocks)
+machineHash(const RunResult &r, const BlockProfilerSink &blocks)
 {
     uint64_t h = kFnvOffset;
     h = mix(h, r.returnValue);
@@ -125,13 +123,14 @@ machineHash(const RunResult &r, const AttributionSink &attr,
     }
     h = mix(h, r.dram.reads);
     h = mix(h, r.dram.writes);
-    h = mix(h, attr.activity().size());
-    for (const RegionActivity &a : attr.activity())
+    const std::vector<RegionActivity> regions = blocks.regionActivity();
+    h = mix(h, regions.size());
+    for (const RegionActivity &a : regions)
         for (uint64_t v : {a.entries, a.misspecs, a.specInsts,
                            a.specCycles, a.skeletonInsts,
                            a.handlerInsts, a.handlerCycles})
             h = mix(h, v);
-    h = mix(h, attr.unattributedMisspecs());
+    h = mix(h, blocks.unattributedMisspecs());
     h = mix(h, blocks.activity().size());
     for (const BlockActivity &b : blocks.activity())
         for (uint64_t v : {b.entries, b.insts, b.cycles, b.misspecs})
@@ -440,9 +439,9 @@ inputOf(const Workload &w)
 }
 
 /**
- * Runs @p policy on @p sys three times — once, again, and with both
- * sinks attached — expects the three RunResults equal and the cell to
- * match its pin. Returns the sink-free run; @p core (optional)
+ * Runs @p policy on @p sys three times — once, again, and with the
+ * block profiler attached — expects the three RunResults equal and the
+ * cell to match its pin. Returns the sink-free run; @p core (optional)
  * receives the second run's core counts.
  */
 RunResult
@@ -457,23 +456,20 @@ checkMachineCell(const System &sys, const Workload &w,
     const RunResult first = sys.run(inputOf(w), {}, {}, policy, 0xfeed);
     const RunResult again =
         sys.run(inputOf(w), {}, counted, policy, 0xfeed);
-    const AttributionMap amap(sys.program());
     const BlockMap bmap(sys.program());
-    AttributionSink attr(amap);
     BlockProfilerSink blocks(bmap);
     RunObservers observers;
-    observers.attribution = &attr;
     observers.blocks = &blocks;
     const RunResult observed =
         sys.run(inputOf(w), {}, observers, policy, 0xfeed);
     EXPECT_TRUE(again == first) << what << ": repeated run differs";
     EXPECT_TRUE(observed == first)
-        << what << ": run with sinks attached differs";
+        << what << ": run with the profiler attached differs";
 
     // The row describes the sink-free run every bench takes; the
     // region and block rows come from the third run, which must
     // equal it.
-    const uint64_t hash = machineHash(first, attr, blocks);
+    const uint64_t hash = machineHash(first, blocks);
     const ActivityCounters &c = first.counters;
     const MachinePin *pin = findMachinePin(w.name, config, policy_name);
     if (pin && pin->hash == hash && pin->instructions == c.instructions &&

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/system.h"
-#include "obs/attribution.h"
+#include "obs/profiler.h"
 #include "workloads/workload.h"
 
 namespace bitspec
@@ -21,37 +21,63 @@ makeBitspec(const Workload &w)
                   [&w](Module &m) { w.setInput(m, 0); });
 }
 
+/** The block site owning flat index @p i. */
+const BlockSite &
+siteOf(const BlockMap &map, uint32_t i)
+{
+    return map.sites()[static_cast<size_t>(map.siteAt(i))];
+}
+
+/** Sum of the per-region misspeculation counts plus those outside
+ *  every region. */
+uint64_t
+regionMisspecs(const BlockProfilerSink &sink)
+{
+    uint64_t n = sink.unattributedMisspecs();
+    for (const RegionActivity &a : sink.regionActivity())
+        n += a.misspecs;
+    return n;
+}
+
 TEST(Attribution, MapClassifiesSkeletonPerMember)
 {
     const Workload &w = getWorkload("CRC32");
     System sys = makeBitspec(w);
-    AttributionMap map(sys.program());
+    BlockMap map(sys.program());
 
-    // Per program: every Member index has a Skeleton partner and they
+    // Per program: every member index has a skeleton partner and they
     // are equinumerous; handler indices exist iff regions exist.
     size_t members = 0, skeletons = 0, handlers = 0;
     const size_t n = sys.program().flat.size();
     for (uint32_t i = 0; i < n; ++i) {
-        switch (map.roleAt(i)) {
-          case IndexRole::Member: ++members; break;
-          case IndexRole::Skeleton: ++skeletons; break;
-          case IndexRole::Handler: ++handlers; break;
-          case IndexRole::None: break;
-        }
+        const BlockSite &site = siteOf(map, i);
+        if (site.region < 0)
+            continue;
+        if (!site.isRegionMember())
+            ++handlers;
+        else if (map.isSkeleton(i))
+            ++skeletons;
+        else
+            ++members;
     }
-    ASSERT_FALSE(map.sites().empty())
+    ASSERT_FALSE(map.regions().empty())
         << "CRC32 under bitspec should create speculative regions";
     EXPECT_EQ(members, skeletons);
     EXPECT_GT(handlers, 0u);
 
-    // Role-carrying indices always resolve to a site.
+    // Region-carrying indices always resolve to a region; skeleton
+    // slots belong to member blocks only.
     for (uint32_t i = 0; i < n; ++i) {
-        if (map.roleAt(i) != IndexRole::None) {
-            ASSERT_GE(map.siteAt(i), 0);
-            ASSERT_LT(static_cast<size_t>(map.siteAt(i)),
-                      map.sites().size());
+        const BlockSite &site = siteOf(map, i);
+        if (site.regionId >= 0) {
+            ASSERT_GE(site.region, 0);
+            ASSERT_LT(static_cast<size_t>(site.region),
+                      map.regions().size());
         } else {
-            EXPECT_LT(map.siteAt(i), 0);
+            EXPECT_LT(site.region, 0);
+        }
+        if (map.isSkeleton(i)) {
+            EXPECT_TRUE(site.isRegionMember());
         }
     }
 }
@@ -60,9 +86,10 @@ TEST(Attribution, SitesCarryProvenance)
 {
     const Workload &w = getWorkload("CRC32");
     System sys = makeBitspec(w);
-    AttributionMap map(sys.program());
+    BlockMap map(sys.program());
     std::set<std::pair<std::string, int>> seen;
-    for (const RegionSite &site : map.sites()) {
+    for (size_t r = 0; r < map.regions().size(); ++r) {
+        const RegionSite &site = map.regions()[r];
         EXPECT_FALSE(site.function.empty());
         EXPECT_GE(site.regionId, 0);
         EXPECT_GT(site.srcLine, 0)
@@ -70,10 +97,13 @@ TEST(Attribution, SitesCarryProvenance)
         // (function, regionId) is unique program-wide.
         EXPECT_TRUE(
             seen.emplace(site.function, site.regionId).second);
-        // The entry index is a member instruction of this region.
-        EXPECT_EQ(map.roleAt(site.entryIndex), IndexRole::Member);
-        EXPECT_EQ(map.entrySiteAt(site.entryIndex),
-                  map.siteAt(site.entryIndex));
+        // The entry index is a member instruction of this region, at
+        // the head of its block.
+        const BlockSite &entry = siteOf(map, site.entryIndex);
+        EXPECT_TRUE(entry.isRegionMember());
+        EXPECT_FALSE(map.isSkeleton(site.entryIndex));
+        EXPECT_EQ(entry.region, static_cast<int>(r));
+        EXPECT_TRUE(map.isBlockHead(site.entryIndex));
     }
 }
 
@@ -81,11 +111,11 @@ TEST(Attribution, SinkWithoutMisspecsStaysZero)
 {
     const Workload &w = getWorkload("CRC32");
     System sys = makeBitspec(w);
-    AttributionMap map(sys.program());
-    AttributionSink sink(map);
-    EXPECT_EQ(sink.totalMisspecs(), 0u);
+    BlockMap map(sys.program());
+    BlockProfilerSink sink(map);
+    EXPECT_EQ(regionMisspecs(sink), 0u);
     EXPECT_EQ(sink.unattributedMisspecs(), 0u);
-    for (const RegionActivity &a : sink.activity()) {
+    for (const RegionActivity &a : sink.regionActivity()) {
         EXPECT_EQ(a.entries, 0u);
         EXPECT_EQ(a.misspecs, 0u);
     }
@@ -100,19 +130,19 @@ TEST(Attribution, RegionMisspecsSumToCoreCounterAcrossSuite)
     uint64_t suite_misspecs = 0;
     for (const Workload &w : mibenchSuite()) {
         System sys = makeBitspec(w);
-        AttributionMap map(sys.program());
+        BlockMap map(sys.program());
         for (uint64_t seed : {0, 1, 3}) {
-            AttributionSink sink(map);
+            BlockProfilerSink sink(map);
             RunResult r = sys.run(
                 [&w, seed](Module &m) { w.setInput(m, seed); }, {},
-                {.attribution = &sink});
+                {.blocks = &sink});
 
-            EXPECT_EQ(sink.totalMisspecs(),
+            EXPECT_EQ(regionMisspecs(sink),
                       r.counters.misspeculations)
                 << w.name << " seed " << seed;
             EXPECT_EQ(sink.unattributedMisspecs(), 0u)
                 << w.name << " seed " << seed;
-            suite_misspecs += sink.totalMisspecs();
+            suite_misspecs += regionMisspecs(sink);
 
             // Attribution must not perturb the run itself.
             RunResult plain = sys.run(
@@ -128,7 +158,7 @@ TEST(Attribution, RegionMisspecsSumToCoreCounterAcrossSuite)
             // Per-region sanity: a region that misspeculated was
             // entered, and its handler ran at least one instruction
             // per misspec.
-            for (const RegionActivity &a : sink.activity()) {
+            for (const RegionActivity &a : sink.regionActivity()) {
                 if (a.misspecs == 0)
                     continue;
                 EXPECT_GT(a.entries, 0u) << w.name;
@@ -145,10 +175,10 @@ TEST(Attribution, ReportRowsMatchSinkAndFormat)
 {
     const Workload &w = getWorkload("sha");
     System sys = makeBitspec(w);
-    AttributionMap map(sys.program());
-    AttributionSink sink(map);
+    BlockMap map(sys.program());
+    BlockProfilerSink sink(map);
     RunResult r = sys.run([&w](Module &m) { w.setInput(m, 0); }, {},
-                          {.attribution = &sink});
+                          {.blocks = &sink});
 
     System base(w.source, SystemConfig::baseline(),
                 [&w](Module &m) { w.setInput(m, 0); });
@@ -160,12 +190,12 @@ TEST(Attribution, ReportRowsMatchSinkAndFormat)
     inputs.totalEnergyPj = r.totalEnergy;
     inputs.baselineEnergyPj = br.totalEnergy;
     auto rows = buildRegionReport(map, sink, inputs);
-    ASSERT_EQ(rows.size(), map.sites().size());
+    ASSERT_EQ(rows.size(), map.regions().size());
 
     uint64_t misspecs = 0;
     for (size_t i = 0; i < rows.size(); ++i) {
         misspecs += rows[i].activity.misspecs;
-        EXPECT_EQ(rows[i].site.regionId, map.sites()[i].regionId);
+        EXPECT_EQ(rows[i].site.regionId, map.regions()[i].regionId);
         EXPECT_DOUBLE_EQ(rows[i].netPj,
                          rows[i].savedPj - rows[i].overheadPj);
         EXPECT_GE(rows[i].misspecRate, 0.0);

@@ -137,5 +137,34 @@ TEST(LedgerSelfcheck, LiveMatrixValidatesAndReconciles)
     }
 }
 
+TEST(LedgerSelfcheck, RecordsNameTheRunnersLabel)
+{
+    TempLedger tmp;
+    GlobalLedgerGuard guard;
+    LedgerWriter::setGlobal(std::make_unique<LedgerWriter>(tmp.path));
+
+    const Workload &w = getWorkload("CRC32");
+    const std::vector<ExperimentCell> cells = {
+        ExperimentCell(&w, SystemConfig::baseline(), 0, 0)};
+    ExperimentRunner labelled(1);
+    labelled.setLedgerLabel("bench-a/fig01");
+    labelled.run(cells);
+    labelled.setLedgerLabel("bench-a/fig02");
+    labelled.run(cells);
+    ExperimentRunner unlabelled(1);
+    unlabelled.run(cells);
+    LedgerWriter::setGlobal(nullptr); // Flush point: fd closed.
+
+    // Each run() appends one cell and one matrix record, in order.
+    std::vector<LedgerRecord> recs = loadLedger(tmp.path);
+    ASSERT_EQ(recs.size(), 6u);
+    const char *want[] = {"bench-a/fig01", "bench-a/fig02",
+                          "test_ledger"};
+    for (size_t i = 0; i < recs.size(); ++i) {
+        EXPECT_EQ(recs[i].kind, i % 2 ? "matrix" : "cell") << i;
+        EXPECT_EQ(recs[i].bench, want[i / 2]) << recs[i].kind << " " << i;
+    }
+}
+
 } // namespace
 } // namespace bitspec

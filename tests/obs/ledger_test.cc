@@ -303,6 +303,32 @@ TEST(Ledger, WriterAppendsAndReloads)
     EXPECT_EQ(loadLedger(tmp.path).size(), 3u);
 }
 
+TEST(Ledger, ControlCharactersInStringsRoundTrip)
+{
+    // A BITSPEC_* value may hold any byte: the record must stay one
+    // line, and every string must load back unchanged.
+    LedgerRecord rec = makeValidCell();
+    rec.env = {{"BITSPEC_NOTE", "run\nA\tB\x01\"q\"\\"}};
+    rec.workload = "line\r\nbreak";
+    const std::string line = toJsonLine(rec);
+    EXPECT_EQ(line.find('\n'), std::string::npos) << line;
+    EXPECT_EQ(line.find('\x01'), std::string::npos) << line;
+    EXPECT_NE(line.find("run\\nA\\tB\\u0001"), std::string::npos)
+        << line;
+
+    TempLedger tmp;
+    {
+        LedgerWriter writer(tmp.path);
+        ASSERT_TRUE(writer.ok());
+        EXPECT_TRUE(writer.append(rec));
+    }
+    std::vector<LedgerRecord> recs = loadLedger(tmp.path);
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].env, rec.env);
+    EXPECT_EQ(recs[0].workload, rec.workload);
+    EXPECT_EQ(toJsonLine(recs[0]), line);
+}
+
 TEST(Ledger, CaptureBitspecEnvSeesKnobs)
 {
     ::setenv("BITSPEC_LEDGER_TEST_KNOB", "on", 1);

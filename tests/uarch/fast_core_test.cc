@@ -17,7 +17,6 @@
 
 #include "backend/compiler.h"
 #include "frontend/irgen.h"
-#include "obs/attribution.h"
 #include "obs/profiler.h"
 #include "profile/bitwidth_profile.h"
 #include "support/error.h"
@@ -150,13 +149,19 @@ TEST(FastCore, HotMisspecHotStaysExact)
     EXPECT_GT(fast.replayedRuns(), 0u);
 }
 
+/** The region rows and the block rows of @p slow and @p fast agree. */
 void
-expectSameRows(const AttributionSink &slow, const AttributionSink &fast)
+expectSameRows(const BlockProfilerSink &slow,
+               const BlockProfilerSink &fast)
 {
-    ASSERT_EQ(slow.activity().size(), fast.activity().size());
-    for (size_t i = 0; i < slow.activity().size(); ++i) {
-        const RegionActivity &a = slow.activity()[i];
-        const RegionActivity &b = fast.activity()[i];
+    const std::vector<RegionActivity> slow_regions =
+        slow.regionActivity();
+    const std::vector<RegionActivity> fast_regions =
+        fast.regionActivity();
+    ASSERT_EQ(slow_regions.size(), fast_regions.size());
+    for (size_t i = 0; i < slow_regions.size(); ++i) {
+        const RegionActivity &a = slow_regions[i];
+        const RegionActivity &b = fast_regions[i];
         EXPECT_EQ(a.entries, b.entries) << "region " << i;
         EXPECT_EQ(a.misspecs, b.misspecs) << "region " << i;
         EXPECT_EQ(a.specInsts, b.specInsts) << "region " << i;
@@ -166,12 +171,7 @@ expectSameRows(const AttributionSink &slow, const AttributionSink &fast)
         EXPECT_EQ(a.handlerCycles, b.handlerCycles) << "region " << i;
     }
     EXPECT_EQ(slow.unattributedMisspecs(), fast.unattributedMisspecs());
-}
 
-void
-expectSameRows(const BlockProfilerSink &slow,
-               const BlockProfilerSink &fast)
-{
     ASSERT_EQ(slow.activity().size(), fast.activity().size());
     for (size_t i = 0; i < slow.activity().size(); ++i) {
         const BlockActivity &a = slow.activity()[i];
@@ -285,24 +285,18 @@ TEST(FastCore, DivergenceInSecondSegmentFeedsSinksExactly)
     squeezeModule(*mod, profile, opts);
     CompiledProgram cp = compileModule(*mod, TargetISA::BitSpec);
     PredecodedProgram pre(cp.program);
-    const AttributionMap amap(cp.program);
     const BlockMap bmap(cp.program);
 
     FastCore slow(pre, *mod);
-    AttributionSink slow_attr(amap);
     BlockProfilerSink slow_heat(bmap);
-    slow.setAttribution(&slow_attr);
     slow.setBlockProfiler(&slow_heat);
     uint32_t want = runSlowPath(slow, {4000});
 
     FastCore fast(pre, *mod);
-    AttributionSink fast_attr(amap);
     BlockProfilerSink fast_heat(bmap);
-    fast.setAttribution(&fast_attr);
     fast.setBlockProfiler(&fast_heat);
     EXPECT_EQ(fast.run({4000}), want);
     expectSameObservables(slow, fast);
-    expectSameRows(slow_attr, fast_attr);
     expectSameRows(slow_heat, fast_heat);
 
     EXPECT_GT(fast.replayedRuns(), 0u);
@@ -363,24 +357,18 @@ TEST(FastCore, DMissAfterFusedMovwMovtFeedsSinksExactly)
     PredecodedProgram pre(cp.program);
     ASSERT_TRUE(hasLoadAfterMovwMovt(pre))
         << "no MOVW/MOVT pair before a load: the test lost its target";
-    const AttributionMap amap(cp.program);
     const BlockMap bmap(cp.program);
 
     FastCore slow(pre, *mod);
-    AttributionSink slow_attr(amap);
     BlockProfilerSink slow_heat(bmap);
-    slow.setAttribution(&slow_attr);
     slow.setBlockProfiler(&slow_heat);
     uint32_t want = runSlowPath(slow, {3});
 
     FastCore fast(pre, *mod);
-    AttributionSink fast_attr(amap);
     BlockProfilerSink fast_heat(bmap);
-    fast.setAttribution(&fast_attr);
     fast.setBlockProfiler(&fast_heat);
     EXPECT_EQ(fast.run({3}), want);
     expectSameObservables(slow, fast);
-    expectSameRows(slow_attr, fast_attr);
     expectSameRows(slow_heat, fast_heat);
 
     EXPECT_GT(fast.replayedRuns(), 0u);
@@ -423,24 +411,18 @@ TEST(FastCore, DivergenceRightAfterInteriorJumpFeedsSinksExactly)
     squeezeModule(*mod, profile, opts);
     CompiledProgram cp = compileModule(*mod, TargetISA::BitSpec);
     PredecodedProgram pre(cp.program);
-    const AttributionMap amap(cp.program);
     const BlockMap bmap(cp.program);
 
     FastCore slow(pre, *mod);
-    AttributionSink slow_attr(amap);
     BlockProfilerSink slow_heat(bmap);
-    slow.setAttribution(&slow_attr);
     slow.setBlockProfiler(&slow_heat);
     uint32_t want = runSlowPath(slow, {4000});
 
     FastCore fast(pre, *mod);
-    AttributionSink fast_attr(amap);
     BlockProfilerSink fast_heat(bmap);
-    fast.setAttribution(&fast_attr);
     fast.setBlockProfiler(&fast_heat);
     EXPECT_EQ(fast.run({4000}), want);
     expectSameObservables(slow, fast);
-    expectSameRows(slow_attr, fast_attr);
     expectSameRows(slow_heat, fast_heat);
 
     EXPECT_GT(fast.replayedRuns(), 0u);
