@@ -1,7 +1,7 @@
 #include "analysis/cfg.h"
 
 #include <algorithm>
-#include <set>
+#include <unordered_set>
 
 #include "ir/builder.h"
 
@@ -12,7 +12,7 @@ std::vector<BasicBlock *>
 reversePostOrder(Function &f)
 {
     std::vector<BasicBlock *> post;
-    std::set<BasicBlock *> visited;
+    std::unordered_set<BasicBlock *> visited;
     // Iterative DFS with an explicit stack of (block, next-successor).
     std::vector<std::pair<BasicBlock *, size_t>> stack;
     BasicBlock *entry = f.entry();
@@ -71,7 +71,8 @@ void
 removeUnreachableBlocks(Function &f)
 {
     auto reachable = reachableBlocks(f);
-    std::set<BasicBlock *> live(reachable.begin(), reachable.end());
+    std::unordered_set<BasicBlock *> live(reachable.begin(),
+                                          reachable.end());
     // Handlers are reachable only via misspeculation; keep them and
     // anything reachable from them.
     std::vector<BasicBlock *> work;
@@ -91,7 +92,9 @@ removeUnreachableBlocks(Function &f)
     }
 
     // Drop phi inputs that come from dying blocks.
-    for (BasicBlock *bb : live) {
+    for (const auto &bb : f.blocks()) {
+        if (!live.count(bb.get()))
+            continue;
         for (Instruction *phi : bb->phis()) {
             for (size_t i = phi->numOperands(); i-- > 0;) {
                 if (!live.count(phi->blockOperand(i)))
@@ -105,7 +108,9 @@ removeUnreachableBlocks(Function &f)
     // materialise a reaching definition for every structural
     // predecessor). Replace them with zero before the defs are freed.
     if (Module *m = f.parent()) {
-        for (BasicBlock *bb : live) {
+        for (const auto &bb : f.blocks()) {
+            if (!live.count(bb.get()))
+                continue;
             for (auto &inst : bb->insts()) {
                 for (size_t i = 0; i < inst->numOperands(); ++i) {
                     Value *op = inst->operand(i);

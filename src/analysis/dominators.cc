@@ -8,20 +8,27 @@ namespace bitspec
 
 DomTree::DomTree(Function &f)
 {
-    auto rpo = reversePostOrder(f);
-    for (unsigned i = 0; i < rpo.size(); ++i)
-        rpoIndex_[rpo[i]] = i;
+    rpo_ = reversePostOrder(f);
+    const auto n = static_cast<unsigned>(rpo_.size());
+    for (unsigned i = 0; i < n; ++i)
+        index_.emplace(rpo_[i], i);
 
-    auto preds = f.predecessors();
-    BasicBlock *entry = f.entry();
-    idom_[entry] = entry;
+    // Predecessor indices; every successor of a reachable block is
+    // reachable.
+    std::vector<std::vector<unsigned>> preds(n);
+    for (unsigned i = 0; i < n; ++i)
+        for (BasicBlock *succ : rpo_[i]->successors())
+            preds[index_.at(succ)].push_back(i);
 
-    auto intersect = [&](BasicBlock *a, BasicBlock *b) {
+    constexpr unsigned kNone = ~0u;
+    idom_.assign(n, kNone);
+    idom_[0] = 0;
+    auto intersect = [&](unsigned a, unsigned b) {
         while (a != b) {
-            while (rpoIndex_.at(a) > rpoIndex_.at(b))
-                a = idom_.at(a);
-            while (rpoIndex_.at(b) > rpoIndex_.at(a))
-                b = idom_.at(b);
+            while (a > b)
+                a = idom_[a];
+            while (b > a)
+                b = idom_[b];
         }
         return a;
     };
@@ -29,22 +36,42 @@ DomTree::DomTree(Function &f)
     bool changed = true;
     while (changed) {
         changed = false;
-        for (BasicBlock *bb : rpo) {
-            if (bb == entry)
-                continue;
-            BasicBlock *new_idom = nullptr;
-            for (BasicBlock *p : preds[bb]) {
-                if (!idom_.count(p))
-                    continue; // Not yet processed / unreachable.
-                new_idom = new_idom ? intersect(new_idom, p) : p;
+        for (unsigned i = 1; i < n; ++i) {
+            unsigned new_idom = kNone;
+            for (unsigned p : preds[i]) {
+                if (idom_[p] == kNone)
+                    continue; // Not yet processed.
+                new_idom = new_idom == kNone ? p : intersect(new_idom, p);
             }
-            if (!new_idom)
-                continue;
-            auto it = idom_.find(bb);
-            if (it == idom_.end() || it->second != new_idom) {
-                idom_[bb] = new_idom;
+            if (new_idom != kNone && idom_[i] != new_idom) {
+                idom_[i] = new_idom;
                 changed = true;
             }
+        }
+    }
+
+    // Number the tree depth-first: a dominates b iff b's entry and
+    // exit numbers nest inside a's.
+    std::vector<std::vector<unsigned>> children(n);
+    for (unsigned i = 1; i < n; ++i)
+        children[idom_[i]].push_back(i);
+    enter_.assign(n, 0);
+    exit_.assign(n, 0);
+    unsigned clock = 0;
+    std::vector<std::pair<unsigned, size_t>> stack;
+    if (n > 0) {
+        enter_[0] = clock++;
+        stack.emplace_back(0, 0);
+    }
+    while (!stack.empty()) {
+        auto &[node, next] = stack.back();
+        if (next < children[node].size()) {
+            unsigned child = children[node][next++];
+            enter_[child] = clock++;
+            stack.emplace_back(child, 0);
+        } else {
+            exit_[node] = clock++;
+            stack.pop_back();
         }
     }
 }
@@ -52,26 +79,21 @@ DomTree::DomTree(Function &f)
 BasicBlock *
 DomTree::idom(BasicBlock *bb) const
 {
-    auto it = idom_.find(bb);
-    bsAssert(it != idom_.end(), "idom: unreachable block " + bb->name());
-    return it->second;
+    auto it = index_.find(bb);
+    if (it == index_.end())
+        panic("idom: unreachable block " + bb->name());
+    return rpo_[idom_[it->second]];
 }
 
 bool
 DomTree::dominates(BasicBlock *a, BasicBlock *b) const
 {
-    if (!isReachable(a) || !isReachable(b))
+    auto ia = index_.find(a);
+    auto ib = index_.find(b);
+    if (ia == index_.end() || ib == index_.end())
         return false;
-    // Walk b's idom chain towards the entry.
-    BasicBlock *cur = b;
-    for (;;) {
-        if (cur == a)
-            return true;
-        BasicBlock *up = idom_.at(cur);
-        if (up == cur)
-            return false; // Reached the entry.
-        cur = up;
-    }
+    return enter_[ia->second] <= enter_[ib->second] &&
+           exit_[ib->second] <= exit_[ia->second];
 }
 
 bool

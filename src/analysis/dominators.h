@@ -1,12 +1,15 @@
 /**
  * @file
- * Dominator tree (Cooper–Harvey–Kennedy iterative algorithm).
+ * Dominator tree (Cooper–Harvey–Kennedy iterative algorithm), built
+ * on reverse-post-order indices. A depth-first walk of the tree
+ * numbers every block on entry and exit, so dominance is two integer
+ * compares.
  */
 
 #ifndef BITSPEC_ANALYSIS_DOMINATORS_H_
 #define BITSPEC_ANALYSIS_DOMINATORS_H_
 
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/function.h"
@@ -36,12 +39,18 @@ class DomTree
     /** True iff @p bb was reachable when the tree was built. */
     bool isReachable(BasicBlock *bb) const
     {
-        return idom_.count(bb) > 0;
+        return index_.count(bb) > 0;
     }
 
   private:
-    std::map<BasicBlock *, BasicBlock *> idom_;
-    std::map<BasicBlock *, unsigned> rpoIndex_;
+    /** Reachable blocks in reverse post order, and their indices. */
+    std::vector<BasicBlock *> rpo_;
+    std::unordered_map<const BasicBlock *, unsigned> index_;
+    /** Per RPO index: the immediate dominator's index, and the tree
+     *  walk's entry and exit numbers. */
+    std::vector<unsigned> idom_;
+    std::vector<unsigned> enter_;
+    std::vector<unsigned> exit_;
 };
 
 } // namespace bitspec

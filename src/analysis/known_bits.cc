@@ -442,44 +442,97 @@ KnownBitsAnalysis::KnownBitsAnalysis(Function &f)
 {
     trace::Span span("analysis.known_bits", "compile");
     span.arg("function", f.name());
-    std::vector<const Instruction *> order;
-    for (BasicBlock *bb : reversePostOrder(f))
-        for (const auto &inst : bb->insts())
-            if (inst->type().isInt())
-                order.push_back(inst.get());
+    for (BasicBlock *bb : reversePostOrder(f)) {
+        for (const auto &inst : bb->insts()) {
+            if (inst->type().isInt()) {
+                slotOf_.emplace(inst.get(),
+                                static_cast<uint32_t>(order_.size()));
+                order_.push_back(inst.get());
+            }
+        }
+    }
+    const auto n = static_cast<uint32_t>(order_.size());
+
+    // Operand slots, then each slot's users (CSR): the instructions to
+    // re-evaluate when its fact changes.
+    opBegin_.resize(n + 1);
+    std::vector<uint32_t> userBegin(n + 1, 0);
+    for (uint32_t s = 0; s < n; ++s) {
+        opBegin_[s] = static_cast<uint32_t>(opSlots_.size());
+        for (const Value *v : order_[s]->operands()) {
+            uint32_t o = kNoSlot;
+            if (v->isInstruction()) {
+                auto it = slotOf_.find(static_cast<const Instruction *>(v));
+                if (it != slotOf_.end()) {
+                    o = it->second;
+                    ++userBegin[o + 1];
+                }
+            }
+            opSlots_.push_back(o);
+        }
+    }
+    opBegin_[n] = static_cast<uint32_t>(opSlots_.size());
+    for (uint32_t s = 0; s < n; ++s)
+        userBegin[s + 1] += userBegin[s];
+    std::vector<uint32_t> users(userBegin[n]);
+    {
+        std::vector<uint32_t> fill(userBegin.begin(), userBegin.end() - 1);
+        for (uint32_t s = 0; s < n; ++s)
+            for (uint32_t k = opBegin_[s]; k < opBegin_[s + 1]; ++k)
+                if (opSlots_[k] != kNoSlot)
+                    users[fill[opSlots_[k]]++] = s;
+    }
+
+    facts_.resize(n);
+    hasFact_.assign(n, 0);
+    std::vector<unsigned> updates(n, 0);
+    // Evaluated again in this pass when after the changed slot in
+    // order, else in the next one: the round-robin visiting order.
+    std::vector<uint8_t> dirty(n, 1);
+    auto changedFact = [&](uint32_t s) {
+        for (uint32_t k = userBegin[s]; k < userBegin[s + 1]; ++k)
+            dirty[users[k]] = 1;
+    };
 
     bool changed = true;
     unsigned iter = 0;
     for (; iter < kMaxIterations && changed; ++iter) {
         changed = false;
-        for (const Instruction *inst : order) {
-            KnownBits nf = transfer(inst);
-            auto it = facts_.find(inst);
-            if (it == facts_.end()) {
-                facts_.emplace(inst, nf);
-                updates_[inst] = 1;
+        for (uint32_t s = 0; s < n; ++s) {
+            if (!dirty[s])
+                continue;
+            dirty[s] = 0;
+            KnownBits nf = transfer(s);
+            if (!hasFact_[s]) {
+                facts_[s] = nf;
+                hasFact_[s] = 1;
+                updates[s] = 1;
                 changed = true;
+                changedFact(s);
                 continue;
             }
-            if (nf == it->second)
+            if (nf == facts_[s])
                 continue;
-            if (++updates_[inst] > kWideningBudget) {
+            if (++updates[s] > kWideningBudget) {
                 // Widen: keep the (finite-lattice) masks, surrender
                 // the interval to whatever the masks imply.
                 nf.lo = 0;
                 nf.hi = ~0ULL;
-                nf = nf.normalized(inst->type().bits);
+                nf = nf.normalized(order_[s]->type().bits);
             }
-            if (nf != it->second) {
-                it->second = nf;
+            if (nf != facts_[s]) {
+                facts_[s] = nf;
                 changed = true;
+                changedFact(s);
             }
         }
     }
     if (changed) {
         // Safety net: not converged — fall back to type-top.
-        for (const Instruction *inst : order)
-            facts_[inst] = KnownBits::top(inst->type().bits);
+        for (uint32_t s = 0; s < n; ++s) {
+            facts_[s] = KnownBits::top(order_[s]->type().bits);
+            hasFact_[s] = 1;
+        }
     }
 }
 
@@ -491,18 +544,32 @@ KnownBitsAnalysis::known(const Value *v) const
         return KnownBits::constant(
             static_cast<const Constant *>(v)->value(), bits);
     if (v->isInstruction()) {
-        auto it = facts_.find(static_cast<const Instruction *>(v));
-        if (it != facts_.end())
-            return it->second;
+        auto it = slotOf_.find(static_cast<const Instruction *>(v));
+        if (it != slotOf_.end() && hasFact_[it->second])
+            return facts_[it->second];
     }
     return KnownBits::top(bits);
 }
 
 KnownBits
-KnownBitsAnalysis::transfer(const Instruction *inst) const
+KnownBitsAnalysis::operandFact(uint32_t s, size_t i) const
 {
+    uint32_t o = opSlots_[opBegin_[s] + i];
+    if (o != kNoSlot && hasFact_[o])
+        return facts_[o];
+    const Value *v = order_[s]->operand(i);
+    if (v->isConstant())
+        return KnownBits::constant(
+            static_cast<const Constant *>(v)->value(), v->type().bits);
+    return KnownBits::top(v->type().bits);
+}
+
+KnownBits
+KnownBitsAnalysis::transfer(uint32_t s) const
+{
+    const Instruction *inst = order_[s];
     unsigned bits = inst->type().bits;
-    auto get = [&](size_t i) { return known(inst->operand(i)); };
+    auto get = [&](size_t i) { return operandFact(s, i); };
 
     switch (inst->op()) {
       case Opcode::Add:
@@ -549,11 +616,11 @@ KnownBitsAnalysis::transfer(const Instruction *inst) const
         bool any = false;
         KnownBits acc;
         for (size_t i = 0; i < inst->numOperands(); ++i) {
-            const Value *v = inst->operand(i);
-            if (v->isInstruction() &&
-                !facts_.count(static_cast<const Instruction *>(v)))
+            uint32_t o = opSlots_[opBegin_[s] + i];
+            if (inst->operand(i)->isInstruction() &&
+                (o == kNoSlot || !hasFact_[o]))
                 continue;
-            KnownBits k = known(v);
+            KnownBits k = get(i);
             acc = any ? kbJoin(acc, k, bits) : k;
             any = true;
         }

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "ir/function.h"
 #include "support/bits.h"
@@ -113,6 +114,13 @@ KnownBits kbSpecTrunc(const KnownBits &a, unsigned bits);
  * Function-level fixed point. Facts are computed once at
  * construction; the function must not be mutated while the analysis
  * is queried (facts are keyed by instruction pointer).
+ *
+ * The fixed point is the round-robin one: passes in reverse post
+ * order, each instruction seeing the facts of this pass so far, with
+ * per-value widening counts and a pass limit. A pass evaluates only
+ * the instructions an operand fact of which changed (or first
+ * appeared) since their last evaluation; any other evaluation would
+ * recompute the fact the instruction already holds.
  */
 class KnownBitsAnalysis
 {
@@ -139,10 +147,23 @@ class KnownBitsAnalysis
     }
 
   private:
-    KnownBits transfer(const Instruction *inst) const;
+    static constexpr uint32_t kNoSlot = ~0u;
 
-    std::unordered_map<const Instruction *, KnownBits> facts_;
-    std::unordered_map<const Instruction *, unsigned> updates_;
+    /** Fact of operand @p i of the instruction in slot @p s. */
+    KnownBits operandFact(uint32_t s, size_t i) const;
+    KnownBits transfer(uint32_t s) const;
+
+    /** Analyzed instructions in reverse post order; an instruction's
+     *  index here is its slot. */
+    std::vector<const Instruction *> order_;
+    std::unordered_map<const Instruction *, uint32_t> slotOf_;
+    /** Per slot: the fact, and whether it has one yet. */
+    std::vector<KnownBits> facts_;
+    std::vector<uint8_t> hasFact_;
+    /** Operand slots of slot s: opSlots_[opBegin_[s] + i], kNoSlot for
+     *  operands that are not analyzed instructions. */
+    std::vector<uint32_t> opBegin_;
+    std::vector<uint32_t> opSlots_;
 };
 
 } // namespace bitspec

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "analysis/cfg.h"
 #include "analysis/known_bits.h"
@@ -105,6 +106,17 @@ classify(const Instruction *inst, const KnownBitsAnalysis &kb,
     return f;
 }
 
+/** Block -> the region it belongs to, for every region member. */
+std::unordered_map<const BasicBlock *, SpecRegion *>
+regionMap(const Function &f)
+{
+    std::unordered_map<const BasicBlock *, SpecRegion *> region;
+    for (const auto &sr : f.specRegions())
+        for (const BasicBlock *bb : sr->blocks)
+            region.emplace(bb, sr.get()); // First region wins, as regionOf.
+    return region;
+}
+
 } // namespace
 
 const char *
@@ -127,8 +139,10 @@ lintFunction(Function &f)
     std::set<const Instruction *> proven_safe;
     // Per-region running site index (checks in block order).
     std::map<int, int> siteOf;
+    const auto regionOf = regionMap(f);
     for (const auto &bb : f.blocks()) {
-        const SpecRegion *sr = f.regionOf(bb.get());
+        auto rit = regionOf.find(bb.get());
+        const SpecRegion *sr = rit == regionOf.end() ? nullptr : rit->second;
         for (const auto &inst : bb->insts()) {
             if (inst->isSpeculative()) {
                 LintFinding fd = classify(
@@ -228,6 +242,7 @@ LintElisionStats
 applyLintVerdicts(Function &f, const LintReport &report)
 {
     LintElisionStats st;
+    const auto regionOf = regionMap(f);
     for (const LintFinding &fd : report.findings) {
         if (fd.verdict != LintVerdict::ProvenSafe)
             continue;
@@ -241,8 +256,8 @@ applyLintVerdicts(Function &f, const LintReport &report)
         ++st.checksDropped;
         // Keep the region's check-list metadata in sync: the site no
         // longer carries a check (and may be DCE'd outright).
-        if (SpecRegion *sr = f.regionOf(inst->parent()))
-            std::erase(sr->checks, inst);
+        if (auto rit = regionOf.find(inst->parent()); rit != regionOf.end())
+            std::erase(rit->second->checks, inst);
     }
     if (st.checksDropped == 0)
         return st;

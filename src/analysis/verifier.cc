@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "analysis/cfg.h"
 #include "analysis/dominators.h"
@@ -127,23 +129,41 @@ verifyFunction(Function &f)
 
     // Phi incoming edges must match predecessors exactly.
     auto preds = f.predecessors();
+    auto sortedUnique = [](std::vector<BasicBlock *> v) {
+        std::sort(v.begin(), v.end());
+        v.erase(std::unique(v.begin(), v.end()), v.end());
+        return v;
+    };
     for (const auto &bb : f.blocks()) {
-        std::set<BasicBlock *> pred_set(preds[bb.get()].begin(),
-                                        preds[bb.get()].end());
+        std::vector<BasicBlock *> pred_set = sortedUnique(preds[bb.get()]);
         for (Instruction *phi : bb->phis()) {
-            std::set<BasicBlock *> incoming(phi->blockOperands().begin(),
-                                            phi->blockOperands().end());
-            if (!pred_set.empty() && incoming != pred_set) {
+            if (!pred_set.empty() &&
+                sortedUnique(phi->blockOperands()) != pred_set) {
                 bad("phi incoming set mismatch in " + bb->name());
             }
         }
     }
 
-    // SSA dominance for reachable code.
+    // SSA dominance for reachable code. A non-phi use in the def's
+    // own block needs the def at or before the user: positions come
+    // from the block's (instruction, index) pairs sorted by address.
     DomTree dt(f);
+    std::vector<std::pair<const Instruction *, size_t>> pos;
     for (const auto &bb : f.blocks()) {
         if (!dt.isReachable(bb.get()))
             continue;
+        pos.clear();
+        for (const auto &inst : bb->insts())
+            pos.emplace_back(inst.get(), pos.size());
+        std::sort(pos.begin(), pos.end());
+        auto indexOf = [&](const Instruction *inst) {
+            auto it = std::lower_bound(
+                pos.begin(), pos.end(),
+                std::make_pair(inst, size_t{0}));
+            return it != pos.end() && it->first == inst ? it->second
+                                                        : pos.size();
+        };
+        size_t at = 0;
         for (const auto &inst : bb->insts()) {
             for (size_t i = 0; i < inst->numOperands(); ++i) {
                 Value *op = inst->operand(i);
@@ -152,16 +172,20 @@ verifyFunction(Function &f)
                 auto *def = static_cast<Instruction *>(op);
                 if (!dt.isReachable(def->parent()))
                     continue;
-                if (!dt.dominatesUse(def, inst.get(), i)) {
+                bool ok = !inst->isPhi() && def->parent() == bb.get()
+                              ? indexOf(def) <= at
+                              : dt.dominatesUse(def, inst.get(), i);
+                if (!ok) {
                     bad("use before def of %" + def->name() + " in " +
                         bb->name());
                 }
             }
+            ++at;
         }
     }
 
     // Speculative-region rules (paper §3.1.1).
-    std::set<BasicBlock *> in_region;
+    std::unordered_set<BasicBlock *> in_region;
     std::set<BasicBlock *> handlers;
     for (const auto &sr : f.specRegions()) {
         if (!sr->handler) {
@@ -177,17 +201,24 @@ verifyFunction(Function &f)
                 bad("handler inside its region: " + member->name());
         }
     }
+    // Handlers are entered by misspeculation only: never a branch
+    // target (one message per edge), never the function entry (which
+    // the caller enters).
+    std::unordered_map<const BasicBlock *, unsigned> target_edges;
+    if (!handlers.empty())
+        for (const auto &bb : f.blocks())
+            for (BasicBlock *succ : bb->successors())
+                ++target_edges[succ];
+    const BasicBlock *entry = f.entry();
     for (BasicBlock *h : handlers) {
         if (in_region.count(h))
             bad("handler is member of a region: " + h->name());
-        // Handlers are entered by misspeculation only: never a branch
-        // target, never the function entry (which the caller enters).
-        if (!f.blocks().empty() && h == f.entry())
+        if (h == entry)
             bad("handler is the function entry: " + h->name());
-        for (const auto &bb : f.blocks())
-            for (BasicBlock *succ : bb->successors())
-                if (succ == h)
-                    bad("handler is a branch target: " + h->name());
+        auto it = target_edges.find(h);
+        for (unsigned k = it == target_edges.end() ? 0 : it->second; k > 0;
+             --k)
+            bad("handler is a branch target: " + h->name());
     }
 
     // Every speculative instruction needs a region (and with it a
@@ -204,7 +235,7 @@ verifyFunction(Function &f)
 
     // Theorem 3.1: values defined in a region are dead at its handler.
     for (const auto &sr : f.specRegions()) {
-        std::set<const Value *> defined;
+        std::unordered_set<const Value *> defined;
         for (BasicBlock *member : sr->blocks)
             for (const auto &inst : member->insts())
                 if (!inst->type().isVoid())

@@ -67,8 +67,8 @@ class BasicBlock
     Instruction *
     terminator() const
     {
-        bsAssert(!insts_.empty() && insts_.back()->isTerm(),
-                 "block has no terminator: " + name_);
+        if (insts_.empty() || !insts_.back()->isTerm())
+            panic("block has no terminator: " + name_);
         return insts_.back().get();
     }
 

@@ -52,8 +52,8 @@ class Global
     void
     setData(const std::vector<uint8_t> &bytes)
     {
-        bsAssert(bytes.size() == data_.size(),
-                 "global image size mismatch: " + name_);
+        if (bytes.size() != data_.size())
+            panic("global image size mismatch: " + name_);
         data_ = bytes;
     }
 
@@ -61,7 +61,8 @@ class Global
     void
     setElem(size_t index, uint64_t value)
     {
-        bsAssert(index < elemCount_, "global store out of range: " + name_);
+        if (index >= elemCount_)
+            panic("global store out of range: " + name_);
         unsigned bytes = elemBits_ / 8;
         for (unsigned b = 0; b < bytes; ++b)
             data_[index * bytes + b] =
@@ -71,7 +72,8 @@ class Global
     uint64_t
     elem(size_t index) const
     {
-        bsAssert(index < elemCount_, "global load out of range: " + name_);
+        if (index >= elemCount_)
+            panic("global load out of range: " + name_);
         unsigned bytes = elemBits_ / 8;
         uint64_t v = 0;
         for (unsigned b = 0; b < bytes; ++b)

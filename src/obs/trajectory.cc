@@ -109,9 +109,10 @@ TrajectoryRecord::value(const std::string &name) const
 bool
 isGatedSeries(const std::string &name)
 {
-    // Per-workload core rates are recorded but not gated until the
-    // history holds comparable baselines for them.
-    if (name.rfind("rate.core_workload_", 0) == 0)
+    // Per-workload core and squeeze rates are recorded but not gated
+    // until the history holds comparable baselines for them.
+    if (name.rfind("rate.core_workload_", 0) == 0 ||
+        name.rfind("rate.squeeze_workload_", 0) == 0)
         return false;
     return name.rfind("rate.", 0) == 0 ||
            name.rfind("speedup.", 0) == 0;
@@ -278,22 +279,28 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
         benchCounter(json_text, "BM_CoreThroughput/fast",
                      "machine_instrs_per_s"));
 
-    // Per-workload core rates: every BM_CoreWorkload/<workload>
-    // entry, '-' in the workload name spelled '_' in the series.
-    const std::string core_wl = "\"name\": \"BM_CoreWorkload/";
-    for (size_t at = 0;
-         (at = json_text.find(core_wl, at)) != std::string::npos;) {
-        size_t open = at + core_wl.size();
-        size_t close = json_text.find('"', open);
-        if (close == std::string::npos)
-            break;
-        std::string wl = json_text.substr(open, close - open);
-        std::replace(wl.begin(), wl.end(), '-', '_');
-        add("rate.core_workload_" + wl + "_per_s",
-            numberAfter(json_text, "items_per_second", close,
-                        objectEnd(json_text, close + 1)));
-        at = close;
-    }
+    // Per-workload rates: every BM_CoreWorkload/<workload> and
+    // BM_SqueezeWorkload/<workload> entry, '-' in the workload name
+    // spelled '_' in the series.
+    auto perWorkload = [&](const std::string &bench,
+                           const std::string &series) {
+        const std::string key = "\"name\": \"" + bench + "/";
+        for (size_t at = 0;
+             (at = json_text.find(key, at)) != std::string::npos;) {
+            size_t open = at + key.size();
+            size_t close = json_text.find('"', open);
+            if (close == std::string::npos)
+                break;
+            std::string wl = json_text.substr(open, close - open);
+            std::replace(wl.begin(), wl.end(), '-', '_');
+            add(series + wl + "_per_s",
+                numberAfter(json_text, "items_per_second", close,
+                            objectEnd(json_text, close + 1)));
+            at = close;
+        }
+    };
+    perWorkload("BM_CoreWorkload", "rate.core_workload_");
+    perWorkload("BM_SqueezeWorkload", "rate.squeeze_workload_");
 
     // experiment_smoke's observability section.
     size_t obs = json_text.find("\"observability\":");

@@ -52,7 +52,10 @@ panic(const std::string &msg)
     throw PanicError(msg);
 }
 
-/** Panic unless @p cond holds. Used for internal invariants. */
+/** Panic unless @p cond holds. Used for internal invariants. The
+ *  message is an argument, so a built one (`"..." + name`) costs its
+ *  allocation on every call: on hot paths, write
+ *  `if (!cond) panic(...)` instead. */
 inline void
 bsAssert(bool cond, const std::string &msg)
 {

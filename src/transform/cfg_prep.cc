@@ -52,59 +52,52 @@ unsigned
 prepareCFG(Function &f)
 {
     unsigned splits = 0;
-    // Iterate until no block needs splitting. Newly created blocks are
-    // appended to f.blocks() and re-examined by the outer loop.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (auto &bbp : f.blocks()) {
-            BasicBlock *bb = bbp.get();
-            bool seen_nonphi = false;
-            bool seen_load = false, seen_store = false;
-            bool prev_isolated = false;
+    // One pass in block order. A split leaves its block clean (the
+    // head keeps only instructions that needed no split, then a
+    // branch) and appends the tail, which the pass reaches in turn;
+    // no other block changes in a way the rules read. So this splits
+    // exactly where rescanning from the first block after every split
+    // would. Index, not iterator: splits grow f.blocks().
+    for (size_t b = 0; b < f.blocks().size(); ++b) {
+        BasicBlock *bb = f.blocks()[b].get();
+        bool seen_nonphi = false;
+        bool seen_load = false, seen_store = false;
+        bool prev_isolated = false;
 
-            for (auto it = bb->insts().begin(); it != bb->insts().end();
-                 ++it) {
-                Instruction *inst = it->get();
-                if (inst->isTerm())
-                    break;
-
-                bool is_phi = inst->isPhi();
-                bool isolated = inst->isCall() || inst->isVolatileOp();
-
-                bool need_split = false;
-                // Eq. 6: first non-phi after phis starts a new block.
-                if (!is_phi && !seen_nonphi &&
-                    it != bb->insts().begin()) {
-                    need_split = true;
-                }
-                // Eq. 5: calls/volatiles isolated; also split right
-                // after one.
-                if (!need_split && seen_nonphi &&
-                    (isolated || prev_isolated)) {
-                    need_split = true;
-                }
-                // Eq. 4: loads and stores segregated.
-                if (!need_split &&
-                    ((inst->op() == Opcode::Load && seen_store) ||
-                     (inst->op() == Opcode::Store && seen_load))) {
-                    need_split = true;
-                }
-
-                if (need_split) {
-                    splitBlockBefore(f, bb, it);
-                    ++splits;
-                    changed = true;
-                    break; // Restart: the blocks vector changed.
-                }
-
-                seen_nonphi |= !is_phi;
-                seen_load |= inst->op() == Opcode::Load;
-                seen_store |= inst->op() == Opcode::Store;
-                prev_isolated = isolated;
-            }
-            if (changed)
+        for (auto it = bb->insts().begin(); it != bb->insts().end();
+             ++it) {
+            Instruction *inst = it->get();
+            if (inst->isTerm())
                 break;
+
+            bool is_phi = inst->isPhi();
+            bool isolated = inst->isCall() || inst->isVolatileOp();
+
+            bool need_split = false;
+            // Eq. 6: first non-phi after phis starts a new block.
+            if (!is_phi && !seen_nonphi && it != bb->insts().begin())
+                need_split = true;
+            // Eq. 5: calls/volatiles isolated; also split right after
+            // one.
+            if (!need_split && seen_nonphi && (isolated || prev_isolated))
+                need_split = true;
+            // Eq. 4: loads and stores segregated.
+            if (!need_split &&
+                ((inst->op() == Opcode::Load && seen_store) ||
+                 (inst->op() == Opcode::Store && seen_load))) {
+                need_split = true;
+            }
+
+            if (need_split) {
+                splitBlockBefore(f, bb, it);
+                ++splits;
+                break;
+            }
+
+            seen_nonphi |= !is_phi;
+            seen_load |= inst->op() == Opcode::Load;
+            seen_store |= inst->op() == Opcode::Store;
+            prev_isolated = isolated;
         }
     }
     return splits;

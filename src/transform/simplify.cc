@@ -1,7 +1,8 @@
 #include "transform/simplify.h"
 
-#include <map>
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "analysis/cfg.h"
 #include "support/bits.h"
@@ -104,79 +105,124 @@ foldOp(const Instruction &inst, uint64_t &out)
 unsigned
 simplifyTrivialPhis(Function &f)
 {
-    unsigned removed = 0;
+    // Phis in block order. Simplification neither adds nor moves one.
+    std::vector<Instruction *> phis;
+    for (auto &bb : f.blocks())
+        for (auto &inst : bb->insts())
+            if (inst->isPhi())
+                phis.push_back(inst.get());
+
+    // Removed phi -> its replacement, which may itself be a removed
+    // phi: resolve() follows the chain, compressing it as it goes.
+    std::unordered_map<const Value *, Value *> repl;
+    auto resolve = [&](Value *v) {
+        Value *root = v;
+        for (auto it = repl.find(root); it != repl.end();
+             it = repl.find(root))
+            root = it->second;
+        while (v != root) {
+            Value *&next = repl[v];
+            v = next;
+            next = root;
+        }
+        return root;
+    };
+
+    // Visit the live phis in the same order, pass after pass, as
+    // rewriting each removed phi's uses at once would: every operand
+    // is seen through resolve().
     bool changed = true;
     while (changed) {
         changed = false;
-        for (auto &bb : f.blocks()) {
-            for (auto it = bb->insts().begin(); it != bb->insts().end();) {
-                Instruction *inst = it->get();
-                if (!inst->isPhi()) {
-                    ++it;
+        for (Instruction *inst : phis) {
+            if (repl.count(inst))
+                continue;
+            // Find the unique operand that isn't the phi itself.
+            Value *unique = nullptr;
+            bool trivial = true;
+            for (Value *raw : inst->operands()) {
+                Value *op = resolve(raw);
+                if (op == inst)
                     continue;
+                if (unique && unique != op) {
+                    trivial = false;
+                    break;
                 }
-                // Find the unique operand that isn't the phi itself.
-                Value *unique = nullptr;
-                bool trivial = true;
-                for (Value *op : inst->operands()) {
-                    if (op == inst)
-                        continue;
-                    if (unique && unique != op) {
-                        trivial = false;
-                        break;
-                    }
-                    unique = op;
-                }
-                if (!trivial) {
-                    ++it;
-                    continue;
-                }
-                // Empty/self-only phis come from unreachable merges:
-                // any value is acceptable; use zero.
-                Value *repl = unique
-                                  ? unique
-                                  : f.parent()->getConst(inst->type(), 0);
-                f.replaceAllUses(inst, repl);
-                it = bb->insts().erase(it);
-                ++removed;
-                changed = true;
+                unique = op;
             }
+            if (!trivial)
+                continue;
+            // Empty/self-only phis come from unreachable merges: any
+            // value is acceptable; use zero.
+            repl[inst] =
+                unique ? unique : f.parent()->getConst(inst->type(), 0);
+            changed = true;
         }
     }
-    return removed;
+    if (repl.empty())
+        return 0;
+
+    // One sweep rewrites every operand, then the removed phis go.
+    // Erasing last keeps a freed phi's address from coming back (say,
+    // as a new constant) while it is still a key of repl.
+    for (auto &bb : f.blocks())
+        for (auto &inst : bb->insts())
+            for (size_t i = 0; i < inst->numOperands(); ++i)
+                if (repl.count(inst->operand(i)))
+                    inst->setOperand(i, resolve(inst->operand(i)));
+    for (auto &bb : f.blocks())
+        std::erase_if(bb->insts(), [&](const auto &inst) {
+            return inst->isPhi() && repl.count(inst.get());
+        });
+    return static_cast<unsigned>(repl.size());
 }
 
 unsigned
 deadCodeElim(Function &f)
 {
-    unsigned removed = 0;
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        std::set<const Value *> used;
-        for (const auto &bb : f.blocks())
-            for (const auto &inst : bb->insts())
-                for (Value *op : inst->operands())
-                    used.insert(op);
+    // Uses per instruction, counted over every operand in the
+    // function. An unused instruction without effects dies, and each
+    // operand that loses its last use with it is examined next. This
+    // removes exactly what repeated whole-function sweeps would:
+    // "remove the unused" has one fixed point.
+    std::unordered_map<const Instruction *, unsigned> uses;
+    for (const auto &bb : f.blocks())
+        for (const auto &inst : bb->insts())
+            for (Value *op : inst->operands())
+                if (op->isInstruction())
+                    ++uses[static_cast<const Instruction *>(op)];
 
-        for (auto &bb : f.blocks()) {
-            for (auto it = bb->insts().begin(); it != bb->insts().end();) {
-                Instruction *inst = it->get();
-                bool side_effects =
-                    inst->isTerm() || inst->op() == Opcode::Store ||
-                    inst->isCall() || inst->isVolatileOp();
-                if (!side_effects && !inst->isGuard() &&
-                    !inst->type().isVoid() && !used.count(inst)) {
-                    it = bb->insts().erase(it);
-                    ++removed;
-                    changed = true;
-                } else {
-                    ++it;
-                }
-            }
+    auto removable = [&](const Instruction *inst) {
+        bool side_effects = inst->isTerm() || inst->op() == Opcode::Store ||
+                            inst->isCall() || inst->isVolatileOp();
+        return !side_effects && !inst->isGuard() && !inst->type().isVoid();
+    };
+    std::vector<Instruction *> work;
+    for (const auto &bb : f.blocks())
+        for (const auto &inst : bb->insts())
+            if (removable(inst.get()) && !uses.count(inst.get()))
+                work.push_back(inst.get());
+
+    std::unordered_set<const Instruction *> dead;
+    while (!work.empty()) {
+        Instruction *inst = work.back();
+        work.pop_back();
+        dead.insert(inst);
+        for (Value *op : inst->operands()) {
+            if (!op->isInstruction())
+                continue;
+            auto *def = static_cast<Instruction *>(op);
+            if (--uses.at(def) == 0 && removable(def))
+                work.push_back(def);
         }
     }
-    return removed;
+    if (dead.empty())
+        return 0;
+
+    for (auto &bb : f.blocks())
+        std::erase_if(bb->insts(),
+                      [&](const auto &inst) { return dead.count(inst.get()); });
+    return static_cast<unsigned>(dead.size());
 }
 
 unsigned

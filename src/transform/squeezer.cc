@@ -638,39 +638,52 @@ class SqueezerImpl
         }
     }
 
-    /** Collapse `trunc(zext(x8))` placeholders to x8. Erased
-     *  instructions may still be referenced from narrowOf_ or the
-     *  clone map (their addresses could be reused by later
-     *  allocations), so both maps are redirected first. */
+    /** Collapse `trunc(zext(x8))` placeholders to x8. One map holds
+     *  every collapse (x8 may itself be a collapsed trunc, so lookups
+     *  follow the chain); one sweep then redirects the operands,
+     *  narrowOf_ and the clone map, whose stale entries could
+     *  otherwise alias later allocations at an erased trunc's
+     *  address, and only then are the truncs erased. */
     void
     cleanupTruncs()
     {
+        std::unordered_map<const Value *, Value *> repl;
         for (auto &bb : f_.blocks()) {
-            for (auto it = bb->insts().begin(); it != bb->insts().end();) {
-                Instruction *t = it->get();
-                if (t->op() == Opcode::Trunc && !t->isSpeculative() &&
-                    t->type().bits == kSlice &&
-                    t->operand(0)->isInstruction()) {
-                    auto *z = static_cast<Instruction *>(t->operand(0));
-                    if (z->op() == Opcode::ZExt &&
-                        z->operand(0)->type().bits == kSlice) {
-                        Value *repl = z->operand(0);
-                        f_.replaceAllUses(t, repl);
-                        for (auto &[k, v] : narrowOf_)
-                            if (v == t)
-                                v = repl;
-                        if (cloneMap_) {
-                            for (auto &[k, v] : cloneMap_->values)
-                                if (v == t)
-                                    v = repl;
-                        }
-                        it = bb->insts().erase(it);
-                        continue;
-                    }
-                }
-                ++it;
+            for (auto &inst : bb->insts()) {
+                Instruction *t = inst.get();
+                if (t->op() != Opcode::Trunc || t->isSpeculative() ||
+                    t->type().bits != kSlice ||
+                    !t->operand(0)->isInstruction())
+                    continue;
+                auto *z = static_cast<Instruction *>(t->operand(0));
+                if (z->op() == Opcode::ZExt &&
+                    z->operand(0)->type().bits == kSlice)
+                    repl.emplace(t, z->operand(0));
             }
         }
+        if (repl.empty())
+            return;
+        auto resolve = [&](Value *v) {
+            for (auto it = repl.find(v); it != repl.end(); it = repl.find(v))
+                v = it->second;
+            return v;
+        };
+
+        for (auto &bb : f_.blocks())
+            for (auto &inst : bb->insts())
+                for (size_t i = 0; i < inst->numOperands(); ++i)
+                    if (repl.count(inst->operand(i)))
+                        inst->setOperand(i, resolve(inst->operand(i)));
+        for (auto &[k, v] : narrowOf_)
+            v = resolve(v);
+        if (cloneMap_) {
+            for (auto &[k, v] : cloneMap_->values)
+                v = resolve(v);
+        }
+        for (auto &bb : f_.blocks())
+            std::erase_if(bb->insts(), [&](const auto &inst) {
+                return repl.count(inst.get()) > 0;
+            });
     }
 
     void
@@ -791,7 +804,7 @@ class SqueezerImpl
         // block/instruction order): emission order — and with it the
         // final code — must not depend on heap addresses, or parallel
         // experiment cells would compile differently from serial ones.
-        std::vector<std::pair<Value *, std::vector<AltDef>>> repairs;
+        std::vector<SSARepair> repairs;
         std::unordered_map<Value *, size_t> repairIndex;
         for (const PendingRegion &pr : pending) {
             b.setInsertPoint(pr.handler);
@@ -818,18 +831,16 @@ class SqueezerImpl
                     v_orig, repairs.size());
                 if (inserted)
                     repairs.push_back({v_orig, {}});
-                repairs[it->second].second.push_back(
+                repairs[it->second].alts.push_back(
                     {pr.orig, pr.handler, v_ext});
             }
         }
 
         // Insertion order (region order x liveness id order), not
-        // pointer order: repairSSA inserts phis as it goes. Repair
-        // adds phis only, never edges, so one predecessor map serves
-        // every call.
-        const PredecessorMap preds = predecessorMap(f_, false);
-        for (auto &[v_orig, alts] : repairs)
-            repairSSA(f_, preds, v_orig, alts);
+        // pointer order: repairs insert phis as they go. Repair adds
+        // phis only, never edges, so one predecessor map serves them
+        // all.
+        repairSSA(f_, predecessorMap(f_, false), repairs);
 
         // Cleanup: dead original prologues, trivial repair phis,
         // unused zexts.
@@ -884,7 +895,6 @@ class SqueezerImpl
     std::set<const Value *> staticSafe_;
     std::unique_ptr<KnownBitsAnalysis> kb_;
     std::map<Value *, Value *> narrowOf_;
-    std::vector<Instruction *> pendingTruncs_;
     std::map<const Instruction *, const Instruction *> cloneTarget_;
     CloneMap *cloneMap_ = nullptr;
 };

@@ -1,6 +1,6 @@
 #include "transform/ssa_repair.h"
 
-#include <map>
+#include <unordered_map>
 
 #include "analysis/cfg.h"
 #include "support/error.h"
@@ -11,11 +11,15 @@ namespace bitspec
 namespace
 {
 
+/** One operand slot: operand @c second of instruction @c first. */
+using Use = std::pair<Instruction *, size_t>;
+
 class Repairer
 {
   public:
+    /** Repair @p orig, whose uses before any repair were @p uses. */
     Repairer(Function &f, const PredecessorMap &preds, Value *orig,
-             const std::vector<AltDef> &alts)
+             const std::vector<AltDef> &alts, const std::vector<Use> &uses)
         : f_(f), orig_(orig), preds_(preds)
     {
         if (orig->isInstruction())
@@ -32,18 +36,6 @@ class Repairer
             alt.block->insertBefore(alt.block->insts().begin(),
                                     std::move(phi));
             blockDefs_[alt.block] = raw;
-            newPhis_.insert(raw);
-        }
-
-        // Collect pre-existing uses before filling phis.
-        for (auto &bb : f_.blocks()) {
-            for (auto &inst : bb->insts()) {
-                if (newPhis_.count(inst.get()))
-                    continue;
-                for (size_t i = 0; i < inst->numOperands(); ++i)
-                    if (inst->operand(i) == orig_)
-                        uses_.push_back({inst.get(), i});
-            }
         }
 
         // Fill the re-entry phi operands.
@@ -60,7 +52,7 @@ class Repairer
         }
 
         // Rewrite the collected uses.
-        for (const auto &[user, index] : uses_) {
+        for (const auto &[user, index] : uses) {
             Value *repl;
             if (user->isPhi()) {
                 repl = reachEnd(user->blockOperand(index));
@@ -176,31 +168,48 @@ class Repairer
     Value *orig_;
     BasicBlock *origBlock_ = nullptr;
     const PredecessorMap &preds_;
-    std::map<BasicBlock *, Instruction *> blockDefs_;
-    std::set<Instruction *> newPhis_;
-    std::map<BasicBlock *, unsigned> visiting_;
-    std::map<BasicBlock *, Value *> memo_;
-    std::vector<std::pair<Instruction *, size_t>> uses_;
+    std::unordered_map<BasicBlock *, Instruction *> blockDefs_;
+    std::unordered_map<BasicBlock *, unsigned> visiting_;
+    std::unordered_map<BasicBlock *, Value *> memo_;
 };
 
 } // namespace
 
 void
-repairSSA(Function &f, const PredecessorMap &preds, Value *orig_def,
-          const std::vector<AltDef> &alts)
+repairSSA(Function &f, const PredecessorMap &preds,
+          const std::vector<SSARepair> &repairs)
 {
-    for (const AltDef &a : alts) {
-        bsAssert(a.handlerValue->type() == orig_def->type(),
-                 "repairSSA: type mismatch: orig %" +
-                     orig_def->name() + " " + orig_def->type().str() +
-                     " vs handler value %" + a.handlerValue->name() +
-                     " " + a.handlerValue->type().str() + " at " +
-                     a.block->name());
-        bsAssert(a.block && a.handlerPred, "repairSSA: bad alt def");
+    std::unordered_map<const Value *, size_t> index;
+    for (size_t r = 0; r < repairs.size(); ++r) {
+        const SSARepair &rep = repairs[r];
+        for (const AltDef &a : rep.alts) {
+            if (a.handlerValue->type() != rep.orig->type())
+                panic("repairSSA: type mismatch: orig %" +
+                      rep.orig->name() + " " + rep.orig->type().str() +
+                      " vs handler value %" + a.handlerValue->name() +
+                      " " + a.handlerValue->type().str() + " at " +
+                      a.block->name());
+            bsAssert(a.block && a.handlerPred, "repairSSA: bad alt def");
+        }
+        if (!index.emplace(rep.orig, r).second)
+            panic("repairSSA: value repaired twice: %" + rep.orig->name());
     }
-    if (alts.empty())
-        return;
-    Repairer(f, preds, orig_def, alts);
+
+    // Uses of every repaired value, in block and instruction order.
+    std::vector<std::vector<Use>> uses(repairs.size());
+    for (auto &bb : f.blocks()) {
+        for (auto &inst : bb->insts()) {
+            for (size_t i = 0; i < inst->numOperands(); ++i) {
+                auto it = index.find(inst->operand(i));
+                if (it != index.end())
+                    uses[it->second].push_back({inst.get(), i});
+            }
+        }
+    }
+
+    for (size_t r = 0; r < repairs.size(); ++r)
+        if (!repairs[r].alts.empty())
+            Repairer(f, preds, repairs[r].orig, repairs[r].alts, uses[r]);
 }
 
 } // namespace bitspec

@@ -33,19 +33,34 @@ struct AltDef
     Value *handlerValue = nullptr;
 };
 
+/** Every re-entry point of one repaired value. */
+struct SSARepair
+{
+    /** The original definition whose uses are rewritten. */
+    Value *orig = nullptr;
+    std::vector<AltDef> alts;
+};
+
 /**
- * Rewrite uses of @p orig_def so that paths flowing through any
- * AltDef block observe the merged value, inserting phis at joins on
- * demand. Each AltDef gets a phi at the top of its block whose
- * incoming from @p handlerPred is @p handlerValue and whose other
- * incomings are the reaching definitions. Types must all match.
+ * For each repair, rewrite the uses of its value so that paths
+ * flowing through any of its AltDef blocks observe the merged value,
+ * inserting phis at joins on demand. Each AltDef gets a phi at the
+ * top of its block whose incoming from @p handlerPred is
+ * @p handlerValue and whose other incomings are the reaching
+ * definitions. Types must all match, and no value may appear twice.
+ *
+ * Repairs run in order, so phis land in the same places as one call
+ * per value would put them. One sweep collects the uses of every
+ * repaired value up front: a repair inserts phis only for its own
+ * value and rewrites only operands equal to it, so no repair adds or
+ * removes a use of another.
  *
  * @p preds is @p f's plain predecessor map (predecessorMap(f, false)).
  * Repair inserts phis only, never edges, so one map built after the
- * last CFG edit serves any number of calls.
+ * last CFG edit serves every repair.
  */
 void repairSSA(Function &f, const PredecessorMap &preds,
-               Value *orig_def, const std::vector<AltDef> &alts);
+               const std::vector<SSARepair> &repairs);
 
 } // namespace bitspec
 

@@ -3,12 +3,16 @@
  * Codegen freeze: for every workload under the five compile-heavy
  * configurations (baseline, BitSpec MAX/AVG/MIN, squeeze without
  * speculation), pin a 64-bit hash of the linked instruction stream
- * and every BackendStats and SqueezeStats field.
+ * and every BackendStats and SqueezeStats field, plus a 64-bit hash
+ * of the printed IR of the trained module and of each
+ * configuration's squeezed module.
  *
  * Compile-path optimisations (liveness, SSA repair, register
  * allocation data structures) must not change what is compiled; this
- * makes "bit-identical codegen" a unit-test fact. One test per
- * workload so `ctest -j` spreads the compiles across cores.
+ * makes "bit-identical codegen" a unit-test fact. The IR hashes catch
+ * a change to the squeezed IR that happens to leave the linked code
+ * alone. One test per workload so `ctest -j` spreads the compiles
+ * across cores.
  *
  * An intended codegen change updates the table: a failing test
  * prints the row it observed, ready to paste.
@@ -17,11 +21,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "artifact/snapshot.h"
 #include "core/system.h"
+#include "ir/printer.h"
 #include "support/str.h"
 #include "workloads/workload.h"
 
@@ -74,6 +80,18 @@ flatHash(const MachProgram &p)
         h = mix(h, inst.origBits);
         h = mix(h, static_cast<uint64_t>(inst.tag));
         h = mix(h, static_cast<uint64_t>(inst.target));
+    }
+    return h;
+}
+
+/** FNV-1a over the bytes of printModule(@p m). */
+uint64_t
+irHash(const Module &m)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (char c : printModule(m)) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
     }
     return h;
 }
@@ -259,6 +277,76 @@ const Pin kPins[] = {
      "42 30 49 28 593 0", "21 0 0 0 0 0 0 0 0 0 0 0 0"},
 };
 
+/** The printed-IR hashes of one workload: its trained module and the
+ *  squeezed module of each configuration, in configs() order. */
+struct IrPin
+{
+    const char *workload;
+    uint64_t trained;
+    uint64_t systems[5];
+};
+
+// Recorded before the linear squeeze (batched SSA repair, one-sweep
+// cleanups, sparse known-bits).
+const IrPin kIrPins[] = {
+    {"CRC32", 0xd049d8df1eea7cbULL,
+     {0x50f031fb0540e114ULL, 0x66c4206b2f73e150ULL,
+      0x1f9086fe4a506bbcULL, 0x12697d365d3aeb55ULL,
+      0xb7efbdd46b0e38d2ULL}},
+    {"FFT", 0xccb0e94dbf69706fULL,
+     {0xe8fda059b0af1735ULL, 0xada53e0d874c1f7cULL,
+      0xada53e0d874c1f7cULL, 0x563e26d15a39bf65ULL,
+      0x2025234020288dabULL}},
+    {"basicmath", 0x28887b4af98f8223ULL,
+     {0x98e390e1bf96888fULL, 0x3f00e86a5d9f92a6ULL,
+      0x1934243f7ee1411bULL, 0xca6ee6ba423dba56ULL,
+      0x98e390e1bf96888fULL}},
+    {"bitcount", 0x3a59a17fac779f01ULL,
+     {0xa0221e53758e83edULL, 0x82f8e6967e28055eULL,
+      0x5d00a6f69ce47f67ULL, 0x1837c7c89a9524b0ULL,
+      0xa99b9e02b7c1bfadULL}},
+    {"blowfish", 0x47a8135ccaf0c535ULL,
+     {0x8d0bb20a904f4f07ULL, 0x801ca22a9315dc56ULL,
+      0x801ca22a9315dc56ULL, 0x801ca22a9315dc56ULL,
+      0xc64761791971023dULL}},
+    {"dijkstra", 0x635c7df689f821bULL,
+     {0xa42ded0f913e75edULL, 0x7da310b79add802bULL,
+      0xd99531dfcc878e90ULL, 0x3fee3e3b8cc4eed9ULL,
+      0xa42ded0f913e75edULL}},
+    {"patricia", 0xd769553682b29cd4ULL,
+     {0xc7a83a5f5c1a1720ULL, 0xf4c99b805dd4bfb0ULL,
+      0x71f5ef4ad141d8f9ULL, 0xb2293529d600c206ULL,
+      0x14753b982879c5b3ULL}},
+    {"qsort", 0xab7f0c5a233f7f36ULL,
+     {0x4d49f1b0533aaac4ULL, 0x2607830b4bf53ae5ULL,
+      0xa05fa71a9e5b8df2ULL, 0xe4afadf3143333afULL,
+      0xa0ec55c3bbf4babdULL}},
+    {"rijndael", 0x44801b17a6fd05a9ULL,
+     {0xff78de2f839f1528ULL, 0x1b3b36915de0b644ULL,
+      0x1a0286dfed177440ULL, 0xc681ea51735013d8ULL,
+      0x4a35e4d846e9eb64ULL}},
+    {"sha", 0xea767edc8dc29f4cULL,
+     {0xea767edc8dc29f4cULL, 0xe49a8d46377c9758ULL,
+      0xe49a8d46377c9758ULL, 0xc7391772bab44824ULL,
+      0x2f274106c1da29d0ULL}},
+    {"stringsearch", 0x5af71e165c55f2c5ULL,
+     {0xc04efb0f9cbbc5efULL, 0x1963b4af4da32363ULL,
+      0x5f32ff6b06f89137ULL, 0x383e15fc9a44c8a5ULL,
+      0x514d10f77aa4087fULL}},
+    {"susan-edges", 0xba5d6404f030ae49ULL,
+     {0x8c93cbf6e6d9983aULL, 0x3bef24cdb45b4c88ULL,
+      0x690a1106c800f65eULL, 0xf2cc305c907dd7c0ULL,
+      0xc3ba5f450ecc837cULL}},
+    {"susan-corners", 0x8f891577d1043b4aULL,
+     {0x20c4b878affd5053ULL, 0xf30a142c146ea9acULL,
+      0x97ccf1622dd68734ULL, 0xba953a5c3362468aULL,
+      0x12f2c2e2e859c48bULL}},
+    {"susan-smoothing", 0x2cc3fca3793a9fcdULL,
+     {0xe2a3b7b73dda4d0dULL, 0x76ec3b78a52edabeULL,
+      0x12ce54e064209432ULL, 0x2745c70d86196f34ULL,
+      0x70df229da822b37ULL}},
+};
+
 struct NamedConfig
 {
     const char *name;
@@ -286,15 +374,31 @@ findPin(const std::string &workload, const std::string &config)
     return nullptr;
 }
 
+const IrPin *
+findIrPin(const std::string &workload)
+{
+    for (const IrPin &p : kIrPins)
+        if (workload == p.workload)
+            return &p;
+    return nullptr;
+}
+
 class CodegenFreeze : public ::testing::TestWithParam<std::string>
 {};
 
 TEST_P(CodegenFreeze, MatchesPinnedCodegen)
 {
     const Workload &w = getWorkload(GetParam());
-    for (const NamedConfig &nc : configs()) {
-        System sys(w.source, nc.config,
-                   [&w](Module &m) { w.setInput(m, 0); });
+    // The five configurations share the default expander, so one
+    // training serves them all, as in the experiment runner.
+    const TrainedModule trained(w.source, ExpanderOptions{},
+                                [&w](Module &m) { w.setInput(m, 0); });
+    IrPin ir{w.name.c_str(), irHash(trained.module()), {}};
+    const std::vector<NamedConfig> named = configs();
+    for (size_t c = 0; c < named.size(); ++c) {
+        const NamedConfig &nc = named[c];
+        System sys(trained, nc.config);
+        ir.systems[c] = irHash(sys.module());
         const uint64_t hash = flatHash(sys.program());
         // The snapshot carries the backend stats the System keeps.
         const std::string backend =
@@ -316,6 +420,27 @@ TEST_P(CodegenFreeze, MatchesPinnedCodegen)
             EXPECT_EQ(pin->backend, backend) << nc.name;
             EXPECT_EQ(pin->squeeze, squeeze) << nc.name;
         }
+    }
+
+    const IrPin *pin = findIrPin(w.name);
+    bool same = pin && pin->trained == ir.trained;
+    for (size_t c = 0; same && c < named.size(); ++c)
+        same = pin->systems[c] == ir.systems[c];
+    if (same)
+        return;
+    std::ostringstream row;
+    row << std::hex << "    {\"" << w.name << "\", 0x" << ir.trained
+        << "ULL,\n     {";
+    for (size_t c = 0; c < named.size(); ++c)
+        row << (c ? (c % 2 ? ", " : ",\n      ") : "") << "0x"
+            << ir.systems[c] << "ULL";
+    row << "}},";
+    ADD_FAILURE() << w.name << (pin ? " IR drifted" : " has no IR pin")
+                  << "; observed row:\n" << row.str();
+    if (pin) {
+        EXPECT_EQ(pin->trained, ir.trained) << "trained module";
+        for (size_t c = 0; c < named.size(); ++c)
+            EXPECT_EQ(pin->systems[c], ir.systems[c]) << named[c].name;
     }
 }
 

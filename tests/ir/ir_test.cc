@@ -61,6 +61,36 @@ TEST(Global, ElementAccessLittleEndian)
     EXPECT_EQ(g->elem(1), 0u);
 }
 
+/** The message of the PanicError @p fn throws ("" if none). */
+template <typename Fn>
+std::string
+panicMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Global, OutOfRangeAccessPanicsNamingTheGlobal)
+{
+    Module m;
+    Global *g = m.addGlobal("img", 8, 4);
+    EXPECT_EQ(panicMessage([&] { g->setElem(4, 1); }),
+              "panic: global store out of range: img");
+    EXPECT_EQ(panicMessage([&] { (void)g->elem(4); }),
+              "panic: global load out of range: img");
+    EXPECT_EQ(panicMessage([&] { g->setData(std::vector<uint8_t>(3)); }),
+              "panic: global image size mismatch: img");
+    // In range, nothing throws and the last element is writable.
+    EXPECT_EQ(panicMessage([&] { g->setElem(3, 9); }), "");
+    EXPECT_EQ(g->elem(3), 9u);
+    EXPECT_EQ(panicMessage([&] { g->setData(std::vector<uint8_t>(4)); }),
+              "");
+}
+
 TEST(Function, BuilderProducesWellFormedLoop)
 {
     Module m;

@@ -481,6 +481,57 @@ TEST(Trajectory, RecordFromBenchJsonPerWorkloadCoreRates)
     EXPECT_EQ(r.baselineRuns, 1u);
 }
 
+TEST(Trajectory, RecordFromBenchJsonPerWorkloadSqueezeRates)
+{
+    // BM_SqueezeWorkload/<workload> entries become ungated
+    // rate.squeeze_workload_<workload>_per_s series, each read from
+    // its own entry: an errored entry gives none, and the core
+    // workload entries keep their own series.
+    const std::string json = R"({
+  "benchmarks": [
+    {
+      "name": "BM_CoreWorkload/qsort",
+      "run_name": "BM_CoreWorkload/qsort",
+      "items_per_second": 8.3e7
+    },
+    {
+      "name": "BM_SqueezeWorkload/qsort",
+      "run_name": "BM_SqueezeWorkload/qsort",
+      "items_per_second": 2.1e6
+    },
+    {
+      "name": "BM_SqueezeWorkload/rijndael",
+      "run_name": "BM_SqueezeWorkload/rijndael",
+      "error_occurred": true
+    },
+    {
+      "name": "BM_SqueezeWorkload/susan-edges",
+      "run_name": "BM_SqueezeWorkload/susan-edges",
+      "items_per_second": 3.5e6
+    }
+  ]
+})";
+    TrajectoryRecord rec = recordFromBenchJson(json);
+    EXPECT_EQ(rec.series.size(), 3u);
+    EXPECT_DOUBLE_EQ(rec.value("rate.core_workload_qsort_per_s").value(),
+                     8.3e7);
+    EXPECT_DOUBLE_EQ(
+        rec.value("rate.squeeze_workload_qsort_per_s").value(), 2.1e6);
+    EXPECT_FALSE(
+        rec.value("rate.squeeze_workload_rijndael_per_s").has_value());
+    EXPECT_DOUBLE_EQ(
+        rec.value("rate.squeeze_workload_susan_edges_per_s").value(),
+        3.5e6);
+    EXPECT_FALSE(isGatedSeries("rate.squeeze_workload_qsort_per_s"));
+
+    // Recorded, never gated: a collapse of a squeeze rate passes.
+    std::vector<TrajectoryRecord> history = {rec};
+    TrajectoryRecord slow = rec;
+    for (TrajectorySeries &s : slow.series)
+        s.value /= 10;
+    EXPECT_TRUE(checkAgainstHistory(slow, history).pass);
+}
+
 TEST(Trajectory, BuildFlavourIsThisBuildNotLibbenchmarks)
 {
     // google-benchmark's library_build_type describes how libbenchmark
