@@ -1,8 +1,8 @@
 #include "backend/isel.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
-#include <set>
 
 #include "analysis/cfg.h"
 #include "support/bits.h"
@@ -47,31 +47,42 @@ class ISel
         }
     }
 
+    /** Puts back the instruction ids numberValues() replaced. */
+    ~ISel()
+    {
+        size_t k = 0;
+        for (auto &bb : f_.blocks())
+            for (auto &inst : bb->insts()) {
+                if (k == savedIds_.size())
+                    return;
+                inst->setId(savedIds_[k++]);
+            }
+    }
+
     MachFunction
     run()
     {
         splitCriticalEdges();
+        numberValues();
         countUses();
 
         // Create one MachBlock per IR block (ids follow order).
-        for (auto &bb : f_.blocks()) {
-            MachBlock mb;
-            mb.id = static_cast<int>(mf_.blocks.size());
-            mb.name = bb->name();
-            blockId_[bb.get()] = mb.id;
-            mf_.blocks.push_back(std::move(mb));
+        mf_.blocks.resize(f_.blocks().size());
+        for (size_t b = 0; b < mf_.blocks.size(); ++b) {
+            mf_.blocks[b].id = static_cast<int>(b);
+            mf_.blocks[b].name = f_.blocks()[b]->name();
         }
         // Region membership (SMIR propagation, §3.3.1). Region id and
         // source line ride along for misspeculation attribution.
         for (const auto &sr : f_.specRegions()) {
-            int hid = blockId_.at(sr->handler);
+            int hid = blockId(sr->handler);
             mf_.blocks[hid].isHandler = true;
             mf_.blocks[hid].regionId = sr->id;
             mf_.blocks[hid].regionSrcLine = sr->srcLine;
             mf_.blocks[hid].regionLeakSites = sr->leakSites;
             mf_.blocks[hid].regionLeaksDischarged = sr->leaksDischarged;
             for (BasicBlock *member : sr->blocks) {
-                MachBlock &mb = mf_.blocks[blockId_.at(member)];
+                MachBlock &mb = mf_.blocks[blockId(member)];
                 mb.handlerBlock = hid;
                 mb.regionId = sr->id;
                 mb.regionSrcLine = sr->srcLine;
@@ -80,34 +91,62 @@ class ISel
             }
         }
 
-        for (auto &bb : f_.blocks())
-            emitBlock(*bb);
+        for (size_t b = 0; b < mf_.blocks.size(); ++b) {
+            cur_ = &mf_.blocks[b];
+            emitBlock(*f_.blocks()[b]);
+        }
         return std::move(mf_);
     }
 
   private:
+    static constexpr uint32_t kNoVReg = UINT32_MAX;
+
     // Split edges from multi-successor blocks into blocks with phis
-    // so phi copies have a unique home.
+    // so phi copies have a unique home. One pass, by index: a split
+    // rewrites only this block's terminator and the successor's phi
+    // inputs, and appends a block with one successor and no phis, so
+    // no other block gains or loses an edge to split, and the splits,
+    // their order and the block names are those of rescanning from
+    // the first block after every split. The successors are re-read
+    // after each split: in `condbr c, A, A` both edges move to the one
+    // new block, so A is split once.
     void
     splitCriticalEdges()
     {
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (auto &bb : f_.blocks()) {
-                if (bb->successors().size() < 2)
-                    continue;
-                for (BasicBlock *succ : bb->successors()) {
-                    if (succ->phis().empty())
-                        continue;
-                    splitEdge(f_, bb.get(), succ);
-                    changed = true;
-                    break;
-                }
-                if (changed)
-                    break;
+        const size_t n = f_.blocks().size();
+        for (size_t b = 0; b < n; ++b) {
+            BasicBlock *bb = f_.blocks()[b].get();
+            if (bb->successors().size() < 2)
+                continue;
+            for (size_t i = 0; i < bb->successors().size(); ++i) {
+                BasicBlock *succ = bb->successors()[i];
+                if (succ->hasPhis())
+                    splitEdge(f_, bb, succ);
             }
         }
+    }
+
+    /**
+     * Give every value an isel-local slot: arguments by index, then
+     * instructions in block order. An instruction's slot lives in its
+     * id for the duration of the selection; the destructor restores
+     * the ids found, which the printer uses to name unnamed values.
+     */
+    void
+    numberValues()
+    {
+        const unsigned nargs = static_cast<unsigned>(f_.numArgs());
+        unsigned slot = nargs;
+        blockOfSlot_.assign(nargs, -1);
+        for (size_t b = 0; b < f_.blocks().size(); ++b) {
+            for (auto &inst : f_.blocks()[b]->insts()) {
+                savedIds_.push_back(inst->id());
+                inst->setId(slot++);
+                blockOfSlot_.push_back(static_cast<int>(b));
+            }
+        }
+        vreg_.assign(slot, kNoVReg);
+        uses_.assign(slot, 0);
     }
 
     void
@@ -116,7 +155,30 @@ class ISel
         for (auto &bb : f_.blocks())
             for (auto &inst : bb->insts())
                 for (Value *op : inst->operands())
-                    useCount_[op]++;
+                    if (op->isInstruction())
+                        ++uses_[static_cast<Instruction *>(op)->id()];
+    }
+
+    /** The id of @p bb's MachBlock: the block of its first
+     *  instruction's slot. Blocks reaching the backend end in a
+     *  terminator, so none is empty. */
+    int
+    blockId(const BasicBlock *bb) const
+    {
+        if (bb->empty())
+            panic("isel: " + f_.name() + ": empty block " + bb->name());
+        return blockOfSlot_[bb->insts().front()->id()];
+    }
+
+    /** The isel-local slot of argument or instruction @p v. */
+    static unsigned
+    slotOf(const Value *v)
+    {
+        if (v->kind() == ValueKind::Argument)
+            return static_cast<const Argument *>(v)->index();
+        if (!v->isInstruction())
+            panic("isel: a constant or global has no vreg");
+        return static_cast<const Instruction *>(v)->id();
     }
 
     /** Is this icmp's only consumer the terminator of its own block?
@@ -124,8 +186,7 @@ class ISel
     bool
     fusesIntoBranch(const Instruction *icmp) const
     {
-        auto it = useCount_.find(icmp);
-        if (it == useCount_.end() || it->second != 1)
+        if (uses_[icmp->id()] != 1)
             return false;
         const Instruction *term = icmp->parent()->terminator();
         return term->op() == Opcode::CondBr && term->operand(0) == icmp;
@@ -157,14 +218,13 @@ class ISel
         return i;
     }
 
+    /** @p v's vreg, created on first request. */
     uint32_t
     vregOf(const Value *v)
     {
-        auto it = vregOf_.find(v);
-        if (it != vregOf_.end())
-            return it->second;
-        uint32_t vr = mf_.newVReg(isSliceValue(v));
-        vregOf_[v] = vr;
+        uint32_t &vr = vreg_[slotOf(v)];
+        if (vr == kNoVReg)
+            vr = mf_.newVReg(isSliceValue(v));
         return vr;
     }
 
@@ -247,8 +307,8 @@ class ISel
     emitBinary(Instruction &inst)
     {
         unsigned bits = inst.type().bits;
-        bsAssert(bits <= 32, "64-bit values unsupported by EMB32: " +
-                 f_.name());
+        if (bits > 32)
+            panic("64-bit values unsupported by EMB32: " + f_.name());
         bool slice = useSlices() && bits == 8;
 
         struct OpInfo
@@ -281,12 +341,10 @@ class ISel
         }
 
         if (slice) {
-            bsAssert(inst.op() == Opcode::Add ||
-                     inst.op() == Opcode::Sub ||
-                     inst.op() == Opcode::And ||
-                     inst.op() == Opcode::Or ||
-                     inst.op() == Opcode::Xor,
-                     "no slice form for op in " + f_.name());
+            if (inst.op() != Opcode::Add && inst.op() != Opcode::Sub &&
+                inst.op() != Opcode::And && inst.op() != Opcode::Or &&
+                inst.op() != Opcode::Xor)
+                panic("no slice form for op in " + f_.name());
             MachInst mi = make(info.narrow, vregOpnd(&inst),
                                regOperand(inst.operand(0)),
                                aluOperand(inst.operand(1), true));
@@ -379,7 +437,8 @@ class ISel
              icmp.pred() == CmpPred::SGT || icmp.pred() == CmpPred::SGE);
 
         if (slice) {
-            bsAssert(!sext_needed, "signed slice compare");
+            if (sext_needed)
+                panic("signed slice compare");
             emit(make(MOp::CMP8, MOpnd{}, regOperand(a),
                       aluOperand(b, true)));
             return;
@@ -399,8 +458,7 @@ class ISel
     void
     emitPhiCopies(BasicBlock &pred, BasicBlock &succ)
     {
-        auto phis = succ.phis();
-        if (phis.empty())
+        if (!succ.hasPhis())
             return;
 
         struct Pair
@@ -409,7 +467,10 @@ class ISel
             MOpnd src;
         };
         std::vector<Pair> pending;
-        for (Instruction *phi : phis) {
+        for (const auto &ip : succ.insts()) {
+            if (!ip->isPhi())
+                break;
+            Instruction *phi = ip.get();
             for (size_t i = 0; i < phi->numOperands(); ++i) {
                 if (phi->blockOperand(i) != &pred)
                     continue;
@@ -489,7 +550,7 @@ class ISel
             BasicBlock *dest = term.blockOperand(0);
             emitPhiCopies(bb, *dest);
             MachInst br = make(MOp::B);
-            br.target = blockId_.at(dest);
+            br.target = blockId(dest);
             emit(br);
             return;
           }
@@ -509,10 +570,10 @@ class ISel
             }
             MachInst bt = make(MOp::B);
             bt.cond = cc;
-            bt.target = blockId_.at(term.blockOperand(0));
+            bt.target = blockId(term.blockOperand(0));
             emit(bt);
             MachInst bf = make(MOp::B);
-            bf.target = blockId_.at(term.blockOperand(1));
+            bf.target = blockId(term.blockOperand(1));
             emit(bf);
             return;
           }
@@ -535,12 +596,10 @@ class ISel
     void
     emitBlock(BasicBlock &bb)
     {
-        cur_ = &mf_.blocks[blockId_.at(&bb)];
-
         // Entry: receive arguments from r0..r3.
         if (&bb == f_.entry()) {
-            bsAssert(f_.numArgs() <= 4,
-                     "more than 4 arguments unsupported: " + f_.name());
+            if (f_.numArgs() > 4)
+                panic("more than 4 arguments unsupported: " + f_.name());
             for (size_t i = 0; i < f_.numArgs(); ++i) {
                 Argument *arg = f_.arg(i);
                 if (isSliceValue(arg)) {
@@ -657,7 +716,8 @@ class ISel
         } else if (from == 16) {
             emit(make(MOp::SXTH, d, wideOperand(src)));
         } else {
-            bsAssert(from == 1, "bad sext width");
+            if (from != 1)
+                panic("bad sext width");
             // i1: 0/-0 stays 0; 1 -> 0xffffffff via 0 - v.
             MOpnd z = materializeConst32(0);
             emit(make(MOp::SUB, d, z, wideOperand(src)));
@@ -708,8 +768,8 @@ class ISel
             }
             return;
         }
-        bsAssert(!inst.isSpeculative(),
-                 "speculative load outside slice ISA");
+        if (inst.isSpeculative())
+            panic("speculative load outside slice ISA");
         switch (bits) {
           case 8: emit(make(MOp::LDRB, d, addr, off)); break;
           case 16: emit(make(MOp::LDRH, d, addr, off)); break;
@@ -741,8 +801,8 @@ class ISel
     void
     emitCall(Instruction &inst)
     {
-        bsAssert(inst.numOperands() <= 4,
-                 "more than 4 call arguments: " + f_.name());
+        if (inst.numOperands() > 4)
+            panic("more than 4 call arguments: " + f_.name());
         mf_.hasCalls = true;
         for (size_t i = 0; i < inst.numOperands(); ++i) {
             MOpnd v = wideOperand(inst.operand(i));
@@ -777,9 +837,10 @@ class ISel
     const std::map<const Function *, int> &funcIds_;
     MachFunction mf_;
     MachBlock *cur_ = nullptr;
-    std::map<const Value *, uint32_t> vregOf_;
-    std::map<const BasicBlock *, int> blockId_;
-    std::map<const Value *, unsigned> useCount_;
+    std::vector<unsigned> savedIds_;   ///< Ids found, in block order.
+    std::vector<int> blockOfSlot_;     ///< By slot; -1 for arguments.
+    std::vector<uint32_t> vreg_;       ///< By slot; kNoVReg until used.
+    std::vector<unsigned> uses_;       ///< By slot: operand uses.
 };
 
 } // namespace

@@ -1,8 +1,9 @@
 #include "backend/layout.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "support/error.h"
 
@@ -14,185 +15,191 @@ namespace
 
 constexpr int64_t kImmMax = 511; ///< Encodable ALU/memory immediate.
 
-/** Insert frame setup into the entry block and teardown before every
- *  BXLR. Registers are callee-saved; LR saved when the function
- *  calls. */
-void
-insertFrameCode(MachFunction &mf)
+/** Does @p inst's b operand hold an immediate it cannot encode? */
+bool
+needsFixB(const MachInst &inst)
 {
-    unsigned save_regs = static_cast<unsigned>(
-        mf.usedCalleeSaved.size());
-    unsigned save_lr = mf.hasCalls ? 1 : 0;
-    unsigned frame_bytes =
-        (mf.spillSlots + save_regs + save_lr) * 4;
-    if (frame_bytes == 0 && mf.blocks.empty())
-        return;
+    if (!inst.b.isImm())
+        return false;
+    switch (inst.op) {
+      case MOp::MOVW: case MOp::MOVT: case MOp::SETDELTA:
+      case MOp::MODE: case MOp::B: case MOp::BL:
+        return false;
+      default:
+        return inst.b.imm < 0 || inst.b.imm > kImmMax;
+    }
+}
 
-    auto mk = [&](MOp op, MOpnd d, MOpnd a, MOpnd b) {
-        MachInst i;
-        i.op = op;
-        i.dst = d;
-        i.a = a;
-        i.b = b;
-        i.tag = InstTag::FrameSetup;
-        return i;
+/** Does @p inst's a operand (MOV/MOV8/OUT-style single-source
+ *  immediates) hold an immediate it cannot encode? */
+bool
+needsFixA(const MachInst &inst)
+{
+    if (!inst.a.isImm())
+        return false;
+    if (inst.op == MOp::MOVW || inst.op == MOp::MOVT ||
+        inst.op == MOp::SETDELTA || inst.op == MOp::MODE) {
+        return false;
+    }
+    if (inst.op == MOp::MOV8)
+        return inst.a.imm < 0 || inst.a.imm > 255;
+    return inst.a.imm < 0 || inst.a.imm > kImmMax;
+}
+
+/** Three-address ALU ops, which the two-address form constrains. */
+bool
+isAlu3(MOp op)
+{
+    switch (op) {
+      case MOp::ADD: case MOp::SUB: case MOp::MUL:
+      case MOp::AND: case MOp::ORR: case MOp::EOR:
+      case MOp::LSL: case MOp::LSR: case MOp::ASR:
+      case MOp::UDIV: case MOp::SDIV:
+        return true;
+      default:
+        return false;
+    }
+}
+
+MachInst
+frameInst(MOp op, MOpnd d, MOpnd a, MOpnd b)
+{
+    MachInst i;
+    i.op = op;
+    i.dst = d;
+    i.a = a;
+    i.b = b;
+    i.tag = InstTag::FrameSetup;
+    return i;
+}
+
+MachInst
+copyInst(MOpnd d, MOpnd a)
+{
+    MachInst i;
+    i.op = MOp::MOV;
+    i.dst = d;
+    i.a = a;
+    i.tag = InstTag::Copy;
+    return i;
+}
+
+/**
+ * The post-allocation rewrite, one pass over each block: Thumb-like
+ * two-address form, frame code and immediate legalisation. Each
+ * instruction becomes, in order:
+ *
+ *  - with mf.twoAddress, for an ALU op whose destination differs from
+ *    its first source: a save of a second source that aliases the
+ *    destination (into r12, which the op then reads), and a move of
+ *    the first source into the destination, which the op then reads;
+ *  - before a BXLR: the epilogue (callee-saved registers and LR
+ *    reloaded, the frame popped);
+ *  - the instruction.
+ *
+ * The entry block starts with the Δ placeholder when @p set_delta,
+ * then the prologue (frame pushed, callee-saved registers and LR
+ * stored). Every instruction placed, frame code included, has its
+ * out-of-range immediates loaded through the r12 scratch just before
+ * it (b first, then a).
+ */
+void
+rewriteBlocks(MachFunction &mf, bool set_delta)
+{
+    const unsigned save_lr = mf.hasCalls ? 1 : 0;
+    const unsigned frame_bytes =
+        (mf.spillSlots +
+         static_cast<unsigned>(mf.usedCalleeSaved.size()) + save_lr) *
+        4;
+    const MOpnd sp = MOpnd::makeReg(kRegSP);
+
+    std::vector<MachInst> out;
+    auto materialize = [&](MOpnd &o) {
+        auto v = static_cast<uint32_t>(o.imm);
+        MachInst w;
+        w.op = MOp::MOVW;
+        w.dst = MOpnd::makeReg(kScratchAddr);
+        w.a = MOpnd::makeImm(v & 0xffff);
+        out.push_back(w);
+        if (v >> 16) {
+            MachInst t;
+            t.op = MOp::MOVT;
+            t.dst = MOpnd::makeReg(kScratchAddr);
+            t.a = MOpnd::makeImm(v >> 16);
+            out.push_back(t);
+        }
+        o = MOpnd::makeReg(kScratchAddr);
     };
-
-    std::vector<MachInst> pro;
-    if (frame_bytes > 0) {
-        pro.push_back(mk(MOp::SUB, MOpnd::makeReg(kRegSP),
-                         MOpnd::makeReg(kRegSP),
-                         MOpnd::makeImm(frame_bytes)));
+    auto place = [&](MachInst inst) {
+        if (needsFixB(inst))
+            materialize(inst.b);
+        if (needsFixA(inst))
+            materialize(inst.a);
+        out.push_back(inst);
+    };
+    // Callee-saved registers, then LR, above the spill slots.
+    auto save_area = [&](MOp op) {
         unsigned off = mf.spillSlots * 4;
         for (unsigned r : mf.usedCalleeSaved) {
-            pro.push_back(mk(MOp::STR, MOpnd::makeReg(r),
-                             MOpnd::makeReg(kRegSP),
-                             MOpnd::makeImm(off)));
+            place(frameInst(op, MOpnd::makeReg(r), sp,
+                            MOpnd::makeImm(off)));
             off += 4;
         }
-        if (save_lr) {
-            pro.push_back(mk(MOp::STR, MOpnd::makeReg(kRegLR),
-                             MOpnd::makeReg(kRegSP),
-                             MOpnd::makeImm(off)));
-        }
-    }
+        if (save_lr)
+            place(frameInst(op, MOpnd::makeReg(kRegLR), sp,
+                            MOpnd::makeImm(off)));
+    };
 
-    // Epilogue before each BXLR.
-    for (auto &mb : mf.blocks) {
-        std::vector<MachInst> out;
-        for (MachInst &inst : mb.insts) {
-            if (inst.op == MOp::BXLR && frame_bytes > 0) {
-                unsigned off = mf.spillSlots * 4;
-                for (unsigned r : mf.usedCalleeSaved) {
-                    out.push_back(mk(MOp::LDR, MOpnd::makeReg(r),
-                                     MOpnd::makeReg(kRegSP),
-                                     MOpnd::makeImm(off)));
-                    off += 4;
-                }
-                if (save_lr) {
-                    out.push_back(mk(MOp::LDR, MOpnd::makeReg(kRegLR),
-                                     MOpnd::makeReg(kRegSP),
-                                     MOpnd::makeImm(off)));
-                }
-                out.push_back(mk(MOp::ADD, MOpnd::makeReg(kRegSP),
-                                 MOpnd::makeReg(kRegSP),
-                                 MOpnd::makeImm(frame_bytes)));
+    auto two_address_moves = [&](const MachInst &inst) {
+        return mf.twoAddress && isAlu3(inst.op) && inst.dst.isReg() &&
+               inst.a.isReg() && inst.dst.reg != inst.a.reg;
+    };
+    auto changes = [&](const MachInst &inst) {
+        return two_address_moves(inst) ||
+               (inst.op == MOp::BXLR && frame_bytes > 0) ||
+               needsFixB(inst) || needsFixA(inst);
+    };
+
+    for (size_t b = 0; b < mf.blocks.size(); ++b) {
+        MachBlock &mb = mf.blocks[b];
+        // Most blocks need none of it and keep their instructions.
+        if ((b > 0 || (!set_delta && frame_bytes == 0)) &&
+            std::none_of(mb.insts.begin(), mb.insts.end(), changes))
+            continue;
+        out.clear();
+        out.reserve(mb.insts.size() + 4);
+        if (b == 0) {
+            if (set_delta) {
+                MachInst sd;
+                sd.op = MOp::SETDELTA;
+                sd.a = MOpnd::makeImm(0);
+                sd.tag = InstTag::FrameSetup;
+                sd.target = -2;
+                out.push_back(sd);
             }
-            out.push_back(inst);
+            if (frame_bytes > 0) {
+                place(frameInst(MOp::SUB, sp, sp,
+                                MOpnd::makeImm(frame_bytes)));
+                save_area(MOp::STR);
+            }
         }
-        mb.insts = std::move(out);
-    }
-
-    // Prologue at the top of the entry block.
-    auto &entry = mf.blocks.front().insts;
-    entry.insert(entry.begin(), pro.begin(), pro.end());
-}
-
-/** Rewrite out-of-range immediates through the r12 scratch. */
-void
-legalizeImmediates(MachFunction &mf)
-{
-    auto needs_fix = [](const MachInst &inst) {
-        if (!inst.b.isImm())
-            return false;
-        switch (inst.op) {
-          case MOp::MOVW: case MOp::MOVT: case MOp::SETDELTA:
-          case MOp::MODE: case MOp::B: case MOp::BL:
-            return false;
-          default:
-            return inst.b.imm < 0 || inst.b.imm > kImmMax;
-        }
-    };
-    auto needs_fix_a = [](const MachInst &inst) {
-        // MOV/MOV8/OUT-style single-source immediates.
-        if (!inst.a.isImm())
-            return false;
-        if (inst.op == MOp::MOVW || inst.op == MOp::MOVT ||
-            inst.op == MOp::SETDELTA || inst.op == MOp::MODE) {
-            return false;
-        }
-        if (inst.op == MOp::MOV8)
-            return inst.a.imm < 0 || inst.a.imm > 255;
-        return inst.a.imm < 0 || inst.a.imm > kImmMax;
-    };
-
-    for (auto &mb : mf.blocks) {
-        std::vector<MachInst> out;
         for (MachInst inst : mb.insts) {
-            auto materialize = [&](MOpnd &o) {
-                auto v = static_cast<uint32_t>(o.imm);
-                MachInst w;
-                w.op = MOp::MOVW;
-                w.dst = MOpnd::makeReg(kScratchAddr);
-                w.a = MOpnd::makeImm(v & 0xffff);
-                out.push_back(w);
-                if (v >> 16) {
-                    MachInst t;
-                    t.op = MOp::MOVT;
-                    t.dst = MOpnd::makeReg(kScratchAddr);
-                    t.a = MOpnd::makeImm(v >> 16);
-                    out.push_back(t);
-                }
-                o = MOpnd::makeReg(kScratchAddr);
-            };
-            if (needs_fix(inst))
-                materialize(inst.b);
-            if (needs_fix_a(inst))
-                materialize(inst.a);
-            out.push_back(inst);
-        }
-        mb.insts = std::move(out);
-    }
-}
-
-} // namespace
-
-namespace
-{
-
-/** Thumb-like two-address form: ALU ops write their first source
- *  register; a move is inserted when the destination differs. */
-void
-enforceTwoAddress(MachFunction &mf)
-{
-    auto is_alu3 = [](MOp op) {
-        switch (op) {
-          case MOp::ADD: case MOp::SUB: case MOp::MUL:
-          case MOp::AND: case MOp::ORR: case MOp::EOR:
-          case MOp::LSL: case MOp::LSR: case MOp::ASR:
-          case MOp::UDIV: case MOp::SDIV:
-            return true;
-          default:
-            return false;
-        }
-    };
-    for (auto &mb : mf.blocks) {
-        std::vector<MachInst> out;
-        for (MachInst inst : mb.insts) {
-            if (is_alu3(inst.op) && inst.dst.isReg() &&
-                inst.a.isReg() && inst.dst.reg != inst.a.reg) {
-                // Second source aliasing the destination must be
-                // saved first.
+            if (two_address_moves(inst)) {
                 if (inst.b.isReg() && inst.b.reg == inst.dst.reg) {
-                    MachInst sv;
-                    sv.op = MOp::MOV;
-                    sv.dst = MOpnd::makeReg(kScratchAddr);
-                    sv.a = inst.b;
-                    sv.tag = InstTag::Copy;
-                    out.push_back(sv);
+                    place(copyInst(MOpnd::makeReg(kScratchAddr), inst.b));
                     inst.b = MOpnd::makeReg(kScratchAddr);
                 }
-                MachInst mv;
-                mv.op = MOp::MOV;
-                mv.dst = inst.dst;
-                mv.a = inst.a;
-                mv.tag = InstTag::Copy;
-                out.push_back(mv);
+                place(copyInst(inst.dst, inst.a));
                 inst.a = inst.dst;
             }
-            out.push_back(inst);
+            if (inst.op == MOp::BXLR && frame_bytes > 0) {
+                save_area(MOp::LDR);
+                place(frameInst(MOp::ADD, sp, sp,
+                                MOpnd::makeImm(frame_bytes)));
+            }
+            place(inst);
         }
-        mb.insts = std::move(out);
+        mb.insts.swap(out);
     }
 }
 
@@ -201,38 +208,34 @@ enforceTwoAddress(MachFunction &mf)
 unsigned
 layoutFunction(MachFunction &mf)
 {
-    if (mf.twoAddress)
-        enforceTwoAddress(mf);
-    insertFrameCode(mf);
-    legalizeImmediates(mf);
+    const size_t n = mf.blocks.size();
+    if (n == 0)
+        panic("layout: " + mf.name + " has no blocks");
 
     // Functions with speculative regions load Δ at entry (placeholder
     // patched below, once the speculative area size is known).
     bool any_region = false;
     for (auto &mb : mf.blocks)
         any_region |= mb.handlerBlock >= 0;
-    if (any_region) {
-        MachInst sd;
-        sd.op = MOp::SETDELTA;
-        sd.a = MOpnd::makeImm(0);
-        sd.tag = InstTag::FrameSetup;
-        sd.target = -2;
-        auto &entry = mf.blocks.front().insts;
-        entry.insert(entry.begin(), sd);
-    }
+    rewriteBlocks(mf, any_region);
 
     // Block order: speculative-region blocks first (contiguously),
     // then everything else; skeletons sit between the two areas.
     std::vector<int> region_blocks, other_blocks;
+    size_t total = 0, region_total = 0;
     for (auto &mb : mf.blocks) {
-        if (mb.handlerBlock >= 0)
+        total += mb.insts.size();
+        if (mb.handlerBlock >= 0) {
             region_blocks.push_back(mb.id);
-        else
+            region_total += mb.insts.size();
+        } else {
             other_blocks.push_back(mb.id);
+        }
     }
 
     mf.code.clear();
-    mf.blockIndex.clear();
+    mf.code.reserve(total + region_total); // At most one skeleton each.
+    std::vector<uint32_t> start(n); ///< Block id -> code index.
 
     // Fall-through elision: an unconditional branch to the next block
     // in layout order is dead weight (CFG preparation splits blocks
@@ -240,7 +243,7 @@ layoutFunction(MachFunction &mf)
     auto emit_area = [&](const std::vector<int> &ids) {
         for (size_t k = 0; k < ids.size(); ++k) {
             int id = ids[k];
-            mf.blockIndex[id] = static_cast<uint32_t>(mf.code.size());
+            start[id] = static_cast<uint32_t>(mf.code.size());
             auto &insts = mf.blocks[id].insts;
             for (size_t j = 0; j < insts.size(); ++j) {
                 const MachInst &inst = insts[j];
@@ -264,16 +267,15 @@ layoutFunction(MachFunction &mf)
     // i + Δ/4). Slot counts must follow the EMITTED per-block ranges
     // — fall-through elision above can drop a terminator, and using
     // the original instruction counts would skew every later slot's
-    // handler mapping. The emitted range of each region block is
-    // recovered from blockIndex.
+    // handler mapping. The emitted range of each region block runs to
+    // the next region block's start.
     unsigned skeletons = 0;
     for (size_t k = 0; k < region_blocks.size(); ++k) {
         int id = region_blocks[k];
-        uint32_t start = mf.blockIndex.at(id);
         uint32_t end = k + 1 < region_blocks.size()
-                           ? mf.blockIndex.at(region_blocks[k + 1])
+                           ? start[region_blocks[k + 1]]
                            : spec_insts;
-        for (uint32_t j = start; j < end; ++j) {
+        for (uint32_t j = start[id]; j < end; ++j) {
             MachInst sk;
             sk.op = MOp::B;
             sk.tag = InstTag::Skeleton;
@@ -286,22 +288,24 @@ layoutFunction(MachFunction &mf)
     // Chain the non-speculative area greedily along unconditional
     // branches so elision fires as often as possible.
     {
-        std::set<int> in_other(other_blocks.begin(),
-                               other_blocks.end());
-        std::set<int> placed;
+        std::vector<char> in_other(n, 0), placed(n, 0);
+        for (int id : other_blocks)
+            in_other[id] = 1;
         std::vector<int> chained;
+        chained.reserve(other_blocks.size());
         for (int seed : other_blocks) {
             int cur = seed;
-            while (cur >= 0 && !placed.count(cur)) {
-                placed.insert(cur);
+            while (cur >= 0 && !placed[cur]) {
+                placed[cur] = 1;
                 chained.push_back(cur);
                 const auto &insts = mf.blocks[cur].insts;
                 int next = -1;
                 if (!insts.empty() && insts.back().op == MOp::B &&
-                    insts.back().cond == Cond::AL &&
-                    in_other.count(insts.back().target) &&
-                    !placed.count(insts.back().target)) {
-                    next = insts.back().target;
+                    insts.back().cond == Cond::AL) {
+                    int t = insts.back().target;
+                    if (t >= 0 && static_cast<size_t>(t) < n &&
+                        in_other[t] && !placed[t])
+                        next = t;
                 }
                 cur = next;
             }
@@ -311,22 +315,26 @@ layoutFunction(MachFunction &mf)
 
     emit_area(other_blocks);
 
-    mf.entryIndex = mf.blockIndex.at(0);
+    mf.blockIndex.clear();
+    for (size_t id = 0; id < n; ++id)
+        mf.blockIndex.emplace_hint(mf.blockIndex.end(),
+                                   static_cast<int>(id), start[id]);
+    mf.entryIndex = start[0];
 
-    // Patch SETDELTA placeholders (entry + post-call restores).
+    // Patch SETDELTA placeholders (entry + post-call restores) and
+    // resolve local branch targets (block id -> code index).
     for (auto &inst : mf.code) {
         if (inst.op == MOp::SETDELTA && inst.target == -2) {
             inst.a = MOpnd::makeImm(mf.delta);
             inst.target = -1;
-        }
-    }
-
-    // Resolve local branch targets (block id -> code index).
-    for (auto &inst : mf.code) {
-        if (inst.op == MOp::B) {
-            bsAssert(inst.target >= 0, "unresolved branch");
-            inst.target =
-                static_cast<int>(mf.blockIndex.at(inst.target));
+        } else if (inst.op == MOp::B) {
+            if (inst.target < 0)
+                panic("unresolved branch");
+            if (static_cast<size_t>(inst.target) >= n)
+                panic("layout: " + mf.name + ": branch to block " +
+                      std::to_string(inst.target) + " of " +
+                      std::to_string(n));
+            inst.target = static_cast<int>(start[inst.target]);
         }
     }
     return skeletons;
@@ -360,35 +368,47 @@ linkProgram(std::vector<MachFunction> funcs, int entry_func)
         stub.push_back(h);
     }
 
-    // Assign flat offsets.
+    // Assign flat offsets; entries by function id.
+    constexpr uint32_t kUnlinked = UINT32_MAX;
     uint32_t offset = static_cast<uint32_t>(stub.size());
-    std::map<int, uint32_t> func_entry; // func id -> flat entry index.
-    std::map<int, uint32_t> func_base;
+    std::vector<uint32_t> func_entry; // Func id -> flat entry index.
     for (auto &mf : funcs) {
-        func_base[mf.id] = offset;
+        if (mf.id < 0)
+            panic("linkProgram: function " + mf.name + " has no id");
+        if (func_entry.size() <= static_cast<size_t>(mf.id))
+            func_entry.resize(mf.id + 1, kUnlinked);
         func_entry[mf.id] = offset + mf.entryIndex;
         mf.baseAddr = MachProgram::kCodeBase + offset * kInstBytes;
         offset += static_cast<uint32_t>(mf.code.size());
     }
+    auto entry_of = [&](int id) {
+        if (id < 0 || static_cast<size_t>(id) >= func_entry.size() ||
+            func_entry[id] == kUnlinked)
+            panic("linkProgram: call to unknown function " +
+                  std::to_string(id));
+        return static_cast<int>(func_entry[id]);
+    };
 
     // Emit, rebasing local targets and resolving calls.
+    prog.flat.reserve(offset);
+    prog.funcOfIndex.reserve(offset);
     for (auto &inst : stub) {
         if (inst.op == MOp::BL)
-            inst.target = static_cast<int>(func_entry.at(inst.target));
+            inst.target = entry_of(inst.target);
         prog.flat.push_back(inst);
         prog.funcOfIndex.push_back(0);
     }
+    uint32_t base = static_cast<uint32_t>(stub.size());
     for (auto &mf : funcs) {
-        uint32_t base = func_base[mf.id];
         for (MachInst inst : mf.code) {
             if (inst.op == MOp::B)
                 inst.target += static_cast<int>(base);
             else if (inst.op == MOp::BL)
-                inst.target =
-                    static_cast<int>(func_entry.at(inst.target));
+                inst.target = entry_of(inst.target);
             prog.flat.push_back(inst);
             prog.funcOfIndex.push_back(static_cast<uint32_t>(mf.id));
         }
+        base += static_cast<uint32_t>(mf.code.size());
     }
     prog.funcs = std::move(funcs);
     return prog;

@@ -45,21 +45,6 @@ struct MachBlock
      *  undischarged taint sinks and sinks discharged by D1/D2/D5. */
     int regionLeakSites = 0;
     int regionLeaksDischarged = 0;
-
-    /** Successor block ids from the trailing branch instructions. */
-    std::vector<int>
-    successors() const
-    {
-        std::vector<int> out;
-        for (auto it = insts.rbegin(); it != insts.rend(); ++it) {
-            if (it->op == MOp::B) {
-                out.push_back(it->target);
-            } else {
-                break;
-            }
-        }
-        return out;
-    }
 };
 
 /** A machine function. */

@@ -1,7 +1,9 @@
 #include "backend/mir_verifier.h"
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "support/error.h"
 #include "support/str.h"
@@ -125,10 +127,25 @@ endsFallthrough(const MachInst &inst)
            inst.op == MOp::BXLR || inst.op == MOp::HALT;
 }
 
+constexpr int64_t kNotEmitted = -1;
+
 class MirVerifier
 {
   public:
-    explicit MirVerifier(const MachFunction &mf) : mf_(mf) {}
+    /** Reads blockIndex once into a start per block id and flags
+     *  over code indices [0, code.size()]; a start past the code is
+     *  no index a branch may target. */
+    explicit MirVerifier(const MachFunction &mf)
+        : mf_(mf), startOf_(mf.blocks.size(), kNotEmitted),
+          isStart_(mf.code.size() + 1, 0)
+    {
+        for (const auto &[id, at] : mf_.blockIndex) {
+            if (id >= 0 && static_cast<size_t>(id) < startOf_.size())
+                startOf_[id] = at;
+            if (at < isStart_.size())
+                isStart_[at] = 1;
+        }
+    }
 
     std::vector<std::string>
     run()
@@ -202,11 +219,6 @@ class MirVerifier
     void
     checkCode()
     {
-        std::set<uint32_t> starts;
-        for (const auto &[id, at] : mf_.blockIndex) {
-            (void)id;
-            starts.insert(at);
-        }
         for (size_t i = 0; i < mf_.code.size(); ++i) {
             const MachInst &inst = mf_.code[i];
             OpndClasses cls = classesOf(inst.op);
@@ -226,8 +238,7 @@ class MirVerifier
                     problem(strFormat(
                         "code[%zu] B: target %d outside code", i,
                         inst.target));
-                else if (!starts.count(
-                             static_cast<uint32_t>(inst.target)))
+                else if (!isStart_[inst.target])
                     problem(strFormat(
                         "code[%zu] B: target %d is not a block start",
                         i, inst.target));
@@ -269,16 +280,22 @@ class MirVerifier
             return;
         }
 
-        // Region blocks in emitted order with their emitted ranges.
-        std::vector<int> region_blocks;
-        for (const auto &mb : mf_.blocks)
-            if (mb.handlerBlock >= 0)
-                region_blocks.push_back(mb.id);
-        std::sort(region_blocks.begin(), region_blocks.end(),
-                  [&](int x, int y) {
-                      return mf_.blockIndex.at(x) <
-                             mf_.blockIndex.at(y);
-                  });
+        // Emitted region blocks in emitted order, as (start, id): an
+        // empty block shares its start with the next and sorts first,
+        // as layout emits region blocks in id order.
+        std::vector<std::pair<uint32_t, int>> region_blocks;
+        for (const auto &mb : mf_.blocks) {
+            if (mb.handlerBlock < 0)
+                continue;
+            int64_t at = startOf(mb.id);
+            if (at == kNotEmitted) {
+                problem(strFormat("region block %d was never emitted",
+                                  mb.id));
+                continue;
+            }
+            region_blocks.emplace_back(static_cast<uint32_t>(at), mb.id);
+        }
+        std::sort(region_blocks.begin(), region_blocks.end());
 
         for (size_t i = 0; i < mf_.code.size(); ++i) {
             const MachInst &inst = mf_.code[i];
@@ -299,10 +316,9 @@ class MirVerifier
         }
 
         for (size_t k = 0; k < region_blocks.size(); ++k) {
-            int id = region_blocks[k];
-            uint32_t start = mf_.blockIndex.at(id);
+            const auto [start, id] = region_blocks[k];
             uint32_t end = k + 1 < region_blocks.size()
-                               ? mf_.blockIndex.at(region_blocks[k + 1])
+                               ? region_blocks[k + 1].first
                                : spec_insts;
             if (start > spec_insts || end > spec_insts) {
                 problem(strFormat(
@@ -311,9 +327,8 @@ class MirVerifier
                     spec_insts));
                 continue;
             }
-            auto hit = mf_.blockIndex.find(
-                mf_.blocks[id].handlerBlock);
-            if (hit == mf_.blockIndex.end()) {
+            int64_t handler_at = startOf(mf_.blocks[id].handlerBlock);
+            if (handler_at == kNotEmitted) {
                 problem(strFormat(
                     "region block %d: handler %d was never emitted",
                     id, mf_.blocks[id].handlerBlock));
@@ -323,7 +338,7 @@ class MirVerifier
                 const MachInst &sk = mf_.code[spec_insts + j];
                 if (sk.op != MOp::B ||
                     sk.tag != InstTag::Skeleton ||
-                    sk.target != static_cast<int>(hit->second)) {
+                    sk.target != static_cast<int>(handler_at)) {
                     problem(strFormat(
                         "skeleton slot %u (code[%u]) does not branch "
                         "to handler %d of region block %d (Eq. 1/2 "
@@ -337,14 +352,13 @@ class MirVerifier
         for (const auto &mb : mf_.blocks) {
             if (mb.handlerBlock >= 0)
                 continue;
-            auto it = mf_.blockIndex.find(mb.id);
-            if (it != mf_.blockIndex.end() &&
-                it->second < 2 * spec_insts &&
-                it->second != mf_.code.size())
+            int64_t at = startOf(mb.id);
+            if (at != kNotEmitted && at < 2 * int64_t{spec_insts} &&
+                static_cast<size_t>(at) != mf_.code.size())
                 problem(strFormat(
                     "non-region block %d emitted at %u, inside the "
                     "speculative/skeleton area [0, %u)", mb.id,
-                    it->second, 2 * spec_insts));
+                    static_cast<uint32_t>(at), 2 * spec_insts));
         }
     }
 
@@ -353,15 +367,16 @@ class MirVerifier
     void
     checkHandlerEntry()
     {
-        std::set<uint32_t> handler_starts;
+        std::vector<char> handler_start(isStart_.size(), 0);
         for (const auto &mb : mf_.blocks) {
             if (!mb.isHandler)
                 continue;
-            auto it = mf_.blockIndex.find(mb.id);
-            if (it == mf_.blockIndex.end())
+            int64_t start = startOf(mb.id);
+            if (start == kNotEmitted)
                 continue;
-            uint32_t at = it->second;
-            handler_starts.insert(at);
+            uint32_t at = static_cast<uint32_t>(start);
+            if (at < handler_start.size())
+                handler_start[at] = 1;
             if (at > 0 && at <= mf_.code.size() &&
                 !endsFallthrough(mf_.code[at - 1]))
                 problem(strFormat(
@@ -373,15 +388,26 @@ class MirVerifier
             const MachInst &inst = mf_.code[i];
             if (inst.op == MOp::B &&
                 inst.tag != InstTag::Skeleton && inst.target >= 0 &&
-                handler_starts.count(
-                    static_cast<uint32_t>(inst.target)))
+                static_cast<size_t>(inst.target) < handler_start.size() &&
+                handler_start[inst.target])
                 problem(strFormat(
                     "code[%zu]: non-skeleton branch targets a handler "
                     "block start (%d)", i, inst.target));
         }
     }
 
+    /** Code index of block @p id, or kNotEmitted. */
+    int64_t
+    startOf(int id) const
+    {
+        return id >= 0 && static_cast<size_t>(id) < startOf_.size()
+                   ? startOf_[id]
+                   : kNotEmitted;
+    }
+
     const MachFunction &mf_;
+    std::vector<int64_t> startOf_; ///< By block id, from blockIndex.
+    std::vector<char> isStart_;    ///< By code index: a block starts.
     std::vector<std::string> problems_;
 };
 

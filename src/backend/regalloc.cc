@@ -1,10 +1,10 @@
 #include "backend/regalloc.h"
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
+#include <span>
 #include <vector>
 
-#include "support/bitset.h"
 #include "support/error.h"
 
 namespace bitspec
@@ -12,6 +12,49 @@ namespace bitspec
 
 namespace
 {
+
+/** Call fn(operand, is_def, is_use) for each vreg operand of @p inst:
+ *  a store's dst is the data it reads, and a conditional move or a
+ *  MOVT also reads the register it writes. */
+template <typename Inst, typename Fn>
+void
+forEachVReg(Inst &inst, Fn fn)
+{
+    bool dst_is_use = inst.op == MOp::STR || inst.op == MOp::STRH ||
+                      inst.op == MOp::STRB || inst.op == MOp::STRB8;
+    bool dst_also_use =
+        ((inst.op == MOp::MOV || inst.op == MOp::MOV8) &&
+         inst.cond != Cond::AL) ||
+        inst.op == MOp::MOVT;
+    if (inst.dst.isVReg())
+        fn(inst.dst, !dst_is_use, dst_is_use || dst_also_use);
+    if (inst.a.isVReg())
+        fn(inst.a, false, true);
+    if (inst.b.isVReg())
+        fn(inst.b, false, true);
+}
+
+/** (key, value) pairs as compressed rows: @p values holds each key's
+ *  values in pair order, key k's at [start[k], start[k + 1]). */
+template <typename V>
+void
+bucketByKey(const std::vector<std::pair<uint32_t, V>> &pairs, size_t keys,
+            std::vector<uint32_t> &start, std::vector<V> &values)
+{
+    start.assign(keys + 1, 0);
+    for (const auto &kv : pairs)
+        ++start[kv.first + 1];
+    for (size_t k = 0; k < keys; ++k)
+        start[k + 1] += start[k];
+    values.resize(pairs.size());
+    // Fill through start[k] (which ends at key k's end), then shift
+    // the row starts back into place.
+    for (const auto &[k, v] : pairs)
+        values[start[k]++] = v;
+    for (size_t k = keys; k > 0; --k)
+        start[k] = start[k - 1];
+    start[0] = 0;
+}
 
 /** A live interval as a set of disjoint [start, end] segments.
  *
@@ -61,11 +104,22 @@ struct SlotBusy
         return false;
     }
 
+    /** Merge @p iv's segments in from the back, in place: the list
+     *  grows by their count and only the busy segments that start
+     *  after one of them move. */
     void
     add(const Interval &iv)
     {
-        auto mid = segs.insert(segs.end(), iv.segs.begin(), iv.segs.end());
-        std::inplace_merge(segs.begin(), mid, segs.end());
+        auto busy = segs.size();
+        segs.resize(busy + iv.segs.size());
+        auto out = segs.size();
+        auto in = iv.segs.size();
+        while (in > 0) {
+            if (busy > 0 && iv.segs[in - 1] < segs[busy - 1])
+                segs[--out] = segs[--busy];
+            else
+                segs[--out] = iv.segs[--in];
+        }
     }
 };
 
@@ -83,8 +137,8 @@ class Allocator
     BackendStats
     run()
     {
+        live_ = computeMirLiveness(mf_);
         numberInstructions();
-        computeLiveness();
         buildIntervals();
         scan();
         rewrite();
@@ -93,24 +147,6 @@ class Allocator
     }
 
   private:
-    template <typename Fn>
-    static void
-    forEachVReg(MachInst &inst, Fn fn)
-    {
-        bool dst_is_use = inst.op == MOp::STR || inst.op == MOp::STRH ||
-                          inst.op == MOp::STRB || inst.op == MOp::STRB8;
-        bool dst_also_use =
-            ((inst.op == MOp::MOV || inst.op == MOp::MOV8) &&
-             inst.cond != Cond::AL) ||
-            inst.op == MOp::MOVT;
-        if (inst.dst.isVReg())
-            fn(inst.dst, !dst_is_use, dst_is_use || dst_also_use);
-        if (inst.a.isVReg())
-            fn(inst.a, false, true);
-        if (inst.b.isVReg())
-            fn(inst.b, false, true);
-    }
-
     void
     numberInstructions()
     {
@@ -119,81 +155,35 @@ class Allocator
         blockEnd_.resize(n);
         int pos = 0;
         for (size_t b = 0; b < n; ++b) {
-            if (mf_.blocks[b].id != static_cast<int>(b))
-                panic("regalloc: " + mf_.name + ": block ids must be "
-                      "block indices");
             blockStart_[b] = pos;
             pos += static_cast<int>(mf_.blocks[b].insts.size());
             blockEnd_[b] = pos; // One past the last.
         }
     }
 
-    /** Backward liveness over vreg ids (blocks[i].id == i). Sets only
-     *  grow, so in-place unions reach the least fixed point. */
-    void
-    computeLiveness()
-    {
-        const size_t n = mf_.blocks.size();
-        std::vector<BitSet> use(n, BitSet(mf_.numVRegs));
-        std::vector<BitSet> def(n, BitSet(mf_.numVRegs));
-        for (auto &mb : mf_.blocks) {
-            BitSet &u = use[mb.id];
-            BitSet &d = def[mb.id];
-            for (auto &inst : mb.insts) {
-                forEachVReg(inst,
-                            [&](MOpnd &o, bool is_def, bool is_use) {
-                                if (is_use && !d.test(o.vreg))
-                                    u.set(o.vreg);
-                                if (is_def)
-                                    d.set(o.vreg);
-                            });
-            }
-        }
-        liveIn_ = use;
-        liveOut_.assign(n, BitSet(mf_.numVRegs));
-
-        // Successors including SMIR handler edges (Eq. 2).
-        std::vector<std::vector<int>> succs(n);
-        for (auto &mb : mf_.blocks) {
-            succs[mb.id] = mb.successors();
-            if (mb.handlerBlock >= 0)
-                succs[mb.id].push_back(mb.handlerBlock);
-            for (int s : succs[mb.id])
-                if (s < 0 || static_cast<size_t>(s) >= n)
-                    panic("regalloc: " + mf_.name + ": " + mb.name +
-                          " branches outside the function");
-        }
-
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (size_t b = n; b-- > 0;) {
-                bool grew = false;
-                for (int s : succs[b])
-                    grew |= liveOut_[b].unionWith(liveIn_[s]);
-                if (grew) {
-                    liveIn_[b].unionWithDifference(liveOut_[b], def[b]);
-                    changed = true;
-                }
-            }
-        }
-    }
-
     void
     buildIntervals()
     {
-        // Per-vreg raw segments (one per block where live/occurring),
-        // merged afterwards.
+        // Raw segments (one per vreg and block where it is live or
+        // occurs), bucketed by vreg and merged afterwards.
         const uint32_t nv = mf_.numVRegs;
-        std::vector<std::vector<std::pair<int, int>>> raw(nv);
+        using Seg = std::pair<int, int>;
+        std::vector<std::pair<uint32_t, Seg>> raw;
         // First/last occurrence of each vreg within the current block;
         // seen[v] is the id of the block that last touched v.
         std::vector<std::pair<int, int>> occur(nv);
         std::vector<int> seen(nv, -1);
+        // live_in[v] / live_out[v]: the last block v was live into /
+        // out of, so membership in the current block is one compare.
+        std::vector<int> live_in(nv, -1), live_out(nv, -1);
         std::vector<uint32_t> touched;
 
         for (auto &mb : mf_.blocks) {
             touched.clear();
+            for (uint32_t v : live_.liveIn(mb.id))
+                live_in[v] = mb.id;
+            for (uint32_t v : live_.liveOut(mb.id))
+                live_out[v] = mb.id;
             int pos = blockStart_[mb.id];
             for (auto &inst : mb.insts) {
                 forEachVReg(inst, [&](MOpnd &o, bool, bool) {
@@ -209,32 +199,33 @@ class Allocator
             }
             int bs = blockStart_[mb.id];
             int be = blockEnd_[mb.id] - 1;
-            const BitSet &in = liveIn_[mb.id];
-            const BitSet &out = liveOut_[mb.id];
             for (uint32_t v : touched) {
-                int s = in.test(v) ? bs : occur[v].first;
-                int e = out.test(v) ? be : occur[v].second;
-                raw[v].emplace_back(s, e);
+                int s = live_in[v] == mb.id ? bs : occur[v].first;
+                int e = live_out[v] == mb.id ? be : occur[v].second;
+                raw.push_back({v, {s, e}});
             }
             // Live-through without occurrence.
-            in.forEach([&](size_t v) {
-                if (seen[v] != mb.id && out.test(v))
-                    raw[v].emplace_back(bs, be);
-            });
+            for (uint32_t v : live_.liveIn(mb.id))
+                if (seen[v] != mb.id && live_out[v] == mb.id)
+                    raw.push_back({v, {bs, be}});
         }
+        std::vector<uint32_t> seg_start;
+        std::vector<Seg> segs;
+        bucketByKey(raw, nv, seg_start, segs);
 
         // Intervals enter the (unstable) sort below in ascending vreg
         // order; keep it so, or equal-start ties may reorder and
         // change the allocation.
         for (uint32_t vreg = 0; vreg < nv; ++vreg) {
-            auto &segs = raw[vreg];
-            if (segs.empty())
+            auto first = segs.begin() + seg_start[vreg];
+            auto last = segs.begin() + seg_start[vreg + 1];
+            if (first == last)
                 continue;
-            std::sort(segs.begin(), segs.end());
+            std::sort(first, last);
             Interval iv;
             iv.vreg = vreg;
             iv.isSlice = mf_.vregIsSlice[vreg];
-            for (auto &[s, e] : segs) {
+            for (auto &[s, e] : std::span(first, last)) {
                 if (!iv.segs.empty() && s <= iv.segs.back().second + 1)
                     iv.segs.back().second =
                         std::max(iv.segs.back().second, e);
@@ -352,8 +343,23 @@ class Allocator
         for (Interval &iv : intervals_)
             iv_of[iv.vreg] = &iv;
 
+        std::vector<MachInst> out, loads, stores;
         for (auto &mb : mf_.blocks) {
-            std::vector<MachInst> out;
+            // Without a spilled vreg the block keeps its instructions:
+            // each vreg operand just becomes its register or slice.
+            bool spills = false;
+            for (MachInst &inst : mb.insts)
+                forEachVReg(inst, [&](MOpnd &o, bool, bool) {
+                    spills |= iv_of[o.vreg]->spilled;
+                });
+            if (!spills) {
+                for (MachInst &inst : mb.insts)
+                    forEachVReg(inst, [&](MOpnd &o, bool, bool) {
+                        o = physOpnd(*iv_of[o.vreg]);
+                    });
+                continue;
+            }
+            out.clear();
             out.reserve(mb.insts.size());
             for (MachInst inst : mb.insts) {
                 // Fold spills straight into physical-register moves
@@ -388,7 +394,8 @@ class Allocator
                     }
                 }
 
-                std::vector<MachInst> loads, stores;
+                loads.clear();
+                stores.clear();
                 auto fix = [&](MOpnd &o, bool is_def, bool is_use,
                                unsigned scratch) {
                     Interval *iv = iv_of[o.vreg];
@@ -444,14 +451,17 @@ class Allocator
                 for (auto &st : stores)
                     out.push_back(st);
             }
-            mb.insts = std::move(out);
+            mb.insts.swap(out);
         }
 
-        std::set<unsigned> used;
+        bool used[kRegPC + 1] = {};
         for (Interval &iv : intervals_)
             if (!iv.spilled)
-                used.insert(static_cast<unsigned>(iv.assignedReg));
-        mf_.usedCalleeSaved.assign(used.begin(), used.end());
+                used[iv.assignedReg] = true;
+        mf_.usedCalleeSaved.clear();
+        for (unsigned r = 0; r <= kRegPC; ++r)
+            if (used[r])
+                mf_.usedCalleeSaved.push_back(r);
     }
 
     void
@@ -473,14 +483,112 @@ class Allocator
     MachFunction &mf_;
     unsigned lastAlloc_;
     BackendStats stats_;
+    MirLiveness live_;
     std::vector<int> blockStart_, blockEnd_; ///< By block id.
-    std::vector<BitSet> liveIn_, liveOut_;    ///< By block id.
     std::vector<Interval> intervals_;
     std::vector<SlotBusy> wholeBusy_;  ///< Per register.
     std::vector<SlotBusy> sliceBusy_;  ///< Per register x 4 slices.
 };
 
 } // namespace
+
+MirLiveness
+computeMirLiveness(const MachFunction &mf)
+{
+    const size_t n = mf.blocks.size();
+    const uint32_t nv = mf.numVRegs;
+    using Pairs = std::vector<std::pair<uint32_t, uint32_t>>;
+
+    // Predecessors, handler edges included (Eq. 2): a block's
+    // successors are its trailing branches' targets and its region's
+    // handler.
+    Pairs edges; // (successor, predecessor)
+    for (size_t b = 0; b < n; ++b) {
+        const MachBlock &mb = mf.blocks[b];
+        if (mb.id != static_cast<int>(b))
+            panic("regalloc: " + mf.name + ": block ids must be "
+                  "block indices");
+        auto edge = [&](int s) {
+            if (s < 0 || static_cast<size_t>(s) >= n)
+                panic("regalloc: " + mf.name + ": " + mb.name +
+                      " branches outside the function");
+            edges.emplace_back(static_cast<uint32_t>(s),
+                               static_cast<uint32_t>(b));
+        };
+        for (auto it = mb.insts.rbegin();
+             it != mb.insts.rend() && it->op == MOp::B; ++it)
+            edge(it->target);
+        if (mb.handlerBlock >= 0)
+            edge(mb.handlerBlock);
+    }
+    std::vector<uint32_t> pred_start, preds;
+    bucketByKey(edges, n, pred_start, preds);
+
+    // Upward-exposed uses and definitions as (vreg, block) pairs, one
+    // per vreg and block; *_mark[v] is the last block that recorded v.
+    Pairs use_pairs, def_pairs;
+    {
+        std::vector<uint32_t> use_mark(nv, UINT32_MAX);
+        std::vector<uint32_t> def_mark(nv, UINT32_MAX);
+        for (uint32_t b = 0; b < n; ++b) {
+            for (const MachInst &inst : mf.blocks[b].insts) {
+                forEachVReg(inst, [&](const MOpnd &o, bool is_def,
+                                      bool is_use) {
+                    const uint32_t v = o.vreg;
+                    if (is_use && def_mark[v] != b && use_mark[v] != b) {
+                        use_mark[v] = b;
+                        use_pairs.emplace_back(v, b);
+                    }
+                    if (is_def && def_mark[v] != b) {
+                        def_mark[v] = b;
+                        def_pairs.emplace_back(v, b);
+                    }
+                });
+            }
+        }
+    }
+    std::vector<uint32_t> use_start, use_blocks, def_start, def_blocks;
+    bucketByKey(use_pairs, nv, use_start, use_blocks);
+    bucketByKey(def_pairs, nv, def_start, def_blocks);
+
+    // Per vreg, ascending: walk back from its use blocks. Stamps are
+    // v + 1, so no clearing between vregs.
+    std::vector<uint32_t> def_stamp(n, 0), in_stamp(n, 0), out_stamp(n, 0);
+    Pairs in_pairs, out_pairs; // (block, vreg)
+    std::vector<uint32_t> work;
+    for (uint32_t v = 0; v < nv; ++v) {
+        const uint32_t stamp = v + 1;
+        for (uint32_t k = def_start[v]; k < def_start[v + 1]; ++k)
+            def_stamp[def_blocks[k]] = stamp;
+        for (uint32_t k = use_start[v]; k < use_start[v + 1]; ++k) {
+            const uint32_t b = use_blocks[k];
+            in_stamp[b] = stamp;
+            in_pairs.emplace_back(b, v);
+            work.push_back(b);
+        }
+        while (!work.empty()) {
+            const uint32_t b = work.back();
+            work.pop_back();
+            for (uint32_t k = pred_start[b]; k < pred_start[b + 1]; ++k) {
+                const uint32_t p = preds[k];
+                if (out_stamp[p] == stamp)
+                    continue;
+                out_stamp[p] = stamp;
+                out_pairs.emplace_back(p, v);
+                if (def_stamp[p] != stamp && in_stamp[p] != stamp) {
+                    in_stamp[p] = stamp;
+                    in_pairs.emplace_back(p, v);
+                    work.push_back(p);
+                }
+            }
+        }
+    }
+
+    MirLiveness live;
+    bucketByKey(in_pairs, n, live.inStart, live.in);
+    bucketByKey(out_pairs, n, live.outStart, live.out);
+    return live;
+}
 
 BackendStats
 allocateRegisters(MachFunction &mf)

@@ -8,6 +8,7 @@
 
 #include <list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,21 +89,34 @@ class BasicBlock
         return it;
     }
 
-    /** Successor blocks as given by the terminator. */
-    std::vector<BasicBlock *>
+    /**
+     * Successor blocks as given by the terminator: a view of a Br's or
+     * CondBr's block operands, empty for any other terminator or none.
+     * The view reads the terminator in place, so a split that
+     * retargets one of its edges shows in it at once. Every caller
+     * only reads it: none erases or replaces the terminator, or adds
+     * or removes its block operands, while iterating the view.
+     */
+    std::span<BasicBlock *const>
     successors() const
     {
         if (!hasTerminator())
             return {};
-        Instruction *term = insts_.back().get();
+        const Instruction *term = insts_.back().get();
         switch (term->op()) {
           case Opcode::Br:
-            return {term->blockOperand(0)};
           case Opcode::CondBr:
-            return {term->blockOperand(0), term->blockOperand(1)};
+            return term->blockOperands();
           default:
             return {};
         }
+    }
+
+    /** True when the block starts with a phi. */
+    bool
+    hasPhis() const
+    {
+        return !insts_.empty() && insts_.front()->isPhi();
     }
 
     /** Phi instructions at the head of the block. */

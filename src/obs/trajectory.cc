@@ -109,10 +109,11 @@ TrajectoryRecord::value(const std::string &name) const
 bool
 isGatedSeries(const std::string &name)
 {
-    // Per-workload core and squeeze rates are recorded but not gated
-    // until the history holds comparable baselines for them.
+    // Per-workload core, squeeze and backend rates are recorded but
+    // not gated until the history holds comparable baselines for them.
     if (name.rfind("rate.core_workload_", 0) == 0 ||
-        name.rfind("rate.squeeze_workload_", 0) == 0)
+        name.rfind("rate.squeeze_workload_", 0) == 0 ||
+        name.rfind("rate.backend_workload_", 0) == 0)
         return false;
     return name.rfind("rate.", 0) == 0 ||
            name.rfind("speedup.", 0) == 0;
@@ -279,9 +280,9 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
         benchCounter(json_text, "BM_CoreThroughput/fast",
                      "machine_instrs_per_s"));
 
-    // Per-workload rates: every BM_CoreWorkload/<workload> and
-    // BM_SqueezeWorkload/<workload> entry, '-' in the workload name
-    // spelled '_' in the series.
+    // Per-workload rates: every BM_CoreWorkload/<workload>,
+    // BM_SqueezeWorkload/<workload> and BM_BackendWorkload/<workload>
+    // entry, '-' in the workload name spelled '_' in the series.
     auto perWorkload = [&](const std::string &bench,
                            const std::string &series) {
         const std::string key = "\"name\": \"" + bench + "/";
@@ -301,6 +302,7 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
     };
     perWorkload("BM_CoreWorkload", "rate.core_workload_");
     perWorkload("BM_SqueezeWorkload", "rate.squeeze_workload_");
+    perWorkload("BM_BackendWorkload", "rate.backend_workload_");
 
     // experiment_smoke's observability section.
     size_t obs = json_text.find("\"observability\":");

@@ -190,8 +190,10 @@ struct ReferenceLiveness
                    v->kind() == ValueKind::Argument;
         };
         std::map<const BasicBlock *, std::vector<BasicBlock *>> succs;
-        for (const auto &bb : f.blocks())
-            succs[bb.get()] = bb->successors();
+        for (const auto &bb : f.blocks()) {
+            auto view = bb->successors();
+            succs[bb.get()].assign(view.begin(), view.end());
+        }
         if (handler_edges)
             for (const auto &sr : f.specRegions())
                 for (BasicBlock *member : sr->blocks)

@@ -200,6 +200,18 @@ TEST(MirVerifier, RejectsMisspeculatorOutsideSpecArea)
                          "outside the speculative area"));
 }
 
+TEST(MirVerifier, RejectsUnemittedRegionBlock)
+{
+    // A fourth region block that layout never placed: the verifier
+    // reports it and checks the rest of the geometry as before.
+    MachFunction mf = makeSpec();
+    mf.blocks.push_back({"lost", 3, {}, /*handlerBlock=*/1, false});
+    std::vector<std::string> problems;
+    ASSERT_NO_THROW(problems = verifyMachFunction(mf));
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_EQ(problems[0], "spec: region block 3 was never emitted");
+}
+
 TEST(MirVerifier, RejectsUnpatchedSetDelta)
 {
     MachFunction mf = makeSpec();

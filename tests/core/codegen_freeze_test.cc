@@ -2,10 +2,14 @@
  * @file
  * Codegen freeze: for every workload under the five compile-heavy
  * configurations (baseline, BitSpec MAX/AVG/MIN, squeeze without
- * speculation), pin a 64-bit hash of the linked instruction stream
- * and every BackendStats and SqueezeStats field, plus a 64-bit hash
- * of the printed IR of the trained module and of each
- * configuration's squeezed module.
+ * speculation) and the Thumb-like ISA, pin a 64-bit hash of the
+ * linked instruction stream and every BackendStats and SqueezeStats
+ * field, plus a 64-bit hash of the printed IR of the trained module
+ * and of each of the five configurations' squeezed modules. Thumb is
+ * the only user of the two-address rewrite and of the 4-register
+ * allocator. Generated programs add one hash per shard and
+ * configuration (baseline, bitspec-max, Thumb) over the linked code
+ * and backend stats of every program in the shard.
  *
  * Compile-path optimisations (liveness, SSA repair, register
  * allocation data structures) must not change what is compiled; this
@@ -27,6 +31,8 @@
 
 #include "artifact/snapshot.h"
 #include "core/system.h"
+#include "fuzz/differential.h"
+#include "fuzz/gen.h"
 #include "ir/printer.h"
 #include "support/str.h"
 #include "workloads/workload.h"
@@ -275,6 +281,37 @@ const Pin kPins[] = {
      "181 181 443 121 2127 289", "73 36 20 8 0 13 9 8 9 0 62 0 1"},
     {"susan-smoothing", "no-spec", 0x8f163f57bcb7d94aULL,
      "42 30 49 28 593 0", "21 0 0 0 0 0 0 0 0 0 0 0 0"},
+    // Thumb rows: recorded before the linear backend (dense isel
+    // tables, one-pass edge splitting, sparse allocator liveness, one
+    // layout rewrite).
+    {"CRC32", "thumb", 0x1cac1c1b07a21a5cULL,
+     "106 117 110 90 977 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
+    {"FFT", "thumb", 0x8788d2272b1996f9ULL,
+     "161 143 24 120 781 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
+    {"basicmath", "thumb", 0xbecdc29531f8f3d9ULL,
+     "309 187 166 147 1473 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
+    {"bitcount", "thumb", 0xa56aabe9b1bc5584ULL,
+     "365 262 115 224 1826 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
+    {"blowfish", "thumb", 0xf1f280ce63e98efcULL,
+     "159 142 19 119 731 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
+    {"dijkstra", "thumb", 0x40b8e95dd0ec4b54ULL,
+     "492 448 149 343 2878 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
+    {"patricia", "thumb", 0x77ec601e341f8710ULL,
+     "157 140 75 112 1104 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
+    {"qsort", "thumb", 0x507e9a0e27dfa4f0ULL,
+     "2188 1858 293 1431 11391 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
+    {"rijndael", "thumb", 0x5ee09dfe44032604ULL,
+     "960 896 219 742 6150 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
+    {"sha", "thumb", 0x79c298ca4d723780ULL,
+     "285 265 48 223 1680 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
+    {"stringsearch", "thumb", 0xa35fdc32ad994d71ULL,
+     "558 458 96 374 2348 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
+    {"susan-edges", "thumb", 0xc8a60165e01ced58ULL,
+     "143 130 76 112 1004 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
+    {"susan-corners", "thumb", 0x8704a01cc3e66767ULL,
+     "250 218 126 179 1624 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
+    {"susan-smoothing", "thumb", 0xe1b910eb0757c9f6ULL,
+     "151 132 62 109 959 0", "0 0 0 0 0 0 0 0 0 0 0 0 0"},
 };
 
 /** The printed-IR hashes of one workload: its trained module and the
@@ -365,6 +402,15 @@ configs()
     };
 }
 
+/** The baseline compile for the Thumb-like ISA (paper RQ9). */
+SystemConfig
+thumbConfig()
+{
+    SystemConfig c = SystemConfig::baseline();
+    c.isa = TargetISA::Thumb;
+    return c;
+}
+
 const Pin *
 findPin(const std::string &workload, const std::string &config)
 {
@@ -386,11 +432,41 @@ findIrPin(const std::string &workload)
 class CodegenFreeze : public ::testing::TestWithParam<std::string>
 {};
 
+/** Compare @p sys's linked-code hash and stats with the pinned row
+ *  of (@p workload, @p config); print the observed row if they
+ *  differ. */
+void
+expectPinned(const std::string &workload, const char *config,
+             const System &sys)
+{
+    const uint64_t hash = flatHash(sys.program());
+    // The snapshot carries the backend stats the System keeps.
+    const std::string backend =
+        describe(sys.makeSnapshot("").backendStats);
+    const std::string squeeze = describe(sys.squeezeStats());
+
+    const Pin *pin = findPin(workload, config);
+    if (pin && pin->flatHash == hash && pin->backend == backend &&
+        pin->squeeze == squeeze)
+        return;
+    ADD_FAILURE() << workload << "/" << config
+                  << (pin ? " drifted" : " has no pin")
+                  << "; observed row:\n    {\"" << workload << "\", \""
+                  << config << "\", 0x" << std::hex << hash << std::dec
+                  << "ULL,\n     \"" << backend << "\", \"" << squeeze
+                  << "\"},";
+    if (pin) {
+        EXPECT_EQ(pin->flatHash, hash) << config;
+        EXPECT_EQ(pin->backend, backend) << config;
+        EXPECT_EQ(pin->squeeze, squeeze) << config;
+    }
+}
+
 TEST_P(CodegenFreeze, MatchesPinnedCodegen)
 {
     const Workload &w = getWorkload(GetParam());
-    // The five configurations share the default expander, so one
-    // training serves them all, as in the experiment runner.
+    // The five configurations and Thumb share the default expander,
+    // so one training serves them all, as in the experiment runner.
     const TrainedModule trained(w.source, ExpanderOptions{},
                                 [&w](Module &m) { w.setInput(m, 0); });
     IrPin ir{w.name.c_str(), irHash(trained.module()), {}};
@@ -399,28 +475,9 @@ TEST_P(CodegenFreeze, MatchesPinnedCodegen)
         const NamedConfig &nc = named[c];
         System sys(trained, nc.config);
         ir.systems[c] = irHash(sys.module());
-        const uint64_t hash = flatHash(sys.program());
-        // The snapshot carries the backend stats the System keeps.
-        const std::string backend =
-            describe(sys.makeSnapshot("").backendStats);
-        const std::string squeeze = describe(sys.squeezeStats());
-
-        const Pin *pin = findPin(w.name, nc.name);
-        if (pin && pin->flatHash == hash && pin->backend == backend &&
-            pin->squeeze == squeeze)
-            continue;
-        ADD_FAILURE() << w.name << "/" << nc.name
-                      << (pin ? " drifted" : " has no pin")
-                      << "; observed row:\n    {\"" << w.name
-                      << "\", \"" << nc.name << "\", 0x" << std::hex
-                      << hash << std::dec << "ULL,\n     \"" << backend
-                      << "\", \"" << squeeze << "\"},";
-        if (pin) {
-            EXPECT_EQ(pin->flatHash, hash) << nc.name;
-            EXPECT_EQ(pin->backend, backend) << nc.name;
-            EXPECT_EQ(pin->squeeze, squeeze) << nc.name;
-        }
+        expectPinned(w.name, nc.name, sys);
     }
+    expectPinned(w.name, "thumb", System(trained, thumbConfig()));
 
     const IrPin *pin = findIrPin(w.name);
     bool same = pin && pin->trained == ir.trained;
@@ -457,6 +514,103 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+// ---------------------------------------------------------------------
+// Generated programs: 100 seeds in four shards of 25.
+// ---------------------------------------------------------------------
+
+constexpr unsigned kFuzzShardSeeds = 25;
+
+/** One shard's hashes, one per configuration in fuzzConfigs() order:
+ *  every program's linked-code hash and BackendStats fields, mixed in
+ *  seed order. */
+struct FuzzPin
+{
+    unsigned shard;
+    uint64_t hashes[3];
+};
+
+// Recorded before the linear backend (dense isel tables, one-pass edge
+// splitting, sparse allocator liveness, one layout rewrite).
+const FuzzPin kFuzzPins[] = {
+    {0, {0xcffa5083c776547ULL, 0xf6ac659abd22ebbfULL,
+         0x51b181cb6e60472aULL}},
+    {1, {0x484b63a28c9c802dULL, 0xc6e8d171fa809e7aULL,
+         0xa50d1b7e128a36a1ULL}},
+    {2, {0x8e4954d9d061cbdeULL, 0x670e45ec4c4b70f0ULL,
+         0x28c2d3ab0c137bdeULL}},
+    {3, {0xd0e9e979fe45829dULL, 0xfc449c7956543658ULL,
+         0xdc810ea84d6bcbd2ULL}},
+};
+
+std::vector<NamedConfig>
+fuzzConfigs()
+{
+    return {
+        {"baseline", SystemConfig::baseline()},
+        {"bitspec-max", SystemConfig::bitspec(Heuristic::Max)},
+        {"thumb", thumbConfig()},
+    };
+}
+
+uint64_t
+mixStats(uint64_t h, const BackendStats &s)
+{
+    for (unsigned v : {s.staticSpillLoads, s.staticSpillStores,
+                       s.staticCopies, s.spilledVRegs, s.staticInsts,
+                       s.skeletonInsts})
+        h = mix(h, v);
+    return h;
+}
+
+class CodegenFuzzFreeze : public ::testing::TestWithParam<unsigned>
+{};
+
+TEST_P(CodegenFuzzFreeze, MatchesPinnedCodegen)
+{
+    const unsigned shard = GetParam();
+    const std::vector<NamedConfig> named = fuzzConfigs();
+    FuzzPin got{shard, {}};
+    for (uint64_t &h : got.hashes)
+        h = 0xcbf29ce484222325ULL;
+    for (uint64_t seed = shard * kFuzzShardSeeds;
+         seed < (shard + 1) * kFuzzShardSeeds; ++seed) {
+        const Workload w = makeFuzzWorkload(generateProgram(seed));
+        const TrainedModule trained(
+            w.source, ExpanderOptions{},
+            [&w](Module &m) { w.setInput(m, 0); });
+        for (size_t c = 0; c < named.size(); ++c) {
+            const System sys(trained, named[c].config);
+            got.hashes[c] = mix(got.hashes[c], flatHash(sys.program()));
+            got.hashes[c] =
+                mixStats(got.hashes[c], sys.makeSnapshot("").backendStats);
+        }
+    }
+
+    const FuzzPin *pin = nullptr;
+    for (const FuzzPin &p : kFuzzPins)
+        if (p.shard == shard)
+            pin = &p;
+    bool same = pin != nullptr;
+    for (size_t c = 0; same && c < named.size(); ++c)
+        same = pin->hashes[c] == got.hashes[c];
+    if (same)
+        return;
+    std::ostringstream row;
+    row << "    {" << shard << std::hex << ", {0x" << got.hashes[0]
+        << "ULL, 0x" << got.hashes[1] << "ULL,\n         0x"
+        << got.hashes[2] << "ULL}},";
+    ADD_FAILURE() << "fuzz shard " << shard
+                  << (pin ? " drifted" : " has no pin")
+                  << "; observed row:\n" << row.str();
+    if (pin) {
+        for (size_t c = 0; c < named.size(); ++c)
+            EXPECT_EQ(pin->hashes[c], got.hashes[c]) << named[c].name;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CodegenFuzzFreeze,
+                         ::testing::Values(0u, 1u, 2u, 3u));
 
 } // namespace
 } // namespace bitspec

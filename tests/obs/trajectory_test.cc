@@ -532,6 +532,57 @@ TEST(Trajectory, RecordFromBenchJsonPerWorkloadSqueezeRates)
     EXPECT_TRUE(checkAgainstHistory(slow, history).pass);
 }
 
+TEST(Trajectory, RecordFromBenchJsonPerWorkloadBackendRates)
+{
+    // BM_BackendWorkload/<workload> entries become ungated
+    // rate.backend_workload_<workload>_per_s series, each read from
+    // its own entry: an errored entry gives none, and the squeeze
+    // workload entries keep their own series.
+    const std::string json = R"({
+  "benchmarks": [
+    {
+      "name": "BM_SqueezeWorkload/qsort",
+      "run_name": "BM_SqueezeWorkload/qsort",
+      "items_per_second": 2.1e6
+    },
+    {
+      "name": "BM_BackendWorkload/qsort",
+      "run_name": "BM_BackendWorkload/qsort",
+      "items_per_second": 1.4e6
+    },
+    {
+      "name": "BM_BackendWorkload/rijndael",
+      "run_name": "BM_BackendWorkload/rijndael",
+      "error_occurred": true
+    },
+    {
+      "name": "BM_BackendWorkload/stringsearch",
+      "run_name": "BM_BackendWorkload/stringsearch",
+      "items_per_second": 1.5e6
+    }
+  ]
+})";
+    TrajectoryRecord rec = recordFromBenchJson(json);
+    EXPECT_EQ(rec.series.size(), 3u);
+    EXPECT_DOUBLE_EQ(
+        rec.value("rate.squeeze_workload_qsort_per_s").value(), 2.1e6);
+    EXPECT_DOUBLE_EQ(
+        rec.value("rate.backend_workload_qsort_per_s").value(), 1.4e6);
+    EXPECT_FALSE(
+        rec.value("rate.backend_workload_rijndael_per_s").has_value());
+    EXPECT_DOUBLE_EQ(
+        rec.value("rate.backend_workload_stringsearch_per_s").value(),
+        1.5e6);
+    EXPECT_FALSE(isGatedSeries("rate.backend_workload_qsort_per_s"));
+
+    // Recorded, never gated: a collapse of a backend rate passes.
+    std::vector<TrajectoryRecord> history = {rec};
+    TrajectoryRecord slow = rec;
+    for (TrajectorySeries &s : slow.series)
+        s.value /= 10;
+    EXPECT_TRUE(checkAgainstHistory(slow, history).pass);
+}
+
 TEST(Trajectory, BuildFlavourIsThisBuildNotLibbenchmarks)
 {
     // google-benchmark's library_build_type describes how libbenchmark
