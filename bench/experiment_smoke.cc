@@ -45,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "artifact/store.h"
 #include "core/experiment.h"
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
@@ -196,148 +195,6 @@ jsonSection(const std::vector<GridTiming> &grids, unsigned threads)
         os << "      }" << (i + 1 < grids.size() ? "," : "") << "\n";
     }
     os << "    ]\n";
-    os << "  }\n";
-    return os.str();
-}
-
-/**
- * Artifact-store cold/warm A/B over the Fig. 8 system population
- * (every suite workload under the baseline and bitspec configs).
- * Cold acquires each System the expensive way — full compile plus a
- * store publish; warm acquires the same System from the store — disk
- * load, decode, restore. Both populations then run seed 0 and must be
- * bit-identical; the speedup is the whole point of the disk tier and
- * is gated at >= 5x (and tracked as speedup.artifact_warm_vs_cold in
- * the perf trajectory).
- */
-struct ArtifactTiming
-{
-    size_t systems = 0;
-    double coldSec = 0;      ///< Sum of compile + publish times.
-    double warmSec = 0;      ///< Sum of load + restore times.
-    uint64_t diskWrites = 0;
-    uint64_t diskHits = 0;
-    uint64_t runnerDiskHits = 0; ///< Runner-integration spot check.
-    bool identical = true;
-    bool gate = true;        ///< speedup >= 5x.
-
-    double
-    speedup() const
-    {
-        return warmSec > 0 ? coldSec / warmSec : 0;
-    }
-};
-
-ArtifactTiming
-measureArtifactStore()
-{
-    namespace fs = std::filesystem;
-    ArtifactTiming t;
-    const std::string dir =
-        (fs::temp_directory_path() /
-         ("bitspec_bench_store_" +
-          std::to_string(static_cast<unsigned long long>(
-              Clock::now().time_since_epoch().count()))))
-            .string();
-    fs::remove_all(dir);
-
-    std::vector<std::pair<const Workload *, SystemConfig>> specs;
-    for (const Workload &w : mibenchSuite()) {
-        specs.emplace_back(&w, SystemConfig::baseline());
-        specs.emplace_back(&w, SystemConfig::bitspec());
-    }
-    t.systems = specs.size();
-
-    std::vector<RunResult> cold_results, warm_results;
-    cold_results.reserve(specs.size());
-    warm_results.reserve(specs.size());
-
-    {
-        artifact::ArtifactStore store(dir, 512ull << 20);
-        for (const auto &[wp, cfg] : specs) {
-            const Workload &w = *wp;
-            auto c0 = Clock::now();
-            System sys(w.source, cfg,
-                       [&w](Module &m) { w.setInput(m, 0); });
-            store.publish(
-                ExperimentRunner::systemKeyHash(w, cfg, 0),
-                sys.makeSnapshot(
-                    ExperimentRunner::systemKey(w, cfg, 0)));
-            auto c1 = Clock::now();
-            t.coldSec += seconds(c0, c1);
-            cold_results.push_back(
-                sys.run([&w](Module &m) { w.setInput(m, 0); }));
-        }
-        t.diskWrites = store.stats().writes;
-    }
-
-    {
-        // A fresh store object: the warm path shares only the files
-        // on disk with the cold one, like a second process would.
-        artifact::ArtifactStore store(dir, 512ull << 20);
-        for (const auto &[wp, cfg] : specs) {
-            const Workload &w = *wp;
-            auto w0 = Clock::now();
-            auto snap = store.load(
-                ExperimentRunner::systemKeyHash(w, cfg, 0),
-                ExperimentRunner::systemKey(w, cfg, 0));
-            if (!snap) {
-                t.identical = false;
-                continue;
-            }
-            System sys(*snap, cfg);
-            auto w1 = Clock::now();
-            t.warmSec += seconds(w0, w1);
-            warm_results.push_back(
-                sys.run([&w](Module &m) { w.setInput(m, 0); }));
-        }
-        t.diskHits = store.stats().hits;
-    }
-
-    if (warm_results.size() != cold_results.size())
-        t.identical = false;
-    else
-        for (size_t i = 0; i < cold_results.size(); ++i)
-            if (!sameResult(cold_results[i], warm_results[i]))
-                t.identical = false;
-
-    // Runner integration: a fresh runner with the store attached must
-    // serve every spec from disk and agree with the cold population.
-    {
-        ExperimentRunner warm_runner;
-        warm_runner.enableArtifactStore(dir, 512ull << 20);
-        for (size_t i = 0; i < specs.size(); ++i) {
-            RunResult r = warm_runner.evaluate(*specs[i].first,
-                                               specs[i].second, 0, 0);
-            if (!sameResult(cold_results[i], r))
-                t.identical = false;
-        }
-        t.runnerDiskHits = warm_runner.stats().diskHits;
-        if (t.runnerDiskHits != specs.size())
-            t.identical = false;
-    }
-
-    fs::remove_all(dir);
-    t.gate = t.speedup() >= 5.0;
-    return t;
-}
-
-std::string
-artifactSection(const ArtifactTiming &t)
-{
-    std::ostringstream os;
-    os << "  \"artifact_store\": {\n";
-    os << "    \"systems\": " << t.systems << ",\n";
-    os << "    \"compile_cold_sec\": " << t.coldSec << ",\n";
-    os << "    \"compile_warm_sec\": " << t.warmSec << ",\n";
-    os << "    \"speedup_warm_vs_cold\": " << t.speedup() << ",\n";
-    os << "    \"disk_writes\": " << t.diskWrites << ",\n";
-    os << "    \"disk_hits\": " << t.diskHits << ",\n";
-    os << "    \"runner_disk_hits\": " << t.runnerDiskHits << ",\n";
-    os << "    \"bit_identical\": "
-       << (t.identical ? "true" : "false") << ",\n";
-    os << "    \"gate_speedup_5x\": " << (t.gate ? "true" : "false")
-       << "\n";
     os << "  }\n";
     return os.str();
 }
@@ -1013,21 +870,6 @@ main(int argc, char **argv)
                     r.sameChecksum ? "same" : "DIFFERENT");
     }
 
-    // Artifact-store cold/warm A/B: compile-once/serve-many across
-    // processes must beat recompiling by a wide margin.
-    ArtifactTiming art = measureArtifactStore();
-    all_identical = all_identical && art.identical && art.gate;
-    std::printf("\nartifact store A/B: %zu systems  cold=%.3fs "
-                "warm=%.3fs  speedup=%.1fx (gate >=5x %s)  "
-                "writes=%llu hits=%llu runner_hits=%llu  "
-                "identical=%s\n",
-                art.systems, art.coldSec, art.warmSec, art.speedup(),
-                art.gate ? "met" : "MISSED",
-                static_cast<unsigned long long>(art.diskWrites),
-                static_cast<unsigned long long>(art.diskHits),
-                static_cast<unsigned long long>(art.runnerDiskHits),
-                art.identical ? "yes" : "NO");
-
     // Registry view of the same activity: cache + run counters
     // recorded by the ExperimentRunner through obs/metrics.
     std::printf("\nmetrics registry (experiment.* and run.* recorded "
@@ -1079,20 +921,17 @@ main(int argc, char **argv)
     if (argc > 1) {
         bool ok = appendToJson(argv[1], jsonSection(grids, threads)) &&
                   appendToJson(argv[1], staticLintSection(lint_rows)) &&
-                  appendToJson(argv[1], artifactSection(art)) &&
                   appendToJson(argv[1], observabilitySection(gate)) &&
                   appendToJson(argv[1], ledgerSection(ledger_gate));
         if (ok)
             std::printf("appended experiment_engine + static_lint + "
-                        "artifact_store + observability + run_ledger "
-                        "sections to %s\n",
+                        "observability + run_ledger sections to %s\n",
                         argv[1]);
         else
             std::printf(
-                "could not update %s; sections follow:\n%s%s%s%s%s",
+                "could not update %s; sections follow:\n%s%s%s%s",
                 argv[1], jsonSection(grids, threads).c_str(),
                 staticLintSection(lint_rows).c_str(),
-                artifactSection(art).c_str(),
                 observabilitySection(gate).c_str(),
                 ledgerSection(ledger_gate).c_str());
     }

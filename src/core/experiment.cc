@@ -7,12 +7,12 @@
 #include <exception>
 #include <optional>
 
-#include "artifact/store.h"
 #include "obs/flightrec.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "obs/trajectory.h"
 #include "support/error.h"
 #include "support/log.h"
 #include "support/stats.h"
@@ -38,10 +38,9 @@ fnv1a(const std::string &s)
 /**
  * The canonical key and its 128-bit hash are two renderings of the
  * same field sequence, kept in lockstep by folding through a sink:
- * StringKeySink builds the readable key (artifact payloads embed it
- * for collision detection), HashKeySink digests the identical fields
- * without any heap allocation — the rendering getOrBuild uses per
- * lookup.
+ * StringKeySink builds the readable key (the ledger's system and cell
+ * keys), HashKeySink digests the identical fields without any heap
+ * allocation — the rendering getOrBuild uses per lookup.
  */
 struct StringKeySink
 {
@@ -121,14 +120,10 @@ struct HashKeySink
     }
 };
 
-/** @p include_flavour distinguishes the two key uses: the cache /
- *  artifact key embeds the build flavour (a snapshot must never
- *  outlive its producing binary), while the ledger's cell key omits
- *  it so records from different commits stay joinable. */
 template <typename Sink>
 void
 foldSystemKey(Sink &s, const Workload &w, const SystemConfig &c,
-              uint64_t profile_seed, bool include_flavour = true)
+              uint64_t profile_seed)
 {
     auto appendField = [&s](const char *n, auto v) { s.field(n, v); };
     s.text(w.name);
@@ -177,8 +172,6 @@ foldSystemKey(Sink &s, const Workload &w, const SystemConfig &c,
     appendField("ePipe", c.energy.pipelinePerCycle);
     appendField("eMisspec", c.energy.misspecRecovery);
     appendField("pseed", profile_seed);
-    if (include_flavour)
-        appendField("flavour", artifact::buildFlavour());
 }
 
 /** The training key: every input TrainedModule reads. The source
@@ -227,8 +220,7 @@ ExperimentRunner::cellKey(const ExperimentCell &cell)
 {
     bsAssert(cell.workload != nullptr, "cellKey on empty cell");
     StringKeySink s;
-    foldSystemKey(s, *cell.workload, cell.config, cell.profileSeed,
-                  /*include_flavour=*/false);
+    foldSystemKey(s, *cell.workload, cell.config, cell.profileSeed);
     s.field("rseed", cell.runSeed);
     // A fixed segment: ledgers written while the core had a second
     // engine carry it (as "default" for every cell without an
@@ -240,27 +232,10 @@ ExperimentRunner::cellKey(const ExperimentCell &cell)
 }
 
 ExperimentRunner::ExperimentRunner(unsigned threads)
-    : pool_(threads), store_(artifact::ArtifactStore::fromEnv()),
-      ledgerLabel_(program_invocation_short_name)
+    : pool_(threads), ledgerLabel_(program_invocation_short_name)
 {}
 
-ExperimentRunner::~ExperimentRunner() = default;
-
-void
-ExperimentRunner::enableArtifactStore(const std::string &dir,
-                                      uint64_t max_bytes)
-{
-    store_ =
-        std::make_unique<artifact::ArtifactStore>(dir, max_bytes);
-}
-
-const artifact::ArtifactStore *
-ExperimentRunner::artifactStore() const
-{
-    return store_.get();
-}
-
-std::shared_ptr<const ExperimentRunner::CachedSystem>
+std::shared_ptr<const System>
 ExperimentRunner::getOrBuild(const Workload &w,
                              const SystemConfig &config,
                              uint64_t profile_seed,
@@ -268,8 +243,8 @@ ExperimentRunner::getOrBuild(const Workload &w,
 {
     const Hash128 key = systemKeyHash(w, config, profile_seed);
 
-    std::promise<std::shared_ptr<const CachedSystem>> promise;
-    std::shared_future<std::shared_ptr<const CachedSystem>> fut;
+    std::promise<std::shared_ptr<const System>> promise;
+    std::shared_future<std::shared_ptr<const System>> fut;
     bool builder = false;
     bool inflight = false;
     {
@@ -297,44 +272,20 @@ ExperimentRunner::getOrBuild(const Workload &w,
         trace::instant("cache.miss", "experiment",
                        {{"workload", w.name}});
         try {
-            std::shared_ptr<CachedSystem> sys;
-            std::string canonical;
-            if (store_) {
-                canonical = systemKey(w, config, profile_seed);
-                if (auto snap = store_->load(key, canonical)) {
-                    sys = std::make_shared<CachedSystem>(*snap, config);
-                    reg.counter("experiment.disk.hits",
-                                {{"workload", w.name}})
-                        .add();
-                    trace::instant("disk.hit", "experiment",
-                                   {{"workload", w.name}});
-                } else {
-                    reg.counter("experiment.disk.misses",
-                                {{"workload", w.name}})
-                        .add();
-                }
-            }
-            if (!sys) {
-                std::shared_ptr<const TrainedModule> trained =
-                    getOrTrain(w, config.expander, profile_seed);
-                sys = std::make_shared<CachedSystem>(*trained, config);
-                // Absorb the build's squeezer stats once per real
-                // compile (runs reusing this System — and disk-tier
-                // restores — do not re-count them).
-                const SqueezeStats &sq = sys->sys.squeezeStats();
-                MetricsRegistry::Labels wl = {{"workload", w.name}};
-                reg.counter("squeeze.narrowed", wl).add(sq.narrowed);
-                reg.counter("squeeze.regions", wl).add(sq.regions);
-                reg.counter("squeeze.checks_dropped", wl)
-                    .add(sq.checksDropped);
-                reg.counter("lint.proven_safe", wl)
-                    .add(sq.lintProvenSafe);
-                reg.counter("lint.proven_unsafe", wl)
-                    .add(sq.lintProvenUnsafe);
-                if (store_)
-                    store_->publish(key,
-                                    sys->sys.makeSnapshot(canonical));
-            }
+            std::shared_ptr<const TrainedModule> trained =
+                getOrTrain(w, config.expander, profile_seed);
+            auto sys = std::make_shared<const System>(*trained, config);
+            // Absorb the build's squeezer stats once per compile (runs
+            // reusing this System do not re-count them).
+            const SqueezeStats &sq = sys->squeezeStats();
+            MetricsRegistry::Labels wl = {{"workload", w.name}};
+            reg.counter("squeeze.narrowed", wl).add(sq.narrowed);
+            reg.counter("squeeze.regions", wl).add(sq.regions);
+            reg.counter("squeeze.checks_dropped", wl)
+                .add(sq.checksDropped);
+            reg.counter("lint.proven_safe", wl).add(sq.lintProvenSafe);
+            reg.counter("lint.proven_unsafe", wl)
+                .add(sq.lintProvenUnsafe);
             promise.set_value(std::move(sys));
         } catch (...) {
             // Every cell sharing this key sees the build failure.
@@ -351,10 +302,9 @@ ExperimentRunner::getOrBuild(const Workload &w,
                        {{"workload", w.name},
                         {"inflight", inflight ? "1" : "0"}});
     }
-    std::shared_ptr<const CachedSystem> cached = fut.get();
     if (origin)
-        *origin = builder ? cached->origin : "memory";
-    return cached;
+        *origin = builder ? "compile" : "memory";
+    return fut.get();
 }
 
 std::shared_ptr<const TrainedModule>
@@ -416,9 +366,9 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
     if (cell.policy != MisspecPolicy::Hardware)
         span.arg("policy", misspecPolicyName(cell.policy));
     const char *origin = "memory";
-    std::shared_ptr<const CachedSystem> cached = getOrBuild(
+    std::shared_ptr<const System> cached = getOrBuild(
         *cell.workload, cell.config, cell.profileSeed, &origin);
-    const System &sys = cached->sys;
+    const System &sys = *cached;
     const Workload &w = *cell.workload;
     uint64_t run_seed = cell.runSeed;
 
@@ -433,7 +383,7 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
     LedgerRecord rec;
     uint64_t log_errors0 = 0, log_warns0 = 0;
     if (ledger) {
-        rec.flavour = artifact::buildFlavour();
+        rec.flavour = buildFlavour();
         rec.bench = ledgerLabel_;
         rec.workload = w.name;
         rec.cellKey = cellKey(cell);
@@ -643,7 +593,7 @@ ExperimentRunner::run(const std::vector<ExperimentCell> &cells)
             h.add(wsec);
         LedgerRecord rec;
         rec.kind = "matrix";
-        rec.flavour = artifact::buildFlavour();
+        rec.flavour = buildFlavour();
         rec.bench = ledgerLabel_;
         rec.env = captureBitspecEnv();
         rec.setField("matrix.cells",
@@ -680,22 +630,14 @@ ExperimentRunner::withSystem(
     const Workload &w, const SystemConfig &config,
     uint64_t profile_seed, const std::function<void(const System &)> &fn)
 {
-    fn(getOrBuild(w, config, profile_seed)->sys);
+    fn(*getOrBuild(w, config, profile_seed));
 }
 
 ExperimentStats
 ExperimentRunner::stats() const
 {
     std::lock_guard<std::mutex> lock(cacheMu_);
-    ExperimentStats out = stats_;
-    if (store_) {
-        const artifact::StoreStats ds = store_->stats();
-        out.diskHits = ds.hits;
-        out.diskMisses = ds.misses;
-        out.diskWrites = ds.writes;
-        out.diskInvalid = ds.invalid;
-    }
-    return out;
+    return stats_;
 }
 
 void

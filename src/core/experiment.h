@@ -46,11 +46,6 @@
 namespace bitspec
 {
 
-namespace artifact
-{
-class ArtifactStore;
-}
-
 /** One cell of an experiment matrix. */
 struct ExperimentCell
 {
@@ -82,24 +77,16 @@ struct ExperimentCell
 struct ExperimentStats
 {
     uint64_t cells = 0;        ///< Cells executed.
-    /** In-memory cache misses. Each one either restored a snapshot
-     *  from the artifact store (diskHits) or ran a full compile. */
-    uint64_t systemsBuilt = 0;
+    uint64_t systemsBuilt = 0; ///< Cache misses: Systems compiled.
     uint64_t cacheHits = 0;    ///< Cells served by a cached System.
     /** Cache hits that blocked on a build still in flight (the
      *  shared_future was not ready when the requester arrived). */
     uint64_t inflightWaits = 0;
 
-    /** Training tier: compiles (cache misses not served from disk)
-     *  start from a shared TrainedModule. */
+    /** Training tier: every compile starts from a shared
+     *  TrainedModule. */
     uint64_t trainings = 0;    ///< Distinct training keys trained.
     uint64_t trainingHits = 0; ///< Compiles that reused a training.
-
-    /** Disk tier (all zero when no artifact store is attached). */
-    uint64_t diskHits = 0;    ///< Systems restored from disk.
-    uint64_t diskMisses = 0;  ///< Lookups that fell through to compile.
-    uint64_t diskWrites = 0;  ///< Snapshots published after a compile.
-    uint64_t diskInvalid = 0; ///< Corrupt/stale artifacts discarded.
 };
 
 /**
@@ -118,7 +105,6 @@ class ExperimentRunner
     /** @param threads Worker count; 0 = BITSPEC_JOBS env override or
      *  hardware concurrency (ThreadPool::defaultThreadCount). */
     explicit ExperimentRunner(unsigned threads = 0);
-    ~ExperimentRunner();
 
     /**
      * Execute every cell, in parallel, returning results in
@@ -136,9 +122,7 @@ class ExperimentRunner
      * caller reuse the System's squeezed module directly — the
      * differential fuzzer interprets a cloneModule copy of it instead
      * of re-running the whole squeeze pipeline a second time. Other
-     * cells may run the same System concurrently. Beware: a System
-     * restored from the disk artifact tier carries globals only, no
-     * IR — check module().getFunction before interpreting.
+     * cells may run the same System concurrently.
      */
     void withSystem(const Workload &w, const SystemConfig &config,
                     uint64_t profile_seed,
@@ -149,19 +133,6 @@ class ExperimentRunner
     /** Drop every cached System and training (failed ones too). */
     void clearCache();
 
-    /**
-     * Attach an on-disk artifact store (second cache tier): getOrBuild
-     * consults it before compiling and publishes after. The
-     * constructor already wires one up from BITSPEC_ARTIFACT_DIR /
-     * BITSPEC_ARTIFACT_MAX_MB; this override is for tests and benches
-     * that manage their own directory. Call before the first run.
-     */
-    void enableArtifactStore(const std::string &dir,
-                             uint64_t max_bytes);
-
-    /** The attached store, or nullptr when the disk tier is off. */
-    const artifact::ArtifactStore *artifactStore() const;
-
     /** The `bench` name of the ledger records (cell and matrix) of
      *  subsequent runs; the process name until set. Call between
      *  runs, not while cells are in flight. */
@@ -170,61 +141,34 @@ class ExperimentRunner
     /**
      * Canonical cache key of a cell's compiled System: workload name,
      * FNV-1a hash of the source text, every SystemConfig field (in
-     * declaration order, doubles at full precision), the profile
-     * seed, and the build flavour (git describe + build type +
-     * snapshot schema hash — see artifact::buildFlavour). Run seeds
-     * are deliberately absent.
+     * declaration order, doubles at full precision) and the profile
+     * seed. Run seeds are deliberately absent. The build is not part
+     * of it: the cache lives in one process, which is one build.
      */
     static std::string systemKey(const Workload &w,
                                  const SystemConfig &config,
                                  uint64_t profile_seed);
 
     /** 128-bit content hash of the same fields, computed without
-     *  building the key string (the hot getOrBuild path); also the
-     *  artifact store's file name. Equal canonical keys <=> equal
-     *  hashes (module a 2^-128 collision, which the store's embedded
-     *  key string additionally guards against). */
+     *  building the key string (the hot getOrBuild path). Equal
+     *  canonical keys <=> equal hashes (modulo a 2^-128 collision). */
     static Hash128 systemKeyHash(const Workload &w,
                                  const SystemConfig &config,
                                  uint64_t profile_seed);
 
     /**
-     * Canonical *flavour-free* identity of a cell for the run ledger
-     * (obs/ledger.h): the systemKey fields minus the build flavour,
-     * plus the run seed and the run-level knobs (policy, policy
-     * seed). Excluding the flavour is the point — bitspec-diff joins
-     * ledgers from two different commits on this key, which is
-     * exactly what the full systemKey is designed to prevent for the
-     * artifact cache.
+     * Canonical identity of a cell for the run ledger (obs/ledger.h):
+     * the systemKey fields plus the run seed and the run-level knobs
+     * (policy, policy seed). It names no build, so bitspec-diff joins
+     * ledgers from two different commits on it.
      */
     static std::string cellKey(const ExperimentCell &cell);
 
   private:
-    /** A cached System and where it came from. */
-    struct CachedSystem
-    {
-        System sys;
-        /** How this instance came to exist: "compile" or "disk".
-         *  Requesters that find it already cached report "memory" in
-         *  their ledger records instead. */
-        const char *origin = "compile";
-
-        CachedSystem(const TrainedModule &trained,
-                     const SystemConfig &config)
-            : sys(trained, config)
-        {}
-
-        /** Warm start from a disk artifact. */
-        CachedSystem(const artifact::SystemSnapshot &snap,
-                     const SystemConfig &config)
-            : sys(snap, config), origin("disk")
-        {}
-    };
-
     /** @p origin (optional) receives this call's cache provenance:
-     *  the built System's origin when this call compiled/restored it,
-     *  "memory" when an already-cached instance served it. */
-    std::shared_ptr<const CachedSystem>
+     *  "compile" when this call built the System, "memory" when an
+     *  already-cached instance served it. */
+    std::shared_ptr<const System>
     getOrBuild(const Workload &w, const SystemConfig &config,
                uint64_t profile_seed, const char **origin = nullptr);
     /** The shared training for (w, expander, profile_seed), trained
@@ -241,7 +185,7 @@ class ExperimentRunner
      *  key block on one build instead of compiling twice. Keyed by
      *  the 128-bit content hash — no string building per lookup. */
     std::unordered_map<
-        Hash128, std::shared_future<std::shared_ptr<const CachedSystem>>,
+        Hash128, std::shared_future<std::shared_ptr<const System>>,
         Hash128Hasher>
         cache_;
     /** Training tier under cache_, same rules, keyed by the training
@@ -250,8 +194,6 @@ class ExperimentRunner
                        std::shared_future<std::shared_ptr<const TrainedModule>>,
                        Hash128Hasher>
         trained_;
-    /** Disk tier; nullptr when disabled (the default). */
-    std::unique_ptr<artifact::ArtifactStore> store_;
     ExperimentStats stats_;
     std::string ledgerLabel_;
 };

@@ -119,51 +119,6 @@ System::System(const TrainedModule &trained, const SystemConfig &config)
         std::make_unique<const PredecodedProgram>(compiled_->program);
 }
 
-System::System(const artifact::SystemSnapshot &snap,
-               const SystemConfig &config)
-    : config_(config)
-{
-    trace::Span span("system.restore", "compile");
-    module_ = std::make_unique<Module>();
-    for (const artifact::SystemSnapshot::GlobalImage &g :
-         snap.globals) {
-        Global *ng = module_->addGlobal(
-            g.name, g.elemBits, static_cast<size_t>(g.elemCount));
-        ng->setAddress(g.address);
-        ng->setData(g.data);
-    }
-    compiled_ = std::make_unique<const CompiledProgram>(
-        CompiledProgram{snap.program, snap.backendStats});
-    squeezeStats_ = snap.squeezeStats;
-    expandStats_ = snap.expandStats;
-    trainIrSteps_ = snap.profiledIrSteps;
-    predecoded_ =
-        std::make_unique<const PredecodedProgram>(compiled_->program);
-}
-
-artifact::SystemSnapshot
-System::makeSnapshot(const std::string &key) const
-{
-    artifact::SystemSnapshot snap;
-    snap.key = key;
-    snap.program = compiled_->program;
-    snap.backendStats = compiled_->stats;
-    snap.squeezeStats = squeezeStats_;
-    snap.expandStats = expandStats_;
-    snap.profiledIrSteps = trainIrSteps_;
-    snap.globals.reserve(module_->globals().size());
-    for (const auto &g : module_->globals()) {
-        artifact::SystemSnapshot::GlobalImage img;
-        img.name = g->name();
-        img.elemBits = g->elemBits();
-        img.elemCount = g->elemCount();
-        img.address = g->address();
-        img.data = g->data();
-        snap.globals.push_back(std::move(img));
-    }
-    return snap;
-}
-
 RunResult
 System::run(const std::function<void(Module &)> &run_input,
             const std::vector<uint32_t> &args,

@@ -22,7 +22,6 @@
 #include <memory>
 #include <string>
 
-#include "artifact/snapshot.h"
 #include "backend/compiler.h"
 #include "energy/dts.h"
 #include "energy/model.h"
@@ -177,26 +176,6 @@ class System
     System(const TrainedModule &trained, const SystemConfig &config);
 
     /**
-     * Warm-start from an artifact-store snapshot: no frontend,
-     * profiling, squeeze or codegen — the linked program, stats and
-     * post-profiling global images come straight from @p snap.
-     * @p config must be the configuration the snapshot was compiled
-     * under (the store's content-addressed key guarantees this).
-     *
-     * The restored Module carries globals only (run inputs mutate
-     * globals by name; nothing downstream of the backend reads IR
-     * functions), so run()s are bit-identical to a fresh compile —
-     * ctest-enforced by tests/artifact/artifact_diff_test.cc — but
-     * there is no IR to interpret.
-     */
-    System(const artifact::SystemSnapshot &snap,
-           const SystemConfig &config);
-
-    /** Capture this System for the artifact store. @p key is the
-     *  canonical systemKey embedded for collision detection. */
-    artifact::SystemSnapshot makeSnapshot(const std::string &key) const;
-
-    /**
      * Run with fresh input. The run copies the post-profiling global
      * images into a globals-only Module of its own, lets @p run_input
      * mutate that copy, and executes from _start with @p args on a
@@ -213,13 +192,13 @@ class System
                   MisspecPolicy policy = MisspecPolicy::Hardware,
                   uint64_t policy_seed = 0x5eed) const;
 
-    /** The squeezed module (globals only when restored from a
-     *  snapshot). Interpret a cloneModule copy of it: interpreting
-     *  needs a mutable module. */
+    /** The squeezed module. Interpret a cloneModule copy of it:
+     *  interpreting needs a mutable module. */
     const Module &module() const { return *module_; }
     const MachProgram &program() const { return compiled_->program; }
     const SystemConfig &config() const { return config_; }
     const SqueezeStats &squeezeStats() const { return squeezeStats_; }
+    const BackendStats &backendStats() const { return compiled_->stats; }
 
     /** Dynamic IR instructions of the training run (Fig. 3's
      *  IR-level series), baseline configurations included. */

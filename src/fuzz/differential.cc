@@ -7,8 +7,6 @@
 #include "obs/profiler.h"
 #include "support/error.h"
 #include "support/str.h"
-#include "transform/expander.h"
-#include "transform/squeezer.h"
 
 namespace bitspec
 {
@@ -116,13 +114,15 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
     // ---- Decoded interpreter on the squeezed IR, all policies. ----
     // Runs on a copy of the System's module (built once by the runner
     // and shared with the machine cells below), so the squeeze
-    // pipeline executes once per program. A System restored from the
-    // disk artifact tier has no IR; fall back to rebuilding the
-    // squeezed module locally (identical passes, same train/run
-    // protocol).
-    auto interpSweep = [&](Module &mod) {
-        setFuzzInputs(mod, opts.runSeed);
-        Interpreter it(mod);
+    // pipeline executes once per program.
+    try {
+        std::unique_ptr<Module> squeezed;
+        runner.withSystem(w, cfg, opts.profileSeed,
+                          [&](const System &sys) {
+                              squeezed = cloneModule(sys.module());
+                          });
+        setFuzzInputs(*squeezed, opts.runSeed);
+        Interpreter it(*squeezed);
         it.setFuel(opts.fuel);
         for (MisspecPolicy policy : kPolicies) {
             it.reset(); // Re-copy globals, clear outputs/stats.
@@ -144,23 +144,6 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
                         it.outputChecksum()),
                     static_cast<unsigned long long>(want_sum)));
         }
-    };
-    try {
-        std::unique_ptr<Module> squeezed;
-        runner.withSystem(w, cfg, opts.profileSeed,
-                          [&](const System &sys) {
-                              if (sys.module().getFunction("main"))
-                                  squeezed = cloneModule(sys.module());
-                          });
-        if (!squeezed) {
-            squeezed = compileSource(w.source);
-            setFuzzInputs(*squeezed, opts.profileSeed);
-            expandModule(*squeezed, cfg.expander);
-            BitwidthProfile profile;
-            profile.profileRun(*squeezed);
-            squeezeModule(*squeezed, profile, cfg.squeezeOpts);
-        }
-        interpSweep(*squeezed);
     } catch (const FatalError &e) {
         out.status = FuzzDiffStatus::Skipped;
         out.detail = std::string("interp pipeline: ") + e.what();

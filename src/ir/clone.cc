@@ -92,14 +92,9 @@ cloneModule(const Module &src, ValueMap *map)
             nf->arg(i)->setName(f->arg(i)->name());
             values.emplace(f->arg(i), nf->arg(i));
         }
-        for (const auto &bb : f->blocks()) {
-            BasicBlock *nbb = nf->addBlock(bb->name());
-            // Verbatim even if a rename clashed; the uniquing state
-            // is overwritten from the source just below.
-            nbb->setName(bb->name());
-            blocks.emplace(bb.get(), nbb);
-        }
         nf->copyBookkeepingFrom(*f);
+        for (const auto &bb : f->blocks())
+            blocks.emplace(bb.get(), nf->appendBlockNamed(bb->name()));
         funcs.emplace(f.get(), nf);
     }
 

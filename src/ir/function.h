@@ -104,9 +104,18 @@ class Function
     }
 
     BasicBlock *
-    addBlock(std::string name)
+    addBlock(const std::string &name)
     {
-        blocks_.push_back(std::make_unique<BasicBlock>(uniqueName(name)));
+        return appendBlockNamed(uniqueName(name));
+    }
+
+    /** Append a block named @p name as given, without claiming the
+     *  name in the uniquing state (cloneModule: the copied state
+     *  already holds it, and a renamed source block may share it). */
+    BasicBlock *
+    appendBlockNamed(std::string name)
+    {
+        blocks_.push_back(std::make_unique<BasicBlock>(std::move(name)));
         blocks_.back()->setParent(this);
         return blocks_.back().get();
     }

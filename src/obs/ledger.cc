@@ -530,6 +530,7 @@ validateLedgerRecord(const LedgerRecord &rec)
         return "missing system_key";
     if (rec.artifactKey.empty())
         return "missing artifact_key";
+    // "disk": records written while the runner had an on-disk tier.
     if (rec.cacheSource != "compile" && rec.cacheSource != "memory" &&
         rec.cacheSource != "disk")
         return "cache_source must be compile|memory|disk, got \"" +

@@ -10,11 +10,12 @@
  * carries two halves:
  *
  *  - Provenance: the producing build flavour (git describe + build
- *    type + snapshot schema hash), bench binary, canonicalized
- *    SystemConfig key, artifact-store key and cache tier that served
- *    the System (compile / memory / disk), all BITSPEC_* env knobs in
- *    effect, and every seed. A record is a recipe: any cell can be
- *    re-run from its ledger line alone.
+ *    type, obs/trajectory.h buildFlavour()), bench binary,
+ *    canonicalized SystemConfig key and its 128-bit hash, whether the
+ *    cell's System was compiled for it or served from the runner's
+ *    in-memory cache, all BITSPEC_* env knobs in effect, and every
+ *    seed. A record is a recipe: any cell can be re-run from its
+ *    ledger line alone.
  *  - Telemetry: the complete observable surface of the run — every
  *    ActivityCounters field, cache/DRAM stats, the energy ledger,
  *    wall time, log-event counts, squeeze/expand/backend stats, and
@@ -22,12 +23,12 @@
  *    top-K per-block heat rows with exact whole-run sums for
  *    reconciliation against the aggregate counters.
  *
- * Writing is crash-safe by the same reasoning as the artifact store's
- * atomic publish: each record is formatted completely, then appended
- * with one O_APPEND write(2), so concurrent writers (worker threads,
- * even multiple processes sharing BITSPEC_LEDGER) never interleave
- * mid-record and a crash can only tear the final line — which the
- * loader, like obs/trajectory's, skips instead of failing on.
+ * Writing is crash-safe: each record is formatted completely, then
+ * appended with one O_APPEND write(2), so concurrent writers (worker
+ * threads, even multiple processes sharing BITSPEC_LEDGER) never
+ * interleave mid-record and a crash can only tear the final line —
+ * which the loader, like obs/trajectory's, skips instead of failing
+ * on.
  *
  * Knobs: BITSPEC_LEDGER=<path> enables the global writer;
  * BITSPEC_LEDGER_DETAIL=1 additionally attaches the block profiler
@@ -100,15 +101,22 @@ struct LedgerRecord
 
     /** @name Provenance */
     /// @{
-    std::string flavour;     ///< artifact::buildFlavour().
+    /** buildFlavour(). Records written while the runner had an
+     *  on-disk tier append the snapshot schema hash as a third
+     *  part. */
+    std::string flavour;
     std::string bench;       ///< Producing binary (argv[0] basename).
     std::string workload;    ///< Workload name ("" for matrix kind).
     /** Flavour-free canonical join key — stable across builds, so two
      *  ledgers from different commits still join cell-for-cell. */
     std::string cellKey;
-    std::string systemKey;   ///< Full canonical key (with flavour).
-    std::string artifactKey; ///< 128-bit system key hash, hex.
-    std::string cacheSource; ///< "compile" | "memory" | "disk".
+    /** Canonical System key; older records append the flavour. */
+    std::string systemKey;
+    /** 128-bit system key hash, hex (JSON "artifact_key"). */
+    std::string artifactKey;
+    /** "compile" | "memory"; records written while the runner had
+     *  an on-disk tier may also say "disk". */
+    std::string cacheSource;
     /** Core that ran the cell: always "fast" (FastCore), kept so
      *  schema-1 records stay readable both ways. */
     std::string engine;

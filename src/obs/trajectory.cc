@@ -241,6 +241,14 @@ thisBuild()
     return build;
 }
 
+const std::string &
+buildFlavour()
+{
+    static const std::string flavour =
+        std::string(BITSPEC_GIT_DESCRIBE) + "-" + thisBuild().buildType;
+    return flavour;
+}
+
 std::optional<double>
 benchCounter(const std::string &json_text, const std::string &bench,
              const std::string &counter)
@@ -316,19 +324,6 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
         if (overhead)
             rec.series.push_back(
                 {"obs.trace_overhead_pct", *overhead});
-    }
-
-    // experiment_smoke's artifact-store cold/warm A/B. The speedup is
-    // gated (speedup. prefix): serving a compiled System from the
-    // artifact store must stay far cheaper than recompiling.
-    size_t art = json_text.find("\"artifact_store\":");
-    if (art != std::string::npos) {
-        add("time.compile_cold",
-            numberAfter(json_text, "compile_cold_sec", art));
-        add("time.compile_warm",
-            numberAfter(json_text, "compile_warm_sec", art));
-        add("speedup.artifact_warm_vs_cold",
-            numberAfter(json_text, "speedup_warm_vs_cold", art));
     }
 
     // experiment_engine grid speedups.

@@ -70,6 +70,15 @@ struct BuildInfo
  *  is not it: that describes how libbenchmark itself was built. */
 const BuildInfo &thisBuild();
 
+/**
+ * Names the producing build in ledger records: `git describe
+ * --always --dirty` and thisBuild().buildType, joined by '-' ("nogit"
+ * outside a checkout). Both are baked in when bitspec_obs is
+ * configured, so the flavour names the tree as it was at configure
+ * time: an edit rebuilt without re-running CMake keeps the old name.
+ */
+const std::string &buildFlavour();
+
 /** One bench run distilled for the history file. */
 struct TrajectoryRecord
 {

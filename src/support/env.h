@@ -13,9 +13,6 @@
  *  - BITSPEC_VERIFY_EACH   per-stage pipeline verification (bool)
  *  - BITSPEC_TRACE         path for the Chrome trace-event export
  *  - BITSPEC_METRICS       path for the metrics JSON-lines export
- *  - BITSPEC_ARTIFACT_DIR  compiled-System artifact store directory
- *                          (unset/empty = disk cache tier disabled)
- *  - BITSPEC_ARTIFACT_MAX_MB  artifact store size budget (default 512)
  *  - BITSPEC_LEDGER        path for run-ledger JSONL append
  *                          (obs/ledger.h; unset/empty = disabled)
  *  - BITSPEC_LEDGER_DETAIL embed per-region + heat rows per ledgered

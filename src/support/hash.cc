@@ -1,6 +1,5 @@
 #include "support/hash.h"
 
-#include <array>
 #include <bit>
 #include <cstdio>
 
@@ -13,19 +12,6 @@ namespace
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-
-std::array<uint32_t, 256>
-makeCrcTable()
-{
-    std::array<uint32_t, 256> table{};
-    for (uint32_t i = 0; i < 256; ++i) {
-        uint32_t c = i;
-        for (int k = 0; k < 8; ++k)
-            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
-    }
-    return table;
-}
 
 } // namespace
 
@@ -71,17 +57,6 @@ void
 Hash128Builder::updateDouble(double v)
 {
     updateU64(std::bit_cast<uint64_t>(v));
-}
-
-uint32_t
-crc32(const void *data, size_t size)
-{
-    static const std::array<uint32_t, 256> table = makeCrcTable();
-    const auto *p = static_cast<const uint8_t *>(data);
-    uint32_t c = 0xffffffffu;
-    for (size_t i = 0; i < size; ++i)
-        c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
-    return c ^ 0xffffffffu;
 }
 
 } // namespace bitspec

@@ -1,14 +1,11 @@
 /**
  * @file
- * Hashing primitives shared by the cache layers: a 128-bit
- * incremental content hash (cache keys) and CRC-32 (artifact payload
- * integrity).
+ * The 128-bit incremental content hash that keys the experiment
+ * engine's System and training caches.
  *
  * Hash128 is not cryptographic. It is two independent 64-bit lanes —
  * FNV-1a plus a golden-ratio mix — which is plenty for cache keying:
- * a colliding pair would have to agree in both lanes. Consumers that
- * cannot tolerate even that (the on-disk artifact store) additionally
- * compare the canonical key string embedded in the payload.
+ * a colliding pair would have to agree in both lanes.
  */
 
 #ifndef BITSPEC_SUPPORT_HASH_H_
@@ -29,8 +26,7 @@ struct Hash128
 
     bool operator==(const Hash128 &) const = default;
 
-    /** 32 lowercase hex digits (hi then lo); stable across runs,
-     *  suitable as an on-disk file name. */
+    /** 32 lowercase hex digits (hi then lo); stable across runs. */
     std::string hex() const;
 };
 
@@ -65,9 +61,6 @@ class Hash128Builder
   private:
     Hash128 h_;
 };
-
-/** CRC-32 (IEEE 802.3, reflected) of @p size bytes at @p data. */
-uint32_t crc32(const void *data, size_t size);
 
 } // namespace bitspec
 

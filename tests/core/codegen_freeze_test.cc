@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "artifact/snapshot.h"
 #include "core/system.h"
 #include "fuzz/differential.h"
 #include "fuzz/gen.h"
@@ -440,9 +439,7 @@ expectPinned(const std::string &workload, const char *config,
              const System &sys)
 {
     const uint64_t hash = flatHash(sys.program());
-    // The snapshot carries the backend stats the System keeps.
-    const std::string backend =
-        describe(sys.makeSnapshot("").backendStats);
+    const std::string backend = describe(sys.backendStats());
     const std::string squeeze = describe(sys.squeezeStats());
 
     const Pin *pin = findPin(workload, config);
@@ -582,8 +579,7 @@ TEST_P(CodegenFuzzFreeze, MatchesPinnedCodegen)
         for (size_t c = 0; c < named.size(); ++c) {
             const System sys(trained, named[c].config);
             got.hashes[c] = mix(got.hashes[c], flatHash(sys.program()));
-            got.hashes[c] =
-                mixStats(got.hashes[c], sys.makeSnapshot("").backendStats);
+            got.hashes[c] = mixStats(got.hashes[c], sys.backendStats());
         }
     }
 

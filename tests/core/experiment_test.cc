@@ -149,7 +149,7 @@ TEST(ExperimentRunner, SystemKeySeparatesConfigs)
 
 TEST(ExperimentRunner, SystemKeyHashMirrorsCanonicalKey)
 {
-    // The 128-bit hash (cache key, artifact file name) must separate
+    // The 128-bit hash (the cache key) must separate
     // and equate exactly as the canonical string key does.
     const Workload &w = getWorkload("CRC32");
     const Workload &w2 = getWorkload("dijkstra");

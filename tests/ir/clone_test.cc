@@ -192,14 +192,26 @@ TEST(CloneModule, CopyPrintsIdenticallyAndOwnsEverything)
 
 TEST(CloneModule, CopyNamesNewBlocksAsTheSourceWould)
 {
-    std::unique_ptr<Module> src = buildRichModule();
-    std::unique_ptr<Module> copy = cloneModule(*src);
-    Function *f = src->getFunction("main");
-    Function *g = copy->getFunction("main");
-    // "spec.0" belonged to a deleted block: still taken on both.
-    for (const char *base : {"spec", "spec", "entry", "fresh", "spec.0"})
-        EXPECT_EQ(f->addBlock(base)->name(), g->addBlock(base)->name())
-            << base;
+    // The second input renames the handler onto "spec": block names
+    // need not be unique, only the names addBlock hands out are.
+    for (bool renamed : {false, true}) {
+        std::unique_ptr<Module> src = buildRichModule();
+        Function *f = src->getFunction("main");
+        if (renamed)
+            f->blocks()[2]->setName("spec");
+        std::unique_ptr<Module> copy = cloneModule(*src);
+        Function *g = copy->getFunction("main");
+        ASSERT_EQ(g->blocks().size(), f->blocks().size());
+        for (size_t i = 0; i < f->blocks().size(); ++i)
+            EXPECT_EQ(g->blocks()[i]->name(), f->blocks()[i]->name())
+                << "block " << i << " renamed=" << renamed;
+        // "spec.0" belonged to a deleted block: still taken on both.
+        for (const char *base :
+             {"spec", "spec", "entry", "fresh", "spec.0", "spec.handler"})
+            EXPECT_EQ(f->addBlock(base)->name(),
+                      g->addBlock(base)->name())
+                << base << " renamed=" << renamed;
+    }
 }
 
 TEST(CloneModule, CopiesAreIndependent)

@@ -18,6 +18,7 @@
 
 #include "core/experiment.h"
 #include "obs/ledger.h"
+#include "obs/trajectory.h"
 #include "workloads/workload.h"
 
 namespace bitspec
@@ -118,15 +119,24 @@ TEST(LedgerSelfcheck, LiveMatrixValidatesAndReconciles)
         EXPECT_EQ(rec->outputChecksum, hex);
 
         // Provenance: the workload ran from a compile or the in-memory
-        // cache (no artifact store attached here), and every seed is
+        // cache, the flavour names this build, and every seed is
         // recorded.
         EXPECT_EQ(rec->workload, w.name);
         EXPECT_TRUE(rec->cacheSource == "compile" ||
                     rec->cacheSource == "memory")
             << rec->cacheSource;
         EXPECT_EQ(rec->runSeed, cells[i].runSeed);
-        EXPECT_FALSE(rec->flavour.empty());
+        EXPECT_EQ(rec->flavour, buildFlavour());
+        const std::string type_suffix = "-" + thisBuild().buildType;
+        ASSERT_GE(rec->flavour.size(), type_suffix.size());
+        EXPECT_EQ(rec->flavour.substr(rec->flavour.size() -
+                                      type_suffix.size()),
+                  type_suffix)
+            << rec->flavour;
         EXPECT_FALSE(rec->artifactKey.empty());
+        // The System key names no build, so the cell key extends it.
+        EXPECT_EQ(rec->cellKey.rfind(rec->systemKey, 0), 0u)
+            << rec->systemKey;
 
         // Detail mode: the validator already proved the region/heat
         // sums reconcile exactly with ActivityCounters; spot-check

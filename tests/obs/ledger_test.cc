@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "obs/ledger.h"
@@ -221,6 +222,24 @@ TEST(Ledger, JsonLineRoundTrips)
 TEST(Ledger, ValidatorAcceptsWellFormedCell)
 {
     EXPECT_EQ(validateLedgerRecord(makeValidCell()), "");
+
+    // A line written while the runner had an on-disk tier: cache
+    // source "disk", and a flavour of git describe, build type and
+    // snapshot schema hash. Still schema 1, still readable.
+    std::string line = toJsonLine(makeValidCell());
+    const std::string compile = "\"cache_source\":\"compile\"";
+    ASSERT_NE(line.find(compile), std::string::npos);
+    line.replace(line.find(compile), compile.size(),
+                 "\"cache_source\":\"disk\"");
+    ASSERT_NE(line.find("\"flavour\":\"abc1234-release-"
+                        "0123456789abcdef\""),
+              std::string::npos);
+    std::optional<LedgerRecord> old = parseLedgerLine(line);
+    ASSERT_TRUE(old.has_value());
+    EXPECT_EQ(old->schemaVersion, 1);
+    EXPECT_EQ(old->cacheSource, "disk");
+    EXPECT_EQ(old->flavour, "abc1234-release-0123456789abcdef");
+    EXPECT_EQ(validateLedgerRecord(*old), "");
 }
 
 TEST(Ledger, ValidatorCatchesViolations)
