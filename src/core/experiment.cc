@@ -6,6 +6,7 @@
 #include <errno.h> // program_invocation_short_name (glibc).
 #include <exception>
 #include <optional>
+#include <unordered_set>
 
 #include "obs/flightrec.h"
 #include "obs/ledger.h"
@@ -23,6 +24,14 @@ namespace bitspec
 
 namespace
 {
+
+using Clock = std::chrono::steady_clock;
+
+double
+secondsSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
 
 uint64_t
 fnv1a(const std::string &s)
@@ -236,13 +245,11 @@ ExperimentRunner::ExperimentRunner(unsigned threads)
 {}
 
 std::shared_ptr<const System>
-ExperimentRunner::getOrBuild(const Workload &w,
+ExperimentRunner::getOrBuild(const Hash128 &key, const Workload &w,
                              const SystemConfig &config,
                              uint64_t profile_seed,
                              const char **origin)
 {
-    const Hash128 key = systemKeyHash(w, config, profile_seed);
-
     std::promise<std::shared_ptr<const System>> promise;
     std::shared_future<std::shared_ptr<const System>> fut;
     bool builder = false;
@@ -353,7 +360,9 @@ ExperimentRunner::getOrTrain(const Workload &w,
 }
 
 RunResult
-ExperimentRunner::runCell(const ExperimentCell &cell)
+ExperimentRunner::runCell(const ExperimentCell &cell, const Hash128 &key,
+                          std::shared_ptr<const System> sys,
+                          const char *origin)
 {
     bsAssert(cell.workload != nullptr, "experiment cell w/o workload");
     // Worker threads are owned by the support-layer pool, which cannot
@@ -365,10 +374,9 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
     span.arg("run_seed", std::to_string(cell.runSeed));
     if (cell.policy != MisspecPolicy::Hardware)
         span.arg("policy", misspecPolicyName(cell.policy));
-    const char *origin = "memory";
-    std::shared_ptr<const System> cached = getOrBuild(
-        *cell.workload, cell.config, cell.profileSeed, &origin);
-    const System &sys = *cached;
+    if (!sys)
+        sys = getOrBuild(key, *cell.workload, cell.config,
+                         cell.profileSeed, &origin);
     const Workload &w = *cell.workload;
     uint64_t run_seed = cell.runSeed;
 
@@ -388,8 +396,7 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
         rec.workload = w.name;
         rec.cellKey = cellKey(cell);
         rec.systemKey = systemKey(w, cell.config, cell.profileSeed);
-        rec.artifactKey =
-            systemKeyHash(w, cell.config, cell.profileSeed).hex();
+        rec.artifactKey = key.hex();
         rec.cacheSource = origin;
         rec.policy = misspecPolicyName(cell.policy);
         rec.profileSeed = cell.profileSeed;
@@ -413,18 +420,15 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
         rec.engine = "fast";
     auto input = [&w, run_seed](Module &m) { w.setInput(m, run_seed); };
     RunObservers observers;
-    const auto t0 = std::chrono::steady_clock::now();
+    const Clock::time_point t0 = Clock::now();
     if (detail) {
-        bmap.emplace(sys.program());
+        bmap.emplace(sys->program());
         bsink.emplace(*bmap);
         observers.blocks = &*bsink;
     }
     const RunResult out =
-        sys.run(input, {}, observers, cell.policy, cell.policySeed);
-    const double wall_sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+        sys->run(input, {}, observers, cell.policy, cell.policySeed);
+    const double wall_sec = secondsSince(t0);
 
     MetricsRegistry &reg = MetricsRegistry::global();
     MetricsRegistry::Labels wl = {{"workload", w.name}};
@@ -549,26 +553,103 @@ ExperimentRunner::runCell(const ExperimentCell &cell)
 std::vector<RunResult>
 ExperimentRunner::run(const std::vector<ExperimentCell> &cells)
 {
+    // Plan: one build per distinct System key, made for (and counted
+    // as the lookup of) the key's first cell. The first key of each
+    // training goes ahead of all others, so the workers train
+    // different workloads side by side instead of waiting on one
+    // training for its configurations.
+    struct Build
+    {
+        size_t firstCell = 0;
+        Hash128 key;
+        std::shared_ptr<const System> system;
+        const char *origin = "memory";
+        std::exception_ptr error;
+        double wallSec = 0;
+    };
+    std::vector<Build> builds;
+    std::vector<size_t> buildOf(cells.size());
+    std::vector<size_t> order; // Build indices in submission order.
+    {
+        std::unordered_map<Hash128, size_t, Hash128Hasher> byKey;
+        std::unordered_set<Hash128, Hash128Hasher> trainings;
+        std::vector<size_t> later;
+        for (size_t i = 0; i < cells.size(); ++i) {
+            const ExperimentCell &c = cells[i];
+            bsAssert(c.workload != nullptr,
+                     "experiment cell w/o workload");
+            const Hash128 key =
+                systemKeyHash(*c.workload, c.config, c.profileSeed);
+            const auto [it, fresh] = byKey.emplace(key, builds.size());
+            buildOf[i] = it->second;
+            if (!fresh)
+                continue;
+            const bool trains =
+                trainings
+                    .insert(trainingKeyHash(*c.workload,
+                                            c.config.expander,
+                                            c.profileSeed))
+                    .second;
+            (trains ? order : later).push_back(builds.size());
+            Build &bd = builds.emplace_back();
+            bd.firstCell = i;
+            bd.key = key;
+        }
+        order.insert(order.end(), later.begin(), later.end());
+    }
+
+    auto build = [this, &cells](Build &bd) {
+        const ExperimentCell &c = cells[bd.firstCell];
+        trace::nameThisThread("worker");
+        trace::Span span("experiment.build", "experiment");
+        span.arg("workload", c.workload->name);
+        const Clock::time_point t0 = Clock::now();
+        try {
+            bd.system = getOrBuild(bd.key, *c.workload, c.config,
+                                   c.profileSeed, &bd.origin);
+        } catch (...) {
+            bd.error = std::current_exception(); // The first cell's.
+        }
+        bd.wallSec = secondsSince(t0);
+    };
+    std::vector<std::shared_future<void>> built(builds.size());
+    for (size_t b : order) {
+        built[b] =
+            pool_.submit([&build, &builds, b] { build(builds[b]); })
+                .share();
+    }
+
     std::vector<RunResult> results(cells.size());
     // Per-cell wall times (measured inside the worker, so parallelism
     // does not inflate them) feed the matrix-level ledger record's
-    // percentile fields.
+    // percentile fields; a key's first cell also carries its build.
     std::vector<double> walls(cells.size(), 0.0);
     std::vector<std::future<void>> futs;
     futs.reserve(cells.size());
     for (size_t i = 0; i < cells.size(); ++i) {
-        futs.push_back(
-            pool_.submit([this, &cells, &results, &walls, i] {
-                const auto c0 = std::chrono::steady_clock::now();
-                results[i] = runCell(cells[i]);
-                walls[i] = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - c0)
-                               .count();
-            }));
+        futs.push_back(pool_.submit([this, &cells, &builds, &buildOf,
+                                     &built, &results, &walls, i] {
+            // The queue is FIFO and every build was queued before any
+            // run, so the build left the queue first: this waits on a
+            // running worker, if at all.
+            built[buildOf[i]].wait();
+            const Build &bd = builds[buildOf[i]];
+            const Clock::time_point c0 = Clock::now();
+            if (i != bd.firstCell) {
+                results[i] = runCell(cells[i], bd.key);
+                walls[i] = secondsSince(c0);
+                return;
+            }
+            if (bd.error)
+                std::rethrow_exception(bd.error);
+            results[i] = runCell(cells[i], bd.key, bd.system, bd.origin);
+            walls[i] = bd.wallSec + secondsSince(c0);
+        }));
     }
 
-    // Drain every future before unwinding: tasks reference the local
-    // results vector, so no early rethrow. Report the first failure
+    // Drain every future before unwinding: tasks reference this
+    // frame's vectors (a build finishes before its first cell's run
+    // task can), so no early rethrow. Report the first failure
     // (submission order), matching what the serial loop would throw.
     std::exception_ptr first;
     for (auto &f : futs) {
@@ -619,7 +700,8 @@ ExperimentRunner::evaluate(const Workload &w, const SystemConfig &config,
     cell.config = config;
     cell.profileSeed = profile_seed;
     cell.runSeed = run_seed;
-    RunResult out = runCell(cell);
+    RunResult out =
+        runCell(cell, systemKeyHash(w, config, profile_seed));
     std::lock_guard<std::mutex> lock(cacheMu_);
     ++stats_.cells;
     return out;
@@ -630,7 +712,8 @@ ExperimentRunner::withSystem(
     const Workload &w, const SystemConfig &config,
     uint64_t profile_seed, const std::function<void(const System &)> &fn)
 {
-    fn(*getOrBuild(w, config, profile_seed));
+    fn(*getOrBuild(systemKeyHash(w, config, profile_seed), w, config,
+                   profile_seed));
 }
 
 ExperimentStats

@@ -22,6 +22,15 @@
  *    the global images, applies its input to the copy and simulates
  *    on a FastCore of its own, so cells of one System run
  *    concurrently, with no lock, and order-independently.
+ *  - run() stages its matrix: one build task per distinct System key
+ *    (the lookup of the key's first cell), the first key of each
+ *    training queued ahead of every other key, then one run task per
+ *    cell. The pool is FIFO, and a training or System key is claimed
+ *    only by the worker that computes it, inline, so a run task that
+ *    waits for its build, or a build that waits for a training,
+ *    waits on a running worker, never on a queued task: concurrent
+ *    run() callers sharing the pool cannot deadlock. One path serves
+ *    every thread count.
  *  - Results come back in submission order and are bit-identical to
  *    the serial path regardless of thread count.
  *  - Worker exceptions (fatal()/bsAssert/...) propagate to the caller
@@ -80,7 +89,9 @@ struct ExperimentStats
     uint64_t systemsBuilt = 0; ///< Cache misses: Systems compiled.
     uint64_t cacheHits = 0;    ///< Cells served by a cached System.
     /** Cache hits that blocked on a build still in flight (the
-     *  shared_future was not ready when the requester arrived). */
+     *  shared_future was not ready when the requester arrived). A
+     *  run() builds each key before any cell runs on it, so only a
+     *  concurrent caller building the same key causes one. */
     uint64_t inflightWaits = 0;
 
     /** Training tier: every compile starts from a shared
@@ -108,8 +119,14 @@ class ExperimentRunner
 
     /**
      * Execute every cell, in parallel, returning results in
-     * submission order. Throws the first failing cell's exception
-     * (after all cells finished or failed).
+     * submission order. Builds come first: one task per distinct
+     * System key, counted as the lookup of the key's first cell
+     * (whose ledger record says "compile" when that task built it,
+     * and whose matrix-record wall time includes the build), with
+     * each training's first key ahead of the rest; then one task per
+     * cell runs it on its key's System. Throws the first failing
+     * cell's exception (after all cells finished or failed); a failed
+     * build fails every cell of its key.
      */
     std::vector<RunResult> run(const std::vector<ExperimentCell> &cells);
 
@@ -165,19 +182,26 @@ class ExperimentRunner
     static std::string cellKey(const ExperimentCell &cell);
 
   private:
-    /** @p origin (optional) receives this call's cache provenance:
-     *  "compile" when this call built the System, "memory" when an
+    /** The System of @p key (= systemKeyHash of the other
+     *  arguments), built inline by the first requester. @p origin
+     *  (optional) receives this call's cache provenance: "compile"
+     *  when this call built the System, "memory" when an
      *  already-cached instance served it. */
     std::shared_ptr<const System>
-    getOrBuild(const Workload &w, const SystemConfig &config,
-               uint64_t profile_seed, const char **origin = nullptr);
+    getOrBuild(const Hash128 &key, const Workload &w,
+               const SystemConfig &config, uint64_t profile_seed,
+               const char **origin = nullptr);
     /** The shared training for (w, expander, profile_seed), trained
      *  on first request under the same once-per-key rule as the
      *  System cache. */
     std::shared_ptr<const TrainedModule>
     getOrTrain(const Workload &w, const ExpanderOptions &expander,
                uint64_t profile_seed);
-    RunResult runCell(const ExperimentCell &cell);
+    /** Run @p cell on @p sys, whose provenance is @p origin; with no
+     *  @p sys, the cell looks up @p key itself. */
+    RunResult runCell(const ExperimentCell &cell, const Hash128 &key,
+                      std::shared_ptr<const System> sys = nullptr,
+                      const char *origin = "memory");
 
     ThreadPool pool_;
     mutable std::mutex cacheMu_;

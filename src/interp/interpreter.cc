@@ -65,11 +65,13 @@ evalCmp(CmpPred pred, uint64_t a, uint64_t b, unsigned bits)
 
 } // namespace
 
-Interpreter::Interpreter(Module &m, size_t mem_bytes) : module_(m)
+Interpreter::Interpreter(Module &m, size_t mem_bytes)
+    : module_(m), mapping_(mem_bytes), memory_(mapping_.bytes())
 {
-    memory_.resize(mem_bytes, 0);
+    // The mapping reads as zeros and outputs and stats start empty:
+    // only the globals need writing.
     module_.layoutGlobals();
-    reset();
+    loadGlobals();
 }
 
 Interpreter::~Interpreter() = default;
@@ -77,16 +79,22 @@ Interpreter::~Interpreter() = default;
 void
 Interpreter::reset()
 {
-    std::fill(memory_.begin(), memory_.end(), 0);
+    mapping_.zero();
+    loadGlobals();
+    output_.clear();
+    stats_ = InterpStats{};
+}
+
+void
+Interpreter::loadGlobals()
+{
     for (const auto &g : module_.globals()) {
         uint32_t base = g->address();
-        bsAssert(base + g->sizeBytes() <= memory_.size(),
-                 "global does not fit in memory: " + g->name());
+        if (base + g->sizeBytes() > memory_.size())
+            panic("global does not fit in memory: " + g->name());
         std::copy(g->data().begin(), g->data().end(),
                   memory_.begin() + base);
     }
-    output_.clear();
-    stats_ = InterpStats{};
 }
 
 void

@@ -26,10 +26,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "ir/module.h"
+#include "support/mapped_bytes.h"
 #include "support/misspec.h"
 #include "support/rng.h"
 
@@ -60,7 +62,8 @@ class Interpreter
     explicit Interpreter(Module &m, size_t mem_bytes = kDefaultMemBytes);
     ~Interpreter();
 
-    /** Re-copy global initialisers into memory and clear outputs/stats. */
+    /** Zero memory (dropping its pages), re-copy global initialisers
+     *  and clear outputs/stats. */
     void reset();
 
     /**
@@ -186,6 +189,8 @@ class Interpreter
         uint64_t count = 0;
     };
 
+    /** Copy every global's initialiser into memory. */
+    void loadGlobals();
     uint64_t callDecoded(Function *f, const uint64_t *args, size_t nargs,
                          unsigned depth);
     template <bool kHooks, bool kProfile, bool kBlockProf>
@@ -208,7 +213,9 @@ class Interpreter
     [[noreturn]] void boundsViolation(uint32_t id, unsigned bits) const;
 
     Module &module_;
-    std::vector<uint8_t> memory_;
+    /** Data memory, zero until written (support/mapped_bytes.h). */
+    MappedBytes mapping_;
+    std::span<uint8_t> memory_; ///< View of mapping_.
     std::vector<uint64_t> output_;
     InterpStats stats_;
     uint64_t fuel_ = kDefaultFuel;

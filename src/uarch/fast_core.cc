@@ -1,12 +1,9 @@
 #include "uarch/fast_core.h"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <array>
 #include <cstring>
 #include <iterator>
-#include <new>
 
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -149,20 +146,6 @@ constexpr auto kCondTruth = [] {
 
 } // namespace
 
-FastCore::MappedBytes::MappedBytes(size_t size)
-{
-    void *p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED)
-        throw std::bad_alloc();
-    bytes_ = {static_cast<uint8_t *>(p), size};
-}
-
-FastCore::MappedBytes::~MappedBytes()
-{
-    munmap(bytes_.data(), bytes_.size());
-}
-
 FastCore::FastCore(const PredecodedProgram &pre, const Module &m)
     : pre_(pre), prog_(pre.prog()), module_(m), mapping_(kMemBytes),
       dataMem_(mapping_.bytes()), memoIdx_(pre.size(), kUnseen)
@@ -187,7 +170,7 @@ void
 FastCore::reset()
 {
     flushFetches();
-    std::fill(dataMem_.begin(), dataMem_.end(), 0);
+    mapping_.zero();
     loadGlobals();
     std::fill(std::begin(regs_), std::end(regs_), 0);
     std::fill(std::begin(readyAt_), std::end(readyAt_), 0);

@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "ir/module.h"
+#include "support/mapped_bytes.h"
 #include "support/misspec.h"
 #include "support/rng.h"
 #include "uarch/cache.h"
@@ -344,27 +345,10 @@ class FastCore
     void applyDstWrite(uint8_t dst_write);
     void finish(uint64_t final_cycle);
 
-    /** Data memory as an anonymous private mapping, zero until
-     *  written: untouched pages cost no RSS, and the 4 MiB each run
-     *  frees goes back to the OS instead of the heap, where the
-     *  compiles between runs would fragment it. */
-    class MappedBytes
-    {
-      public:
-        explicit MappedBytes(size_t size);
-        ~MappedBytes();
-        MappedBytes(const MappedBytes &) = delete;
-        MappedBytes &operator=(const MappedBytes &) = delete;
-
-        std::span<uint8_t> bytes() const { return bytes_; }
-
-      private:
-        std::span<uint8_t> bytes_;
-    };
-
     const PredecodedProgram &pre_;
     const MachProgram &prog_;
     const Module &module_;
+    /** Data memory, zero until written (support/mapped_bytes.h). */
     MappedBytes mapping_;
     std::span<uint8_t> dataMem_; ///< View of mapping_.
     uint32_t regs_[16] = {};

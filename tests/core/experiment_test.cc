@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <map>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "core/experiment.h"
+#include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/error.h"
@@ -329,6 +334,194 @@ TEST(ExperimentRunner, FailedTrainingFailsEverySharer)
     EXPECT_THROW(runner.evaluate(bad, SystemConfig::baseline()),
                  FatalError);
     EXPECT_EQ(inputs.load(), 2);
+}
+
+/** Two workloads x three configurations x three run seeds, run seed
+ *  innermost: a System key's cells, and a training's keys, are
+ *  adjacent, so one task per cell in matrix order would have several
+ *  workers ask for one key (or training) at once. */
+std::vector<ExperimentCell>
+stagingMatrix()
+{
+    std::vector<ExperimentCell> cells;
+    for (const char *name : {"CRC32", "dijkstra"}) {
+        for (const SystemConfig &c :
+             {SystemConfig::baseline(),
+              SystemConfig::bitspec(Heuristic::Max),
+              SystemConfig::bitspec(Heuristic::Min)}) {
+            for (uint64_t run_seed : {0ull, 1ull, 2ull})
+                cells.push_back({&getWorkload(name), c, 0, run_seed});
+        }
+    }
+    return cells;
+}
+
+/** What one run() of a fresh runner returns and leaves behind: its
+ *  results and stats, its experiment.cache.* and experiment.train.*
+ *  counter deltas, and its cache.* and train.* trace instants with
+ *  their arguments, sorted. */
+struct RunFootprint
+{
+    std::vector<RunResult> results;
+    ExperimentStats stats;
+    std::map<std::string, uint64_t> counters;
+    std::vector<std::string> instants;
+};
+
+RunFootprint
+footprintOf(unsigned threads, const std::vector<ExperimentCell> &cells)
+{
+    std::set<const Workload *> workloads;
+    for (const ExperimentCell &c : cells)
+        workloads.insert(c.workload);
+    auto counters = [&workloads] {
+        std::map<std::string, uint64_t> out;
+        for (const char *name :
+             {"experiment.cache.misses", "experiment.cache.hits",
+              "experiment.cache.inflight_waits",
+              "experiment.train.misses", "experiment.train.hits"}) {
+            for (const Workload *w : workloads) {
+                out[std::string(name) + "/" + w->name] =
+                    trainCounter(name, *w);
+            }
+        }
+        return out;
+    };
+
+    RunFootprint fp;
+    const std::map<std::string, uint64_t> before = counters();
+    trace::reset();
+    trace::setEnabled(true);
+    ExperimentRunner runner(threads);
+    fp.results = runner.run(cells);
+    trace::setEnabled(false);
+    fp.stats = runner.stats();
+    for (const auto &[name, value] : counters())
+        fp.counters[name] = value - before.at(name);
+    for (const trace::Event &e : trace::snapshot()) {
+        if (e.phase != 'i' || (e.name.rfind("cache.", 0) != 0 &&
+                               e.name.rfind("train.", 0) != 0))
+            continue;
+        std::string line = e.name;
+        for (const auto &[key, value] : e.args)
+            line += " " + key + "=" + value;
+        fp.instants.push_back(line);
+    }
+    trace::reset();
+    std::sort(fp.instants.begin(), fp.instants.end());
+    return fp;
+}
+
+TEST(ExperimentRunner, StagedMatrixNeverWaitsAndCountsAsOneThreadDoes)
+{
+    const std::vector<ExperimentCell> cells = stagingMatrix();
+    const RunFootprint serial = footprintOf(1, cells);
+    const RunFootprint staged = footprintOf(4, cells);
+
+    // Every key is built before a cell runs on it, so no lookup meets
+    // a build in flight; each cell looks its key up exactly once.
+    const ExperimentStats &st = staged.stats;
+    EXPECT_EQ(st.cells, cells.size());
+    EXPECT_EQ(st.inflightWaits, 0u);
+    EXPECT_EQ(st.systemsBuilt + st.cacheHits, st.cells);
+    EXPECT_EQ(st.trainings + st.trainingHits, st.systemsBuilt);
+    EXPECT_EQ(st.systemsBuilt, 6u);
+    EXPECT_EQ(st.trainings, 2u);
+
+    const ExperimentStats &one = serial.stats;
+    EXPECT_EQ(st.cells, one.cells);
+    EXPECT_EQ(st.systemsBuilt, one.systemsBuilt);
+    EXPECT_EQ(st.cacheHits, one.cacheHits);
+    EXPECT_EQ(st.inflightWaits, one.inflightWaits);
+    EXPECT_EQ(st.trainings, one.trainings);
+    EXPECT_EQ(st.trainingHits, one.trainingHits);
+    EXPECT_EQ(staged.counters, serial.counters);
+    EXPECT_EQ(staged.instants, serial.instants);
+
+    ASSERT_EQ(staged.results.size(), cells.size());
+    ASSERT_EQ(serial.results.size(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_TRUE(staged.results[i] == serial.results[i])
+            << "cell " << i;
+    }
+}
+
+/** Installs a ledger writer on a fresh file for one scope; detaches
+ *  it and removes the file on exit. */
+class ScopedLedger
+{
+  public:
+    explicit ScopedLedger(const std::string &name)
+        : path_(::testing::TempDir() + name)
+    {
+        std::remove(path_.c_str());
+        LedgerWriter::setGlobal(std::make_unique<LedgerWriter>(path_));
+    }
+
+    ~ScopedLedger()
+    {
+        LedgerWriter::setGlobal(nullptr);
+        std::remove(path_.c_str());
+    }
+
+    /** cache_source of every cell record so far, by cell key. Closes
+     *  the writer (the flush point) and opens a fresh one. */
+    std::map<std::string, std::string>
+    takeCacheSources()
+    {
+        LedgerWriter::setGlobal(nullptr);
+        std::map<std::string, std::string> out;
+        for (const LedgerRecord &r : loadLedger(path_)) {
+            if (r.kind == "cell") {
+                EXPECT_TRUE(
+                    out.emplace(r.cellKey, r.cacheSource).second)
+                    << "two records for " << r.cellKey;
+            }
+        }
+        std::remove(path_.c_str());
+        LedgerWriter::setGlobal(std::make_unique<LedgerWriter>(path_));
+        return out;
+    }
+
+  private:
+    std::string path_;
+};
+
+TEST(ExperimentRunner, LedgerNamesEachKeysFirstCellItsCompile)
+{
+    ScopedLedger ledger("experiment_staging_ledger.jsonl");
+    const std::vector<ExperimentCell> cells = stagingMatrix();
+    ExperimentRunner runner(4);
+    runner.run(cells);
+    const std::map<std::string, std::string> first =
+        ledger.takeCacheSources();
+
+    // Exactly one "compile" per built key, on the key's first cell in
+    // submission order, whichever worker finished first.
+    size_t compiles = 0;
+    std::set<std::string> seen;
+    for (const ExperimentCell &c : cells) {
+        const bool built =
+            seen.insert(ExperimentRunner::systemKey(*c.workload, c.config,
+                                                    c.profileSeed))
+                .second;
+        const std::string key = ExperimentRunner::cellKey(c);
+        const auto it = first.find(key);
+        ASSERT_NE(it, first.end()) << key;
+        EXPECT_EQ(it->second, built ? "compile" : "memory") << key;
+        compiles += it->second == "compile";
+    }
+    EXPECT_EQ(first.size(), cells.size());
+    EXPECT_EQ(compiles, runner.stats().systemsBuilt);
+
+    // A key cached before the run compiles nowhere.
+    runner.run(cells);
+    const std::map<std::string, std::string> again =
+        ledger.takeCacheSources();
+    EXPECT_EQ(again.size(), cells.size());
+    for (const auto &[key, source] : again)
+        EXPECT_EQ(source, "memory") << key;
+    EXPECT_EQ(runner.stats().systemsBuilt, compiles);
 }
 
 TEST(ExperimentRunner, ClearCacheDropsTrainings)

@@ -13,12 +13,15 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <future>
 #include <mutex>
 #include <vector>
 
 #include "core/experiment.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "support/error.h"
 #include "workloads/workload.h"
 
 namespace bitspec
@@ -203,6 +206,128 @@ TEST(ReentrantRun, RunnerMixedPoliciesMatchAcrossJobs)
             << misspecPolicyName(cells[i].policy) << ", seed "
             << cells[i].runSeed << ")";
     EXPECT_EQ(parallel.stats().systemsBuilt, 1u);
+}
+
+/** Two matrices over the same keys of @p w, each with three cells
+ *  per System key (more than the runner's two workers): bitspec-max
+ *  and baseline share one training, and the second matrix reverses
+ *  the configurations and overlaps the first's run seeds. */
+std::vector<std::vector<ExperimentCell>>
+sharedKeyMatrices(const Workload &w)
+{
+    std::vector<std::vector<ExperimentCell>> out(2);
+    for (uint64_t seed : {1ull, 2ull, 3ull}) {
+        out[0].push_back({&w, SystemConfig::bitspec(), 0, seed});
+        out[0].push_back({&w, SystemConfig::baseline(), 0, seed});
+    }
+    for (uint64_t seed : {3ull, 4ull, 5ull}) {
+        out[1].push_back({&w, SystemConfig::baseline(), 0, seed});
+        out[1].push_back({&w, SystemConfig::bitspec(), 0, seed});
+    }
+    return out;
+}
+
+/** What one run() call returned, or the exception it threw. */
+struct CallOutcome
+{
+    std::vector<RunResult> results;
+    std::exception_ptr error;
+};
+
+/** Calls @p runner.run on every matrix at once, one thread each,
+ *  released together. A deadlock hangs here: the ctest TIMEOUT of
+ *  this binary turns it into a failure. */
+std::vector<CallOutcome>
+runConcurrently(ExperimentRunner &runner,
+                const std::vector<std::vector<ExperimentCell>> &matrices)
+{
+    Rendezvous start(static_cast<int>(matrices.size()));
+    std::vector<CallOutcome> out(matrices.size());
+    std::vector<std::future<void>> callers;
+    for (size_t m = 0; m < matrices.size(); ++m) {
+        callers.push_back(std::async(std::launch::async, [&, m] {
+            start.arriveAndWait();
+            try {
+                out[m].results = runner.run(matrices[m]);
+            } catch (...) {
+                out[m].error = std::current_exception();
+            }
+        }));
+    }
+    for (std::future<void> &c : callers)
+        c.get();
+    return out;
+}
+
+TEST(ReentrantRun, ConcurrentRunCallsShareKeysWithoutDeadlock)
+{
+    const Workload &w = smallWorkload();
+    const std::vector<std::vector<ExperimentCell>> matrices =
+        sharedKeyMatrices(w);
+    ExperimentRunner serial(1);
+    std::vector<std::vector<RunResult>> want;
+    for (const std::vector<ExperimentCell> &cells : matrices)
+        want.push_back(serial.run(cells));
+
+    ExperimentRunner runner(2);
+    const std::vector<CallOutcome> got = runConcurrently(runner, matrices);
+    for (size_t m = 0; m < matrices.size(); ++m) {
+        ASSERT_FALSE(got[m].error) << "call " << m << " threw";
+        ASSERT_EQ(got[m].results.size(), want[m].size());
+        for (size_t i = 0; i < want[m].size(); ++i) {
+            EXPECT_TRUE(got[m].results[i] == want[m][i])
+                << "call " << m << ", cell " << i;
+        }
+    }
+    // Each key compiled and trained once across both calls, and every
+    // cell looked its key up once.
+    const ExperimentStats st = runner.stats();
+    EXPECT_EQ(st.systemsBuilt, 2u);
+    EXPECT_EQ(st.trainings, 1u);
+    EXPECT_EQ(st.systemsBuilt + st.cacheHits, st.cells);
+    EXPECT_EQ(st.cells, 12u);
+}
+
+TEST(ReentrantRun, ConcurrentRunCallsShareAFailedTraining)
+{
+    // The training input (seed 0) fails; run inputs would not.
+    const Workload &base = smallWorkload();
+    std::atomic<int> trainings{0};
+    Workload bad = base;
+    bad.name = base.name + "-untrainable";
+    bad.setInput = [&](Module &m, uint64_t seed) {
+        if (seed == 0) {
+            ++trainings;
+            fatal("training input unavailable");
+        }
+        base.setInput(m, seed);
+    };
+    std::vector<std::vector<ExperimentCell>> matrices =
+        sharedKeyMatrices(bad);
+    for (std::vector<ExperimentCell> &cells : matrices)
+        cells.push_back({&base, SystemConfig::bitspec(), 0, 1});
+
+    auto ran = [](const Workload &w) {
+        return MetricsRegistry::global()
+            .counter("run.cells", {{"workload", w.name}})
+            .value();
+    };
+    const uint64_t bad0 = ran(bad), good0 = ran(base);
+    ExperimentRunner runner(2);
+    const std::vector<CallOutcome> got = runConcurrently(runner, matrices);
+    for (size_t m = 0; m < matrices.size(); ++m) {
+        ASSERT_TRUE(got[m].error) << "call " << m << " did not throw";
+        EXPECT_THROW(std::rethrow_exception(got[m].error), FatalError)
+            << "call " << m;
+    }
+    // One failed training failed all twelve sharing cells; the good
+    // cell of each call still ran.
+    EXPECT_EQ(trainings.load(), 1);
+    EXPECT_EQ(ran(bad) - bad0, 0u);
+    EXPECT_EQ(ran(base) - good0, 2u);
+    const ExperimentStats st = runner.stats();
+    EXPECT_EQ(st.trainings, 2u);
+    EXPECT_EQ(st.cells, 14u);
 }
 
 } // namespace

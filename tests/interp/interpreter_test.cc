@@ -116,6 +116,25 @@ TEST(Interp, StoreThenLoadRoundTrip)
     EXPECT_EQ(in.run("wr", {0xbeef}), 0xbeefu);
 }
 
+TEST(Interp, ResetZeroesMemoryAndReloadsGlobals)
+{
+    Module m;
+    Global *g = m.addGlobal("buf", 32, 2);
+    g->setElem(1, 777);
+    Interpreter in(m);
+    const uint32_t global = g->address() + 4;
+    // The last word of memory: a page the constructor never wrote.
+    const uint32_t far = Interpreter::kDefaultMemBytes - 8;
+    EXPECT_EQ(in.loadMem(global, 32), 777u);
+    EXPECT_EQ(in.loadMem(far, 64), 0u);
+
+    in.storeMem(global, 5, 32);
+    in.storeMem(far, 0x1234, 64);
+    in.reset();
+    EXPECT_EQ(in.loadMem(global, 32), 777u);
+    EXPECT_EQ(in.loadMem(far, 64), 0u);
+}
+
 TEST(Interp, MemBoundsGuardDoesNotWrapAt32Bits)
 {
     // Regression: `addr + bytes` was computed in 32 bits, so an access
