@@ -11,8 +11,10 @@
  *
  * The record is appended even when the gate fails — a regression is
  * exactly the run the history must remember — unless --check-only is
- * given. Runs from debug builds are tagged and only ever compared
- * against other debug runs (see obs/trajectory.h).
+ * given. A BENCH file that is not JSON exits 2, naming the byte
+ * offset, and records nothing. Runs from debug builds are tagged and
+ * only ever compared against other debug runs (see
+ * obs/trajectory.h).
  *
  * When the gate trips and both ledger paths are given, the failure is
  * auto-forensicated: the run ledger is diffed against the baseline
@@ -32,6 +34,7 @@
 
 #include "obs/diff.h"
 #include "obs/trajectory.h"
+#include "support/json.h"
 #include "support/log.h"
 
 using namespace bitspec;
@@ -121,7 +124,13 @@ main(int argc, char **argv)
     std::stringstream buf;
     buf << in.rdbuf();
 
-    TrajectoryRecord rec = recordFromBenchJson(buf.str());
+    TrajectoryRecord rec;
+    try {
+        rec = recordFromBenchJson(buf.str());
+    } catch (const JsonError &e) {
+        log::error("bench_gate: %s: %s", bench_path.c_str(), e.what());
+        return 2;
+    }
     rec.gitSha = gitShortSha();
     rec.timestamp = utcTimestamp();
     if (rec.debugBuild)

@@ -50,10 +50,11 @@
 #include "interp/interpreter.h"
 #include "obs/diff.h"
 #include "obs/ledger.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "obs/trajectory.h"
+#include "support/json.h"
+#include "support/log.h"
 #include "support/stats.h"
 #include "support/threadpool.h"
 #include "workloads/workload.h"
@@ -488,7 +489,8 @@ interpRates(unsigned reps)
 
 /** Counter @p counter of benchmark @p bench in the google-benchmark
  *  JSON file @p path (benchCounter, obs/trajectory.h); 0 when the
- *  file, the entry or the entry's counter is missing. */
+ *  file, the entry or the entry's counter is missing, and 0 with an
+ *  error naming the offset when the file is not JSON. */
 double
 extractBenchCounter(const std::string &path, const std::string &bench,
                     const std::string &counter)
@@ -498,7 +500,12 @@ extractBenchCounter(const std::string &path, const std::string &bench,
         return 0;
     std::stringstream buf;
     buf << in.rdbuf();
-    return benchCounter(buf.str(), bench, counter).value_or(0);
+    try {
+        return benchCounter(buf.str(), bench, counter).value_or(0);
+    } catch (const JsonError &e) {
+        log::error("%s: %s", path.c_str(), e.what());
+        return 0;
+    }
 }
 
 struct ObservabilityGate
@@ -868,16 +875,6 @@ main(int argc, char **argv)
                                           / r.energyOff
                                     : 0.0,
                     r.sameChecksum ? "same" : "DIFFERENT");
-    }
-
-    // Registry view of the same activity: cache + run counters
-    // recorded by the ExperimentRunner through obs/metrics.
-    std::printf("\nmetrics registry (experiment.* and run.* recorded "
-                "by the engine):\n");
-    {
-        std::ostringstream table;
-        MetricsRegistry::global().writeTable(table);
-        std::fputs(table.str().c_str(), stdout);
     }
 
     // Telemetry overhead gate: compiled-in-but-disabled tracing must

@@ -10,7 +10,6 @@
 
 #include "obs/flightrec.h"
 #include "obs/ledger.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "obs/trajectory.h"
@@ -272,39 +271,19 @@ ExperimentRunner::getOrBuild(const Hash128 &key, const Workload &w,
         }
     }
 
-    MetricsRegistry &reg = MetricsRegistry::global();
     if (builder) {
-        reg.counter("experiment.cache.misses", {{"workload", w.name}})
-            .add();
         trace::instant("cache.miss", "experiment",
                        {{"workload", w.name}});
         try {
             std::shared_ptr<const TrainedModule> trained =
                 getOrTrain(w, config.expander, profile_seed);
-            auto sys = std::make_shared<const System>(*trained, config);
-            // Absorb the build's squeezer stats once per compile (runs
-            // reusing this System do not re-count them).
-            const SqueezeStats &sq = sys->squeezeStats();
-            MetricsRegistry::Labels wl = {{"workload", w.name}};
-            reg.counter("squeeze.narrowed", wl).add(sq.narrowed);
-            reg.counter("squeeze.regions", wl).add(sq.regions);
-            reg.counter("squeeze.checks_dropped", wl)
-                .add(sq.checksDropped);
-            reg.counter("lint.proven_safe", wl).add(sq.lintProvenSafe);
-            reg.counter("lint.proven_unsafe", wl)
-                .add(sq.lintProvenUnsafe);
-            promise.set_value(std::move(sys));
+            promise.set_value(
+                std::make_shared<const System>(*trained, config));
         } catch (...) {
             // Every cell sharing this key sees the build failure.
             promise.set_exception(std::current_exception());
         }
     } else {
-        reg.counter("experiment.cache.hits", {{"workload", w.name}})
-            .add();
-        if (inflight)
-            reg.counter("experiment.cache.inflight_waits",
-                        {{"workload", w.name}})
-                .add();
         trace::instant("cache.hit", "experiment",
                        {{"workload", w.name},
                         {"inflight", inflight ? "1" : "0"}});
@@ -338,11 +317,9 @@ ExperimentRunner::getOrTrain(const Workload &w,
         }
     }
 
-    MetricsRegistry &reg = MetricsRegistry::global();
-    const MetricsRegistry::Labels wl = {{"workload", w.name}};
     if (trainer) {
-        reg.counter("experiment.train.misses", wl).add();
-        trace::instant("train.miss", "experiment", wl);
+        trace::instant("train.miss", "experiment",
+                       {{"workload", w.name}});
         try {
             promise.set_value(std::make_shared<const TrainedModule>(
                 w.source, expander, [&w, profile_seed](Module &m) {
@@ -353,8 +330,7 @@ ExperimentRunner::getOrTrain(const Workload &w,
             promise.set_exception(std::current_exception());
         }
     } else {
-        reg.counter("experiment.train.hits", wl).add();
-        trace::instant("train.hit", "experiment", wl);
+        trace::instant("train.hit", "experiment", {{"workload", w.name}});
     }
     return fut.get();
 }
@@ -429,17 +405,6 @@ ExperimentRunner::runCell(const ExperimentCell &cell, const Hash128 &key,
     const RunResult out =
         sys->run(input, {}, observers, cell.policy, cell.policySeed);
     const double wall_sec = secondsSince(t0);
-
-    MetricsRegistry &reg = MetricsRegistry::global();
-    MetricsRegistry::Labels wl = {{"workload", w.name}};
-    reg.counter("run.cells", wl).add();
-    reg.counter("run.instructions", wl).add(out.counters.instructions);
-    reg.counter("run.cycles", wl).add(out.counters.cycles);
-    reg.counter("run.misspeculations", wl)
-        .add(out.counters.misspeculations);
-    reg.histogram("run.energy_pj", wl).record(out.totalEnergy);
-    reg.histogram("run.epi_pj", wl).record(out.epi);
-    reg.histogram("run.cell_wall_sec", wl).record(wall_sec);
 
     if (ledger) {
         fillRunTelemetry(rec, out.counters, out.l1i, out.l1d, out.l2,

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 
+#include "support/json.h"
 #include "support/str.h"
 
 namespace bitspec
@@ -17,14 +17,6 @@ bool
 hasPrefix(const std::string &s, const std::string &prefix)
 {
     return s.rfind(prefix, 0) == 0;
-}
-
-std::string
-fmtNum(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
 }
 
 /** Pipeline stage a field family is produced by. */
@@ -404,9 +396,9 @@ ledgerDiffToJson(const LedgerDiff &diff)
                 out += ",";
             out += "{\"name\":\"";
             out += jsonEscape(d.name);
-            out += "\",\"a\":" + fmtNum(d.a) +
-                   ",\"b\":" + fmtNum(d.b) +
-                   ",\"delta_pct\":" + fmtNum(d.deltaPct) +
+            out += "\",\"a\":" + jsonNumber(d.a) +
+                   ",\"b\":" + jsonNumber(d.b) +
+                   ",\"delta_pct\":" + jsonNumber(d.deltaPct) +
                    ",\"class\":\"";
             out += driftClassName(d.cls);
             out += "\"}";

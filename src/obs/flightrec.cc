@@ -13,6 +13,7 @@
 #include <filesystem>
 
 #include "support/env.h"
+#include "support/json.h"
 #include "support/log.h"
 
 namespace bitspec::flightrec
@@ -152,17 +153,6 @@ writeAll(int fd, const char *buf, size_t n)
     return true;
 }
 
-/** True when @p s parses fully as a number (counter values). */
-bool
-looksNumeric(const char *s)
-{
-    if (!*s)
-        return false;
-    char *end = nullptr;
-    std::strtod(s, &end);
-    return end && *end == '\0';
-}
-
 /** Emit one slot as a Chrome trace event. */
 bool
 writeSlot(int fd, const Slot &slot, uint32_t tid, bool first)
@@ -186,7 +176,7 @@ writeSlot(int fd, const Slot &slot, uint32_t tid, bool first)
     if (ph == 'i')
         appendRaw(buf, sizeof buf, len, ",\"s\":\"t\"");
     if (slot.detail[0]) {
-        if (ph == 'C' && looksNumeric(slot.detail)) {
+        if (ph == 'C' && isJsonNumber(slot.detail)) {
             appendRaw(buf, sizeof buf, len, ",\"args\":{\"value\":");
             appendRaw(buf, sizeof buf, len, slot.detail);
             appendRaw(buf, sizeof buf, len, "}");

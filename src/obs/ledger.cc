@@ -6,15 +6,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 
 #include "support/env.h"
+#include "support/json.h"
 #include "support/log.h"
-#include "support/str.h"
 
 extern char **environ;
 
@@ -23,89 +22,6 @@ namespace bitspec
 
 namespace
 {
-
-/** %.17g: enough digits that parse(fmtNum(v)) == v bit-for-bit, which
- *  the validator's exact-reconciliation checks rely on. */
-std::string
-fmtNum(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::optional<double>
-numberAfter(const std::string &text, const std::string &key,
-            size_t from = 0)
-{
-    size_t at = text.find("\"" + key + "\":", from);
-    if (at == std::string::npos)
-        return std::nullopt;
-    const char *p = text.c_str() + at + key.size() + 3;
-    char *end = nullptr;
-    double v = std::strtod(p, &end);
-    if (end == p)
-        return std::nullopt;
-    return v;
-}
-
-/** Like numberAfter but full 64-bit exact (seeds, event counts). */
-std::optional<uint64_t>
-u64After(const std::string &text, const std::string &key,
-         size_t from = 0)
-{
-    size_t at = text.find("\"" + key + "\":", from);
-    if (at == std::string::npos)
-        return std::nullopt;
-    const char *p = text.c_str() + at + key.size() + 3;
-    char *end = nullptr;
-    uint64_t v = std::strtoull(p, &end, 10);
-    if (end == p)
-        return std::nullopt;
-    return v;
-}
-
-std::optional<std::string>
-stringAfter(const std::string &text, const std::string &key,
-            size_t from = 0)
-{
-    size_t at = text.find("\"" + key + "\":", from);
-    if (at == std::string::npos)
-        return std::nullopt;
-    size_t open = text.find('"', at + key.size() + 3);
-    if (open == std::string::npos)
-        return std::nullopt;
-    std::string out;
-    if (readJsonString(text, open, out) == std::string::npos)
-        return std::nullopt;
-    return out;
-}
-
-/** Index of the `}` matching the `{` at @p open, skipping over string
- *  contents; npos when unbalanced (torn line). */
-size_t
-matchBrace(const std::string &s, size_t open)
-{
-    int depth = 0;
-    bool in_string = false;
-    for (size_t i = open; i < s.size(); ++i) {
-        char c = s[i];
-        if (in_string) {
-            if (c == '\\')
-                ++i;
-            else if (c == '"')
-                in_string = false;
-            continue;
-        }
-        if (c == '"')
-            in_string = true;
-        else if (c == '{')
-            ++depth;
-        else if (c == '}' && --depth == 0)
-            return i;
-    }
-    return std::string::npos;
-}
 
 void
 appendStr(std::string &out, const char *key, const std::string &v)
@@ -275,7 +191,7 @@ toJsonLine(const LedgerRecord &rec)
             out += ",";
         out += "\"";
         out += jsonEscape(fields[i].name);
-        out += "\":" + fmtNum(fields[i].value);
+        out += "\":" + jsonNumber(fields[i].value);
     }
     out += "}";
 
@@ -327,67 +243,70 @@ toJsonLine(const LedgerRecord &rec)
 namespace
 {
 
-/** Parse the `"name":{...}` object of string values at/after @p key
- *  into @p out. */
-void
-parseStringObject(
-    const std::string &line, const char *key,
-    std::vector<std::pair<std::string, std::string>> &out)
+/** The record of one parsed line; nullopt for a newer or invalid
+ *  schema. Throws JsonError where a member has the wrong kind. */
+std::optional<LedgerRecord>
+recordFromJson(const JsonValue &doc)
 {
-    const std::string marker = std::string("\"") + key + "\":{";
-    size_t at = line.find(marker);
-    if (at == std::string::npos)
-        return;
-    size_t i = at + marker.size();
-    while (i < line.size() && line[i] != '}') {
-        if (line[i] == ',' || line[i] == ' ') {
-            ++i;
-            continue;
-        }
-        if (line[i] != '"')
-            break;
-        std::string name;
-        size_t name_end = readJsonString(line, i, name);
-        if (name_end == std::string::npos)
-            break;
-        size_t colon = line.find(':', name_end);
-        if (colon == std::string::npos)
-            break;
-        size_t open = line.find('"', colon);
-        if (open == std::string::npos)
-            break;
-        std::string value;
-        size_t j = readJsonString(line, open, value);
-        if (j == std::string::npos)
-            break; // Torn inside the value.
-        out.emplace_back(std::move(name), std::move(value));
-        i = j + 1;
-    }
-}
+    const JsonValue *schema = doc.find("schema_version");
+    const uint64_t version = schema ? schema->asU64() : 0;
+    if (version < 1 || version > kLedgerSchemaVersion)
+        return std::nullopt;
+    const JsonValue *fields = doc.find("fields");
+    if (!fields)
+        return std::nullopt;
 
-/** Iterate the `{...}` chunks of the `"name":[...]` array at/after
- *  @p key, invoking @p fn with each chunk substring. */
-template <typename Fn>
-void
-forEachArrayChunk(const std::string &line, const char *key, Fn fn)
-{
-    const std::string marker = std::string("\"") + key + "\":[";
-    size_t at = line.find(marker);
-    if (at == std::string::npos)
-        return;
-    size_t i = at + marker.size();
-    while (i < line.size()) {
-        size_t open = line.find('{', i);
-        size_t end = line.find(']', i);
-        if (open == std::string::npos ||
-            (end != std::string::npos && end < open))
-            break;
-        size_t close = matchBrace(line, open);
-        if (close == std::string::npos)
-            break;
-        fn(line.substr(open, close - open + 1));
-        i = close + 1;
-    }
+    LedgerRecord rec;
+    rec.schemaVersion = static_cast<int>(version);
+    rec.kind = doc.getString("kind", "cell");
+    rec.flavour = doc.getString("flavour");
+    rec.bench = doc.getString("bench");
+    rec.workload = doc.getString("workload");
+    rec.cellKey = doc.getString("cell_key");
+    rec.systemKey = doc.getString("system_key");
+    rec.artifactKey = doc.getString("artifact_key");
+    rec.cacheSource = doc.getString("cache_source");
+    rec.engine = doc.getString("engine");
+    rec.policy = doc.getString("policy");
+    rec.profileSeed = doc.getU64("profile_seed");
+    rec.runSeed = doc.getU64("run_seed");
+    rec.policySeed = doc.getU64("policy_seed");
+    rec.outputChecksum = doc.getString("output_checksum");
+
+    if (const JsonValue *env = doc.find("env"))
+        for (const auto &[name, value] : env->asObject())
+            rec.env.emplace_back(name, value.asString());
+    for (const auto &[name, value] : fields->asObject())
+        rec.fields.push_back({name, value.asNumber()});
+
+    if (const JsonValue *regions = doc.find("regions"))
+        for (const JsonValue &c : regions->asArray()) {
+            LedgerRegionRow r;
+            r.function = c.getString("function");
+            r.regionId = static_cast<int>(c.getU64("region"));
+            r.srcLine = static_cast<int>(c.getU64("line"));
+            r.entries = c.getU64("entries");
+            r.misspecs = c.getU64("misspecs");
+            r.specInsts = c.getU64("spec_insts");
+            r.handlerInsts = c.getU64("handler_insts");
+            r.handlerCycles = c.getU64("handler_cycles");
+            rec.regions.push_back(std::move(r));
+        }
+
+    if (const JsonValue *heat = doc.find("heat"))
+        for (const JsonValue &c : heat->asArray()) {
+            LedgerHeatRow h;
+            h.function = c.getString("function");
+            h.block = c.getString("block");
+            h.regionId = static_cast<int>(c.getU64("region"));
+            h.srcLine = static_cast<int>(c.getU64("line"));
+            h.entries = c.getU64("entries");
+            h.insts = c.getU64("insts");
+            h.cycles = c.getU64("cycles");
+            h.misspecs = c.getU64("misspecs");
+            rec.heat.push_back(std::move(h));
+        }
+    return rec;
 }
 
 } // namespace
@@ -395,93 +314,14 @@ forEachArrayChunk(const std::string &line, const char *key, Fn fn)
 std::optional<LedgerRecord>
 parseLedgerLine(const std::string &line)
 {
-    if (line.find_first_not_of(" \t\r\n") == std::string::npos)
+    // A crash can tear the final line anywhere: any line that is not
+    // one whole record, a blank one too, is skipped, never read in
+    // part.
+    try {
+        return recordFromJson(parseJson(line));
+    } catch (const JsonError &) {
         return std::nullopt;
-    auto schema = numberAfter(line, "schema_version");
-    if (!schema || static_cast<int>(*schema) < 1 ||
-        static_cast<int>(*schema) > kLedgerSchemaVersion)
-        return std::nullopt;
-    // A whole record is one line; a torn tail cannot close the final
-    // bracket, so this cheaply rejects partial crash-time writes.
-    if (line.find('}') == std::string::npos)
-        return std::nullopt;
-
-    LedgerRecord rec;
-    rec.schemaVersion = static_cast<int>(*schema);
-    rec.kind = stringAfter(line, "kind").value_or("cell");
-    rec.flavour = stringAfter(line, "flavour").value_or("");
-    rec.bench = stringAfter(line, "bench").value_or("");
-    rec.workload = stringAfter(line, "workload").value_or("");
-    rec.cellKey = stringAfter(line, "cell_key").value_or("");
-    rec.systemKey = stringAfter(line, "system_key").value_or("");
-    rec.artifactKey = stringAfter(line, "artifact_key").value_or("");
-    rec.cacheSource = stringAfter(line, "cache_source").value_or("");
-    rec.engine = stringAfter(line, "engine").value_or("");
-    rec.policy = stringAfter(line, "policy").value_or("");
-    rec.profileSeed = u64After(line, "profile_seed").value_or(0);
-    rec.runSeed = u64After(line, "run_seed").value_or(0);
-    rec.policySeed = u64After(line, "policy_seed").value_or(0);
-    rec.outputChecksum =
-        stringAfter(line, "output_checksum").value_or("");
-
-    parseStringObject(line, "env", rec.env);
-
-    // Flat fields object: same scan as obs/trajectory's series map.
-    size_t at = line.find("\"fields\":{");
-    if (at == std::string::npos)
-        return std::nullopt;
-    size_t i = at + std::strlen("\"fields\":{");
-    while (i < line.size() && line[i] != '}') {
-        size_t open = line.find('"', i);
-        if (open == std::string::npos)
-            break;
-        size_t close = line.find('"', open + 1);
-        if (close == std::string::npos)
-            break;
-        size_t colon = line.find(':', close);
-        if (colon == std::string::npos)
-            break;
-        const char *p = line.c_str() + colon + 1;
-        char *end = nullptr;
-        double v = std::strtod(p, &end);
-        if (end == p)
-            return std::nullopt; // Corrupt value: drop the record.
-        rec.fields.push_back(
-            {line.substr(open + 1, close - open - 1), v});
-        i = static_cast<size_t>(end - line.c_str());
-        while (i < line.size() && (line[i] == ',' || line[i] == ' '))
-            ++i;
     }
-
-    forEachArrayChunk(line, "regions", [&rec](const std::string &c) {
-        LedgerRegionRow r;
-        r.function = stringAfter(c, "function").value_or("");
-        r.regionId =
-            static_cast<int>(u64After(c, "region").value_or(0));
-        r.srcLine = static_cast<int>(u64After(c, "line").value_or(0));
-        r.entries = u64After(c, "entries").value_or(0);
-        r.misspecs = u64After(c, "misspecs").value_or(0);
-        r.specInsts = u64After(c, "spec_insts").value_or(0);
-        r.handlerInsts = u64After(c, "handler_insts").value_or(0);
-        r.handlerCycles = u64After(c, "handler_cycles").value_or(0);
-        rec.regions.push_back(std::move(r));
-    });
-
-    forEachArrayChunk(line, "heat", [&rec](const std::string &c) {
-        LedgerHeatRow h;
-        h.function = stringAfter(c, "function").value_or("");
-        h.block = stringAfter(c, "block").value_or("");
-        h.regionId =
-            static_cast<int>(u64After(c, "region").value_or(0));
-        h.srcLine = static_cast<int>(u64After(c, "line").value_or(0));
-        h.entries = u64After(c, "entries").value_or(0);
-        h.insts = u64After(c, "insts").value_or(0);
-        h.cycles = u64After(c, "cycles").value_or(0);
-        h.misspecs = u64After(c, "misspecs").value_or(0);
-        rec.heat.push_back(std::move(h));
-    });
-
-    return rec;
 }
 
 std::vector<LedgerRecord>
@@ -555,8 +395,8 @@ validateLedgerRecord(const LedgerRecord &rec)
             return std::string("cell record missing ") + name;
 
     // The breakdown must sum to the model total bit-exactly: the
-    // serializer round-trips doubles via %.17g and this addition order
-    // matches EnergyBreakdown::total().
+    // serializer round-trips doubles via jsonNumber and this addition
+    // order matches EnergyBreakdown::total().
     const double parts =
         *rec.field("energy.alu_pj") + *rec.field("energy.regfile_pj") +
         *rec.field("energy.dcache_pj") +

@@ -160,8 +160,9 @@ std::vector<std::pair<std::string, std::string>> captureBitspecEnv();
 /** Serialize as one JSON line (no trailing newline). */
 std::string toJsonLine(const LedgerRecord &rec);
 
-/** Parse one ledger line; nullopt for blank / torn / newer-schema
- *  lines (the loader skips them). */
+/** Parse one ledger line; nullopt for blank, torn, malformed and
+ *  newer-schema lines (the loader skips them): a line that is not
+ *  exactly one JSON record is never read in part. */
 std::optional<LedgerRecord> parseLedgerLine(const std::string &line);
 
 /** All parseable records of @p path in file order; empty when the

@@ -10,8 +10,8 @@
 
 #include "obs/flightrec.h"
 #include "support/env.h"
+#include "support/json.h"
 #include "support/log.h"
-#include "support/str.h"
 
 namespace bitspec::trace
 {
@@ -82,18 +82,6 @@ append(Event e)
     b.events.push_back(std::move(e));
 }
 
-/** Arg values that parse fully as numbers are emitted unquoted so
- *  counter tracks and numeric annotations stay numeric in Perfetto. */
-bool
-looksNumeric(const std::string &s)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    std::strtod(s.c_str(), &end);
-    return end && *end == '\0';
-}
-
 void
 writeEvent(std::ostream &os, const Event &e)
 {
@@ -117,7 +105,10 @@ writeEvent(std::ostream &os, const Event &e)
             os << "\"";
             os << jsonEscape(e.args[i].first);
             os << "\":";
-            if (looksNumeric(e.args[i].second)) {
+            // A JSON number stays a number, so counter tracks and
+            // numeric annotations stay numeric in Perfetto; anything
+            // else ("inf", "0x1f", a function named "nan") is text.
+            if (isJsonNumber(e.args[i].second)) {
                 os << e.args[i].second;
             } else {
                 os << "\"";
@@ -231,10 +222,9 @@ instant(std::string name, const char *category,
 void
 counter(std::string name, const char *category, double value)
 {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
+    const std::string text = jsonNumber(value);
     if (flightrec::active())
-        flightrec::record('C', name.c_str(), category, buf);
+        flightrec::record('C', name.c_str(), category, text.c_str());
     if (!enabled())
         return;
     Event e;
@@ -242,7 +232,7 @@ counter(std::string name, const char *category, double value)
     e.cat = category;
     e.phase = 'C';
     e.tsNs = nowNs();
-    e.args.emplace_back("value", buf);
+    e.args.emplace_back("value", text);
     append(std::move(e));
 }
 

@@ -1,13 +1,10 @@
 #include "obs/trajectory.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include "support/json.h"
 #include "support/str.h"
 
 namespace bitspec
@@ -16,83 +13,34 @@ namespace bitspec
 namespace
 {
 
-std::string
-fmtNum(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-/** Value of `"key":<number>` at/after @p from and before @p to;
- *  nullopt when absent. Tolerates whitespace after the colon
- *  (google-benchmark style). */
-std::optional<double>
-numberAfter(const std::string &text, const std::string &key,
-            size_t from = 0, size_t to = std::string::npos)
-{
-    size_t at = text.find("\"" + key + "\":", from);
-    if (at == std::string::npos || at >= to)
-        return std::nullopt;
-    const char *p = text.c_str() + at + key.size() + 3;
-    char *end = nullptr;
-    double v = std::strtod(p, &end);
-    if (end == p)
-        return std::nullopt;
-    return v;
-}
-
-/** End of the JSON object that encloses offset @p at: the index of
- *  its closing brace, or the end of @p text when unbalanced. Skips
- *  string contents, so braces inside strings do not count. */
-size_t
-objectEnd(const std::string &text, size_t at)
-{
-    int depth = 0;
-    bool in_string = false;
-    for (size_t i = at; i < text.size(); ++i) {
-        const char c = text[i];
-        if (in_string) {
-            if (c == '\\')
-                ++i;
-            else if (c == '"')
-                in_string = false;
-        } else if (c == '"') {
-            in_string = true;
-        } else if (c == '{' || c == '[') {
-            ++depth;
-        } else if (c == '}' || c == ']') {
-            if (depth == 0)
-                return i;
-            --depth;
-        }
-    }
-    return text.size();
-}
-
-/** Value of `"key":"<string>"` at/after @p from. */
-std::optional<std::string>
-stringAfter(const std::string &text, const std::string &key,
-            size_t from = 0)
-{
-    size_t at = text.find("\"" + key + "\":", from);
-    if (at == std::string::npos)
-        return std::nullopt;
-    size_t open = text.find('"', at + key.size() + 3);
-    if (open == std::string::npos)
-        return std::nullopt;
-    std::string out;
-    if (readJsonString(text, open, out) == std::string::npos)
-        return std::nullopt;
-    return out;
-}
-
 /** A CPU count read from JSON; 0 (unknown) when absent (older
  *  history lines) or out of range. */
 unsigned
-cpuCount(std::optional<double> v)
+cpuCount(const JsonValue *v)
 {
-    return v && *v >= 1 && *v < 1e6 ? static_cast<unsigned>(*v) : 0;
+    const double n = v ? v->asNumber() : 0;
+    return n >= 1 && n < 1e6 ? static_cast<unsigned>(n) : 0;
+}
+
+/** Number member @p key of @p obj; nullopt when absent. */
+std::optional<double>
+numberMember(const JsonValue &obj, std::string_view key)
+{
+    const JsonValue *v = obj.find(key);
+    return v ? std::optional<double>(v->asNumber()) : std::nullopt;
+}
+
+/** Counter @p counter of the first `benchmarks` entry named @p bench
+ *  in the google-benchmark document @p doc. */
+std::optional<double>
+counterOf(const JsonValue &doc, const std::string &bench,
+          const std::string &counter)
+{
+    if (const JsonValue *entries = doc.find("benchmarks"))
+        for (const JsonValue &entry : entries->asArray())
+            if (entry.getString("name") == bench)
+                return numberMember(entry, counter);
+    return std::nullopt;
 }
 
 } // namespace
@@ -145,7 +93,7 @@ toJsonLine(const TrajectoryRecord &rec)
             out += ",";
         out += "\"";
         out += jsonEscape(sorted[i].name);
-        out += "\":" + fmtNum(sorted[i].value);
+        out += "\":" + jsonNumber(sorted[i].value);
     }
     out += "}}";
     return out;
@@ -154,51 +102,28 @@ toJsonLine(const TrajectoryRecord &rec)
 std::optional<TrajectoryRecord>
 parseJsonLine(const std::string &line)
 {
-    if (line.find_first_not_of(" \t\r\n") == std::string::npos)
-        return std::nullopt;
-    auto schema = numberAfter(line, "schema_version");
-    if (!schema || static_cast<int>(*schema) < 1 ||
-        static_cast<int>(*schema) > kTrajectorySchemaVersion)
-        return std::nullopt;
+    try {
+        const JsonValue doc = parseJson(line);
+        const JsonValue *schema = doc.find("schema_version");
+        const uint64_t version = schema ? schema->asU64() : 0;
+        const JsonValue *series = doc.find("series");
+        if (version < 1 || version > kTrajectorySchemaVersion || !series)
+            return std::nullopt;
 
-    TrajectoryRecord rec;
-    rec.schemaVersion = static_cast<int>(*schema);
-    rec.gitSha = stringAfter(line, "git_sha").value_or("unknown");
-    rec.buildType = stringAfter(line, "build_type").value_or("");
-    rec.timestamp = stringAfter(line, "timestamp").value_or("");
-    size_t dbg = line.find("\"debug_build\":");
-    rec.debugBuild =
-        dbg != std::string::npos &&
-        line.compare(dbg + std::strlen("\"debug_build\":"), 4,
-                     "true") == 0;
-    rec.hostCpus = cpuCount(numberAfter(line, "host_cpus"));
-
-    size_t at = line.find("\"series\":{");
-    if (at == std::string::npos)
-        return std::nullopt;
-    size_t i = at + std::strlen("\"series\":{");
-    while (i < line.size() && line[i] != '}') {
-        size_t open = line.find('"', i);
-        if (open == std::string::npos)
-            break;
-        size_t close = line.find('"', open + 1);
-        if (close == std::string::npos)
-            break;
-        size_t colon = line.find(':', close);
-        if (colon == std::string::npos)
-            break;
-        const char *p = line.c_str() + colon + 1;
-        char *end = nullptr;
-        double v = std::strtod(p, &end);
-        if (end == p)
-            return std::nullopt; // Corrupt value: drop the record.
-        rec.series.push_back(
-            {line.substr(open + 1, close - open - 1), v});
-        i = static_cast<size_t>(end - line.c_str());
-        while (i < line.size() && (line[i] == ',' || line[i] == ' '))
-            ++i;
+        TrajectoryRecord rec;
+        rec.schemaVersion = static_cast<int>(version);
+        rec.gitSha = doc.getString("git_sha", "unknown");
+        rec.buildType = doc.getString("build_type");
+        rec.timestamp = doc.getString("timestamp");
+        if (const JsonValue *debug = doc.find("debug_build"))
+            rec.debugBuild = debug->asBool();
+        rec.hostCpus = cpuCount(doc.find("host_cpus"));
+        for (const auto &[name, value] : series->asObject())
+            rec.series.push_back({name, value.asNumber()});
+        return rec;
+    } catch (const JsonError &) {
+        return std::nullopt; // Blank, torn or corrupt: skipped whole.
     }
-    return rec;
 }
 
 std::vector<TrajectoryRecord>
@@ -253,23 +178,18 @@ std::optional<double>
 benchCounter(const std::string &json_text, const std::string &bench,
              const std::string &counter)
 {
-    size_t at = json_text.find("\"name\": \"" + bench + "\"");
-    if (at == std::string::npos)
-        at = json_text.find("\"name\":\"" + bench + "\"");
-    if (at == std::string::npos)
-        return std::nullopt;
-    return numberAfter(json_text, counter, at, objectEnd(json_text, at));
+    return counterOf(parseJson(json_text), bench, counter);
 }
 
 TrajectoryRecord
 recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
 {
+    const JsonValue doc = parseJson(json_text);
     TrajectoryRecord rec;
     rec.buildType = build.buildType;
     rec.debugBuild = build.debug();
-    size_t ctx = json_text.find("\"context\":");
-    if (ctx != std::string::npos)
-        rec.hostCpus = cpuCount(numberAfter(json_text, "num_cpus", ctx));
+    if (const JsonValue *ctx = doc.find("context"))
+        rec.hostCpus = cpuCount(ctx->find("num_cpus"));
 
     auto add = [&rec](const std::string &name,
                       std::optional<double> v) {
@@ -278,34 +198,31 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
     };
 
     add("rate.interp_decoded_ir_per_s",
-        benchCounter(json_text, "BM_InterpreterThroughput/decoded",
-                     "ir_instrs_per_s"));
+        counterOf(doc, "BM_InterpreterThroughput/decoded",
+                  "ir_instrs_per_s"));
     add("rate.interp_profiled_ir_per_s",
-        benchCounter(json_text,
-                     "BM_InterpreterProfiledThroughput/decoded",
-                     "ir_instrs_per_s"));
+        counterOf(doc, "BM_InterpreterProfiledThroughput/decoded",
+                  "ir_instrs_per_s"));
     add("rate.core_fast_machine_per_s",
-        benchCounter(json_text, "BM_CoreThroughput/fast",
-                     "machine_instrs_per_s"));
+        counterOf(doc, "BM_CoreThroughput/fast", "machine_instrs_per_s"));
 
     // Per-workload rates: every BM_CoreWorkload/<workload>,
     // BM_SqueezeWorkload/<workload> and BM_BackendWorkload/<workload>
     // entry, '-' in the workload name spelled '_' in the series.
+    const JsonValue *entries = doc.find("benchmarks");
     auto perWorkload = [&](const std::string &bench,
                            const std::string &series) {
-        const std::string key = "\"name\": \"" + bench + "/";
-        for (size_t at = 0;
-             (at = json_text.find(key, at)) != std::string::npos;) {
-            size_t open = at + key.size();
-            size_t close = json_text.find('"', open);
-            if (close == std::string::npos)
-                break;
-            std::string wl = json_text.substr(open, close - open);
+        if (!entries)
+            return;
+        const std::string prefix = bench + "/";
+        for (const JsonValue &entry : entries->asArray()) {
+            std::string wl = entry.getString("name");
+            if (wl.rfind(prefix, 0) != 0)
+                continue;
+            wl.erase(0, prefix.size());
             std::replace(wl.begin(), wl.end(), '-', '_');
             add(series + wl + "_per_s",
-                numberAfter(json_text, "items_per_second", close,
-                            objectEnd(json_text, close + 1)));
-            at = close;
+                numberMember(entry, "items_per_second"));
         }
     };
     perWorkload("BM_CoreWorkload", "rate.core_workload_");
@@ -313,36 +230,21 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
     perWorkload("BM_BackendWorkload", "rate.backend_workload_");
 
     // experiment_smoke's observability section.
-    size_t obs = json_text.find("\"observability\":");
-    if (obs != std::string::npos) {
+    if (const JsonValue *obs = doc.find("observability")) {
         add("rate.obs_disabled_ir_per_s",
-            numberAfter(json_text, "disabled_rate", obs));
+            numberMember(*obs, "disabled_rate"));
         add("rate.obs_prof_off_ir_per_s",
-            numberAfter(json_text, "prof_off_rate", obs));
-        auto overhead =
-            numberAfter(json_text, "enabled_overhead_pct", obs);
-        if (overhead)
-            rec.series.push_back(
-                {"obs.trace_overhead_pct", *overhead});
+            numberMember(*obs, "prof_off_rate"));
+        if (auto overhead = numberMember(*obs, "enabled_overhead_pct"))
+            rec.series.push_back({"obs.trace_overhead_pct", *overhead});
     }
 
     // experiment_engine grid speedups.
-    size_t eng = json_text.find("\"experiment_engine\":");
-    if (eng != std::string::npos) {
-        size_t at = eng;
-        while ((at = json_text.find("\"name\": \"", at)) !=
-               std::string::npos) {
-            size_t open = at + std::strlen("\"name\": \"");
-            size_t close = json_text.find('"', open);
-            if (close == std::string::npos)
-                break;
-            std::string grid = json_text.substr(open, close - open);
-            add("speedup." + grid,
-                numberAfter(json_text, "speedup", close,
-                            objectEnd(json_text, close + 1)));
-            at = close;
-        }
-    }
+    if (const JsonValue *eng = doc.find("experiment_engine"))
+        if (const JsonValue *grids = eng->find("grids"))
+            for (const JsonValue &grid : grids->asArray())
+                add("speedup." + grid.getString("name"),
+                    numberMember(grid, "speedup"));
     return rec;
 }
 

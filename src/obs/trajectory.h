@@ -103,8 +103,9 @@ bool isGatedSeries(const std::string &name);
 /** Serialize as one JSON line (no trailing newline). */
 std::string toJsonLine(const TrajectoryRecord &rec);
 
-/** Parse one history line; nullopt for corrupt/blank/newer-schema
- *  lines (the loader skips them). */
+/** Parse one history line; nullopt for blank, torn, malformed and
+ *  newer-schema lines (the loader skips them): a line that is not
+ *  exactly one JSON record is never read in part. */
 std::optional<TrajectoryRecord> parseJsonLine(const std::string &line);
 
 /** All parseable records of @p path in file order; empty when the
@@ -117,11 +118,12 @@ bool appendHistory(const std::string &path,
                    const TrajectoryRecord &rec);
 
 /**
- * Counter @p counter of google-benchmark entry @p bench in
- * @p json_text, read within that entry's own object (the one holding
- * its "name"), so an entry without the counter (an errored run)
- * reads as absent rather than as a later entry's value. nullopt when
- * the entry or its counter is missing.
+ * Counter @p counter of the first `benchmarks` entry named @p bench
+ * in the google-benchmark JSON @p json_text, read from that entry
+ * alone, so an entry without the counter (an errored run) reads as
+ * absent rather than as a later entry's value. nullopt when the
+ * entry or its counter is missing; throws JsonError when the text is
+ * not JSON or the counter not a number.
  */
 std::optional<double> benchCounter(const std::string &json_text,
                                    const std::string &bench,
@@ -132,9 +134,10 @@ std::optional<double> benchCounter(const std::string &json_text,
  * experiment_smoke sections spliced in) into a record: build type and
  * debug flag from @p build (the JSON's library_build_type is
  * ignored), host CPUs from the context's num_cpus, rate.* series
- * from the benchmark counters and the observability section,
- * speedup.* from the experiment_engine grids. Sha/timestamp are left
- * for the caller.
+ * from the `benchmarks` entries' counters and the `observability`
+ * object's members, speedup.* from the `experiment_engine.grids`
+ * entries. Sha/timestamp are left for the caller. Throws JsonError
+ * when the text is not JSON or a value read has the wrong kind.
  */
 TrajectoryRecord recordFromBenchJson(const std::string &json_text,
                                      const BuildInfo &build = thisBuild());

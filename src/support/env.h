@@ -12,7 +12,6 @@
  *  - BITSPEC_JOBS          worker threads for the experiment engine
  *  - BITSPEC_VERIFY_EACH   per-stage pipeline verification (bool)
  *  - BITSPEC_TRACE         path for the Chrome trace-event export
- *  - BITSPEC_METRICS       path for the metrics JSON-lines export
  *  - BITSPEC_LEDGER        path for run-ledger JSONL append
  *                          (obs/ledger.h; unset/empty = disabled)
  *  - BITSPEC_LEDGER_DETAIL embed per-region + heat rows per ledgered

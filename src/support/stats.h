@@ -1,7 +1,6 @@
 /**
  * @file
- * Small statistics helpers used by the experiment harnesses and the
- * metrics registry.
+ * Small statistics helpers used by the experiment harnesses.
  */
 
 #ifndef BITSPEC_SUPPORT_STATS_H_
@@ -26,11 +25,9 @@ double geomean(const std::vector<double> &xs);
 double percentile(std::vector<double> xs, double p);
 
 /**
- * Sample-accumulating histogram with exact percentiles. Backs the
- * metrics registry's histogram kind; sample counts there are span
- * durations and per-run measurements, so holding the raw samples is
- * cheap and keeps p50/p95/p99 exact rather than bucketed. Every query
- * on an empty histogram returns 0.
+ * Sample-accumulating histogram with exact percentiles: holding the
+ * raw samples keeps p50/p95/p99 exact rather than bucketed. Every
+ * query on an empty histogram returns 0.
  */
 class Histogram
 {

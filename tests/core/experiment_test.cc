@@ -10,7 +10,6 @@
 
 #include "core/experiment.h"
 #include "obs/ledger.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/error.h"
 #include "workloads/workload.h"
@@ -219,14 +218,6 @@ fiveConfigs(const Workload &w, uint64_t profile_seed = 0)
     return cells;
 }
 
-uint64_t
-trainCounter(const char *name, const Workload &w)
-{
-    return MetricsRegistry::global()
-        .counter(name, {{"workload", w.name}})
-        .value();
-}
-
 TEST(ExperimentRunner, TrainsOncePerTrainingKey)
 {
     const Workload &w = getWorkload("CRC32");
@@ -237,9 +228,6 @@ TEST(ExperimentRunner, TrainsOncePerTrainingKey)
 
     for (unsigned threads : {1u, 4u}) {
         const std::string what = std::to_string(threads) + " threads";
-        const uint64_t misses0 =
-            trainCounter("experiment.train.misses", w);
-        const uint64_t hits0 = trainCounter("experiment.train.hits", w);
         trace::reset();
         trace::setEnabled(true);
         ExperimentRunner runner(threads);
@@ -250,11 +238,6 @@ TEST(ExperimentRunner, TrainsOncePerTrainingKey)
         EXPECT_EQ(st.systemsBuilt, 5u) << what;
         EXPECT_EQ(st.trainings, 1u) << what;
         EXPECT_EQ(st.trainingHits, 4u) << what;
-        EXPECT_EQ(trainCounter("experiment.train.misses", w) - misses0,
-                  1u)
-            << what;
-        EXPECT_EQ(trainCounter("experiment.train.hits", w) - hits0, 4u)
-            << what;
         std::map<std::string, int> instants;
         for (const trace::Event &e : trace::snapshot())
             if (e.phase == 'i')
@@ -357,47 +340,25 @@ stagingMatrix()
 }
 
 /** What one run() of a fresh runner returns and leaves behind: its
- *  results and stats, its experiment.cache.* and experiment.train.*
- *  counter deltas, and its cache.* and train.* trace instants with
- *  their arguments, sorted. */
+ *  results and stats, and its cache.* and train.* trace instants with
+ *  their arguments (workload, inflight), sorted. */
 struct RunFootprint
 {
     std::vector<RunResult> results;
     ExperimentStats stats;
-    std::map<std::string, uint64_t> counters;
     std::vector<std::string> instants;
 };
 
 RunFootprint
 footprintOf(unsigned threads, const std::vector<ExperimentCell> &cells)
 {
-    std::set<const Workload *> workloads;
-    for (const ExperimentCell &c : cells)
-        workloads.insert(c.workload);
-    auto counters = [&workloads] {
-        std::map<std::string, uint64_t> out;
-        for (const char *name :
-             {"experiment.cache.misses", "experiment.cache.hits",
-              "experiment.cache.inflight_waits",
-              "experiment.train.misses", "experiment.train.hits"}) {
-            for (const Workload *w : workloads) {
-                out[std::string(name) + "/" + w->name] =
-                    trainCounter(name, *w);
-            }
-        }
-        return out;
-    };
-
     RunFootprint fp;
-    const std::map<std::string, uint64_t> before = counters();
     trace::reset();
     trace::setEnabled(true);
     ExperimentRunner runner(threads);
     fp.results = runner.run(cells);
     trace::setEnabled(false);
     fp.stats = runner.stats();
-    for (const auto &[name, value] : counters())
-        fp.counters[name] = value - before.at(name);
     for (const trace::Event &e : trace::snapshot()) {
         if (e.phase != 'i' || (e.name.rfind("cache.", 0) != 0 &&
                                e.name.rfind("train.", 0) != 0))
@@ -435,7 +396,6 @@ TEST(ExperimentRunner, StagedMatrixNeverWaitsAndCountsAsOneThreadDoes)
     EXPECT_EQ(st.inflightWaits, one.inflightWaits);
     EXPECT_EQ(st.trainings, one.trainings);
     EXPECT_EQ(st.trainingHits, one.trainingHits);
-    EXPECT_EQ(staged.counters, serial.counters);
     EXPECT_EQ(staged.instants, serial.instants);
 
     ASSERT_EQ(staged.results.size(), cells.size());

@@ -3,14 +3,18 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "obs/flightrec.h"
+#include "obs/ledger.h"
+#include "support/json.h"
 
 namespace bitspec
 {
@@ -54,33 +58,31 @@ slurp(const std::string &path)
     return ss.str();
 }
 
-/** True when every brace/bracket outside string literals balances —
- *  the "torn but loadable" contract a post-mortem dump guarantees. */
-bool
-jsonBalanced(const std::string &s)
+/** The workload of the in-flight cell records in @p dump (one per
+ *  thread that had one), each read back as a ledger line. */
+std::vector<std::string>
+inflightWorkloads(const std::string &dump)
 {
-    int depth = 0;
-    bool in_string = false, escaped = false;
-    for (char c : s) {
-        if (in_string) {
-            if (escaped)
-                escaped = false;
-            else if (c == '\\')
-                escaped = true;
-            else if (c == '"')
-                in_string = false;
-            continue;
-        }
-        if (c == '"')
-            in_string = true;
-        else if (c == '{' || c == '[')
-            ++depth;
-        else if (c == '}' || c == ']') {
-            if (--depth < 0)
-                return false;
-        }
+    const JsonValue doc = parseJson(dump);
+    const JsonValue *inflight = doc.find("inflight");
+    if (!inflight)
+        return {"<no inflight array>"};
+    std::vector<std::string> out;
+    for (const JsonValue &line : inflight->asArray()) {
+        std::optional<LedgerRecord> rec =
+            parseLedgerLine(line.asString());
+        out.push_back(rec ? rec->workload : "<not a ledger line>");
     }
-    return depth == 0 && !in_string;
+    return out;
+}
+
+/** A provenance-only cell record as the runner marks in flight. */
+std::string
+inflightLine(const std::string &workload)
+{
+    LedgerRecord rec;
+    rec.workload = workload;
+    return toJsonLine(rec);
 }
 
 TEST(Flightrec, InactiveRecorderDropsEvents)
@@ -100,6 +102,7 @@ TEST(Flightrec, RecordsAndDumpsLoadableTrace)
     flightrec::setActive(true);
     flightrec::record('B', "runCell", "experiment", "CRC32");
     flightrec::record('C', "cycles", "counters", "12345");
+    flightrec::record('C', "ratio", "counters", "inf");
     flightrec::record('i', "log.warn", "log", "quote \" and \\ slash");
     flightrec::record('E', "runCell", "experiment", "");
     EXPECT_GE(flightrec::eventCount(), 4u);
@@ -111,7 +114,9 @@ TEST(Flightrec, RecordsAndDumpsLoadableTrace)
     EXPECT_NE(dump.find("\"reason\":\"unit-test\""),
               std::string::npos);
     EXPECT_NE(dump.find("runCell"), std::string::npos);
-    EXPECT_TRUE(jsonBalanced(dump)) << dump;
+    // A counter value that is not a JSON number stays a string.
+    EXPECT_NE(dump.find("\"detail\":\"inf\""), std::string::npos);
+    EXPECT_NO_THROW(parseJson(dump)) << dump;
 }
 
 TEST(Flightrec, InflightRecordEmbeddedAsEscapedString)
@@ -121,21 +126,17 @@ TEST(Flightrec, InflightRecordEmbeddedAsEscapedString)
     flightrec::reset();
     flightrec::setActive(true);
     flightrec::record('B', "cell", "experiment", "");
-    flightrec::setInflight(
-        "{\"schema_version\":1,\"kind\":\"cell\",\"workload\":\"CRC32\"}");
+    flightrec::setInflight(inflightLine("CRC32").c_str());
 
     const std::string path = tmp.path + "/inflight.json";
     ASSERT_TRUE(flightrec::dumpTo(path, "unit-test"));
     flightrec::clearInflight();
+    // The payload is embedded as one escaped string, so the dump stays
+    // loadable even when the payload is torn; here it reads back whole.
     const std::string dump = slurp(path);
-    EXPECT_NE(dump.find("\"inflight\":["), std::string::npos);
-    // The payload is embedded as one escaped string, so its quotes
-    // arrive backslashed and the dump stays loadable even when the
-    // payload is torn.
-    EXPECT_NE(dump.find("\\\"workload\\\":\\\"CRC32\\\""),
-              std::string::npos)
+    EXPECT_EQ(inflightWorkloads(dump),
+              std::vector<std::string>{"CRC32"})
         << dump;
-    EXPECT_TRUE(jsonBalanced(dump)) << dump;
 
     const std::string path2 = tmp.path + "/cleared.json";
     ASSERT_TRUE(flightrec::dumpTo(path2, "unit-test"));
@@ -156,6 +157,7 @@ TEST(Flightrec, DumpNowRequiresInstall)
 TEST(Flightrec, CrashedChildLeavesLoadableDump)
 {
     TempDir tmp;
+    const std::string inflight = inflightLine("sha");
     const pid_t pid = fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
@@ -164,8 +166,7 @@ TEST(Flightrec, CrashedChildLeavesLoadableDump)
         flightrec::install(tmp.path);
         flightrec::record('B', "runCell", "experiment", "sha");
         flightrec::record('C', "instructions", "counters", "99");
-        flightrec::setInflight(
-            "{\"kind\":\"cell\",\"workload\":\"sha\"}");
+        flightrec::setInflight(inflight.c_str());
         ::raise(SIGSEGV);
         ::_exit(0); // Unreachable: the handler re-raises.
     }
@@ -182,9 +183,8 @@ TEST(Flightrec, CrashedChildLeavesLoadableDump)
     EXPECT_NE(dump.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(dump.find("runCell"), std::string::npos);
     EXPECT_NE(dump.find("\"reason\":\"signal:"), std::string::npos);
-    EXPECT_NE(dump.find("\\\"workload\\\":\\\"sha\\\""),
-              std::string::npos);
-    EXPECT_TRUE(jsonBalanced(dump)) << dump;
+    EXPECT_EQ(inflightWorkloads(dump), std::vector<std::string>{"sha"})
+        << dump;
 }
 
 } // namespace

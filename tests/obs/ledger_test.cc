@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/ledger.h"
 
@@ -286,21 +289,86 @@ TEST(Ledger, ValidatorChecksMatrixKind)
     EXPECT_EQ(validateLedgerRecord(rec), "");
 }
 
+/** makeValidCell() with a region row and a heat row, reconciled:
+ *  a record with every part a torn write could cut. */
+LedgerRecord
+makeDetailCell()
+{
+    LedgerRecord rec = makeValidCell();
+    LedgerRegionRow region;
+    region.function = "crc32";
+    region.regionId = 7;
+    region.srcLine = 123;
+    region.entries = 9;
+    region.misspecs = 2;
+    region.specInsts = 40;
+    region.handlerInsts = 8;
+    region.handlerCycles = 12;
+    rec.regions.push_back(region);
+    LedgerHeatRow heat;
+    heat.function = "crc32";
+    heat.block = "bb7";
+    heat.regionId = 7;
+    heat.srcLine = 123;
+    heat.entries = 9;
+    heat.insts = 400;
+    heat.cycles = 600;
+    heat.misspecs = 2;
+    rec.heat.push_back(heat);
+    rec.setField("regions.unattributed_misspecs", 1);
+    rec.setField("heat.total_insts", 1000);
+    rec.setField("heat.total_cycles", 1500);
+    rec.setField("heat.total_misspecs", 3);
+    return rec;
+}
+
 TEST(Ledger, LoaderSkipsTornFinalLine)
 {
+    // A crash mid-append can tear the last line at any byte. No strict
+    // prefix of a record loads, not even one cut between rows.
     TempLedger tmp;
-    const std::string full = toJsonLine(makeValidCell());
-    {
-        std::ofstream of(tmp.path);
-        of << full << "\n" << full << "\n";
-        // A crash mid-append tears the last line; cut before the
-        // fields object so the record is unmistakably incomplete.
-        of << full.substr(0, full.find("\"fields\""));
+    const std::string full = toJsonLine(makeDetailCell());
+    size_t loaded = 0, first = full.size();
+    for (size_t cut = 0; cut < full.size(); ++cut) {
+        {
+            std::ofstream of(tmp.path, std::ios::trunc);
+            of << full << "\n" << full << "\n" << full.substr(0, cut);
+        }
+        if (loadLedger(tmp.path).size() != 2) {
+            ++loaded;
+            first = std::min(first, cut);
+        }
     }
+    EXPECT_EQ(loaded, 0u) << loaded << " of " << full.size()
+                          << " strict prefixes loaded, first the "
+                          << first << "-byte one";
+
     std::vector<LedgerRecord> recs = loadLedger(tmp.path);
     ASSERT_EQ(recs.size(), 2u);
     EXPECT_EQ(validateLedgerRecord(recs[0]), "");
     EXPECT_EQ(validateLedgerRecord(recs[1]), "");
+    EXPECT_EQ(toJsonLine(recs[1]), full);
+}
+
+TEST(Ledger, TrailingBytesAndMalformedValuesAreSkipped)
+{
+    const std::string full = toJsonLine(makeValidCell());
+    ASSERT_TRUE(parseLedgerLine(full).has_value());
+    EXPECT_FALSE(parseLedgerLine(full + "garbage").has_value());
+    EXPECT_FALSE(parseLedgerLine(full + "}").has_value());
+
+    // A field value with junk after its digits, and a seed that is not
+    // an integer, drop the record instead of reading a prefix.
+    for (const auto &[good, bad] :
+         {std::pair<std::string, std::string>{"\"counters.cycles\":1500",
+                                              "\"counters.cycles\":1500x"},
+          {"\"run_seed\":1,", "\"run_seed\":1.5,"},
+          {"\"engine\":\"fast\"", "\"engine\":7"}}) {
+        std::string line = full;
+        ASSERT_NE(line.find(good), std::string::npos) << good;
+        line.replace(line.find(good), good.size(), bad);
+        EXPECT_FALSE(parseLedgerLine(line).has_value()) << bad;
+    }
 }
 
 TEST(Ledger, WriterAppendsAndReloads)

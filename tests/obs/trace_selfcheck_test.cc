@@ -9,52 +9,13 @@
 
 #include "core/experiment.h"
 #include "obs/trace.h"
+#include "support/json.h"
 #include "workloads/workload.h"
 
 namespace bitspec
 {
 namespace
 {
-
-/**
- * Minimal structural JSON scanner: balanced {}/[] outside strings,
- * legal escapes, input is exactly one value. Not a full parser — it
- * exists to catch emitter bugs (unescaped quotes, truncation,
- * trailing commas are caught by the balance and non-empty checks).
- */
-bool
-jsonWellFormed(const std::string &s)
-{
-    std::vector<char> stack;
-    bool in_string = false, escaped = false;
-    for (char c : s) {
-        if (in_string) {
-            if (escaped)
-                escaped = false;
-            else if (c == '\\')
-                escaped = true;
-            else if (c == '"')
-                in_string = false;
-            continue;
-        }
-        switch (c) {
-          case '"': in_string = true; break;
-          case '{': case '[': stack.push_back(c); break;
-          case '}':
-            if (stack.empty() || stack.back() != '{')
-                return false;
-            stack.pop_back();
-            break;
-          case ']':
-            if (stack.empty() || stack.back() != '[')
-                return false;
-            stack.pop_back();
-            break;
-          default: break;
-        }
-    }
-    return !in_string && stack.empty();
-}
 
 /** End-to-end: trace two full pipeline+execution workloads, then
  *  validate everything the ISSUE's selfcheck demands. */
@@ -155,7 +116,7 @@ TEST_F(TraceSelfcheck, CacheInstantsRecorded)
 TEST_F(TraceSelfcheck, ExportedJsonIsWellFormed)
 {
     std::string json = trace::toJson();
-    EXPECT_TRUE(jsonWellFormed(json));
+    EXPECT_NO_THROW(parseJson(json));
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos);
@@ -166,7 +127,7 @@ TEST_F(TraceSelfcheck, ExportedJsonIsWellFormed)
     std::ifstream in(path);
     std::stringstream buf;
     buf << in.rdbuf();
-    EXPECT_TRUE(jsonWellFormed(buf.str()));
+    EXPECT_NO_THROW(parseJson(buf.str()));
     EXPECT_FALSE(buf.str().empty());
     std::remove(path.c_str());
 }

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/trace.h"
+#include "support/json.h"
 
 namespace bitspec
 {
@@ -139,6 +142,45 @@ TEST_F(TraceTest, JsonHasTraceEventsArray)
     // Numeric-looking args are exported unquoted, text quoted.
     EXPECT_NE(json.find("\"count\":12"), std::string::npos);
     EXPECT_NE(json.find("\"label\":\"abc\""), std::string::npos);
+}
+
+TEST_F(TraceTest, ArgsAreNumbersOnlyByJsonGrammar)
+{
+    // A C-subset function named inf or nan is a span arg like any
+    // other: only text the JSON number grammar accepts goes unquoted.
+    const std::vector<std::string> texts = {"inf", "nan", "0x1f", " 12",
+                                            "1."};
+    const std::vector<std::string> numbers = {"12", "-0.5", "1e3"};
+    {
+        trace::Span s("grammar.span", "test");
+        for (size_t i = 0; i < texts.size(); ++i)
+            s.arg("t" + std::to_string(i), texts[i]);
+        for (size_t i = 0; i < numbers.size(); ++i)
+            s.arg("n" + std::to_string(i), numbers[i]);
+    }
+    trace::counter("unbounded", "test",
+                   std::numeric_limits<double>::infinity());
+
+    const JsonValue doc = parseJson(trace::toJson());
+    const JsonValue *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    const JsonValue *args = nullptr;
+    for (const JsonValue &e : events->asArray())
+        if (e.getString("ph") == "E")
+            args = e.find("args");
+    ASSERT_NE(args, nullptr);
+    for (size_t i = 0; i < texts.size(); ++i) {
+        const JsonValue *v = args->find("t" + std::to_string(i));
+        ASSERT_NE(v, nullptr) << texts[i];
+        EXPECT_EQ(v->kind, JsonValue::Kind::String) << texts[i];
+        EXPECT_EQ(v->text, texts[i]);
+    }
+    for (size_t i = 0; i < numbers.size(); ++i) {
+        const JsonValue *v = args->find("n" + std::to_string(i));
+        ASSERT_NE(v, nullptr) << numbers[i];
+        EXPECT_EQ(v->kind, JsonValue::Kind::Number) << numbers[i];
+        EXPECT_EQ(v->text, numbers[i]);
+    }
 }
 
 TEST_F(TraceTest, ResetDropsEverything)

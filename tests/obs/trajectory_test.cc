@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "obs/trajectory.h"
+#include "support/json.h"
 
 namespace bitspec
 {
@@ -90,6 +93,78 @@ TEST(Trajectory, CorruptAndNewerSchemaLinesAreSkipped)
     ASSERT_EQ(history.size(), 2u);
     EXPECT_DOUBLE_EQ(
         history[1].value("rate.interp_decoded_ir_per_s").value(), 2e8);
+}
+
+TEST(Trajectory, LoaderSkipsTornFinalLine)
+{
+    // A crash mid-append can tear the last line at any byte. No strict
+    // prefix of a record loads, not even one cut between series.
+    TrajectoryRecord rec = makeRecord(1.5e8);
+    rec.hostCpus = 4;
+    const std::string full = toJsonLine(rec);
+    TempHistory h;
+    size_t loaded = 0, first = full.size();
+    for (size_t cut = 0; cut < full.size(); ++cut) {
+        {
+            std::ofstream of(h.path, std::ios::trunc);
+            of << full << "\n" << full << "\n" << full.substr(0, cut);
+        }
+        if (loadHistory(h.path).size() != 2) {
+            ++loaded;
+            first = std::min(first, cut);
+        }
+    }
+    EXPECT_EQ(loaded, 0u) << loaded << " of " << full.size()
+                          << " strict prefixes loaded, first the "
+                          << first << "-byte one";
+    auto history = loadHistory(h.path);
+    ASSERT_EQ(history.size(), 2u);
+    EXPECT_EQ(toJsonLine(history[1]), full);
+}
+
+TEST(Trajectory, TrailingBytesAndMalformedValuesAreSkipped)
+{
+    const std::string full = toJsonLine(makeRecord(1500));
+    ASSERT_TRUE(parseJsonLine(full).has_value());
+    EXPECT_FALSE(parseJsonLine(full + " garbage").has_value());
+    EXPECT_FALSE(parseJsonLine(full + "}").has_value());
+    for (const auto &[good, bad] :
+         {std::pair<std::string, std::string>{
+              "\"rate.interp_decoded_ir_per_s\":1500",
+              "\"rate.interp_decoded_ir_per_s\":1500x"},
+          {"\"debug_build\":false", "\"debug_build\":0"}}) {
+        std::string line = full;
+        ASSERT_NE(line.find(good), std::string::npos) << good;
+        line.replace(line.find(good), good.size(), bad);
+        EXPECT_FALSE(parseJsonLine(line).has_value()) << bad;
+    }
+}
+
+TEST(Trajectory, SeriesNamesWithQuotesAndBackslashesRoundTrip)
+{
+    TrajectoryRecord rec = makeRecord(1e8);
+    rec.series.push_back({"rate.\"quoted\"\\name", 2.5});
+    auto back = parseJsonLine(toJsonLine(rec));
+    ASSERT_TRUE(back.has_value());
+    ASSERT_EQ(back->series.size(), rec.series.size());
+    EXPECT_EQ(back->value("rate.\"quoted\"\\name"), 2.5);
+    EXPECT_EQ(toJsonLine(*back), toJsonLine(rec));
+}
+
+TEST(Trajectory, CommittedHistoryLinesReadBackByteForByte)
+{
+    // Every line bench_gate has appended reads as a record that
+    // writes back the same bytes.
+    std::ifstream in(BITSPEC_HISTORY_PATH);
+    ASSERT_TRUE(in) << BITSPEC_HISTORY_PATH;
+    size_t lines = 0;
+    for (std::string line; std::getline(in, line); ++lines) {
+        auto rec = parseJsonLine(line);
+        ASSERT_TRUE(rec.has_value()) << "line " << lines + 1;
+        EXPECT_EQ(toJsonLine(*rec), line) << "line " << lines + 1;
+    }
+    EXPECT_GE(lines, 6u);
+    EXPECT_EQ(loadHistory(BITSPEC_HISTORY_PATH).size(), lines);
 }
 
 TEST(Trajectory, AppendCreatesFileAndParentDirs)
@@ -383,6 +458,60 @@ TEST(Trajectory, RecordFromBenchJsonReadsOnlyEachEntrysOwnCounters)
     EXPECT_DOUBLE_EQ(
         rec.value("rate.core_workload_susan_edges_per_s").value(), 2.4e8);
     EXPECT_EQ(rec.series.size(), 1u);
+}
+
+TEST(Trajectory, RecordFromBenchJsonReadsEachSectionByStructure)
+{
+    // Observability rates come from the observability object alone,
+    // and speedups from experiment_engine.grids alone: a later
+    // section's members of the same name are not theirs.
+    const std::string json = R"({
+  "benchmarks": [],
+  "experiment_engine": {
+    "threads": 4,
+    "grids": [
+      { "name": "fig08_matrix", "speedup": 3.2 }
+    ]
+  },
+  "static_lint": [
+    { "name": "CRC32", "speedup": 9.5 }
+  ],
+  "observability": {
+    "enabled_overhead_pct": 0.5,
+    "prof_off_rate": 1.19e8
+  },
+  "run_ledger": {
+    "disabled_rate": 7e8,
+    "overhead_pct": 0.6
+  }
+})";
+    TrajectoryRecord rec =
+        recordFromBenchJson(json, BuildInfo{"RelWithDebInfo", true});
+    EXPECT_FALSE(rec.value("rate.obs_disabled_ir_per_s").has_value());
+    EXPECT_DOUBLE_EQ(rec.value("rate.obs_prof_off_ir_per_s").value(),
+                     1.19e8);
+    EXPECT_DOUBLE_EQ(rec.value("obs.trace_overhead_pct").value(), 0.5);
+    EXPECT_DOUBLE_EQ(rec.value("speedup.fig08_matrix").value(), 3.2);
+    EXPECT_FALSE(rec.value("speedup.CRC32").has_value());
+    EXPECT_EQ(rec.series.size(), 3u);
+}
+
+TEST(Trajectory, MalformedBenchJsonThrowsNamingTheOffset)
+{
+    const std::string torn =
+        R"({"benchmarks": [{"name": "BM_CoreThroughput/fast", )"
+        R"("machine_instrs_per_s": 2.2e8})";
+    try {
+        recordFromBenchJson(torn);
+        ADD_FAILURE() << "a torn BENCH file was read";
+    } catch (const JsonError &e) {
+        EXPECT_EQ(e.offset(), torn.size());
+    }
+    EXPECT_THROW(benchCounter(torn, "BM_CoreThroughput/fast",
+                              "machine_instrs_per_s"),
+                 JsonError);
+    EXPECT_THROW(recordFromBenchJson(R"({"context": {"num_cpus": 4x}})"),
+                 JsonError);
 }
 
 TEST(Trajectory, BenchCounterIsAbsentWhenTheNamedEntryLacksIt)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "support/json.h"
 #include "support/str.h"
 
 namespace bitspec
@@ -34,19 +35,14 @@ TEST(Str, JsonEscapeRoundTrips)
     const std::string raw = "q\"b\\n\nt\tr\r\x01\x1f/\xc3\xa9";
     const std::string esc = jsonEscape(raw);
     EXPECT_EQ(esc, "q\\\"b\\\\n\\nt\\tr\\r\\u0001\\u001f/\xc3\xa9");
-    const std::string lit = "x\"" + esc + "\"y";
-    std::string back;
-    EXPECT_EQ(readJsonString(lit, 1, back), lit.size() - 2);
-    EXPECT_EQ(back, raw);
+    EXPECT_EQ(parseJson("\"" + esc + "\"").asString(), raw);
 
     // \/, \b, \f and \u above ASCII (as UTF-8) decode too; a literal
-    // cut short reads as npos.
-    back.clear();
-    EXPECT_EQ(readJsonString("\"\\/\\b\\f\\u00e9\"", 0, back), 13u);
-    EXPECT_EQ(back, "/\b\f\xc3\xa9");
-    back.clear();
-    EXPECT_EQ(readJsonString("\"abc\\\"", 0, back), std::string::npos);
-    EXPECT_EQ(readJsonString("\"\\u00", 0, back), std::string::npos);
+    // cut short throws.
+    EXPECT_EQ(parseJson("\"\\/\\b\\f\\u00e9\"").asString(),
+              "/\b\f\xc3\xa9");
+    EXPECT_THROW(parseJson("\"abc\\\""), JsonError);
+    EXPECT_THROW(parseJson("\"\\u00"), JsonError);
 }
 
 } // namespace
