@@ -12,15 +12,20 @@
  * The record is appended even when the gate fails — a regression is
  * exactly the run the history must remember — unless --check-only is
  * given. A BENCH file that is not JSON exits 2, naming the byte
- * offset, and records nothing. Runs from debug builds are tagged and
- * only ever compared against other debug runs (see
- * obs/trajectory.h).
+ * offset, and records nothing. So does a history with a corrupt line
+ * before its last, naming `path:line`: that line lost a record, and
+ * gating against the rest would gate against a shorter history than
+ * the file holds. A torn final line (what a crash mid-append leaves)
+ * and newer-schema lines are skipped with a warning naming each. Runs
+ * from debug builds are tagged and only ever compared against other
+ * debug runs (see obs/trajectory.h).
  *
  * When the gate trips and both ledger paths are given, the failure is
  * auto-forensicated: the run ledger is diffed against the baseline
  * ledger (obs/diff.h) and the drift table — localized to stage,
  * region and block — is printed below the gate verdict. The diff
- * never changes the exit status; it explains it.
+ * never changes the exit status; it explains it, after a warning
+ * naming each ledger line it skipped.
  */
 
 #include <chrono>
@@ -69,6 +74,14 @@ utcTimestamp()
     char buf[32];
     std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
     return buf;
+}
+
+/** Warn once per line a loader skipped. */
+void
+reportSkips(const std::string &path, const SkippedLines &skipped)
+{
+    for (const std::string &m : skipped.messages(path))
+        log::warn("bench_gate: %s", m.c_str());
 }
 
 int
@@ -143,7 +156,16 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::vector<TrajectoryRecord> history = loadHistory(history_path);
+    SkippedLines skipped;
+    std::vector<TrajectoryRecord> history =
+        loadHistory(history_path, &skipped);
+    if (size_t line = skipped.firstCorruptBeforeLast()) {
+        log::error("bench_gate: %s:%zu: corrupt history line; only a "
+                   "torn final line is skipped",
+                   history_path.c_str(), line);
+        return 2;
+    }
+    reportSkips(history_path, skipped);
     GateResult result = checkAgainstHistory(rec, history, opts);
     std::printf("bench_gate: %s @ %s vs %zu comparable run(s) in %s\n",
                 rec.gitSha.c_str(), rec.timestamp.c_str(),
@@ -154,9 +176,13 @@ main(int argc, char **argv)
     // the run's ledger and a baseline ledger are at hand.
     if (!result.pass && !ledger_path.empty() &&
         !ledger_baseline_path.empty()) {
+        SkippedLines base_skipped, cur_skipped;
         std::vector<LedgerRecord> base =
-            loadLedger(ledger_baseline_path);
-        std::vector<LedgerRecord> cur = loadLedger(ledger_path);
+            loadLedger(ledger_baseline_path, &base_skipped);
+        std::vector<LedgerRecord> cur =
+            loadLedger(ledger_path, &cur_skipped);
+        reportSkips(ledger_baseline_path, base_skipped);
+        reportSkips(ledger_path, cur_skipped);
         if (base.empty() || cur.empty()) {
             log::warn("bench_gate: cannot diff ledgers (%s: %zu "
                       "records, %s: %zu records)",

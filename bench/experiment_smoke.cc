@@ -29,7 +29,9 @@
  * reports per-field drift with stage/region/block localization
  * (obs/diff.h). Options: --abs-tol X, --rel-tol-pct X, --verbose,
  * --json <path> (machine verdict). Exit 0 = no regression, 1 = a
- * cell regressed or diverged, 2 = bad usage / unreadable ledger.
+ * cell regressed or diverged, 2 = bad usage / unreadable ledger. Each
+ * ledger line it skips (torn, corrupt or of a newer schema) is named
+ * on stderr as `path:line`.
  */
 
 #include <algorithm>
@@ -183,14 +185,19 @@ jsonSection(const std::vector<GridTiming> &grids, unsigned threads)
         os << "        \"cache_hits\": " << g.cacheHits << ",\n";
         os << "        \"inflight_waits\": " << g.inflightWaits
            << ",\n";
-        os << "        \"serial_sec\": " << g.serialSec << ",\n";
-        os << "        \"parallel_sec\": " << g.parallelSec << ",\n";
-        os << "        \"cell_wall_p50_sec\": " << g.wallP50 << ",\n";
-        os << "        \"cell_wall_p95_sec\": " << g.wallP95 << ",\n";
-        os << "        \"cell_wall_p99_sec\": " << g.wallP99 << ",\n";
-        os << "        \"speedup\": "
-           << (g.parallelSec > 0 ? g.serialSec / g.parallelSec : 0)
+        const double speedup =
+            g.parallelSec > 0 ? g.serialSec / g.parallelSec : 0;
+        os << "        \"serial_sec\": " << jsonNumber(g.serialSec)
            << ",\n";
+        os << "        \"parallel_sec\": " << jsonNumber(g.parallelSec)
+           << ",\n";
+        os << "        \"cell_wall_p50_sec\": " << jsonNumber(g.wallP50)
+           << ",\n";
+        os << "        \"cell_wall_p95_sec\": " << jsonNumber(g.wallP95)
+           << ",\n";
+        os << "        \"cell_wall_p99_sec\": " << jsonNumber(g.wallP99)
+           << ",\n";
+        os << "        \"speedup\": " << jsonNumber(speedup) << ",\n";
         os << "        \"bit_identical\": "
            << (g.identical ? "true" : "false") << "\n";
         os << "      }" << (i + 1 < grids.size() ? "," : "") << "\n";
@@ -263,12 +270,15 @@ staticLintSection(const std::vector<StaticLintRow> &rows)
            << ",\n";
         os << "      \"instructions_on\": " << r.instsOn << ",\n";
         os << "      \"instructions_off\": " << r.instsOff << ",\n";
-        os << "      \"energy_on\": " << r.energyOn << ",\n";
-        os << "      \"energy_off\": " << r.energyOff << ",\n";
-        os << "      \"energy_delta_pct\": "
-           << (r.energyOff > 0
-                   ? 100.0 * (r.energyOff - r.energyOn) / r.energyOff
-                   : 0)
+        const double delta_pct =
+            r.energyOff > 0
+                ? 100.0 * (r.energyOff - r.energyOn) / r.energyOff
+                : 0;
+        os << "      \"energy_on\": " << jsonNumber(r.energyOn)
+           << ",\n";
+        os << "      \"energy_off\": " << jsonNumber(r.energyOff)
+           << ",\n";
+        os << "      \"energy_delta_pct\": " << jsonNumber(delta_pct)
            << ",\n";
         os << "      \"same_checksum\": "
            << (r.sameChecksum ? "true" : "false") << "\n";
@@ -589,19 +599,20 @@ observabilitySection(const ObservabilityGate &g)
 {
     std::ostringstream os;
     os << "  \"observability\": {\n";
-    os << "    \"disabled_rate\": " << g.disabledRate << ",\n";
-    os << "    \"enabled_rate\": " << g.enabledRate << ",\n";
-    os << "    \"enabled_overhead_pct\": " << g.enabledOverheadPct
+    os << "    \"disabled_rate\": " << jsonNumber(g.disabledRate) << ",\n";
+    os << "    \"enabled_rate\": " << jsonNumber(g.enabledRate) << ",\n";
+    os << "    \"enabled_overhead_pct\": " << jsonNumber(g.enabledOverheadPct)
        << ",\n";
-    os << "    \"prof_off_rate\": " << g.profOffRate << ",\n";
-    os << "    \"prof_on_rate\": " << g.profOnRate << ",\n";
-    os << "    \"prof_off_overhead_pct\": " << g.profOffOverheadPct
+    os << "    \"prof_off_rate\": " << jsonNumber(g.profOffRate) << ",\n";
+    os << "    \"prof_on_rate\": " << jsonNumber(g.profOnRate) << ",\n";
+    os << "    \"prof_off_overhead_pct\": " << jsonNumber(g.profOffOverheadPct)
        << ",\n";
-    os << "    \"prof_on_overhead_pct\": " << g.profOnOverheadPct
+    os << "    \"prof_on_overhead_pct\": " << jsonNumber(g.profOnOverheadPct)
        << ",\n";
-    os << "    \"decoded_rate\": " << g.currDecodedRate << ",\n";
-    os << "    \"prev_decoded_rate\": " << g.prevDecodedRate << ",\n";
-    os << "    \"vs_prev_pct\": " << g.vsPrevPct << ",\n";
+    os << "    \"decoded_rate\": " << jsonNumber(g.currDecodedRate) << ",\n";
+    os << "    \"prev_decoded_rate\": " << jsonNumber(g.prevDecodedRate)
+       << ",\n";
+    os << "    \"vs_prev_pct\": " << jsonNumber(g.vsPrevPct) << ",\n";
     os << "    \"gate_within_1pct\": "
        << (g.withinGate ? "true" : "false") << "\n";
     os << "  }\n";
@@ -709,9 +720,9 @@ ledgerSection(const LedgerGate &g)
 {
     std::ostringstream os;
     os << "  \"run_ledger\": {\n";
-    os << "    \"off_sec\": " << g.offSec << ",\n";
-    os << "    \"on_sec\": " << g.onSec << ",\n";
-    os << "    \"overhead_pct\": " << g.overheadPct << ",\n";
+    os << "    \"off_sec\": " << jsonNumber(g.offSec) << ",\n";
+    os << "    \"on_sec\": " << jsonNumber(g.onSec) << ",\n";
+    os << "    \"overhead_pct\": " << jsonNumber(g.overheadPct) << ",\n";
     os << "    \"pairs\": " << g.pairs << ",\n";
     os << "    \"records\": " << g.records << ",\n";
     os << "    \"matrix_records\": " << g.matrixRecords << ",\n";
@@ -761,8 +772,17 @@ runBitspecDiff(int argc, char **argv)
     if (path_a.empty() || path_b.empty())
         return diff_usage();
 
-    std::vector<LedgerRecord> a = loadLedger(path_a);
-    std::vector<LedgerRecord> b = loadLedger(path_b);
+    SkippedLines skipped_a, skipped_b;
+    std::vector<LedgerRecord> a = loadLedger(path_a, &skipped_a);
+    std::vector<LedgerRecord> b = loadLedger(path_b, &skipped_b);
+    auto warn_skips = [](const std::string &path,
+                         const SkippedLines &skipped) {
+        for (const std::string &m : skipped.messages(path))
+            std::fprintf(stderr, "bitspec-diff: warning: %s\n",
+                         m.c_str());
+    };
+    warn_skips(path_a, skipped_a);
+    warn_skips(path_b, skipped_b);
     if (a.empty() || b.empty()) {
         std::fprintf(stderr,
                      "bitspec-diff: no ledger records in %s\n",

@@ -314,6 +314,9 @@ layoutFunction(MachFunction &mf)
     }
 
     emit_area(other_blocks);
+    // The blocks' instructions now live in mf.code alone.
+    for (MachBlock &mb : mf.blocks)
+        std::vector<MachInst>().swap(mb.insts);
 
     mf.blockIndex.clear();
     for (size_t id = 0; id < n; ++id)
@@ -379,7 +382,8 @@ linkProgram(std::vector<MachFunction> funcs, int entry_func)
             func_entry.resize(mf.id + 1, kUnlinked);
         func_entry[mf.id] = offset + mf.entryIndex;
         mf.baseAddr = MachProgram::kCodeBase + offset * kInstBytes;
-        offset += static_cast<uint32_t>(mf.code.size());
+        mf.codeSize = static_cast<uint32_t>(mf.code.size());
+        offset += mf.codeSize;
     }
     auto entry_of = [&](int id) {
         if (id < 0 || static_cast<size_t>(id) >= func_entry.size() ||
@@ -398,6 +402,8 @@ linkProgram(std::vector<MachFunction> funcs, int entry_func)
         prog.flat.push_back(inst);
         prog.funcOfIndex.push_back(0);
     }
+    // Each function's code moves into flat; the function keeps only
+    // its metadata.
     uint32_t base = static_cast<uint32_t>(stub.size());
     for (auto &mf : funcs) {
         for (MachInst inst : mf.code) {
@@ -408,7 +414,8 @@ linkProgram(std::vector<MachFunction> funcs, int entry_func)
             prog.flat.push_back(inst);
             prog.funcOfIndex.push_back(static_cast<uint32_t>(mf.id));
         }
-        base += static_cast<uint32_t>(mf.code.size());
+        base += mf.codeSize;
+        std::vector<MachInst>().swap(mf.code);
     }
     prog.funcs = std::move(funcs);
     return prog;

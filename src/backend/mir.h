@@ -27,6 +27,9 @@ struct MachBlock
 {
     std::string name;
     int id = -1;
+    /** The block's instructions from isel through layout.
+     *  layoutFunction() emits them into MachFunction::code and then
+     *  releases them: a laid-out block holds only its metadata. */
     std::vector<MachInst> insts;
     /** Handler block id when this block is in a speculative region;
      *  -1 otherwise (SMIR region membership). */
@@ -66,12 +69,18 @@ struct MachFunction
     /** Two-address ALU constraint (Thumb-like). */
     bool twoAddress = false;
 
-    /** Post-layout artefacts. */
-    std::vector<MachInst> code;       ///< Flat, branch targets local.
+    /** Post-layout artefacts. `code` holds the laid-out function
+     *  (branch targets local) from layoutFunction() until
+     *  linkProgram() moves it into MachProgram::flat and releases it;
+     *  the rest is kept for the program's life. */
+    std::vector<MachInst> code;
     std::map<int, uint32_t> blockIndex; ///< Block id -> code index.
     uint32_t delta = 0;               ///< Misspec redirect distance.
     uint32_t baseAddr = 0;            ///< Assigned at link.
     uint32_t entryIndex = 0;          ///< Code index of the entry block.
+    /** Instructions the function occupies in MachProgram::flat from
+     *  baseAddr on: the size `code` had when linked. */
+    uint32_t codeSize = 0;
 
     uint32_t
     newVReg(bool is_slice)

@@ -232,7 +232,8 @@ class FuncGen
     void
     sealBlock(BasicBlock *bb)
     {
-        bsAssert(!sealed_.count(bb), "double seal of " + bb->name());
+        if (sealed_.count(bb))
+            panic("double seal of " + bb->name());
         auto it = incomplete_.find(bb);
         if (it != incomplete_.end()) {
             for (auto &[slot, phi] : it->second)

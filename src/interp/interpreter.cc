@@ -258,7 +258,8 @@ Interpreter::callDecoded(Function *f, const uint64_t *args, size_t nargs,
     if (depth > kMaxCallDepth)
         fatal("call depth exceeded in " + f->name());
     const DecodedFunction &df = decodedFor(f);
-    bsAssert(nargs == df.numArgs(), "arity mismatch calling " + f->name());
+    if (nargs != df.numArgs())
+        panic("arity mismatch calling " + f->name());
 
     size_t base = dstackTop_;
     dstackTop_ = base + df.frameSize();
@@ -599,9 +600,9 @@ Interpreter::execDecoded(const DecodedFunction &df, size_t base,
 
           misspeculate:
             flushCounters();
-            bsAssert(blk.handler >= 0,
-                     "speculative op outside a region in " +
-                         df.blockName(cur));
+            if (blk.handler < 0)
+                panic("speculative op outside a region in " +
+                      df.blockName(cur));
             ++stats_.misspeculations;
             if constexpr (kBlockProf)
                 ++bc->misspecs;
@@ -612,7 +613,7 @@ Interpreter::execDecoded(const DecodedFunction &df, size_t base,
         }
 
         flushCounters();
-        bsAssert(false, "block fell through: " + df.blockName(cur));
+        panic("block fell through: " + df.blockName(cur));
       next_block:;
     }
 }

@@ -88,14 +88,15 @@ enum class MOpndKind : uint8_t
     VReg,   ///< Virtual register (pre-allocation only).
 };
 
-/** One machine operand. */
+/** One machine operand. The wide fields come first, so an operand
+ *  packs into 16 bytes with no interior padding. */
 struct MOpnd
 {
+    int64_t imm = 0;    ///< Imm value.
+    uint32_t vreg = 0;  ///< VReg id.
     MOpndKind kind = MOpndKind::None;
     uint8_t reg = 0;    ///< Reg/Slice: register number.
     uint8_t slice = 0;  ///< Slice: byte index 0..3.
-    int64_t imm = 0;    ///< Imm value.
-    uint32_t vreg = 0;  ///< VReg id.
     bool vregIsSlice = false; ///< VReg wants a slice, not a full reg.
 
     static MOpnd
@@ -141,6 +142,7 @@ struct MOpnd
     bool isImm() const { return kind == MOpndKind::Imm; }
     bool isVReg() const { return kind == MOpndKind::VReg; }
 };
+static_assert(sizeof(MOpnd) == 16, "MOpnd packs into 16 bytes");
 
 /** Provenance tag for the Fig. 10 spill/copy accounting. */
 enum class InstTag : uint8_t
@@ -168,6 +170,7 @@ struct MachInst
 
     std::string str() const; ///< Disassembly.
 };
+static_assert(sizeof(MachInst) == 64, "MachInst packs into 64 bytes");
 
 /** Fixed instruction size (bytes). */
 constexpr uint32_t kInstBytes = 4;

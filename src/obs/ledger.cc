@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 
 #include "support/env.h"
@@ -243,20 +242,19 @@ toJsonLine(const LedgerRecord &rec)
 namespace
 {
 
-/** The record of one parsed line; nullopt for a newer or invalid
- *  schema. Throws JsonError where a member has the wrong kind. */
-std::optional<LedgerRecord>
-recordFromJson(const JsonValue &doc)
+/** Read one parsed line into @p rec. Throws JsonError where a member
+ *  has the wrong kind. */
+JsonLine
+recordFromJson(const JsonValue &doc, LedgerRecord &rec)
 {
     const JsonValue *schema = doc.find("schema_version");
     const uint64_t version = schema ? schema->asU64() : 0;
-    if (version < 1 || version > kLedgerSchemaVersion)
-        return std::nullopt;
+    if (version > kLedgerSchemaVersion)
+        return JsonLine::Newer;
     const JsonValue *fields = doc.find("fields");
-    if (!fields)
-        return std::nullopt;
+    if (version < 1 || !fields)
+        return JsonLine::Corrupt;
 
-    LedgerRecord rec;
     rec.schemaVersion = static_cast<int>(version);
     rec.kind = doc.getString("kind", "cell");
     rec.flavour = doc.getString("flavour");
@@ -306,7 +304,20 @@ recordFromJson(const JsonValue &doc)
             h.misspecs = c.getU64("misspecs");
             rec.heat.push_back(std::move(h));
         }
-    return rec;
+    return JsonLine::Record;
+}
+
+/** Read @p line into @p rec. A crash can tear the final line
+ *  anywhere: a line that is not one whole record, a blank one too,
+ *  is never read in part. */
+JsonLine
+readLedgerLine(const std::string &line, LedgerRecord &rec)
+{
+    try {
+        return recordFromJson(parseJson(line), rec);
+    } catch (const JsonError &) {
+        return JsonLine::Corrupt;
+    }
 }
 
 } // namespace
@@ -314,27 +325,26 @@ recordFromJson(const JsonValue &doc)
 std::optional<LedgerRecord>
 parseLedgerLine(const std::string &line)
 {
-    // A crash can tear the final line anywhere: any line that is not
-    // one whole record, a blank one too, is skipped, never read in
-    // part.
-    try {
-        return recordFromJson(parseJson(line));
-    } catch (const JsonError &) {
+    LedgerRecord rec;
+    if (readLedgerLine(line, rec) != JsonLine::Record)
         return std::nullopt;
-    }
+    return rec;
 }
 
 std::vector<LedgerRecord>
-loadLedger(const std::string &path)
+loadLedger(const std::string &path, SkippedLines *skipped)
 {
     std::vector<LedgerRecord> out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    std::string line;
-    while (std::getline(in, line))
-        if (auto rec = parseLedgerLine(line))
-            out.push_back(std::move(*rec));
+    readJsonLines(
+        path,
+        [&out](const std::string &line) {
+            LedgerRecord rec;
+            const JsonLine kind = readLedgerLine(line, rec);
+            if (kind == JsonLine::Record)
+                out.push_back(std::move(rec));
+            return kind;
+        },
+        skipped);
     return out;
 }
 

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "energy/model.h"
+#include "support/json.h"
 #include "uarch/cache.h"
 #include "uarch/counters.h"
 
@@ -166,8 +167,9 @@ std::string toJsonLine(const LedgerRecord &rec);
 std::optional<LedgerRecord> parseLedgerLine(const std::string &line);
 
 /** All parseable records of @p path in file order; empty when the
- *  file is missing. */
-std::vector<LedgerRecord> loadLedger(const std::string &path);
+ *  file is missing. The lines skipped go to @p skipped when given. */
+std::vector<LedgerRecord> loadLedger(const std::string &path,
+                                     SkippedLines *skipped = nullptr);
 
 /**
  * Schema validation: "" when @p rec is well-formed, else the first

@@ -40,7 +40,7 @@ BlockMap::BlockMap(const MachProgram &prog)
                 mf.blocks[static_cast<size_t>(block_id)];
             uint32_t end = k + 1 < starts.size()
                                ? starts[k + 1].first
-                               : static_cast<uint32_t>(mf.code.size());
+                               : mf.codeSize;
             const bool member = !mb.isHandler && mb.handlerBlock >= 0;
             if (member)
                 end = std::min(end, spec_insts);

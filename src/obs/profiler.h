@@ -99,7 +99,9 @@ struct RegionSite
  * slots map to the member block that owns them (slot j serves member
  * instruction j, paper §3.4) and are flagged as skeleton slots.
  * Regions are registered per function in layout order, the first
- * time one of their blocks (member or handler) is laid out.
+ * time one of their blocks (member or handler) is laid out. Built
+ * from function and block metadata alone (baseAddr, codeSize, delta,
+ * blockIndex): a linked function holds no instructions.
  */
 class BlockMap
 {

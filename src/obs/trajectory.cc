@@ -99,18 +99,24 @@ toJsonLine(const TrajectoryRecord &rec)
     return out;
 }
 
-std::optional<TrajectoryRecord>
-parseJsonLine(const std::string &line)
+namespace
+{
+
+/** Read @p line into @p rec; a line that is not one whole record is
+ *  never read in part. */
+JsonLine
+readHistoryLine(const std::string &line, TrajectoryRecord &rec)
 {
     try {
         const JsonValue doc = parseJson(line);
         const JsonValue *schema = doc.find("schema_version");
         const uint64_t version = schema ? schema->asU64() : 0;
+        if (version > kTrajectorySchemaVersion)
+            return JsonLine::Newer;
         const JsonValue *series = doc.find("series");
-        if (version < 1 || version > kTrajectorySchemaVersion || !series)
-            return std::nullopt;
+        if (version < 1 || !series)
+            return JsonLine::Corrupt;
 
-        TrajectoryRecord rec;
         rec.schemaVersion = static_cast<int>(version);
         rec.gitSha = doc.getString("git_sha", "unknown");
         rec.buildType = doc.getString("build_type");
@@ -120,23 +126,37 @@ parseJsonLine(const std::string &line)
         rec.hostCpus = cpuCount(doc.find("host_cpus"));
         for (const auto &[name, value] : series->asObject())
             rec.series.push_back({name, value.asNumber()});
-        return rec;
+        return JsonLine::Record;
     } catch (const JsonError &) {
-        return std::nullopt; // Blank, torn or corrupt: skipped whole.
+        return JsonLine::Corrupt; // Blank, torn or malformed.
     }
 }
 
+} // namespace
+
+std::optional<TrajectoryRecord>
+parseJsonLine(const std::string &line)
+{
+    TrajectoryRecord rec;
+    if (readHistoryLine(line, rec) != JsonLine::Record)
+        return std::nullopt;
+    return rec;
+}
+
 std::vector<TrajectoryRecord>
-loadHistory(const std::string &path)
+loadHistory(const std::string &path, SkippedLines *skipped)
 {
     std::vector<TrajectoryRecord> out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    std::string line;
-    while (std::getline(in, line))
-        if (auto rec = parseJsonLine(line))
-            out.push_back(std::move(*rec));
+    readJsonLines(
+        path,
+        [&out](const std::string &line) {
+            TrajectoryRecord rec;
+            const JsonLine kind = readHistoryLine(line, rec);
+            if (kind == JsonLine::Record)
+                out.push_back(std::move(rec));
+            return kind;
+        },
+        skipped);
     return out;
 }
 

@@ -23,7 +23,10 @@
  *
  * The file format is deliberately line-oriented and append-only so
  * the history survives concurrent writers and partial writes: a
- * corrupt or unknown-schema line is skipped on load, never fatal.
+ * corrupt or unknown-schema line is skipped on load and reported by
+ * its line number (SkippedLines). Only a torn final line is crash
+ * residue, so bench_gate refuses a history with a corrupt line before
+ * its last.
  */
 
 #ifndef BITSPEC_OBS_TRAJECTORY_H_
@@ -34,6 +37,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "support/json.h"
 
 namespace bitspec
 {
@@ -109,8 +114,9 @@ std::string toJsonLine(const TrajectoryRecord &rec);
 std::optional<TrajectoryRecord> parseJsonLine(const std::string &line);
 
 /** All parseable records of @p path in file order; empty when the
- *  file is missing. */
-std::vector<TrajectoryRecord> loadHistory(const std::string &path);
+ *  file is missing. The lines skipped go to @p skipped when given. */
+std::vector<TrajectoryRecord> loadHistory(const std::string &path,
+                                          SkippedLines *skipped = nullptr);
 
 /** Append @p rec to @p path (created if missing); false on I/O
  *  error. */

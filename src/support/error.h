@@ -52,9 +52,19 @@ panic(const std::string &msg)
     throw PanicError(msg);
 }
 
-/** Panic unless @p cond holds. Used for internal invariants. The
- *  message is an argument, so a built one (`"..." + name`) costs its
- *  allocation on every call: on hot paths, write
+/** Panic unless @p cond holds. Used for internal invariants. A
+ *  literal message binds here and becomes a string only when the
+ *  assertion fails, so a holding assertion allocates nothing. */
+inline void
+bsAssert(bool cond, const char *msg)
+{
+    if (!cond)
+        panic(msg);
+}
+
+/** As above, for a built message (`"..." + name`). The argument is
+ *  built before the call, so it costs its allocation on every call
+ *  whether or not @p cond holds: on per-step and per-call paths write
  *  `if (!cond) panic(...)` instead. */
 inline void
 bsAssert(bool cond, const std::string &msg)

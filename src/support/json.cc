@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 namespace bitspec
 {
@@ -411,6 +412,49 @@ bool
 isJsonNumber(std::string_view s)
 {
     return !s.empty() && numberLength(s) == s.size();
+}
+
+size_t
+SkippedLines::firstCorruptBeforeLast() const
+{
+    for (size_t line : corrupt)
+        if (line != lastLine)
+            return line;
+    return 0;
+}
+
+std::vector<std::string>
+SkippedLines::messages(const std::string &path) const
+{
+    std::vector<std::string> out;
+    auto list = [&](const std::vector<size_t> &lines, const char *why) {
+        for (size_t line : lines)
+            out.push_back(path + ":" + std::to_string(line) + ": " + why);
+    };
+    list(corrupt, "skipped a line that is not one whole record");
+    list(newer, "skipped a record of a newer schema");
+    return out;
+}
+
+void
+readJsonLines(const std::string &path,
+              const std::function<JsonLine(const std::string &)> &read,
+              SkippedLines *skipped)
+{
+    std::ifstream in(path);
+    std::string line;
+    for (size_t n = 1; std::getline(in, line); ++n) {
+        if (line.find_first_not_of(" \t\r") == std::string::npos)
+            continue;
+        const JsonLine kind = read(line);
+        if (!skipped)
+            continue;
+        skipped->lastLine = n;
+        if (kind == JsonLine::Corrupt)
+            skipped->corrupt.push_back(n);
+        else if (kind == JsonLine::Newer)
+            skipped->newer.push_back(n);
+    }
 }
 
 } // namespace bitspec

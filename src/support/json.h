@@ -2,8 +2,9 @@
  * @file
  * The one place that knows the JSON format (RFC 8259): a strict
  * reader for the ledger, the perf history and google-benchmark
- * output, the string escaper every writer uses, and the one number
- * format.
+ * output, the string escaper every writer uses, the one number
+ * format, and the JSON-lines loop of the ledger and history loaders,
+ * which names the lines it skips.
  *
  * The reader accepts exactly one value plus surrounding whitespace;
  * anything else (a torn line, trailing bytes, `1500x`, a bad escape,
@@ -18,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -101,6 +103,39 @@ std::string jsonNumber(double v);
  *  surrounding space). Allocates nothing: the flight recorder calls
  *  it while dumping. */
 bool isJsonNumber(std::string_view s);
+
+/** What a JSON-lines reader made of one line. */
+enum class JsonLine
+{
+    Record,  ///< One whole record, read.
+    Newer,   ///< A record of a newer schema than this build reads.
+    Corrupt, ///< Anything else: torn, malformed or not a record.
+};
+
+/** The lines a JSON-lines loader skipped, by 1-based line number. A
+ *  blank line holds no record and is neither skipped nor listed. */
+struct SkippedLines
+{
+    std::vector<size_t> corrupt;
+    std::vector<size_t> newer;
+    size_t lastLine = 0; ///< Number of the file's last non-blank line.
+
+    /** The first corrupt line that is not the file's last non-blank
+     *  line, else 0. A torn final line is what a crash mid-append
+     *  leaves; a corrupt line before it lost a record. */
+    size_t firstCorruptBeforeLast() const;
+
+    /** One `path:line: <why>` message per skipped line, corrupt lines
+     *  first. */
+    std::vector<std::string> messages(const std::string &path) const;
+};
+
+/** Feed each non-blank line of @p path to @p read, in file order, and
+ *  note in @p skipped (may be null) each line it does not classify
+ *  as a Record. A missing file reads as empty. */
+void readJsonLines(const std::string &path,
+                   const std::function<JsonLine(const std::string &)> &read,
+                   SkippedLines *skipped);
 
 } // namespace bitspec
 

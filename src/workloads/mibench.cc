@@ -29,7 +29,8 @@ void
 setScalar(Module &m, const std::string &name, uint64_t v)
 {
     Global *g = m.getGlobal(name);
-    bsAssert(g != nullptr, "workload global missing: " + name);
+    if (!g)
+        panic("workload global missing: " + name);
     g->setElem(0, v);
 }
 
@@ -37,7 +38,8 @@ Global *
 glob(Module &m, const std::string &name)
 {
     Global *g = m.getGlobal(name);
-    bsAssert(g != nullptr, "workload global missing: " + name);
+    if (!g)
+        panic("workload global missing: " + name);
     return g;
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "backend/compiler.h"
 #include "core/system.h"
 #include "frontend/irgen.h"
@@ -8,6 +11,7 @@
 #include "transform/squeezer.h"
 #include "uarch/fast_core.h"
 #include "uarch/predecode.h"
+#include "workloads/workload.h"
 
 namespace bitspec
 {
@@ -303,6 +307,58 @@ TEST(Machine, SlicePackingReducesSpills)
     uint64_t bs_spills = cs.counters().dynSpillLoads +
                          cs.counters().dynSpillStores;
     EXPECT_LT(bs_spills, base_spills);
+}
+
+/** A linked System holds its instructions once, in flat: after the
+ *  4-instruction _start stub, the functions' codeSizes tile flat in
+ *  baseAddr order, and no function keeps a copy of its code. */
+TEST(System, LinkedProgramHoldsItsCodeOnce)
+{
+    constexpr uint32_t kStubInsts = 4;
+    for (const Workload &w : mibenchSuite()) {
+        const TrainedModule trained(
+            w.source, ExpanderOptions{},
+            [&w](Module &m) { w.setInput(m, 0); });
+        for (const SystemConfig &config :
+             {SystemConfig::baseline(),
+              SystemConfig::bitspec(Heuristic::Max)}) {
+            const System sys(trained, config);
+            const MachProgram &prog = sys.program();
+            const std::string cell =
+                w.name + (config.squeeze ? "/bitspec-max" : "/baseline");
+
+            std::vector<const MachFunction *> by_addr;
+            size_t block_insts = 0, code_insts = 0, total = 0;
+            for (const MachFunction &mf : prog.funcs) {
+                code_insts += mf.code.size();
+                for (const MachBlock &mb : mf.blocks)
+                    block_insts += mb.insts.size();
+                total += mf.codeSize;
+                by_addr.push_back(&mf);
+            }
+            EXPECT_EQ(code_insts, 0u) << cell;
+            EXPECT_EQ(block_insts, 0u) << cell;
+            EXPECT_EQ(total, prog.flat.size() - kStubInsts) << cell;
+
+            std::sort(by_addr.begin(), by_addr.end(),
+                      [](const MachFunction *a, const MachFunction *b) {
+                          return a->baseAddr < b->baseAddr;
+                      });
+            uint32_t next = kStubInsts;
+            for (const MachFunction *mf : by_addr) {
+                ASSERT_EQ(prog.indexOf(mf->baseAddr), next)
+                    << cell << ": " << mf->name;
+                ASSERT_GT(mf->codeSize, 0u) << cell << ": " << mf->name;
+                ASSERT_LE(next + mf->codeSize, prog.flat.size()) << cell;
+                for (uint32_t i = next; i < next + mf->codeSize; ++i)
+                    ASSERT_EQ(prog.funcOfIndex[i],
+                              static_cast<uint32_t>(mf->id))
+                        << cell << ": " << mf->name << " at " << i;
+                next += mf->codeSize;
+            }
+            EXPECT_EQ(next, prog.flat.size()) << cell;
+        }
+    }
 }
 
 TEST(System, FacadeEndToEnd)

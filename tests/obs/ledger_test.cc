@@ -350,6 +350,39 @@ TEST(Ledger, LoaderSkipsTornFinalLine)
     EXPECT_EQ(toJsonLine(recs[1]), full);
 }
 
+TEST(Ledger, LoaderNamesTheLinesItSkips)
+{
+    const std::string full = toJsonLine(makeValidCell());
+    std::string newer = full;
+    const std::string version =
+        "\"schema_version\":" + std::to_string(kLedgerSchemaVersion);
+    ASSERT_NE(newer.find(version), std::string::npos);
+    newer.replace(newer.find(version), version.size(),
+                  "\"schema_version\":" +
+                      std::to_string(kLedgerSchemaVersion + 1));
+    TempLedger tmp;
+    {
+        std::ofstream of(tmp.path);
+        of << full << "\n"
+           << newer << "\n"
+           << full.substr(0, full.size() - 1) << "\n" // Corrupt.
+           << full << "\n"
+           << full.substr(0, 20); // Torn final line.
+    }
+    SkippedLines skipped;
+    std::vector<LedgerRecord> recs = loadLedger(tmp.path, &skipped);
+    EXPECT_EQ(recs.size(), 2u);
+    EXPECT_EQ(skipped.corrupt, (std::vector<size_t>{3, 5}));
+    EXPECT_EQ(skipped.newer, (std::vector<size_t>{2}));
+    EXPECT_EQ(skipped.firstCorruptBeforeLast(), 3u);
+    const std::vector<std::string> messages = skipped.messages(tmp.path);
+    ASSERT_EQ(messages.size(), 3u);
+    EXPECT_EQ(messages[0].rfind(tmp.path + ":3: ", 0), 0u)
+        << messages[0];
+    EXPECT_EQ(messages[2].rfind(tmp.path + ":2: ", 0), 0u)
+        << messages[2];
+}
+
 TEST(Ledger, TrailingBytesAndMalformedValuesAreSkipped)
 {
     const std::string full = toJsonLine(makeValidCell());

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/trajectory.h"
 #include "support/json.h"
@@ -93,6 +94,76 @@ TEST(Trajectory, CorruptAndNewerSchemaLinesAreSkipped)
     ASSERT_EQ(history.size(), 2u);
     EXPECT_DOUBLE_EQ(
         history[1].value("rate.interp_decoded_ir_per_s").value(), 2e8);
+}
+
+TEST(Trajectory, LoaderNamesTheLinesItSkips)
+{
+    const std::string rec = toJsonLine(makeRecord(1e8));
+    const std::string version =
+        "\"schema_version\":" + std::to_string(kTrajectorySchemaVersion);
+    std::string newer = rec;
+    ASSERT_EQ(newer.find(version), 1u); // The first member.
+    newer.replace(1, version.size(),
+                  "\"schema_version\":" +
+                      std::to_string(kTrajectorySchemaVersion + 1));
+    TempHistory h;
+    {
+        std::ofstream of(h.path);
+        of << rec << "\n"                            // 1
+           << "garbage line\n"                      // 2
+           << newer << "\n"                          // 3
+           << "\n"                                   // 4: blank
+           << "{" << version << ",\"git_sha\":\"x\"}\n" // 5: no series
+           << rec << "\n"                            // 6
+           << rec.substr(0, rec.size() / 2);         // 7: torn
+    }
+    SkippedLines skipped;
+    EXPECT_EQ(loadHistory(h.path, &skipped).size(), 2u);
+    EXPECT_EQ(skipped.corrupt, (std::vector<size_t>{2, 5, 7}));
+    EXPECT_EQ(skipped.newer, (std::vector<size_t>{3}));
+    EXPECT_EQ(skipped.lastLine, 7u);
+    EXPECT_EQ(skipped.firstCorruptBeforeLast(), 2u);
+    const std::vector<std::string> messages = skipped.messages(h.path);
+    ASSERT_EQ(messages.size(), 4u);
+    EXPECT_EQ(messages[0].rfind(h.path + ":2: ", 0), 0u) << messages[0];
+    EXPECT_EQ(messages[2].rfind(h.path + ":7: ", 0), 0u) << messages[2];
+    EXPECT_EQ(messages[3].rfind(h.path + ":3: ", 0), 0u) << messages[3];
+}
+
+TEST(Trajectory, TornFinalLineIsTheOnlyToleratedCorruption)
+{
+    const std::string rec = toJsonLine(makeRecord(1e8));
+    TempHistory h;
+    SkippedLines skipped;
+    {
+        std::ofstream of(h.path);
+        of << rec << "\n" << rec << "\n" << rec.substr(0, 40) << "\n\n";
+    }
+    EXPECT_EQ(loadHistory(h.path, &skipped).size(), 2u);
+    EXPECT_EQ(skipped.corrupt, (std::vector<size_t>{3}));
+    EXPECT_EQ(skipped.firstCorruptBeforeLast(), 0u); // Crash residue.
+
+    // The same torn bytes with a record after them lost a record.
+    {
+        std::ofstream of(h.path, std::ios::app);
+        of << rec << "\n";
+    }
+    skipped = {};
+    EXPECT_EQ(loadHistory(h.path, &skipped).size(), 3u);
+    EXPECT_EQ(skipped.firstCorruptBeforeLast(), 3u);
+
+    skipped = {};
+    EXPECT_TRUE(loadHistory(h.path + ".missing", &skipped).empty());
+    EXPECT_EQ(skipped.corrupt, std::vector<size_t>{});
+    EXPECT_EQ(skipped.newer, std::vector<size_t>{});
+}
+
+TEST(Trajectory, CommittedHistorySkipsNothing)
+{
+    SkippedLines skipped;
+    EXPECT_GE(loadHistory(BITSPEC_HISTORY_PATH, &skipped).size(), 6u);
+    EXPECT_EQ(skipped.corrupt, std::vector<size_t>{});
+    EXPECT_EQ(skipped.newer, std::vector<size_t>{});
 }
 
 TEST(Trajectory, LoaderSkipsTornFinalLine)
