@@ -76,14 +76,6 @@ utcTimestamp()
     return buf;
 }
 
-/** Warn once per line a loader skipped. */
-void
-reportSkips(const std::string &path, const SkippedLines &skipped)
-{
-    for (const std::string &m : skipped.messages(path))
-        log::warn("bench_gate: %s", m.c_str());
-}
-
 int
 usage(const char *argv0)
 {
@@ -165,7 +157,8 @@ main(int argc, char **argv)
                    history_path.c_str(), line);
         return 2;
     }
-    reportSkips(history_path, skipped);
+    for (const std::string &m : skipped.messages(history_path))
+        log::warn("bench_gate: %s", m.c_str());
     GateResult result = checkAgainstHistory(rec, history, opts);
     std::printf("bench_gate: %s @ %s vs %zu comparable run(s) in %s\n",
                 rec.gitSha.c_str(), rec.timestamp.c_str(),
@@ -176,25 +169,14 @@ main(int argc, char **argv)
     // the run's ledger and a baseline ledger are at hand.
     if (!result.pass && !ledger_path.empty() &&
         !ledger_baseline_path.empty()) {
-        SkippedLines base_skipped, cur_skipped;
-        std::vector<LedgerRecord> base =
-            loadLedger(ledger_baseline_path, &base_skipped);
-        std::vector<LedgerRecord> cur =
-            loadLedger(ledger_path, &cur_skipped);
-        reportSkips(ledger_baseline_path, base_skipped);
-        reportSkips(ledger_path, cur_skipped);
-        if (base.empty() || cur.empty()) {
-            log::warn("bench_gate: cannot diff ledgers (%s: %zu "
-                      "records, %s: %zu records)",
-                      ledger_baseline_path.c_str(), base.size(),
-                      ledger_path.c_str(), cur.size());
-        } else {
+        if (auto forensics = diffLedgerFiles(ledger_baseline_path,
+                                             ledger_path, {},
+                                             "bench_gate")) {
             std::printf("\nledger forensics: %s (baseline) vs %s\n",
                         ledger_baseline_path.c_str(),
                         ledger_path.c_str());
             std::printf("%s",
-                        formatLedgerDiff(diffLedgers(base, cur))
-                            .c_str());
+                        formatLedgerDiff(forensics->diff).c_str());
         }
     }
 

@@ -1,6 +1,9 @@
 #include "paper.h"
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <future>
 #include <map>
 #include <string>
@@ -10,6 +13,7 @@
 #include "backend/compiler.h"
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
+#include "obs/profiler.h"
 #include "profile/bitwidth_profile.h"
 #include "support/bits.h"
 #include "support/stats.h"
@@ -865,6 +869,58 @@ fig18Thumb(ExperimentRunner &runner, std::FILE *out)
                  "mean", mean(ratios));
 }
 
+/** The reports profile on seed 0 and run on this held-out seed: on
+ *  the training seed every speculation holds and all misspec columns
+ *  would be zero. */
+constexpr uint64_t kReportRunSeed = 1;
+
+/** The reports' configuration: the aggressive heuristic maximises
+ *  speculative coverage, which is what makes the misspec and
+ *  overhead columns interesting. */
+SystemConfig
+reportConfig()
+{
+    return SystemConfig::bitspec(Heuristic::Max);
+}
+
+/** A finished run of a workload's report System with a block sink
+ *  attached. */
+struct ObservedRun
+{
+    const System &system;
+    const BlockMap &map;
+    const BlockProfilerSink &sink;
+    const RunResult &result;
+};
+
+/** Run @p w's report System (cached in @p runner) on the held-out
+ *  seed with a block sink attached, and hand the run to @p fn. */
+void
+observeRun(ExperimentRunner &runner, const Workload &w,
+           const std::function<void(const ObservedRun &)> &fn)
+{
+    runner.withSystem(w, reportConfig(), 0, [&](const System &sys) {
+        BlockMap map(sys.program());
+        BlockProfilerSink sink(map);
+        RunResult r = sys.run(
+            [&w](Module &m) { w.setInput(m, kReportRunSeed); }, {},
+            {.blocks = &sink});
+        fn({sys, map, sink, r});
+    });
+}
+
+/** The sink's per-block sums equal the core's counters exactly (the
+ *  BlockMap is a total partition). */
+bool
+reconciles(const ObservedRun &run)
+{
+    const ActivityCounters &c = run.result.counters;
+    return run.sink.totalInsts() == c.instructions &&
+           run.sink.totalCycles() == c.cycles &&
+           run.sink.totalMisspecs() == c.misspeculations &&
+           run.sink.unattributed() == 0;
+}
+
 constexpr Figure kFigures[] = {
     {"fig01", fig01BitwidthSelection},
     {"fig03", fig03Unrolling},
@@ -899,6 +955,127 @@ findFigure(std::string_view id)
         if (id == f.id)
             return &f;
     return nullptr;
+}
+
+bool
+printReport(ExperimentRunner &runner, std::FILE *out)
+{
+    printHeader(out,
+                "bitspec-report: per-region misspeculation attribution",
+                "region = function#id at its source line; overhead = "
+                "recovery + handler energy; saved = share of the "
+                "squeeze savings vs the unsqueezed baseline. Profiled "
+                "on seed 0, run on held-out seed 1 so speculation can "
+                "actually miss.");
+
+    // One matrix builds every System and runs the unsqueezed
+    // baselines; each squeezed System then runs again with a sink.
+    std::vector<ExperimentCell> cells;
+    for (const Workload &w : mibenchSuite()) {
+        cells.emplace_back(&w, SystemConfig::baseline(), 0,
+                           kReportRunSeed);
+        cells.emplace_back(&w, reportConfig(), 0, kReportRunSeed);
+    }
+    const std::vector<RunResult> res = runner.run(cells);
+
+    bool ok = true;
+    size_t k = 0;
+    for (const Workload &w : mibenchSuite()) {
+        const RunResult &base = res[k];
+        k += 2;
+        observeRun(runner, w, [&](const ObservedRun &run) {
+            const RunResult &r = run.result;
+            RegionReportInputs inputs;
+            inputs.energy = run.system.config().energy;
+            inputs.totalInstructions = r.counters.instructions;
+            inputs.totalEnergyPj = r.totalEnergy;
+            inputs.baselineEnergyPj = base.totalEnergy;
+            auto rows = buildRegionReport(run.map, run.sink, inputs);
+
+            uint64_t region_misspecs = 0;
+            for (const RegionReportRow &row : rows)
+                region_misspecs += row.activity.misspecs;
+            const bool sums_match =
+                reconciles(run) &&
+                region_misspecs == r.counters.misspeculations &&
+                run.sink.unattributedMisspecs() == 0;
+            ok = ok && sums_match;
+            std::fprintf(out,
+                         "--- %s: %zu regions, %llu misspeculations "
+                         "(attribution %s)\n",
+                         w.name.c_str(), rows.size(),
+                         static_cast<unsigned long long>(
+                             r.counters.misspeculations),
+                         sums_match ? "exact" : "MISMATCH");
+            if (!rows.empty())
+                std::fputs(formatRegionReport(rows, w.name + ".c").c_str(),
+                           out);
+            std::fputs("\n", out);
+        });
+    }
+    return ok;
+}
+
+bool
+printHeat(ExperimentRunner &runner, std::FILE *out,
+          const std::string &folded_dir)
+{
+    printHeader(out, "bitspec-heat: per-block cycle attribution",
+                "block = MachBlock with file:line provenance via its "
+                "SpecRegion; energy = model split (pipeline ~ cycles, "
+                "recovery ~ misspecs, rest ~ insts). Profiled on seed "
+                "0, run on held-out seed 1 so speculation can "
+                "actually miss.");
+    constexpr size_t kTopN = 10;
+    if (!folded_dir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(folded_dir, ec);
+    }
+
+    // One matrix builds every System; each then runs with a sink.
+    std::vector<ExperimentCell> cells;
+    for (const Workload &w : mibenchSuite())
+        cells.emplace_back(&w, reportConfig(), 0, kReportRunSeed);
+    runner.run(cells);
+
+    bool ok = true;
+    for (const Workload &w : mibenchSuite()) {
+        observeRun(runner, w, [&](const ObservedRun &run) {
+            const bool sums_match = reconciles(run);
+            ok = ok && sums_match;
+
+            HeatReportInputs inputs;
+            inputs.energy = run.system.config().energy;
+            inputs.totalEnergyPj = run.result.totalEnergy;
+            auto rows = buildHeatReport(run.map, run.sink, inputs);
+            std::fprintf(out,
+                         "--- %s: %zu block sites, %llu cycles "
+                         "(reconciliation %s)\n",
+                         w.name.c_str(), run.map.sites().size(),
+                         static_cast<unsigned long long>(
+                             run.result.counters.cycles),
+                         sums_match ? "exact" : "MISMATCH");
+            std::fputs(
+                formatHeatListing(rows, w.name + ".c", kTopN).c_str(),
+                out);
+
+            if (!folded_dir.empty()) {
+                const std::string path =
+                    folded_dir + "/" + w.name + ".folded";
+                std::ofstream of(path);
+                if (of) {
+                    of << foldedStacks(rows, w.name + ".c");
+                    std::fprintf(out, "folded stacks -> %s\n",
+                                 path.c_str());
+                } else {
+                    std::fprintf(out, "cannot write %s\n", path.c_str());
+                    ok = false;
+                }
+            }
+            std::fputs("\n", out);
+        });
+    }
+    return ok;
 }
 
 } // namespace bitspec::paper

@@ -14,6 +14,10 @@
  * several figures compiles once. Output is byte-identical at any
  * thread count, and to the figures' recorded goldens
  * (tests/golden/paper/<id>.txt, checked by `ctest -L paper`).
+ *
+ * Two observability reports take their Systems from the same kind of
+ * runner: printReport (`bitspec-paper report`) and printHeat
+ * (`bitspec-paper heat`), golden-checked as report.txt and heat.txt.
  */
 
 #ifndef BITSPEC_BENCH_PAPER_H_
@@ -21,6 +25,7 @@
 
 #include <cstdio>
 #include <span>
+#include <string>
 #include <string_view>
 
 #include "core/experiment.h"
@@ -40,6 +45,28 @@ std::span<const Figure> figures();
 
 /** The figure named @p id, or nullptr. */
 const Figure *findFigure(std::string_view id);
+
+/**
+ * Per-region misspeculation attribution for every suite workload:
+ * each region's entries, misspeculations and handler work at its
+ * source line, and its share of the energy saved against the
+ * unsqueezed baseline (bitspec-max profiled on seed 0, run on seed
+ * 1). Returns false, and prints MISMATCH, when a workload's per-block
+ * or per-region sums differ from the core's counters.
+ */
+bool printReport(ExperimentRunner &runner, std::FILE *out);
+
+/**
+ * Per-block heat listing for every suite workload (the top blocks by
+ * cycles, with source provenance and an exact energy split), on the
+ * report's runs. With @p folded_dir non-empty, also writes
+ * <folded_dir>/<workload>.folded for flamegraph.pl / speedscope.
+ * Returns false, and prints MISMATCH, when a workload's per-block
+ * sums differ from the core's counters, or when a file cannot be
+ * written.
+ */
+bool printHeat(ExperimentRunner &runner, std::FILE *out,
+               const std::string &folded_dir = "");
 
 } // namespace bitspec::paper
 

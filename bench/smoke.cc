@@ -1,48 +1,30 @@
 /**
  * @file
- * Experiment-engine smoke harness: runs the Fig. 8 matrix and a
- * trimmed Fig. 16 profile/run grid twice — once serially with
- * fresh (uncached) Systems, once through the ExperimentRunner — and
- * records wall times, cell counts and System-cache hit rates.
+ * `bitspec-paper smoke [BENCH.json]`: the experiment-engine smoke and
+ * the telemetry overhead gates bench_smoke records.
  *
- * Results are verified bit-identical between the two paths, then
- * appended as an "experiment_engine" section to the BENCH_micro.json
- * written by micro_throughput (path passed as argv[1]; prints to
- * stdout only when omitted). An "observability" section records the
- * telemetry overhead gate: interpreter throughput with tracing
- * compiled in but disabled must stay within 1% of the previous run's
- * record (bench_smoke stashes it as BENCH_micro.prev.json).
- *
- * `experiment_smoke bitspec-report` instead prints the per-region
- * misspeculation attribution report for every suite workload and
- * self-checks that the per-region counts sum to the core's aggregate
- * misspeculation counter.
- *
- * `experiment_smoke bitspec-heat [folded-dir]` prints the per-block
- * heat listing (top blocks by cycles with source provenance) for
- * every suite workload, self-checks the per-block sums against
- * ActivityCounters, and — when a directory is given — writes one
- * folded-stack file per workload for flamegraph.pl / speedscope.
- *
- * `experiment_smoke bitspec-diff <A.jsonl> <B.jsonl>` joins two run
- * ledgers (BITSPEC_LEDGER output) on the canonical cell key and
- * reports per-field drift with stage/region/block localization
- * (obs/diff.h). Options: --abs-tol X, --rel-tol-pct X, --verbose,
- * --json <path> (machine verdict). Exit 0 = no regression, 1 = a
- * cell regressed or diverged, 2 = bad usage / unreadable ledger. Each
- * ledger line it skips (torn, corrupt or of a newer schema) is named
- * on stderr as `path:line`.
+ * Runs the Fig. 8 matrix and a trimmed Fig. 16 profile/run grid
+ * twice — once serially with fresh (uncached) Systems, once through
+ * an ExperimentRunner — verifies the results bit-identical and
+ * records wall times, cell counts and System-cache hit rates; squeezes
+ * four workloads with and without static analysis (static_lint); then
+ * measures two overhead gates, each within 1%: interpreter throughput
+ * with tracing on against tracing off, and a warm matrix with the run
+ * ledger attached against detached, validating every record it wrote.
+ * The four sections (experiment_engine, static_lint, observability,
+ * run_ledger) are appended to the BENCH_micro.json written by
+ * micro_throughput at @p bench_json; with no path they are measured
+ * and printed only.
  */
+
+#include "smoke.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <tuple>
-#include <utility>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,9 +32,7 @@
 #include "core/experiment.h"
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
-#include "obs/diff.h"
 #include "obs/ledger.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "obs/trajectory.h"
 #include "support/json.h"
@@ -61,7 +41,8 @@
 #include "support/threadpool.h"
 #include "workloads/workload.h"
 
-using namespace bitspec;
+namespace bitspec
+{
 
 namespace
 {
@@ -72,18 +53,6 @@ double
 seconds(Clock::time_point a, Clock::time_point b)
 {
     return std::chrono::duration<double>(b - a).count();
-}
-
-/** The fields the figures consume; any divergence between the serial
- *  and runner paths fails the smoke test. */
-bool
-sameResult(const RunResult &a, const RunResult &b)
-{
-    return a.returnValue == b.returnValue &&
-           a.outputChecksum == b.outputChecksum &&
-           a.counters.instructions == b.counters.instructions &&
-           a.counters.cycles == b.counters.cycles &&
-           a.totalEnergy == b.totalEnergy && a.epi == b.epi;
 }
 
 struct GridTiming
@@ -103,7 +72,7 @@ struct GridTiming
 };
 
 /** Run @p cells serially with fresh Systems, then through a fresh
- *  runner, and compare. */
+ *  runner, and compare every RunResult field. */
 GridTiming
 measure(const std::string &name,
         const std::vector<ExperimentCell> &cells)
@@ -140,9 +109,7 @@ measure(const std::string &name,
     t.cacheHits = runner.stats().cacheHits;
     t.inflightWaits = runner.stats().inflightWaits;
 
-    for (size_t i = 0; i < cells.size(); ++i)
-        if (!sameResult(serial[i], par[i]))
-            t.identical = false;
+    t.identical = serial == par;
     return t;
 }
 
@@ -288,141 +255,6 @@ staticLintSection(const std::vector<StaticLintRow> &rows)
     return os.str();
 }
 
-/**
- * bitspec-report mode: per-workload, per-region misspeculation
- * attribution with file:line provenance and the energy split vs an
- * unsqueezed baseline. Returns false when any workload's per-region
- * sum diverges from the core's aggregate counter.
- */
-bool
-printBitspecReport()
-{
-    std::printf("\n==== %s ====\n%s\n\n",
-                "bitspec-report: per-region misspeculation "
-                "attribution",
-                "region = function#id at its source line; overhead = "
-                "recovery + handler energy; saved = share of the "
-                "squeeze savings vs the unsqueezed baseline. "
-                "Profiled on seed 0, run on held-out seed 1 so "
-                "speculation can actually miss.");
-    // Run on an input the profiler never saw — on the training seed
-    // every speculation holds and all misspec columns would be zero.
-    // The aggressive heuristic maximises speculative coverage, which
-    // is what makes the misspec/overhead columns interesting.
-    constexpr uint64_t kRunSeed = 1;
-    bool ok = true;
-    for (const Workload &w : mibenchSuite()) {
-        auto train = [&w](Module &m) { w.setInput(m, 0); };
-        auto input = [&w](Module &m) { w.setInput(m, kRunSeed); };
-        System squeezed(w.source, SystemConfig::bitspec(Heuristic::Max),
-                        train);
-        BlockMap map(squeezed.program());
-        BlockProfilerSink sink(map);
-        RunResult r = squeezed.run(input, {}, {.blocks = &sink});
-
-        System base(w.source, SystemConfig::baseline(), train);
-        RunResult br = base.run(input);
-
-        RegionReportInputs inputs;
-        inputs.energy = squeezed.config().energy;
-        inputs.totalInstructions = r.counters.instructions;
-        inputs.totalEnergyPj = r.totalEnergy;
-        inputs.baselineEnergyPj = br.totalEnergy;
-        auto rows = buildRegionReport(map, sink, inputs);
-
-        uint64_t region_misspecs = 0;
-        for (const RegionReportRow &row : rows)
-            region_misspecs += row.activity.misspecs;
-        const bool sums_match =
-            region_misspecs == r.counters.misspeculations &&
-            sink.unattributedMisspecs() == 0;
-        ok = ok && sums_match;
-        std::printf("--- %s: %zu regions, %llu misspeculations "
-                    "(attribution %s)\n",
-                    w.name.c_str(), rows.size(),
-                    static_cast<unsigned long long>(
-                        r.counters.misspeculations),
-                    sums_match ? "exact" : "MISMATCH");
-        if (!rows.empty())
-            std::printf("%s",
-                        formatRegionReport(rows, w.name + ".c")
-                            .c_str());
-        std::printf("\n");
-    }
-    return ok;
-}
-
-/**
- * bitspec-heat mode: per-block heat listing for every suite workload,
- * with the per-block sums self-checked against the core's aggregate
- * ActivityCounters (the BlockMap is a total partition, so the match
- * must be exact). When @p folded_dir is non-empty, also writes
- * <folded_dir>/<workload>.folded for flamegraph.pl / speedscope.
- */
-bool
-printBitspecHeat(const std::string &folded_dir)
-{
-    std::printf("\n==== %s ====\n%s\n\n",
-                "bitspec-heat: per-block cycle attribution",
-                "block = MachBlock with file:line provenance via its "
-                "SpecRegion; energy = model split (pipeline ~ cycles, "
-                "recovery ~ misspecs, rest ~ insts). Profiled on seed "
-                "0, run on held-out seed 1 so speculation can "
-                "actually miss.");
-    constexpr uint64_t kRunSeed = 1;
-    constexpr size_t kTopN = 10;
-    bool ok = true;
-    if (!folded_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(folded_dir, ec);
-    }
-    for (const Workload &w : mibenchSuite()) {
-        System sys(w.source, SystemConfig::bitspec(Heuristic::Max),
-                   [&w](Module &m) { w.setInput(m, 0); });
-        BlockMap map(sys.program());
-        BlockProfilerSink sink(map);
-        RunObservers obs;
-        obs.blocks = &sink;
-        RunResult r = sys.run(
-            [&w](Module &m) { w.setInput(m, kRunSeed); }, {}, obs);
-
-        const bool sums_match =
-            sink.totalInsts() == r.counters.instructions &&
-            sink.totalCycles() == r.counters.cycles &&
-            sink.totalMisspecs() == r.counters.misspeculations &&
-            sink.unattributed() == 0;
-        ok = ok && sums_match;
-
-        HeatReportInputs inputs;
-        inputs.energy = sys.config().energy;
-        inputs.totalEnergyPj = r.totalEnergy;
-        auto rows = buildHeatReport(map, sink, inputs);
-        std::printf("--- %s: %zu block sites, %llu cycles "
-                    "(reconciliation %s)\n",
-                    w.name.c_str(), map.sites().size(),
-                    static_cast<unsigned long long>(r.counters.cycles),
-                    sums_match ? "exact" : "MISMATCH");
-        std::printf("%s",
-                    formatHeatListing(rows, w.name + ".c", kTopN)
-                        .c_str());
-
-        if (!folded_dir.empty()) {
-            const std::string path =
-                folded_dir + "/" + w.name + ".folded";
-            std::ofstream of(path);
-            if (of) {
-                of << foldedStacks(rows, w.name + ".c");
-                std::printf("folded stacks -> %s\n", path.c_str());
-            } else {
-                std::printf("cannot write %s\n", path.c_str());
-                ok = false;
-            }
-        }
-        std::printf("\n");
-    }
-    return ok;
-}
-
 /** One timed decoded-interpreter run of the micro_throughput kernel;
  *  returns IR instructions/second. */
 double
@@ -438,26 +270,20 @@ interpRateOnce(Interpreter &in)
                : 0;
 }
 
-/** Best-rep interpreter rates for the four observability states. */
+/** Best-rep interpreter rates with tracing off and on. */
 struct InterpRates
 {
     double off = 0;     ///< All telemetry off (the baseline).
     double traceOn = 0; ///< Tracing on (buffers, no export).
-    double profOff = 0; ///< Block profile off (second A-series).
-    double profOn = 0;  ///< Block profile recording.
 };
 
 /**
- * Best-rep interpreter rates with telemetry off, tracing on, block
- * profile off and block profile on, measured interleaved (one rep of
- * each per iteration) so clock-speed drift hits every series equally
- * instead of biasing whichever batch ran second. The fastest rep per
- * series is the classic low-noise estimator: it is the run least
- * perturbed by scheduler/cache interference.
- *
- * `off` and `profOff` execute the identical template instantiation —
- * the block profile is compiled out when disabled — so their delta is
- * a same-binary A/A measurement of the profiler-off contract.
+ * Best-rep interpreter rates with tracing off and on, measured
+ * interleaved (one rep of each per iteration) so clock-speed drift
+ * hits both series equally instead of biasing whichever batch ran
+ * second. The fastest rep per series is the classic low-noise
+ * estimator: it is the run least perturbed by scheduler/cache
+ * interference.
  */
 InterpRates
 interpRates(unsigned reps)
@@ -475,25 +301,18 @@ interpRates(unsigned reps)
     auto mod = compileSource(kKernel);
     Interpreter in(*mod);
     in.run("main", {64}); // Warm the decode cache.
-    std::vector<double> off, trace_on, prof_off, prof_on;
+    std::vector<double> off, trace_on;
     for (unsigned i = 0; i < reps; ++i) {
         trace::setEnabled(false);
-        in.setBlockProfile(false);
         off.push_back(interpRateOnce(in));
         trace::setEnabled(true);
         trace_on.push_back(interpRateOnce(in));
-        trace::setEnabled(false);
-        prof_off.push_back(interpRateOnce(in));
-        in.setBlockProfile(true);
-        prof_on.push_back(interpRateOnce(in));
     }
     trace::setEnabled(false);
     trace::reset();
     InterpRates r;
     r.off = *std::max_element(off.begin(), off.end());
     r.traceOn = *std::max_element(trace_on.begin(), trace_on.end());
-    r.profOff = *std::max_element(prof_off.begin(), prof_off.end());
-    r.profOn = *std::max_element(prof_on.begin(), prof_on.end());
     return r;
 }
 
@@ -522,27 +341,20 @@ struct ObservabilityGate
 {
     double disabledRate = 0;  ///< Telemetry compiled in, tracing off.
     double enabledRate = 0;   ///< Tracing on (buffers, no export).
-    double enabledOverheadPct = 0;
-    double profOffRate = 0;   ///< Block profile off (A/A vs disabled).
-    double profOnRate = 0;    ///< Block profile recording.
-    double profOffOverheadPct = 0; ///< Gated: must stay within 1%.
-    double profOnOverheadPct = 0;  ///< Informational.
+    double enabledOverheadPct = 0; ///< Gated: must stay within 1%.
     double prevDecodedRate = 0; ///< From BENCH_micro.prev.json.
     double currDecodedRate = 0; ///< From this run's BENCH_micro.json.
     double vsPrevPct = 0;       ///< Informational: cross-run drift.
-    bool withinGate = true;     ///< trace + prof-off overhead <= 1%.
+    bool withinGate = true;     ///< Tracing overhead <= 1%.
 };
 
 /**
- * Measure the overhead contract. The hard gates are the controlled
- * in-process experiments: interleaved same-binary runs where only the
- * tracing flag (resp. the block-profile flag) differs must agree
- * within 1%. Profile-on cost is recorded but informational — it
- * buys per-block data and is expected to cost a few percent. The
- * cross-run decoded record vs the stashed BENCH_micro.prev.json is
- * recorded for the PR-to-PR trajectory but not gated — separate
- * google-benchmark invocations on a shared machine swing by a few
- * percent.
+ * Measure the overhead contract. The hard gate is the controlled
+ * in-process experiment: interleaved same-binary runs where only the
+ * tracing flag differs must agree within 1%. The cross-run decoded
+ * record vs the stashed BENCH_micro.prev.json is recorded for the
+ * trajectory but not gated — separate google-benchmark invocations
+ * on a shared machine swing by a few percent.
  */
 ObservabilityGate
 measureObservability(const std::string &json_path)
@@ -559,24 +371,15 @@ measureObservability(const std::string &json_path)
         auto pct = [&r](double rate) {
             return r.off > 0 ? 100.0 * (r.off - rate) / r.off : 0;
         };
-        double worst = std::max(pct(r.traceOn), pct(r.profOff));
-        double prev_worst = std::max(g.enabledOverheadPct,
-                                     g.profOffOverheadPct);
-        if (attempt == 0 || worst < prev_worst) {
+        if (attempt == 0 || pct(r.traceOn) < g.enabledOverheadPct) {
             g.disabledRate = r.off;
             g.enabledRate = r.traceOn;
-            g.profOffRate = r.profOff;
-            g.profOnRate = r.profOn;
             g.enabledOverheadPct = pct(r.traceOn);
-            g.profOffOverheadPct = pct(r.profOff);
-            g.profOnOverheadPct = pct(r.profOn);
         }
-        if (std::max(g.enabledOverheadPct, g.profOffOverheadPct) <=
-            1.0)
+        if (g.enabledOverheadPct <= 1.0)
             break;
     }
-    g.withinGate = g.enabledOverheadPct <= 1.0 &&
-                   g.profOffOverheadPct <= 1.0;
+    g.withinGate = g.enabledOverheadPct <= 1.0;
 
     if (!json_path.empty()) {
         const std::string bench = "BM_InterpreterThroughput/decoded";
@@ -602,12 +405,6 @@ observabilitySection(const ObservabilityGate &g)
     os << "    \"disabled_rate\": " << jsonNumber(g.disabledRate) << ",\n";
     os << "    \"enabled_rate\": " << jsonNumber(g.enabledRate) << ",\n";
     os << "    \"enabled_overhead_pct\": " << jsonNumber(g.enabledOverheadPct)
-       << ",\n";
-    os << "    \"prof_off_rate\": " << jsonNumber(g.profOffRate) << ",\n";
-    os << "    \"prof_on_rate\": " << jsonNumber(g.profOnRate) << ",\n";
-    os << "    \"prof_off_overhead_pct\": " << jsonNumber(g.profOffOverheadPct)
-       << ",\n";
-    os << "    \"prof_on_overhead_pct\": " << jsonNumber(g.profOnOverheadPct)
        << ",\n";
     os << "    \"decoded_rate\": " << jsonNumber(g.currDecodedRate) << ",\n";
     os << "    \"prev_decoded_rate\": " << jsonNumber(g.prevDecodedRate)
@@ -734,79 +531,6 @@ ledgerSection(const LedgerGate &g)
     return os.str();
 }
 
-/**
- * bitspec-diff mode: regression forensics between two run ledgers.
- * See obs/diff.h for the classification and localization rules.
- */
-int
-runBitspecDiff(int argc, char **argv)
-{
-    auto diff_usage = [&] {
-        std::fprintf(stderr,
-                     "usage: %s bitspec-diff <A.jsonl> <B.jsonl> "
-                     "[--abs-tol X] [--rel-tol-pct X] [--verbose] "
-                     "[--json <path>]\n",
-                     argv[0]);
-        return 2;
-    };
-    std::string path_a, path_b, json_out;
-    DiffOptions opts;
-    bool verbose = false;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--abs-tol" && i + 1 < argc)
-            opts.absTol = std::strtod(argv[++i], nullptr);
-        else if (arg == "--rel-tol-pct" && i + 1 < argc)
-            opts.relTolPct = std::strtod(argv[++i], nullptr);
-        else if (arg == "--verbose")
-            verbose = true;
-        else if (arg == "--json" && i + 1 < argc)
-            json_out = argv[++i];
-        else if (path_a.empty())
-            path_a = arg;
-        else if (path_b.empty())
-            path_b = arg;
-        else
-            return diff_usage();
-    }
-    if (path_a.empty() || path_b.empty())
-        return diff_usage();
-
-    SkippedLines skipped_a, skipped_b;
-    std::vector<LedgerRecord> a = loadLedger(path_a, &skipped_a);
-    std::vector<LedgerRecord> b = loadLedger(path_b, &skipped_b);
-    auto warn_skips = [](const std::string &path,
-                         const SkippedLines &skipped) {
-        for (const std::string &m : skipped.messages(path))
-            std::fprintf(stderr, "bitspec-diff: warning: %s\n",
-                         m.c_str());
-    };
-    warn_skips(path_a, skipped_a);
-    warn_skips(path_b, skipped_b);
-    if (a.empty() || b.empty()) {
-        std::fprintf(stderr,
-                     "bitspec-diff: no ledger records in %s\n",
-                     a.empty() ? path_a.c_str() : path_b.c_str());
-        return 2;
-    }
-
-    LedgerDiff diff = diffLedgers(a, b, opts);
-    std::printf("bitspec-diff: %s (%zu records) vs %s (%zu records)\n",
-                path_a.c_str(), a.size(), path_b.c_str(), b.size());
-    std::printf("%s", formatLedgerDiff(diff, verbose).c_str());
-    if (!json_out.empty()) {
-        std::ofstream of(json_out);
-        if (!of) {
-            std::fprintf(stderr, "bitspec-diff: cannot write %s\n",
-                         json_out.c_str());
-            return 2;
-        }
-        of << ledgerDiffToJson(diff) << "\n";
-        std::printf("verdict -> %s\n", json_out.c_str());
-    }
-    return diff.clean() ? 0 : 1;
-}
-
 /** Splice the section into the google-benchmark JSON by inserting it
  *  before the final closing brace. */
 bool
@@ -836,15 +560,8 @@ appendToJson(const std::string &path, const std::string &section)
 } // namespace
 
 int
-main(int argc, char **argv)
+runSmoke(const std::string &bench_json)
 {
-    if (argc > 1 && std::string(argv[1]) == "bitspec-report")
-        return printBitspecReport() ? 0 : 1;
-    if (argc > 1 && std::string(argv[1]) == "bitspec-heat")
-        return printBitspecHeat(argc > 2 ? argv[2] : "") ? 0 : 1;
-    if (argc > 1 && std::string(argv[1]) == "bitspec-diff")
-        return runBitspecDiff(argc, argv);
-
     std::printf("\n==== %s ====\n%s\n\n", "Experiment-engine smoke",
                 "Serial (fresh System per cell) vs ExperimentRunner "
                 "(pooled + memoized System cache); results verified "
@@ -899,17 +616,11 @@ main(int argc, char **argv)
 
     // Telemetry overhead gate: compiled-in-but-disabled tracing must
     // not move the decoded-interpreter throughput.
-    ObservabilityGate gate =
-        measureObservability(argc > 1 ? argv[1] : "");
+    ObservabilityGate gate = measureObservability(bench_json);
     std::printf("\nobservability gate: disabled=%.3g ir-instrs/s "
-                "enabled=%.3g (tracing on costs %+.2f%%)\n",
+                "enabled=%.3g (tracing on costs %+.2f%%; gate %s)\n",
                 gate.disabledRate, gate.enabledRate,
-                gate.enabledOverheadPct);
-    std::printf("block profile: off=%.3g on=%.3g ir-instrs/s "
-                "(off costs %+.2f%%, on costs %+.2f%% informational; "
-                "gate %s)\n",
-                gate.profOffRate, gate.profOnRate,
-                gate.profOffOverheadPct, gate.profOnOverheadPct,
+                gate.enabledOverheadPct,
                 gate.withinGate ? "within 1%" : "EXCEEDED");
     if (gate.prevDecodedRate > 0)
         std::printf("decoded record vs previous run: %.3g -> %.3g "
@@ -935,19 +646,20 @@ main(int argc, char **argv)
                     ? "valid"
                     : ledger_gate.firstInvalid.c_str());
 
-    if (argc > 1) {
-        bool ok = appendToJson(argv[1], jsonSection(grids, threads)) &&
-                  appendToJson(argv[1], staticLintSection(lint_rows)) &&
-                  appendToJson(argv[1], observabilitySection(gate)) &&
-                  appendToJson(argv[1], ledgerSection(ledger_gate));
+    if (!bench_json.empty()) {
+        const char *path = bench_json.c_str();
+        bool ok = appendToJson(path, jsonSection(grids, threads)) &&
+                  appendToJson(path, staticLintSection(lint_rows)) &&
+                  appendToJson(path, observabilitySection(gate)) &&
+                  appendToJson(path, ledgerSection(ledger_gate));
         if (ok)
             std::printf("appended experiment_engine + static_lint + "
                         "observability + run_ledger sections to %s\n",
-                        argv[1]);
+                        path);
         else
             std::printf(
                 "could not update %s; sections follow:\n%s%s%s%s",
-                argv[1], jsonSection(grids, threads).c_str(),
+                path, jsonSection(grids, threads).c_str(),
                 staticLintSection(lint_rows).c_str(),
                 observabilitySection(gate).c_str(),
                 ledgerSection(ledger_gate).c_str());
@@ -956,3 +668,5 @@ main(int argc, char **argv)
                ? 0
                : 1;
 }
+
+} // namespace bitspec

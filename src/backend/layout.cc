@@ -1,6 +1,7 @@
 #include "backend/layout.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -350,30 +351,20 @@ linkProgram(std::vector<MachFunction> funcs, int entry_func)
     prog.entryFunc = entry_func;
 
     // _start stub: sp = kStackTop; lr = HALT sentinel; call main; HALT.
-    std::vector<MachInst> stub;
-    {
-        MachInst w;
-        w.op = MOp::MOVW;
-        w.dst = MOpnd::makeReg(kRegSP);
-        w.a = MOpnd::makeImm(MachProgram::kStackTop & 0xffff);
-        stub.push_back(w);
-        MachInst t;
-        t.op = MOp::MOVT;
-        t.dst = MOpnd::makeReg(kRegSP);
-        t.a = MOpnd::makeImm(MachProgram::kStackTop >> 16);
-        stub.push_back(t);
-        MachInst bl;
-        bl.op = MOp::BL;
-        bl.target = entry_func;
-        stub.push_back(bl);
-        MachInst h;
-        h.op = MOp::HALT;
-        stub.push_back(h);
-    }
+    std::array<MachInst, MachProgram::kStartStubInsts> stub;
+    stub[0].op = MOp::MOVW;
+    stub[0].dst = MOpnd::makeReg(kRegSP);
+    stub[0].a = MOpnd::makeImm(MachProgram::kStackTop & 0xffff);
+    stub[1].op = MOp::MOVT;
+    stub[1].dst = MOpnd::makeReg(kRegSP);
+    stub[1].a = MOpnd::makeImm(MachProgram::kStackTop >> 16);
+    stub[2].op = MOp::BL;
+    stub[2].target = entry_func;
+    stub[3].op = MOp::HALT;
 
     // Assign flat offsets; entries by function id.
     constexpr uint32_t kUnlinked = UINT32_MAX;
-    uint32_t offset = static_cast<uint32_t>(stub.size());
+    uint32_t offset = MachProgram::kStartStubInsts;
     std::vector<uint32_t> func_entry; // Func id -> flat entry index.
     for (auto &mf : funcs) {
         if (mf.id < 0)
@@ -404,7 +395,7 @@ linkProgram(std::vector<MachFunction> funcs, int entry_func)
     }
     // Each function's code moves into flat; the function keeps only
     // its metadata.
-    uint32_t base = static_cast<uint32_t>(stub.size());
+    uint32_t base = MachProgram::kStartStubInsts;
     for (auto &mf : funcs) {
         for (MachInst inst : mf.code) {
             if (inst.op == MOp::B)

@@ -96,6 +96,9 @@ struct MachProgram
     static constexpr uint32_t kCodeBase = 0x400000;
     static constexpr uint32_t kStackTop = 0x3ffff0;
     static constexpr uint32_t kHaltAddr = 0xdead0000;
+    /** Length of the linker's _start stub, which occupies flat
+     *  indices [0, kStartStubInsts); the functions follow it. */
+    static constexpr uint32_t kStartStubInsts = 4;
 
     std::vector<MachFunction> funcs;
     int entryFunc = -1;

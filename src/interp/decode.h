@@ -148,22 +148,6 @@ class DecodedFunction
     unsigned forcedBase() const { return numSlots_ + 1; }
 
     const DecodedBlock &block(uint32_t i) const { return blocks_[i]; }
-    uint32_t
-    numBlocks() const
-    {
-        return static_cast<uint32_t>(blocks_.size());
-    }
-
-    /** @name Per-block execution-profile cell range.
-     * The interpreter owns one dense cell array across all decoded
-     * functions; this function's blocks occupy
-     * [blockBase, blockBase + numBlocks). Assigned by the interpreter
-     * right after decode (like profile_base for value-profile ids).
-     */
-    /// @{
-    uint32_t blockBase() const { return blockBase_; }
-    void setBlockBase(uint32_t base) { blockBase_ = base; }
-    /// @}
 
     const DecodedInst *insts() const { return insts_.data(); }
     const DecodedOperand *operands() const { return pool_.data(); }
@@ -195,7 +179,6 @@ class DecodedFunction
 
     Function *fn_ = nullptr;
     unsigned numSlots_ = 0;
-    uint32_t blockBase_ = 0;
     unsigned frameSize_ = 0;
     std::vector<unsigned> argBits_;
     std::vector<DecodedBlock> blocks_;

@@ -104,8 +104,6 @@ Interpreter::invalidate()
     prof_.clear();
     profInst_.clear();
     staticBound_.clear();
-    blockCells_.clear();
-    blockOf_.clear();
 }
 
 uint64_t
@@ -157,13 +155,6 @@ Interpreter::decodedFor(Function *f)
     } else {
         staticBound_.resize(profInst_.size(), 64);
     }
-    // Per-block profile cells are allocated eagerly (they are tiny)
-    // so setBlockProfile can be toggled between runs without
-    // re-decoding.
-    df->setBlockBase(static_cast<uint32_t>(blockCells_.size()));
-    blockCells_.resize(blockCells_.size() + df->numBlocks());
-    for (uint32_t b = 0; b < df->numBlocks(); ++b)
-        blockOf_.emplace_back(f, b);
     const DecodedFunction &ref = *df;
     decodeCache_.emplace(f, std::move(df));
     return ref;
@@ -201,28 +192,6 @@ Interpreter::takeValueProfile()
 {
     std::vector<ValueProfileEntry> out = valueProfile();
     std::fill(prof_.begin(), prof_.end(), ProfCell{});
-    return out;
-}
-
-std::vector<Interpreter::BlockProfileEntry>
-Interpreter::blockProfile() const
-{
-    std::vector<BlockProfileEntry> out;
-    for (size_t i = 0; i < blockCells_.size(); ++i) {
-        const BlockCell &c = blockCells_[i];
-        if (c.entries == 0)
-            continue;
-        BlockProfileEntry e;
-        e.function = blockOf_[i].first;
-        e.blockIndex = blockOf_[i].second;
-        auto it = decodeCache_.find(e.function);
-        if (it != decodeCache_.end())
-            e.blockName = it->second->blockName(e.blockIndex);
-        e.entries = c.entries;
-        e.insts = c.insts;
-        e.misspecs = c.misspecs;
-        out.push_back(std::move(e));
-    }
     return out;
 }
 
@@ -271,30 +240,17 @@ Interpreter::callDecoded(Function *f, const uint64_t *args, size_t nargs,
 
     uint64_t ret;
     const bool hooks = static_cast<bool>(onAssign);
-    if (blockProfileEnabled_) {
-        if (profileEnabled_)
-            ret = hooks ? execDecoded<true, true, true>(df, base, depth)
-                        : execDecoded<false, true, true>(df, base, depth);
-        else
-            ret = hooks
-                      ? execDecoded<true, false, true>(df, base, depth)
-                      : execDecoded<false, false, true>(df, base, depth);
-    } else {
-        if (profileEnabled_)
-            ret = hooks
-                      ? execDecoded<true, true, false>(df, base, depth)
-                      : execDecoded<false, true, false>(df, base, depth);
-        else
-            ret = hooks
-                      ? execDecoded<true, false, false>(df, base, depth)
-                      : execDecoded<false, false, false>(df, base,
-                                                         depth);
-    }
+    if (profileEnabled_)
+        ret = hooks ? execDecoded<true, true>(df, base, depth)
+                    : execDecoded<false, true>(df, base, depth);
+    else
+        ret = hooks ? execDecoded<true, false>(df, base, depth)
+                    : execDecoded<false, false>(df, base, depth);
     dstackTop_ = base;
     return ret;
 }
 
-template <bool kHooks, bool kProfile, bool kBlockProf>
+template <bool kHooks, bool kProfile>
 uint64_t
 Interpreter::execDecoded(const DecodedFunction &df, size_t base,
                          unsigned depth)
@@ -330,14 +286,6 @@ Interpreter::execDecoded(const DecodedFunction &df, size_t base,
     for (;;) {
         const DecodedBlock &blk = df.block(cur);
 
-        // Per-block heat cell for the current block; compiled out
-        // entirely when the block profile is off.
-        [[maybe_unused]] BlockCell *bc = nullptr;
-        if constexpr (kBlockProf) {
-            bc = blockCells_.data() + df.blockBase() + cur;
-            ++bc->entries;
-        }
-
         // Phase 1: the decode-time-sequentialised phi parallel copy
         // for the edge we arrived over.
         if (blk.hasPhis) {
@@ -356,8 +304,6 @@ Interpreter::execDecoded(const DecodedFunction &df, size_t base,
                 if (m->phi) {
                     ++steps;
                     ++assigns;
-                    if constexpr (kBlockProf)
-                        ++bc->insts;
                     if constexpr (kProfile)
                         profileAssign(m->profileId, requiredBits(v));
                     if constexpr (kHooks) {
@@ -378,8 +324,6 @@ Interpreter::execDecoded(const DecodedFunction &df, size_t base,
                 flushCounters();
                 fatal("out of fuel (infinite loop?) in " + f->name());
             }
-            if constexpr (kBlockProf)
-                ++bc->insts;
 
             const DecodedOperand *ops = pool + di.opBegin;
             unsigned bits = di.bits;
@@ -554,11 +498,8 @@ Interpreter::execDecoded(const DecodedFunction &df, size_t base,
                 uint64_t r =
                     callDecoded(di.callee, ap, di.opCount, depth + 1);
                 reloadCounters();
-                // The frame stack may have grown (reallocated), and
-                // decoding the callee may have grown the block cells.
+                // The frame stack may have grown (reallocated).
                 fr = dstack_.data() + base;
-                if constexpr (kBlockProf)
-                    bc = blockCells_.data() + df.blockBase() + cur;
                 result = truncTo(r, bits);
                 break;
               }
@@ -604,8 +545,6 @@ Interpreter::execDecoded(const DecodedFunction &df, size_t base,
                 panic("speculative op outside a region in " +
                       df.blockName(cur));
             ++stats_.misspeculations;
-            if constexpr (kBlockProf)
-                ++bc->misspecs;
             reloadCounters();
             prev = cur;
             cur = static_cast<uint32_t>(blk.handler);

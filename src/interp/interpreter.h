@@ -146,33 +146,6 @@ class Interpreter
      */
     std::function<void(const Instruction *, uint64_t)> onAssign;
 
-    /** @name Per-block execution profile
-     * The heat profiler's interpreter-side counterpart: the engine
-     * bumps dense per-block cells (entries, executed
-     * instructions, misspeculations) indexed by
-     * DecodedFunction::blockBase() + block index. Dispatch is a
-     * template bool hoisted out of the loop, so profile-off runs pay
-     * nothing. Invariants (ctest-enforced): summed insts ==
-     * stats().steps and summed misspecs == stats().misspeculations.
-     */
-    /// @{
-    void setBlockProfile(bool on) { blockProfileEnabled_ = on; }
-    bool blockProfileEnabled() const { return blockProfileEnabled_; }
-
-    struct BlockProfileEntry
-    {
-        Function *function = nullptr;
-        uint32_t blockIndex = 0;
-        std::string blockName;
-        uint64_t entries = 0;
-        uint64_t insts = 0;
-        uint64_t misspecs = 0;
-    };
-
-    /** Executed blocks with accumulated counts (decode order). */
-    std::vector<BlockProfileEntry> blockProfile() const;
-    /// @}
-
     /** @name Raw memory access (for loading workload inputs). */
     /// @{
     uint64_t loadMem(uint32_t addr, unsigned bits) const;
@@ -193,7 +166,7 @@ class Interpreter
     void loadGlobals();
     uint64_t callDecoded(Function *f, const uint64_t *args, size_t nargs,
                          unsigned depth);
-    template <bool kHooks, bool kProfile, bool kBlockProf>
+    template <bool kHooks, bool kProfile>
     uint64_t execDecoded(const DecodedFunction &df, size_t base,
                          unsigned depth);
     const DecodedFunction &decodedFor(Function *f);
@@ -232,20 +205,6 @@ class Interpreter
     bool profileEnabled_ = false;
     std::vector<ProfCell> prof_;
     std::vector<const Instruction *> profInst_;
-
-    /** Dense per-block profile cell. */
-    struct BlockCell
-    {
-        uint64_t entries = 0;
-        uint64_t insts = 0;
-        uint64_t misspecs = 0;
-    };
-
-    bool blockProfileEnabled_ = false;
-    /** Cells for every decoded block; allocated at decode time so the
-     *  profile can be toggled between runs without re-decoding. */
-    std::vector<BlockCell> blockCells_;
-    std::vector<std::pair<Function *, uint32_t>> blockOf_;
 
     /** Static RequiredBits ceiling per profiled site (64 when the
      *  bounds check is off at decode time). */

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "support/json.h"
+#include "support/log.h"
 #include "support/str.h"
 
 namespace bitspec
@@ -299,6 +300,25 @@ diffLedgers(const std::vector<LedgerRecord> &a,
             return worst(x) > worst(y);
         });
     return diff;
+}
+
+std::optional<LedgerFileDiff>
+diffLedgerFiles(const std::string &path_a, const std::string &path_b,
+                const DiffOptions &opts, const char *tool)
+{
+    SkippedLines skipped_a, skipped_b;
+    const std::vector<LedgerRecord> a = loadLedger(path_a, &skipped_a);
+    const std::vector<LedgerRecord> b = loadLedger(path_b, &skipped_b);
+    for (const std::string &m : skipped_a.messages(path_a))
+        log::warn("%s: %s", tool, m.c_str());
+    for (const std::string &m : skipped_b.messages(path_b))
+        log::warn("%s: %s", tool, m.c_str());
+    if (a.empty() || b.empty()) {
+        log::error("%s: no ledger records in %s", tool,
+                   (a.empty() ? path_a : path_b).c_str());
+        return std::nullopt;
+    }
+    return LedgerFileDiff{a.size(), b.size(), diffLedgers(a, b, opts)};
 }
 
 std::string

@@ -28,15 +28,17 @@
  * print, so the forensic trail ends at source coordinates.
  *
  * Emitted as both a human table (formatLedgerDiff) and a machine
- * verdict (ledgerDiffToJson); `experiment_smoke bitspec-diff A B`
- * drives it from the command line and bench_gate auto-runs it against
- * the rolling-baseline ledger when the trajectory gate trips.
+ * verdict (ledgerDiffToJson); `bitspec-paper diff A B` drives it from
+ * the command line and bench_gate auto-runs it against the
+ * rolling-baseline ledger when the trajectory gate trips, both through
+ * diffLedgerFiles.
  */
 
 #ifndef BITSPEC_OBS_DIFF_H_
 #define BITSPEC_OBS_DIFF_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -123,6 +125,25 @@ struct LedgerDiff
 LedgerDiff diffLedgers(const std::vector<LedgerRecord> &a,
                        const std::vector<LedgerRecord> &b,
                        const DiffOptions &opts = {});
+
+/** Two ledger files joined and classified (diffLedgerFiles). */
+struct LedgerFileDiff
+{
+    size_t recordsA = 0; ///< Records read from the first file.
+    size_t recordsB = 0; ///< Records read from the second file.
+    LedgerDiff diff;
+};
+
+/**
+ * Load the ledgers at @p path_a and @p path_b and diff them. Each
+ * line a loader skipped (torn, corrupt or of a newer schema) is
+ * warned once, prefixed `<tool>:` and naming `path:line`. A side with
+ * no records (a missing file reads as empty) is refused: an error
+ * names it and the result is nullopt.
+ */
+std::optional<LedgerFileDiff>
+diffLedgerFiles(const std::string &path_a, const std::string &path_b,
+                const DiffOptions &opts, const char *tool);
 
 /** Human-readable drift table. @p verbose additionally lists Info
  *  drifts and clean cells. */

@@ -95,24 +95,23 @@ BlockMap::BlockMap(const MachProgram &prog)
         }
     }
 
-    // Everything not claimed by a function block is the linker's
-    // _start stub (one synthetic site completes the partition).
-    int32_t stub = -1;
-    for (size_t i = 0; i < info_.size(); ++i) {
-        if (info_[i].site >= 0)
-            continue;
-        if (stub < 0) {
-            BlockSite site;
-            site.function = "_start";
-            site.block = "_start";
-            site.startIndex = static_cast<uint32_t>(i);
-            sites_.push_back(std::move(site));
-            stub = static_cast<int32_t>(sites_.size() - 1);
-            info_[i].head = true;
-        }
-        info_[i].site = stub;
-        ++sites_[static_cast<size_t>(stub)].staticInsts;
+    // The linker's _start stub is one synthetic site, which completes
+    // the partition; any other index no block claims is a map bug.
+    BlockSite stub;
+    stub.function = "_start";
+    stub.block = "_start";
+    stub.staticInsts = MachProgram::kStartStubInsts;
+    sites_.push_back(std::move(stub));
+    for (uint32_t i = 0; i < MachProgram::kStartStubInsts; ++i) {
+        bsAssert(i < info_.size() && info_[i].site < 0,
+                 "BlockMap: the _start stub is missing or claimed");
+        info_[i].site = static_cast<int32_t>(sites_.size() - 1);
+        info_[i].head = i == 0;
     }
+    for (size_t i = 0; i < info_.size(); ++i)
+        if (info_[i].site < 0)
+            panic(strFormat("BlockMap: flat index %zu is claimed by no "
+                            "block", i));
 }
 
 uint64_t

@@ -97,7 +97,10 @@ struct RegionSite
  * Immutable flat-index -> block-site partition for one program.
  * Every index of prog.flat maps to exactly one site; Eq. 1/2 skeleton
  * slots map to the member block that owns them (slot j serves member
- * instruction j, paper §3.4) and are flagged as skeleton slots.
+ * instruction j, paper §3.4) and are flagged as skeleton slots. The
+ * synthetic _start site holds exactly the linker's stub, indices
+ * [0, MachProgram::kStartStubInsts); the constructor panics, naming
+ * the index, when any other index is claimed by no block.
  * Regions are registered per function in layout order, the first
  * time one of their blocks (member or handler) is laid out. Built
  * from function and block metadata alone (baseAddr, codeSize, delta,

@@ -249,12 +249,10 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
     perWorkload("BM_SqueezeWorkload", "rate.squeeze_workload_");
     perWorkload("BM_BackendWorkload", "rate.backend_workload_");
 
-    // experiment_smoke's observability section.
+    // `bitspec-paper smoke`'s observability section.
     if (const JsonValue *obs = doc.find("observability")) {
         add("rate.obs_disabled_ir_per_s",
             numberMember(*obs, "disabled_rate"));
-        add("rate.obs_prof_off_ir_per_s",
-            numberMember(*obs, "prof_off_rate"));
         if (auto overhead = numberMember(*obs, "enabled_overhead_pct"))
             rec.series.push_back({"obs.trace_overhead_pct", *overhead});
     }

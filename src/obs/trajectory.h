@@ -137,7 +137,7 @@ std::optional<double> benchCounter(const std::string &json_text,
 
 /**
  * Distil a BENCH_micro.json (google-benchmark output with the
- * experiment_smoke sections spliced in) into a record: build type and
+ * `bitspec-paper smoke` sections spliced in) into a record: build type and
  * debug flag from @p build (the JSON's library_build_type is
  * ignored), host CPUs from the context's num_cpus, rate.* series
  * from the `benchmarks` entries' counters and the `observability`

@@ -36,13 +36,6 @@ requiredBits(uint64_t value)
 }
 
 /**
- * Number of bits required for a two's-complement signed value, i.e. the
- * smallest n such that sign-extending the low n bits of @p value
- * reproduces @p value.
- */
-unsigned requiredBitsSigned(int64_t value);
-
-/**
  * Round a bit count up to the nearest storage class used throughout the
  * paper's figures: 8, 16, 32 or 64.
  */
@@ -88,13 +81,6 @@ sextFrom(uint64_t value, unsigned bits)
     uint64_t v = truncTo(value, bits);
     uint64_t sign = 1ULL << (bits - 1);
     return (v ^ sign) - sign;
-}
-
-/** True iff @p value fits in @p bits bits under zero extension. */
-inline bool
-fitsUnsigned(uint64_t value, unsigned bits)
-{
-    return requiredBits(value) <= bits;
 }
 
 } // namespace bitspec

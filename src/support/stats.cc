@@ -1,7 +1,6 @@
 #include "support/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/error.h"
 
@@ -17,19 +16,6 @@ mean(const std::vector<double> &xs)
     for (double x : xs)
         sum += x;
     return sum / static_cast<double>(xs.size());
-}
-
-double
-geomean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double logsum = 0.0;
-    for (double x : xs) {
-        bsAssert(x > 0.0, "geomean: non-positive value");
-        logsum += std::log(x);
-    }
-    return std::exp(logsum / static_cast<double>(xs.size()));
 }
 
 double

@@ -15,9 +15,6 @@ namespace bitspec
 /** Arithmetic mean; 0 for an empty vector. */
 double mean(const std::vector<double> &xs);
 
-/** Geometric mean; 0 for an empty vector. Values must be positive. */
-double geomean(const std::vector<double> &xs);
-
 /**
  * Linear-interpolated percentile (p in [0, 100]) of a copy of @p xs.
  * Used for the cumulative-distribution experiment (Fig. 16).

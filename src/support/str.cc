@@ -21,34 +21,4 @@ strFormat(const char *fmt, ...)
     return out;
 }
 
-std::vector<std::string>
-strSplit(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    for (size_t i = 0; i <= s.size(); ++i) {
-        if (i == s.size() || s[i] == sep) {
-            out.push_back(s.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
-}
-
-std::string
-padLeft(const std::string &s, size_t width)
-{
-    if (s.size() >= width)
-        return s;
-    return std::string(width - s.size(), ' ') + s;
-}
-
-std::string
-padRight(const std::string &s, size_t width)
-{
-    if (s.size() >= width)
-        return s;
-    return s + std::string(width - s.size(), ' ');
-}
-
 } // namespace bitspec

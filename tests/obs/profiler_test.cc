@@ -1,14 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/system.h"
-#include "interp/interpreter.h"
-#include "ir/clone.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "support/error.h"
 #include "workloads/workload.h"
 
 namespace bitspec
@@ -64,10 +62,40 @@ TEST(BlockMap, IsTotalPartition)
     }
     EXPECT_EQ(heads, nonempty);
 
-    // The linker stub is covered by the synthetic _start site.
-    ASSERT_GE(map.siteAt(0), 0);
-    EXPECT_EQ(map.sites()[static_cast<size_t>(map.siteAt(0))].function,
-              "_start");
+    // The synthetic _start site holds exactly the linker's stub.
+    for (uint32_t i = 0; i < map.numIndices(); ++i) {
+        const BlockSite &site =
+            map.sites()[static_cast<size_t>(map.siteAt(i))];
+        EXPECT_EQ(site.function == "_start",
+                  i < MachProgram::kStartStubInsts)
+            << "index " << i;
+    }
+}
+
+TEST(BlockMap, PanicsOnAnIndexNoBlockClaims)
+{
+    // A function one instruction shorter than its code leaves that
+    // instruction to no block: the map must name it rather than file
+    // it under _start.
+    const Workload &w = getWorkload("CRC32");
+    System sys = makeBitspec(w);
+    MachProgram prog = sys.program();
+    MachFunction &mf = prog.funcs.front();
+    ASSERT_GT(mf.codeSize, 0u);
+    --mf.codeSize;
+    const uint32_t orphan = prog.indexOf(mf.baseAddr) + mf.codeSize;
+    try {
+        BlockMap map(prog);
+        ADD_FAILURE() << "index " << orphan << " was filed under site "
+                      << map.sites()[static_cast<size_t>(
+                                         map.siteAt(orphan))]
+                             .function;
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "flat index " + std::to_string(orphan) + " "),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 /** The acceptance invariant: per-block sums equal the core's
@@ -174,60 +202,6 @@ TEST(BlockProfiler, HeatReportSplitsEnergyExactly)
         executed += row.activity.cycles > 0;
     EXPECT_EQ(lines, executed);
     EXPECT_NE(folded.find(";"), std::string::npos);
-}
-
-/** Interpreter-side reconciliation: decoded-engine per-block sums
- *  equal InterpStats on every workload x misspeculation policy (the
- *  policies are interpreter-level; the core's misspeculation is
- *  data-driven). */
-TEST(BlockProfiler, InterpreterSumsReconcileAcrossSuiteAndPolicies)
-{
-    uint64_t suite_misspecs = 0;
-    for (const Workload &w : mibenchSuite()) {
-        // Squeeze via System so the module carries real SpecRegions.
-        System sys = makeBitspec(w);
-        for (MisspecPolicy policy :
-             {MisspecPolicy::Hardware, MisspecPolicy::ForceFirst,
-              MisspecPolicy::Random}) {
-            std::unique_ptr<Module> m = cloneModule(sys.module());
-            w.setInput(*m, 1);
-            Interpreter in(*m);
-            in.setMisspecPolicy(policy);
-            in.setRandomSeed(7);
-            in.setBlockProfile(true);
-            in.run("main");
-
-            uint64_t insts = 0, misspecs = 0, entries = 0;
-            for (const auto &e : in.blockProfile()) {
-                EXPECT_NE(e.function, nullptr) << w.name;
-                EXPECT_FALSE(e.blockName.empty()) << w.name;
-                insts += e.insts;
-                misspecs += e.misspecs;
-                entries += e.entries;
-            }
-            EXPECT_EQ(insts, in.stats().steps)
-                << w.name << " policy "
-                << static_cast<int>(policy);
-            EXPECT_EQ(misspecs, in.stats().misspeculations)
-                << w.name << " policy "
-                << static_cast<int>(policy);
-            EXPECT_GT(entries, 0u) << w.name;
-            suite_misspecs += misspecs;
-        }
-    }
-    // The forcing policies guarantee real misspeculations.
-    EXPECT_GT(suite_misspecs, 0u);
-}
-
-TEST(BlockProfiler, InterpreterProfileOffRecordsNothing)
-{
-    const Workload &w = getWorkload("CRC32");
-    System sys = makeBitspec(w);
-    std::unique_ptr<Module> m = cloneModule(sys.module());
-    w.setInput(*m, 1);
-    Interpreter in(*m);
-    in.run("main");
-    EXPECT_TRUE(in.blockProfile().empty());
 }
 
 TEST(CounterTracks, EmitWindowedSamplesWhenTracing)

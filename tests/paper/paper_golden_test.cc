@@ -3,16 +3,20 @@
  * Figure goldens: every entry of bitspec-paper's figure table, run in
  * this one process over one ExperimentRunner (as `bitspec-paper all`
  * runs them), must print its recorded output
- * tests/golden/paper/<id>.txt byte for byte. A failure names each
- * figure that drifted and its first differing line.
+ * tests/golden/paper/<id>.txt byte for byte; so must the `report` and
+ * `heat` reports (report.txt, heat.txt), run next on the same runner,
+ * whose Systems the figures already built. A failure names each
+ * output that drifted and its first differing line.
  *
- * Re-record one figure after an intended change with
- * `bitspec-paper <id> > tests/golden/paper/<id>.txt`.
+ * Re-record one output after an intended change with
+ * `bitspec-paper <id> > tests/golden/paper/<id>.txt` (<id> = report
+ * or heat for the reports).
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -25,16 +29,16 @@ using namespace bitspec;
 namespace
 {
 
-/** What @p fig prints on @p runner. */
+/** What @p print prints. */
 std::string
-capture(const paper::Figure &fig, ExperimentRunner &runner)
+capture(const std::function<void(std::FILE *)> &print)
 {
     char *buf = nullptr;
     size_t len = 0;
     std::FILE *out = open_memstream(&buf, &len);
     if (!out)
         return "<open_memstream failed>";
-    fig.print(runner, out);
+    print(out);
     std::fclose(out);
     std::string text(buf, len);
     std::free(buf);
@@ -60,24 +64,46 @@ firstDifference(const std::string &golden, const std::string &got)
     }
 }
 
+/** Fails the test when @p got is not tests/golden/paper/<id>.txt. */
+void
+expectGolden(const std::string &id, const std::string &got)
+{
+    const std::string path =
+        std::string(BITSPEC_PAPER_GOLDEN_DIR) + "/" + id + ".txt";
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        ADD_FAILURE() << id << ": no golden at " << path;
+        return;
+    }
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    if (got != golden.str())
+        ADD_FAILURE() << id << " differs from " << path << " at "
+                      << firstDifference(golden.str(), got);
+}
+
 } // namespace
 
 TEST(PaperGolden, EveryFigurePrintsItsGolden)
 {
     ExperimentRunner runner;
-    for (const paper::Figure &fig : paper::figures()) {
-        const std::string path =
-            std::string(BITSPEC_PAPER_GOLDEN_DIR) + "/" + fig.id + ".txt";
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
-            ADD_FAILURE() << fig.id << ": no golden at " << path;
-            continue;
-        }
-        std::ostringstream golden;
-        golden << in.rdbuf();
-        const std::string got = capture(fig, runner);
-        if (got != golden.str())
-            ADD_FAILURE() << fig.id << " differs from " << path << " at "
-                          << firstDifference(golden.str(), got);
-    }
+    for (const paper::Figure &fig : paper::figures())
+        expectGolden(fig.id, capture([&](std::FILE *out) {
+                         fig.print(runner, out);
+                     }));
+
+    // The reports run on Systems the figures built, and their own
+    // self-checks (per-block and per-region sums) must hold.
+    const ExperimentStats built = runner.stats();
+    bool reconciled = false;
+    expectGolden("report", capture([&](std::FILE *out) {
+                     reconciled = paper::printReport(runner, out);
+                 }));
+    EXPECT_TRUE(reconciled) << "report: sums do not reconcile";
+    expectGolden("heat", capture([&](std::FILE *out) {
+                     reconciled = paper::printHeat(runner, out);
+                 }));
+    EXPECT_TRUE(reconciled) << "heat: sums do not reconcile";
+    EXPECT_EQ(runner.stats().systemsBuilt, built.systemsBuilt);
+    EXPECT_EQ(runner.stats().trainings, built.trainings);
 }

@@ -1,23 +1,25 @@
-# Report goldens: `experiment_smoke bitspec-report` (per-region
-# misspeculation attribution and energy split) and `experiment_smoke
-# bitspec-heat` (per-block heat listing) must print
-# golden/obs/<mode>.txt byte for byte. A failure names the mode and
+# Report goldens through the command line: `bitspec-paper report`
+# (per-region misspeculation attribution and energy split) and
+# `bitspec-paper heat` (per-block heat listing), each run alone on a
+# fresh runner that builds its own Systems, must exit 0 and print
+# golden/paper/<mode>.txt byte for byte, as test_paper's in-process
+# check over the figures' runner does. A failure names the mode and
 # its first differing line.
 #
-#   cmake -DSMOKE=<path to experiment_smoke> -DGOLDEN_DIR=<dir> \
+#   cmake -DPAPER=<path to bitspec-paper> -DGOLDEN_DIR=<dir> \
 #         -P report_golden.cmake
 #
 # After an intended change to a report, re-record its golden:
 #
-#   experiment_smoke bitspec-report > tests/golden/obs/bitspec-report.txt
+#   bitspec-paper report > tests/golden/paper/report.txt
 
 cmake_minimum_required(VERSION 3.16)
 
-foreach(mode bitspec-report bitspec-heat)
-    execute_process(COMMAND ${SMOKE} ${mode}
+foreach(mode report heat)
+    execute_process(COMMAND ${PAPER} ${mode}
         RESULT_VARIABLE rc OUTPUT_VARIABLE got ERROR_VARIABLE err)
     if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "experiment_smoke ${mode}: exit ${rc}\n${err}")
+        message(FATAL_ERROR "bitspec-paper ${mode}: exit ${rc}\n${err}")
     endif()
     file(READ ${GOLDEN_DIR}/${mode}.txt want)
     if(got STREQUAL want)
@@ -50,6 +52,6 @@ foreach(mode bitspec-report bitspec-heat)
         math(EXPR line "${line} + 1")
     endwhile()
     message(FATAL_ERROR
-        "experiment_smoke ${mode} differs from ${GOLDEN_DIR}/${mode}.txt "
+        "bitspec-paper ${mode} differs from ${GOLDEN_DIR}/${mode}.txt "
         "at line ${line}:\n  golden: ${w_line}\n  got:    ${g_line}")
 endforeach()

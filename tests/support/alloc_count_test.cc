@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
@@ -131,28 +134,55 @@ TEST(AllocCount, HoldingLiteralAssertAllocatesNothing)
     EXPECT_THROW(bsAssert(!holds, kMessage), PanicError);
 }
 
-/** Loads plus stores a plain run of @p m's main executes: each block's
- *  entries times its static loads and stores. */
+/** Loads plus stores a plain run of @p m's main executes. The value
+ *  profile counts each value-producing instruction's executions: a
+ *  load its own, a store those of its block's first value-producing
+ *  instruction (the module is unsqueezed, so a block once entered
+ *  runs to its end). */
 uint64_t
 memoryAccesses(Module &m)
 {
     Interpreter interp(m);
-    interp.setBlockProfile(true);
+    interp.enableValueProfile();
     interp.run("main", {});
+    std::vector<Interpreter::ValueProfileEntry> executed =
+        interp.valueProfile();
+    const std::less<const Instruction *> before;
+    std::sort(executed.begin(), executed.end(),
+              [&](const auto &a, const auto &b) {
+                  return before(a.inst, b.inst);
+              });
+    auto count = [&](const Instruction *inst) -> uint64_t {
+        auto it = std::lower_bound(
+            executed.begin(), executed.end(), inst,
+            [&](const auto &e, const Instruction *i) {
+                return before(e.inst, i);
+            });
+        return it != executed.end() && it->inst == inst ? it->count : 0;
+    };
+
     uint64_t accesses = 0;
-    for (const auto &b : interp.blockProfile()) {
-        const BasicBlock *bb = nullptr;
-        for (const auto &candidate : b.function->blocks())
-            if (candidate->name() == b.blockName)
-                bb = candidate.get();
-        EXPECT_NE(bb, nullptr) << b.blockName;
-        if (!bb)
-            continue;
-        uint64_t per_entry = 0;
-        for (const auto &inst : bb->insts())
-            per_entry += inst->op() == Opcode::Load ||
-                         inst->op() == Opcode::Store;
-        accesses += b.entries * per_entry;
+    for (const auto &f : m.functions()) {
+        for (const auto &bb : f->blocks()) {
+            const Instruction *counted = nullptr;
+            uint64_t stores = 0;
+            for (const auto &inst : bb->insts()) {
+                if (!counted && !inst->type().isVoid())
+                    counted = inst.get();
+                if (inst->op() == Opcode::Load)
+                    accesses += count(inst.get());
+                stores += inst->op() == Opcode::Store;
+            }
+            if (stores == 0)
+                continue;
+            if (!counted) {
+                ADD_FAILURE() << f->name() << ":" << bb->name()
+                              << " stores but produces no value to "
+                                 "count its executions by";
+                continue;
+            }
+            accesses += stores * count(counted);
+        }
     }
     return accesses;
 }

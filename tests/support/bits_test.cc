@@ -29,23 +29,6 @@ TEST(RequiredBits, PowerOfTwoBoundaries)
     }
 }
 
-TEST(RequiredBitsSigned, RoundTripsThroughSext)
-{
-    for (int64_t v : {0L, 1L, -1L, 127L, -128L, 128L, -129L, 255L,
-                      65535L, -65536L}) {
-        unsigned n = requiredBitsSigned(v);
-        EXPECT_EQ(static_cast<int64_t>(
-                      sextFrom(static_cast<uint64_t>(v), n)), v)
-            << "v=" << v;
-        if (n > 1) {
-            // Minimality: one fewer bit must not round-trip.
-            EXPECT_NE(static_cast<int64_t>(
-                          sextFrom(static_cast<uint64_t>(v), n - 1)), v)
-                << "v=" << v;
-        }
-    }
-}
-
 TEST(BitwidthClass, RoundsUpToStorageClasses)
 {
     EXPECT_EQ(bitwidthClass(1), 8u);
@@ -75,13 +58,6 @@ TEST(Extension, SextZext)
     EXPECT_EQ(zextFrom(0x80, 8), 0x80ULL);
     EXPECT_EQ(sextFrom(0xffff, 16), ~0ULL);
     EXPECT_EQ(sextFrom(0x1234, 64), 0x1234ULL);
-}
-
-TEST(Fits, FitsUnsigned)
-{
-    EXPECT_TRUE(fitsUnsigned(255, 8));
-    EXPECT_FALSE(fitsUnsigned(256, 8));
-    EXPECT_TRUE(fitsUnsigned(0, 1));
 }
 
 } // namespace

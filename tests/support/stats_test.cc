@@ -14,13 +14,6 @@ TEST(Stats, Mean)
     EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
 }
 
-TEST(Stats, Geomean)
-{
-    EXPECT_DOUBLE_EQ(geomean({4.0}), 4.0);
-    EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-12);
-    EXPECT_NEAR(geomean({2.0, 2.0, 2.0}), 2.0, 1e-12);
-}
-
 TEST(Stats, PercentileEndpoints)
 {
     std::vector<double> xs{5.0, 1.0, 3.0};

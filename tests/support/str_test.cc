@@ -14,22 +14,6 @@ TEST(Str, Format)
     EXPECT_EQ(strFormat("%05.1f", 2.25), "002.2");
 }
 
-TEST(Str, Split)
-{
-    auto parts = strSplit("a,b,,c", ',');
-    ASSERT_EQ(parts.size(), 4u);
-    EXPECT_EQ(parts[0], "a");
-    EXPECT_EQ(parts[2], "");
-    EXPECT_EQ(parts[3], "c");
-}
-
-TEST(Str, Pad)
-{
-    EXPECT_EQ(padLeft("ab", 4), "  ab");
-    EXPECT_EQ(padRight("ab", 4), "ab  ");
-    EXPECT_EQ(padLeft("abcdef", 4), "abcdef");
-}
-
 TEST(Str, JsonEscapeRoundTrips)
 {
     const std::string raw = "q\"b\\n\nt\tr\r\x01\x1f/\xc3\xa9";
