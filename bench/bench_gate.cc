@@ -9,6 +9,10 @@
  *              [--check-only] [--window N] [--drop-pct X]
  *              [--ledger <run.jsonl>] [--ledger-baseline <prev.jsonl>]
  *
+ * `--window` takes an integer >= 1 and `--drop-pct` a finite number
+ * >= 0, each parsed whole; any other value, or a flag without one,
+ * exits 2 naming the flag before any file is read.
+ *
  * The record is appended even when the gate fails — a regression is
  * exactly the run the history must remember — unless --check-only is
  * given. A BENCH file that is not JSON exits 2, naming the byte
@@ -28,12 +32,17 @@
  * naming each ledger line it skipped.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -88,6 +97,34 @@ usage(const char *argv0)
     return 2;
 }
 
+/** @p text parsed whole as an integer >= 1 (--window). */
+std::optional<size_t>
+parseWindow(const char *text)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt; // strtoull would take a sign or a blank.
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE || v < 1 ||
+        v > std::numeric_limits<size_t>::max())
+        return std::nullopt;
+    return static_cast<size_t>(v);
+}
+
+/** @p text parsed whole as a finite number >= 0 (--drop-pct). */
+std::optional<double>
+parseDropPct(const char *text)
+{
+    if (std::isspace(static_cast<unsigned char>(text[0])))
+        return std::nullopt; // strtod would skip it.
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v) || v < 0)
+        return std::nullopt;
+    return v;
+}
+
 } // namespace
 
 int
@@ -99,13 +136,32 @@ main(int argc, char **argv)
     GateOptions opts;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        if ((arg == "--window" || arg == "--drop-pct") && i + 1 == argc) {
+            log::error("bench_gate: %s needs a value", arg.c_str());
+            return 2;
+        }
         if (arg == "--check-only") {
             check_only = true;
-        } else if (arg == "--window" && i + 1 < argc) {
-            opts.window =
-                static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--drop-pct" && i + 1 < argc) {
-            opts.defaultDropPct = std::strtod(argv[++i], nullptr);
+        } else if (arg == "--window") {
+            const char *value = argv[++i];
+            const std::optional<size_t> window = parseWindow(value);
+            if (!window) {
+                log::error("bench_gate: --window '%s': want an integer "
+                           ">= 1",
+                           value);
+                return 2;
+            }
+            opts.window = *window;
+        } else if (arg == "--drop-pct") {
+            const char *value = argv[++i];
+            const std::optional<double> pct = parseDropPct(value);
+            if (!pct) {
+                log::error("bench_gate: --drop-pct '%s': want a finite "
+                           "number >= 0",
+                           value);
+                return 2;
+            }
+            opts.defaultDropPct = *pct;
         } else if (arg == "--ledger" && i + 1 < argc) {
             ledger_path = argv[++i];
         } else if (arg == "--ledger-baseline" && i + 1 < argc) {

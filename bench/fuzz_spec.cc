@@ -100,8 +100,10 @@ runInjected(const Options &opt)
     auto misspeculates = [&](const FuzzProgram &p) {
         try {
             Workload w = makeFuzzWorkload(p);
-            RunResult r = runner.evaluate(w, cfg, /*profile_seed=*/0,
-                                          /*run_seed=*/1);
+            const RunResult r =
+                runner.run({ExperimentCell(&w, cfg, /*profile_seed=*/0,
+                                           /*run_seed=*/1)})
+                    .front();
             return r.counters.misspeculations > 0;
         } catch (const FatalError &) {
             return false; // Broken candidate, not a witness.

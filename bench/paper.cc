@@ -894,7 +894,9 @@ struct ObservedRun
 };
 
 /** Run @p w's report System (cached in @p runner) on the held-out
- *  seed with a block sink attached, and hand the run to @p fn. */
+ *  seed with a block sink attached, and hand the run to @p fn. The
+ *  System may have been built for a DTS cell of its key (Fig. 17's),
+ *  so the run's energy is evaluated under reportConfig(). */
 void
 observeRun(ExperimentRunner &runner, const Workload &w,
            const std::function<void(const ObservedRun &)> &fn)
@@ -905,6 +907,7 @@ observeRun(ExperimentRunner &runner, const Workload &w,
         RunResult r = sys.run(
             [&w](Module &m) { w.setInput(m, kReportRunSeed); }, {},
             {.blocks = &sink});
+        evaluateEnergy(r, reportConfig());
         fn({sys, map, sink, r});
     });
 }
@@ -986,7 +989,7 @@ printReport(ExperimentRunner &runner, std::FILE *out)
         observeRun(runner, w, [&](const ObservedRun &run) {
             const RunResult &r = run.result;
             RegionReportInputs inputs;
-            inputs.energy = run.system.config().energy;
+            inputs.energy = reportConfig().energy;
             inputs.totalInstructions = r.counters.instructions;
             inputs.totalEnergyPj = r.totalEnergy;
             inputs.baselineEnergyPj = base.totalEnergy;
@@ -1045,7 +1048,7 @@ printHeat(ExperimentRunner &runner, std::FILE *out,
             ok = ok && sums_match;
 
             HeatReportInputs inputs;
-            inputs.energy = run.system.config().energy;
+            inputs.energy = reportConfig().energy;
             inputs.totalEnergyPj = run.result.totalEnergy;
             auto rows = buildHeatReport(run.map, run.sink, inputs);
             std::fprintf(out,

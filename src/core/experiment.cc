@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <errno.h> // program_invocation_short_name (glibc).
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <unordered_set>
 
 #include "obs/flightrec.h"
@@ -43,163 +43,170 @@ fnv1a(const std::string &s)
     return h;
 }
 
-/**
- * The canonical key and its 128-bit hash are two renderings of the
- * same field sequence, kept in lockstep by folding through a sink:
- * StringKeySink builds the readable key (the ledger's system and cell
- * keys), HashKeySink digests the identical fields without any heap
- * allocation — the rendering getOrBuild uses per lookup.
- */
-struct StringKeySink
-{
-    std::string key;
-
-    void text(const std::string &s) { key += s; }
-
-    void
-    field(const char *name, double v)
-    {
-        key += strFormat(";%s=%.17g", name, v);
-    }
-
-    void
-    field(const char *name, uint64_t v)
-    {
-        key += strFormat(";%s=%llu", name,
-                         static_cast<unsigned long long>(v));
-    }
-
-    void
-    field(const char *name, bool v)
-    {
-        key += strFormat(";%s=%d", name, v ? 1 : 0);
-    }
-
-    void
-    field(const char *name, const std::string &v)
-    {
-        key += strFormat(";%s=%s", name, v.c_str());
-    }
-};
-
-struct HashKeySink
-{
-    Hash128Builder h;
-
-    void
-    text(const std::string &s)
-    {
-        h.updateU64(s.size());
-        h.update(s);
-    }
-
-    void
-    name(const char *n)
-    {
-        h.update(n, std::strlen(n) + 1); // NUL delimits field names.
-    }
-
-    void
-    field(const char *n, double v)
-    {
-        name(n);
-        h.updateDouble(v); // Bit pattern <=> %.17g round-trip.
-    }
-
-    void
-    field(const char *n, uint64_t v)
-    {
-        name(n);
-        h.updateU64(v);
-    }
-
-    void
-    field(const char *n, bool v)
-    {
-        name(n);
-        h.updateU64(v ? 1 : 0);
-    }
-
-    void
-    field(const char *n, const std::string &v)
-    {
-        name(n);
-        text(v);
-    }
-};
-
-template <typename Sink>
+/** Append `;name=value` to a key: integers and enums in decimal,
+ *  bools as 0/1, doubles at %.17g (which round-trips). Every key is
+ *  one such string after the workload's name. */
+template <typename T>
 void
-foldSystemKey(Sink &s, const Workload &w, const SystemConfig &c,
-              uint64_t profile_seed)
+field(std::string &key, const char *name, T v)
 {
-    auto appendField = [&s](const char *n, auto v) { s.field(n, v); };
-    s.text(w.name);
-    appendField("src", fnv1a(w.source));
-    appendField("isa", static_cast<uint64_t>(c.isa));
-    appendField("squeeze", c.squeeze);
-    appendField("heuristic",
-                static_cast<uint64_t>(c.squeezeOpts.heuristic));
-    appendField("speculate", c.squeezeOpts.speculate);
-    appendField("cmpElim", c.squeezeOpts.compareElimination);
-    appendField("bitmask", c.squeezeOpts.bitmaskElision);
-    appendField("staticKb", c.squeezeOpts.staticAnalysis);
-    appendField("unroll",
-                static_cast<uint64_t>(c.expander.unrollFactor));
-    appendField("maxFn",
-                static_cast<uint64_t>(c.expander.maxFunctionSize));
-    appendField("maxLoop",
-                static_cast<uint64_t>(c.expander.maxLoopSize));
-    appendField("expand", c.expander.enabled);
-    appendField("dts", c.dts);
-    appendField("vNom", c.dtsParams.vNominal);
-    appendField("vTh", c.dtsParams.vThreshold);
-    appendField("alpha", c.dtsParams.alpha);
-    appendField("vMin", c.dtsParams.vMin);
-    appendField("fLogic", c.dtsParams.fracLogic);
-    appendField("fAddSub", c.dtsParams.fracAddSub);
-    appendField("fMulDiv", c.dtsParams.fracMulDiv);
-    appendField("fMem", c.dtsParams.fracMem);
-    appendField("fBranch", c.dtsParams.fracBranch);
-    appendField("widthAware", c.dtsParams.widthAware);
-    appendField("fAddSub8", c.dtsParams.fracAddSub8);
-    appendField("fLogic8", c.dtsParams.fracLogic8);
-    appendField("errRate", c.dtsParams.errorRate);
-    appendField("recE", c.dtsParams.recoveryEnergy);
-    appendField("eAlu32", c.energy.alu32);
-    appendField("eAlu8", c.energy.alu8);
-    appendField("eMulDiv", c.energy.mulDiv);
-    appendField("eRfR32", c.energy.rfRead32);
-    appendField("eRfW32", c.energy.rfWrite32);
-    appendField("eRfR8", c.energy.rfRead8);
-    appendField("eRfW8", c.energy.rfWrite8);
-    appendField("eIc", c.energy.icacheAccess);
-    appendField("eDc", c.energy.dcacheAccess);
-    appendField("eL2", c.energy.l2Access);
-    appendField("eDram", c.energy.dramAccess);
-    appendField("ePipe", c.energy.pipelinePerCycle);
-    appendField("eMisspec", c.energy.misspecRecovery);
-    appendField("pseed", profile_seed);
+    if constexpr (std::is_floating_point_v<T>)
+        key += strFormat(";%s=%.17g", name, v);
+    else if constexpr (std::is_same_v<T, const char *>)
+        key += strFormat(";%s=%s", name, v);
+    else
+        key += strFormat(";%s=%llu", name, static_cast<unsigned long long>(v));
 }
 
-/** The training key: every input TrainedModule reads. The source
- *  text and the training input (w.setInput at @p profile_seed) are
- *  named by the workload; the rest of SystemConfig only matters
- *  after the profile, so every configuration with equal
- *  ExpanderOptions shares the training. */
+/** The workload and every SystemConfig field a compile reads. */
+std::string
+codegenKey(const Workload &w, const SystemConfig &c)
+{
+    std::string key = w.name;
+    field(key, "src", fnv1a(w.source));
+    field(key, "isa", c.isa);
+    field(key, "squeeze", c.squeeze);
+    field(key, "heuristic", c.squeezeOpts.heuristic);
+    field(key, "speculate", c.squeezeOpts.speculate);
+    field(key, "cmpElim", c.squeezeOpts.compareElimination);
+    field(key, "bitmask", c.squeezeOpts.bitmaskElision);
+    field(key, "staticKb", c.squeezeOpts.staticAnalysis);
+    field(key, "unroll", c.expander.unrollFactor);
+    field(key, "maxFn", c.expander.maxFunctionSize);
+    field(key, "maxLoop", c.expander.maxLoopSize);
+    field(key, "expand", c.expander.enabled);
+    return key;
+}
+
+/** The SystemConfig fields only evaluateEnergy reads. */
+void
+appendEvaluationFields(std::string &key, const SystemConfig &c)
+{
+    const DtsParams &d = c.dtsParams;
+    field(key, "dts", c.dts);
+    field(key, "vNom", d.vNominal);
+    field(key, "vTh", d.vThreshold);
+    field(key, "alpha", d.alpha);
+    field(key, "vMin", d.vMin);
+    field(key, "fLogic", d.fracLogic);
+    field(key, "fAddSub", d.fracAddSub);
+    field(key, "fMulDiv", d.fracMulDiv);
+    field(key, "fMem", d.fracMem);
+    field(key, "fBranch", d.fracBranch);
+    field(key, "widthAware", d.widthAware);
+    field(key, "fAddSub8", d.fracAddSub8);
+    field(key, "fLogic8", d.fracLogic8);
+    field(key, "errRate", d.errorRate);
+    field(key, "recE", d.recoveryEnergy);
+    const EnergyParams &e = c.energy;
+    field(key, "eAlu32", e.alu32);
+    field(key, "eAlu8", e.alu8);
+    field(key, "eMulDiv", e.mulDiv);
+    field(key, "eRfR32", e.rfRead32);
+    field(key, "eRfW32", e.rfWrite32);
+    field(key, "eRfR8", e.rfRead8);
+    field(key, "eRfW8", e.rfWrite8);
+    field(key, "eIc", e.icacheAccess);
+    field(key, "eDc", e.dcacheAccess);
+    field(key, "eL2", e.l2Access);
+    field(key, "eDram", e.dramAccess);
+    field(key, "ePipe", e.pipelinePerCycle);
+    field(key, "eMisspec", e.misspecRecovery);
+}
+
+/** The training key: the System key of a configuration that keeps
+ *  only @p e. A training reads the source and the training input
+ *  (both named by the workload at @p profile_seed) and the expander
+ *  options; the rest of SystemConfig only matters after the profile,
+ *  so every configuration with equal ExpanderOptions shares it. */
 Hash128
 trainingKeyHash(const Workload &w, const ExpanderOptions &e,
                 uint64_t profile_seed)
 {
-    HashKeySink s;
-    s.text(w.name);
-    s.field("src", fnv1a(w.source));
-    s.field("unroll", static_cast<uint64_t>(e.unrollFactor));
-    s.field("maxFn", static_cast<uint64_t>(e.maxFunctionSize));
-    s.field("maxLoop", static_cast<uint64_t>(e.maxLoopSize));
-    s.field("expand", e.enabled);
-    s.field("pseed", profile_seed);
-    return s.h.digest();
+    SystemConfig only_expander;
+    only_expander.expander = e;
+    return ExperimentRunner::systemKeyHash(w, only_expander,
+                                           profile_seed);
+}
+
+/** One memo tier's bookkeeping: the ExperimentStats counters and the
+ *  trace instants of a lookup. */
+struct MemoTier
+{
+    const char *missEvent;
+    const char *hitEvent;
+    uint64_t ExperimentStats::*misses;
+    uint64_t ExperimentStats::*hits;
+    /** Hits that found the value still being computed; null when the
+     *  tier does not count them (its hit instants then name no
+     *  "inflight"). */
+    uint64_t ExperimentStats::*inflightWaits = nullptr;
+};
+
+constexpr MemoTier kSystemTier{"cache.miss", "cache.hit",
+                               &ExperimentStats::systemsBuilt,
+                               &ExperimentStats::cacheHits,
+                               &ExperimentStats::inflightWaits};
+constexpr MemoTier kTrainingTier{"train.miss", "train.hit",
+                                 &ExperimentStats::trainings,
+                                 &ExperimentStats::trainingHits};
+
+/**
+ * The value of @p key in @p memo (guarded by @p mu, counted in
+ * @p stats under @p tier). The first requester claims the key and
+ * runs @p compute inline; every later one waits on its shared_future,
+ * whose exception (a failed compute) it rethrows. @p claimed
+ * (optional) receives whether this call computed the value.
+ */
+template <typename Memo, typename Compute,
+          typename Value = std::invoke_result_t<const Compute &>>
+Value
+claimOrWait(std::mutex &mu, ExperimentStats &stats, Memo &memo,
+            const Hash128 &key, const MemoTier &tier,
+            const std::string &workload, const Compute &compute,
+            bool *claimed = nullptr)
+{
+    std::promise<Value> promise;
+    typename Memo::mapped_type fut;
+    bool claim = false;
+    bool inflight = false;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        auto [it, fresh] = memo.try_emplace(key);
+        claim = fresh;
+        if (claim) {
+            it->second = promise.get_future().share();
+            ++(stats.*tier.misses);
+        } else {
+            ++(stats.*tier.hits);
+            inflight = it->second.wait_for(std::chrono::seconds(0)) !=
+                       std::future_status::ready;
+            if (inflight && tier.inflightWaits)
+                ++(stats.*tier.inflightWaits);
+        }
+        fut = it->second;
+    }
+
+    if (claim) {
+        trace::instant(tier.missEvent, "experiment",
+                       {{"workload", workload}});
+        try {
+            promise.set_value(compute());
+        } catch (...) {
+            // Every requester of this key sees the failure.
+            promise.set_exception(std::current_exception());
+        }
+    } else if (tier.inflightWaits) {
+        trace::instant(tier.hitEvent, "experiment",
+                       {{"workload", workload},
+                        {"inflight", inflight ? "1" : "0"}});
+    } else {
+        trace::instant(tier.hitEvent, "experiment",
+                       {{"workload", workload}});
+    }
+    if (claimed)
+        *claimed = claim;
+    return fut.get();
 }
 
 } // namespace
@@ -208,9 +215,9 @@ std::string
 ExperimentRunner::systemKey(const Workload &w, const SystemConfig &c,
                             uint64_t profile_seed)
 {
-    StringKeySink s;
-    foldSystemKey(s, w, c, profile_seed);
-    return s.key;
+    std::string key = codegenKey(w, c);
+    field(key, "pseed", profile_seed);
+    return key;
 }
 
 Hash128
@@ -218,25 +225,29 @@ ExperimentRunner::systemKeyHash(const Workload &w,
                                 const SystemConfig &c,
                                 uint64_t profile_seed)
 {
-    HashKeySink s;
-    foldSystemKey(s, w, c, profile_seed);
-    return s.h.digest();
+    Hash128Builder h;
+    h.update(systemKey(w, c, profile_seed));
+    return h.digest();
 }
 
 std::string
 ExperimentRunner::cellKey(const ExperimentCell &cell)
 {
     bsAssert(cell.workload != nullptr, "cellKey on empty cell");
-    StringKeySink s;
-    foldSystemKey(s, *cell.workload, cell.config, cell.profileSeed);
-    s.field("rseed", cell.runSeed);
+    // The evaluation fields sit before the profile seed, where they
+    // were when the System key held them: ledgers written on either
+    // side of that change join on these bytes.
+    std::string key = codegenKey(*cell.workload, cell.config);
+    appendEvaluationFields(key, cell.config);
+    field(key, "pseed", cell.profileSeed);
+    field(key, "rseed", cell.runSeed);
     // A fixed segment: ledgers written while the core had a second
     // engine carry it (as "default" for every cell without an
     // override), and bitspec-diff joins on the whole key.
-    s.field("engine", std::string("default"));
-    s.field("policy", std::string(misspecPolicyName(cell.policy)));
-    s.field("polseed", cell.policySeed);
-    return s.key;
+    field(key, "engine", "default");
+    field(key, "policy", misspecPolicyName(cell.policy));
+    field(key, "polseed", cell.policySeed);
+    return key;
 }
 
 ExperimentRunner::ExperimentRunner(unsigned threads)
@@ -249,48 +260,18 @@ ExperimentRunner::getOrBuild(const Hash128 &key, const Workload &w,
                              uint64_t profile_seed,
                              const char **origin)
 {
-    std::promise<std::shared_ptr<const System>> promise;
-    std::shared_future<std::shared_ptr<const System>> fut;
-    bool builder = false;
-    bool inflight = false;
-    {
-        std::lock_guard<std::mutex> lock(cacheMu_);
-        auto it = cache_.find(key);
-        if (it == cache_.end()) {
-            fut = promise.get_future().share();
-            cache_.emplace(key, fut);
-            builder = true;
-            ++stats_.systemsBuilt;
-        } else {
-            fut = it->second;
-            ++stats_.cacheHits;
-            inflight = fut.wait_for(std::chrono::seconds(0)) !=
-                       std::future_status::ready;
-            if (inflight)
-                ++stats_.inflightWaits;
-        }
-    }
-
-    if (builder) {
-        trace::instant("cache.miss", "experiment",
-                       {{"workload", w.name}});
-        try {
+    bool built = false;
+    std::shared_ptr<const System> sys = claimOrWait(
+        cacheMu_, stats_, cache_, key, kSystemTier, w.name,
+        [&]() -> std::shared_ptr<const System> {
             std::shared_ptr<const TrainedModule> trained =
                 getOrTrain(w, config.expander, profile_seed);
-            promise.set_value(
-                std::make_shared<const System>(*trained, config));
-        } catch (...) {
-            // Every cell sharing this key sees the build failure.
-            promise.set_exception(std::current_exception());
-        }
-    } else {
-        trace::instant("cache.hit", "experiment",
-                       {{"workload", w.name},
-                        {"inflight", inflight ? "1" : "0"}});
-    }
+            return std::make_shared<const System>(*trained, config);
+        },
+        &built);
     if (origin)
-        *origin = builder ? "compile" : "memory";
-    return fut.get();
+        *origin = built ? "compile" : "memory";
+    return sys;
 }
 
 std::shared_ptr<const TrainedModule>
@@ -298,41 +279,15 @@ ExperimentRunner::getOrTrain(const Workload &w,
                              const ExpanderOptions &expander,
                              uint64_t profile_seed)
 {
-    const Hash128 key = trainingKeyHash(w, expander, profile_seed);
-
-    std::promise<std::shared_ptr<const TrainedModule>> promise;
-    std::shared_future<std::shared_ptr<const TrainedModule>> fut;
-    bool trainer = false;
-    {
-        std::lock_guard<std::mutex> lock(cacheMu_);
-        auto it = trained_.find(key);
-        if (it == trained_.end()) {
-            fut = promise.get_future().share();
-            trained_.emplace(key, fut);
-            trainer = true;
-            ++stats_.trainings;
-        } else {
-            fut = it->second;
-            ++stats_.trainingHits;
-        }
-    }
-
-    if (trainer) {
-        trace::instant("train.miss", "experiment",
-                       {{"workload", w.name}});
-        try {
-            promise.set_value(std::make_shared<const TrainedModule>(
+    return claimOrWait(
+        cacheMu_, stats_, trained_,
+        trainingKeyHash(w, expander, profile_seed), kTrainingTier,
+        w.name, [&]() -> std::shared_ptr<const TrainedModule> {
+            return std::make_shared<const TrainedModule>(
                 w.source, expander, [&w, profile_seed](Module &m) {
                     w.setInput(m, profile_seed);
-                }));
-        } catch (...) {
-            // Every System sharing this training sees the failure.
-            promise.set_exception(std::current_exception());
-        }
-    } else {
-        trace::instant("train.hit", "experiment", {{"workload", w.name}});
-    }
-    return fut.get();
+                });
+        });
 }
 
 RunResult
@@ -402,8 +357,11 @@ ExperimentRunner::runCell(const ExperimentCell &cell, const Hash128 &key,
         bsink.emplace(*bmap);
         observers.blocks = &*bsink;
     }
-    const RunResult out =
+    RunResult out =
         sys->run(input, {}, observers, cell.policy, cell.policySeed);
+    // The System may have been built for another cell of its key:
+    // evaluate this cell's own energy and DTS settings.
+    evaluateEnergy(out, cell.config);
     const double wall_sec = secondsSince(t0);
 
     if (ledger) {
@@ -654,22 +612,6 @@ ExperimentRunner::run(const std::vector<ExperimentCell> &cells)
     if (first)
         std::rethrow_exception(first);
     return results;
-}
-
-RunResult
-ExperimentRunner::evaluate(const Workload &w, const SystemConfig &config,
-                           uint64_t profile_seed, uint64_t run_seed)
-{
-    ExperimentCell cell;
-    cell.workload = &w;
-    cell.config = config;
-    cell.profileSeed = profile_seed;
-    cell.runSeed = run_seed;
-    RunResult out =
-        runCell(cell, systemKeyHash(w, config, profile_seed));
-    std::lock_guard<std::mutex> lock(cacheMu_);
-    ++stats_.cells;
-    return out;
 }
 
 void

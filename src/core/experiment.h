@@ -15,13 +15,15 @@
  *    reads — so all configurations of a workload and profile input
  *    share one parse, expansion and profiled run.
  *  - A System is compile-once/run-many. The cache keys a compiled
- *    System by (workload name, FNV-1a of the source, canonicalized
- *    config, profile seed); all run seeds, policies and series of a
- *    binary that share that key reuse one instance. A System is
- *    immutable once built and System::run is const: each run copies
- *    the global images, applies its input to the copy and simulates
- *    on a FastCore of its own, so cells of one System run
- *    concurrently, with no lock, and order-independently.
+ *    System by what its compile reads (systemKey); each cell
+ *    evaluates its own energy and DTS after the run, so all run
+ *    seeds, policies and energy or DTS settings that share a key
+ *    reuse one instance. Every key is one canonical string, whose
+ *    Hash128 is the map key. A System is immutable once built and
+ *    System::run is const: each run copies the global images,
+ *    applies its input to the copy and simulates on a FastCore of its
+ *    own, so cells of one System run concurrently, with no lock, and
+ *    order-independently.
  *  - run() stages its matrix: one build task per distinct System key
  *    (the lookup of the key's first cell), the first key of each
  *    training queued ahead of every other key, then one run task per
@@ -75,7 +77,8 @@ struct ExperimentCell
     /** @name Run-level knobs
      * Arguments of this cell's System::run only — deliberately absent
      * from the cache key (one compiled System serves every policy;
-     * the differential fuzzer depends on that sharing). */
+     * the differential fuzzer depends on that sharing). So are the
+     * config's energy and DTS fields, evaluated on the finished run. */
     /// @{
     MisspecPolicy policy = MisspecPolicy::Hardware;
     uint64_t policySeed = 0x5eed;
@@ -102,7 +105,7 @@ struct ExperimentStats
 
 /**
  * Runs experiment matrices over a worker pool with a keyed System
- * cache. run()/evaluate() may be called from several threads at once
+ * cache. run() may be called from several threads at once
  * (each call's results are call-local, the cache and stats are
  * mutex-guarded, and cached Systems are immutable, so concurrent
  * cells on one System run in parallel — the fuzzer fans whole
@@ -130,16 +133,14 @@ class ExperimentRunner
      */
     std::vector<RunResult> run(const std::vector<ExperimentCell> &cells);
 
-    /** One-cell convenience; still goes through the System cache. */
-    RunResult evaluate(const Workload &w, const SystemConfig &config,
-                       uint64_t profile_seed = 0, uint64_t run_seed = 0);
-
     /**
      * Build (or fetch) the cell's System and run @p fn on it. Lets a
      * caller reuse the System's squeezed module directly — the
      * differential fuzzer interprets a cloneModule copy of it instead
      * of re-running the whole squeeze pipeline a second time. Other
-     * cells may run the same System concurrently.
+     * cells may run the same System concurrently. It may have been
+     * built for another energy or DTS setting of its key: evaluate a
+     * run under @p config (evaluateEnergy) before reading its energy.
      */
     void withSystem(const Workload &w, const SystemConfig &config,
                     uint64_t profile_seed,
@@ -156,32 +157,39 @@ class ExperimentRunner
     void setLedgerLabel(std::string label) { ledgerLabel_ = std::move(label); }
 
     /**
-     * Canonical cache key of a cell's compiled System: workload name,
-     * FNV-1a hash of the source text, every SystemConfig field (in
-     * declaration order, doubles at full precision) and the profile
-     * seed. Run seeds are deliberately absent. The build is not part
-     * of it: the cache lives in one process, which is one build.
+     * Canonical cache key of a cell's compiled System, what its
+     * compile reads: workload name, FNV-1a hash of the source text,
+     * isa, squeeze, SqueezeOptions, ExpanderOptions and the profile
+     * seed; no energy, DTS or run seed. The build is not part of it:
+     * the cache lives in one process, which is one build.
      */
     static std::string systemKey(const Workload &w,
                                  const SystemConfig &config,
                                  uint64_t profile_seed);
 
-    /** 128-bit content hash of the same fields, computed without
-     *  building the key string (the hot getOrBuild path). Equal
-     *  canonical keys <=> equal hashes (modulo a 2^-128 collision). */
+    /** Hash128 of systemKey: the cache's map key. */
     static Hash128 systemKeyHash(const Workload &w,
                                  const SystemConfig &config,
                                  uint64_t profile_seed);
 
     /**
      * Canonical identity of a cell for the run ledger (obs/ledger.h):
-     * the systemKey fields plus the run seed and the run-level knobs
-     * (policy, policy seed). It names no build, so bitspec-diff joins
-     * ledgers from two different commits on it.
+     * the systemKey fields with every energy and DTS field before the
+     * profile seed (the bytes it had when the System key held them),
+     * then the run seed and the run-level knobs (policy, policy
+     * seed). It names no build, so bitspec-diff joins ledgers from
+     * two different commits on it.
      */
     static std::string cellKey(const ExperimentCell &cell);
 
   private:
+    /** Concurrent requesters of a key block on one computation. */
+    template <typename T>
+    using Memo =
+        std::unordered_map<Hash128,
+                           std::shared_future<std::shared_ptr<const T>>,
+                           Hash128Hasher>;
+
     /** The System of @p key (= systemKeyHash of the other
      *  arguments), built inline by the first requester. @p origin
      *  (optional) receives this call's cache provenance: "compile"
@@ -205,19 +213,11 @@ class ExperimentRunner
 
     ThreadPool pool_;
     mutable std::mutex cacheMu_;
-    /** Value is a shared_future so concurrent requesters of the same
-     *  key block on one build instead of compiling twice. Keyed by
-     *  the 128-bit content hash — no string building per lookup. */
-    std::unordered_map<
-        Hash128, std::shared_future<std::shared_ptr<const System>>,
-        Hash128Hasher>
-        cache_;
-    /** Training tier under cache_, same rules, keyed by the training
-     *  key (see getOrTrain). */
-    std::unordered_map<Hash128,
-                       std::shared_future<std::shared_ptr<const TrainedModule>>,
-                       Hash128Hasher>
-        trained_;
+    /** Compiled Systems by System key. */
+    Memo<System> cache_;
+    /** Training tier under cache_, keyed by the training key (see
+     *  getOrTrain). */
+    Memo<TrainedModule> trained_;
     ExperimentStats stats_;
     std::string ledgerLabel_;
 };

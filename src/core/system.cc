@@ -57,6 +57,25 @@ SystemConfig::dtsPlusBitspec(Heuristic h)
     return c;
 }
 
+void
+evaluateEnergy(RunResult &r, const SystemConfig &config)
+{
+    r.energy = computeEnergy(r.counters, r.l1i, r.l1d, r.dram,
+                             config.energy);
+    if (config.dts) {
+        DtsResult d = applyDts(r.energy, r.counters, config.dtsParams);
+        r.totalEnergy = d.scaledEnergy;
+        r.meanVoltage = d.meanVoltage;
+    } else {
+        r.totalEnergy = r.energy.total();
+        r.meanVoltage = config.dtsParams.vNominal;
+    }
+    r.epi = r.counters.instructions
+                ? r.totalEnergy /
+                      static_cast<double>(r.counters.instructions)
+                : 0.0;
+}
+
 TrainedModule::TrainedModule(
     const std::string &source, const ExpanderOptions &expander,
     const std::function<void(Module &)> &train_input,
@@ -153,21 +172,7 @@ System::run(const std::function<void(Module &)> &run_input,
     out.l1d = core.memory().l1d();
     out.l2 = core.memory().l2();
     out.dram = core.memory().dram();
-    out.energy =
-        computeEnergy(core.counters(), core.memory(), config_.energy);
-    if (config_.dts) {
-        DtsResult d =
-            applyDts(out.energy, out.counters, config_.dtsParams);
-        out.totalEnergy = d.scaledEnergy;
-        out.meanVoltage = d.meanVoltage;
-    } else {
-        out.totalEnergy = out.energy.total();
-        out.meanVoltage = config_.dtsParams.vNominal;
-    }
-    out.epi = out.counters.instructions
-                  ? out.totalEnergy /
-                        static_cast<double>(out.counters.instructions)
-                  : 0.0;
+    evaluateEnergy(out, config_);
 
     out.squeezeStats = squeezeStats_;
     out.expandStats = expandStats_;

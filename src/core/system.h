@@ -60,7 +60,10 @@ struct RunObservers
     CoreRunStats *core = nullptr;
 };
 
-/** One experiment configuration (paper §A.7 YAML equivalent). */
+/** One experiment configuration (paper §A.7 YAML equivalent). A
+ *  compile reads isa, squeeze, squeezeOpts and expander; energy, dts
+ *  and dtsParams are read only after a run, by evaluateEnergy
+ *  (§4.1), so configurations differing only there build one code. */
 struct SystemConfig
 {
     /** Architecture / ISA. */
@@ -106,6 +109,11 @@ struct RunResult
 
     bool operator==(const RunResult &) const = default;
 };
+
+/** Fill @p r's energy, totalEnergy, epi and meanVoltage from its
+ *  counters and L1I/L1D/DRAM stats under @p config's energy model,
+ *  DTS-scaled when config.dts. Reads only energy, dts, dtsParams. */
+void evaluateEnergy(RunResult &r, const SystemConfig &config);
 
 /**
  * The front half of a System build, shared by every configuration
@@ -182,6 +190,7 @@ class System
      * FastCore that lives for this call only, with @p observers
      * attached and under misspeculation policy @p policy
      * (support/misspec.h), Random's draws seeded by @p policy_seed.
+     * Energy is evaluated under the config the System was built from.
      * Nothing of the System changes, so runs are independent of each
      * other and of their order — required for the experiment
      * engine's compile-once/run-many reuse.
@@ -196,7 +205,6 @@ class System
      *  interpreting needs a mutable module. */
     const Module &module() const { return *module_; }
     const MachProgram &program() const { return compiled_->program; }
-    const SystemConfig &config() const { return config_; }
     const SqueezeStats &squeezeStats() const { return squeezeStats_; }
     const BackendStats &backendStats() const { return compiled_->stats; }
 
@@ -205,7 +213,7 @@ class System
     uint64_t profiledIrInstructions() const { return trainIrSteps_; }
 
   private:
-    SystemConfig config_;
+    SystemConfig config_; ///< run() evaluates energy under it.
     /** This System's own copy of the trained module, squeezed in
      *  place. Its globals keep the post-profiling images every run
      *  starts from. */

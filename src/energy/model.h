@@ -63,6 +63,12 @@ struct EnergyBreakdown
 
 /** Evaluate the model on one finished run's raw observables. */
 EnergyBreakdown computeEnergy(const ActivityCounters &counters,
+                              const CacheStats &l1i,
+                              const CacheStats &l1d,
+                              const DramStats &dram,
+                              const EnergyParams &params = {});
+/** The same, with the stats read from the run's hierarchy. */
+EnergyBreakdown computeEnergy(const ActivityCounters &counters,
                               const MemoryHierarchy &mem,
                               const EnergyParams &params = {});
 

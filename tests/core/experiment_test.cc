@@ -51,6 +51,15 @@ serialReference(const ExperimentCell &c)
     return sys.run([&w, rseed](Module &m) { w.setInput(m, rseed); });
 }
 
+/** One cell through @p runner's cache. */
+RunResult
+runOne(ExperimentRunner &runner, const Workload &w, const SystemConfig &c,
+       uint64_t profile_seed = 0, uint64_t run_seed = 0)
+{
+    return runner.run({ExperimentCell(&w, c, profile_seed, run_seed)})
+        .front();
+}
+
 std::vector<ExperimentCell>
 smallMatrix()
 {
@@ -102,16 +111,16 @@ TEST(ExperimentRunner, CachesSystemAcrossRunSeeds)
     EXPECT_EQ(runner.stats().cacheHits, 4u);
 
     // A different profile seed is a different System.
-    runner.evaluate(w, SystemConfig::bitspec(), /*profile_seed=*/1);
+    runOne(runner, w, SystemConfig::bitspec(), /*profile_seed=*/1);
     EXPECT_EQ(runner.stats().systemsBuilt, 2u);
 
     // A different config is a different System even for the same
     // seeds.
-    runner.evaluate(w, SystemConfig::baseline());
+    runOne(runner, w, SystemConfig::baseline());
     EXPECT_EQ(runner.stats().systemsBuilt, 3u);
 
     runner.clearCache();
-    runner.evaluate(w, SystemConfig::bitspec());
+    runOne(runner, w, SystemConfig::bitspec());
     EXPECT_EQ(runner.stats().systemsBuilt, 4u);
 }
 
@@ -123,7 +132,7 @@ TEST(ExperimentRunner, CachedRunsAreOrderIndependent)
     ExperimentRunner runner(1);
     for (uint64_t run_seed : {2ull, 0ull, 2ull, 1ull, 0ull}) {
         RunResult got =
-            runner.evaluate(w, SystemConfig::bitspec(), 0, run_seed);
+            runOne(runner, w, SystemConfig::bitspec(), 0, run_seed);
         RunResult ref = serialReference(
             {&w, SystemConfig::bitspec(), 0, run_seed});
         expectSameResult(ref, got,
@@ -145,16 +154,26 @@ TEST(ExperimentRunner, SystemKeySeparatesConfigs)
     EXPECT_NE(base, ExperimentRunner::systemKey(
                         w, SystemConfig::baseline(), 1));
 
+    // Energy and DTS are evaluated per cell after the run: configs
+    // that differ only there share a System key, and the cell key
+    // tells them apart.
     SystemConfig tweaked = SystemConfig::baseline();
     tweaked.energy.rfRead32 += 0.125;
-    EXPECT_NE(base,
-              ExperimentRunner::systemKey(w, tweaked, 0));
+    EXPECT_EQ(base, ExperimentRunner::systemKey(w, tweaked, 0));
+    EXPECT_EQ(base, ExperimentRunner::systemKey(
+                        w, SystemConfig::dtsOnly(), 0));
+    std::set<std::string> cell_keys;
+    for (const SystemConfig &c :
+         {SystemConfig::baseline(), tweaked, SystemConfig::dtsOnly()})
+        cell_keys.insert(ExperimentRunner::cellKey({&w, c}));
+    EXPECT_EQ(cell_keys.size(), 3u);
 }
 
 TEST(ExperimentRunner, SystemKeyHashMirrorsCanonicalKey)
 {
-    // The 128-bit hash (the cache key) must separate
-    // and equate exactly as the canonical string key does.
+    // The 128-bit hash (the cache key) is the hash of the canonical
+    // string key, so it separates and equates exactly as the key
+    // does.
     const Workload &w = getWorkload("CRC32");
     const Workload &w2 = getWorkload("dijkstra");
     Hash128 base = ExperimentRunner::systemKeyHash(
@@ -174,11 +193,77 @@ TEST(ExperimentRunner, SystemKeyHashMirrorsCanonicalKey)
         w, SystemConfig::baseline(), 1));
     expectFresh(ExperimentRunner::systemKeyHash(
         w2, SystemConfig::baseline(), 0));
-    SystemConfig tweaked = SystemConfig::baseline();
-    tweaked.energy.rfRead32 += 0.125;
-    expectFresh(ExperimentRunner::systemKeyHash(w, tweaked, 0));
     SystemConfig nospec = SystemConfig::noSpeculation();
     expectFresh(ExperimentRunner::systemKeyHash(w, nospec, 0));
+
+    SystemConfig tweaked = SystemConfig::baseline();
+    tweaked.energy.rfRead32 += 0.125;
+    EXPECT_EQ(base, ExperimentRunner::systemKeyHash(w, tweaked, 0));
+    EXPECT_EQ(base, ExperimentRunner::systemKeyHash(
+                        w, SystemConfig::dtsOnly(), 0));
+    for (const SystemConfig &c :
+         {SystemConfig::baseline(), SystemConfig::dtsPlusBitspec(),
+          nospec}) {
+        Hash128Builder h;
+        h.update(ExperimentRunner::systemKey(w, c, 3));
+        EXPECT_EQ(h.digest(), ExperimentRunner::systemKeyHash(w, c, 3));
+    }
+}
+
+/** CRC32's dtsOnly cell at profile and run seed 0, as ledgers
+ *  recorded it while the System key still held every energy and DTS
+ *  field. */
+constexpr const char *kDtsOnlyCellKey =
+    "CRC32;src=17484535273190096986;isa=0;squeeze=0;heuristic=0;"
+    "speculate=1;cmpElim=1;bitmask=1;staticKb=1;unroll=4;"
+    "maxFn=2000;maxLoop=60;expand=1;dts=1;vNom=1.2;"
+    "vTh=0.34999999999999998;alpha=1.3;vMin=0.69999999999999996;"
+    "fLogic=0.62;fAddSub=0.78000000000000003;fMulDiv=1;"
+    "fMem=0.94999999999999996;fBranch=0.69999999999999996;"
+    "widthAware=0;fAddSub8=0.55000000000000004;fLogic8=0.5;"
+    "errRate=0.0001;recE=60;eAlu32=3;eAlu8=0.75;eMulDiv=9;"
+    "eRfR32=1.2;eRfW32=1.8;eRfR8=0.29999999999999999;"
+    "eRfW8=0.45000000000000001;eIc=6;eDc=8;eL2=30;eDram=1500;"
+    "ePipe=5;eMisspec=20;pseed=0;rseed=0;engine=default;"
+    "policy=hardware;polseed=24301";
+
+TEST(ExperimentRunner, EvaluationSettingsShareOneSystem)
+{
+    // Fig. 17's configurations: DTS, and its width-aware estimator,
+    // change only what is evaluated after a run. Four cells compile
+    // two Systems (baseline and bitspec code), and each cell returns
+    // what a System built for its own config alone returns, although
+    // the width-aware cell runs on a System built for the other DTS
+    // cell.
+    const Workload &w = getWorkload("CRC32");
+    SystemConfig aware = SystemConfig::dtsPlusBitspec();
+    aware.dtsParams.widthAware = true;
+    std::vector<ExperimentCell> cells;
+    for (const SystemConfig &c :
+         {SystemConfig::baseline(), SystemConfig::dtsOnly(),
+          SystemConfig::dtsPlusBitspec(), aware})
+        cells.push_back({&w, c, 0, 0});
+
+    ExperimentRunner runner(2);
+    const std::vector<RunResult> got = runner.run(cells);
+    EXPECT_EQ(runner.stats().systemsBuilt, 2u);
+    EXPECT_EQ(runner.stats().cacheHits, 2u);
+    EXPECT_EQ(runner.stats().trainings, 1u);
+    ASSERT_EQ(got.size(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const RunResult ref = serialReference(cells[i]);
+        const std::string what = "cell " + std::to_string(i);
+        EXPECT_TRUE(got[i] == ref) << what;
+        expectSameResult(ref, got[i], what);
+    }
+    // Each shared System's cells differ in energy alone.
+    EXPECT_NE(got[0].totalEnergy, got[1].totalEnergy);
+    EXPECT_NE(got[2].totalEnergy, got[3].totalEnergy);
+    EXPECT_EQ(got[2].counters.cycles, got[3].counters.cycles);
+
+    // The cell key keeps the bytes it had when the System key held
+    // every energy and DTS field, so older ledgers still join.
+    EXPECT_EQ(ExperimentRunner::cellKey(cells[1]), kDtsOnlyCellKey);
 }
 
 TEST(ExperimentRunner, WorkerExceptionPropagatesAndRunnerSurvives)
@@ -198,10 +283,10 @@ TEST(ExperimentRunner, WorkerExceptionPropagatesAndRunnerSurvives)
     EXPECT_THROW(runner.run(cells), FatalError);
 
     // The failed build must not poison the runner or the cache.
-    RunResult after = runner.evaluate(good, SystemConfig::baseline());
+    RunResult after = runOne(runner, good, SystemConfig::baseline());
     RunResult ref =
         serialReference({&good, SystemConfig::baseline(), 0, 0});
-    expectSameResult(ref, after, "post-exception evaluate");
+    expectSameResult(ref, after, "post-exception run");
 }
 
 /** The five compile-heavy configurations of one training key. */
@@ -268,14 +353,14 @@ TEST(ExperimentRunner, EachProfileSeedTrainsOnce)
     EXPECT_EQ(runner.stats().trainingHits, 2u);
 
     // Run seeds are not part of the training key either.
-    runner.evaluate(w, SystemConfig::noSpeculation(), 1, 5);
+    runOne(runner, w, SystemConfig::noSpeculation(), 1, 5);
     EXPECT_EQ(runner.stats().trainings, 2u);
     EXPECT_EQ(runner.stats().trainingHits, 3u);
 
     // Other ExpanderOptions are another training.
     SystemConfig flat = SystemConfig::bitspec();
     flat.expander.enabled = false;
-    runner.evaluate(w, flat);
+    runOne(runner, w, flat);
     EXPECT_EQ(runner.stats().trainings, 3u);
 }
 
@@ -303,18 +388,18 @@ TEST(ExperimentRunner, FailedTrainingFailsEverySharer)
     other.squeezeOpts.compareElimination = false;
     for (const SystemConfig &c :
          {SystemConfig::baseline(), SystemConfig::bitspec(), other})
-        EXPECT_THROW(runner.evaluate(bad, c), FatalError);
+        EXPECT_THROW(runOne(runner, bad, c), FatalError);
     EXPECT_EQ(inputs.load(), 1);
     EXPECT_EQ(runner.stats().trainings, 1u);
 
     // Other keys are unaffected.
-    RunResult after = runner.evaluate(good, SystemConfig::bitspec());
+    RunResult after = runOne(runner, good, SystemConfig::bitspec());
     EXPECT_TRUE(after ==
                 serialReference({&good, SystemConfig::bitspec(), 0, 0}));
 
     // clearCache() forgets the failure: the next request retrains.
     runner.clearCache();
-    EXPECT_THROW(runner.evaluate(bad, SystemConfig::baseline()),
+    EXPECT_THROW(runOne(runner, bad, SystemConfig::baseline()),
                  FatalError);
     EXPECT_EQ(inputs.load(), 2);
 }
@@ -488,13 +573,13 @@ TEST(ExperimentRunner, ClearCacheDropsTrainings)
 {
     const Workload &w = getWorkload("CRC32");
     ExperimentRunner runner(1);
-    runner.evaluate(w, SystemConfig::bitspec());
-    runner.evaluate(w, SystemConfig::baseline());
+    runOne(runner, w, SystemConfig::bitspec());
+    runOne(runner, w, SystemConfig::baseline());
     EXPECT_EQ(runner.stats().trainings, 1u);
     EXPECT_EQ(runner.stats().trainingHits, 1u);
 
     runner.clearCache();
-    runner.evaluate(w, SystemConfig::noSpeculation());
+    runOne(runner, w, SystemConfig::noSpeculation());
     EXPECT_EQ(runner.stats().trainings, 2u);
     EXPECT_EQ(runner.stats().trainingHits, 1u);
 }

@@ -185,7 +185,7 @@ TEST(Attribution, ReportRowsMatchSinkAndFormat)
     RunResult br = base.run([&w](Module &m) { w.setInput(m, 0); });
 
     RegionReportInputs inputs;
-    inputs.energy = sys.config().energy;
+    inputs.energy = SystemConfig::bitspec().energy;
     inputs.totalInstructions = r.counters.instructions;
     inputs.totalEnergyPj = r.totalEnergy;
     inputs.baselineEnergyPj = br.totalEnergy;

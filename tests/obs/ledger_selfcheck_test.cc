@@ -134,9 +134,10 @@ TEST(LedgerSelfcheck, LiveMatrixValidatesAndReconciles)
                   type_suffix)
             << rec->flavour;
         EXPECT_FALSE(rec->artifactKey.empty());
-        // The System key names no build, so the cell key extends it.
-        EXPECT_EQ(rec->cellKey.rfind(rec->systemKey, 0), 0u)
-            << rec->systemKey;
+        // The record names the System its cell ran on.
+        EXPECT_EQ(rec->systemKey,
+                  ExperimentRunner::systemKey(w, cells[i].config,
+                                              cells[i].profileSeed));
 
         // Detail mode: the validator already proved the region/heat
         // sums reconcile exactly with ActivityCounters; spot-check

@@ -169,7 +169,7 @@ TEST(BlockProfiler, HeatReportSplitsEnergyExactly)
         sys.run([&w](Module &m) { w.setInput(m, 1); }, {}, obs);
 
     HeatReportInputs inputs;
-    inputs.energy = sys.config().energy;
+    inputs.energy = SystemConfig::bitspec().energy;
     inputs.totalEnergyPj = r.totalEnergy;
     auto rows = buildHeatReport(map, sink, inputs);
     ASSERT_EQ(rows.size(), map.sites().size());

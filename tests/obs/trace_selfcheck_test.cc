@@ -30,8 +30,8 @@ class TraceSelfcheck : public ::testing::Test
         ExperimentRunner runner(2);
         for (const char *name : {"CRC32", "rijndael"}) {
             const Workload &w = getWorkload(name);
-            runner.evaluate(w, SystemConfig::bitspec());
-            runner.evaluate(w, SystemConfig::baseline());
+            runner.run({ExperimentCell(&w, SystemConfig::bitspec())});
+            runner.run({ExperimentCell(&w, SystemConfig::baseline())});
         }
         trace::setEnabled(false);
         events_ = trace::snapshot();
