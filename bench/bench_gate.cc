@@ -1,8 +1,9 @@
 /**
  * @file
- * Perf-trajectory gate: distils a BENCH_micro.json into one
- * TrajectoryRecord, compares it against the rolling baseline in the
- * history file, appends the record, and exits non-zero on regression.
+ * Perf-trajectory gate: distils a BENCH_micro.json into one run-ledger
+ * record of kind `trajectory` (obs/trajectory.h), compares it against
+ * the rolling baseline in the history file, appends the record, and
+ * exits non-zero on regression.
  *
  * Usage:
  *   bench_gate <BENCH_micro.json> <history.jsonl>
@@ -13,16 +14,18 @@
  * >= 0, each parsed whole; any other value, or a flag without one,
  * exits 2 naming the flag before any file is read.
  *
- * The record is appended even when the gate fails — a regression is
- * exactly the run the history must remember — unless --check-only is
- * given. A BENCH file that is not JSON exits 2, naming the byte
- * offset, and records nothing. So does a history with a corrupt line
- * before its last, naming `path:line`: that line lost a record, and
- * gating against the rest would gate against a shorter history than
- * the file holds. A torn final line (what a crash mid-append leaves)
- * and newer-schema lines are skipped with a warning naming each. Runs
- * from debug builds are tagged and only ever compared against other
- * debug runs (see obs/trajectory.h).
+ * The history is a run ledger: it loads with loadLedger, only its
+ * `trajectory` records count, and the record is appended with a
+ * LedgerWriter, one O_APPEND write like every ledger line. It is
+ * appended even when the gate fails — a regression is exactly the run
+ * the history must remember — unless --check-only is given. A BENCH
+ * file that is not JSON exits 2, naming the byte offset, and records
+ * nothing. So does a history with a corrupt line before its last,
+ * naming `path:line`: that line lost a record, and gating against the
+ * rest would gate against a shorter history than the file holds. A
+ * torn final line (what a crash mid-append leaves) and newer-schema
+ * lines are skipped with a warning naming each. Runs from debug
+ * builds are tagged and only ever compared against other debug runs.
  *
  * When the gate trips and both ledger paths are given, the failure is
  * auto-forensicated: the run ledger is diffed against the baseline
@@ -32,13 +35,12 @@
  * naming each ledger line it skipped.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <limits>
@@ -47,6 +49,7 @@
 #include <string>
 
 #include "obs/diff.h"
+#include "obs/ledger.h"
 #include "obs/trajectory.h"
 #include "support/json.h"
 #include "support/log.h"
@@ -55,35 +58,6 @@ using namespace bitspec;
 
 namespace
 {
-
-/** `git rev-parse --short HEAD`, or "unknown" outside a checkout. */
-std::string
-gitShortSha()
-{
-    FILE *p = popen("git rev-parse --short HEAD 2>/dev/null", "r");
-    if (!p)
-        return "unknown";
-    char buf[64] = {};
-    size_t n = fread(buf, 1, sizeof buf - 1, p);
-    pclose(p);
-    std::string sha(buf, n);
-    while (!sha.empty() &&
-           (sha.back() == '\n' || sha.back() == '\r'))
-        sha.pop_back();
-    return sha.empty() ? "unknown" : sha;
-}
-
-std::string
-utcTimestamp()
-{
-    std::time_t now = std::chrono::system_clock::to_time_t(
-        std::chrono::system_clock::now());
-    std::tm tm{};
-    gmtime_r(&now, &tm);
-    char buf[32];
-    std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-    return buf;
-}
 
 int
 usage(const char *argv0)
@@ -185,28 +159,24 @@ main(int argc, char **argv)
     std::stringstream buf;
     buf << in.rdbuf();
 
-    TrajectoryRecord rec;
+    LedgerRecord rec;
     try {
         rec = recordFromBenchJson(buf.str());
     } catch (const JsonError &e) {
         log::error("bench_gate: %s: %s", bench_path.c_str(), e.what());
         return 2;
     }
-    rec.gitSha = gitShortSha();
-    rec.timestamp = utcTimestamp();
-    if (rec.debugBuild)
-        log::warn("bench_gate: DEBUG-BUILD record (build_type=%s); "
+    rec.flavour = buildFlavour();
+    rec.bench = "bench_gate";
+    rec.setField("record.unix_time",
+                 static_cast<double>(std::time(nullptr)));
+    if (thisBuild().debug())
+        log::warn("bench_gate: DEBUG-BUILD record (flavour %s); "
                   "gating only against other debug runs",
-                  rec.buildType.c_str());
-    if (rec.series.empty()) {
-        log::error("bench_gate: no recognisable series in %s",
-                   bench_path.c_str());
-        return 2;
-    }
+                  rec.flavour.c_str());
 
     SkippedLines skipped;
-    std::vector<TrajectoryRecord> history =
-        loadHistory(history_path, &skipped);
+    std::vector<LedgerRecord> history = loadLedger(history_path, &skipped);
     if (size_t line = skipped.firstCorruptBeforeLast()) {
         log::error("bench_gate: %s:%zu: corrupt history line; only a "
                    "torn final line is skipped",
@@ -216,9 +186,14 @@ main(int argc, char **argv)
     for (const std::string &m : skipped.messages(history_path))
         log::warn("bench_gate: %s", m.c_str());
     GateResult result = checkAgainstHistory(rec, history, opts);
-    std::printf("bench_gate: %s @ %s vs %zu comparable run(s) in %s\n",
-                rec.gitSha.c_str(), rec.timestamp.c_str(),
-                result.baselineRuns, history_path.c_str());
+    if (result.verdicts.empty()) {
+        log::error("bench_gate: no recognisable series in %s",
+                   bench_path.c_str());
+        return 2;
+    }
+    std::printf("bench_gate: %s vs %zu comparable run(s) in %s\n",
+                rec.flavour.c_str(), result.baselineRuns,
+                history_path.c_str());
     std::printf("%s", formatGateResult(result).c_str());
 
     // Gate tripped: explain it with the ledger forensics when both
@@ -237,13 +212,18 @@ main(int argc, char **argv)
     }
 
     if (!check_only) {
-        if (!appendHistory(history_path, rec)) {
+        if (!LedgerWriter(history_path).append(rec)) {
             log::error("bench_gate: cannot append to %s",
                        history_path.c_str());
             return 2;
         }
-        std::printf("recorded -> %s (%zu run(s) total)\n",
-                    history_path.c_str(), history.size() + 1);
+        const auto runs =
+            std::count_if(history.begin(), history.end(),
+                          [](const LedgerRecord &r) {
+                              return r.kind == "trajectory";
+                          });
+        std::printf("recorded -> %s (%td run(s) total)\n",
+                    history_path.c_str(), runs + 1);
     }
     return result.pass ? 0 : 1;
 }

@@ -7,23 +7,30 @@
  * twice — once serially with fresh (uncached) Systems, once through
  * an ExperimentRunner — verifies the results bit-identical and
  * records wall times, cell counts and System-cache hit rates; squeezes
- * four workloads with and without static analysis (static_lint); then
+ * four workloads with and without static analysis (static lint); then
  * measures two overhead gates, each within 1%: interpreter throughput
  * with tracing on against tracing off, and a warm matrix with the run
  * ledger attached against detached, validating every record it wrote.
- * The four sections (experiment_engine, static_lint, observability,
- * run_ledger) are appended to the BENCH_micro.json written by
- * micro_throughput at @p bench_json; with no path they are measured
- * and printed only.
+ * Both gates time a fixed number of interleaved off/on pairs and gate
+ * the median of the pairs' time ratios (pairedMedian).
+ *
+ * Every number lands in one run-ledger record of kind `smoke`
+ * (obs/ledger.h). The four series the perf history reads keep their
+ * history names (speedup.fig08_matrix, speedup.fig16_grid_8x8,
+ * rate.obs_disabled_ir_per_s, obs.trace_overhead_pct); the others are
+ * `grid.<grid>.*`, `lint.<workload>.*`, `obs.*` and `ledger.*`, a
+ * yes/no as 0 or 1. The record's JSON line is spliced into the
+ * BENCH_micro.json written by micro_throughput at @p bench_json as its
+ * `smoke` member; with no path it is measured and printed only.
  */
 
 #include "smoke.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -136,42 +143,24 @@ fig16Cells(unsigned images)
     return cells;
 }
 
-std::string
-jsonSection(const std::vector<GridTiming> &grids, unsigned threads)
+/** @p g as `grid.<name>.*` fields, and its speedup under the
+ *  history's name `speedup.<name>`. */
+void
+recordGrid(LedgerRecord &rec, const GridTiming &g)
 {
-    std::ostringstream os;
-    os << "  \"experiment_engine\": {\n";
-    os << "    \"threads\": " << threads << ",\n";
-    os << "    \"grids\": [\n";
-    for (size_t i = 0; i < grids.size(); ++i) {
-        const GridTiming &g = grids[i];
-        os << "      {\n";
-        os << "        \"name\": \"" << g.name << "\",\n";
-        os << "        \"cells\": " << g.cells << ",\n";
-        os << "        \"systems_built\": " << g.systemsBuilt << ",\n";
-        os << "        \"cache_hits\": " << g.cacheHits << ",\n";
-        os << "        \"inflight_waits\": " << g.inflightWaits
-           << ",\n";
-        const double speedup =
-            g.parallelSec > 0 ? g.serialSec / g.parallelSec : 0;
-        os << "        \"serial_sec\": " << jsonNumber(g.serialSec)
-           << ",\n";
-        os << "        \"parallel_sec\": " << jsonNumber(g.parallelSec)
-           << ",\n";
-        os << "        \"cell_wall_p50_sec\": " << jsonNumber(g.wallP50)
-           << ",\n";
-        os << "        \"cell_wall_p95_sec\": " << jsonNumber(g.wallP95)
-           << ",\n";
-        os << "        \"cell_wall_p99_sec\": " << jsonNumber(g.wallP99)
-           << ",\n";
-        os << "        \"speedup\": " << jsonNumber(speedup) << ",\n";
-        os << "        \"bit_identical\": "
-           << (g.identical ? "true" : "false") << "\n";
-        os << "      }" << (i + 1 < grids.size() ? "," : "") << "\n";
-    }
-    os << "    ]\n";
-    os << "  }\n";
-    return os.str();
+    const std::string p = "grid." + g.name + ".";
+    rec.setField(p + "cells", g.cells);
+    rec.setField(p + "systems_built", g.systemsBuilt);
+    rec.setField(p + "cache_hits", g.cacheHits);
+    rec.setField(p + "inflight_waits", g.inflightWaits);
+    rec.setField(p + "serial_sec", g.serialSec);
+    rec.setField(p + "parallel_sec", g.parallelSec);
+    rec.setField(p + "cell_wall_p50_sec", g.wallP50);
+    rec.setField(p + "cell_wall_p95_sec", g.wallP95);
+    rec.setField(p + "cell_wall_p99_sec", g.wallP99);
+    rec.setField(p + "bit_identical", g.identical);
+    rec.setField("speedup." + g.name,
+                 g.parallelSec > 0 ? g.serialSec / g.parallelSec : 0);
 }
 
 /** One static-analysis A/B row: the same workload squeezed with and
@@ -210,64 +199,72 @@ measureStaticLint(const std::string &name)
     return row;
 }
 
-std::string
-staticLintSection(const std::vector<StaticLintRow> &rows)
+/** @p r as `lint.<workload>.*` fields. */
+void
+recordLint(LedgerRecord &rec, const StaticLintRow &r)
 {
-    std::ostringstream os;
-    os << "  \"static_lint\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const StaticLintRow &r = rows[i];
-        os << "    {\n";
-        os << "      \"name\": \"" << r.name << "\",\n";
-        os << "      \"lint_proven_safe\": " << r.stats.lintProvenSafe
-           << ",\n";
-        os << "      \"lint_proven_unsafe\": "
-           << r.stats.lintProvenUnsafe << ",\n";
-        os << "      \"lint_speculative\": " << r.stats.lintSpeculative
-           << ",\n";
-        os << "      \"lint_spec_leaks\": " << r.stats.lintSpecLeaks
-           << ",\n";
-        os << "      \"lint_leaks_discharged\": "
-           << r.stats.lintLeaksDischarged << ",\n";
-        os << "      \"static_narrowed\": " << r.stats.staticNarrowed
-           << ",\n";
-        os << "      \"checks_dropped\": " << r.stats.checksDropped
-           << ",\n";
-        os << "      \"regions_elided\": " << r.stats.regionsElided
-           << ",\n";
-        os << "      \"instructions_on\": " << r.instsOn << ",\n";
-        os << "      \"instructions_off\": " << r.instsOff << ",\n";
-        const double delta_pct =
-            r.energyOff > 0
-                ? 100.0 * (r.energyOff - r.energyOn) / r.energyOff
-                : 0;
-        os << "      \"energy_on\": " << jsonNumber(r.energyOn)
-           << ",\n";
-        os << "      \"energy_off\": " << jsonNumber(r.energyOff)
-           << ",\n";
-        os << "      \"energy_delta_pct\": " << jsonNumber(delta_pct)
-           << ",\n";
-        os << "      \"same_checksum\": "
-           << (r.sameChecksum ? "true" : "false") << "\n";
-        os << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n";
-    return os.str();
+    const std::string p = "lint." + r.name + ".";
+    rec.setField(p + "proven_safe", r.stats.lintProvenSafe);
+    rec.setField(p + "proven_unsafe", r.stats.lintProvenUnsafe);
+    rec.setField(p + "speculative", r.stats.lintSpeculative);
+    rec.setField(p + "spec_leaks", r.stats.lintSpecLeaks);
+    rec.setField(p + "leaks_discharged", r.stats.lintLeaksDischarged);
+    rec.setField(p + "static_narrowed", r.stats.staticNarrowed);
+    rec.setField(p + "checks_dropped", r.stats.checksDropped);
+    rec.setField(p + "regions_elided", r.stats.regionsElided);
+    rec.setField(p + "instructions_on", r.instsOn);
+    rec.setField(p + "instructions_off", r.instsOff);
+    rec.setField(p + "energy_on", r.energyOn);
+    rec.setField(p + "energy_off", r.energyOff);
+    rec.setField(p + "energy_delta_pct",
+                 r.energyOff > 0
+                     ? 100.0 * (r.energyOff - r.energyOn) / r.energyOff
+                     : 0);
+    rec.setField(p + "same_checksum", r.sameChecksum);
 }
 
-/** One timed decoded-interpreter run of the micro_throughput kernel;
- *  returns IR instructions/second. */
-double
-interpRateOnce(Interpreter &in)
+/** What a feature costs, from interleaved pairs of reps without and
+ *  with it. */
+struct PairedTimes
 {
-    const uint64_t steps0 = in.stats().steps; // Cumulative counter.
-    auto t0 = Clock::now();
-    in.run("main", {64});
-    auto t1 = Clock::now();
-    double sec = seconds(t0, t1);
-    return sec > 0
-               ? static_cast<double>(in.stats().steps - steps0) / sec
-               : 0;
+    double bestOffSec = 0; ///< Fastest rep without the feature.
+    double bestOnSec = 0;  ///< Fastest rep with it.
+    /** Median over the pairs of the on rep's time over its off
+     *  partner's, less 1, in percent. */
+    double overheadPct = 0;
+};
+
+/**
+ * Time @p pairs pairs of @p rep, which runs one rep with the feature
+ * off (false) or on (true) and returns its seconds. The pairs
+ * alternate which rep goes first, so clock-speed drift hits both
+ * series equally, and the overhead is the median of the pairs' time
+ * ratios over every pair, not the ratio of the series' best reps: on a
+ * shared 4-CPU host one interpreter rep in a few hundred ran over 10%
+ * fast, and the best-rep ratio of unchanged code read as low as
+ * -12.3%, which would pass a 10% overhead. The number of pairs is
+ * fixed before measuring: stopping at the first pair count that
+ * passes would pick the pairs in which the host slowed the off series,
+ * and pass whatever the feature costs.
+ */
+PairedTimes
+pairedMedian(unsigned pairs, const std::function<double(bool)> &rep)
+{
+    PairedTimes t;
+    Histogram time_ratios;
+    for (unsigned i = 0; i < pairs; ++i) {
+        double sec[2] = {0, 0}; // Off, on.
+        for (bool on : {i % 2 == 1, i % 2 == 0})
+            sec[on] = rep(on);
+        if (i == 0 || sec[0] < t.bestOffSec)
+            t.bestOffSec = sec[0];
+        if (i == 0 || sec[1] < t.bestOnSec)
+            t.bestOnSec = sec[1];
+        if (sec[0] > 0)
+            time_ratios.add(sec[1] / sec[0]);
+    }
+    t.overheadPct = 100.0 * (time_ratios.p50() - 1.0);
+    return t;
 }
 
 /** Interpreter rates with tracing off and on, and what tracing
@@ -276,22 +273,14 @@ struct InterpRates
 {
     double off = 0;     ///< Best rep, all telemetry off (the baseline).
     double traceOn = 0; ///< Best rep, tracing on (buffers, no export).
-    /** Median over the pairs of the traced rep's time over its
-     *  untraced partner's, less 1, in percent. */
-    double overheadPct = 0;
+    double overheadPct = 0; ///< pairedMedian's.
 };
 
-/**
- * Interpreter rates with tracing off and on over @p reps pairs of
- * reps, interleaved (alternating which of a pair goes first) so
- * clock-speed drift hits both series equally. The overhead is the
- * median of the pairs' time ratios, not the ratio of the series'
- * best reps: on a shared 4-CPU host one rep in a few hundred ran
- * over 10% fast, and the best-rep ratio of unchanged code read as
- * low as -12.3%, which would pass a 10% overhead.
- */
+/** Interpreter rates with tracing off and on over @p pairs
+ *  pairedMedian pairs of decoded runs of the micro_throughput kernel,
+ *  ~0.6 ms each. */
 InterpRates
-interpRates(unsigned reps)
+interpRates(unsigned pairs)
 {
     const char *kKernel = R"(
         u32 data[256];
@@ -306,23 +295,18 @@ interpRates(unsigned reps)
     auto mod = compileSource(kKernel);
     Interpreter in(*mod);
     in.run("main", {64}); // Warm the decode cache.
-    InterpRates r;
-    Histogram time_ratios;
-    for (unsigned i = 0; i < reps; ++i) {
-        double rate[2] = {0, 0}; // Tracing off, on.
-        for (bool on : {i % 2 == 1, i % 2 == 0}) {
-            trace::setEnabled(on);
-            rate[on] = interpRateOnce(in);
-        }
-        r.off = std::max(r.off, rate[0]);
-        r.traceOn = std::max(r.traceOn, rate[1]);
-        if (rate[1] > 0)
-            time_ratios.add(rate[0] / rate[1]);
-    }
+    // Every rep runs the same steps: the first run's.
+    const double steps = static_cast<double>(in.stats().steps);
+    const PairedTimes t = pairedMedian(pairs, [&in](bool on) {
+        trace::setEnabled(on);
+        auto t0 = Clock::now();
+        in.run("main", {64});
+        return seconds(t0, Clock::now());
+    });
     trace::setEnabled(false);
     trace::reset();
-    r.overheadPct = 100.0 * (time_ratios.p50() - 1.0);
-    return r;
+    auto rate = [steps](double sec) { return sec > 0 ? steps / sec : 0; };
+    return {rate(t.bestOffSec), rate(t.bestOnSec), t.overheadPct};
 }
 
 /** Counter @p counter of benchmark @p bench in the google-benchmark
@@ -360,21 +344,18 @@ struct ObservabilityGate
 /**
  * Measure the overhead contract. The hard gate is the controlled
  * in-process experiment: interleaved same-binary runs where only the
- * tracing flag differs must agree within 1%. The number of reps is
- * fixed before measuring and every rep counts: keeping the best of
- * several attempts, or stopping at the first that passes, would pick
- * the attempt in which the host slowed the untraced series, and pass
- * whatever tracing costs. The cross-run decoded record vs the
- * stashed BENCH_micro.prev.json is recorded for the trajectory but
- * not gated — separate google-benchmark invocations on a shared
- * machine swing by a few percent.
+ * tracing flag differs must agree within 1% (pairedMedian). The
+ * cross-run decoded record vs the stashed BENCH_micro.prev.json is
+ * recorded for the trajectory but not gated — separate
+ * google-benchmark invocations on a shared machine swing by a few
+ * percent.
  */
 ObservabilityGate
 measureObservability(const std::string &json_path)
 {
     ObservabilityGate g;
-    constexpr unsigned kReps = 488; // Pairs of ~0.6 ms reps.
-    const InterpRates r = interpRates(kReps);
+    constexpr unsigned kPairs = 488; // Pairs of ~0.6 ms reps.
+    const InterpRates r = interpRates(kPairs);
     g.disabledRate = r.off;
     g.enabledRate = r.traceOn;
     g.enabledOverheadPct = r.overheadPct;
@@ -396,23 +377,18 @@ measureObservability(const std::string &json_path)
     return g;
 }
 
-std::string
-observabilitySection(const ObservabilityGate &g)
+/** @p g as `obs.*` fields, its untraced rate under the history's
+ *  name `rate.obs_disabled_ir_per_s`. */
+void
+recordObservability(LedgerRecord &rec, const ObservabilityGate &g)
 {
-    std::ostringstream os;
-    os << "  \"observability\": {\n";
-    os << "    \"disabled_rate\": " << jsonNumber(g.disabledRate) << ",\n";
-    os << "    \"enabled_rate\": " << jsonNumber(g.enabledRate) << ",\n";
-    os << "    \"enabled_overhead_pct\": " << jsonNumber(g.enabledOverheadPct)
-       << ",\n";
-    os << "    \"decoded_rate\": " << jsonNumber(g.currDecodedRate) << ",\n";
-    os << "    \"prev_decoded_rate\": " << jsonNumber(g.prevDecodedRate)
-       << ",\n";
-    os << "    \"vs_prev_pct\": " << jsonNumber(g.vsPrevPct) << ",\n";
-    os << "    \"gate_within_1pct\": "
-       << (g.withinGate ? "true" : "false") << "\n";
-    os << "  }\n";
-    return os.str();
+    rec.setField("rate.obs_disabled_ir_per_s", g.disabledRate);
+    rec.setField("obs.trace_on_ir_per_s", g.enabledRate);
+    rec.setField("obs.trace_overhead_pct", g.enabledOverheadPct);
+    rec.setField("obs.decoded_ir_per_s", g.currDecodedRate);
+    rec.setField("obs.prev_decoded_ir_per_s", g.prevDecodedRate);
+    rec.setField("obs.vs_prev_pct", g.vsPrevPct);
+    rec.setField("obs.gate_within_1pct", g.withinGate);
 }
 
 /** Ledger-write overhead gate plus live schema validation. */
@@ -420,8 +396,8 @@ struct LedgerGate
 {
     double offSec = 0; ///< Best ledger-off matrix wall.
     double onSec = 0;  ///< Best ledger-on matrix wall.
-    double overheadPct = 0;
-    size_t pairs = 0;       ///< Interleaved off/on reps measured.
+    double overheadPct = 0; ///< pairedMedian's.
+    size_t pairs = 0;       ///< Interleaved off/on pairs measured.
     size_t records = 0;     ///< Records the on-reps wrote.
     size_t matrixRecords = 0;
     std::string firstInvalid; ///< "" = every record schema-valid.
@@ -430,13 +406,13 @@ struct LedgerGate
 
 /**
  * Measure what BITSPEC_LEDGER costs: the same all-cache-hit matrix is
- * run with the global writer detached and attached, interleaved, and
- * the best rep of each series is compared. Detail mode stays off,
- * exactly like the production default the 1% contract covers. Every
- * record the on-reps wrote is then schema-validated
- * (validateLedgerRecord checks provenance completeness and that the
- * energy breakdown sums exactly), so this doubles as a live
- * end-to-end selfcheck.
+ * run with the global writer detached and attached, over a fixed
+ * number of pairedMedian pairs, and the median time ratio is gated.
+ * Detail mode stays off, exactly like the production default the 1%
+ * contract covers. Every record the on-reps wrote is then
+ * schema-validated (validateLedgerRecord checks provenance
+ * completeness and that the energy breakdown sums exactly), so this
+ * doubles as a live end-to-end selfcheck.
  */
 LedgerGate
 measureLedgerGate()
@@ -459,41 +435,21 @@ measureLedgerGate()
     LedgerWriter::setGlobal(nullptr); // Warm run stays unledgered.
     runner.run(cells); // Pay the compiles once; reps are run-only.
 
-    auto rep = [&] {
+    constexpr unsigned kPairs = 24; // Pairs of ~0.15 s matrices.
+    // Only the matrix is timed, not opening or closing the writer.
+    const PairedTimes t = pairedMedian(kPairs, [&](bool on) {
+        if (on)
+            LedgerWriter::setGlobal(std::make_unique<LedgerWriter>(path));
         auto t0 = Clock::now();
         runner.run(cells);
-        return seconds(t0, Clock::now());
-    };
-    auto rep_on = [&] {
-        LedgerWriter::setGlobal(std::make_unique<LedgerWriter>(path));
-        double s = rep();
+        const double sec = seconds(t0, Clock::now());
         LedgerWriter::setGlobal(nullptr);
-        return s;
-    };
-    constexpr unsigned kMaxPairs = 12;
-    for (unsigned pair = 0; pair < kMaxPairs; ++pair) {
-        // Alternate order across pairs so slow machine drift
-        // (thermal, background load) cancels out of both minima.
-        double off, on;
-        if (pair % 2 == 0) {
-            off = rep();
-            on = rep_on();
-        } else {
-            on = rep_on();
-            off = rep();
-        }
-        if (pair == 0 || off < g.offSec)
-            g.offSec = off;
-        if (pair == 0 || on < g.onSec)
-            g.onSec = on;
-        g.pairs = pair + 1;
-        g.overheadPct = g.offSec > 0
-                            ? 100.0 * (g.onSec - g.offSec) / g.offSec
-                            : 0;
-        if (pair >= 3 && g.overheadPct <= 1.0)
-            break;
-    }
-    LedgerWriter::setGlobal(nullptr);
+        return sec;
+    });
+    g.offSec = t.bestOffSec;
+    g.onSec = t.bestOnSec;
+    g.overheadPct = t.overheadPct;
+    g.pairs = kPairs;
 
     for (const LedgerRecord &r : loadLedger(path)) {
         ++g.records;
@@ -510,29 +466,24 @@ measureLedgerGate()
     return g;
 }
 
-std::string
-ledgerSection(const LedgerGate &g)
+/** @p g as `ledger.*` fields. */
+void
+recordLedgerGate(LedgerRecord &rec, const LedgerGate &g)
 {
-    std::ostringstream os;
-    os << "  \"run_ledger\": {\n";
-    os << "    \"off_sec\": " << jsonNumber(g.offSec) << ",\n";
-    os << "    \"on_sec\": " << jsonNumber(g.onSec) << ",\n";
-    os << "    \"overhead_pct\": " << jsonNumber(g.overheadPct) << ",\n";
-    os << "    \"pairs\": " << g.pairs << ",\n";
-    os << "    \"records\": " << g.records << ",\n";
-    os << "    \"matrix_records\": " << g.matrixRecords << ",\n";
-    os << "    \"schema_valid\": "
-       << (g.firstInvalid.empty() ? "true" : "false") << ",\n";
-    os << "    \"gate_within_1pct\": "
-       << (g.withinGate ? "true" : "false") << "\n";
-    os << "  }\n";
-    return os.str();
+    rec.setField("ledger.off_sec", g.offSec);
+    rec.setField("ledger.on_sec", g.onSec);
+    rec.setField("ledger.overhead_pct", g.overheadPct);
+    rec.setField("ledger.pairs", g.pairs);
+    rec.setField("ledger.records", g.records);
+    rec.setField("ledger.matrix_records", g.matrixRecords);
+    rec.setField("ledger.schema_valid", g.firstInvalid.empty());
+    rec.setField("ledger.gate_within_1pct", g.withinGate);
 }
 
-/** Splice the section into the google-benchmark JSON by inserting it
- *  before the final closing brace. */
+/** Splice @p member (`"name": value`) into the google-benchmark JSON
+ *  by inserting it before the final closing brace. */
 bool
-appendToJson(const std::string &path, const std::string &section)
+appendToJson(const std::string &path, const std::string &member)
 {
     std::ifstream in(path);
     if (!in)
@@ -547,7 +498,7 @@ appendToJson(const std::string &path, const std::string &section)
     size_t end = text.find_last_not_of(" \t\n\r", brace - 1);
     if (end == std::string::npos)
         return false;
-    std::string out = text.substr(0, end + 1) + ",\n" + section + "}\n";
+    std::string out = text.substr(0, end + 1) + ",\n" + member + "}\n";
     std::ofstream of(path, std::ios::trunc);
     if (!of)
         return false;
@@ -565,13 +516,20 @@ runSmoke(const std::string &bench_json)
                 "(pooled + memoized System cache); results verified "
                 "bit-identical.");
 
+    LedgerRecord rec;
+    rec.kind = "smoke";
+    rec.flavour = buildFlavour();
+    rec.bench = "bitspec-paper/smoke";
+
     std::vector<GridTiming> grids;
     grids.push_back(measure("fig08_matrix", fig08Cells()));
     grids.push_back(measure("fig16_grid_8x8", fig16Cells(8)));
 
     unsigned threads = ThreadPool::defaultThreadCount();
+    rec.setField("grid.threads", threads);
     bool all_identical = true;
     for (const GridTiming &g : grids) {
+        recordGrid(rec, g);
         all_identical = all_identical && g.identical;
         std::printf("%-16s cells=%-4zu builds=%-3llu hits=%-4llu "
                     "inflight=%-3llu serial=%.3fs parallel=%.3fs "
@@ -592,11 +550,10 @@ runSmoke(const std::string &bench_json)
     // Static-analysis A/B: same workload squeezed with and without
     // the known-bits candidates + lint check elision.
     std::printf("\nstatic lint A/B (on vs off):\n");
-    std::vector<StaticLintRow> lint_rows;
     for (const char *name :
          {"CRC32", "bitcount", "dijkstra", "rijndael"}) {
-        lint_rows.push_back(measureStaticLint(name));
-        const StaticLintRow &r = lint_rows.back();
+        const StaticLintRow r = measureStaticLint(name);
+        recordLint(rec, r);
         all_identical = all_identical && r.sameChecksum;
         std::printf("%-12s safe=%-3u dropped=%-3u elided=%-3u "
                     "insts %llu -> %llu  energy %.4g -> %.4g "
@@ -615,6 +572,7 @@ runSmoke(const std::string &bench_json)
     // Telemetry overhead gate: compiled-in-but-disabled tracing must
     // not move the decoded-interpreter throughput.
     ObservabilityGate gate = measureObservability(bench_json);
+    recordObservability(rec, gate);
     std::printf("\nobservability gate: disabled=%.3g ir-instrs/s "
                 "enabled=%.3g (tracing on costs %+.2f%%; gate %s)\n",
                 gate.disabledRate, gate.enabledRate,
@@ -633,6 +591,7 @@ runSmoke(const std::string &bench_json)
     // must cost at most 1% of matrix wall time, and every record it
     // writes must schema-validate.
     LedgerGate ledger_gate = measureLedgerGate();
+    recordLedgerGate(rec, ledger_gate);
     std::printf("\nrun-ledger gate: off=%.3fs on=%.3fs "
                 "(%+.2f%% over %zu pairs; gate %s)\n",
                 ledger_gate.offSec, ledger_gate.onSec,
@@ -645,22 +604,15 @@ runSmoke(const std::string &bench_json)
                     : ledger_gate.firstInvalid.c_str());
 
     if (!bench_json.empty()) {
-        const char *path = bench_json.c_str();
-        bool ok = appendToJson(path, jsonSection(grids, threads)) &&
-                  appendToJson(path, staticLintSection(lint_rows)) &&
-                  appendToJson(path, observabilitySection(gate)) &&
-                  appendToJson(path, ledgerSection(ledger_gate));
-        if (ok)
-            std::printf("appended experiment_engine + static_lint + "
-                        "observability + run_ledger sections to %s\n",
-                        path);
+        const std::string member =
+            "  \"smoke\": " + toJsonLine(rec) + "\n";
+        if (appendToJson(bench_json, member))
+            std::printf("appended the smoke record to %s\n",
+                        bench_json.c_str());
         else
-            std::printf(
-                "could not update %s; sections follow:\n%s%s%s%s",
-                path, jsonSection(grids, threads).c_str(),
-                staticLintSection(lint_rows).c_str(),
-                observabilitySection(gate).c_str(),
-                ledgerSection(ledger_gate).c_str());
+            std::printf("could not update %s; its smoke member "
+                        "follows:\n%s",
+                        bench_json.c_str(), member.c_str());
     }
     return all_identical && gate.withinGate && ledger_gate.withinGate
                ? 0

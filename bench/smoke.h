@@ -13,9 +13,10 @@ namespace bitspec
 
 /**
  * Run the experiment-engine smoke and the telemetry overhead gates;
- * with @p bench_json non-empty, append their four sections to that
- * google-benchmark JSON file. Returns the exit status: 0 when every
- * result is bit-identical and both gates hold, else 1.
+ * with @p bench_json non-empty, splice their run-ledger record into
+ * that google-benchmark JSON file as its `smoke` member. Returns the
+ * exit status: 0 when every result is bit-identical and both gates
+ * hold, else 1.
  */
 int runSmoke(const std::string &bench_json);
 

@@ -35,11 +35,9 @@ secondsSince(Clock::time_point t0)
 uint64_t
 fnv1a(const std::string &s)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
+    uint64_t h = kFnv1aOffset;
+    for (unsigned char c : s)
+        h = fnv1aStep(h, c);
     return h;
 }
 

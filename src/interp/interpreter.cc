@@ -7,6 +7,7 @@
 #include "obs/trace.h"
 #include "support/bits.h"
 #include "support/error.h"
+#include "support/hash.h"
 #include "support/str.h"
 
 namespace bitspec
@@ -210,13 +211,9 @@ Interpreter::run(const std::string &fn, const std::vector<uint64_t> &args)
 uint64_t
 Interpreter::outputChecksum() const
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (uint64_t v : output_) {
-        for (unsigned b = 0; b < 8; ++b) {
-            h ^= (v >> (8 * b)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    }
+    uint64_t h = kFnv1aOffset;
+    for (uint64_t v : output_)
+        h = fnv1aWord(h, v);
     return h;
 }
 

@@ -76,7 +76,8 @@ class Interpreter
     const InterpStats &stats() const { return stats_; }
     const std::vector<uint64_t> &output() const { return output_; }
 
-    /** FNV-1a hash of the output stream; the cross-model checksum. */
+    /** FNV-1a hash of the output stream (fnv1aWord per value); the
+     *  cross-model checksum. */
     uint64_t outputChecksum() const;
 
     void setFuel(uint64_t fuel) { fuel_ = fuel; }

@@ -275,7 +275,11 @@ diffLedgers(const std::vector<LedgerRecord> &a,
             ++diff.divergedCells;
         if (cell.regressed)
             ++diff.regressedCells;
-        if (!cell.diverged && !cell.regressed && !cell.drifts.empty())
+        if (!cell.diverged && !cell.regressed &&
+            std::any_of(cell.drifts.begin(), cell.drifts.end(),
+                        [](const FieldDrift &d) {
+                            return d.cls == DriftClass::Improved;
+                        }))
             ++diff.improvedCells;
     }
 

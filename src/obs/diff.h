@@ -111,6 +111,8 @@ struct LedgerDiff
     std::vector<std::string> onlyB; ///< Cell keys with no A record.
     size_t regressedCells = 0;
     size_t divergedCells = 0;
+    /** Neither regressed nor diverged, with at least one Improved
+     *  drift: an Info drift alone (wall time) is not an improvement. */
     size_t improvedCells = 0;
 
     bool

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <mutex>
 
 #include "support/env.h"
@@ -239,13 +240,8 @@ toJsonLine(const LedgerRecord &rec)
     return out;
 }
 
-namespace
-{
-
-/** Read one parsed line into @p rec. Throws JsonError where a member
- *  has the wrong kind. */
 JsonLine
-recordFromJson(const JsonValue &doc, LedgerRecord &rec)
+readLedgerRecord(const JsonValue &doc, LedgerRecord &rec)
 {
     const JsonValue *schema = doc.find("schema_version");
     const uint64_t version = schema ? schema->asU64() : 0;
@@ -307,6 +303,9 @@ recordFromJson(const JsonValue &doc, LedgerRecord &rec)
     return JsonLine::Record;
 }
 
+namespace
+{
+
 /** Read @p line into @p rec. A crash can tear the final line
  *  anywhere: a line that is not one whole record, a blank one too,
  *  is never read in part. */
@@ -314,7 +313,7 @@ JsonLine
 readLedgerLine(const std::string &line, LedgerRecord &rec)
 {
     try {
-        return recordFromJson(parseJson(line), rec);
+        return readLedgerRecord(parseJson(line), rec);
     } catch (const JsonError &) {
         return JsonLine::Corrupt;
     }
@@ -355,21 +354,32 @@ validateLedgerRecord(const LedgerRecord &rec)
         rec.schemaVersion > kLedgerSchemaVersion)
         return "unsupported schema_version " +
                std::to_string(rec.schemaVersion);
-    if (rec.kind != "cell" && rec.kind != "matrix")
+    if (rec.kind != "cell" && rec.kind != "matrix" &&
+        rec.kind != "trajectory" && rec.kind != "smoke")
         return "unknown kind \"" + rec.kind + "\"";
     if (rec.flavour.empty())
         return "missing flavour";
     if (rec.bench.empty())
         return "missing bench";
 
-    if (rec.kind == "matrix") {
-        for (const char *name :
-             {"matrix.cells", "wall.p50_sec", "wall.p95_sec",
-              "wall.p99_sec"})
+    // Summary kinds: a flat map with a few required fields.
+    auto require = [&rec](std::initializer_list<const char *> names)
+        -> std::string {
+        for (const char *name : names)
             if (!rec.field(name))
-                return std::string("matrix record missing ") + name;
+                return rec.kind + " record missing " + name;
         return "";
-    }
+    };
+    if (rec.kind == "matrix")
+        return require({"matrix.cells", "wall.p50_sec", "wall.p95_sec",
+                        "wall.p99_sec"});
+    // obs/trajectory.h: one bench_gate history line.
+    if (rec.kind == "trajectory")
+        return require({"record.debug_build", "record.unix_time"});
+    // bench/smoke.cc: the two overhead gates' verdicts.
+    if (rec.kind == "smoke")
+        return require({"obs.trace_overhead_pct", "obs.gate_within_1pct",
+                        "ledger.overhead_pct", "ledger.gate_within_1pct"});
 
     // Cell records: full provenance...
     if (rec.workload.empty())

@@ -2,12 +2,15 @@
  * @file
  * The run ledger: schema-versioned JSONL provenance + telemetry
  * records, one per experiment cell (DESIGN.md "Run ledger &
- * forensics").
+ * forensics"). It is the one telemetry line the repository writes:
+ * the perf history's lines are ledger records of kind `trajectory`
+ * (obs/trajectory.h), and `bitspec-paper smoke` splices one of kind
+ * `smoke` into BENCH_micro.json.
  *
- * The bench_gate trajectory (obs/trajectory.h) answers "did a rate
- * regress"; the ledger answers "what exactly produced the numbers" so
- * the diff engine (obs/diff.h) can answer "where". Every record
- * carries two halves:
+ * The bench_gate trajectory answers "did a rate regress"; the cell
+ * records answer "what exactly produced the numbers" so the diff
+ * engine (obs/diff.h) can answer "where". Every cell record carries
+ * two halves:
  *
  *  - Provenance: the producing build flavour (git describe + build
  *    type, obs/trajectory.h buildFlavour()), bench binary,
@@ -27,8 +30,7 @@
  * appended with one O_APPEND write(2), so concurrent writers (worker
  * threads, even multiple processes sharing BITSPEC_LEDGER) never
  * interleave mid-record and a crash can only tear the final line —
- * which the loader, like obs/trajectory's, skips instead of failing
- * on.
+ * which the loader skips instead of failing on.
  *
  * Knobs: BITSPEC_LEDGER=<path> enables the global writer;
  * BITSPEC_LEDGER_DETAIL=1 additionally attaches the block profiler
@@ -92,12 +94,15 @@ struct LedgerHeatRow
     uint64_t misspecs = 0;
 };
 
-/** One ledger line: a cell record or a matrix summary record. */
+/** One ledger line: a cell record or a summary record. */
 struct LedgerRecord
 {
     int schemaVersion = kLedgerSchemaVersion;
     /** "cell" = one experiment cell; "matrix" = per-matrix summary
-     *  (cell count + wall-time percentiles). */
+     *  (cell count + wall-time percentiles); "trajectory" = one perf
+     *  history line (obs/trajectory.h); "smoke" = `bitspec-paper
+     *  smoke`'s results (bench/smoke.cc). Summary kinds fill only
+     *  flavour, bench and fields. */
     std::string kind = "cell";
 
     /** @name Provenance */
@@ -160,6 +165,11 @@ std::vector<std::pair<std::string, std::string>> captureBitspecEnv();
 
 /** Serialize as one JSON line (no trailing newline). */
 std::string toJsonLine(const LedgerRecord &rec);
+
+/** Read the parsed record @p doc into @p rec: Record, or Newer or
+ *  Corrupt (no schema_version or no fields) leaving @p rec as it was.
+ *  Throws JsonError where a member has the wrong kind. */
+JsonLine readLedgerRecord(const JsonValue &doc, LedgerRecord &rec);
 
 /** Parse one ledger line; nullopt for blank, torn, malformed and
  *  newer-schema lines (the loader skips them): a line that is not

@@ -1,8 +1,6 @@
 #include "obs/trajectory.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 
 #include "support/json.h"
 #include "support/str.h"
@@ -12,15 +10,6 @@ namespace bitspec
 
 namespace
 {
-
-/** A CPU count read from JSON; 0 (unknown) when absent (older
- *  history lines) or out of range. */
-unsigned
-cpuCount(const JsonValue *v)
-{
-    const double n = v ? v->asNumber() : 0;
-    return n >= 1 && n < 1e6 ? static_cast<unsigned>(n) : 0;
-}
 
 /** Number member @p key of @p obj; nullopt when absent. */
 std::optional<double>
@@ -45,15 +34,6 @@ counterOf(const JsonValue &doc, const std::string &bench,
 
 } // namespace
 
-std::optional<double>
-TrajectoryRecord::value(const std::string &name) const
-{
-    for (const TrajectorySeries &s : series)
-        if (s.name == name)
-            return s.value;
-    return std::nullopt;
-}
-
 bool
 isGatedSeries(const std::string &name)
 {
@@ -65,113 +45,6 @@ isGatedSeries(const std::string &name)
         return false;
     return name.rfind("rate.", 0) == 0 ||
            name.rfind("speedup.", 0) == 0;
-}
-
-std::string
-toJsonLine(const TrajectoryRecord &rec)
-{
-    std::vector<TrajectorySeries> sorted = rec.series;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const TrajectorySeries &a, const TrajectorySeries &b) {
-                  return a.name < b.name;
-              });
-    std::string out = "{\"schema_version\":" +
-                      std::to_string(rec.schemaVersion) +
-                      ",\"git_sha\":\"";
-    out += jsonEscape(rec.gitSha);
-    out += "\",\"build_type\":\"";
-    out += jsonEscape(rec.buildType);
-    out += "\",\"timestamp\":\"";
-    out += jsonEscape(rec.timestamp);
-    out += "\",\"debug_build\":";
-    out += rec.debugBuild ? "true" : "false";
-    if (rec.hostCpus)
-        out += ",\"host_cpus\":" + std::to_string(rec.hostCpus);
-    out += ",\"series\":{";
-    for (size_t i = 0; i < sorted.size(); ++i) {
-        if (i)
-            out += ",";
-        out += "\"";
-        out += jsonEscape(sorted[i].name);
-        out += "\":" + jsonNumber(sorted[i].value);
-    }
-    out += "}}";
-    return out;
-}
-
-namespace
-{
-
-/** Read @p line into @p rec; a line that is not one whole record is
- *  never read in part. */
-JsonLine
-readHistoryLine(const std::string &line, TrajectoryRecord &rec)
-{
-    try {
-        const JsonValue doc = parseJson(line);
-        const JsonValue *schema = doc.find("schema_version");
-        const uint64_t version = schema ? schema->asU64() : 0;
-        if (version > kTrajectorySchemaVersion)
-            return JsonLine::Newer;
-        const JsonValue *series = doc.find("series");
-        if (version < 1 || !series)
-            return JsonLine::Corrupt;
-
-        rec.schemaVersion = static_cast<int>(version);
-        rec.gitSha = doc.getString("git_sha", "unknown");
-        rec.buildType = doc.getString("build_type");
-        rec.timestamp = doc.getString("timestamp");
-        if (const JsonValue *debug = doc.find("debug_build"))
-            rec.debugBuild = debug->asBool();
-        rec.hostCpus = cpuCount(doc.find("host_cpus"));
-        for (const auto &[name, value] : series->asObject())
-            rec.series.push_back({name, value.asNumber()});
-        return JsonLine::Record;
-    } catch (const JsonError &) {
-        return JsonLine::Corrupt; // Blank, torn or malformed.
-    }
-}
-
-} // namespace
-
-std::optional<TrajectoryRecord>
-parseJsonLine(const std::string &line)
-{
-    TrajectoryRecord rec;
-    if (readHistoryLine(line, rec) != JsonLine::Record)
-        return std::nullopt;
-    return rec;
-}
-
-std::vector<TrajectoryRecord>
-loadHistory(const std::string &path, SkippedLines *skipped)
-{
-    std::vector<TrajectoryRecord> out;
-    readJsonLines(
-        path,
-        [&out](const std::string &line) {
-            TrajectoryRecord rec;
-            const JsonLine kind = readHistoryLine(line, rec);
-            if (kind == JsonLine::Record)
-                out.push_back(std::move(rec));
-            return kind;
-        },
-        skipped);
-    return out;
-}
-
-bool
-appendHistory(const std::string &path, const TrajectoryRecord &rec)
-{
-    std::error_code ec;
-    std::filesystem::path p(path);
-    if (p.has_parent_path())
-        std::filesystem::create_directories(p.parent_path(), ec);
-    std::ofstream of(path, std::ios::app);
-    if (!of)
-        return false;
-    of << toJsonLine(rec) << "\n";
-    return static_cast<bool>(of);
 }
 
 const BuildInfo &
@@ -201,20 +74,26 @@ benchCounter(const std::string &json_text, const std::string &bench,
     return counterOf(parseJson(json_text), bench, counter);
 }
 
-TrajectoryRecord
+LedgerRecord
 recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
 {
     const JsonValue doc = parseJson(json_text);
-    TrajectoryRecord rec;
-    rec.buildType = build.buildType;
-    rec.debugBuild = build.debug();
+    LedgerRecord rec;
+    rec.kind = "trajectory";
+    rec.setField("record.debug_build", build.debug() ? 1 : 0);
     if (const JsonValue *ctx = doc.find("context"))
-        rec.hostCpus = cpuCount(ctx->find("num_cpus"));
+        if (const JsonValue *cpus = ctx->find("num_cpus")) {
+            // Out of range reads as unknown: no field.
+            const double n = cpus->asNumber();
+            if (n >= 1 && n < 1e6)
+                rec.setField("record.host_cpus",
+                             static_cast<unsigned>(n));
+        }
 
     auto add = [&rec](const std::string &name,
                       std::optional<double> v) {
         if (v && *v > 0)
-            rec.series.push_back({name, *v});
+            rec.setField(name, *v);
     };
 
     add("rate.interp_decoded_ir_per_s",
@@ -249,47 +128,57 @@ recordFromBenchJson(const std::string &json_text, const BuildInfo &build)
     perWorkload("BM_SqueezeWorkload", "rate.squeeze_workload_");
     perWorkload("BM_BackendWorkload", "rate.backend_workload_");
 
-    // `bitspec-paper smoke`'s observability section.
-    if (const JsonValue *obs = doc.find("observability")) {
+    // `bitspec-paper smoke`'s record: the four series it feeds the
+    // history, under the names they have there.
+    if (const JsonValue *member = doc.find("smoke")) {
+        LedgerRecord smoke;
+        if (readLedgerRecord(*member, smoke) != JsonLine::Record)
+            throw JsonError(member->offset,
+                            "member smoke is not a ledger record this "
+                            "build reads");
         add("rate.obs_disabled_ir_per_s",
-            numberMember(*obs, "disabled_rate"));
-        if (auto overhead = numberMember(*obs, "enabled_overhead_pct"))
-            rec.series.push_back({"obs.trace_overhead_pct", *overhead});
+            smoke.field("rate.obs_disabled_ir_per_s"));
+        if (auto overhead = smoke.field("obs.trace_overhead_pct"))
+            rec.setField("obs.trace_overhead_pct", *overhead);
+        add("speedup.fig08_matrix", smoke.field("speedup.fig08_matrix"));
+        add("speedup.fig16_grid_8x8",
+            smoke.field("speedup.fig16_grid_8x8"));
     }
-
-    // experiment_engine grid speedups.
-    if (const JsonValue *eng = doc.find("experiment_engine"))
-        if (const JsonValue *grids = eng->find("grids"))
-            for (const JsonValue &grid : grids->asArray())
-                add("speedup." + grid.getString("name"),
-                    numberMember(grid, "speedup"));
     return rec;
 }
 
 GateResult
-checkAgainstHistory(const TrajectoryRecord &current,
-                    const std::vector<TrajectoryRecord> &history,
+checkAgainstHistory(const LedgerRecord &current,
+                    const std::vector<LedgerRecord> &history,
                     const GateOptions &opts)
 {
-    // Rolling baseline: the last `window` records with the same debug
-    // flag and CPU count. Mismatched builds and hosts never form each
-    // other's baseline.
-    std::vector<const TrajectoryRecord *> comparable;
+    // Rolling baseline: the last `window` history records with the
+    // same debug flag and CPU count. Mismatched builds and hosts never
+    // form each other's baseline; an absent count matches only absent.
+    auto comparableTo = [&current](const LedgerRecord &rec) {
+        return rec.kind == "trajectory" &&
+               rec.field("record.debug_build") ==
+                   current.field("record.debug_build") &&
+               rec.field("record.host_cpus") ==
+                   current.field("record.host_cpus");
+    };
+    std::vector<const LedgerRecord *> comparable;
     for (auto it = history.rbegin();
          it != history.rend() && comparable.size() < opts.window; ++it)
-        if (it->debugBuild == current.debugBuild &&
-            it->hostCpus == current.hostCpus)
+        if (comparableTo(*it))
             comparable.push_back(&*it);
 
     GateResult result;
     result.baselineRuns = comparable.size();
-    for (const TrajectorySeries &s : current.series) {
+    for (const LedgerField &s : current.fields) {
+        if (s.name.rfind("record.", 0) == 0)
+            continue;
         SeriesVerdict v;
         v.name = s.name;
         v.current = s.value;
         v.gated = isGatedSeries(s.name);
-        for (const TrajectoryRecord *rec : comparable)
-            if (auto past = rec->value(s.name))
+        for (const LedgerRecord *rec : comparable)
+            if (auto past = rec->field(s.name))
                 v.baseline = std::max(v.baseline, *past);
         if (v.baseline > 0)
             v.deltaPct =

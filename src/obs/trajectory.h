@@ -1,32 +1,34 @@
 /**
  * @file
- * Persistent performance trajectory: a schema-versioned JSON-lines
- * history of bench_smoke runs plus a regression gate over it.
+ * Persistent performance trajectory: the bench history is a run
+ * ledger (obs/ledger.h) of `trajectory` records, plus a regression
+ * gate over it.
  *
- * Every bench_smoke run distils BENCH_micro.json into one
- * TrajectoryRecord (git sha, the repository's own build type and
- * debug flag, the key throughput/speedup series) and appends it to
- * bench/history/BENCH_history.jsonl. The gate then compares the
- * current record against a rolling baseline — the best value of each
- * series over the last `window` comparable records — and fails when a
- * gated series drops beyond its threshold. "Comparable" means the
- * same debug flag and the same host CPU count: debug numbers are
- * tagged at record time and can never become the baseline for
- * release runs (or vice versa), and the parallel speedup.* series
- * scale with the core count.
+ * Every bench_smoke run distils BENCH_micro.json into one ledger
+ * record of kind `trajectory` (recordFromBenchJson): its flavour is
+ * buildFlavour(), its bench `bench_gate`, and its fields are the key
+ * throughput/speedup series plus the record's own facts under
+ * `record.`: the host's CPU count, the debug flag and the time.
+ * bench_gate appends it to bench/history/BENCH_history.jsonl with a
+ * LedgerWriter. The gate then compares the current record against a
+ * rolling baseline — the best value of each series over the last
+ * `window` comparable records — and fails when a gated series drops
+ * beyond its threshold. "Comparable" means the same debug flag and
+ * the same host CPU count: debug numbers are tagged at record time and
+ * can never become the baseline for release runs (or vice versa), and
+ * the parallel speedup.* series scale with the core count.
  *
  * Gated series are the higher-is-better ones, recognised by name
  * prefix: "rate." (instructions/second) and "speedup.". Everything
- * else rides along informationally. Thresholds are generous by
- * default (shared machines swing); per-series overrides tighten the
- * ones that matter.
+ * else rides along informationally, except the `record.` fields, which
+ * the gate neither lists nor gates. Thresholds are generous by default
+ * (shared machines swing); per-series overrides tighten the ones that
+ * matter.
  *
- * The file format is deliberately line-oriented and append-only so
- * the history survives concurrent writers and partial writes: a
- * corrupt or unknown-schema line is skipped on load and reported by
- * its line number (SkippedLines). Only a torn final line is crash
- * residue, so bench_gate refuses a history with a corrupt line before
- * its last.
+ * The history loads with loadLedger, so a corrupt or newer-schema line
+ * is skipped and reported by its line number (SkippedLines). Only a
+ * torn final line is crash residue, so bench_gate refuses a history
+ * with a corrupt line before its last.
  */
 
 #ifndef BITSPEC_OBS_TRAJECTORY_H_
@@ -38,21 +40,10 @@
 #include <string>
 #include <vector>
 
-#include "support/json.h"
+#include "obs/ledger.h"
 
 namespace bitspec
 {
-
-/** Current on-disk record schema. Bump on incompatible change; the
- *  loader skips records with a newer schema than it understands. */
-constexpr int kTrajectorySchemaVersion = 1;
-
-/** One (name, value) measurement in a record. */
-struct TrajectorySeries
-{
-    std::string name;
-    double value = 0;
-};
 
 /** How the repository's own code was built: CMAKE_BUILD_TYPE and
  *  whether NDEBUG was defined. */
@@ -84,44 +75,8 @@ const BuildInfo &thisBuild();
  */
 const std::string &buildFlavour();
 
-/** One bench run distilled for the history file. */
-struct TrajectoryRecord
-{
-    int schemaVersion = kTrajectorySchemaVersion;
-    std::string gitSha = "unknown";
-    std::string buildType; ///< BuildInfo::buildType of the run.
-    std::string timestamp; ///< ISO-8601 UTC; informational only.
-    bool debugBuild = false;
-    /** CPUs of the host that ran the bench; 0 = unknown (records
-     *  written before the field existed). */
-    unsigned hostCpus = 0;
-    /** Sorted by name (toJsonLine sorts; parse preserves). */
-    std::vector<TrajectorySeries> series;
-
-    /** Value of @p name, or nullopt when absent. */
-    std::optional<double> value(const std::string &name) const;
-};
-
 /** True when @p name is a higher-is-better gated series. */
 bool isGatedSeries(const std::string &name);
-
-/** Serialize as one JSON line (no trailing newline). */
-std::string toJsonLine(const TrajectoryRecord &rec);
-
-/** Parse one history line; nullopt for blank, torn, malformed and
- *  newer-schema lines (the loader skips them): a line that is not
- *  exactly one JSON record is never read in part. */
-std::optional<TrajectoryRecord> parseJsonLine(const std::string &line);
-
-/** All parseable records of @p path in file order; empty when the
- *  file is missing. The lines skipped go to @p skipped when given. */
-std::vector<TrajectoryRecord> loadHistory(const std::string &path,
-                                          SkippedLines *skipped = nullptr);
-
-/** Append @p rec to @p path (created if missing); false on I/O
- *  error. */
-bool appendHistory(const std::string &path,
-                   const TrajectoryRecord &rec);
 
 /**
  * Counter @p counter of the first `benchmarks` entry named @p bench
@@ -136,17 +91,20 @@ std::optional<double> benchCounter(const std::string &json_text,
                                    const std::string &counter);
 
 /**
- * Distil a BENCH_micro.json (google-benchmark output with the
- * `bitspec-paper smoke` sections spliced in) into a record: build type and
- * debug flag from @p build (the JSON's library_build_type is
- * ignored), host CPUs from the context's num_cpus, rate.* series
- * from the `benchmarks` entries' counters and the `observability`
- * object's members, speedup.* from the `experiment_engine.grids`
- * entries. Sha/timestamp are left for the caller. Throws JsonError
- * when the text is not JSON or a value read has the wrong kind.
+ * Distil a BENCH_micro.json (google-benchmark output with
+ * `bitspec-paper smoke`'s record spliced in as its `smoke` member)
+ * into a `trajectory` record: `record.debug_build` from @p build (the
+ * JSON's library_build_type is ignored), `record.host_cpus` from the
+ * context's num_cpus, rate.* series from the `benchmarks` entries'
+ * counters, and the smoke record's rate.obs_disabled_ir_per_s,
+ * obs.trace_overhead_pct and speedup.* series. A rate or speedup
+ * counts only when it is > 0. Flavour, bench and `record.unix_time`
+ * are left for the caller. Throws JsonError when the text is not
+ * JSON, a value read has the wrong kind, or the `smoke` member is not
+ * a ledger record this build reads.
  */
-TrajectoryRecord recordFromBenchJson(const std::string &json_text,
-                                     const BuildInfo &build = thisBuild());
+LedgerRecord recordFromBenchJson(const std::string &json_text,
+                                 const BuildInfo &build = thisBuild());
 
 /** Gate thresholds. A gated series fails when it drops more than its
  *  threshold percent below the rolling baseline. */
@@ -177,15 +135,16 @@ struct GateResult
 };
 
 /**
- * Compare @p current against @p history. Baseline per series: the
- * maximum value over the last opts.window records whose debugBuild
- * flag and hostCpus match @p current (older records, mismatched
- * builds and other hosts are ignored; an unknown count only matches
- * unknown). A gated series with no baseline passes — fresh histories
- * must not fail their first run.
+ * Compare @p current against @p history, one verdict per field of
+ * @p current outside `record.`. Baseline per series: the maximum value
+ * over the last opts.window `trajectory` records whose
+ * `record.debug_build` and `record.host_cpus` match @p current (other
+ * kinds, older records, mismatched builds and other hosts are ignored;
+ * an unknown count only matches unknown). A gated series with no
+ * baseline passes — fresh histories must not fail their first run.
  */
-GateResult checkAgainstHistory(const TrajectoryRecord &current,
-                               const std::vector<TrajectoryRecord> &history,
+GateResult checkAgainstHistory(const LedgerRecord &current,
+                               const std::vector<LedgerRecord> &history,
                                const GateOptions &opts = {});
 
 /** Render the verdicts as an aligned table. */

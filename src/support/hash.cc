@@ -9,8 +9,6 @@ namespace bitspec
 namespace
 {
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 
 } // namespace
@@ -27,7 +25,7 @@ Hash128::hex() const
 
 Hash128Builder::Hash128Builder()
 {
-    h_.hi = kFnvOffset;
+    h_.hi = kFnv1aOffset;
     h_.lo = kGolden;
 }
 
@@ -37,7 +35,7 @@ Hash128Builder::update(const void *data, size_t size)
     const auto *p = static_cast<const uint8_t *>(data);
     uint64_t hi = h_.hi, lo = h_.lo;
     for (size_t i = 0; i < size; ++i) {
-        hi = (hi ^ p[i]) * kFnvPrime;
+        hi = fnv1aStep(hi, p[i]);
         lo ^= p[i] + kGolden + (lo << 6) + (lo >> 2);
     }
     h_.hi = hi;

@@ -1,7 +1,9 @@
 /**
  * @file
  * The 128-bit incremental content hash that keys the experiment
- * engine's System and training caches.
+ * engine's System and training caches, and the one 64-bit FNV-1a
+ * step it shares with the output checksum of both execution tiers
+ * and the cell key's source hash.
  *
  * Hash128 is not cryptographic. It is two independent 64-bit lanes —
  * FNV-1a plus a golden-ratio mix — which is plenty for cache keying:
@@ -17,6 +19,27 @@
 
 namespace bitspec
 {
+
+/** The 64-bit FNV-1a offset basis: the hash of no bytes. */
+constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
+
+/** One 64-bit FNV-1a step: @p h with byte @p byte folded in. */
+constexpr uint64_t
+fnv1aStep(uint64_t h, uint8_t byte)
+{
+    return (h ^ byte) * 0x100000001b3ULL;
+}
+
+/** @p h with the eight bytes of @p word folded in, least significant
+ *  first: one output value of the Interpreter's and FastCore's
+ *  shared outputChecksum(). */
+constexpr uint64_t
+fnv1aWord(uint64_t h, uint64_t word)
+{
+    for (unsigned b = 0; b < 8; ++b)
+        h = fnv1aStep(h, static_cast<uint8_t>(word >> (8 * b)));
+    return h;
+}
 
 /** A 128-bit hash value; usable as an unordered_map key. */
 struct Hash128

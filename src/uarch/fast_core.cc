@@ -180,7 +180,7 @@ FastCore::reset()
     classicMode_ = false;
     counters_ = ActivityCounters{};
     output_.clear();
-    outputHash_ = kFnvOffset;
+    outputHash_ = kFnv1aOffset;
     mem_ = MemoryHierarchy{};
     // Memos survive: their schedules depend only on the immutable
     // pre-decoded code, not on run state. Visit counts are the
@@ -250,10 +250,7 @@ void
 FastCore::emitOut(uint64_t v)
 {
     output_.push_back(v);
-    for (unsigned b = 0; b < 8; ++b) {
-        outputHash_ ^= (v >> (8 * b)) & 0xff;
-        outputHash_ *= kFnvPrime;
-    }
+    outputHash_ = fnv1aWord(outputHash_, v);
 }
 
 void

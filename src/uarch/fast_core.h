@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "ir/module.h"
+#include "support/hash.h"
 #include "support/mapped_bytes.h"
 #include "support/misspec.h"
 #include "support/rng.h"
@@ -79,8 +80,6 @@ class FastCore
   public:
     static constexpr size_t kMemBytes = 1 << 22;
     static constexpr uint64_t kDefaultFuel = 600'000'000;
-    static constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-    static constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 
     /** Most body instructions (interior jumps included) one memo
      *  covers; a trace that reaches it is cut back to its last jump,
@@ -104,7 +103,8 @@ class FastCore
     const MemoryHierarchy &memory() const { return mem_; }
     const std::vector<uint64_t> &output() const { return output_; }
 
-    /** FNV-1a over the output stream; matches Interpreter's. */
+    /** FNV-1a over the output stream (fnv1aWord per value, as
+     *  Interpreter's). */
     uint64_t outputChecksum() const { return outputHash_; }
 
     void setFuel(uint64_t fuel) { fuel_ = fuel; }
@@ -359,7 +359,7 @@ class FastCore
     MemoryHierarchy mem_;
     ActivityCounters counters_;
     std::vector<uint64_t> output_;
-    uint64_t outputHash_ = kFnvOffset;
+    uint64_t outputHash_ = kFnv1aOffset;
     uint64_t fuel_ = kDefaultFuel;
     BlockProfilerSink *prof_ = nullptr;
     CounterTrackEmitter *tracks_ = nullptr;

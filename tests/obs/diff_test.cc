@@ -121,6 +121,7 @@ TEST(Diff, WallTimeIsInformational)
     const FieldDrift *d = findDrift(diff.cells[0], "run.wall_sec");
     ASSERT_NE(d, nullptr);
     EXPECT_EQ(d->cls, DriftClass::Info);
+    EXPECT_EQ(diff.improvedCells, 0u); // Nor do they count as gains.
 }
 
 TEST(Diff, ChecksumChangeDiverges)

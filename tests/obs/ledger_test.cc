@@ -289,6 +289,40 @@ TEST(Ledger, ValidatorChecksMatrixKind)
     EXPECT_EQ(validateLedgerRecord(rec), "");
 }
 
+TEST(Ledger, ValidatorChecksTrajectoryAndSmokeKinds)
+{
+    // A perf history line: the debug flag and the time are required,
+    // the host's CPU count is not (older lines lack it).
+    LedgerRecord trajectory;
+    trajectory.kind = "trajectory";
+    trajectory.flavour = "abc1234-Release";
+    trajectory.bench = "bench_gate";
+    trajectory.setField("rate.interp_decoded_ir_per_s", 2.4e8);
+    EXPECT_NE(validateLedgerRecord(trajectory), "");
+    trajectory.setField("record.debug_build", 0);
+    trajectory.setField("record.unix_time", 1767225600);
+    EXPECT_EQ(validateLedgerRecord(trajectory), "");
+
+    // `bitspec-paper smoke`'s record: both overhead gates' verdicts.
+    LedgerRecord smoke;
+    smoke.kind = "smoke";
+    smoke.flavour = "abc1234-Release";
+    smoke.bench = "bitspec-paper/smoke";
+    smoke.setField("obs.trace_overhead_pct", 0.1);
+    smoke.setField("obs.gate_within_1pct", 1);
+    smoke.setField("ledger.overhead_pct", 0.2);
+    EXPECT_EQ(validateLedgerRecord(smoke),
+              "smoke record missing ledger.gate_within_1pct");
+    smoke.setField("ledger.gate_within_1pct", 1);
+    EXPECT_EQ(validateLedgerRecord(smoke), "");
+    smoke.bench.clear();
+    EXPECT_EQ(validateLedgerRecord(smoke), "missing bench");
+
+    smoke.kind = "trajectories";
+    EXPECT_EQ(validateLedgerRecord(smoke),
+              "unknown kind \"trajectories\"");
+}
+
 /** makeValidCell() with a region row and a heat row, reconciled:
  *  a record with every part a torn write could cut. */
 LedgerRecord
@@ -407,6 +441,9 @@ TEST(Ledger, TrailingBytesAndMalformedValuesAreSkipped)
 TEST(Ledger, WriterAppendsAndReloads)
 {
     TempLedger tmp;
+    const std::filesystem::path root = tmp.path + ".nested";
+    std::filesystem::remove_all(root);
+    tmp.path = (root / "deeper" / "run.jsonl").string(); // Parents too.
     {
         LedgerWriter writer(tmp.path);
         ASSERT_TRUE(writer.ok());
@@ -421,6 +458,7 @@ TEST(Ledger, WriterAppendsAndReloads)
         EXPECT_TRUE(writer.append(makeValidCell()));
     }
     EXPECT_EQ(loadLedger(tmp.path).size(), 3u);
+    std::filesystem::remove_all(root);
 }
 
 TEST(Ledger, ControlCharactersInStringsRoundTrip)
@@ -430,6 +468,7 @@ TEST(Ledger, ControlCharactersInStringsRoundTrip)
     LedgerRecord rec = makeValidCell();
     rec.env = {{"BITSPEC_NOTE", "run\nA\tB\x01\"q\"\\"}};
     rec.workload = "line\r\nbreak";
+    rec.setField("rate.\"quoted\"\\name", 2.5);
     const std::string line = toJsonLine(rec);
     EXPECT_EQ(line.find('\n'), std::string::npos) << line;
     EXPECT_EQ(line.find('\x01'), std::string::npos) << line;
@@ -446,6 +485,7 @@ TEST(Ledger, ControlCharactersInStringsRoundTrip)
     ASSERT_EQ(recs.size(), 1u);
     EXPECT_EQ(recs[0].env, rec.env);
     EXPECT_EQ(recs[0].workload, rec.workload);
+    EXPECT_EQ(recs[0].field("rate.\"quoted\"\\name"), 2.5);
     EXPECT_EQ(toJsonLine(recs[0]), line);
 }
 

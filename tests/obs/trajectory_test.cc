@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/ledger.h"
 #include "obs/trajectory.h"
 #include "support/json.h"
 
@@ -16,19 +17,40 @@ namespace bitspec
 namespace
 {
 
-TrajectoryRecord
+/** A history record as bench_gate writes it (a valid `trajectory`
+ *  ledger record). */
+LedgerRecord
 makeRecord(double decoded_rate, bool debug = false)
 {
-    TrajectoryRecord rec;
-    rec.gitSha = "abc1234";
-    rec.buildType = debug ? "debug" : "release";
-    rec.timestamp = "2026-01-01T00:00:00Z";
-    rec.debugBuild = debug;
-    rec.series.push_back(
-        {"rate.interp_decoded_ir_per_s", decoded_rate});
-    rec.series.push_back({"speedup.fig08_matrix", 3.5});
-    rec.series.push_back({"obs.trace_overhead_pct", 0.4});
+    LedgerRecord rec;
+    rec.kind = "trajectory";
+    rec.flavour = debug ? "abc1234-Debug" : "abc1234-Release";
+    rec.bench = "bench_gate";
+    rec.setField("record.debug_build", debug);
+    rec.setField("record.unix_time", 1767225600); // 2026-01-01.
+    rec.setField("rate.interp_decoded_ir_per_s", decoded_rate);
+    rec.setField("speedup.fig08_matrix", 3.5);
+    rec.setField("obs.trace_overhead_pct", 0.4);
     return rec;
+}
+
+/** makeRecord() from a host of @p cpus CPUs. */
+LedgerRecord
+makeRecordOn(unsigned cpus, double decoded_rate)
+{
+    LedgerRecord rec = makeRecord(decoded_rate);
+    rec.setField("record.host_cpus", cpus);
+    return rec;
+}
+
+/** Fields of @p rec the gate lists: all but the `record.` ones. */
+size_t
+seriesCount(const LedgerRecord &rec)
+{
+    return std::count_if(rec.fields.begin(), rec.fields.end(),
+                         [](const LedgerField &f) {
+                             return f.name.rfind("record.", 0) != 0;
+                         });
 }
 
 /** Temp history file removed at scope exit. */
@@ -48,88 +70,6 @@ struct TempHistory
     std::string path;
 };
 
-TEST(Trajectory, JsonLineRoundTrips)
-{
-    TrajectoryRecord rec = makeRecord(1.5e8);
-    std::string line = toJsonLine(rec);
-    auto back = parseJsonLine(line);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->schemaVersion, kTrajectorySchemaVersion);
-    EXPECT_EQ(back->gitSha, "abc1234");
-    EXPECT_EQ(back->buildType, "release");
-    EXPECT_EQ(back->timestamp, "2026-01-01T00:00:00Z");
-    EXPECT_FALSE(back->debugBuild);
-    ASSERT_EQ(back->series.size(), rec.series.size());
-    EXPECT_DOUBLE_EQ(
-        back->value("rate.interp_decoded_ir_per_s").value(), 1.5e8);
-    EXPECT_DOUBLE_EQ(back->value("speedup.fig08_matrix").value(), 3.5);
-
-    TrajectoryRecord dbg = makeRecord(1e6, /*debug=*/true);
-    auto dbg_back = parseJsonLine(toJsonLine(dbg));
-    ASSERT_TRUE(dbg_back.has_value());
-    EXPECT_TRUE(dbg_back->debugBuild);
-}
-
-TEST(Trajectory, CorruptAndNewerSchemaLinesAreSkipped)
-{
-    EXPECT_FALSE(parseJsonLine("").has_value());
-    EXPECT_FALSE(parseJsonLine("   \t ").has_value());
-    EXPECT_FALSE(parseJsonLine("not json at all").has_value());
-    EXPECT_FALSE(parseJsonLine("{\"schema_version\":999,"
-                               "\"series\":{\"rate.x\":1}}")
-                     .has_value());
-    // Truncated write: series value cut off mid-number is dropped.
-    EXPECT_FALSE(
-        parseJsonLine("{\"schema_version\":1,\"series\":{\"rate.x\":")
-            .has_value());
-
-    TempHistory h;
-    {
-        std::ofstream of(h.path);
-        of << toJsonLine(makeRecord(1e8)) << "\n";
-        of << "garbage line\n";
-        of << toJsonLine(makeRecord(2e8)) << "\n";
-    }
-    auto history = loadHistory(h.path);
-    ASSERT_EQ(history.size(), 2u);
-    EXPECT_DOUBLE_EQ(
-        history[1].value("rate.interp_decoded_ir_per_s").value(), 2e8);
-}
-
-TEST(Trajectory, LoaderNamesTheLinesItSkips)
-{
-    const std::string rec = toJsonLine(makeRecord(1e8));
-    const std::string version =
-        "\"schema_version\":" + std::to_string(kTrajectorySchemaVersion);
-    std::string newer = rec;
-    ASSERT_EQ(newer.find(version), 1u); // The first member.
-    newer.replace(1, version.size(),
-                  "\"schema_version\":" +
-                      std::to_string(kTrajectorySchemaVersion + 1));
-    TempHistory h;
-    {
-        std::ofstream of(h.path);
-        of << rec << "\n"                            // 1
-           << "garbage line\n"                      // 2
-           << newer << "\n"                          // 3
-           << "\n"                                   // 4: blank
-           << "{" << version << ",\"git_sha\":\"x\"}\n" // 5: no series
-           << rec << "\n"                            // 6
-           << rec.substr(0, rec.size() / 2);         // 7: torn
-    }
-    SkippedLines skipped;
-    EXPECT_EQ(loadHistory(h.path, &skipped).size(), 2u);
-    EXPECT_EQ(skipped.corrupt, (std::vector<size_t>{2, 5, 7}));
-    EXPECT_EQ(skipped.newer, (std::vector<size_t>{3}));
-    EXPECT_EQ(skipped.lastLine, 7u);
-    EXPECT_EQ(skipped.firstCorruptBeforeLast(), 2u);
-    const std::vector<std::string> messages = skipped.messages(h.path);
-    ASSERT_EQ(messages.size(), 4u);
-    EXPECT_EQ(messages[0].rfind(h.path + ":2: ", 0), 0u) << messages[0];
-    EXPECT_EQ(messages[2].rfind(h.path + ":7: ", 0), 0u) << messages[2];
-    EXPECT_EQ(messages[3].rfind(h.path + ":3: ", 0), 0u) << messages[3];
-}
-
 TEST(Trajectory, TornFinalLineIsTheOnlyToleratedCorruption)
 {
     const std::string rec = toJsonLine(makeRecord(1e8));
@@ -139,7 +79,7 @@ TEST(Trajectory, TornFinalLineIsTheOnlyToleratedCorruption)
         std::ofstream of(h.path);
         of << rec << "\n" << rec << "\n" << rec.substr(0, 40) << "\n\n";
     }
-    EXPECT_EQ(loadHistory(h.path, &skipped).size(), 2u);
+    EXPECT_EQ(loadLedger(h.path, &skipped).size(), 2u);
     EXPECT_EQ(skipped.corrupt, (std::vector<size_t>{3}));
     EXPECT_EQ(skipped.firstCorruptBeforeLast(), 0u); // Crash residue.
 
@@ -149,11 +89,11 @@ TEST(Trajectory, TornFinalLineIsTheOnlyToleratedCorruption)
         of << rec << "\n";
     }
     skipped = {};
-    EXPECT_EQ(loadHistory(h.path, &skipped).size(), 3u);
+    EXPECT_EQ(loadLedger(h.path, &skipped).size(), 3u);
     EXPECT_EQ(skipped.firstCorruptBeforeLast(), 3u);
 
     skipped = {};
-    EXPECT_TRUE(loadHistory(h.path + ".missing", &skipped).empty());
+    EXPECT_TRUE(loadLedger(h.path + ".missing", &skipped).empty());
     EXPECT_EQ(skipped.corrupt, std::vector<size_t>{});
     EXPECT_EQ(skipped.newer, std::vector<size_t>{});
 }
@@ -161,93 +101,66 @@ TEST(Trajectory, TornFinalLineIsTheOnlyToleratedCorruption)
 TEST(Trajectory, CommittedHistorySkipsNothing)
 {
     SkippedLines skipped;
-    EXPECT_GE(loadHistory(BITSPEC_HISTORY_PATH, &skipped).size(), 6u);
+    const std::vector<LedgerRecord> history =
+        loadLedger(BITSPEC_HISTORY_PATH, &skipped);
+    EXPECT_GE(history.size(), 6u);
     EXPECT_EQ(skipped.corrupt, std::vector<size_t>{});
     EXPECT_EQ(skipped.newer, std::vector<size_t>{});
-}
-
-TEST(Trajectory, LoaderSkipsTornFinalLine)
-{
-    // A crash mid-append can tear the last line at any byte. No strict
-    // prefix of a record loads, not even one cut between series.
-    TrajectoryRecord rec = makeRecord(1.5e8);
-    rec.hostCpus = 4;
-    const std::string full = toJsonLine(rec);
-    TempHistory h;
-    size_t loaded = 0, first = full.size();
-    for (size_t cut = 0; cut < full.size(); ++cut) {
-        {
-            std::ofstream of(h.path, std::ios::trunc);
-            of << full << "\n" << full << "\n" << full.substr(0, cut);
-        }
-        if (loadHistory(h.path).size() != 2) {
-            ++loaded;
-            first = std::min(first, cut);
-        }
+    for (const LedgerRecord &rec : history) {
+        EXPECT_EQ(rec.kind, "trajectory") << rec.flavour;
+        EXPECT_EQ(validateLedgerRecord(rec), "") << rec.flavour;
     }
-    EXPECT_EQ(loaded, 0u) << loaded << " of " << full.size()
-                          << " strict prefixes loaded, first the "
-                          << first << "-byte one";
-    auto history = loadHistory(h.path);
-    ASSERT_EQ(history.size(), 2u);
-    EXPECT_EQ(toJsonLine(history[1]), full);
-}
-
-TEST(Trajectory, TrailingBytesAndMalformedValuesAreSkipped)
-{
-    const std::string full = toJsonLine(makeRecord(1500));
-    ASSERT_TRUE(parseJsonLine(full).has_value());
-    EXPECT_FALSE(parseJsonLine(full + " garbage").has_value());
-    EXPECT_FALSE(parseJsonLine(full + "}").has_value());
-    for (const auto &[good, bad] :
-         {std::pair<std::string, std::string>{
-              "\"rate.interp_decoded_ir_per_s\":1500",
-              "\"rate.interp_decoded_ir_per_s\":1500x"},
-          {"\"debug_build\":false", "\"debug_build\":0"}}) {
-        std::string line = full;
-        ASSERT_NE(line.find(good), std::string::npos) << good;
-        line.replace(line.find(good), good.size(), bad);
-        EXPECT_FALSE(parseJsonLine(line).has_value()) << bad;
-    }
-}
-
-TEST(Trajectory, SeriesNamesWithQuotesAndBackslashesRoundTrip)
-{
-    TrajectoryRecord rec = makeRecord(1e8);
-    rec.series.push_back({"rate.\"quoted\"\\name", 2.5});
-    auto back = parseJsonLine(toJsonLine(rec));
-    ASSERT_TRUE(back.has_value());
-    ASSERT_EQ(back->series.size(), rec.series.size());
-    EXPECT_EQ(back->value("rate.\"quoted\"\\name"), 2.5);
-    EXPECT_EQ(toJsonLine(*back), toJsonLine(rec));
 }
 
 TEST(Trajectory, CommittedHistoryLinesReadBackByteForByte)
 {
-    // Every line bench_gate has appended reads as a record that
-    // writes back the same bytes.
+    // Every line bench_gate has appended reads as a record that the
+    // ledger writer writes back as the same bytes.
     std::ifstream in(BITSPEC_HISTORY_PATH);
     ASSERT_TRUE(in) << BITSPEC_HISTORY_PATH;
     size_t lines = 0;
     for (std::string line; std::getline(in, line); ++lines) {
-        auto rec = parseJsonLine(line);
+        auto rec = parseLedgerLine(line);
         ASSERT_TRUE(rec.has_value()) << "line " << lines + 1;
         EXPECT_EQ(toJsonLine(*rec), line) << "line " << lines + 1;
     }
     EXPECT_GE(lines, 6u);
-    EXPECT_EQ(loadHistory(BITSPEC_HISTORY_PATH).size(), lines);
+    EXPECT_EQ(loadLedger(BITSPEC_HISTORY_PATH).size(), lines);
 }
 
-TEST(Trajectory, AppendCreatesFileAndParentDirs)
+TEST(Trajectory, OtherLedgerKindsAreNoHistory)
 {
-    TempHistory h;
-    h.path += ".nested/deeper/hist.jsonl";
-    ASSERT_TRUE(appendHistory(h.path, makeRecord(1e8)));
-    ASSERT_TRUE(appendHistory(h.path, makeRecord(1.1e8)));
-    auto history = loadHistory(h.path);
-    EXPECT_EQ(history.size(), 2u);
-    std::filesystem::remove_all(
-        std::filesystem::path(h.path).parent_path().parent_path());
+    // A history file is a ledger: cell, matrix and smoke records in
+    // it are no baseline, whatever their fields say.
+    std::vector<LedgerRecord> history;
+    for (const char *kind : {"cell", "matrix", "smoke"}) {
+        history.push_back(makeRecord(9e8));
+        history.back().kind = kind;
+    }
+    GateResult r = checkAgainstHistory(makeRecord(1e8), history);
+    EXPECT_TRUE(r.pass);
+    EXPECT_EQ(r.baselineRuns, 0u);
+
+    history.push_back(makeRecord(9e8));
+    GateResult r2 = checkAgainstHistory(makeRecord(1e8), history);
+    EXPECT_FALSE(r2.pass);
+    EXPECT_EQ(r2.baselineRuns, 1u);
+}
+
+TEST(Trajectory, RecordFieldsAreNeitherListedNorGated)
+{
+    // The record's own facts ride along: the table lists the series
+    // alone, in the record's order.
+    GateResult r = checkAgainstHistory(makeRecordOn(4, 1e8),
+                                       {makeRecordOn(4, 1e8)});
+    std::vector<std::string> names;
+    for (const SeriesVerdict &v : r.verdicts)
+        names.push_back(v.name);
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "rate.interp_decoded_ir_per_s",
+                         "speedup.fig08_matrix",
+                         "obs.trace_overhead_pct"}));
+    EXPECT_EQ(formatGateResult(r).find("record."), std::string::npos);
 }
 
 TEST(Trajectory, GatePassesOnEmptyHistory)
@@ -274,7 +187,7 @@ TEST(Trajectory, EmptyWindowSaysRecordingOnly)
     EXPECT_NE(table.find("no-baseline"), std::string::npos);
 
     // A debug run over a release-only history is the same situation.
-    std::vector<TrajectoryRecord> release_only;
+    std::vector<LedgerRecord> release_only;
     release_only.push_back(makeRecord(2e8, /*debug=*/false));
     GateResult r2 = checkAgainstHistory(
         makeRecord(1e6, /*debug=*/true), release_only);
@@ -282,7 +195,7 @@ TEST(Trajectory, EmptyWindowSaysRecordingOnly)
               std::string::npos);
 
     // Once a baseline exists the explicit count comes back.
-    std::vector<TrajectoryRecord> history;
+    std::vector<LedgerRecord> history;
     history.push_back(makeRecord(1e8));
     GateResult r3 = checkAgainstHistory(makeRecord(1e8), history);
     std::string table3 = formatGateResult(r3);
@@ -295,20 +208,20 @@ TEST(Trajectory, FirstRecordPathStartsTheHistory)
 {
     // The very first bench_smoke on a branch: no history file at all.
     TempHistory h;
-    EXPECT_TRUE(loadHistory(h.path).empty());
+    EXPECT_TRUE(loadLedger(h.path).empty());
 
     // The gate passes (recording only) and the append creates the
     // file with exactly that one record.
-    TrajectoryRecord first = makeRecord(1e8);
-    GateResult r = checkAgainstHistory(first, loadHistory(h.path));
+    LedgerRecord first = makeRecord(1e8);
+    GateResult r = checkAgainstHistory(first, loadLedger(h.path));
     EXPECT_TRUE(r.pass);
     EXPECT_EQ(r.baselineRuns, 0u);
-    ASSERT_TRUE(appendHistory(h.path, first));
+    ASSERT_TRUE(LedgerWriter(h.path).append(first));
 
-    auto history = loadHistory(h.path);
+    auto history = loadLedger(h.path);
     ASSERT_EQ(history.size(), 1u);
     EXPECT_DOUBLE_EQ(
-        history[0].value("rate.interp_decoded_ir_per_s").value(), 1e8);
+        history[0].field("rate.interp_decoded_ir_per_s").value(), 1e8);
 
     // The second run gates against that first record.
     GateResult r2 = checkAgainstHistory(makeRecord(1.05e8), history);
@@ -332,33 +245,33 @@ TEST(Trajectory, RecordFromBenchJsonCoreEngineAB)
       "machine_instrs_per_s": 7.0e7 }
   ]
 })";
-    TrajectoryRecord rec = recordFromBenchJson(json);
-    EXPECT_DOUBLE_EQ(rec.value("rate.core_fast_machine_per_s").value(),
+    LedgerRecord rec = recordFromBenchJson(json);
+    EXPECT_DOUBLE_EQ(rec.field("rate.core_fast_machine_per_s").value(),
                      7.0e7);
     EXPECT_TRUE(isGatedSeries("rate.core_fast_machine_per_s"));
-    EXPECT_EQ(rec.series.size(), 1u);
-    EXPECT_FALSE(rec.value("rate.core_machine_per_s").has_value());
-    EXPECT_FALSE(rec.value("rate.interp_legacy_ir_per_s").has_value());
+    EXPECT_EQ(seriesCount(rec), 1u);
+    EXPECT_FALSE(rec.field("rate.core_machine_per_s").has_value());
+    EXPECT_FALSE(rec.field("rate.interp_legacy_ir_per_s").has_value());
     EXPECT_FALSE(
-        rec.value("speedup.core_fast_vs_legacy").has_value());
+        rec.field("speedup.core_fast_vs_legacy").has_value());
 
-    TrajectoryRecord bare = recordFromBenchJson(R"({
+    LedgerRecord bare = recordFromBenchJson(R"({
   "benchmarks": [
     { "name": "BM_CoreThroughput", "machine_instrs_per_s": 6.7e7 }
   ]
 })");
-    EXPECT_TRUE(bare.series.empty());
+    EXPECT_EQ(seriesCount(bare), 0u);
 }
 
 TEST(Trajectory, GateFailsOnInjectedRegression)
 {
     // Synthetic history whose decoded rate is far above the current
     // run: the gate must fail on the drop.
-    std::vector<TrajectoryRecord> history;
+    std::vector<LedgerRecord> history;
     history.push_back(makeRecord(2e8));
     history.push_back(makeRecord(2.1e8));
 
-    TrajectoryRecord slow = makeRecord(1e8); // > 25% below 2.1e8.
+    LedgerRecord slow = makeRecord(1e8); // > 25% below 2.1e8.
     GateResult r = checkAgainstHistory(slow, history);
     EXPECT_FALSE(r.pass);
     EXPECT_EQ(r.baselineRuns, 2u);
@@ -384,13 +297,11 @@ TEST(Trajectory, GateFailsOnInjectedRegression)
 
 TEST(Trajectory, UngatedSeriesNeverFail)
 {
-    std::vector<TrajectoryRecord> history;
+    std::vector<LedgerRecord> history;
     history.push_back(makeRecord(1e8));
-    TrajectoryRecord cur = makeRecord(1e8);
+    LedgerRecord cur = makeRecord(1e8);
     // Blow up the informational overhead series; the gate ignores it.
-    for (TrajectorySeries &s : cur.series)
-        if (s.name == "obs.trace_overhead_pct")
-            s.value = 50.0;
+    cur.setField("obs.trace_overhead_pct", 50.0);
     GateResult r = checkAgainstHistory(cur, history);
     EXPECT_TRUE(r.pass);
 }
@@ -398,11 +309,11 @@ TEST(Trajectory, UngatedSeriesNeverFail)
 TEST(Trajectory, DebugAndReleaseBaselinesAreSeparate)
 {
     // A fast release history must not gate a slow debug run.
-    std::vector<TrajectoryRecord> history;
+    std::vector<LedgerRecord> history;
     history.push_back(makeRecord(2e8, /*debug=*/false));
     history.push_back(makeRecord(2e8, /*debug=*/false));
 
-    TrajectoryRecord debug_run = makeRecord(1e7, /*debug=*/true);
+    LedgerRecord debug_run = makeRecord(1e7, /*debug=*/true);
     GateResult r = checkAgainstHistory(debug_run, history);
     EXPECT_TRUE(r.pass);
     EXPECT_EQ(r.baselineRuns, 0u);
@@ -418,7 +329,7 @@ TEST(Trajectory, DebugAndReleaseBaselinesAreSeparate)
 TEST(Trajectory, WindowAndPerSeriesThresholds)
 {
     // Six records; the window of 5 must ignore the oldest (fastest).
-    std::vector<TrajectoryRecord> history;
+    std::vector<LedgerRecord> history;
     history.push_back(makeRecord(9e8));
     for (int i = 0; i < 5; ++i)
         history.push_back(makeRecord(1e8));
@@ -455,41 +366,34 @@ TEST(Trajectory, RecordFromBenchJsonExtractsSeries)
       "machine_instrs_per_s": 6.7e7
     }
   ],
-  "experiment_engine": {
-    "grids": [
-      { "name": "fig08_matrix", "speedup": 3.2 }
-    ]
-  },
-  "observability": {
-    "disabled_rate": 1.2e8,
-    "enabled_overhead_pct": 0.5,
-    "prof_off_rate": 1.19e8,
-    "gate_within_1pct": true
-  }
+  "smoke": {"schema_version":1,"kind":"smoke","fields":{
+    "grid.fig08_matrix.serial_sec":0.46,"speedup.fig08_matrix":3.2,
+    "rate.obs_disabled_ir_per_s":1.2e8,"obs.trace_overhead_pct":0.5,
+    "obs.gate_within_1pct":1}}
 })";
-    TrajectoryRecord rec =
+    LedgerRecord rec =
         recordFromBenchJson(json, BuildInfo{"RelWithDebInfo", true});
-    EXPECT_EQ(rec.buildType, "RelWithDebInfo");
-    EXPECT_FALSE(rec.debugBuild);
+    EXPECT_EQ(rec.kind, "trajectory");
+    EXPECT_EQ(rec.field("record.debug_build"), 0);
     EXPECT_DOUBLE_EQ(
-        rec.value("rate.interp_decoded_ir_per_s").value(), 1.23e8);
+        rec.field("rate.interp_decoded_ir_per_s").value(), 1.23e8);
     EXPECT_DOUBLE_EQ(
-        rec.value("rate.interp_profiled_ir_per_s").value(), 4.5e7);
-    EXPECT_DOUBLE_EQ(rec.value("rate.core_fast_machine_per_s").value(),
+        rec.field("rate.interp_profiled_ir_per_s").value(), 4.5e7);
+    EXPECT_DOUBLE_EQ(rec.field("rate.core_fast_machine_per_s").value(),
                      6.7e7);
-    EXPECT_DOUBLE_EQ(rec.value("speedup.fig08_matrix").value(), 3.2);
-    EXPECT_DOUBLE_EQ(rec.value("rate.obs_disabled_ir_per_s").value(),
+    EXPECT_DOUBLE_EQ(rec.field("speedup.fig08_matrix").value(), 3.2);
+    EXPECT_DOUBLE_EQ(rec.field("rate.obs_disabled_ir_per_s").value(),
                      1.2e8);
-    // An older file's block-profile-off rate is read as no series: it
-    // ended with the interpreter's block profile.
-    EXPECT_FALSE(rec.value("rate.obs_prof_off_ir_per_s").has_value());
-    EXPECT_DOUBLE_EQ(rec.value("obs.trace_overhead_pct").value(), 0.5);
-    EXPECT_FALSE(rec.value("rate.no_such_series").has_value());
+    EXPECT_DOUBLE_EQ(rec.field("obs.trace_overhead_pct").value(), 0.5);
+    // The smoke record's other numbers stay in BENCH_micro.json.
+    EXPECT_FALSE(rec.field("grid.fig08_matrix.serial_sec").has_value());
+    EXPECT_FALSE(rec.field("obs.gate_within_1pct").has_value());
+    EXPECT_FALSE(rec.field("rate.no_such_series").has_value());
+    EXPECT_EQ(seriesCount(rec), 6u);
 
-    TrajectoryRecord dbg =
+    LedgerRecord dbg =
         recordFromBenchJson("{}", BuildInfo{"Debug", false});
-    EXPECT_EQ(dbg.buildType, "Debug");
-    EXPECT_TRUE(dbg.debugBuild);
+    EXPECT_EQ(dbg.field("record.debug_build"), 1);
 }
 
 TEST(Trajectory, RecordFromBenchJsonReadsOnlyEachEntrysOwnCounters)
@@ -524,45 +428,52 @@ TEST(Trajectory, RecordFromBenchJsonReadsOnlyEachEntrysOwnCounters)
     }
   ]
 })";
-    TrajectoryRecord rec = recordFromBenchJson(json);
-    EXPECT_FALSE(rec.value("rate.core_workload_qsort_per_s").has_value());
-    EXPECT_FALSE(rec.value("rate.core_fast_machine_per_s").has_value());
+    LedgerRecord rec = recordFromBenchJson(json);
+    EXPECT_FALSE(rec.field("rate.core_workload_qsort_per_s").has_value());
+    EXPECT_FALSE(rec.field("rate.core_fast_machine_per_s").has_value());
     EXPECT_DOUBLE_EQ(
-        rec.value("rate.core_workload_susan_edges_per_s").value(), 2.4e8);
-    EXPECT_EQ(rec.series.size(), 1u);
+        rec.field("rate.core_workload_susan_edges_per_s").value(), 2.4e8);
+    EXPECT_EQ(seriesCount(rec), 1u);
 }
 
 TEST(Trajectory, RecordFromBenchJsonReadsEachSectionByStructure)
 {
-    // Observability rates come from the observability object alone,
-    // and speedups from experiment_engine.grids alone: a later
-    // section's members of the same name are not theirs.
+    // The smoke series come from the `smoke` member's fields alone: the
+    // sections older files carried, and members of the same name
+    // elsewhere, are not theirs. A rate or speedup counts only when it
+    // is > 0; the tracing overhead counts whatever its sign.
     const std::string json = R"({
   "benchmarks": [],
   "experiment_engine": {
     "threads": 4,
     "grids": [
-      { "name": "fig08_matrix", "speedup": 3.2 }
+      { "name": "fig16_grid_8x8", "speedup": 3.2 }
     ]
   },
-  "static_lint": [
-    { "name": "CRC32", "speedup": 9.5 }
-  ],
   "observability": {
+    "disabled_rate": 7e8,
     "enabled_overhead_pct": 0.5
   },
-  "run_ledger": {
-    "disabled_rate": 7e8,
-    "overhead_pct": 0.6
-  }
+  "smoke": {"schema_version":1,"kind":"smoke",
+    "speedup.fig08_matrix":9.5,
+    "fields":{"obs.trace_overhead_pct":-0.25,"speedup.fig08_matrix":2.5,
+      "speedup.fig16_grid_8x8":0,"rate.obs_disabled_ir_per_s":-1,
+      "speedup.lint":4}}
 })";
-    TrajectoryRecord rec =
+    LedgerRecord rec =
         recordFromBenchJson(json, BuildInfo{"RelWithDebInfo", true});
-    EXPECT_FALSE(rec.value("rate.obs_disabled_ir_per_s").has_value());
-    EXPECT_DOUBLE_EQ(rec.value("obs.trace_overhead_pct").value(), 0.5);
-    EXPECT_DOUBLE_EQ(rec.value("speedup.fig08_matrix").value(), 3.2);
-    EXPECT_FALSE(rec.value("speedup.CRC32").has_value());
-    EXPECT_EQ(rec.series.size(), 2u);
+    EXPECT_DOUBLE_EQ(rec.field("obs.trace_overhead_pct").value(), -0.25);
+    EXPECT_DOUBLE_EQ(rec.field("speedup.fig08_matrix").value(), 2.5);
+    EXPECT_FALSE(rec.field("speedup.fig16_grid_8x8").has_value());
+    EXPECT_FALSE(rec.field("rate.obs_disabled_ir_per_s").has_value());
+    EXPECT_FALSE(rec.field("speedup.lint").has_value());
+    EXPECT_EQ(seriesCount(rec), 2u);
+
+    // Older files' sections alone give no smoke series.
+    LedgerRecord old = recordFromBenchJson(
+        R"({"experiment_engine": {"grids": [{"name": "fig08_matrix",)"
+        R"( "speedup": 3.2}]}, "observability": {"disabled_rate": 7e8}})");
+    EXPECT_EQ(seriesCount(old), 0u);
 }
 
 TEST(Trajectory, MalformedBenchJsonThrowsNamingTheOffset)
@@ -581,6 +492,22 @@ TEST(Trajectory, MalformedBenchJsonThrowsNamingTheOffset)
                  JsonError);
     EXPECT_THROW(recordFromBenchJson(R"({"context": {"num_cpus": 4x}})"),
                  JsonError);
+
+    // A smoke member that is no ledger record, or one from a newer
+    // schema, is named rather than read as no series.
+    for (const std::string smoke :
+         {R"({"schema_version":1})", R"({"fields":{}})",
+          R"({"schema_version":2,"fields":{}})",
+          R"({"schema_version":1,"fields":{"speedup.x":"3"}})"}) {
+        const std::string json = R"({"benchmarks": [], "smoke": )" +
+                                 smoke + "}";
+        try {
+            recordFromBenchJson(json);
+            ADD_FAILURE() << "read " << smoke;
+        } catch (const JsonError &e) {
+            EXPECT_GE(e.offset(), json.find("\"smoke\"")) << smoke;
+        }
+    }
 }
 
 TEST(Trajectory, BenchCounterIsAbsentWhenTheNamedEntryLacksIt)
@@ -649,19 +576,19 @@ TEST(Trajectory, RecordFromBenchJsonPerWorkloadCoreRates)
     }
   ]
 })";
-    TrajectoryRecord rec = recordFromBenchJson(json);
-    EXPECT_EQ(rec.series.size(), 5u);
-    EXPECT_DOUBLE_EQ(rec.value("rate.core_fast_machine_per_s").value(),
+    LedgerRecord rec = recordFromBenchJson(json);
+    EXPECT_EQ(seriesCount(rec), 5u);
+    EXPECT_DOUBLE_EQ(rec.field("rate.core_fast_machine_per_s").value(),
                      2.2e8);
     EXPECT_DOUBLE_EQ(
-        rec.value("rate.core_workload_susan_edges_per_s").value(), 2.4e8);
+        rec.field("rate.core_workload_susan_edges_per_s").value(), 2.4e8);
     EXPECT_DOUBLE_EQ(
-        rec.value("rate.core_workload_stringsearch_per_s").value(),
+        rec.field("rate.core_workload_stringsearch_per_s").value(),
         2.1e8);
-    EXPECT_DOUBLE_EQ(rec.value("rate.core_workload_qsort_per_s").value(),
+    EXPECT_DOUBLE_EQ(rec.field("rate.core_workload_qsort_per_s").value(),
                      8.3e7);
     EXPECT_DOUBLE_EQ(
-        rec.value("rate.core_workload_susan_edges_min_per_s").value(),
+        rec.field("rate.core_workload_susan_edges_min_per_s").value(),
         1.9e8);
     EXPECT_TRUE(isGatedSeries("rate.core_fast_machine_per_s"));
     EXPECT_FALSE(isGatedSeries("rate.core_workload_qsort_per_s"));
@@ -669,10 +596,10 @@ TEST(Trajectory, RecordFromBenchJsonPerWorkloadCoreRates)
         isGatedSeries("rate.core_workload_susan_edges_min_per_s"));
 
     // Recorded, never gated: a collapse of a workload rate passes.
-    std::vector<TrajectoryRecord> history = {rec};
-    TrajectoryRecord slow = rec;
-    for (TrajectorySeries &s : slow.series)
-        if (s.name != "rate.core_fast_machine_per_s")
+    std::vector<LedgerRecord> history = {rec};
+    LedgerRecord slow = rec;
+    for (LedgerField &s : slow.fields)
+        if (s.name.rfind("rate.core_workload_", 0) == 0)
             s.value /= 10;
     GateResult r = checkAgainstHistory(slow, history);
     EXPECT_TRUE(r.pass);
@@ -709,24 +636,25 @@ TEST(Trajectory, RecordFromBenchJsonPerWorkloadSqueezeRates)
     }
   ]
 })";
-    TrajectoryRecord rec = recordFromBenchJson(json);
-    EXPECT_EQ(rec.series.size(), 3u);
-    EXPECT_DOUBLE_EQ(rec.value("rate.core_workload_qsort_per_s").value(),
+    LedgerRecord rec = recordFromBenchJson(json);
+    EXPECT_EQ(seriesCount(rec), 3u);
+    EXPECT_DOUBLE_EQ(rec.field("rate.core_workload_qsort_per_s").value(),
                      8.3e7);
     EXPECT_DOUBLE_EQ(
-        rec.value("rate.squeeze_workload_qsort_per_s").value(), 2.1e6);
+        rec.field("rate.squeeze_workload_qsort_per_s").value(), 2.1e6);
     EXPECT_FALSE(
-        rec.value("rate.squeeze_workload_rijndael_per_s").has_value());
+        rec.field("rate.squeeze_workload_rijndael_per_s").has_value());
     EXPECT_DOUBLE_EQ(
-        rec.value("rate.squeeze_workload_susan_edges_per_s").value(),
+        rec.field("rate.squeeze_workload_susan_edges_per_s").value(),
         3.5e6);
     EXPECT_FALSE(isGatedSeries("rate.squeeze_workload_qsort_per_s"));
 
     // Recorded, never gated: a collapse of a squeeze rate passes.
-    std::vector<TrajectoryRecord> history = {rec};
-    TrajectoryRecord slow = rec;
-    for (TrajectorySeries &s : slow.series)
-        s.value /= 10;
+    std::vector<LedgerRecord> history = {rec};
+    LedgerRecord slow = rec;
+    for (LedgerField &s : slow.fields)
+        if (s.name.rfind("rate.", 0) == 0)
+            s.value /= 10;
     EXPECT_TRUE(checkAgainstHistory(slow, history).pass);
 }
 
@@ -760,24 +688,25 @@ TEST(Trajectory, RecordFromBenchJsonPerWorkloadBackendRates)
     }
   ]
 })";
-    TrajectoryRecord rec = recordFromBenchJson(json);
-    EXPECT_EQ(rec.series.size(), 3u);
+    LedgerRecord rec = recordFromBenchJson(json);
+    EXPECT_EQ(seriesCount(rec), 3u);
     EXPECT_DOUBLE_EQ(
-        rec.value("rate.squeeze_workload_qsort_per_s").value(), 2.1e6);
+        rec.field("rate.squeeze_workload_qsort_per_s").value(), 2.1e6);
     EXPECT_DOUBLE_EQ(
-        rec.value("rate.backend_workload_qsort_per_s").value(), 1.4e6);
+        rec.field("rate.backend_workload_qsort_per_s").value(), 1.4e6);
     EXPECT_FALSE(
-        rec.value("rate.backend_workload_rijndael_per_s").has_value());
+        rec.field("rate.backend_workload_rijndael_per_s").has_value());
     EXPECT_DOUBLE_EQ(
-        rec.value("rate.backend_workload_stringsearch_per_s").value(),
+        rec.field("rate.backend_workload_stringsearch_per_s").value(),
         1.5e6);
     EXPECT_FALSE(isGatedSeries("rate.backend_workload_qsort_per_s"));
 
     // Recorded, never gated: a collapse of a backend rate passes.
-    std::vector<TrajectoryRecord> history = {rec};
-    TrajectoryRecord slow = rec;
-    for (TrajectorySeries &s : slow.series)
-        s.value /= 10;
+    std::vector<LedgerRecord> history = {rec};
+    LedgerRecord slow = rec;
+    for (LedgerField &s : slow.fields)
+        if (s.name.rfind("rate.", 0) == 0)
+            s.value /= 10;
     EXPECT_TRUE(checkAgainstHistory(slow, history).pass);
 }
 
@@ -785,17 +714,18 @@ TEST(Trajectory, BuildFlavourIsThisBuildNotLibbenchmarks)
 {
     // google-benchmark's library_build_type describes how libbenchmark
     // was built; it must not label the measured code either way.
-    TrajectoryRecord opt = recordFromBenchJson(
+    LedgerRecord opt = recordFromBenchJson(
         R"({"context": {"library_build_type": "debug"}})",
         BuildInfo{"RelWithDebInfo", true});
-    EXPECT_EQ(opt.buildType, "RelWithDebInfo");
-    EXPECT_FALSE(opt.debugBuild);
-    TrajectoryRecord asserts = recordFromBenchJson(
+    EXPECT_EQ(opt.field("record.debug_build"), 0);
+    LedgerRecord asserts = recordFromBenchJson(
         R"({"context": {"library_build_type": "release"}})",
         BuildInfo{"RelWithDebInfo", false});
-    EXPECT_TRUE(asserts.debugBuild) << "assertions on is a debug run";
+    EXPECT_EQ(asserts.field("record.debug_build"), 1)
+        << "assertions on is a debug run";
 
-    // By default the record carries the flavour baked into this build.
+    // By default the record carries the flag baked into this build,
+    // whose flavour ends in its build type.
     const BuildInfo &self = thisBuild();
     EXPECT_FALSE(self.buildType.empty());
 #ifdef NDEBUG
@@ -803,43 +733,51 @@ TEST(Trajectory, BuildFlavourIsThisBuildNotLibbenchmarks)
 #else
     EXPECT_FALSE(self.ndebug);
 #endif
-    TrajectoryRecord rec = recordFromBenchJson(
+    LedgerRecord rec = recordFromBenchJson(
         R"({"context": {"library_build_type": "debug"}})");
-    EXPECT_EQ(rec.buildType, self.buildType);
-    EXPECT_EQ(rec.debugBuild, self.debug());
+    EXPECT_EQ(rec.field("record.debug_build"), self.debug() ? 1 : 0);
+    const std::string suffix = "-" + self.buildType;
+    ASSERT_GT(buildFlavour().size(), suffix.size());
+    EXPECT_EQ(buildFlavour().substr(buildFlavour().size() -
+                                    suffix.size()),
+              suffix);
 }
 
 TEST(Trajectory, HostCpusRoundTripsAndComesFromTheContext)
 {
-    TrajectoryRecord rec = makeRecord(1.5e8);
-    rec.hostCpus = 4;
-    auto back = parseJsonLine(toJsonLine(rec));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->hostCpus, 4u);
-    EXPECT_DOUBLE_EQ(
-        back->value("rate.interp_decoded_ir_per_s").value(), 1.5e8);
-
-    TrajectoryRecord fromJson = recordFromBenchJson(
+    LedgerRecord fromJson = recordFromBenchJson(
         R"({"context": {"num_cpus": 8, "mhz_per_cpu": 2100}})",
         BuildInfo{"RelWithDebInfo", true});
-    EXPECT_EQ(fromJson.hostCpus, 8u);
-    EXPECT_EQ(recordFromBenchJson("{}", BuildInfo{"Release", true})
-                  .hostCpus,
-              0u);
+    EXPECT_EQ(fromJson.field("record.host_cpus"), 8);
+    EXPECT_FALSE(recordFromBenchJson("{}", BuildInfo{"Release", true})
+                     .field("record.host_cpus")
+                     .has_value());
+    EXPECT_FALSE(recordFromBenchJson(R"({"context": {"num_cpus": 0}})",
+                                     BuildInfo{"Release", true})
+                     .field("record.host_cpus")
+                     .has_value());
+
+    auto back = parseLedgerLine(toJsonLine(makeRecordOn(4, 1.5e8)));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->field("record.host_cpus"), 4);
+    EXPECT_DOUBLE_EQ(
+        back->field("rate.interp_decoded_ir_per_s").value(), 1.5e8);
 }
 
 TEST(Trajectory, LinesWithoutHostCpusParseAsUnknown)
 {
-    // A line as written before the field existed.
+    // A line converted from one written before the field existed.
     const std::string old_line =
-        R"({"schema_version":1,"git_sha":"323851f","build_type":"debug",)"
-        R"("timestamp":"2026-08-08T14:49:24Z","debug_build":true,)"
-        R"("series":{"rate.interp_decoded_ir_per_s":2.5e7}})";
-    auto rec = parseJsonLine(old_line);
+        R"({"schema_version":1,"kind":"trajectory",)"
+        R"("flavour":"323851f-debug","bench":"bench_gate",)"
+        R"("fields":{"rate.interp_decoded_ir_per_s":2.5e7,)"
+        R"("record.debug_build":1,"record.unix_time":1786200564}})";
+    auto rec = parseLedgerLine(old_line);
     ASSERT_TRUE(rec.has_value());
-    EXPECT_EQ(rec->hostCpus, 0u);
-    EXPECT_TRUE(rec->debugBuild);
-    EXPECT_DOUBLE_EQ(rec->value("rate.interp_decoded_ir_per_s").value(),
+    EXPECT_EQ(validateLedgerRecord(*rec), "");
+    EXPECT_FALSE(rec->field("record.host_cpus").has_value());
+    EXPECT_EQ(rec->field("record.debug_build"), 1);
+    EXPECT_DOUBLE_EQ(rec->field("rate.interp_decoded_ir_per_s").value(),
                      2.5e7);
     // Unknown stays unknown on the way out: no field is invented.
     EXPECT_EQ(toJsonLine(*rec).find("host_cpus"), std::string::npos);
@@ -849,25 +787,15 @@ TEST(Trajectory, OtherCpuCountsAreNoBaseline)
 {
     // A fast 8-CPU history must not gate a 4-CPU run: parallel
     // speedups scale with the core count.
-    std::vector<TrajectoryRecord> history;
-    for (unsigned cpus : {8u, 8u, 0u}) {
-        history.push_back(makeRecord(2e8));
-        history.back().hostCpus = cpus;
-    }
-    TrajectoryRecord four = makeRecord(1e7);
-    four.hostCpus = 4;
-    GateResult r = checkAgainstHistory(four, history);
+    std::vector<LedgerRecord> history = {
+        makeRecordOn(8, 2e8), makeRecordOn(8, 2e8), makeRecord(2e8)};
+    GateResult r = checkAgainstHistory(makeRecordOn(4, 1e7), history);
     EXPECT_TRUE(r.pass);
     EXPECT_EQ(r.baselineRuns, 0u);
 
     // The same count does gate; unknown gates only unknown.
-    GateResult eight = checkAgainstHistory(
-        [] {
-            TrajectoryRecord rec = makeRecord(1e7);
-            rec.hostCpus = 8;
-            return rec;
-        }(),
-        history);
+    GateResult eight =
+        checkAgainstHistory(makeRecordOn(8, 1e7), history);
     EXPECT_FALSE(eight.pass);
     EXPECT_EQ(eight.baselineRuns, 2u);
     GateResult unknown = checkAgainstHistory(makeRecord(1e7), history);
