@@ -4,20 +4,17 @@
  * squeeze/misspeculation theorems hold off the beaten path?).
  *
  * Generates boundary-biased random programs (fuzz/gen.h) and runs
- * each through seven differential runs (fuzz/differential.h): the
+ * each through nine differential runs (fuzz/differential.h): the
  * interpreter on the squeezed IR and FastCore on compiled EMB32, each
- * under hardware, force-first and random misspeculation, plus one
- * hardware FastCore run held to its cycle-accurate slow path, the
+ * under hardware, force-first and random misspeculation, plus each
+ * policy's FastCore run held to its cycle-accurate slow path, the
  * oracle for memo replay. Any observational mismatch against the
  * unsqueezed reference interpreter, or between the slow path and
  * replay, is a divergence; with --shrink it is reduced to a minimal
  * re-runnable repro (fuzz/shrink.h) whose source is printed ready to
- * paste into a regression test.
- *
- * Not covered: forced-policy slow-path counters of generated programs
- * against a second core implementation (there is one core). The run
- * freeze (tests/core/run_freeze_test.cc) pins those counters on the
- * 14 workloads.
+ * paste into a regression test. The summary line counts the
+ * runner's compiled Systems and cache hits, and its simulations and
+ * the cells it served one.
  *
  *   fuzz_spec --runs 500 --seed 1          # the ctest smoke budget
  *   fuzz_spec --runs 100000 --seed 42      # overnight soak
@@ -205,14 +202,17 @@ runFuzz(const Options &opt)
     ExperimentStats st = runner.stats();
     std::printf("fuzz_spec: %llu programs (%llu agreed, %llu "
                 "skipped, %llu diverged), %llu differential "
-                "runs, %llu systems built, %llu cache hits\n",
+                "runs, %llu systems built, %llu cache hits, "
+                "%llu simulations, %llu simulation hits\n",
                 static_cast<unsigned long long>(opt.runs),
                 static_cast<unsigned long long>(agreed),
                 static_cast<unsigned long long>(skipped),
                 static_cast<unsigned long long>(diverged),
                 static_cast<unsigned long long>(runs),
                 static_cast<unsigned long long>(st.systemsBuilt),
-                static_cast<unsigned long long>(st.cacheHits));
+                static_cast<unsigned long long>(st.cacheHits),
+                static_cast<unsigned long long>(st.simulations),
+                static_cast<unsigned long long>(st.simulationHits));
     return diverged ? 1 : 0;
 }
 

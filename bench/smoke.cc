@@ -6,11 +6,12 @@
  * Runs the Fig. 8 matrix and a trimmed Fig. 16 profile/run grid
  * twice — once serially with fresh (uncached) Systems, once through
  * an ExperimentRunner — verifies the results bit-identical and
- * records wall times, cell counts and System-cache hit rates; squeezes
- * four workloads with and without static analysis (static lint); then
- * measures two overhead gates, each within 1%: interpreter throughput
- * with tracing on against tracing off, and a warm matrix with the run
- * ledger attached against detached, validating every record it wrote.
+ * records wall times, cell counts, System-cache hit rates and
+ * simulation counts; squeezes four workloads with and without static
+ * analysis (static lint); then measures two overhead gates, each
+ * within 1%: interpreter throughput with tracing on against tracing
+ * off, and a warm matrix with the run ledger attached against
+ * detached, validating every record it wrote.
  * Both gates time a fixed number of interleaved off/on pairs and gate
  * the median of the pairs' time ratios (pairedMedian).
  *
@@ -69,6 +70,8 @@ struct GridTiming
     uint64_t systemsBuilt = 0;
     uint64_t cacheHits = 0;
     uint64_t inflightWaits = 0;
+    uint64_t simulations = 0;
+    uint64_t simulationHits = 0;
     double serialSec = 0;
     double parallelSec = 0;
     /** Per-cell wall-time distribution of the serial pass (compile +
@@ -112,9 +115,12 @@ measure(const std::string &name,
     std::vector<RunResult> par = runner.run(cells);
     auto p1 = Clock::now();
     t.parallelSec = seconds(p0, p1);
-    t.systemsBuilt = runner.stats().systemsBuilt;
-    t.cacheHits = runner.stats().cacheHits;
-    t.inflightWaits = runner.stats().inflightWaits;
+    const ExperimentStats st = runner.stats();
+    t.systemsBuilt = st.systemsBuilt;
+    t.cacheHits = st.cacheHits;
+    t.inflightWaits = st.inflightWaits;
+    t.simulations = st.simulations;
+    t.simulationHits = st.simulationHits;
 
     t.identical = serial == par;
     return t;
@@ -153,6 +159,8 @@ recordGrid(LedgerRecord &rec, const GridTiming &g)
     rec.setField(p + "systems_built", g.systemsBuilt);
     rec.setField(p + "cache_hits", g.cacheHits);
     rec.setField(p + "inflight_waits", g.inflightWaits);
+    rec.setField(p + "simulations", g.simulations);
+    rec.setField(p + "simulation_hits", g.simulationHits);
     rec.setField(p + "serial_sec", g.serialSec);
     rec.setField(p + "parallel_sec", g.parallelSec);
     rec.setField(p + "cell_wall_p50_sec", g.wallP50);
@@ -408,6 +416,9 @@ struct LedgerGate
  * Measure what BITSPEC_LEDGER costs: the same all-cache-hit matrix is
  * run with the global writer detached and attached, over a fixed
  * number of pairedMedian pairs, and the median time ratio is gated.
+ * Each rep first drops the runner's cached simulations, so every
+ * cell simulates on its warm System, as a first run of the matrix
+ * would; served cells would leave little but the record to time.
  * Detail mode stays off, exactly like the production default the 1%
  * contract covers. Every record the on-reps wrote is then
  * schema-validated (validateLedgerRecord checks provenance
@@ -436,8 +447,10 @@ measureLedgerGate()
     runner.run(cells); // Pay the compiles once; reps are run-only.
 
     constexpr unsigned kPairs = 24; // Pairs of ~0.15 s matrices.
-    // Only the matrix is timed, not opening or closing the writer.
+    // Only the matrix is timed, not opening or closing the writer
+    // or dropping the simulations.
     const PairedTimes t = pairedMedian(kPairs, [&](bool on) {
+        runner.clearSimulations();
         if (on)
             LedgerWriter::setGlobal(std::make_unique<LedgerWriter>(path));
         auto t0 = Clock::now();
@@ -532,12 +545,15 @@ runSmoke(const std::string &bench_json)
         recordGrid(rec, g);
         all_identical = all_identical && g.identical;
         std::printf("%-16s cells=%-4zu builds=%-3llu hits=%-4llu "
-                    "inflight=%-3llu serial=%.3fs parallel=%.3fs "
+                    "inflight=%-3llu sims=%-4llu sim_hits=%-4llu "
+                    "serial=%.3fs parallel=%.3fs "
                     "speedup=%.2fx identical=%s\n",
                     g.name.c_str(), g.cells,
                     static_cast<unsigned long long>(g.systemsBuilt),
                     static_cast<unsigned long long>(g.cacheHits),
                     static_cast<unsigned long long>(g.inflightWaits),
+                    static_cast<unsigned long long>(g.simulations),
+                    static_cast<unsigned long long>(g.simulationHits),
                     g.serialSec, g.parallelSec,
                     g.parallelSec > 0 ? g.serialSec / g.parallelSec
                                       : 0.0,

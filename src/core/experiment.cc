@@ -148,6 +148,31 @@ constexpr MemoTier kSystemTier{"cache.miss", "cache.hit",
 constexpr MemoTier kTrainingTier{"train.miss", "train.hit",
                                  &ExperimentStats::trainings,
                                  &ExperimentStats::trainingHits};
+constexpr MemoTier kSimulationTier{"sim.miss", "sim.hit",
+                                   &ExperimentStats::simulations,
+                                   &ExperimentStats::simulationHits};
+
+/** The simulation key of a cell on @p sys with data image @p image:
+ *  everything FastCore reads. That is the code (the System's code
+ *  key, so configurations that compile to one code share it), every
+ *  global's address and bytes after the run input, the run arguments
+ *  (a cell passes none), the policy and the policy seed. */
+Hash128
+simulationKeyHash(const System &sys, const Module &image,
+                  const ExperimentCell &cell)
+{
+    WordHash128 h;
+    h.add(sys.codeKey().hi);
+    h.add(sys.codeKey().lo);
+    for (const auto &g : image.globals()) {
+        h.add(g->address());
+        h.addBytes(g->data().data(), g->data().size());
+    }
+    h.add(0); // No run arguments.
+    h.add(static_cast<uint64_t>(cell.policy));
+    h.add(cell.policySeed);
+    return h.digest();
+}
 
 /**
  * The value of @p key in @p memo (guarded by @p mu, counted in
@@ -347,22 +372,43 @@ ExperimentRunner::runCell(const ExperimentCell &cell, const Hash128 &key,
     // ledgers recorded for it, so they still compare.
     if (ledger)
         rec.engine = "fast";
-    auto input = [&w, run_seed](Module &m) { w.setInput(m, run_seed); };
-    RunObservers observers;
     const Clock::time_point t0 = Clock::now();
+    // One input per cell, served or not.
+    const std::unique_ptr<Module> image = sys->prepareImage(
+        [&w, run_seed](Module &m) { w.setInput(m, run_seed); });
+    RunResult out;
+    bool simulated = true;
     if (detail) {
+        // Observed runs simulate every time: the sink needs the run.
         bmap.emplace(sys->program());
         bsink.emplace(*bmap);
+        RunObservers observers;
         observers.blocks = &*bsink;
+        out = sys->simulate(*image, {}, observers, cell.policy,
+                            cell.policySeed);
+    } else {
+        out = *claimOrWait(
+            cacheMu_, stats_, simulations_,
+            simulationKeyHash(*sys, *image, cell), kSimulationTier,
+            w.name,
+            [&]() -> std::shared_ptr<const RunResult> {
+                return std::make_shared<const RunResult>(sys->simulate(
+                    *image, {}, {}, cell.policy, cell.policySeed));
+            },
+            &simulated);
+        // The simulation may have run on another System of its code:
+        // the compile's stats are this System's own.
+        out.squeezeStats = sys->squeezeStats();
+        out.expandStats = sys->expandStats();
+        out.backendStats = sys->backendStats();
     }
-    RunResult out =
-        sys->run(input, {}, observers, cell.policy, cell.policySeed);
-    // The System may have been built for another cell of its key:
-    // evaluate this cell's own energy and DTS settings.
+    // The run may have been made for another cell: evaluate this
+    // cell's own energy and DTS settings.
     evaluateEnergy(out, cell.config);
     const double wall_sec = secondsSince(t0);
 
     if (ledger) {
+        rec.simSource = simulated ? "simulate" : "memory";
         fillRunTelemetry(rec, out.counters, out.l1i, out.l1d, out.l2,
                          out.dram, out.energy, out.totalEnergy,
                          out.epi, out.meanVoltage, out.returnValue,
@@ -634,6 +680,14 @@ ExperimentRunner::clearCache()
     std::lock_guard<std::mutex> lock(cacheMu_);
     cache_.clear();
     trained_.clear();
+    simulations_.clear();
+}
+
+void
+ExperimentRunner::clearSimulations()
+{
+    std::lock_guard<std::mutex> lock(cacheMu_);
+    simulations_.clear();
 }
 
 } // namespace bitspec

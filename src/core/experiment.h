@@ -2,7 +2,7 @@
  * @file
  * The experiment engine: schedules (workload x SystemConfig x
  * profile_seed x run_seed) cells of a figure/table bench across a
- * thread pool and memoizes compiled Systems.
+ * thread pool and memoizes compiled Systems and core simulations.
  *
  * Design rules (see DESIGN.md "Experiment engine"):
  *  - Cells are self-contained: each System owns its copy of an
@@ -24,6 +24,15 @@
  *    applies its input to the copy and simulates on a FastCore of its
  *    own, so cells of one System run concurrently, with no lock, and
  *    order-independently.
+ *  - Each distinct simulation runs once. The simulation tier keys a
+ *    core run's outcome by everything FastCore reads: the System's
+ *    code key (Systems of different configurations can compile to
+ *    one code), the data image after the cell's run input, the run
+ *    arguments, the policy and the policy seed. Every cell still
+ *    applies its own input and evaluates its own energy and DTS; only
+ *    the counters, cache stats, return value and checksum are shared.
+ *    Cells with observers (ledger detail) bypass the tier, and so do
+ *    withSystem and direct System::run callers.
  *  - run() stages its matrix: one build task per distinct System key
  *    (the lookup of the key's first cell), the first key of each
  *    training queued ahead of every other key, then one run task per
@@ -75,10 +84,11 @@ struct ExperimentCell
     uint64_t runSeed = 0;
 
     /** @name Run-level knobs
-     * Arguments of this cell's System::run only — deliberately absent
-     * from the cache key (one compiled System serves every policy;
-     * the differential fuzzer depends on that sharing). So are the
-     * config's energy and DTS fields, evaluated on the finished run. */
+     * Arguments of this cell's core run only — deliberately absent
+     * from the System key (one compiled System serves every policy;
+     * the differential fuzzer depends on that sharing), and part of
+     * the simulation key. The config's energy and DTS fields are in
+     * neither: they are evaluated on the finished run. */
     /// @{
     MisspecPolicy policy = MisspecPolicy::Hardware;
     uint64_t policySeed = 0x5eed;
@@ -101,17 +111,23 @@ struct ExperimentStats
      *  TrainedModule. */
     uint64_t trainings = 0;    ///< Distinct training keys trained.
     uint64_t trainingHits = 0; ///< Compiles that reused a training.
+
+    /** Simulation tier: cells whose core run repeats one already run
+     *  (same code, data image, policy and policy seed) are served its
+     *  outcome. Cells that bypass the tier count in neither. */
+    uint64_t simulations = 0;    ///< Distinct simulations run.
+    uint64_t simulationHits = 0; ///< Cells served a simulation.
 };
 
 /**
- * Runs experiment matrices over a worker pool with a keyed System
- * cache. run() may be called from several threads at once
- * (each call's results are call-local, the cache and stats are
+ * Runs experiment matrices over a worker pool with keyed System and
+ * simulation caches. run() may be called from several threads at once
+ * (each call's results are call-local, the caches and stats are
  * mutex-guarded, and cached Systems are immutable, so concurrent
  * cells on one System run in parallel — the fuzzer fans whole
  * differentials out this way); the same runner can execute any
- * number of matrices, and the cache persists across them
- * (clearCache() drops it).
+ * number of matrices, and the caches persist across them
+ * (clearCache() drops them).
  */
 class ExperimentRunner
 {
@@ -127,9 +143,11 @@ class ExperimentRunner
      * (whose ledger record says "compile" when that task built it,
      * and whose matrix-record wall time includes the build), with
      * each training's first key ahead of the rest; then one task per
-     * cell runs it on its key's System. Throws the first failing
-     * cell's exception (after all cells finished or failed); a failed
-     * build fails every cell of its key.
+     * cell runs it on its key's System, or is served an equal
+     * simulation's outcome. Throws the first failing cell's exception
+     * (after all cells finished or failed); a failed build fails
+     * every cell of its key, and a failed simulation every cell that
+     * shares it.
      */
     std::vector<RunResult> run(const std::vector<ExperimentCell> &cells);
 
@@ -141,6 +159,8 @@ class ExperimentRunner
      * cells may run the same System concurrently. It may have been
      * built for another energy or DTS setting of its key: evaluate a
      * run under @p config (evaluateEnergy) before reading its energy.
+     * Runs on it simulate every time: the simulation tier serves only
+     * run()'s cells.
      */
     void withSystem(const Workload &w, const SystemConfig &config,
                     uint64_t profile_seed,
@@ -148,8 +168,13 @@ class ExperimentRunner
 
     unsigned threadCount() const { return pool_.threadCount(); }
     ExperimentStats stats() const;
-    /** Drop every cached System and training (failed ones too). */
+    /** Drop every cached System, training and simulation (failed ones
+     *  too). */
     void clearCache();
+    /** Drop the cached simulations only, so the next cells simulate
+     *  again on warm Systems (the run-ledger overhead gate times
+     *  simulating cells). */
+    void clearSimulations();
 
     /** The `bench` name of the ledger records (cell and matrix) of
      *  subsequent runs; the process name until set. Call between
@@ -218,6 +243,10 @@ class ExperimentRunner
     /** Training tier under cache_, keyed by the training key (see
      *  getOrTrain). */
     Memo<TrainedModule> trained_;
+    /** Simulation tier beside cache_: one core run's outcome (the
+     *  RunResult System::simulate returned) by what the core read
+     *  (see runCell). */
+    Memo<RunResult> simulations_;
     ExperimentStats stats_;
     std::string ledgerLabel_;
 };

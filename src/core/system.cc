@@ -144,14 +144,28 @@ System::run(const std::function<void(Module &)> &run_input,
             const RunObservers &observers, MisspecPolicy policy,
             uint64_t policy_seed) const
 {
-    trace::Span span("system.run", "execute");
+    return simulate(*prepareImage(run_input), args, observers, policy,
+                    policy_seed);
+}
+
+std::unique_ptr<Module>
+System::prepareImage(const std::function<void(Module &)> &run_input) const
+{
     // The run's own copy of the post-profiling globals: the input
     // lands there and the core loads from it, so the System itself is
     // never written.
     std::unique_ptr<Module> globals = cloneGlobals(*module_);
     if (run_input)
         run_input(*globals);
+    return globals;
+}
 
+RunResult
+System::simulate(const Module &image, const std::vector<uint32_t> &args,
+                 const RunObservers &observers, MisspecPolicy policy,
+                 uint64_t policy_seed) const
+{
+    trace::Span span("system.run", "execute");
     // Any traced run gets counter tracks alongside its spans unless
     // the caller brought its own emitter.
     CounterTrackEmitter traced_tracks;
@@ -159,7 +173,7 @@ System::run(const std::function<void(Module &)> &run_input,
     if (!tracks && trace::enabled())
         tracks = &traced_tracks;
 
-    FastCore core(*predecoded_, *globals);
+    FastCore core(*predecoded_, image);
     core.setBlockProfiler(observers.blocks);
     core.setCounterTracks(tracks);
     core.setMisspecPolicy(policy, policy_seed);

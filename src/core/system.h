@@ -184,16 +184,11 @@ class System
     System(const TrainedModule &trained, const SystemConfig &config);
 
     /**
-     * Run with fresh input. The run copies the post-profiling global
-     * images into a globals-only Module of its own, lets @p run_input
-     * mutate that copy, and executes from _start with @p args on a
-     * FastCore that lives for this call only, with @p observers
-     * attached and under misspeculation policy @p policy
-     * (support/misspec.h), Random's draws seeded by @p policy_seed.
-     * Energy is evaluated under the config the System was built from.
-     * Nothing of the System changes, so runs are independent of each
-     * other and of their order — required for the experiment
-     * engine's compile-once/run-many reuse.
+     * Run with fresh input: prepareImage(@p run_input), then
+     * simulate() on that image with the other arguments. Nothing of
+     * the System changes, so runs are independent of each other and
+     * of their order — required for the experiment engine's
+     * compile-once/run-many reuse.
      */
     RunResult run(const std::function<void(Module &)> &run_input = {},
                   const std::vector<uint32_t> &args = {},
@@ -201,12 +196,36 @@ class System
                   MisspecPolicy policy = MisspecPolicy::Hardware,
                   uint64_t policy_seed = 0x5eed) const;
 
+    /** The first step of run(): a globals-only Module of the run's
+     *  own, holding the post-profiling global images with
+     *  @p run_input applied to them. */
+    std::unique_ptr<Module>
+    prepareImage(const std::function<void(Module &)> &run_input) const;
+
+    /**
+     * The second step of run(): execute from _start with @p args on
+     * a FastCore that lives for this call only and loads its data
+     * from @p image (a prepareImage result, only read), with
+     * @p observers attached and under misspeculation policy
+     * @p policy (support/misspec.h), Random's draws seeded by
+     * @p policy_seed. Energy is evaluated under the config the System
+     * was built from.
+     */
+    RunResult simulate(const Module &image,
+                       const std::vector<uint32_t> &args,
+                       const RunObservers &observers,
+                       MisspecPolicy policy, uint64_t policy_seed) const;
+
     /** The squeezed module. Interpret a cloneModule copy of it:
      *  interpreting needs a mutable module. */
     const Module &module() const { return *module_; }
     const MachProgram &program() const { return compiled_->program; }
     const SqueezeStats &squeezeStats() const { return squeezeStats_; }
+    const ExpandStats &expandStats() const { return expandStats_; }
     const BackendStats &backendStats() const { return compiled_->stats; }
+    /** All of the code simulate() reads (PredecodedProgram::codeKey):
+     *  Systems of different configurations may compile to one. */
+    const Hash128 &codeKey() const { return predecoded_->codeKey(); }
 
     /** Dynamic IR instructions of the training run (Fig. 3's
      *  IR-level series), baseline configurations included. */

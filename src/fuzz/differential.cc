@@ -151,7 +151,7 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
     }
 
     // ---- FastCore via the experiment engine: one compiled System
-    // serves the three policy cells and the slow-path run. ----
+    // serves the three policy cells and their slow-path runs. ----
     std::vector<ExperimentCell> cells;
     for (MisspecPolicy policy : kPolicies) {
         ExperimentCell cell(&w, cfg, opts.profileSeed, opts.runSeed);
@@ -187,40 +187,42 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
                        misspecPolicyName(kPolicies[i]))
                           .c_str());
 
-    // ---- The replay oracle: Hardware again with a counter-track
+    // ---- The replay oracle: each policy again with a counter-track
     // emitter attached, which keeps FastCore on its cycle-accurate
-    // slow path for the whole run. A fatal here, where the replayed
-    // cell finished, is a divergence, not a skip. ----
-    try {
-        RunResult slow;
-        CoreRunStats core;
-        runner.withSystem(
-            w, cfg, opts.profileSeed, [&](const System &sys) {
+    // slow path for the whole run (every policy's cell replays what
+    // memos it may). A fatal here, where the replayed cell finished,
+    // is a divergence, not a skip. ----
+    runner.withSystem(w, cfg, opts.profileSeed, [&](const System &sys) {
+        for (size_t i = 0; i < results.size(); ++i) {
+            const std::string policy = misspecPolicyName(kPolicies[i]);
+            try {
                 CounterTrackEmitter tracks;
+                CoreRunStats core;
                 RunObservers observers;
                 observers.tracks = &tracks;
                 observers.core = &core;
-                slow = sys.run(
+                const RunResult slow = sys.run(
                     [&](Module &m) { setFuzzInputs(m, opts.runSeed); },
-                    {}, observers, MisspecPolicy::Hardware,
-                    opts.policySeed);
-            });
-        ++out.runsExecuted;
-        check_outputs(slow, "slow-path/hardware");
-        if (core.slowInsts != slow.counters.instructions)
-            diverge(strFormat(
-                "slow-path/hardware: only %llu of %llu instructions "
-                "retired on the slow path",
-                static_cast<unsigned long long>(core.slowInsts),
-                static_cast<unsigned long long>(
-                    slow.counters.instructions)));
-        std::string diff =
-            countersDiff(slow.counters, results[0].counters);
-        if (!diff.empty())
-            diverge("slow-vs-replay/hardware: " + diff);
-    } catch (const FatalError &e) {
-        diverge(std::string("slow-path/hardware: ") + e.what());
-    }
+                    {}, observers, kPolicies[i], opts.policySeed);
+                ++out.runsExecuted;
+                check_outputs(slow, ("slow-path/" + policy).c_str());
+                if (core.slowInsts != slow.counters.instructions)
+                    diverge(strFormat(
+                        "slow-path/%s: only %llu of %llu instructions "
+                        "retired on the slow path",
+                        policy.c_str(),
+                        static_cast<unsigned long long>(core.slowInsts),
+                        static_cast<unsigned long long>(
+                            slow.counters.instructions)));
+                const std::string diff =
+                    countersDiff(slow.counters, results[i].counters);
+                if (!diff.empty())
+                    diverge("slow-vs-replay/" + policy + ": " + diff);
+            } catch (const FatalError &e) {
+                diverge("slow-path/" + policy + ": " + e.what());
+            }
+        }
+    });
     return out;
 }
 

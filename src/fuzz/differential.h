@@ -6,26 +6,21 @@
  *
  * Runs: the reference interpreter on the squeezed IR and FastCore on
  * the compiled EMB32 program, each under Hardware, ForceFirst and
- * seeded Random (support/misspec.h), plus one more Hardware machine
- * run with a CounterTrackEmitter attached. Theorems 3.1/3.2 make
- * misspeculation semantics-preserving, so every one of the seven runs
+ * seeded Random (support/misspec.h), plus each policy's machine run
+ * again with a CounterTrackEmitter attached. Theorems 3.1/3.2 make
+ * misspeculation semantics-preserving, so every one of the nine runs
  * must reproduce the unsqueezed reference interpreter's return value
  * and output checksum.
  *
- * The tracked run is the replay oracle: an attached emitter keeps
+ * The tracked runs are the replay oracle: an attached emitter keeps
  * FastCore on its cycle-accurate slow path for the whole run, so its
- * ActivityCounters must equal the replayed Hardware run's field by
- * field, and its slow-path retirements must cover every instruction
+ * ActivityCounters must equal the same policy's replayed run's field
+ * by field (under the forcing policies the memos with no check site
+ * replay), and its slow-path retirements must cover every instruction
  * (otherwise the comparison would be replay against replay).
  *
- * Not checked here any more: the slow-path counters of generated
- * programs under the forced policies against a second, independently
- * written core. Those runs only meet the return-value and checksum
- * checks; tests/core/run_freeze_test.cc still pins forced-policy
- * counters on the 14 workloads.
- *
  * The machine runs go through a caller-owned ExperimentRunner: one
- * compiled System per program serves all four machine runs
+ * compiled System per program serves all six machine runs
  * (run-level knobs are not part of the System cache key), and a
  * shrink session re-probing the same candidate source hits the
  * memoized System outright.

@@ -159,6 +159,8 @@ toJsonLine(const LedgerRecord &rec)
     appendStr(out, "system_key", rec.systemKey);
     appendStr(out, "artifact_key", rec.artifactKey);
     appendStr(out, "cache_source", rec.cacheSource);
+    if (!rec.simSource.empty())
+        appendStr(out, "sim_source", rec.simSource);
     appendStr(out, "engine", rec.engine);
     appendStr(out, "policy", rec.policy);
     appendU64(out, "profile_seed", rec.profileSeed);
@@ -260,6 +262,7 @@ readLedgerRecord(const JsonValue &doc, LedgerRecord &rec)
     rec.systemKey = doc.getString("system_key");
     rec.artifactKey = doc.getString("artifact_key");
     rec.cacheSource = doc.getString("cache_source");
+    rec.simSource = doc.getString("sim_source");
     rec.engine = doc.getString("engine");
     rec.policy = doc.getString("policy");
     rec.profileSeed = doc.getU64("profile_seed");
@@ -395,6 +398,11 @@ validateLedgerRecord(const LedgerRecord &rec)
         rec.cacheSource != "disk")
         return "cache_source must be compile|memory|disk, got \"" +
                rec.cacheSource + "\"";
+    // Empty: records written before the runner had a simulation tier.
+    if (!rec.simSource.empty() && rec.simSource != "simulate" &&
+        rec.simSource != "memory")
+        return "sim_source must be simulate|memory, got \"" +
+               rec.simSource + "\"";
     if (rec.engine.empty())
         return "missing engine";
     if (rec.policy.empty())

@@ -16,9 +16,10 @@
  *    type, obs/trajectory.h buildFlavour()), bench binary,
  *    canonicalized SystemConfig key and its 128-bit hash, whether the
  *    cell's System was compiled for it or served from the runner's
- *    in-memory cache, all BITSPEC_* env knobs in effect, and every
- *    seed. A record is a recipe: any cell can be re-run from its
- *    ledger line alone.
+ *    in-memory cache, whether its core run ran for it or was served
+ *    an equal simulation's outcome, all BITSPEC_* env knobs in
+ *    effect, and every seed. A record is a recipe: any cell can be
+ *    re-run from its ledger line alone.
  *  - Telemetry: the complete observable surface of the run — every
  *    ActivityCounters field, cache/DRAM stats, the energy ledger,
  *    wall time, log-event counts, squeeze/expand/backend stats, and
@@ -123,6 +124,11 @@ struct LedgerRecord
     /** "compile" | "memory"; records written while the runner had
      *  an on-disk tier may also say "disk". */
     std::string cacheSource;
+    /** "simulate" when the cell's core run ran for it, "memory" when
+     *  the runner served it an equal simulation's outcome (JSON
+     *  "sim_source"); empty, and not written, in records from before
+     *  the runner had a simulation tier. */
+    std::string simSource;
     /** Core that ran the cell: always "fast" (FastCore), kept so
      *  schema-1 records stay readable both ways. */
     std::string engine;

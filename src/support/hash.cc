@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <cstring>
 
 namespace bitspec
 {
@@ -55,6 +56,40 @@ void
 Hash128Builder::updateDouble(double v)
 {
     updateU64(std::bit_cast<uint64_t>(v));
+}
+
+void
+WordHash128::addBytes(const void *data, size_t size)
+{
+    const auto *p = static_cast<const uint8_t *>(data);
+    size_t i = 0;
+    for (; i + 8 <= size; i += 8) {
+        uint64_t w;
+        std::memcpy(&w, p + i, 8);
+        add(w);
+    }
+    if (i < size) {
+        uint64_t w = 0;
+        std::memcpy(&w, p + i, size - i);
+        add(w);
+    }
+    add(size);
+}
+
+Hash128
+WordHash128::digest() const
+{
+    // The murmur3 finalizer per lane, so every input bit reaches
+    // every output bit, with the word count folded in.
+    auto fmix = [](uint64_t k) {
+        k ^= k >> 33;
+        k *= 0xff51afd7ed558ccdULL;
+        k ^= k >> 33;
+        k *= 0xc4ceb9fe1a85ec53ULL;
+        k ^= k >> 33;
+        return k;
+    };
+    return {fmix(a_ ^ words_), fmix(b_ + words_)};
 }
 
 } // namespace bitspec

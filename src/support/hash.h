@@ -3,16 +3,19 @@
  * The 128-bit incremental content hash that keys the experiment
  * engine's System and training caches, and the one 64-bit FNV-1a
  * step it shares with the output checksum of both execution tiers
- * and the cell key's source hash.
+ * and the cell key's source hash; and a word-at-a-time variant,
+ * WordHash128, that keys the engine's simulation memo.
  *
  * Hash128 is not cryptographic. It is two independent 64-bit lanes —
- * FNV-1a plus a golden-ratio mix — which is plenty for cache keying:
- * a colliding pair would have to agree in both lanes.
+ * FNV-1a plus a golden-ratio mix (WordHash128: two multiply-rotate
+ * mixes) — which is plenty for cache keying: a colliding pair would
+ * have to agree in both lanes.
  */
 
 #ifndef BITSPEC_SUPPORT_HASH_H_
 #define BITSPEC_SUPPORT_HASH_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -83,6 +86,38 @@ class Hash128Builder
 
   private:
     Hash128 h_;
+};
+
+/**
+ * Incremental Hash128 over 64-bit words, for keys over large inputs
+ * that never leave the process (the pre-decoded code, a run's data
+ * image), where Hash128Builder's byte loop would cost: two
+ * independent multiply-rotate lanes take one word per step each. Its
+ * digests differ from Hash128Builder's and follow the host's byte
+ * order, so they key in-process memos only.
+ */
+class WordHash128
+{
+  public:
+    void
+    add(uint64_t w)
+    {
+        a_ = std::rotl((a_ ^ w) * 0x9e3779b97f4a7c15ULL, 29);
+        b_ = std::rotl(b_ + w * 0xc2b2ae3d27d4eb4fULL, 31) *
+             0x165667b19e3779f9ULL;
+        ++words_;
+    }
+
+    /** @p size bytes, eight to a word (the last zero-padded), then
+     *  @p size itself. */
+    void addBytes(const void *data, size_t size);
+
+    Hash128 digest() const;
+
+  private:
+    uint64_t a_ = kFnv1aOffset;
+    uint64_t b_ = 0x9e3779b97f4a7c15ULL;
+    uint64_t words_ = 0;
 };
 
 } // namespace bitspec

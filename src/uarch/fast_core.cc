@@ -392,6 +392,10 @@ FastCore::buildMemo(uint32_t start) const
                                        static_cast<uint32_t>(rel + 1));
             }
 
+            m.hasCheck = m.hasCheck || p.kind == PKind::LoadSpec ||
+                         (p.aux && (p.kind == PKind::Add8 ||
+                                    p.kind == PKind::Sub8 ||
+                                    p.kind == PKind::Trn8));
             addContrib(m.delta, p.contrib);
             if (p.dstWrite == 1)
                 ++m.delta.rfWrite32;
@@ -707,6 +711,7 @@ FastCore::memoFor(uint32_t idx)
     }
     if (mi == kSeenOnce) {
         memos_.push_back(buildMemo(idx));
+        memos_.back().replays = replaysUnderPolicy(memos_.back());
         mi = static_cast<int32_t>(memos_.size()) - 1;
     }
     return &memos_[static_cast<size_t>(mi)];
@@ -1417,15 +1422,16 @@ FastCore::replay(RunMemo &m0)
         next = mp->term + 1; // Branch not taken.
 
       chain:
-        // Block chaining: when the successor already has an eligible
-        // memo and its entry guards hold, continue replaying it right
-        // here — no dispatcher round trip. The run-level guards (no
-        // counter tracks, Hardware policy) already hold in replay().
+        // Block chaining: when the successor already has a memo that
+        // replays under the run's policy and its entry guards hold,
+        // continue replaying it right here — no dispatcher round trip.
+        // The run-level guard (no counter tracks) already holds in
+        // replay().
         {
             int32_t mi = memoIdx_[next];
             if (mi >= 0) {
                 RunMemo &n = memos_[static_cast<size_t>(mi)];
-                if (n.eligible && executed_ + n.fuelCost <= fuel_ &&
+                if (n.replays && executed_ + n.fuelCost <= fuel_ &&
                     entryReady(n) && fetchGuard(n)) {
                     mp = &n;
                     entry = cycle_;
@@ -1826,17 +1832,19 @@ FastCore::run(const std::vector<uint32_t> &args)
 
     // A counter-track emitter samples at per-retire granularity;
     // bulk replay would shift its window boundaries, so tracing runs
-    // stay on the cycle-accurate path. Non-Hardware misspec policies
-    // likewise bypass replay: a memo bakes in that no check in the
-    // body fired. Such runs build no memos either.
-    const bool may_replay =
-        !tracks_ && policy_ == MisspecPolicy::Hardware;
+    // stay on the cycle-accurate path and build no memos. A memo
+    // bakes in that no check in its body fired, which only Hardware
+    // semantics guarantee: under another policy only memos with no
+    // check site replay.
+    const bool may_replay = !tracks_;
+    for (RunMemo &m : memos_) // The policy may have changed.
+        m.replays = replaysUnderPolicy(m);
     uint32_t idx = 0;
     for (;;) {
         if (idx >= size)
             fatal(strFormat("PC out of code range: index %u", idx));
         RunMemo *m = may_replay ? memoFor(idx) : nullptr;
-        if (m && m->eligible && executed_ + m->fuelCost <= fuel_ &&
+        if (m && m->replays && executed_ + m->fuelCost <= fuel_ &&
             entryReady(*m) && fetchGuard(*m)) {
             idx = replay(*m);
         } else {

@@ -40,7 +40,10 @@
  *    exact; the first dynamic divergence (D-miss, store stall,
  *    misspeculation) commits the prefix from the memo, finishes the
  *    diverging instruction cycle-accurately, and drops back to the
- *    slow path.
+ *    slow path. A memo assumes Hardware semantics at its check sites,
+ *    so under the forcing policies (ForceFirst, Random) only memos
+ *    with no check site in their body replay; the rest of such a run
+ *    takes the slow path, where the policy acts.
  *
  * A memo's schedule depends only on code geometry, so memos live per
  * FastCore and survive reset(); invalidateMemos() drops them (the
@@ -132,8 +135,10 @@ class FastCore
      *  are reproducible). Either way a check that Hardware semantics
      *  require to fire still fires — Theorems 3.1/3.2 make the
      *  committed outputs policy-independent, which the differential
-     *  fuzzer exercises. A non-Hardware policy disables memo replay
-     *  (memos bake in check-didn't-fire execution). */
+     *  fuzzer exercises. Under a non-Hardware policy only memos whose
+     *  body holds no check site replay (a memo bakes in
+     *  check-didn't-fire execution; one with no check never draws
+     *  from the RNG or forces a redirect). */
     void
     setMisspecPolicy(MisspecPolicy p, uint64_t seed = 0x5eed)
     {
@@ -166,6 +171,15 @@ class FastCore
     struct RunMemo
     {
         bool eligible = false;
+        /** The body holds a check site (LDRS8, or a speculative
+         *  ADD8/SUB8/TRN8). Only such a memo depends on the policy:
+         *  runs under any other policy than Hardware replay the
+         *  memos without one. */
+        bool hasCheck = false;
+        /** eligible, and hasCheck allowed under the run's policy:
+         *  the one flag the replay guards test (set where the memo is
+         *  built and at each run's start). */
+        bool replays = false;
         uint32_t start = 0;
         uint32_t len = 0;          ///< Body instructions, jumps included.
         uint32_t term = 0;         ///< Flat index of the terminator.
@@ -285,6 +299,12 @@ class FastCore
      *  nullptr on the first. */
     RunMemo *memoFor(uint32_t idx);
     RunMemo buildMemo(uint32_t start) const;
+    /** RunMemo::replays of @p m under policy_. */
+    bool replaysUnderPolicy(const RunMemo &m) const
+    {
+        return m.eligible &&
+               (policy_ == MisspecPolicy::Hardware || !m.hasCheck);
+    }
     /** Pre-resolve one body instruction into its replay micro-op. */
     static RunMemo::ROp translateOp(const PInst &p);
     bool entryReady(const RunMemo &m) const;

@@ -318,12 +318,62 @@ decodeInst(const MachInst &inst)
 
 } // namespace
 
+Hash128
+codeKeyOf(const std::vector<PInst> &insts)
+{
+    // Every field packed into eight words: the fields, not the
+    // struct's bytes, which include padding.
+    auto opnd = [](const POpnd &o) {
+        return static_cast<uint64_t>(o.mask) |
+               static_cast<uint64_t>(o.imm) << 32;
+    };
+    // reg, shift and isImm: 17 bits.
+    auto small = [](const POpnd &o) {
+        return static_cast<uint64_t>(o.reg) |
+               static_cast<uint64_t>(o.shift) << 8 |
+               static_cast<uint64_t>(o.isImm) << 16;
+    };
+    WordHash128 h;
+    for (const PInst &p : insts) {
+        const CounterContrib &c = p.contrib;
+        h.add(static_cast<uint64_t>(p.kind) |
+              static_cast<uint64_t>(p.aux) << 8 |
+              static_cast<uint64_t>(p.cond) << 16 |
+              static_cast<uint64_t>(p.readyMask) << 24 |
+              small(p.b) << 40);
+        h.add(small(p.dst) | small(p.a) << 24 |
+              static_cast<uint64_t>(p.latency) << 48 |
+              static_cast<uint64_t>(p.dstWrite) << 56);
+        h.add(opnd(p.dst));
+        h.add(opnd(p.a));
+        h.add(opnd(p.b));
+        h.add(static_cast<uint64_t>(p.target) |
+              static_cast<uint64_t>(c.alu32) << 32 |
+              static_cast<uint64_t>(c.alu8) << 40 |
+              static_cast<uint64_t>(c.mulDiv) << 48 |
+              static_cast<uint64_t>(c.rfRead32) << 56);
+        h.add(static_cast<uint64_t>(c.rfRead8) |
+              static_cast<uint64_t>(c.loads) << 8 |
+              static_cast<uint64_t>(c.stores) << 16 |
+              static_cast<uint64_t>(c.branches) << 24 |
+              static_cast<uint64_t>(c.takenBranches) << 32 |
+              static_cast<uint64_t>(c.calls) << 40 |
+              static_cast<uint64_t>(c.outputs) << 48 |
+              static_cast<uint64_t>(c.dynSpillLoads) << 56);
+        h.add(static_cast<uint64_t>(c.dynSpillStores) |
+              static_cast<uint64_t>(c.dynCopies) << 8);
+    }
+    h.add(insts.size());
+    return h.digest();
+}
+
 PredecodedProgram::PredecodedProgram(const MachProgram &prog)
     : prog_(prog)
 {
     insts_.reserve(prog.flat.size());
     for (const MachInst &inst : prog.flat)
         insts_.push_back(decodeInst(inst));
+    codeKey_ = codeKeyOf(insts_);
 }
 
 } // namespace bitspec

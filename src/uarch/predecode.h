@@ -15,7 +15,9 @@
  *
  * The table is immutable once built and independent of run state, so
  * one PredecodedProgram is shared by every FastCore run of a System
- * (run memos, which do depend on run history, live in FastCore).
+ * (run memos, which do depend on run history, live in FastCore). Its
+ * code key, a hash of the whole table computed with it, keys the
+ * experiment engine's simulation memo.
  */
 
 #ifndef BITSPEC_UARCH_PREDECODE_H_
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "backend/mir.h"
+#include "support/hash.h"
 
 namespace bitspec
 {
@@ -106,6 +109,14 @@ struct PInst
     CounterContrib contrib;
 };
 
+/** The code key packs every field; a field added here must join it
+ *  (codeKeyOf). */
+static_assert(sizeof(PInst) == 64, "PInst changed: update the code key");
+
+/** Hash of every field of every instruction of @p insts, and of
+ *  their count (WordHash128: it keys in-process memos only). */
+Hash128 codeKeyOf(const std::vector<PInst> &insts);
+
 /** The whole linked program, decoded once. */
 class PredecodedProgram
 {
@@ -118,9 +129,15 @@ class PredecodedProgram
     const MachProgram &prog() const { return prog_; }
     size_t size() const { return insts_.size(); }
 
+    /** codeKeyOf(insts()), computed once: all of the program a
+     *  FastCore reads (the rest of MachProgram it uses is constants),
+     *  so two programs with one code key run alike on equal data. */
+    const Hash128 &codeKey() const { return codeKey_; }
+
   private:
     const MachProgram &prog_;
     std::vector<PInst> insts_;
+    Hash128 codeKey_;
 };
 
 } // namespace bitspec

@@ -509,22 +509,29 @@ class ScopedLedger
         std::remove(path_.c_str());
     }
 
-    /** cache_source of every cell record so far, by cell key. Closes
-     *  the writer (the flush point) and opens a fresh one. */
+    /** Every cell record so far, in file order. Closes the writer
+     *  (the flush point) and opens a fresh one. */
+    std::vector<LedgerRecord>
+    takeCells()
+    {
+        LedgerWriter::setGlobal(nullptr);
+        std::vector<LedgerRecord> out;
+        for (LedgerRecord &r : loadLedger(path_))
+            if (r.kind == "cell")
+                out.push_back(std::move(r));
+        std::remove(path_.c_str());
+        LedgerWriter::setGlobal(std::make_unique<LedgerWriter>(path_));
+        return out;
+    }
+
+    /** cache_source of every cell record so far, by cell key. */
     std::map<std::string, std::string>
     takeCacheSources()
     {
-        LedgerWriter::setGlobal(nullptr);
         std::map<std::string, std::string> out;
-        for (const LedgerRecord &r : loadLedger(path_)) {
-            if (r.kind == "cell") {
-                EXPECT_TRUE(
-                    out.emplace(r.cellKey, r.cacheSource).second)
-                    << "two records for " << r.cellKey;
-            }
-        }
-        std::remove(path_.c_str());
-        LedgerWriter::setGlobal(std::make_unique<LedgerWriter>(path_));
+        for (const LedgerRecord &r : takeCells())
+            EXPECT_TRUE(out.emplace(r.cellKey, r.cacheSource).second)
+                << "two records for " << r.cellKey;
         return out;
     }
 
@@ -582,6 +589,160 @@ TEST(ExperimentRunner, ClearCacheDropsTrainings)
     runOne(runner, w, SystemConfig::noSpeculation());
     EXPECT_EQ(runner.stats().trainings, 2u);
     EXPECT_EQ(runner.stats().trainingHits, 1u);
+}
+
+/** The code key of the System @p runner holds for (@p w, @p c) at
+ *  profile seed 0. */
+Hash128
+codeKeyOf(ExperimentRunner &runner, const Workload &w,
+          const SystemConfig &c)
+{
+    Hash128 key;
+    runner.withSystem(w, c, 0,
+                      [&key](const System &sys) { key = sys.codeKey(); });
+    return key;
+}
+
+TEST(SimulationTier, SystemsOfOneCodeShareASimulation)
+{
+    // blowfish's bitspec-max and bitspec-avg Systems (profile seed 0)
+    // have different keys but compile to identical code, so their
+    // cells at one run seed share one simulation; each still returns
+    // what a System built for it alone returns.
+    const Workload &w = getWorkload("blowfish");
+    const SystemConfig max = SystemConfig::bitspec(Heuristic::Max);
+    const SystemConfig avg = SystemConfig::bitspec(Heuristic::Avg);
+    ASSERT_NE(ExperimentRunner::systemKey(w, max, 0),
+              ExperimentRunner::systemKey(w, avg, 0));
+    std::vector<ExperimentCell> cells;
+    for (uint64_t run_seed : {0ull, 1ull})
+        for (const SystemConfig &c : {max, avg})
+            cells.push_back({&w, c, 0, run_seed});
+
+    ExperimentRunner runner(2);
+    const std::vector<RunResult> got = runner.run(cells);
+    const ExperimentStats st = runner.stats();
+    EXPECT_EQ(st.systemsBuilt, 2u);
+    EXPECT_EQ(st.simulations, 2u);
+    EXPECT_EQ(st.simulationHits, 2u);
+    EXPECT_EQ(codeKeyOf(runner, w, max), codeKeyOf(runner, w, avg));
+    EXPECT_NE(codeKeyOf(runner, w, max),
+              codeKeyOf(runner, w, SystemConfig::baseline()));
+    ASSERT_EQ(got.size(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i)
+        EXPECT_TRUE(got[i] == serialReference(cells[i])) << "cell " << i;
+}
+
+TEST(SimulationTier, ServedDtsCellMatchesItsOwnSystem)
+{
+    // The DTS cell is served the bitspec-max cell's simulation (one
+    // code, one run seed) and evaluates its own energy and DTS, with
+    // its own System's compile stats.
+    const Workload &w = getWorkload("blowfish");
+    const std::vector<ExperimentCell> cells = {
+        {&w, SystemConfig::bitspec(Heuristic::Max), 0, 1},
+        {&w, SystemConfig::dtsPlusBitspec(Heuristic::Avg), 0, 1},
+    };
+    ExperimentRunner runner(1);
+    const std::vector<RunResult> got = runner.run(cells);
+    EXPECT_EQ(runner.stats().simulations, 1u);
+    EXPECT_EQ(runner.stats().simulationHits, 1u);
+    const RunResult ref = serialReference(cells[1]);
+    EXPECT_TRUE(got[1] == ref);
+    expectSameResult(ref, got[1], "served DTS cell");
+    EXPECT_EQ(got[0].counters.cycles, got[1].counters.cycles);
+    EXPECT_NE(got[0].totalEnergy, got[1].totalEnergy);
+}
+
+TEST(SimulationTier, RunSeedsAndRandomPolicySeedsDoNotShare)
+{
+    // Run seeds differ only in the data image; Random's policy seeds
+    // only in the draws. Neither may share a simulation.
+    const Workload &w = getWorkload("blowfish");
+    std::vector<ExperimentCell> cells;
+    for (uint64_t run_seed : {0ull, 1ull, 2ull})
+        cells.push_back({&w, SystemConfig::bitspec(), 0, run_seed});
+    ExperimentRunner runner(2);
+    std::vector<RunResult> got = runner.run(cells);
+    EXPECT_EQ(runner.stats().simulations, 3u);
+    EXPECT_EQ(runner.stats().simulationHits, 0u);
+    for (size_t i = 0; i < cells.size(); ++i)
+        EXPECT_TRUE(got[i] == serialReference(cells[i])) << "cell " << i;
+
+    std::vector<ExperimentCell> random;
+    for (uint64_t policy_seed : {1ull, 2ull}) {
+        ExperimentCell c(&w, SystemConfig::bitspec(), 0, 0);
+        c.policy = MisspecPolicy::Random;
+        c.policySeed = policy_seed;
+        random.push_back(c);
+    }
+    got = runner.run(random);
+    EXPECT_EQ(runner.stats().simulations, 5u);
+    EXPECT_EQ(runner.stats().simulationHits, 0u);
+    for (size_t i = 0; i < random.size(); ++i) {
+        RunResult ref;
+        runner.withSystem(w, random[i].config, 0, [&](const System &sys) {
+            ref = sys.run([&w](Module &m) { w.setInput(m, 0); }, {}, {},
+                          MisspecPolicy::Random, random[i].policySeed);
+        });
+        EXPECT_TRUE(got[i] == ref) << "policy seed " << random[i].policySeed;
+    }
+
+    // A later call is served; clearCache() drops the tier too.
+    runner.run(cells);
+    EXPECT_EQ(runner.stats().simulations, 5u);
+    EXPECT_EQ(runner.stats().simulationHits, 3u);
+    runner.clearCache();
+    runner.run({cells[0]});
+    EXPECT_EQ(runner.stats().simulations, 6u);
+}
+
+TEST(SimulationTier, DetailCellsAndWithSystemSimulateEveryTime)
+{
+    const Workload &w = getWorkload("CRC32");
+    const ExperimentCell cell(&w, SystemConfig::bitspec(), 0, 1);
+    ScopedLedger ledger("experiment_sim_ledger.jsonl");
+    ExperimentRunner runner(1);
+
+    // The block sink observes the run, so detail cells bypass the
+    // tier.
+    LedgerWriter::setDetail(true);
+    const RunResult detail = runner.run({cell}).front();
+    runner.run({cell});
+    LedgerWriter::setDetail(false);
+    EXPECT_EQ(runner.stats().simulations, 0u);
+    EXPECT_EQ(runner.stats().simulationHits, 0u);
+    std::vector<LedgerRecord> recs = ledger.takeCells();
+    ASSERT_EQ(recs.size(), 2u);
+    for (const LedgerRecord &r : recs)
+        EXPECT_EQ(r.simSource, "simulate");
+
+    // Plain cells: the second is served, and its record says so.
+    runner.run({cell});
+    const RunResult served = runner.run({cell}).front();
+    EXPECT_EQ(runner.stats().simulations, 1u);
+    EXPECT_EQ(runner.stats().simulationHits, 1u);
+    recs = ledger.takeCells();
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[0].simSource, "simulate");
+    EXPECT_EQ(recs[1].simSource, "memory");
+    for (const LedgerRecord &r : recs)
+        EXPECT_EQ(validateLedgerRecord(r), "");
+    EXPECT_TRUE(served == detail);
+
+    // A run on withSystem's System simulates, outside the tier.
+    CoreRunStats core;
+    RunObservers observers;
+    observers.core = &core;
+    RunResult direct;
+    runner.withSystem(w, cell.config, 0, [&](const System &sys) {
+        direct = sys.run([&w](Module &m) { w.setInput(m, 1); }, {},
+                         observers);
+    });
+    EXPECT_GT(core.replayedRuns + core.slowInsts, 0u);
+    EXPECT_EQ(runner.stats().simulations, 1u);
+    EXPECT_EQ(runner.stats().simulationHits, 1u);
+    EXPECT_TRUE(direct == served);
 }
 
 } // namespace

@@ -3,9 +3,10 @@
  * Re-entrant runs: System::run is const and builds all of its state
  * per call, so runs on one System may overlap — directly from several
  * threads, or as cells of one ExperimentRunner matrix — and each
- * returns exactly what a serial run returns. `ctest -L concurrency`
- * selects these with the other threaded suites (the TSan build runs
- * that label).
+ * returns exactly what a serial run returns; cells whose core runs
+ * are one simulation share it, a failed one included. `ctest -L
+ * concurrency` selects these with the other threaded suites (the TSan
+ * build runs that label).
  */
 
 #include <gtest/gtest.h>
@@ -329,6 +330,84 @@ TEST(ReentrantRun, ConcurrentRunCallsShareAFailedTraining)
     const ExperimentStats st = runner.stats();
     EXPECT_EQ(st.trainings, 2u);
     EXPECT_EQ(st.cells, 14u);
+}
+
+TEST(ReentrantRun, CellsOnFourWorkersShareOneSimulation)
+{
+    // blowfish's three heuristics compile to one code, so these six
+    // cells (with and without DTS) are one simulation, which the four
+    // workers look up at once; each cell matches the serial runner's.
+    const Workload &w = smallWorkload();
+    std::vector<ExperimentCell> cells;
+    for (Heuristic h : {Heuristic::Max, Heuristic::Avg, Heuristic::Min}) {
+        cells.push_back({&w, SystemConfig::bitspec(h), 0, 1});
+        cells.push_back({&w, SystemConfig::dtsPlusBitspec(h), 0, 1});
+    }
+    ExperimentRunner serial(1);
+    ExperimentRunner parallel(4);
+    const std::vector<RunResult> want = serial.run(cells);
+    const std::vector<RunResult> got = parallel.run(cells);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_TRUE(got[i] == want[i]) << "cell " << i;
+    const ExperimentStats st = parallel.stats();
+    EXPECT_EQ(st.systemsBuilt, 3u);
+    EXPECT_EQ(st.simulations, 1u);
+    EXPECT_EQ(st.simulationHits, 5u);
+}
+
+TEST(ReentrantRun, ConcurrentRunCallsShareAFailedSimulation)
+{
+    // Run seed 1 indexes far outside data memory, so that simulation
+    // fails; the training (seed 0) and seed-0 runs do not. baseline
+    // and dtsOnly share a System, hence a code.
+    std::atomic<int> bad_inputs{0};
+    Workload oob;
+    oob.name = "out-of-bounds-input";
+    oob.source = "u32 idx[1]; u32 data[4];\n"
+                 "u32 main() { return data[idx[0]]; }\n";
+    oob.setInput = [&](Module &m, uint64_t seed) {
+        m.getGlobal("idx")->setElem(0, seed == 0 ? 2 : 0x400000);
+        bad_inputs += seed != 0;
+    };
+    const Workload &good = smallWorkload();
+    std::vector<std::vector<ExperimentCell>> matrices(2);
+    matrices[0] = {{&oob, SystemConfig::baseline(), 0, 1},
+                   {&oob, SystemConfig::dtsOnly(), 0, 1},
+                   {&good, SystemConfig::bitspec(), 0, 1}};
+    matrices[1] = {{&oob, SystemConfig::dtsOnly(), 0, 1},
+                   {&oob, SystemConfig::baseline(), 0, 1},
+                   {&good, SystemConfig::bitspec(), 0, 1}};
+
+    ExperimentRunner runner(2);
+    const std::vector<CallOutcome> got = runConcurrently(runner, matrices);
+    for (size_t m = 0; m < matrices.size(); ++m) {
+        ASSERT_TRUE(got[m].error) << "call " << m << " did not throw";
+        EXPECT_THROW(std::rethrow_exception(got[m].error), FatalError)
+            << "call " << m;
+    }
+    // One input per cell; one failed simulation failed its four
+    // cells, and the good cell's simulation served the other call.
+    EXPECT_EQ(bad_inputs.load(), 4);
+    ExperimentStats st = runner.stats();
+    EXPECT_EQ(st.simulations, 2u);
+    EXPECT_EQ(st.simulationHits, 4u);
+
+    // A later call is served the failure; another image still runs.
+    EXPECT_THROW(runner.run({matrices[0][0]}), FatalError);
+    EXPECT_EQ(runner.run({{&oob, SystemConfig::baseline(), 0, 0}})
+                  .front()
+                  .returnValue,
+              0u);
+    st = runner.stats();
+    EXPECT_EQ(st.simulations, 3u);
+    EXPECT_EQ(st.simulationHits, 5u);
+
+    // Dropping the simulations forgets the failure: it runs again.
+    runner.clearSimulations();
+    EXPECT_THROW(runner.run({matrices[0][0]}), FatalError);
+    EXPECT_EQ(runner.stats().simulations, 4u);
+    EXPECT_EQ(bad_inputs.load(), 6);
 }
 
 } // namespace

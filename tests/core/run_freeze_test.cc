@@ -4,8 +4,9 @@
  * pinned per execution tier. Each tier has one engine; this table is
  * its contract.
  *
- *  - Machine tier: each workload under baseline, BitSpec (MAX) and
- *    squeeze-without-speculation, crossed with the Hardware,
+ *  - Machine tier: each workload under baseline, BitSpec (MAX),
+ *    squeeze-without-speculation and BitSpec (MAX) with the expander
+ *    off (calls stay calls), crossed with the Hardware,
  *    ForceFirst and Random (seed 0xfeed) misspeculation policies, on
  *    input seed 0. A cell pins one 64-bit hash of the return value,
  *    the output checksum, every ActivityCounters field, the L1I, L1D
@@ -402,6 +403,93 @@ const MachinePin kMachinePins[] = {
      0x93f205bae40960eULL, 1993024, 2943176, 0},
     {"susan-smoothing", "no-spec", "random",
      0x93f205bae40960eULL, 1993024, 2943176, 0},
+    // BitSpec (MAX) with the expander off: recorded on FastCore alone,
+    // and held by its cycle-accurate slow path (every row passes with
+    // memo replay switched off).
+    {"CRC32", "bitspec-noexp", "hardware",
+     0x31dc693df90aeda7ULL, 280428, 392096, 0},
+    {"CRC32", "bitspec-noexp", "force-first",
+     0xf5890ac5a2da9a8aULL, 286576, 394430, 1},
+    {"CRC32", "bitspec-noexp", "random",
+     0x4c347a70a031466eULL, 286525, 394413, 1},
+    {"FFT", "bitspec-noexp", "hardware",
+     0x4f654a7ccbf167daULL, 83766, 114564, 0},
+    {"FFT", "bitspec-noexp", "force-first",
+     0x6ed6dd3914f2c391ULL, 110523, 154252, 1},
+    {"FFT", "bitspec-noexp", "random",
+     0xed9bbc9671af4069ULL, 110509, 154296, 1},
+    {"basicmath", "bitspec-noexp", "hardware",
+     0x8584ef090b521771ULL, 170148, 296739, 0},
+    {"basicmath", "bitspec-noexp", "force-first",
+     0xddf559beb729c986ULL, 167555, 293319, 256},
+    {"basicmath", "bitspec-noexp", "random",
+     0x73dbebb26ffc9eafULL, 169798, 297642, 221},
+    {"bitcount", "bitspec-noexp", "hardware",
+     0x959f91eeac711001ULL, 680994, 904603, 0},
+    {"bitcount", "bitspec-noexp", "force-first",
+     0xb35eb49fb04f7db5ULL, 738943, 1076904, 3072},
+    {"bitcount", "bitspec-noexp", "random",
+     0xbec10d7aabecfd4bULL, 723612, 1033062, 2150},
+    {"blowfish", "bitspec-noexp", "hardware",
+     0x9c6232cafe5e0c17ULL, 77858, 103818, 0},
+    {"blowfish", "bitspec-noexp", "force-first",
+     0x128cc58321abeba4ULL, 83948, 109181, 1},
+    {"blowfish", "bitspec-noexp", "random",
+     0x7430f301b83dc4f6ULL, 83849, 109508, 1},
+    {"dijkstra", "bitspec-noexp", "hardware",
+     0x11521dbb7170bd28ULL, 496438, 690516, 0},
+    {"dijkstra", "bitspec-noexp", "force-first",
+     0x75b26853b52f06bdULL, 601487, 781432, 9},
+    {"dijkstra", "bitspec-noexp", "random",
+     0x7ba6146e72754b0dULL, 601684, 781763, 9},
+    {"patricia", "bitspec-noexp", "hardware",
+     0x8599f3181eaaa6a9ULL, 217811, 313734, 0},
+    {"patricia", "bitspec-noexp", "force-first",
+     0x77a108dbd59c9b7eULL, 218805, 295976, 767},
+    {"patricia", "bitspec-noexp", "random",
+     0x39a675c523d68dfcULL, 218558, 306779, 612},
+    {"qsort", "bitspec-noexp", "hardware",
+     0x6a2a127eabd37ec4ULL, 281446, 358720, 0},
+    {"qsort", "bitspec-noexp", "force-first",
+     0x6a2a127eabd37ec4ULL, 281446, 358720, 0},
+    {"qsort", "bitspec-noexp", "random",
+     0x6a2a127eabd37ec4ULL, 281446, 358720, 0},
+    {"rijndael", "bitspec-noexp", "hardware",
+     0x908b8a669d47adc0ULL, 958699, 1248631, 0},
+    {"rijndael", "bitspec-noexp", "force-first",
+     0xbbb261f10c99adULL, 1060455, 1291232, 1922},
+    {"rijndael", "bitspec-noexp", "random",
+     0xae0868f975e811a6ULL, 1055176, 1303961, 1840},
+    {"sha", "bitspec-noexp", "hardware",
+     0xf01b789ebaa2fd5fULL, 924536, 1151416, 0},
+    {"sha", "bitspec-noexp", "force-first",
+     0x69deb5cb7bd8c732ULL, 979262, 1212085, 1},
+    {"sha", "bitspec-noexp", "random",
+     0x4c0a0e58c0ee32bULL, 979236, 1212223, 1},
+    {"stringsearch", "bitspec-noexp", "hardware",
+     0xa20acb3e8e87442dULL, 799136, 1157107, 0},
+    {"stringsearch", "bitspec-noexp", "force-first",
+     0xef198aad8c215497ULL, 951840, 1315863, 257},
+    {"stringsearch", "bitspec-noexp", "random",
+     0xb39397ea47263358ULL, 946607, 1312014, 257},
+    {"susan-edges", "bitspec-noexp", "hardware",
+     0x49d1b63bf0ba1eb0ULL, 5142713, 6984603, 0},
+    {"susan-edges", "bitspec-noexp", "force-first",
+     0xbcb2a7951f91dfcaULL, 6701320, 8411229, 2},
+    {"susan-edges", "bitspec-noexp", "random",
+     0x4229d41c564d466ULL, 6701291, 8411334, 2},
+    {"susan-corners", "bitspec-noexp", "hardware",
+     0x66caa0a15b4842d5ULL, 5188307, 7044960, 0},
+    {"susan-corners", "bitspec-noexp", "force-first",
+     0x961cceea4b23af19ULL, 6942103, 8744980, 2},
+    {"susan-corners", "bitspec-noexp", "random",
+     0x9b7001d178cbb6d2ULL, 6942068, 8745212, 2},
+    {"susan-smoothing", "bitspec-noexp", "hardware",
+     0x5bb5dfdd800908a9ULL, 2570659, 3596573, 0},
+    {"susan-smoothing", "bitspec-noexp", "force-first",
+     0xc82757761016d2a5ULL, 3885126, 5135496, 2},
+    {"susan-smoothing", "bitspec-noexp", "random",
+     0x137c70798197f61fULL, 3885062, 5135819, 2},
 };
 
 struct NamedConfig
@@ -410,14 +498,18 @@ struct NamedConfig
     SystemConfig config;
 };
 
-/** Baseline, BitSpec (MAX) and no-spec, in that order. */
+/** Baseline, BitSpec (MAX), no-spec and BitSpec (MAX) without the
+ *  expander, in that order. */
 std::vector<NamedConfig>
 machineConfigs()
 {
+    SystemConfig noexp = SystemConfig::bitspec(Heuristic::Max);
+    noexp.expander.enabled = false;
     return {
         {"baseline", SystemConfig::baseline()},
         {"bitspec-max", SystemConfig::bitspec(Heuristic::Max)},
         {"no-spec", SystemConfig::noSpeculation()},
+        {"bitspec-noexp", noexp},
     };
 }
 
@@ -517,11 +609,19 @@ TEST_P(CoreEngineDiff, NoSpeculationConfigMatches)
     checkHardwareCell(GetParam(), machineConfigs()[2]);
 }
 
+TEST_P(CoreEngineDiff, NoExpanderConfigMatches)
+{
+    checkHardwareCell(GetParam(), machineConfigs()[3]);
+}
+
 /**
- * The ForceFirst and Random cells of every configuration. These
- * policies keep FastCore off memo replay, so its slow path must
- * consume the RNG in the recorded order. Theorems 3.1/3.2 also make
- * every policy's committed outputs equal to Hardware's.
+ * The ForceFirst and Random cells of every configuration. Under these
+ * policies FastCore replays only memos with no check site, so every
+ * check runs on its slow path, which must consume the RNG in the
+ * recorded order. The expander-off configuration keeps calls as
+ * calls: each invocation re-enters CFG_spec and meets its checks
+ * again, where memos with check sites exist. Theorems 3.1/3.2 also
+ * make every policy's committed outputs equal to Hardware's.
  */
 class CorePolicyDiff : public ::testing::TestWithParam<std::string>
 {};

@@ -124,6 +124,23 @@ TEST(Diff, WallTimeIsInformational)
     EXPECT_EQ(diff.improvedCells, 0u); // Nor do they count as gains.
 }
 
+TEST(Diff, ServedSimulationIsNoDrift)
+{
+    // A parent ledger (no sim_source) against one whose cell was
+    // served a simulation: the provenance member neither gates nor
+    // counts as drift.
+    std::vector<LedgerRecord> a = {makeCell("k1"), makeCell("k2")};
+    std::vector<LedgerRecord> b = a;
+    b[0].simSource = "memory";
+    b[1].simSource = "simulate";
+    LedgerDiff diff = diffLedgers(a, b);
+    EXPECT_TRUE(diff.clean());
+    EXPECT_EQ(diff.improvedCells, 0u);
+    ASSERT_EQ(diff.cells.size(), 2u);
+    for (const CellDiff &c : diff.cells)
+        EXPECT_TRUE(c.drifts.empty()) << c.cellKey;
+}
+
 TEST(Diff, ChecksumChangeDiverges)
 {
     std::vector<LedgerRecord> a = {makeCell("k1")};

@@ -245,6 +245,34 @@ TEST(Ledger, ValidatorAcceptsWellFormedCell)
     EXPECT_EQ(validateLedgerRecord(*old), "");
 }
 
+TEST(Ledger, SimSourceIsWrittenOnlyWhenSet)
+{
+    // Records from before the simulation tier carry no sim_source and
+    // still validate; the member is written only when set.
+    const LedgerRecord plain = makeValidCell();
+    EXPECT_EQ(toJsonLine(plain).find("sim_source"), std::string::npos);
+    EXPECT_EQ(validateLedgerRecord(plain), "");
+
+    for (const char *source : {"simulate", "memory"}) {
+        LedgerRecord rec = makeValidCell();
+        rec.simSource = source;
+        const std::string line = toJsonLine(rec);
+        EXPECT_NE(line.find("\"cache_source\":\"compile\",\"sim_source\":\"" +
+                            std::string(source) + "\",\"engine\""),
+                  std::string::npos)
+            << line;
+        std::optional<LedgerRecord> back = parseLedgerLine(line);
+        ASSERT_TRUE(back.has_value());
+        EXPECT_EQ(back->simSource, source);
+        EXPECT_EQ(toJsonLine(*back), line);
+        EXPECT_EQ(validateLedgerRecord(*back), "");
+    }
+
+    LedgerRecord bad = makeValidCell();
+    bad.simSource = "compile";
+    EXPECT_NE(validateLedgerRecord(bad), "");
+}
+
 TEST(Ledger, ValidatorCatchesViolations)
 {
     {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "backend/compiler.h"
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
@@ -228,6 +232,87 @@ TEST(Core, StraddlingAccessAtMemoryEndIsRejected)
     PredecodedProgram pre_core2(ok);
     FastCore core2(pre_core2, *mod);
     EXPECT_EQ(core2.run(), 0u);
+}
+
+TEST(Predecode, CodeKeyCoversEveryField)
+{
+    // The simulation memo serves a run by this key, so a field it
+    // missed would serve one program's result for another's.
+    auto mod = compileSource("u32 main(u32 n) { return n * 3 + 1; }");
+    CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
+    const PredecodedProgram pre(cp.program);
+    const PredecodedProgram again(cp.program);
+    EXPECT_EQ(pre.codeKey(), again.codeKey());
+    EXPECT_EQ(pre.codeKey(), codeKeyOf(pre.insts()));
+    ASSERT_GE(pre.size(), 2u);
+
+    // Each edit changes one field of the last instruction by one.
+    const std::vector<void (*)(PInst &)> edits = {
+        [](PInst &p) { p.kind = PKind(uint8_t(p.kind) + 1); },
+        [](PInst &p) { ++p.aux; },
+        [](PInst &p) { p.cond = Cond(uint8_t(p.cond) ^ 1); },
+        [](PInst &p) { ++p.dstWrite; },
+        [](PInst &p) { ++p.latency; },
+        [](PInst &p) { p.readyMask ^= 0x8000; },
+        [](PInst &p) { p.dst.mask ^= 1; },
+        [](PInst &p) { p.dst.imm ^= 1; },
+        [](PInst &p) { ++p.dst.reg; },
+        [](PInst &p) { ++p.dst.shift; },
+        [](PInst &p) { p.dst.isImm = !p.dst.isImm; },
+        [](PInst &p) { p.a.mask ^= 1; },
+        [](PInst &p) { p.a.imm ^= 1; },
+        [](PInst &p) { ++p.a.reg; },
+        [](PInst &p) { ++p.a.shift; },
+        [](PInst &p) { p.a.isImm = !p.a.isImm; },
+        [](PInst &p) { p.b.mask ^= 1; },
+        [](PInst &p) { p.b.imm ^= 1; },
+        [](PInst &p) { ++p.b.reg; },
+        [](PInst &p) { ++p.b.shift; },
+        [](PInst &p) { p.b.isImm = !p.b.isImm; },
+        [](PInst &p) { p.target ^= 0x80000000u; },
+        [](PInst &p) { ++p.contrib.alu32; },
+        [](PInst &p) { ++p.contrib.alu8; },
+        [](PInst &p) { ++p.contrib.mulDiv; },
+        [](PInst &p) { ++p.contrib.rfRead32; },
+        [](PInst &p) { ++p.contrib.rfRead8; },
+        [](PInst &p) { ++p.contrib.loads; },
+        [](PInst &p) { ++p.contrib.stores; },
+        [](PInst &p) { ++p.contrib.branches; },
+        [](PInst &p) { ++p.contrib.takenBranches; },
+        [](PInst &p) { ++p.contrib.calls; },
+        [](PInst &p) { ++p.contrib.outputs; },
+        [](PInst &p) { ++p.contrib.dynSpillLoads; },
+        [](PInst &p) { ++p.contrib.dynSpillStores; },
+        [](PInst &p) { ++p.contrib.dynCopies; },
+    };
+    std::set<std::string> keys = {pre.codeKey().hex()};
+    for (size_t i = 0; i < edits.size(); ++i) {
+        std::vector<PInst> insts = pre.insts();
+        edits[i](insts.back());
+        EXPECT_TRUE(keys.insert(codeKeyOf(insts).hex()).second)
+            << "edit " << i << " left the key unchanged or collided";
+    }
+    std::vector<PInst> shorter = pre.insts();
+    shorter.pop_back();
+    EXPECT_TRUE(keys.insert(codeKeyOf(shorter).hex()).second);
+}
+
+TEST(Predecode, WordHashSeesLengthAndOrder)
+{
+    auto digest = [](const std::string &bytes) {
+        WordHash128 h;
+        h.addBytes(bytes.data(), bytes.size());
+        return h.digest().hex();
+    };
+    std::set<std::string> seen;
+    for (const std::string &s :
+         {std::string(), std::string(1, '\0'), std::string(8, '\0'),
+          std::string(9, '\0'), std::string("abc"),
+          std::string("abc\0", 4), std::string("bac"),
+          std::string("abcdefgh"), std::string("abcdefgi"),
+          std::string("abcdefghabcdefgh")})
+        EXPECT_TRUE(seen.insert(digest(s)).second) << s.size();
+    EXPECT_EQ(digest("abcdefghi"), digest("abcdefghi"));
 }
 
 } // namespace

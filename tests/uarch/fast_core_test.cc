@@ -149,6 +149,57 @@ TEST(FastCore, HotMisspecHotStaysExact)
     EXPECT_GT(fast.replayedRuns(), 0u);
 }
 
+TEST(FastCore, ForcedPoliciesReplayOnlyCheckFreeMemos)
+{
+    // step() is a call of its own, so each invocation starts in
+    // CFG_spec and reaches its 8-bit check again: a memo at its entry
+    // holds a check site and must not replay under a forcing policy
+    // (ForceFirst forces every such check, Random draws at each),
+    // while the memos of main's loop, past its own first redirect,
+    // have none and replay.
+    const char *src = R"(
+        u8 data[64] = "skeletons for every speculative instruction";
+        u32 step(u32 x) {
+            u32 s = 0;
+            for (u32 k = 0; k < x; k++)
+                s = s + data[k];
+            return s;
+        }
+        u32 main(u32 n) {
+            u32 h = 0;
+            for (u32 i = 0; i < n; i++)
+                h = h ^ step(i % 3 + 1);
+            return h;
+        }
+    )";
+    auto mod = compileSource(src);
+    BitwidthProfile profile;
+    profile.profileRun(*mod, "main", {4});
+    SqueezeOptions opts;
+    squeezeModule(*mod, profile, opts);
+    CompiledProgram cp = compileModule(*mod, TargetISA::BitSpec);
+    PredecodedProgram pre(cp.program);
+
+    constexpr uint32_t kCalls = 200;
+    for (MisspecPolicy policy :
+         {MisspecPolicy::ForceFirst, MisspecPolicy::Random}) {
+        SCOPED_TRACE(misspecPolicyName(policy));
+        FastCore slow(pre, *mod);
+        slow.setMisspecPolicy(policy, 7);
+        const uint32_t want = runSlowPath(slow, {kCalls});
+
+        FastCore fast(pre, *mod);
+        fast.setMisspecPolicy(policy, 7);
+        EXPECT_EQ(fast.run({kCalls}), want);
+        expectSameObservables(slow, fast);
+        EXPECT_GT(fast.replayedRuns(), 0u);
+        EXPECT_GT(fast.slowInsts(), 0u);
+        if (policy == MisspecPolicy::ForceFirst) {
+            EXPECT_GE(fast.counters().misspeculations, kCalls);
+        }
+    }
+}
+
 /** The region rows and the block rows of @p slow and @p fast agree. */
 void
 expectSameRows(const BlockProfilerSink &slow,
