@@ -8,11 +8,13 @@
  * interpreter on the squeezed IR and FastCore on compiled EMB32, each
  * under hardware, force-first and random misspeculation, plus each
  * policy's FastCore run held to its cycle-accurate slow path, the
- * oracle for memo replay. Any observational mismatch against the
- * unsqueezed reference interpreter, or between the slow path and
- * replay, is a divergence; with --shrink it is reduced to a minimal
- * re-runnable repro (fuzz/shrink.h) whose source is printed ready to
- * paste into a regression test. The summary line counts the
+ * oracle for memo replay. One seed in four renders its body as a
+ * helper that main calls twice, built with the expander off, so
+ * forced runs re-enter speculative code. Any observational mismatch
+ * against the unsqueezed reference interpreter, or between the slow
+ * path and replay, is a divergence; with --shrink it is reduced to a
+ * minimal re-runnable repro (fuzz/shrink.h) whose source is printed
+ * ready to paste into a regression test. The summary line counts the
  * runner's compiled Systems and cache hits, and its simulations and
  * the cells it served one.
  *
@@ -56,6 +58,18 @@ struct Options
     bool shrink = false;
     bool injectDivergence = false;
 };
+
+/** The program of @p seed. A seed divisible by 4 runs its body as a
+ *  helper main calls twice; the choice reads the seed alone, so the
+ *  other seeds' programs are generateProgram's. */
+FuzzProgram
+program(uint64_t seed)
+{
+    FuzzProgram p = generateProgram(seed);
+    if (seed % 4 == 0)
+        p.helperCalls = 2;
+    return p;
+}
 
 void
 usage(const char *argv0)
@@ -108,7 +122,7 @@ runInjected(const Options &opt)
     };
 
     for (uint64_t i = 0; i < opt.runs; ++i) {
-        FuzzProgram p = generateProgram(opt.seed + i);
+        FuzzProgram p = program(opt.seed + i);
         if (!misspeculates(p))
             continue;
         std::printf("injected divergence: seed %llu misspeculates\n",
@@ -150,14 +164,13 @@ runFuzz(const Options &opt)
     if (!serial)
         for (uint64_t i = 0; i < opt.runs; ++i)
             futs.push_back(pool->submit([&opt, &runner, i] {
-                return runFuzzDifferential(
-                    generateProgram(opt.seed + i), runner);
+                return runFuzzDifferential(program(opt.seed + i),
+                                           runner);
             }));
 
     for (uint64_t i = 0; i < opt.runs; ++i) {
         FuzzDiffResult r =
-            serial ? runFuzzDifferential(generateProgram(opt.seed + i),
-                                         runner)
+            serial ? runFuzzDifferential(program(opt.seed + i), runner)
                    : futs[i].get();
         runs += r.runsExecuted;
         switch (r.status) {
@@ -169,7 +182,7 @@ runFuzz(const Options &opt)
             break;
           case FuzzDiffStatus::Diverged: {
             ++diverged;
-            FuzzProgram p = generateProgram(opt.seed + i);
+            FuzzProgram p = program(opt.seed + i);
             std::printf("DIVERGENCE seed %llu: %s\n",
                         static_cast<unsigned long long>(p.seed),
                         r.detail.c_str());

@@ -905,7 +905,7 @@ observeRun(ExperimentRunner &runner, const Workload &w,
         BlockMap map(sys.program());
         BlockProfilerSink sink(map);
         RunResult r = sys.run(
-            [&w](Module &m) { w.setInput(m, kReportRunSeed); }, {},
+            [&w](Module &m) { w.setInput(m, kReportRunSeed); },
             {.blocks = &sink});
         evaluateEnergy(r, reportConfig());
         fn({sys, map, sink, r});

@@ -155,8 +155,8 @@ constexpr MemoTier kSimulationTier{"sim.miss", "sim.hit",
 /** The simulation key of a cell on @p sys with data image @p image:
  *  everything FastCore reads. That is the code (the System's code
  *  key, so configurations that compile to one code share it), every
- *  global's address and bytes after the run input, the run arguments
- *  (a cell passes none), the policy and the policy seed. */
+ *  global's address and bytes after the run input, the policy and
+ *  the policy seed. */
 Hash128
 simulationKeyHash(const System &sys, const Module &image,
                   const ExperimentCell &cell)
@@ -168,7 +168,6 @@ simulationKeyHash(const System &sys, const Module &image,
         h.add(g->address());
         h.addBytes(g->data().data(), g->data().size());
     }
-    h.add(0); // No run arguments.
     h.add(static_cast<uint64_t>(cell.policy));
     h.add(cell.policySeed);
     return h.digest();
@@ -384,7 +383,7 @@ ExperimentRunner::runCell(const ExperimentCell &cell, const Hash128 &key,
         bsink.emplace(*bmap);
         RunObservers observers;
         observers.blocks = &*bsink;
-        out = sys->simulate(*image, {}, observers, cell.policy,
+        out = sys->simulate(*image, observers, cell.policy,
                             cell.policySeed);
     } else {
         out = *claimOrWait(
@@ -393,7 +392,7 @@ ExperimentRunner::runCell(const ExperimentCell &cell, const Hash128 &key,
             w.name,
             [&]() -> std::shared_ptr<const RunResult> {
                 return std::make_shared<const RunResult>(sys->simulate(
-                    *image, {}, {}, cell.policy, cell.policySeed));
+                    *image, {}, cell.policy, cell.policySeed));
             },
             &simulated);
         // The simulation may have run on another System of its code:

@@ -5,12 +5,36 @@
 #include "frontend/irgen.h"
 #include "interp/interpreter.h"
 #include "ir/clone.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "support/error.h"
 
 namespace bitspec
 {
+
+namespace
+{
+
+/** One sample per counter lane for the finished run @p r: IPC,
+ *  misspeculations per kilo-instruction and the L1D hit rate. */
+void
+emitCounterSamples(const RunResult &r)
+{
+    const auto share = [](uint64_t part, uint64_t whole, double none) {
+        return whole ? static_cast<double>(part) /
+                           static_cast<double>(whole)
+                     : none;
+    };
+    const ActivityCounters &c = r.counters;
+    trace::counter("core.ipc", "counter",
+                   share(c.instructions, c.cycles, 0.0));
+    trace::counter("core.misspec_per_kinst", "counter",
+                   1000.0 * share(c.misspeculations, c.instructions, 0.0));
+    trace::counter("core.l1d_hit_pct", "counter",
+                   100.0 * share(r.l1d.accesses - r.l1d.misses,
+                                 r.l1d.accesses, 1.0));
+}
+
+} // namespace
 
 SystemConfig
 SystemConfig::baseline()
@@ -78,8 +102,7 @@ evaluateEnergy(RunResult &r, const SystemConfig &config)
 
 TrainedModule::TrainedModule(
     const std::string &source, const ExpanderOptions &expander,
-    const std::function<void(Module &)> &train_input,
-    const std::vector<uint64_t> &train_args)
+    const std::function<void(Module &)> &train_input)
     : expander_(expander)
 {
     trace::Span span("system.train", "compile");
@@ -98,16 +121,13 @@ TrainedModule::TrainedModule(
     // the training run observes must respect its known-bits ceiling.
     if (pipelineVerifyEnabled())
         interp.enableStaticBoundsCheck();
-    profile_.profileRun(interp, "main", train_args);
+    profile_.profileRun(interp, "main");
     irSteps_ = interp.stats().steps;
 }
 
 System::System(const std::string &source, const SystemConfig &config,
-               const std::function<void(Module &)> &train_input,
-               const std::vector<uint64_t> &train_args)
-    : System(TrainedModule(source, config.expander, train_input,
-                           train_args),
-             config)
+               const std::function<void(Module &)> &train_input)
+    : System(TrainedModule(source, config.expander, train_input), config)
 {}
 
 System::System(const TrainedModule &trained, const SystemConfig &config)
@@ -140,11 +160,10 @@ System::System(const TrainedModule &trained, const SystemConfig &config)
 
 RunResult
 System::run(const std::function<void(Module &)> &run_input,
-            const std::vector<uint32_t> &args,
             const RunObservers &observers, MisspecPolicy policy,
             uint64_t policy_seed) const
 {
-    return simulate(*prepareImage(run_input), args, observers, policy,
+    return simulate(*prepareImage(run_input), observers, policy,
                     policy_seed);
 }
 
@@ -161,25 +180,17 @@ System::prepareImage(const std::function<void(Module &)> &run_input) const
 }
 
 RunResult
-System::simulate(const Module &image, const std::vector<uint32_t> &args,
-                 const RunObservers &observers, MisspecPolicy policy,
-                 uint64_t policy_seed) const
+System::simulate(const Module &image, const RunObservers &observers,
+                 MisspecPolicy policy, uint64_t policy_seed) const
 {
     trace::Span span("system.run", "execute");
-    // Any traced run gets counter tracks alongside its spans unless
-    // the caller brought its own emitter.
-    CounterTrackEmitter traced_tracks;
-    CounterTrackEmitter *tracks = observers.tracks;
-    if (!tracks && trace::enabled())
-        tracks = &traced_tracks;
-
     FastCore core(*predecoded_, image);
     core.setBlockProfiler(observers.blocks);
-    core.setCounterTracks(tracks);
+    core.setReplay(observers.replay);
     core.setMisspecPolicy(policy, policy_seed);
 
     RunResult out;
-    out.returnValue = core.run(args);
+    out.returnValue = core.run();
     out.outputChecksum = core.outputChecksum();
     out.counters = core.counters();
     out.l1i = core.memory().l1i();
@@ -191,6 +202,8 @@ System::simulate(const Module &image, const std::vector<uint32_t> &args,
     out.squeezeStats = squeezeStats_;
     out.expandStats = expandStats_;
     out.backendStats = compiled_->stats;
+    if (trace::enabled())
+        emitCounterSamples(out);
     if (observers.core) {
         observers.core->memos = core.memoCount();
         observers.core->replayedRuns = core.replayedRuns();

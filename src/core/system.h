@@ -35,7 +35,6 @@ namespace bitspec
 {
 
 class BlockProfilerSink;
-class CounterTrackEmitter;
 
 /** What the run's FastCore did besides the simulated work
  *  (observability/tests): every run builds its run memos afresh. */
@@ -46,17 +45,16 @@ struct CoreRunStats
     uint64_t slowInsts = 0;    ///< Instructions retired on the slow path.
 };
 
-/** Observers a run attaches to the core; all optional, all must
- *  outlive the run. `blocks` tallies every retire per block, skeleton
- *  slot and region (obs/profiler.h). When `tracks` is null but
- *  BITSPEC_TRACE is active, System attaches a transient
- *  CounterTrackEmitter so every traced run gets IPC / misspec-rate /
- *  cache-hit counter tracks for free. `core`, when set, receives the
- *  run's CoreRunStats. */
+/** What a run attaches to the core; all optional, and what is
+ *  pointed to must outlive the run. `blocks` tallies every retire per
+ *  block, skeleton slot and region (obs/profiler.h). `replay` false
+ *  holds the run on FastCore's cycle-accurate slow path
+ *  (FastCore::setReplay): the reference replay is checked against.
+ *  `core`, when set, receives the run's CoreRunStats. */
 struct RunObservers
 {
     BlockProfilerSink *blocks = nullptr;
-    CounterTrackEmitter *tracks = nullptr;
+    bool replay = true;
     CoreRunStats *core = nullptr;
 };
 
@@ -118,13 +116,13 @@ void evaluateEnergy(RunResult &r, const SystemConfig &config);
 /**
  * The front half of a System build, shared by every configuration
  * with the same training key: the source compiled, @p train_input
- * applied to the globals, the expander run, and "main" run once with
- * @p train_args under the bitwidth profiler (paper §3.2.2). The
- * profile records MIN/AVG/MAX RequiredBits per variable, so the
- * heuristic that picks among them is left to each System.
+ * applied to the globals, the expander run, and "main" run once
+ * under the bitwidth profiler (paper §3.2.2). The profile records
+ * MIN/AVG/MAX RequiredBits per variable, so the heuristic that picks
+ * among them is left to each System.
  *
- * What it reads — the source, the training input and arguments and
- * the ExpanderOptions — is its whole identity; squeezer, ISA, DTS
+ * What it reads — the source, the training input and the
+ * ExpanderOptions — is its whole identity; squeezer, ISA, DTS
  * and energy settings play no part. Immutable once constructed:
  * Systems only read it, from any number of threads at once. The
  * training Interpreter and its heap are gone when the constructor
@@ -135,8 +133,7 @@ class TrainedModule
   public:
     TrainedModule(const std::string &source,
                   const ExpanderOptions &expander,
-                  const std::function<void(Module &)> &train_input = {},
-                  const std::vector<uint64_t> &train_args = {});
+                  const std::function<void(Module &)> &train_input = {});
 
     /** The expanded module with the training input in its globals and
      *  their addresses laid out. */
@@ -168,12 +165,10 @@ class System
     /**
      * Build from C-subset source: train a TrainedModule under
      * config.expander, then build from it as below. @p train_input
-     * (optional) mutates module globals before the profiling run;
-     * profiling executes "main" with @p train_args.
+     * (optional) mutates module globals before the profiling run.
      */
     System(const std::string &source, const SystemConfig &config,
-           const std::function<void(Module &)> &train_input = {},
-           const std::vector<uint64_t> &train_args = {});
+           const std::function<void(Module &)> &train_input = {});
 
     /**
      * Build from a shared training: deep-copy @p trained's module
@@ -191,7 +186,6 @@ class System
      * compile-once/run-many reuse.
      */
     RunResult run(const std::function<void(Module &)> &run_input = {},
-                  const std::vector<uint32_t> &args = {},
                   const RunObservers &observers = {},
                   MisspecPolicy policy = MisspecPolicy::Hardware,
                   uint64_t policy_seed = 0x5eed) const;
@@ -203,16 +197,17 @@ class System
     prepareImage(const std::function<void(Module &)> &run_input) const;
 
     /**
-     * The second step of run(): execute from _start with @p args on
-     * a FastCore that lives for this call only and loads its data
-     * from @p image (a prepareImage result, only read), with
-     * @p observers attached and under misspeculation policy
-     * @p policy (support/misspec.h), Random's draws seeded by
-     * @p policy_seed. Energy is evaluated under the config the System
-     * was built from.
+     * The second step of run(): execute from _start on a FastCore
+     * that lives for this call only and loads its data from @p image
+     * (a prepareImage result, only read), with @p observers attached
+     * and under misspeculation policy @p policy (support/misspec.h),
+     * Random's draws seeded by @p policy_seed. Energy is evaluated
+     * under the config the System was built from. When tracing is
+     * on, the finished run emits one sample to each of the core.ipc,
+     * core.misspec_per_kinst and core.l1d_hit_pct counter lanes,
+     * inside its system.run span.
      */
     RunResult simulate(const Module &image,
-                       const std::vector<uint32_t> &args,
                        const RunObservers &observers,
                        MisspecPolicy policy, uint64_t policy_seed) const;
 

@@ -42,12 +42,4 @@ computeEnergy(const ActivityCounters &c, const MemoryHierarchy &m,
     return computeEnergy(c, m.l1i(), m.l1d(), m.dram(), p);
 }
 
-double
-energyPerInstruction(const EnergyBreakdown &e, const ActivityCounters &c)
-{
-    if (c.instructions == 0)
-        return 0.0;
-    return e.total() / static_cast<double>(c.instructions);
-}
-
 } // namespace bitspec

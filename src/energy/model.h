@@ -72,10 +72,6 @@ EnergyBreakdown computeEnergy(const ActivityCounters &counters,
                               const MemoryHierarchy &mem,
                               const EnergyParams &params = {});
 
-/** Energy per instruction (pJ/instr). */
-double energyPerInstruction(const EnergyBreakdown &e,
-                            const ActivityCounters &c);
-
 } // namespace bitspec
 
 #endif // BITSPEC_ENERGY_MODEL_H_

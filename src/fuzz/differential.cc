@@ -4,7 +4,6 @@
 #include "fuzz/gen.h"
 #include "interp/interpreter.h"
 #include "ir/clone.h"
-#include "obs/profiler.h"
 #include "support/error.h"
 #include "support/str.h"
 
@@ -36,31 +35,11 @@ setFuzzInputs(Module &m, uint64_t seed)
 std::string
 countersDiff(const ActivityCounters &a, const ActivityCounters &b)
 {
-#define BITSPEC_FUZZ_CMP(field)                                       \
-    if (a.field != b.field)                                           \
-        return strFormat(#field " %llu != %llu",                      \
-                         static_cast<unsigned long long>(a.field),    \
-                         static_cast<unsigned long long>(b.field));
-    BITSPEC_FUZZ_CMP(instructions)
-    BITSPEC_FUZZ_CMP(cycles)
-    BITSPEC_FUZZ_CMP(misspeculations)
-    BITSPEC_FUZZ_CMP(alu32)
-    BITSPEC_FUZZ_CMP(alu8)
-    BITSPEC_FUZZ_CMP(mulDiv)
-    BITSPEC_FUZZ_CMP(rfRead32)
-    BITSPEC_FUZZ_CMP(rfWrite32)
-    BITSPEC_FUZZ_CMP(rfRead8)
-    BITSPEC_FUZZ_CMP(rfWrite8)
-    BITSPEC_FUZZ_CMP(loads)
-    BITSPEC_FUZZ_CMP(stores)
-    BITSPEC_FUZZ_CMP(branches)
-    BITSPEC_FUZZ_CMP(takenBranches)
-    BITSPEC_FUZZ_CMP(calls)
-    BITSPEC_FUZZ_CMP(dynSpillLoads)
-    BITSPEC_FUZZ_CMP(dynSpillStores)
-    BITSPEC_FUZZ_CMP(dynCopies)
-    BITSPEC_FUZZ_CMP(outputs)
-#undef BITSPEC_FUZZ_CMP
+    for (const CounterField &f : kCounterFields)
+        if (a.*f.member != b.*f.member)
+            return strFormat("%s %llu != %llu", f.name,
+                             static_cast<unsigned long long>(a.*f.member),
+                             static_cast<unsigned long long>(b.*f.member));
     return "";
 }
 
@@ -86,6 +65,9 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
     const Workload w = makeFuzzWorkload(p);
     SystemConfig cfg = SystemConfig::bitspec(opts.heuristic);
     cfg.expander.unrollFactor = opts.unrollFactor;
+    // Inlined, a helper would leave CFG_spec at its first forced check
+    // for good; kept as a call, each call re-enters it.
+    cfg.expander.enabled = p.helperCalls == 0;
 
     auto diverge = [&](std::string detail) {
         out.status = FuzzDiffStatus::Diverged;
@@ -187,23 +169,22 @@ runFuzzDifferential(const FuzzProgram &p, ExperimentRunner &runner,
                        misspecPolicyName(kPolicies[i]))
                           .c_str());
 
-    // ---- The replay oracle: each policy again with a counter-track
-    // emitter attached, which keeps FastCore on its cycle-accurate
-    // slow path for the whole run (every policy's cell replays what
-    // memos it may). A fatal here, where the replayed cell finished,
-    // is a divergence, not a skip. ----
+    // ---- The replay oracle: each policy again with replay off, which
+    // keeps FastCore on its cycle-accurate slow path for the whole run
+    // (every policy's cell replays what memos it may). A fatal here,
+    // where the replayed cell finished, is a divergence, not a
+    // skip. ----
     runner.withSystem(w, cfg, opts.profileSeed, [&](const System &sys) {
         for (size_t i = 0; i < results.size(); ++i) {
             const std::string policy = misspecPolicyName(kPolicies[i]);
             try {
-                CounterTrackEmitter tracks;
                 CoreRunStats core;
                 RunObservers observers;
-                observers.tracks = &tracks;
+                observers.replay = false;
                 observers.core = &core;
                 const RunResult slow = sys.run(
                     [&](Module &m) { setFuzzInputs(m, opts.runSeed); },
-                    {}, observers, kPolicies[i], opts.policySeed);
+                    observers, kPolicies[i], opts.policySeed);
                 ++out.runsExecuted;
                 check_outputs(slow, ("slow-path/" + policy).c_str());
                 if (core.slowInsts != slow.counters.instructions)

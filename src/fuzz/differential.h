@@ -7,17 +7,20 @@
  * Runs: the reference interpreter on the squeezed IR and FastCore on
  * the compiled EMB32 program, each under Hardware, ForceFirst and
  * seeded Random (support/misspec.h), plus each policy's machine run
- * again with a CounterTrackEmitter attached. Theorems 3.1/3.2 make
- * misspeculation semantics-preserving, so every one of the nine runs
- * must reproduce the unsqueezed reference interpreter's return value
- * and output checksum.
+ * again with memo replay off (RunObservers::replay). Theorems 3.1/3.2
+ * make misspeculation semantics-preserving, so every one of the nine
+ * runs must reproduce the unsqueezed reference interpreter's return
+ * value and output checksum.
  *
- * The tracked runs are the replay oracle: an attached emitter keeps
- * FastCore on its cycle-accurate slow path for the whole run, so its
- * ActivityCounters must equal the same policy's replayed run's field
- * by field (under the forcing policies the memos with no check site
- * replay), and its slow-path retirements must cover every instruction
- * (otherwise the comparison would be replay against replay).
+ * The replay-off runs are the replay oracle: FastCore stays on its
+ * cycle-accurate slow path for the whole run, so its ActivityCounters
+ * must equal the same policy's replayed run's field by field (under
+ * the forcing policies the memos with no check site replay), and its
+ * slow-path retirements must cover every instruction (otherwise the
+ * comparison would be replay against replay). A program whose body is
+ * a helper (FuzzProgram::helperCalls) is built with the expander off,
+ * so each call re-enters CFG_spec: there a forced run meets memos
+ * with check sites, which must not replay.
  *
  * The machine runs go through a caller-owned ExperimentRunner: one
  * compiled System per program serves all six machine runs

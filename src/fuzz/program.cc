@@ -57,16 +57,22 @@ countStmts(const std::vector<FuzzStmt> &stmts)
 std::string
 FuzzProgram::render() const
 {
-    std::string out = "u8 mem[64];\nu32 in0;\nu32 in1;\n";
-    out += "u32 main() {\n";
     // Deterministic in-program array image, so the only run-to-run
     // inputs are the in0/in1 globals the Workload writes.
-    out += "  for (u32 z = 0; z < 64; z++) mem[z] = "
-           "(u8)(z * 37 + 11);\n";
+    const std::string init_mem = "  for (u32 z = 0; z < 64; z++) mem[z] = "
+                                 "(u8)(z * 37 + 11);\n";
+    std::string out = "u8 mem[64];\nu32 in0;\nu32 in1;\n";
+    out += helperCalls ? "u32 kernel() {\n" : "u32 main() {\n" + init_mem;
     for (const FuzzDecl &d : decls)
         out += "  " + d.type + " " + d.name + " = " + d.init + ";\n";
     renderStmts(stmts, 1, out);
     out += "  return " + ret + ";\n}\n";
+    if (helperCalls) {
+        out += "u32 main() {\n" + init_mem + "  u32 r = 0;\n";
+        for (unsigned i = 0; i < helperCalls; ++i)
+            out += "  r = r + kernel();\n";
+        out += "  return r;\n}\n";
+    }
     return out;
 }
 

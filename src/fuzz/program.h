@@ -10,7 +10,9 @@
  * Every program reads its input from the `in0`/`in1` globals (written
  * by the fuzz Workload's setInput, like the MiBench kernels) and
  * self-initialises its `mem` byte array in-program, so one source
- * string is a complete, reproducible repro.
+ * string is a complete, reproducible repro. The body (declarations,
+ * statements, return) is main's own, or a helper `kernel` that main
+ * calls helperCalls times, summing the results.
  */
 
 #ifndef BITSPEC_FUZZ_PROGRAM_H_
@@ -60,6 +62,9 @@ struct FuzzProgram
     std::vector<FuzzDecl> decls;
     std::vector<FuzzStmt> stmts;
     std::string ret = "0"; ///< Return expression.
+    /** Calls main makes to the body as a helper; 0 renders the body
+     *  in main itself. */
+    unsigned helperCalls = 0;
 
     /** Emit the C-subset source. */
     std::string render() const;

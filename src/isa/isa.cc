@@ -81,12 +81,6 @@ condName(Cond c)
 }
 
 bool
-writesFlags(MOp op)
-{
-    return op == MOp::CMP || op == MOp::CMP8;
-}
-
-bool
 mayMisspeculate(const MachInst &inst)
 {
     switch (inst.op) {

@@ -187,9 +187,6 @@ constexpr unsigned kScratch3 = 3;
 constexpr unsigned kScratchAddr = 12;
 /// @}
 
-/** True when @p op writes flags rather than a register. */
-bool writesFlags(MOp op);
-
 /** True when @p op may misspeculate (given its speculative flag). */
 bool mayMisspeculate(const MachInst &inst);
 

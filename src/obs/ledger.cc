@@ -75,25 +75,8 @@ fillRunTelemetry(LedgerRecord &rec, const ActivityCounters &c,
     auto u = [&rec](const char *name, uint64_t v) {
         rec.setField(name, static_cast<double>(v));
     };
-    u("counters.instructions", c.instructions);
-    u("counters.cycles", c.cycles);
-    u("counters.alu32", c.alu32);
-    u("counters.alu8", c.alu8);
-    u("counters.mul_div", c.mulDiv);
-    u("counters.rf_read32", c.rfRead32);
-    u("counters.rf_write32", c.rfWrite32);
-    u("counters.rf_read8", c.rfRead8);
-    u("counters.rf_write8", c.rfWrite8);
-    u("counters.loads", c.loads);
-    u("counters.stores", c.stores);
-    u("counters.branches", c.branches);
-    u("counters.taken_branches", c.takenBranches);
-    u("counters.calls", c.calls);
-    u("counters.misspeculations", c.misspeculations);
-    u("counters.dyn_spill_loads", c.dynSpillLoads);
-    u("counters.dyn_spill_stores", c.dynSpillStores);
-    u("counters.dyn_copies", c.dynCopies);
-    u("counters.outputs", c.outputs);
+    for (const CounterField &f : kCounterFields)
+        u(f.name, c.*f.member);
 
     u("cache.l1i.accesses", l1i.accesses);
     u("cache.l1i.misses", l1i.misses);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "obs/trace.h"
 #include "support/error.h"
 #include "support/str.h"
 
@@ -408,50 +407,6 @@ foldedStacks(const std::vector<HeatRow> &rows,
                              r.activity.cycles));
     }
     return out;
-}
-
-void
-CounterTrackEmitter::finish(const ActivityCounters &c,
-                            const MemoryHierarchy &mem, uint64_t cycle)
-{
-    if (c.instructions > lastInsts_ || cycle > lastCycle_)
-        sample(c, mem, cycle);
-}
-
-void
-CounterTrackEmitter::sample(const ActivityCounters &c,
-                            const MemoryHierarchy &mem, uint64_t cycle)
-{
-    const uint64_t d_insts = c.instructions - lastInsts_;
-    const uint64_t d_cycles = cycle - lastCycle_;
-    const uint64_t d_misspecs = c.misspeculations - lastMisspecs_;
-    const CacheStats &l1d = mem.l1d();
-    const uint64_t d_acc = l1d.accesses - lastL1dAccesses_;
-    const uint64_t d_miss = l1d.misses - lastL1dMisses_;
-
-    if (trace::enabled()) {
-        trace::counter("core.ipc", "counter",
-                       d_cycles ? static_cast<double>(d_insts) /
-                                      static_cast<double>(d_cycles)
-                                : 0.0);
-        trace::counter("core.misspec_per_kinst", "counter",
-                       d_insts ? 1000.0 *
-                                     static_cast<double>(d_misspecs) /
-                                     static_cast<double>(d_insts)
-                               : 0.0);
-        trace::counter("core.l1d_hit_pct", "counter",
-                       d_acc ? 100.0 *
-                                   static_cast<double>(d_acc - d_miss) /
-                                   static_cast<double>(d_acc)
-                             : 100.0);
-        ++samples_;
-    }
-
-    lastInsts_ = c.instructions;
-    lastCycle_ = cycle;
-    lastMisspecs_ = c.misspeculations;
-    lastL1dAccesses_ = l1d.accesses;
-    lastL1dMisses_ = l1d.misses;
 }
 
 } // namespace bitspec

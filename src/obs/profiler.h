@@ -34,10 +34,7 @@
  *    cycles) for flamegraph.pl / speedscope, and per-region rows with
  *    an energy split (recovery + handler overhead vs. the squeeze
  *    savings attributed proportionally to each region's speculative
- *    instructions). Via CounterTrackEmitter, windowed IPC /
- *    misspec-rate / cache-hit-rate samples go out as Chrome
- *    trace-event 'C' counter phases into the BITSPEC_TRACE stream,
- *    next to the execution spans.
+ *    instructions).
  *
  * Per-block and per-region energy is a model split, not a counter:
  * pipeline energy follows cycles, recovery follows misspecs, and the
@@ -54,8 +51,6 @@
 
 #include "backend/mir.h"
 #include "energy/model.h"
-#include "uarch/cache.h"
-#include "uarch/counters.h"
 
 namespace bitspec
 {
@@ -355,56 +350,6 @@ std::string formatHeatListing(const std::vector<HeatRow> &rows,
  */
 std::string foldedStacks(const std::vector<HeatRow> &rows,
                          const std::string &source_file);
-
-/**
- * Windowed counter tracks (FastCore::setCounterTracks): every
- * @p window_insts retired instructions — and once more at run end —
- * emits the window's IPC, misspeculations per kilo-instruction and
- * L1D hit rate as Chrome trace-event 'C' counter phases
- * ("core.ipc", "core.misspec_per_kinst", "core.l1d_hit_pct") through
- * obs/trace, so Perfetto shows the time series merged into the
- * BITSPEC_TRACE stream. All samples are window deltas, not running
- * averages. No-op while tracing is disabled.
- */
-class CounterTrackEmitter
-{
-  public:
-    static constexpr uint64_t kDefaultWindowInsts = 8192;
-
-    explicit CounterTrackEmitter(
-        uint64_t window_insts = kDefaultWindowInsts)
-        : window_(window_insts ? window_insts : 1)
-    {
-    }
-
-    /** Hot path: cheap count-down test per retire; samples at window
-     *  boundaries only. */
-    void
-    onRetire(const ActivityCounters &c, const MemoryHierarchy &mem,
-             uint64_t cycle)
-    {
-        if (c.instructions - lastInsts_ >= window_)
-            sample(c, mem, cycle);
-    }
-
-    /** Flush the final partial window (called by the core at halt). */
-    void finish(const ActivityCounters &c, const MemoryHierarchy &mem,
-                uint64_t cycle);
-
-    uint64_t samplesEmitted() const { return samples_; }
-
-  private:
-    void sample(const ActivityCounters &c, const MemoryHierarchy &mem,
-                uint64_t cycle);
-
-    uint64_t window_;
-    uint64_t samples_ = 0;
-    uint64_t lastInsts_ = 0;
-    uint64_t lastCycle_ = 0;
-    uint64_t lastMisspecs_ = 0;
-    uint64_t lastL1dAccesses_ = 0;
-    uint64_t lastL1dMisses_ = 0;
-};
 
 } // namespace bitspec
 

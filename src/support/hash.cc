@@ -1,6 +1,5 @@
 #include "support/hash.h"
 
-#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -50,12 +49,6 @@ Hash128Builder::updateU64(uint64_t v)
     for (int i = 0; i < 8; ++i)
         b[i] = static_cast<uint8_t>(v >> (8 * i));
     update(b, sizeof b);
-}
-
-void
-Hash128Builder::updateDouble(double v)
-{
-    updateU64(std::bit_cast<uint64_t>(v));
 }
 
 void

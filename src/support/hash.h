@@ -77,10 +77,9 @@ class Hash128Builder
     void update(const void *data, size_t size);
     void update(const std::string &s) { update(s.data(), s.size()); }
 
-    /** Canonical little-endian encodings so integer fields hash
+    /** Canonical little-endian encoding, so integer fields hash
      *  identically regardless of host width. */
     void updateU64(uint64_t v);
-    void updateDouble(double v); ///< By bit pattern (%.17g-faithful).
 
     Hash128 digest() const { return h_; }
 

@@ -10,6 +10,7 @@
 #define BITSPEC_UARCH_COUNTERS_H_
 
 #include <cstdint>
+#include <iterator>
 
 namespace bitspec
 {
@@ -52,6 +53,41 @@ struct ActivityCounters
 
     bool operator==(const ActivityCounters &) const = default;
 };
+
+/** One ActivityCounters field: its run-ledger name and its member. */
+struct CounterField
+{
+    const char *name;
+    uint64_t ActivityCounters::*member;
+};
+
+/** Every ActivityCounters field, in declaration order: the one list
+ *  that memo folding, the ledger's `counters.*` block and the
+ *  field-by-field comparisons walk. */
+inline constexpr CounterField kCounterFields[] = {
+    {"counters.instructions", &ActivityCounters::instructions},
+    {"counters.cycles", &ActivityCounters::cycles},
+    {"counters.alu32", &ActivityCounters::alu32},
+    {"counters.alu8", &ActivityCounters::alu8},
+    {"counters.mul_div", &ActivityCounters::mulDiv},
+    {"counters.rf_read32", &ActivityCounters::rfRead32},
+    {"counters.rf_write32", &ActivityCounters::rfWrite32},
+    {"counters.rf_read8", &ActivityCounters::rfRead8},
+    {"counters.rf_write8", &ActivityCounters::rfWrite8},
+    {"counters.loads", &ActivityCounters::loads},
+    {"counters.stores", &ActivityCounters::stores},
+    {"counters.branches", &ActivityCounters::branches},
+    {"counters.taken_branches", &ActivityCounters::takenBranches},
+    {"counters.calls", &ActivityCounters::calls},
+    {"counters.misspeculations", &ActivityCounters::misspeculations},
+    {"counters.dyn_spill_loads", &ActivityCounters::dynSpillLoads},
+    {"counters.dyn_spill_stores", &ActivityCounters::dynSpillStores},
+    {"counters.dyn_copies", &ActivityCounters::dynCopies},
+    {"counters.outputs", &ActivityCounters::outputs},
+};
+static_assert(std::size(kCounterFields) * sizeof(uint64_t) ==
+                  sizeof(ActivityCounters),
+              "kCounterFields must list every ActivityCounters field");
 
 } // namespace bitspec
 

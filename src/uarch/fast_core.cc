@@ -73,32 +73,15 @@ addContrib(ActivityCounters &c, const CounterContrib &k)
     c.dynCopies += k.dynCopies;
 }
 
-/** Add every field of a memo delta except cycles (assigned at halt
- *  by finish()), n replays at once: clean replays only
- *  bump RunMemo::pendingReplays and the multiply happens here, at
- *  finish(). */
+/** Add every field of a memo delta, n replays at once: clean replays
+ *  only bump RunMemo::pendingReplays and the multiply happens here, at
+ *  finish(). A delta's cycles stay 0; finish() assigns the run's. */
 void
 addScaledDelta(ActivityCounters &c, const ActivityCounters &d,
                uint64_t n)
 {
-    c.instructions += d.instructions * n;
-    c.alu32 += d.alu32 * n;
-    c.alu8 += d.alu8 * n;
-    c.mulDiv += d.mulDiv * n;
-    c.rfRead32 += d.rfRead32 * n;
-    c.rfWrite32 += d.rfWrite32 * n;
-    c.rfRead8 += d.rfRead8 * n;
-    c.rfWrite8 += d.rfWrite8 * n;
-    c.loads += d.loads * n;
-    c.stores += d.stores * n;
-    c.branches += d.branches * n;
-    c.takenBranches += d.takenBranches * n;
-    c.calls += d.calls * n;
-    c.misspeculations += d.misspeculations * n;
-    c.dynSpillLoads += d.dynSpillLoads * n;
-    c.dynSpillStores += d.dynSpillStores * n;
-    c.dynCopies += d.dynCopies * n;
-    c.outputs += d.outputs * n;
+    for (const CounterField &f : kCounterFields)
+        c.*f.member += d.*f.member * n;
 }
 
 inline bool
@@ -194,14 +177,6 @@ FastCore::reset()
         // anything.
         m.pin = MemoryHierarchy::FetchPin{};
     }
-}
-
-void
-FastCore::invalidateMemos()
-{
-    flushFetches(); // fetchList_ indexes the memos about to go.
-    memoIdx_.assign(pre_.size(), kUnseen);
-    memos_.clear();
 }
 
 bool
@@ -1425,8 +1400,6 @@ FastCore::replay(RunMemo &m0)
         // Block chaining: when the successor already has a memo that
         // replays under the run's policy and its entry guards hold,
         // continue replaying it right here — no dispatcher round trip.
-        // The run-level guard (no counter tracks) already holds in
-        // replay().
         {
             int32_t mi = memoIdx_[next];
             if (mi >= 0) {
@@ -1770,8 +1743,6 @@ FastCore::slowStep(uint32_t idx)
             if (prof_)
                 prof_->onInst(idx, cycle_ - cycle_at_fetch);
             finish(cycle_);
-            if (tracks_)
-                tracks_->finish(counters_, mem_, cycle_);
             halted_ = true;
             retVal_ = regs_[0];
             return idx;
@@ -1794,8 +1765,6 @@ FastCore::slowStep(uint32_t idx)
         if (prof_)
             prof_->onInst(idx, cycle_ - cycle_at_fetch);
         finish(cycle_);
-        if (tracks_)
-            tracks_->finish(counters_, mem_, cycle_);
         halted_ = true;
         retVal_ = regs_[0];
         return idx;
@@ -1810,8 +1779,6 @@ FastCore::slowStep(uint32_t idx)
     }
     if (prof_)
         prof_->onInst(idx, cycle_ - cycle_at_fetch);
-    if (tracks_)
-        tracks_->onRetire(counters_, mem_, cycle_);
     return next;
 }
 
@@ -1830,20 +1797,17 @@ FastCore::run(const std::vector<uint32_t> &args)
     retVal_ = 0;
     const uint32_t size = static_cast<uint32_t>(pre_.size());
 
-    // A counter-track emitter samples at per-retire granularity;
-    // bulk replay would shift its window boundaries, so tracing runs
-    // stay on the cycle-accurate path and build no memos. A memo
-    // bakes in that no check in its body fired, which only Hardware
-    // semantics guarantee: under another policy only memos with no
-    // check site replay.
-    const bool may_replay = !tracks_;
+    // A memo bakes in that no check in its body fired, which only
+    // Hardware semantics guarantee: under another policy only memos
+    // with no check site replay.
     for (RunMemo &m : memos_) // The policy may have changed.
         m.replays = replaysUnderPolicy(m);
+    const bool replay_on = replay_;
     uint32_t idx = 0;
     for (;;) {
         if (idx >= size)
             fatal(strFormat("PC out of code range: index %u", idx));
-        RunMemo *m = may_replay ? memoFor(idx) : nullptr;
+        RunMemo *m = replay_on ? memoFor(idx) : nullptr;
         if (m && m->replays && executed_ + m->fuelCost <= fuel_ &&
             entryReady(*m) && fetchGuard(*m)) {
             idx = replay(*m);

@@ -46,13 +46,12 @@
  *    takes the slow path, where the policy acts.
  *
  * A memo's schedule depends only on code geometry, so memos live per
- * FastCore and survive reset(); invalidateMemos() drops them (the
- * analogue of Interpreter::invalidate() for re-squeezed programs).
- * Which memos exist is run history: the run loop builds one at an
- * index only on its second visit there, where execution returns, and
- * reset() forgets the visits. System builds one FastCore per run, so
- * its runs share nothing mutable and each builds the memos it
- * replays.
+ * FastCore and survive reset(). Which memos exist is run history: the
+ * run loop builds one at an index only on its second visit there,
+ * where execution returns, and reset() forgets the visits. System
+ * builds one FastCore per run, so its runs share nothing mutable and
+ * each builds the memos it replays. With replay off (setReplay) a run
+ * builds none and retires every instruction on the slow path.
  */
 
 #ifndef BITSPEC_UARCH_FAST_CORE_H_
@@ -75,7 +74,6 @@ namespace bitspec
 {
 
 class BlockProfilerSink;
-class CounterTrackEmitter;
 
 /** Executes pre-decoded EMB32 programs. */
 class FastCore
@@ -120,14 +118,10 @@ class FastCore
      *  one null test. */
     void setBlockProfiler(BlockProfilerSink *sink) { prof_ = sink; }
 
-    /** Attach (or detach with nullptr) a windowed counter-track
-     *  emitter (IPC / misspec rate / cache hit rate samples into the
-     *  trace stream). It samples at per-retire granularity, so an
-     *  attached emitter keeps the whole run on the slow path. */
-    void setCounterTracks(CounterTrackEmitter *tracks)
-    {
-        tracks_ = tracks;
-    }
+    /** Memo replay for subsequent runs, on by default. Off, every
+     *  instruction runs on the cycle-accurate slow path and no memo
+     *  is built: the reference replay is checked against. */
+    void setReplay(bool on) { replay_ = on; }
 
     /** Select how the four speculative check sites (LDRS8/ADD8/SUB8/
      *  TRN8) behave on subsequent runs. ForceFirst redirects at every
@@ -146,12 +140,6 @@ class FastCore
         rng_ = Rng(seed);
     }
     MisspecPolicy misspecPolicy() const { return policy_; }
-
-    /** Drop every memo and visit count (memos are rebuilt lazily).
-     *  Correctness never requires this — schedules depend only on
-     *  the immutable pre-decoded code — but a System that re-squeezes
-     *  and relinks must not carry memos across program versions. */
-    void invalidateMemos();
 
     /** Memos built so far (observability/tests). */
     size_t memoCount() const { return memos_.size(); }
@@ -316,8 +304,7 @@ class FastCore
     void exitScoreboard(const RunMemo &m, uint64_t entry);
 
     /** Replay the memoized trace at cycle_; returns the next flat
-     *  index (or sets halted_). Only called with no counter tracks
-     *  attached (run()'s guard). */
+     *  index (or sets halted_). */
     uint32_t replay(RunMemo &m);
     /** Bulk-commit @p iters completed in-replay loop iterations
      *  (fetches, pendingReplays, replayedRuns_). */
@@ -352,9 +339,8 @@ class FastCore
      *  with their memoized costs. */
     void feedBody(const RunMemo &m, uint32_t k);
     /** Execute the call, return or halt terminator after a fully
-     *  replayed body (branch terminators complete inline in replay();
-     *  replay never runs with counter tracks attached, so none are
-     *  fed). */
+     *  replayed body (branch terminators complete inline in
+     *  replay()). */
     uint32_t execTerminator(const RunMemo &m);
     /** One cycle-accurate slow-path instruction; returns next idx. */
     uint32_t slowStep(uint32_t idx);
@@ -382,7 +368,7 @@ class FastCore
     uint64_t outputHash_ = kFnv1aOffset;
     uint64_t fuel_ = kDefaultFuel;
     BlockProfilerSink *prof_ = nullptr;
-    CounterTrackEmitter *tracks_ = nullptr;
+    bool replay_ = true;
     MisspecPolicy policy_ = MisspecPolicy::Hardware;
     Rng rng_{0x5eed};
 
@@ -426,9 +412,8 @@ class FastCore
      *  adds its fetches here and lists its memo (memos_ indices) in
      *  fetchList_, and flushFetches() commits them before the next
      *  other use of the L1I — the slow path's fetch, a prefix or
-     *  unpinned commit, finish(), reset() and invalidateMemos(). L1I
-     *  LRU order matters only when a line is filled, and only the slow
-     *  path fills. */
+     *  unpinned commit, finish() and reset(). L1I LRU order matters
+     *  only when a line is filled, and only the slow path fills. */
     uint64_t pendingFetches_ = 0;
     std::vector<uint32_t> fetchList_;
 

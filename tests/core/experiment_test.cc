@@ -682,7 +682,7 @@ TEST(SimulationTier, RunSeedsAndRandomPolicySeedsDoNotShare)
     for (size_t i = 0; i < random.size(); ++i) {
         RunResult ref;
         runner.withSystem(w, random[i].config, 0, [&](const System &sys) {
-            ref = sys.run([&w](Module &m) { w.setInput(m, 0); }, {}, {},
+            ref = sys.run([&w](Module &m) { w.setInput(m, 0); }, {},
                           MisspecPolicy::Random, random[i].policySeed);
         });
         EXPECT_TRUE(got[i] == ref) << "policy seed " << random[i].policySeed;
@@ -736,7 +736,7 @@ TEST(SimulationTier, DetailCellsAndWithSystemSimulateEveryTime)
     observers.core = &core;
     RunResult direct;
     runner.withSystem(w, cell.config, 0, [&](const System &sys) {
-        direct = sys.run([&w](Module &m) { w.setInput(m, 1); }, {},
+        direct = sys.run([&w](Module &m) { w.setInput(m, 1); },
                          observers);
     });
     EXPECT_GT(core.replayedRuns + core.slowInsts, 0u);

@@ -133,7 +133,7 @@ TEST(ReentrantRun, ConcurrentRunsMatchSerial)
     auto runCase = [&](const Case &c, const RunObservers &obs) {
         const uint64_t seed = c.runSeed;
         return sys.run([&w, seed](Module &m) { w.setInput(m, seed); },
-                       {}, obs, c.policy, 0xfeed + seed);
+                       obs, c.policy, 0xfeed + seed);
     };
     std::vector<RunResult> serial;
     for (const Case &c : cases)

@@ -17,7 +17,9 @@
  *    again, and with the block profiler attached — and the three
  *    RunResults must be equal, so memo replay, the inline
  *    branch/chaining path and the per-instruction sink feed are all
- *    held to the same row.
+ *    held to the same row. A Hardware cell runs a fourth time with
+ *    memo replay off, so the cycle-accurate slow path alone is held
+ *    to its row too.
  *
  *  - Interpreter tier: per workload, the plain module under Hardware
  *    (return value, checksum and every InterpStats field), a hash of
@@ -59,7 +61,8 @@ namespace
 // Adding a field to any observed struct must extend the hashes or
 // descriptions below (and re-pin).
 static_assert(sizeof(ActivityCounters) == 19 * sizeof(uint64_t),
-              "ActivityCounters changed: extend machineHash()");
+              "ActivityCounters changed: machineHash() reads "
+              "kCounterFields; re-pin");
 static_assert(sizeof(CacheStats) == 3 * sizeof(uint64_t),
               "CacheStats changed: extend machineHash()");
 static_assert(sizeof(DramStats) == 2 * sizeof(uint64_t),
@@ -109,14 +112,8 @@ machineHash(const RunResult &r, const BlockProfilerSink &blocks)
     uint64_t h = kFnvOffset;
     h = mix(h, r.returnValue);
     h = mix(h, r.outputChecksum);
-    const ActivityCounters &c = r.counters;
-    for (uint64_t v :
-         {c.instructions, c.cycles, c.alu32, c.alu8, c.mulDiv,
-          c.rfRead32, c.rfWrite32, c.rfRead8, c.rfWrite8, c.loads,
-          c.stores, c.branches, c.takenBranches, c.calls,
-          c.misspeculations, c.dynSpillLoads, c.dynSpillStores,
-          c.dynCopies, c.outputs})
-        h = mix(h, v);
+    for (const CounterField &f : kCounterFields)
+        h = mix(h, r.counters.*f.member);
     for (const CacheStats *s : {&r.l1i, &r.l1d, &r.l2}) {
         h = mix(h, s->accesses);
         h = mix(h, s->misses);
@@ -403,9 +400,9 @@ const MachinePin kMachinePins[] = {
      0x93f205bae40960eULL, 1993024, 2943176, 0},
     {"susan-smoothing", "no-spec", "random",
      0x93f205bae40960eULL, 1993024, 2943176, 0},
-    // BitSpec (MAX) with the expander off: recorded on FastCore alone,
-    // and held by its cycle-accurate slow path (every row passes with
-    // memo replay switched off).
+    // BitSpec (MAX) with the expander off: recorded on FastCore alone;
+    // the Hardware cells' replay-off runs hold them to the slow path
+    // too.
     {"CRC32", "bitspec-noexp", "hardware",
      0x31dc693df90aeda7ULL, 280428, 392096, 0},
     {"CRC32", "bitspec-noexp", "force-first",
@@ -545,15 +542,14 @@ checkMachineCell(const System &sys, const Workload &w,
     const std::string what = w.name + "/" + config + "/" + policy_name;
     RunObservers counted;
     counted.core = core;
-    const RunResult first = sys.run(inputOf(w), {}, {}, policy, 0xfeed);
-    const RunResult again =
-        sys.run(inputOf(w), {}, counted, policy, 0xfeed);
+    const RunResult first = sys.run(inputOf(w), {}, policy, 0xfeed);
+    const RunResult again = sys.run(inputOf(w), counted, policy, 0xfeed);
     const BlockMap bmap(sys.program());
     BlockProfilerSink blocks(bmap);
     RunObservers observers;
     observers.blocks = &blocks;
     const RunResult observed =
-        sys.run(inputOf(w), {}, observers, policy, 0xfeed);
+        sys.run(inputOf(w), observers, policy, 0xfeed);
     EXPECT_TRUE(again == first) << what << ": repeated run differs";
     EXPECT_TRUE(observed == first)
         << what << ": run with the profiler attached differs";
@@ -577,18 +573,28 @@ checkMachineCell(const System &sys, const Workload &w,
 }
 
 /** The Hardware cell of one configuration: the run every bench
- *  takes. */
+ *  takes, then once more with replay off, which must give the same
+ *  RunResult from the cycle-accurate slow path alone. */
 void
 checkHardwareCell(const std::string &workload, const NamedConfig &nc)
 {
     const Workload &w = getWorkload(workload);
     System sys(w.source, nc.config, inputOf(w));
     CoreRunStats core;
-    checkMachineCell(sys, w, nc.name, MisspecPolicy::Hardware, &core);
+    const RunResult first =
+        checkMachineCell(sys, w, nc.name, MisspecPolicy::Hardware, &core);
     // Every workload loops, so the run must have replayed memos;
     // otherwise matching the pin says nothing about replay.
     EXPECT_GT(core.memos, 0u) << w.name;
     EXPECT_GT(core.replayedRuns, 0u) << w.name;
+
+    CoreRunStats slow_core;
+    const RunResult slow =
+        sys.run(inputOf(w), {.replay = false, .core = &slow_core});
+    EXPECT_TRUE(slow == first)
+        << w.name << "/" << nc.name << ": run with replay off differs";
+    EXPECT_EQ(slow_core.memos, 0u) << w.name;
+    EXPECT_EQ(slow_core.slowInsts, slow.counters.instructions) << w.name;
 }
 
 class CoreEngineDiff : public ::testing::TestWithParam<std::string>

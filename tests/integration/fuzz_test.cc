@@ -12,7 +12,10 @@
 #include <string>
 
 #include "backend/compiler.h"
+#include "core/experiment.h"
 #include "frontend/irgen.h"
+#include "fuzz/differential.h"
+#include "fuzz/gen.h"
 #include "interp/interpreter.h"
 #include "profile/bitwidth_profile.h"
 #include "support/rng.h"
@@ -237,6 +240,25 @@ TEST_P(FuzzDifferential, AllExecutionModelsAgree)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferential,
                          ::testing::Range<uint64_t>(1, 41));
+
+/** fuzz_spec's helper programs: the generated body as a helper main
+ *  calls twice, built with the expander off by the differential,
+ *  agrees on every run. */
+TEST(FuzzHelperPrograms, HelperBodyCalledTwiceAgrees)
+{
+    ExperimentRunner runner(1);
+    for (uint64_t seed = 0; seed < 16; seed += 4) {
+        FuzzProgram p = generateProgram(seed);
+        p.helperCalls = 2;
+        const std::string src = p.render();
+        SCOPED_TRACE(src);
+        EXPECT_LT(src.find("u32 kernel() {\n"), src.find("u32 main() {\n"));
+        EXPECT_TRUE(src.ends_with("  u32 r = 0;\n  r = r + kernel();\n"
+                                  "  r = r + kernel();\n  return r;\n}\n"));
+        const FuzzDiffResult r = runFuzzDifferential(p, runner);
+        EXPECT_EQ(r.status, FuzzDiffStatus::Agree) << r.detail;
+    }
+}
 
 } // namespace
 } // namespace bitspec

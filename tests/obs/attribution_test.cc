@@ -134,7 +134,7 @@ TEST(Attribution, RegionMisspecsSumToCoreCounterAcrossSuite)
         for (uint64_t seed : {0, 1, 3}) {
             BlockProfilerSink sink(map);
             RunResult r = sys.run(
-                [&w, seed](Module &m) { w.setInput(m, seed); }, {},
+                [&w, seed](Module &m) { w.setInput(m, seed); },
                 {.blocks = &sink});
 
             EXPECT_EQ(regionMisspecs(sink),
@@ -177,7 +177,7 @@ TEST(Attribution, ReportRowsMatchSinkAndFormat)
     System sys = makeBitspec(w);
     BlockMap map(sys.program());
     BlockProfilerSink sink(map);
-    RunResult r = sys.run([&w](Module &m) { w.setInput(m, 0); }, {},
+    RunResult r = sys.run([&w](Module &m) { w.setInput(m, 0); },
                           {.blocks = &sink});
 
     System base(w.source, SystemConfig::baseline(),

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -111,8 +112,8 @@ TEST(BlockProfiler, SumsReconcileWithCoreCountersAcrossSuite)
         BlockProfilerSink sink(map);
         RunObservers obs;
         obs.blocks = &sink;
-        RunResult r = sys.run(
-            [&w](Module &m) { w.setInput(m, 1); }, {}, obs);
+        RunResult r =
+            sys.run([&w](Module &m) { w.setInput(m, 1); }, obs);
 
         EXPECT_EQ(sink.totalInsts(), r.counters.instructions) << w.name;
         EXPECT_EQ(sink.totalCycles(), r.counters.cycles) << w.name;
@@ -146,7 +147,7 @@ TEST(BlockProfiler, DoesNotPerturbTheRun)
     RunObservers obs;
     obs.blocks = &sink;
     RunResult profiled =
-        sys.run([&w](Module &m) { w.setInput(m, 1); }, {}, obs);
+        sys.run([&w](Module &m) { w.setInput(m, 1); }, obs);
     RunResult plain = sys.run([&w](Module &m) { w.setInput(m, 1); });
 
     EXPECT_EQ(plain.outputChecksum, profiled.outputChecksum);
@@ -165,8 +166,7 @@ TEST(BlockProfiler, HeatReportSplitsEnergyExactly)
     BlockProfilerSink sink(map);
     RunObservers obs;
     obs.blocks = &sink;
-    RunResult r =
-        sys.run([&w](Module &m) { w.setInput(m, 1); }, {}, obs);
+    RunResult r = sys.run([&w](Module &m) { w.setInput(m, 1); }, obs);
 
     HeatReportInputs inputs;
     inputs.energy = SystemConfig::bitspec().energy;
@@ -204,27 +204,67 @@ TEST(BlockProfiler, HeatReportSplitsEnergyExactly)
     EXPECT_NE(folded.find(";"), std::string::npos);
 }
 
-TEST(CounterTracks, EmitWindowedSamplesWhenTracing)
+/** Counter-lane samples of the buffered trace, by lane name. */
+std::map<std::string, std::vector<double>>
+counterSamples()
+{
+    std::map<std::string, std::vector<double>> out;
+    for (const trace::Event &e : trace::snapshot())
+        if (e.phase == 'C')
+            out[e.name].push_back(std::stod(e.args.at(0).second));
+    return out;
+}
+
+TEST(CounterTracks, TracedRunReplaysLikeAnUntracedOne)
+{
+    const Workload &w = getWorkload("CRC32");
+    System sys = makeBitspec(w);
+    auto input = [&w](Module &m) { w.setInput(m, 1); };
+
+    CoreRunStats plain_core, traced_core;
+    trace::setEnabled(false);
+    const RunResult plain = sys.run(input, {.core = &plain_core});
+    trace::setEnabled(true);
+    trace::reset();
+    const RunResult traced = sys.run(input, {.core = &traced_core});
+    trace::setEnabled(false);
+    trace::reset();
+
+    EXPECT_TRUE(traced == plain);
+    EXPECT_GT(traced_core.replayedRuns, 0u);
+    EXPECT_LT(traced_core.slowInsts, traced.counters.instructions);
+    EXPECT_EQ(traced_core.memos, plain_core.memos);
+    EXPECT_EQ(traced_core.replayedRuns, plain_core.replayedRuns);
+    EXPECT_EQ(traced_core.slowInsts, plain_core.slowInsts);
+}
+
+TEST(CounterTracks, OneSamplePerLanePerTracedRun)
 {
     const Workload &w = getWorkload("CRC32");
     System sys = makeBitspec(w);
 
     trace::setEnabled(true);
     trace::reset();
-    CounterTrackEmitter tracks(4096);
-    RunObservers obs;
-    obs.tracks = &tracks;
-    RunResult r =
-        sys.run([&w](Module &m) { w.setInput(m, 1); }, {}, obs);
+    const RunResult r = sys.run([&w](Module &m) { w.setInput(m, 1); });
+    const auto samples = counterSamples();
     trace::setEnabled(false);
-
-    ASSERT_GT(r.counters.instructions, 4096u);
-    // One sample per full window plus the finish() flush.
-    EXPECT_GE(tracks.samplesEmitted(),
-              r.counters.instructions / 4096);
-    // Three counter tracks per sample land in the trace buffer.
-    EXPECT_GE(trace::eventCount(), 3 * tracks.samplesEmitted());
     trace::reset();
+
+    ASSERT_EQ(samples.size(), 3u);
+    for (const auto &[lane, values] : samples)
+        EXPECT_EQ(values.size(), 1u) << lane;
+    const ActivityCounters &c = r.counters;
+    EXPECT_DOUBLE_EQ(samples.at("core.ipc").at(0),
+                     static_cast<double>(c.instructions) /
+                         static_cast<double>(c.cycles));
+    EXPECT_DOUBLE_EQ(samples.at("core.misspec_per_kinst").at(0),
+                     1000.0 * static_cast<double>(c.misspeculations) /
+                         static_cast<double>(c.instructions));
+    EXPECT_DOUBLE_EQ(samples.at("core.l1d_hit_pct").at(0),
+                     100.0 *
+                         static_cast<double>(r.l1d.accesses -
+                                             r.l1d.misses) /
+                         static_cast<double>(r.l1d.accesses));
 }
 
 TEST(CounterTracks, SilentWhenTracingDisabled)
@@ -234,11 +274,7 @@ TEST(CounterTracks, SilentWhenTracingDisabled)
 
     trace::setEnabled(false);
     trace::reset();
-    CounterTrackEmitter tracks(4096);
-    RunObservers obs;
-    obs.tracks = &tracks;
-    sys.run([&w](Module &m) { w.setInput(m, 1); }, {}, obs);
-    EXPECT_EQ(tracks.samplesEmitted(), 0u);
+    sys.run([&w](Module &m) { w.setInput(m, 1); });
     EXPECT_EQ(trace::eventCount(), 0u);
 }
 

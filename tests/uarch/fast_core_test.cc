@@ -2,14 +2,14 @@
  * @file
  * Targeted unit tests of the core: memo-guard divergence (hot block ->
  * cache miss or misspeculation -> hot again), superblock replay across
- * unconditional jumps, where memos get built, memo invalidation,
+ * unconditional jumps, where memos get built, the replay switch,
  * persistence across reset() and fuel accounting under replay.
  *
  * Whole-workload observations are pinned by
  * tests/core/run_freeze_test.cc; these tests construct small kernels
  * where the divergence paths are guaranteed to fire, check replay
- * against the cycle-accurate slow path (a run with a counter-track
- * emitter attached never replays) and assert both paths ran via
+ * against the cycle-accurate slow path (a run with replay switched
+ * off, FastCore::setReplay) and assert both paths ran via
  * replayedRuns()/slowInsts().
  */
 
@@ -33,10 +33,9 @@ namespace
 uint32_t
 runSlowPath(FastCore &core, const std::vector<uint32_t> &args)
 {
-    CounterTrackEmitter tracks;
-    core.setCounterTracks(&tracks);
+    core.setReplay(false);
     uint32_t ret = core.run(args);
-    core.setCounterTracks(nullptr);
+    core.setReplay(true);
     EXPECT_EQ(core.slowInsts(), core.counters().instructions);
     return ret;
 }
@@ -44,27 +43,9 @@ runSlowPath(FastCore &core, const std::vector<uint32_t> &args)
 void
 expectSameObservables(const FastCore &slow, const FastCore &fast)
 {
-    const ActivityCounters &a = slow.counters();
-    const ActivityCounters &b = fast.counters();
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.alu32, b.alu32);
-    EXPECT_EQ(a.alu8, b.alu8);
-    EXPECT_EQ(a.mulDiv, b.mulDiv);
-    EXPECT_EQ(a.rfRead32, b.rfRead32);
-    EXPECT_EQ(a.rfWrite32, b.rfWrite32);
-    EXPECT_EQ(a.rfRead8, b.rfRead8);
-    EXPECT_EQ(a.rfWrite8, b.rfWrite8);
-    EXPECT_EQ(a.loads, b.loads);
-    EXPECT_EQ(a.stores, b.stores);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.takenBranches, b.takenBranches);
-    EXPECT_EQ(a.calls, b.calls);
-    EXPECT_EQ(a.misspeculations, b.misspeculations);
-    EXPECT_EQ(a.dynSpillLoads, b.dynSpillLoads);
-    EXPECT_EQ(a.dynSpillStores, b.dynSpillStores);
-    EXPECT_EQ(a.dynCopies, b.dynCopies);
-    EXPECT_EQ(a.outputs, b.outputs);
+    for (const CounterField &f : kCounterFields)
+        EXPECT_EQ(slow.counters().*f.member, fast.counters().*f.member)
+            << f.name;
     EXPECT_EQ(slow.outputChecksum(), fast.outputChecksum());
 
     const MemoryHierarchy &ma = slow.memory();
@@ -781,33 +762,35 @@ TEST(FastCore, ResetPreservesMemosAndStaysDeterministic)
     EXPECT_GT(fast.replayedRuns(), replays);
 }
 
-TEST(FastCore, InvalidateMemosDropsAndRebuilds)
+TEST(FastCore, ReplayOffRunsEveryInstructionOnTheSlowPath)
 {
     const char *src = R"(
         u32 state;
         u32 main(u32 n) {
-            for (u32 i = 0; i < n; i++)
+            for (u32 i = 0; i < n; i++) {
                 state = state * 3 + 1;
+                out(state);
+            }
             return state;
         }
     )";
     auto mod = compileSource(src);
     CompiledProgram cp = compileModule(*mod, TargetISA::Baseline);
     PredecodedProgram pre(cp.program);
+
+    FastCore slow(pre, *mod);
+    slow.setReplay(false);
+    const uint32_t want = slow.run({32});
+    EXPECT_EQ(slow.memoCount(), 0u);
+    EXPECT_EQ(slow.replayedRuns(), 0u);
+    EXPECT_EQ(slow.slowInsts(), slow.counters().instructions);
+
     FastCore fast(pre, *mod);
-
-    uint32_t first = fast.run({32});
-    uint64_t cycles = fast.counters().cycles;
+    EXPECT_EQ(fast.run({32}), want);
     EXPECT_GT(fast.memoCount(), 0u);
-
-    // The analogue of Interpreter::invalidate(): stale memos must be
-    // droppable, and rebuilding them must not change any observable.
-    fast.invalidateMemos();
-    EXPECT_EQ(fast.memoCount(), 0u);
-    fast.reset();
-    EXPECT_EQ(fast.run({32}), first);
-    EXPECT_EQ(fast.counters().cycles, cycles);
-    EXPECT_GT(fast.memoCount(), 0u);
+    EXPECT_GT(fast.replayedRuns(), 0u);
+    EXPECT_LT(fast.slowInsts(), fast.counters().instructions);
+    expectSameObservables(slow, fast);
 }
 
 TEST(FastCore, FuelGuardsAgainstRunawayUnderReplay)
